@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 import yaml
@@ -44,6 +45,18 @@ EXIT_VERIFY = 4
 COMMANDS = ("synth", "train", "eval", "verify", "report")
 
 CONFIG_ENV_VAR = "MODLAB_CONFIG"
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads exponent floats without a dot (3e-7,
+    1e-4) as floats; the YAML 1.1 resolver leaves them strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 class CliError(Exception):
@@ -115,7 +128,7 @@ def apply_override(cfg: dict, dotted: str) -> None:
         if not isinstance(node, dict):
             raise CliError(f"override {key!r} descends through a non-section value", EXIT_CONFIG)
     try:
-        value = yaml.safe_load(raw)
+        value = yaml.load(raw, Loader=_ConfigLoader)
     except yaml.YAMLError:
         value = raw
     node[parts[-1]] = value
@@ -126,7 +139,7 @@ def load_config(config_path, overrides) -> dict:
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                user_cfg = yaml.safe_load(fh) or {}
+                user_cfg = yaml.load(fh, Loader=_ConfigLoader) or {}
         except OSError as exc:
             raise CliError(f"cannot read config {config_path}: {exc}", EXIT_MISSING)
         except yaml.YAMLError as exc:
@@ -157,6 +170,20 @@ def _require_file(path, what: str) -> str:
     if not path or not os.path.exists(path):
         raise CliError(f"{what} not found: {path}", EXIT_MISSING)
     return path
+
+
+def _shift_spec(section: dict, seed: int) -> CorruptionSpec:
+    shift_cfg = section.get("shift") or {}
+    return CorruptionSpec(kind=shift_cfg.get("kind", "diffusion"),
+                          t=int(shift_cfg.get("t", 500)),
+                          sigma=float(shift_cfg.get("sigma", 1.0)),
+                          seed=seed)
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    return "%.4f" % value if isinstance(value, float) else value
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +317,11 @@ def cmd_eval(cfg: dict) -> int:
     csv_path = _out_path(cfg, f"{prefix}.csv")
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group", "accuracy", "precision", "recall", "f1", "pa", "hr",
-                         "yes_correct", "yes_total", "no_correct", "no_total"])
-        for group, rep in sorted(reports.items()):
-            row = [group] + [("" if v is None else "%.4f" % v) for v in
-                             (rep.accuracy, rep.precision, rep.recall, rep.f1, rep.pa, rep.hr)]
-            writer.writerow(row + [rep.yes_correct, rep.yes_total, rep.no_correct, rep.no_total])
+        writer.writerow(["group", *reports["overall"].as_dict()])
+        for group, report in sorted(reports.items()):
+            writer.writerow([group, *map(_csv_cell, report.as_dict().values())])
 
-    shift_cfg = section.get("shift") or {}
-    spec = CorruptionSpec(kind=shift_cfg.get("kind", "diffusion"),
-                          t=int(shift_cfg.get("t", 500)),
-                          sigma=float(shift_cfg.get("sigma", 1.0)),
-                          seed=int(cfg["seed"]))
+    spec = _shift_spec(section, int(cfg["seed"]))
     unimodal = [it for it in items if it.context.modality_tag != "audiovisual"]
     shift_summary = {}
     if unimodal:
@@ -328,12 +348,7 @@ def cmd_report(cfg: dict) -> int:
     items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
     named = [(name, load_checkpoint(_require_file(path, f"checkpoint {name!r}")))
              for name, path in sorted(ckpts.items())]
-    shift_cfg = section.get("shift") or {"kind": "diffusion", "t": 500}
-    spec = CorruptionSpec(kind=shift_cfg.get("kind", "diffusion"),
-                          t=int(shift_cfg.get("t", 500)),
-                          sigma=float(shift_cfg.get("sigma", 1.0)),
-                          seed=int(cfg["seed"]))
-    rows = eval_mod.compare(named, items, shift_spec=spec)
+    rows = eval_mod.compare(named, items, shift_spec=_shift_spec(section, int(cfg["seed"])))
     prefix = section.get("out_prefix", "comparison")
     eval_mod.comparison_to_csv(rows, _out_path(cfg, f"{prefix}.csv"))
     table = eval_mod.comparison_table(rows)
@@ -341,16 +356,19 @@ def cmd_report(cfg: dict) -> int:
         fh.write(table + "\n")
     print(table)
 
-    # Pull pass-counter summaries written by train runs in the same directory.
+    # Pass-counter summaries written by train runs next to the checkpoints,
+    # once per directory.
+    seen = set()
     for name, path in sorted(ckpts.items()):
-        counters_path = os.path.join(os.path.dirname(path), "counters.json")
-        if os.path.exists(counters_path):
-            with open(counters_path, encoding="ascii") as fh:
-                summary = json.load(fh)
-            for c in summary.get("per_pair_counters", []):
-                print(f"counters [{summary.get('loss_variant', '?')}] near {name}: "
-                      f"({c['fwd_policy']},{c['fwd_ref']},{c['bwd_policy']},{c['bwd_ref']}) per pair")
-            break
+        counters_path = os.path.join(os.path.dirname(os.path.abspath(path)), "counters.json")
+        if counters_path in seen or not os.path.exists(counters_path):
+            continue
+        seen.add(counters_path)
+        with open(counters_path, encoding="ascii") as fh:
+            summary = json.load(fh)
+        for c in summary.get("per_pair_counters", []):
+            print(f"counters [{summary.get('loss_variant', '?')}] near {name}: "
+                  f"({c['fwd_policy']},{c['fwd_ref']},{c['bwd_policy']},{c['bwd_ref']}) per pair")
     _write_snapshot(cfg, "report")
     return EXIT_OK
 

@@ -292,43 +292,53 @@ def pair_loss(margin: float) -> float:
     return float(np.logaddexp(0.0, -margin))
 
 
-def modpp_pair_loss(pl: PairLogProbs, hp: Hyperparams, lpd_placement: str = "inside") -> float:
-    """Pair loss of the debiased decoupled objective.
+def pair_terms(pl: PairLogProbs, hp: Hyperparams, joint: bool = False,
+               lpd_placement: str = "inside"):
+    """(loss, sigmoid margin, policy coefficient) of one preference pair.
 
-    "inside" (default) composes the debiasing penalty into the reward, so
-    it sits inside the sigmoid and carries gradient signal; "outside" adds
-    it to the loss after the sigmoid, reproducing the additive surface form
-    (constant in the trainable parameters).
+    The coefficient multiplies d_policy inside the sigmoid, i.e. it is the
+    factor the gradient flows through.  The decoupled margin uses tau; the
+    debiasing penalty goes inside the sigmoid ("inside", where it carries
+    gradient) or is added to the loss after it ("outside", the additive
+    surface form, constant in the trainable parameters).
+
+    joint selects the loss for prompts that need both modalities at once:
+    the invariance term is dropped (there is no irrelevant modality), the
+    temperature becomes tau_av = beta - beta_sens, the sens slots carry the
+    both-modalities-corrupted pass and there is no debiasing term:
+
+        -ln sigmoid(tau_av*d_policy - beta*d_ref + beta_sens*d_corrupted)
     """
     if lpd_placement not in LPD_PLACEMENTS:
         raise ConfigurationError(
             f"lpd_placement must be one of {LPD_PLACEMENTS}, got {lpd_placement!r}"
         )
+    if joint:
+        tau_av = hp.tau_av
+        if tau_av <= 0:
+            raise ConfigurationError(
+                f"joint-audiovisual loss requires beta > beta_sens, got tau_av={tau_av}"
+            )
+        d_policy = pl.policy_w - pl.policy_l
+        d_ref = pl.ref_w - pl.ref_l
+        margin = tau_av * d_policy - hp.beta * d_ref
+        d_both = _delta(pl.sens_w, pl.sens_l, hp.beta_sens, "both-modalities-corrupted")
+        if d_both is not None:
+            margin += hp.beta_sens * d_both
+        return pair_loss(margin), margin, tau_av
     margin = mod_margin(pl, hp)
     lpd = lpd_margin(pl, hp)
     if lpd_placement == "inside":
-        return pair_loss(margin + lpd)
-    return pair_loss(margin) + lpd
+        margin += lpd
+        return pair_loss(margin), margin, hp.tau
+    return pair_loss(margin) + lpd, margin, hp.tau
+
+
+def modpp_pair_loss(pl: PairLogProbs, hp: Hyperparams, lpd_placement: str = "inside") -> float:
+    """Pair loss of the debiased decoupled objective (see pair_terms)."""
+    return pair_terms(pl, hp, lpd_placement=lpd_placement)[0]
 
 
 def av_pair_loss(pl: PairLogProbs, hp: Hyperparams) -> float:
-    """Pair loss for prompts that need both modalities at once.
-
-    The invariance term is dropped (there is no irrelevant modality), so
-    the temperature becomes tau_av = beta - beta_sens and the sens slots
-    carry the both-modalities-corrupted pass:
-
-        -ln sigmoid(tau_av*d_policy - beta*d_ref + beta_sens*d_corrupted)
-    """
-    tau_av = hp.tau_av
-    if tau_av <= 0:
-        raise ConfigurationError(
-            f"joint-audiovisual loss requires beta > beta_sens, got tau_av={tau_av}"
-        )
-    d_policy = pl.policy_w - pl.policy_l
-    d_ref = pl.ref_w - pl.ref_l
-    margin = tau_av * d_policy - hp.beta * d_ref
-    d_both = _delta(pl.sens_w, pl.sens_l, hp.beta_sens, "both-modalities-corrupted")
-    if d_both is not None:
-        margin += hp.beta_sens * d_both
-    return pair_loss(margin)
+    """Pair loss for prompts that need both modalities at once (see pair_terms)."""
+    return pair_terms(pl, hp, joint=True)[0]

@@ -87,6 +87,10 @@ class CorruptionSpec:
     def reseeded(self, seed: int) -> "CorruptionSpec":
         return CorruptionSpec(kind=self.kind, t=self.t, sigma=self.sigma, seed=seed)
 
+    def for_draw(self, *key) -> "CorruptionSpec":
+        """Copy seeded for one draw, the seed derived from the integer key."""
+        return self.reseeded(int(np.random.SeedSequence(list(key)).generate_state(1)[0]))
+
 
 def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
     """Cumulative signal retention prod_{s=1..t}(1 - beta_s), in (0, 1]."""
@@ -135,3 +139,13 @@ def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule =
     abar = alpha_bar(schedule, spec.t)
     eps = rng.standard_normal(x.shape)
     return math.sqrt(abar) * x + math.sqrt(1.0 - abar) * eps
+
+
+def corrupt_context(ctx, spec: CorruptionSpec, modalities, pools=None):
+    """Copy of a ModalityContext with the named modalities ("audio",
+    "visual") corrupted by one spec; pools maps a modality to its
+    random_swap pool."""
+    return ctx.with_features(**{
+        m: corrupt(getattr(ctx, m), spec, pool=pools.get(m) if pools else None)
+        for m in modalities
+    })

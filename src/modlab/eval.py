@@ -26,14 +26,21 @@ corrupted and very little when the irrelevant one is.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrupt import CorruptionSpec, corrupt
-from .policy import ModalityContext, PolicyParams, forward_logprobs
-from .synth import EVAL_QUESTION_KINDS, NO_ID, TASK_GROUPS, YES_ID
+from .corrupt import CorruptionSpec, corrupt_context
+from .policy import ModalityContext, PolicyParams, forward_logprobs, modality_roles
+from .synth import (
+    EVAL_QUESTION_KINDS,
+    NO_ID,
+    TASK_GROUPS,
+    YES_ID,
+    answer_id,
+    context_from_record,
+    read_records,
+)
 
 SHIFT_HISTOGRAM_RANGE = (-5.0, 5.0)
 SHIFT_HISTOGRAM_BINS = 41  # equal-width bins; one underflow + one overflow added
@@ -60,14 +67,8 @@ class EvalItem:
 
 
 def item_from_record(rec: dict) -> EvalItem:
-    ctx = ModalityContext(
-        audio=np.array(rec["audio_feat"], dtype=np.float64),
-        visual=np.array(rec["visual_feat"], dtype=np.float64),
-        prompt_id=int(rec["prompt_id"]),
-        modality_tag=rec["modality_tag"],
-    )
     return EvalItem(
-        context=ctx,
+        context=context_from_record(rec),
         question_kind=rec["question_kind"],
         ground_truth=rec["ground_truth"],
         task_group=rec["task_group"],
@@ -75,13 +76,7 @@ def item_from_record(rec: dict) -> EvalItem:
 
 
 def load_eval_items(path):
-    items = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                items.append(item_from_record(json.loads(line)))
-    return items
+    return read_records(path, item_from_record)
 
 
 @dataclass
@@ -207,10 +202,6 @@ class ShiftStats:
     deltas: np.ndarray = field(repr=False, default=None)
 
 
-def _answer_id(answer: str) -> int:
-    return YES_ID if answer == "yes" else NO_ID
-
-
 def _shift_histogram(deltas: np.ndarray):
     lo, hi = SHIFT_HISTOGRAM_RANGE
     edges = np.linspace(lo, hi, SHIFT_HISTOGRAM_BINS + 1)
@@ -229,24 +220,16 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
     """
     if which not in ("relevant", "irrelevant"):
         raise EvalError(f"which must be 'relevant' or 'irrelevant', got {which!r}")
+    role = 0 if which == "relevant" else 1
     deltas = np.empty(len(items))
     for i, item in enumerate(items):
-        tag = item.context.modality_tag
-        if tag == "visual_related":
-            modality = "visual" if which == "relevant" else "audio"
-        elif tag == "audio_related":
-            modality = "audio" if which == "relevant" else "visual"
-        else:
-            raise EvalError("shift analysis needs single-modality items")
-        item_spec = spec.reseeded(int(np.random.SeedSequence([spec.seed, i]).generate_state(1)[0]))
-        pool = pools.get(modality) if pools else None
-        if modality == "audio":
-            corrupted_ctx = item.context.with_features(
-                audio=corrupt(item.context.audio, item_spec, pool=pool))
-        else:
-            corrupted_ctx = item.context.with_features(
-                visual=corrupt(item.context.visual, item_spec, pool=pool))
-        answer = _answer_id(item.ground_truth)
+        try:
+            modality = modality_roles(item.context.modality_tag)[role]
+        except ValueError:
+            raise EvalError("shift analysis needs single-modality items") from None
+        corrupted_ctx = corrupt_context(item.context, spec.for_draw(spec.seed, i),
+                                        (modality,), pools)
+        answer = answer_id(item.ground_truth)
         clean = forward_logprobs(params, item.context)[answer]
         corrupted = forward_logprobs(params, corrupted_ctx)[answer]
         deltas[i] = clean - corrupted

@@ -10,20 +10,22 @@ are quoted as means over fresh worlds:
     pathologies to be trained away).  Variants are then trained on one
     balanced matched+mismatched preference set under identical budgets and
     scored on conflict probes (mismatched contexts only).  The decoupled
-    variant uses invariance-dominant desk strengths (see DESK_STRENGTHS):
-    at this scale the invariance weight both raises the effective margin
-    temperature and keeps training pressure on corruption-stable pairs,
-    which is what separates it from the vanilla baseline here.
+    variant uses the invariance-dominant desk strengths of the
+    ``modpp_desk`` preset: at this scale the invariance weight both raises
+    the effective margin temperature and keeps training pressure on
+    corruption-stable pairs, which is what separates it from the vanilla
+    baseline here.
 
 ``shift_analysis``
     A milder world (symmetric warm-up noise, mixed-context evaluation) and
-    the publication-default strengths, used for the log-likelihood shift
+    the publication-default strengths (the ``modpp`` preset), used for the log-likelihood shift
     phenomenology: the decoupled model should move a lot under
     relevant-modality corruption and little under irrelevant-modality
     corruption.
 
-Budgets are equal across variants within an experiment (same lr, epochs,
-batch size, seeds); only the loss differs.
+Variants are preset names (see modlab.presets).  Budgets are equal across
+variants within an experiment (same lr, epochs, batch size, seeds); only
+the loss differs.
 """
 
 from __future__ import annotations
@@ -35,21 +37,10 @@ import numpy as np
 from . import eval as eval_mod
 from . import synth
 from . import train as training
-from .core import Hyperparams
 from .corrupt import CorruptionSpec
 from .eval import MetricsReport
 from .policy import PolicyParams
-
-# Publication-default strengths.
-PAPER_STRENGTHS = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.05)
-# Desk-tuned strengths for the toy policy: invariance-dominant ordering.
-# The single-token policy shares its answer logits across all prompts, so
-# the sensitivity weight's margin credit mostly tracks the answer prior and
-# stalls debiasing, while the invariance weight's margin discount keeps
-# pressure on; tuning therefore lands with beta_inv above beta_sens here,
-# the reverse of the full-scale recommendation.
-DESK_STRENGTHS = Hyperparams(beta=0.1, beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)
-DPO_STRENGTHS = Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
+from .presets import make_config
 
 
 @dataclass(frozen=True)
@@ -139,23 +130,23 @@ def build_world(spec: ExperimentSpec, seed: int):
 
 def variant_config(spec: ExperimentSpec, name: str, seed: int,
                    corruption: CorruptionSpec = None) -> training.TrainConfig:
-    hp = {"dpo": DPO_STRENGTHS, "modpp": PAPER_STRENGTHS, "modpp_desk": DESK_STRENGTHS}.get(name)
-    if hp is None:
-        raise KeyError(f"unknown experiment variant {name!r}")
-    return training.TrainConfig(
-        hp=hp, loss_variant="dpo" if name == "dpo" else "modpp",
-        corruption=corruption or CorruptionSpec(),
-        lr=spec.lr, epochs=spec.epochs, batch_size=spec.batch_size, seed=seed,
-        warmup_steps=spec.warmup_steps, warmup_lr=spec.warmup_lr,
-    )
+    """The named preset at the experiment's budget."""
+    overrides = dict(lr=spec.lr, epochs=spec.epochs, batch_size=spec.batch_size, seed=seed,
+                     warmup_steps=spec.warmup_steps, warmup_lr=spec.warmup_lr)
+    if corruption is not None:
+        overrides["corruption"] = corruption
+    return make_config(name, **overrides)
 
 
 def _outcome(name, params, items, shift_spec, losses=None) -> VariantOutcome:
+    """Scores of one model; shifts are NaN when shift_spec is None."""
     report = eval_mod.evaluate(params, items)
-    rel = eval_mod.loglik_shift(params, items, shift_spec, "relevant")
-    irr = eval_mod.loglik_shift(params, items, shift_spec, "irrelevant")
+    rel = irr = float("nan")
+    if shift_spec is not None:
+        rel = eval_mod.loglik_shift(params, items, shift_spec, "relevant").mean_abs
+        irr = eval_mod.loglik_shift(params, items, shift_spec, "irrelevant").mean_abs
     return VariantOutcome(name=name, accuracy=report.accuracy, report=report,
-                          shift_relevant=rel.mean_abs, shift_irrelevant=irr.mean_abs,
+                          shift_relevant=rel, shift_irrelevant=irr,
                           losses=losses, params=params)
 
 
@@ -163,22 +154,14 @@ def run_benchmark(spec: ExperimentSpec, seed: int, variants=("dpo", "modpp_desk"
                   corruption_overrides=None, compute_shifts=True) -> BenchmarkRun:
     """Train the requested variants from one shared reference and score them."""
     corruption_overrides = corruption_overrides or {}
-    shift_spec = CorruptionSpec(kind="diffusion", t=500, seed=seed)
+    shift_spec = CorruptionSpec(kind="diffusion", t=500, seed=seed) if compute_shifts else None
     _, train_pairs, items, reference = build_world(spec, seed)
-
-    def outcome(name, params, losses=None):
-        if compute_shifts:
-            return _outcome(name, params, items, shift_spec, losses)
-        report = eval_mod.evaluate(params, items)
-        return VariantOutcome(name=name, accuracy=report.accuracy, report=report,
-                              shift_relevant=float("nan"), shift_irrelevant=float("nan"),
-                              losses=losses, params=params)
-
-    run = BenchmarkRun(seed=seed, reference=outcome("reference", reference), variants={})
+    run = BenchmarkRun(seed=seed, reference=_outcome("reference", reference, items, shift_spec),
+                       variants={})
     for name in variants:
         cfg = variant_config(spec, name, seed, corruption_overrides.get(name))
         result = training.train(train_pairs, cfg, ref_params=reference)
-        run.variants[name] = outcome(name, result.params, result.losses)
+        run.variants[name] = _outcome(name, result.params, items, shift_spec, result.losses)
     return run
 
 

@@ -33,6 +33,16 @@ CHECKPOINT_HEADER = "modlab-checkpoint v1"
 
 MODALITY_TAGS = ("audio_related", "visual_related", "audiovisual")
 
+# (prompt-relevant, prompt-irrelevant) modality of each single-modality tag.
+_MODALITY_ROLES = {"visual_related": ("visual", "audio"), "audio_related": ("audio", "visual")}
+
+
+def modality_roles(tag: str) -> tuple:
+    """(relevant, irrelevant) modality names for a single-modality tag."""
+    if tag not in _MODALITY_ROLES:
+        raise ValueError(f"relevant/irrelevant modalities are undefined for tag {tag!r}")
+    return _MODALITY_ROLES[tag]
+
 
 @dataclass(frozen=True)
 class ModalityContext:

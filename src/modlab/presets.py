@@ -1,67 +1,58 @@
 """Named experiment presets.
 
 Each preset is a TrainConfig factory at desk scale: the regularization
-strengths are the tuned full-scale defaults (beta=0.1, beta_sens=0.05,
-beta_inv=0.02, gamma_lpd=0.05) while step size and epoch budget are sized
-for the toy policy.  Ablations toggle one mechanism at a time by zeroing
-its strength; corruption presets swap the corruption family or diffusion
-step count.
+strengths are the tuned full-scale defaults of ``Hyperparams`` (beta=0.1,
+beta_sens=0.05, beta_inv=0.02, gamma_lpd=0.05) while step size and epoch
+budget are sized for the toy policy.  Ablations toggle one mechanism at a
+time by zeroing its strength; corruption presets swap the corruption
+family or diffusion step count.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .core import Hyperparams
 from .corrupt import CorruptionSpec
-from .train import TrainConfig, desk_config
+from .train import TrainConfig
 
+# Step size and epoch budget sized for the toy policy.
+_DESK_SCALE = dict(lr=0.15, epochs=4, batch_size=16, warmup_steps=500, warmup_lr=0.5)
 
-def _hp(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.05) -> Hyperparams:
-    return Hyperparams(beta=beta, beta_inv=beta_inv, beta_sens=beta_sens, gamma_lpd=gamma_lpd)
+_PRESETS = {
+    # Loss-variant ladder.
+    "dpo": dict(loss_variant="dpo"),
+    "mod": dict(loss_variant="mod", hp=Hyperparams(gamma_lpd=0.0)),
+    "modpp": dict(loss_variant="modpp"),
+    "mod_with_av": dict(loss_variant="mod_with_av", hp=Hyperparams(gamma_lpd=0.0)),
+    # Invariance-dominant strengths tuned for the toy policy, the reverse of
+    # the full-scale recommendation.  The single-token policy shares its
+    # answer logits across all prompts, so the sensitivity weight's margin
+    # credit mostly tracks the answer prior and stalls debiasing, while the
+    # invariance weight's margin discount keeps pressure on corruption-stable
+    # pairs and raises the effective margin temperature.
+    "modpp_desk": dict(loss_variant="modpp",
+                       hp=Hyperparams(beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)),
+    # Component ablations: exactly one mechanism active at a time,
+    # plus the leave-one-out combinations.
+    "sens_only": dict(loss_variant="mod", hp=Hyperparams(beta_inv=0.0, gamma_lpd=0.0)),
+    "inv_only": dict(loss_variant="mod", hp=Hyperparams(beta_sens=0.0, gamma_lpd=0.0)),
+    "lpd_only": dict(loss_variant="modpp", hp=Hyperparams(beta_inv=0.0, beta_sens=0.0)),
+    "modpp_no_lpd": dict(loss_variant="modpp", hp=Hyperparams(gamma_lpd=0.0)),
+    # Corruption families.
+    "modpp_zeros": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="zeros")),
+    "modpp_gaussian": dict(loss_variant="modpp",
+                           corruption=CorruptionSpec(kind="gaussian", sigma=1.0)),
+    "modpp_swap": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="random_swap")),
+    "modpp_diff_t10": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="diffusion", t=10)),
+    "modpp_diff_t50": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="diffusion", t=50)),
+    "modpp_diff_t500": dict(loss_variant="modpp",
+                            corruption=CorruptionSpec(kind="diffusion", t=500)),
+}
 
-
-def _preset_map() -> dict:
-    return {
-        # Loss-variant ladder.
-        "dpo": dict(loss_variant="dpo", hp=_hp()),
-        "mod": dict(loss_variant="mod", hp=_hp(gamma_lpd=0.0)),
-        "modpp": dict(loss_variant="modpp", hp=_hp()),
-        "mod_with_av": dict(loss_variant="mod_with_av", hp=_hp(gamma_lpd=0.0)),
-        # Invariance-dominant strengths tuned for the toy policy (the
-        # single shared answer-logit pair makes sensitivity credit track
-        # the answer prior, so the desk optimum reverses the ordering).
-        "modpp_desk": dict(loss_variant="modpp",
-                           hp=_hp(beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)),
-        # Component ablations: exactly one mechanism active at a time,
-        # plus the leave-one-out combinations.
-        "sens_only": dict(loss_variant="mod", hp=_hp(beta_inv=0.0, gamma_lpd=0.0)),
-        "inv_only": dict(loss_variant="mod", hp=_hp(beta_sens=0.0, gamma_lpd=0.0)),
-        "lpd_only": dict(loss_variant="modpp", hp=_hp(beta_inv=0.0, beta_sens=0.0)),
-        "modpp_no_lpd": dict(loss_variant="modpp", hp=_hp(gamma_lpd=0.0)),
-        # Corruption families.
-        "modpp_zeros": dict(loss_variant="modpp", hp=_hp(),
-                            corruption=CorruptionSpec(kind="zeros")),
-        "modpp_gaussian": dict(loss_variant="modpp", hp=_hp(),
-                               corruption=CorruptionSpec(kind="gaussian", sigma=1.0)),
-        "modpp_swap": dict(loss_variant="modpp", hp=_hp(),
-                           corruption=CorruptionSpec(kind="random_swap")),
-        "modpp_diff_t10": dict(loss_variant="modpp", hp=_hp(),
-                               corruption=CorruptionSpec(kind="diffusion", t=10)),
-        "modpp_diff_t50": dict(loss_variant="modpp", hp=_hp(),
-                               corruption=CorruptionSpec(kind="diffusion", t=50)),
-        "modpp_diff_t500": dict(loss_variant="modpp", hp=_hp(),
-                                corruption=CorruptionSpec(kind="diffusion", t=500)),
-    }
-
-
-PRESET_NAMES = tuple(sorted(_preset_map()))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def make_config(name: str, **overrides) -> TrainConfig:
     """TrainConfig for a named preset, with field overrides applied last."""
-    presets = _preset_map()
-    if name not in presets:
+    if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    cfg = desk_config(**presets[name])
-    return replace(cfg, **overrides) if overrides else cfg
+    return TrainConfig(**{**_DESK_SCALE, **_PRESETS[name], **overrides})

@@ -208,18 +208,14 @@ def answer_for(category: str, question_kind: str):
     return _ANSWER_TABLE.get((category, question_kind))
 
 
-class GroundTruthAnnotator:
-    """Reads entity flags directly; the pluggable stand-in for external
-    annotation models (swap in any object with the same two methods)."""
-
-    def visible_kinds(self, scene: Scene) -> frozenset:
-        return frozenset(e.entity_id for e in scene.entities if e.visible)
-
-    def sounding_kinds(self, scene: Scene) -> frozenset:
-        return frozenset(e.entity_id for e in scene.entities if e.sounding)
+def visible_kinds(scene: Scene) -> frozenset:
+    """Entity kinds the scene shows, read from the ground-truth flags."""
+    return frozenset(e.entity_id for e in scene.entities if e.visible)
 
 
-GROUND_TRUTH = GroundTruthAnnotator()
+def sounding_kinds(scene: Scene) -> frozenset:
+    """Entity kinds the scene sounds, read from the ground-truth flags."""
+    return frozenset(e.entity_id for e in scene.entities if e.sounding)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +223,7 @@ GROUND_TRUTH = GroundTruthAnnotator()
 
 
 def _rng(*key) -> np.random.Generator:
+    """Generator for one tagged stream, e.g. (seed, stream tag, index)."""
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
@@ -345,16 +342,15 @@ def _composite_entity(kind: int, visible: bool, sounding: bool):
     return Entity(kind, visible, sounding)
 
 
-def presence_candidates(visual_scene: Scene, audio_scene: Scene, question_kind: str,
-                        annotator=GROUND_TRUTH):
+def presence_candidates(visual_scene: Scene, audio_scene: Scene, question_kind: str):
     """Kinds eligible for a presence question in this context, with answers.
 
     Visibility is read from the visual scene and audibility from the audio
     scene, which is exactly what a (possibly mismatched) context presents.
     Returns a sorted list of (kind, answer) pairs.
     """
-    visible = annotator.visible_kinds(visual_scene)
-    sounding = annotator.sounding_kinds(audio_scene)
+    visible = visible_kinds(visual_scene)
+    sounding = sounding_kinds(audio_scene)
     out = []
     for k in sorted(visible | sounding):
         e = _composite_entity(k, k in visible, k in sounding)
@@ -366,16 +362,17 @@ def presence_candidates(visual_scene: Scene, audio_scene: Scene, question_kind: 
     return out
 
 
-def _answer_id(answer: str) -> int:
+def answer_id(answer: str) -> int:
+    """Vocabulary id of a "yes"/"no" answer."""
     return YES_ID if answer == "yes" else NO_ID
 
 
-def _invert(answer_id: int) -> int:
-    return NO_ID if answer_id == YES_ID else YES_ID
+def _invert(token_id: int) -> int:
+    return NO_ID if token_id == YES_ID else YES_ID
 
 
 def oracle_responses(visual_scene: Scene, audio_scene: Scene, question_kind: str,
-                     target_kind=None, annotator=GROUND_TRUTH):
+                     target_kind=None):
     """(y_w, y_l) the pipeline must produce for this question, or None.
 
     Presence: y_w is the relevant modality's ground truth and y_l is its
@@ -386,17 +383,17 @@ def oracle_responses(visual_scene: Scene, audio_scene: Scene, question_kind: str
     rejected response always contradicts the ground truth).
     """
     if question_kind in ("visual_presence", "audio_presence"):
-        candidates = dict(presence_candidates(visual_scene, audio_scene, question_kind, annotator))
+        candidates = dict(presence_candidates(visual_scene, audio_scene, question_kind))
         if target_kind not in candidates:
             return None
-        y_w = _answer_id(candidates[target_kind])
+        y_w = answer_id(candidates[target_kind])
         return y_w, _invert(y_w)
     if question_kind == "visual_caption":
-        active = annotator.visible_kinds(visual_scene)
-        other = annotator.sounding_kinds(audio_scene)
+        active = visible_kinds(visual_scene)
+        other = sounding_kinds(audio_scene)
     elif question_kind == "audio_caption":
-        active = annotator.sounding_kinds(audio_scene)
-        other = annotator.visible_kinds(visual_scene)
+        active = sounding_kinds(audio_scene)
+        other = visible_kinds(visual_scene)
     else:
         raise WorldError(f"no oracle for question kind {question_kind!r}")
     if not active:
@@ -419,16 +416,16 @@ def context_for(visual_scene: Scene, audio_scene: Scene, question_kind: str,
 
 
 def build_pair(visual_scene: Scene, audio_scene: Scene, question_kind: str,
-               rng: np.random.Generator, annotator=GROUND_TRUTH):
+               rng: np.random.Generator):
     """One preference pair, or None when the context has no eligible target."""
     if question_kind in ("visual_presence", "audio_presence"):
-        candidates = presence_candidates(visual_scene, audio_scene, question_kind, annotator)
+        candidates = presence_candidates(visual_scene, audio_scene, question_kind)
         if not candidates:
             return None
         target, _ = candidates[int(rng.integers(len(candidates)))]
     else:
         target = None
-    responses = oracle_responses(visual_scene, audio_scene, question_kind, target, annotator)
+    responses = oracle_responses(visual_scene, audio_scene, question_kind, target)
     if responses is None:
         return None
     y_w, y_l = responses
@@ -444,6 +441,14 @@ def build_pair(visual_scene: Scene, audio_scene: Scene, question_kind: str,
 
 # ---------------------------------------------------------------------------
 # Dataset assembly
+
+
+def _freeze_sequences(cfg) -> None:
+    """Store per-kind biases and (audio, visual) noise levels as float tuples."""
+    for name in ("matched_bias", "feature_noise"):
+        value = getattr(cfg, name)
+        if not np.isscalar(value):
+            object.__setattr__(cfg, name, tuple(float(v) for v in value))
 
 
 @dataclass(frozen=True)
@@ -468,10 +473,7 @@ class SynthConfig:
     world_seed: int = 7
 
     def __post_init__(self):
-        if not np.isscalar(self.matched_bias):
-            object.__setattr__(self, "matched_bias", tuple(float(b) for b in self.matched_bias))
-        if not np.isscalar(self.feature_noise):
-            object.__setattr__(self, "feature_noise", tuple(float(v) for v in self.feature_noise))
+        _freeze_sequences(self)
         if self.n_pairs < 1 or self.n_scenes < 1:
             raise WorldError("n_pairs and n_scenes must be positive")
         if not (0.0 <= self.matched_fraction <= 1.0):
@@ -512,7 +514,7 @@ def _draw_scene_pair(scenes, matched: bool, rng: np.random.Generator):
     return scenes[i], scenes[j]
 
 
-def generate_pairs(cfg: SynthConfig, annotator=GROUND_TRUTH):
+def generate_pairs(cfg: SynthConfig):
     """Deterministic list of preference pairs for a config."""
     scenes = generate_scenes(cfg.n_scenes, cfg.seed, cfg.world_seed, cfg.matched_bias,
                              cfg.feature_noise)
@@ -525,7 +527,7 @@ def generate_pairs(cfg: SynthConfig, annotator=GROUND_TRUTH):
         pair = None
         for _ in range(200):
             visual_scene, audio_scene = _draw_scene_pair(scenes, bool(matched_flags[i]), rng)
-            pair = build_pair(visual_scene, audio_scene, str(question_kinds[i]), rng, annotator)
+            pair = build_pair(visual_scene, audio_scene, str(question_kinds[i]), rng)
             if pair is not None:
                 break
         if pair is None:
@@ -552,15 +554,19 @@ def pair_record(pair: PreferencePair) -> dict:
     }
 
 
-def pair_from_record(rec: dict) -> PreferencePair:
-    ctx = ModalityContext(
+def context_from_record(rec: dict) -> ModalityContext:
+    """The model input of a dataset or eval-item record."""
+    return ModalityContext(
         audio=np.array(rec["audio_feat"], dtype=np.float64),
         visual=np.array(rec["visual_feat"], dtype=np.float64),
         prompt_id=int(rec["prompt_id"]),
         modality_tag=rec["modality_tag"],
     )
+
+
+def pair_from_record(rec: dict) -> PreferencePair:
     return PreferencePair(
-        context=ctx,
+        context=context_from_record(rec),
         question_kind=rec["question_kind"],
         y_w=int(rec["y_w"]),
         y_l=int(rec["y_l"]),
@@ -584,14 +590,7 @@ def dataset_stats(pairs, cfg: SynthConfig) -> dict:
         elif p.y_w == NO_ID:
             answers["no"] += 1
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "preference",
-        "seed": cfg.seed,
-        "world_seed": cfg.world_seed,
-        "n_scenes": cfg.n_scenes,
-        "matched_bias": cfg.matched_bias,
-        "feature_noise": cfg.feature_noise,
-        "n_records": len(pairs),
+        **_stats_header("preference", cfg, len(pairs)),
         "matched_records": matched,
         "matched_ratio": matched / len(pairs) if pairs else 0.0,
         "question_kind_counts": dict(sorted(question_counts.items())),
@@ -600,35 +599,50 @@ def dataset_stats(pairs, cfg: SynthConfig) -> dict:
     }
 
 
+def _stats_header(kind: str, cfg, n_records: int) -> dict:
+    """Sidecar fields shared by both file kinds: what the verifier needs to
+    rebuild the world, plus the record count."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "seed": cfg.seed,
+        "world_seed": cfg.world_seed,
+        "n_scenes": cfg.n_scenes,
+        "matched_bias": cfg.matched_bias,
+        "feature_noise": cfg.feature_noise,
+        "n_records": n_records,
+    }
+
+
 def stats_path(path) -> str:
     return str(path) + ".stats.json"
 
 
-def _write_jsonl(path, records) -> None:
+def _write_records(path, records, stats: dict) -> dict:
+    """Write a JSONL file and its sidecar stats; returns the stats."""
     os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
-
-
-def assemble_dataset(cfg: SynthConfig, path, annotator=GROUND_TRUTH) -> dict:
-    """Generate, write (records plus sidecar stats), and return the stats."""
-    pairs = generate_pairs(cfg, annotator)
-    _write_jsonl(path, (pair_record(p) for p in pairs))
-    stats = dataset_stats(pairs, cfg)
     with open(stats_path(path), "w", encoding="ascii") as fh:
         fh.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     return stats
 
 
-def load_pairs(path):
-    pairs = []
+def read_records(path, decode) -> list:
+    """decode(record) for every non-blank line of a JSONL file."""
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                pairs.append(pair_from_record(json.loads(line)))
-    return pairs
+        return [decode(json.loads(line)) for line in (raw.strip() for raw in fh) if line]
+
+
+def assemble_dataset(cfg: SynthConfig, path) -> dict:
+    """Generate, write (records plus sidecar stats), and return the stats."""
+    pairs = generate_pairs(cfg)
+    return _write_records(path, (pair_record(p) for p in pairs), dataset_stats(pairs, cfg))
+
+
+def load_pairs(path):
+    return read_records(path, pair_from_record)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +665,7 @@ class VerifyReport:
         self.violations.append((line_no, reason))
 
 
-def _check_record(rec: dict, scenes, annotator) -> list:
+def _check_record(rec: dict, scenes) -> list:
     problems = []
     qk = rec["question_kind"]
     if qk not in QUESTION_KINDS:
@@ -671,7 +685,7 @@ def _check_record(rec: dict, scenes, annotator) -> list:
             return problems + ["prompt_id outside the presence-prompt range"]
     elif int(rec["prompt_id"]) != prompt_for(qk):
         problems.append("prompt_id inconsistent with question_kind")
-    expected = oracle_responses(visual_scene, audio_scene, qk, target, annotator)
+    expected = oracle_responses(visual_scene, audio_scene, qk, target)
     if expected is None:
         problems.append("question has no eligible target in this context")
         return problems
@@ -687,7 +701,7 @@ def _check_record(rec: dict, scenes, annotator) -> list:
     return problems
 
 
-def verify_dataset(path, annotator=GROUND_TRUTH) -> VerifyReport:
+def verify_dataset(path) -> VerifyReport:
     """Re-derive every record from the world oracle and report violations.
 
     Confirms the stored chosen response, that the rejected response
@@ -716,7 +730,7 @@ def verify_dataset(path, annotator=GROUND_TRUTH) -> VerifyReport:
         try:
             rec = json.loads(line)
             report.n_records += 1
-            for reason in _check_record(rec, scenes, annotator):
+            for reason in _check_record(rec, scenes):
                 report.add_violation(line_no, reason)
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             report.parse_errors.append((line_no, str(exc)))
@@ -742,7 +756,6 @@ class EvalConfig:
     n_items: int = 2000
     n_scenes: int = 500
     matched_fraction: float = 0.5
-    matched_bias: float = 0.5
     matched_bias: object = 0.5
     matching_fraction: float = 0.0
     dominance_fraction: float = 0.0
@@ -751,10 +764,7 @@ class EvalConfig:
     world_seed: int = 7
 
     def __post_init__(self):
-        if not np.isscalar(self.matched_bias):
-            object.__setattr__(self, "matched_bias", tuple(float(b) for b in self.matched_bias))
-        if not np.isscalar(self.feature_noise):
-            object.__setattr__(self, "feature_noise", tuple(float(v) for v in self.feature_noise))
+        _freeze_sequences(self)
         if self.n_items < 2:
             raise WorldError("need at least two eval items")
         if self.matching_fraction + self.dominance_fraction > 1.0:
@@ -776,7 +786,7 @@ def eval_record(visual_scene, audio_scene, question_kind, target, ground_truth, 
     }
 
 
-def generate_eval_records(cfg: EvalConfig, annotator=GROUND_TRUTH):
+def generate_eval_records(cfg: EvalConfig):
     """Evaluation records with an exactly balanced yes/no ground truth."""
     scenes = generate_scenes(cfg.n_scenes, cfg.seed, cfg.world_seed, cfg.matched_bias,
                              cfg.feature_noise)
@@ -822,8 +832,7 @@ def generate_eval_records(cfg: EvalConfig, annotator=GROUND_TRUTH):
             rng = next_rng()
             visual_scene, audio_scene = _draw_scene_pair(
                 scenes, bool(rng.random() < cfg.matched_fraction), rng)
-            present = (annotator.visible_kinds(visual_scene)
-                       | annotator.sounding_kinds(audio_scene))
+            present = visible_kinds(visual_scene) | sounding_kinds(audio_scene)
             absent = [k for k in range(N_ENTITY_KINDS) if k not in present]
             if not absent:
                 continue
@@ -844,7 +853,7 @@ def generate_eval_records(cfg: EvalConfig, annotator=GROUND_TRUTH):
         for _ in range(500):
             rng = next_rng()
             visual_scene, audio_scene = _draw_scene_pair(scenes, bool(matched_flags[i]), rng)
-            candidates = presence_candidates(visual_scene, audio_scene, qk, annotator)
+            candidates = presence_candidates(visual_scene, audio_scene, qk)
             rng.shuffle(candidates)
             placed = False
             for target, answer in candidates:
@@ -867,23 +876,12 @@ def eval_stats(records, cfg: EvalConfig) -> dict:
         groups[rec["task_group"]] = groups.get(rec["task_group"], 0) + 1
         answers[rec["ground_truth"]] += 1
     return {
-        "format_version": FORMAT_VERSION,
-        "kind": "eval",
-        "seed": cfg.seed,
-        "world_seed": cfg.world_seed,
-        "n_scenes": cfg.n_scenes,
-        "matched_bias": cfg.matched_bias,
-        "feature_noise": cfg.feature_noise,
-        "n_records": len(records),
+        **_stats_header("eval", cfg, len(records)),
         "task_group_counts": dict(sorted(groups.items())),
         "answer_balance": answers,
     }
 
 
-def assemble_eval_items(cfg: EvalConfig, path, annotator=GROUND_TRUTH) -> dict:
-    records = generate_eval_records(cfg, annotator)
-    _write_jsonl(path, records)
-    stats = eval_stats(records, cfg)
-    with open(stats_path(path), "w", encoding="ascii") as fh:
-        fh.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
-    return stats
+def assemble_eval_items(cfg: EvalConfig, path) -> dict:
+    records = generate_eval_records(cfg)
+    return _write_records(path, records, eval_stats(records, cfg))

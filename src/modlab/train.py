@@ -35,24 +35,25 @@ corruption draw identical batch orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import core
 from .core import ConfigurationError, Hyperparams, PairLogProbs
-from .corrupt import CorruptionSpec, corrupt
+from .corrupt import CorruptionSpec, corrupt_context
 from .policy import (
     GradAccumulator,
-    ModalityContext,
     PolicyParams,
     apply_gradient_step,
     backward,
     forward_detached,
     forward_logprobs,
     init_params,
+    modality_roles,
 )
-from .synth import N_PROMPTS, VOCAB_SIZE, PreferencePair
+from .synth import N_PROMPTS, VOCAB_SIZE, PreferencePair, _rng
 
 LOSS_VARIANTS = ("dpo", "mod", "modpp", "mod_with_av")
 
@@ -121,6 +122,16 @@ class TrainConfig:
         if self.lpd_placement not in core.LPD_PLACEMENTS:
             raise ConfigurationError(f"lpd_placement must be one of {core.LPD_PLACEMENTS}")
 
+    @cached_property
+    def loss_hp(self) -> Hyperparams:
+        """The strengths the variant's loss uses: dpo drops the corruption
+        and debiasing terms, mod and mod_with_av the debiasing term."""
+        if self.loss_variant == "dpo":
+            return replace(self.hp, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
+        if self.loss_variant in ("mod", "mod_with_av"):
+            return replace(self.hp, gamma_lpd=0.0)
+        return self.hp
+
 
 @dataclass
 class TrainResult:
@@ -129,14 +140,6 @@ class TrainResult:
     losses: np.ndarray
     counters: list
     n_av_excluded: int = 0
-
-
-def _rng(*key) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(list(key)))
-
-
-def _derived_seed(*key) -> int:
-    return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
 def _sigmoid(x: float) -> float:
@@ -152,23 +155,6 @@ def feature_pools(dataset) -> dict:
         "audio": [p.context.audio for p in dataset],
         "visual": [p.context.visual for p in dataset],
     }
-
-
-def _corrupted_context(ctx: ModalityContext, spec: CorruptionSpec, modalities, pools) -> ModalityContext:
-    audio, visual = None, None
-    if "audio" in modalities:
-        audio = corrupt(ctx.audio, spec, pool=pools.get("audio") if pools else None)
-    if "visual" in modalities:
-        visual = corrupt(ctx.visual, spec, pool=pools.get("visual") if pools else None)
-    return ctx.with_features(audio=audio, visual=visual)
-
-
-def _relevant_irrelevant(tag: str):
-    if tag == "visual_related":
-        return "visual", "audio"
-    if tag == "audio_related":
-        return "audio", "visual"
-    raise TrainingError(f"single-modality corruption roles undefined for tag {tag!r}")
 
 
 def evaluate_pair(params: PolicyParams, ref_params: PolicyParams, pair: PreferencePair,
@@ -188,19 +174,21 @@ def evaluate_pair(params: PolicyParams, ref_params: PolicyParams, pair: Preferen
 
     slots = {}
     variant = cfg.loss_variant
-    if variant in ("mod", "modpp") or (variant == "mod_with_av" and ctx.modality_tag != "audiovisual"):
-        relevant, irrelevant = _relevant_irrelevant(ctx.modality_tag)
-        spec_inv = cfg.corruption.reseeded(_derived_seed(cfg.seed, _CORRUPT_STREAM, step, pair_index, 0))
-        spec_sens = cfg.corruption.reseeded(_derived_seed(cfg.seed, _CORRUPT_STREAM, step, pair_index, 1))
-        inv_lp = forward_detached(params, _corrupted_context(ctx, spec_inv, (irrelevant,), pools))
-        sens_lp = forward_detached(params, _corrupted_context(ctx, spec_sens, (relevant,), pools))
-        fwd_policy += 4
-        slots.update(inv_w=inv_lp[w], inv_l=inv_lp[l], sens_w=sens_lp[w], sens_l=sens_lp[l])
-    elif variant == "mod_with_av":
-        spec_both = cfg.corruption.reseeded(_derived_seed(cfg.seed, _CORRUPT_STREAM, step, pair_index, 2))
-        both_lp = forward_detached(params, _corrupted_context(ctx, spec_both, ("audio", "visual"), pools))
+    draw = (cfg.seed, _CORRUPT_STREAM, step, pair_index)
+    if _is_joint(cfg, ctx.modality_tag):
+        spec_both = cfg.corruption.for_draw(*draw, 2)
+        both_lp = forward_detached(params,
+                                   corrupt_context(ctx, spec_both, ("audio", "visual"), pools))
         fwd_policy += 2
         slots.update(sens_w=both_lp[w], sens_l=both_lp[l])
+    elif variant != "dpo":
+        relevant, irrelevant = modality_roles(ctx.modality_tag)
+        spec_inv = cfg.corruption.for_draw(*draw, 0)
+        spec_sens = cfg.corruption.for_draw(*draw, 1)
+        inv_lp = forward_detached(params, corrupt_context(ctx, spec_inv, (irrelevant,), pools))
+        sens_lp = forward_detached(params, corrupt_context(ctx, spec_sens, (relevant,), pools))
+        fwd_policy += 4
+        slots.update(inv_w=inv_lp[w], inv_l=inv_lp[l], sens_w=sens_lp[w], sens_l=sens_lp[l])
 
     if variant == "modpp":
         text_lp = forward_logprobs(ref_params, ctx.text_only())
@@ -212,35 +200,15 @@ def evaluate_pair(params: PolicyParams, ref_params: PolicyParams, pair: Preferen
     return pl, counter
 
 
-def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
-    """(loss, sigmoid margin, policy coefficient) for one pair.
+def _is_joint(cfg: TrainConfig, tag: str) -> bool:
+    """Whether a pair is trained with the joint-audiovisual loss."""
+    return cfg.loss_variant == "mod_with_av" and tag == "audiovisual"
 
-    The coefficient is what multiplies d(log pi(y_w) - log pi(y_l)) inside
-    the sigmoid, i.e. the factor the gradient flows through.
-    """
-    hp = cfg.hp
-    variant = cfg.loss_variant
-    if variant == "dpo":
-        hp = Hyperparams(beta=hp.beta, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0,
-                         tau_mode=hp.tau_mode)
-        margin = core.mod_margin(pl, hp)
-        return core.pair_loss(margin), margin, hp.tau
-    if variant == "mod" or (variant == "mod_with_av" and tag != "audiovisual"):
-        margin = core.mod_margin(pl, hp)
-        return core.pair_loss(margin), margin, hp.tau
-    if variant == "mod_with_av":
-        if hp.tau_av <= 0:
-            raise ConfigurationError("audiovisual pairs require beta > beta_sens")
-        margin = hp.tau_av * (pl.policy_w - pl.policy_l) - hp.beta * (pl.ref_w - pl.ref_l)
-        margin += hp.beta_sens * (pl.sens_w - pl.sens_l)
-        return core.pair_loss(margin), margin, hp.tau_av
-    # modpp
-    margin = core.mod_margin(pl, hp)
-    lpd = core.lpd_margin(pl, hp)
-    if cfg.lpd_placement == "inside":
-        margin = margin + lpd
-        return core.pair_loss(margin), margin, hp.tau
-    return core.pair_loss(margin) + lpd, margin, hp.tau
+
+def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
+    """(loss, sigmoid margin, policy coefficient) for one pair under the
+    config's loss variant; see core.pair_terms."""
+    return core.pair_terms(pl, cfg.loss_hp, _is_joint(cfg, tag), cfg.lpd_placement)
 
 
 def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: TrainConfig,
@@ -386,11 +354,3 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
             step += 1
     return TrainResult(params=params, ref_params=ref_params, losses=np.array(losses),
                        counters=counters, n_av_excluded=n_av_excluded)
-
-
-def desk_config(**overrides) -> TrainConfig:
-    """Desk-scale defaults: the paper-sized strengths with a step size and
-    epoch budget sized for the toy policy."""
-    base = dict(lr=0.15, epochs=4, batch_size=16, warmup_steps=500, warmup_lr=0.5)
-    base.update(overrides)
-    return TrainConfig(**base)

@@ -18,12 +18,10 @@ import numpy as np
 import pytest
 
 from modlab import core, experiments, oracles, synth
-from modlab import eval as eval_mod
 from modlab import train as training
 from modlab.core import Hyperparams, PairLogProbs
 from modlab.corrupt import CorruptionSpec
-from modlab.eval import MetricsReport
-from modlab.train import PassCounter, TrainConfig
+from modlab.train import TrainConfig
 
 SEEDS = range(5)
 
@@ -67,28 +65,12 @@ def shift_runs():
 
 
 def test_criterion_1_closed_form_equivalence():
-    start = time.time()
-    rng = np.random.default_rng(0)
-    sizes = [2, 3, 5, 8]
-    worst_pga, worst_grid = 0.0, 0.0
-    for idx in range(200):
-        v = sizes[idx % len(sizes)]
-        r, p_ref, q_inv, q_sens, hp = oracles.random_instance(v, rng)
-        closed = core.closed_form_policy(r, p_ref, q_inv, q_sens, hp)
-        ascent = oracles.pga_argmax(r, p_ref, q_inv, q_sens, hp)
-        worst_pga = max(worst_pga, float(np.abs(closed - ascent).sum()))
-        if v == 3:
-            grid_point, grid_value = oracles.grid_argmax_3(r, p_ref, q_inv, q_sens, hp)
-            worst_grid = max(worst_grid, float(np.abs(closed - grid_point).sum()))
-            value = core.mod_objective_value(closed, r, p_ref, q_inv, q_sens, hp)
-            assert value >= grid_value - 1e-9, "a grid point beat the closed form"
-    elapsed = time.time() - start
-    assert worst_pga < 1e-4, f"ascent disagreement {worst_pga:.2e}"
-    # the grid can only localize the optimum to its own 1e-3 resolution
-    assert worst_grid < 2e-3, f"grid disagreement {worst_grid:.2e}"
-    assert elapsed < 60.0, f"took {elapsed:.1f}s"
-    report("criterion 1", f"200 instances: worst L1 vs ascent {worst_pga:.2e}, "
-                          f"vs V=3 grid {worst_grid:.2e}, {elapsed:.1f}s")
+    # 200 instances, every V=3 one grid-checked; strict tolerances 1e-4
+    # (ascent) and 2e-3 (the grid's own resolution).
+    res = oracles.closed_form_suite(n_instances=200, l1_tol=1e-4, seed=0)
+    assert res.passed, res.detail
+    assert res.seconds < 60.0, f"took {res.seconds:.1f}s"
+    report("criterion 1", f"200 instances: {res.detail}, {res.seconds:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +118,9 @@ def test_criterion_3_gradient_audit():
 
 
 def test_criterion_4_pass_counts():
-    expected = {
-        "dpo": PassCounter(2, 2, 2, 0),
-        "mod": PassCounter(6, 2, 2, 0),
-        "modpp": PassCounter(6, 4, 2, 0),
-    }
-    dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=200, n_scenes=60, seed=4))
-    for variant, want in expected.items():
-        cfg = TrainConfig(loss_variant=variant, lr=0.05, epochs=1, batch_size=2,
-                          seed=4, warmup_steps=0)
-        result = training.train(dataset, cfg)
-        assert len(result.counters) == 100
-        for step, counter in enumerate(result.counters):
-            assert counter == want, f"{variant} step {step}: {counter}"
+    res = oracles.pass_count_suite(n_steps=100, seed=4)
+    assert res.passed, res.detail
+    assert res.detail.endswith("exact over 100 steps"), res.detail
     report("criterion 4", "per-pair counters exact over 100 steps: "
                           "dpo (2,2,2,0), mod (6,2,2,0), modpp (6,4,2,0)")
 
@@ -158,30 +130,8 @@ def test_criterion_4_pass_counts():
 
 
 def test_criterion_5_dataset_round_trip(tmp_path):
-    import json
-
-    for seed in range(10):
-        path = tmp_path / f"d{seed}.jsonl"
-        synth.assemble_dataset(synth.SynthConfig(n_pairs=2000, n_scenes=300, seed=seed),
-                               path)
-        rep = synth.verify_dataset(path)
-        assert rep.n_records == 2000 and rep.n_violations == 0 and not rep.parse_errors, \
-            f"seed {seed}: {rep.n_violations} violations"
-
-    # single fault injection -> exactly one flagged line
-    path = tmp_path / "d0.jsonl"
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[123])
-    rec["y_w"], rec["y_l"] = rec["y_l"], rec["y_w"]
-    lines[123] = json.dumps(rec)
-    broken = tmp_path / "broken.jsonl"
-    broken.write_text("\n".join(lines) + "\n")
-    broken_stats = synth.stats_path(broken)
-    with open(synth.stats_path(path)) as fh, open(broken_stats, "w") as out:
-        out.write(fh.read())
-    rep = synth.verify_dataset(broken)
-    flagged = {line for line, _ in rep.violations}
-    assert flagged == {124}, f"flagged lines {sorted(flagged)}"
+    res = oracles.dataset_suite(n_pairs=2000, n_seeds=10, tmp_dir=str(tmp_path))
+    assert res.passed, res.detail
     report("criterion 5", "10 seeds x 2000 records verify clean; "
                           "fault injection flags exactly the swapped line")
 
@@ -237,31 +187,7 @@ def test_criterion_8_corruption_strength(benchmark_runs):
 
 
 def test_criterion_9_metric_correctness():
-    rep = MetricsReport(yes_total=4, yes_correct=3, no_total=6, no_correct=5)
-    assert f"{rep.precision:.2f}" == "75.00"
-    assert f"{rep.recall:.2f}" == "83.33"
-    assert f"{rep.accuracy:.2f}" == "80.00"
-    assert f"{rep.f1:.2f}" == "78.95"
-
-    rng = np.random.default_rng(9)
-    for _ in range(1000):
-        yt, nt = int(rng.integers(0, 60)), int(rng.integers(0, 60))
-        rep = MetricsReport(yes_total=yt, yes_correct=int(rng.integers(0, yt + 1)),
-                            no_total=nt, no_correct=int(rng.integers(0, nt + 1)))
-        pre, rec, f1, acc = rep.precision, rep.recall, rep.f1, rep.accuracy
-        if yt == 0:
-            assert pre is None and f1 is None
-        if nt == 0:
-            assert rec is None
-        if rep.total:
-            assert acc == pytest.approx(
-                100.0 * (rep.yes_correct + rep.no_correct) / rep.total, abs=1e-12)
-        else:
-            assert acc is None
-        if pre is not None and rec is not None:
-            if pre + rec > 0:
-                assert f1 == pytest.approx(2 * pre * rec / (pre + rec), abs=1e-12)
-            else:
-                assert f1 == 0.0 and rep.degenerate_f1
+    res = oracles.metrics_suite(seed=9)
+    assert res.passed, res.detail
     report("criterion 9", "hand tally reproduced exactly; identities hold on "
                           "1000 random confusion tables")

@@ -121,6 +121,37 @@ class TestOverridesAndErrors:
         assert (tmp_path / "run" / "dataset.jsonl").exists()
 
 
+class TestConfigParsing:
+    def test_exponent_floats_without_a_dot(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("seed: 0\ntrain:\n  lr: 1e-4\n  warmup_lr: 2.5E+1\n")
+        cfg = cli.load_config(path, [])
+        assert cfg["train"]["lr"] == 1e-4 and cfg["train"]["warmup_lr"] == 25.0
+        cfg = cli.load_config(path, ["train.lr=3e-7", "train.preset=dpo"])
+        assert cfg["train"]["lr"] == 3e-7 and cfg["train"]["preset"] == "dpo"
+        assert cli.build_train_config(cfg["train"], 0).lr == 3e-7
+
+
+class TestReportCounters:
+    def test_one_counter_line_per_run_directory(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        run, other = tmp_path / "run", tmp_path / "other"
+        assert cli.run("synth", config_path) == 0
+        assert cli.run("train", config_path) == 0
+        assert cli.run("train", config_path, [f"out_dir={other}", "train.preset=dpo",
+                                              f"train.dataset={run / 'dataset.jsonl'}"]) == 0
+        capsys.readouterr()
+        overrides = [f"report.checkpoints.{name}={path}" for name, path in (
+            ("dpo", other / "policy.ckpt"), ("modpp", run / "policy.ckpt"),
+            ("reference", run / "reference.ckpt"))]
+        assert cli.run("report", config_path, overrides) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("counters")] == [
+            "counters [dpo] near dpo: (2,2,2,0) per pair",
+            "counters [modpp] near modpp: (6,4,2,0) per pair",
+        ]
+
+
 class TestMatchingItems:
     def test_eval_handles_audiovisual_matching_probes(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)
@@ -131,6 +162,14 @@ class TestMatchingItems:
         assert cli.run("eval", config_path) == 0
         metrics = (tmp_path / "run" / "metrics.csv").read_text()
         assert "matching" in metrics and "dominance" in metrics
+        lines = metrics.splitlines()
+        assert lines[0] == ("group,accuracy,precision,recall,f1,pa,hr,"
+                            "yes_correct,yes_total,no_correct,no_total")
+        # Dominance probes are all "no": precision, f1 and pa are undefined
+        # and written as empty cells.
+        cells = next(line for line in lines if line.startswith("dominance,")).split(",")
+        assert cells[2] == cells[4] == cells[5] == "" and cells[8] == "0"
+        assert all(len(cells[i].split(".")[1]) == 4 for i in (1, 3, 6))
 
 
 class TestVerifyCommand:

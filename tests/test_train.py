@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from modlab import synth
+from modlab import core, synth
 from modlab import train as training
-from modlab.core import ConfigurationError, Hyperparams
+from modlab.core import LPD_PLACEMENTS, ConfigurationError, Hyperparams, PairLogProbs
 from modlab.corrupt import CorruptionSpec
 from modlab.oracles import frozen_surrogate_rel_error
-from modlab.policy import ModalityContext, forward_logprobs
+from modlab.policy import MODALITY_TAGS, ModalityContext, forward_logprobs
 from modlab.synth import PreferencePair, SynthConfig
 from modlab.train import PassCounter, TrainConfig, TrainingError, train_step
 
@@ -260,3 +260,31 @@ class TestCorruptionIntegration:
         margin = mod_margin(pl, cfg.hp)
         vanilla = cfg.hp.beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l))
         assert margin == pytest.approx(vanilla, abs=1e-12)
+
+
+class TestPairLossTerms:
+    def test_matches_core_losses_for_every_variant_and_tag(self):
+        hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.05)
+        # The strengths each variant's loss keeps: dpo drops corruption and
+        # debiasing, mod and mod_with_av drop debiasing.
+        kept = {
+            "dpo": Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0),
+            "mod": Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0),
+            "modpp": hp,
+            "mod_with_av": Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0),
+        }
+        configs = [(TrainConfig(hp=hp, loss_variant=variant, lpd_placement=placement), placement)
+                   for variant in training.LOSS_VARIANTS for placement in LPD_PLACEMENTS]
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            pl = PairLogProbs(*(-rng.exponential(1.0, size=10)))
+            for cfg, placement in configs:
+                want_hp = kept[cfg.loss_variant]
+                for tag in MODALITY_TAGS:
+                    loss, _, coef = training.pair_loss_terms(pl, cfg, tag)
+                    if cfg.loss_variant == "mod_with_av" and tag == "audiovisual":
+                        assert loss == core.av_pair_loss(pl, want_hp)
+                        assert coef == want_hp.tau_av
+                    else:
+                        assert loss == core.modpp_pair_loss(pl, want_hp, placement)
+                        assert coef == want_hp.tau
