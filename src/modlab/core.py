@@ -103,7 +103,9 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class PairLogProbs:
-    """Log-probabilities of (y_w, y_l) for one preference pair.
+    """Log-probabilities of (y_w, y_l) for one preference pair, or (B,)
+    arrays of them for a batch of pairs: every margin and loss below works
+    elementwise, so one call scores the whole batch.
 
     policy_w / policy_l: trainable policy on the clean input (the only
         slots gradients ever flow through).
@@ -134,13 +136,15 @@ class PairLogProbs:
     text_l: float | None = None
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not math.isfinite(value):
+        given = {name: value for name in self.__dataclass_fields__
+                 if (value := getattr(self, name)) is not None}
+        every = np.concatenate([np.ravel(value) for value in given.values()])
+        if np.isfinite(every).all() and not np.greater(every, 0).any():
+            return
+        for name, value in given.items():
+            if not np.isfinite(value).all():
                 raise DomainError(f"{name} must be finite, got {value}")
-            if value > 0:
+            if np.greater(value, 0).any():
                 raise DomainError(f"{name} is a log-probability and must be <= 0, got {value}")
 
 
@@ -237,7 +241,7 @@ def closed_form_policy(r, p_ref, q_inv, q_sens, hp: Hyperparams) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _delta(w: float | None, l: float | None, coeff: float, name: str) -> float | None:
+def _delta(w, l, coeff: float, name: str):
     """Difference log X(y_w) - log X(y_l), or None when both slots are absent."""
     if w is None and l is None:
         if coeff != 0.0:
@@ -248,7 +252,7 @@ def _delta(w: float | None, l: float | None, coeff: float, name: str) -> float |
     return w - l
 
 
-def mod_margin(pl: PairLogProbs, hp: Hyperparams) -> float:
+def mod_margin(pl: PairLogProbs, hp: Hyperparams):
     """Reward difference r(y_w) - r(y_l) for the decoupled objective.
 
     The normalizer of the closed-form policy is shared by y_w and y_l and
@@ -268,7 +272,7 @@ def mod_margin(pl: PairLogProbs, hp: Hyperparams) -> float:
     return margin
 
 
-def lpd_margin(pl: PairLogProbs, hp: Hyperparams) -> float:
+def lpd_margin(pl: PairLogProbs, hp: Hyperparams):
     """Language-prior debiasing contribution to the pair margin.
 
     -gamma_lpd * (log pi_text(y_w|x) - log pi_text(y_l|x)), with the text-only
@@ -280,16 +284,18 @@ def lpd_margin(pl: PairLogProbs, hp: Hyperparams) -> float:
     return -hp.gamma_lpd * d_text
 
 
-def pair_loss(margin: float) -> float:
+def pair_loss(margin):
     """Bradley-Terry negative log-likelihood -ln(sigmoid(margin)).
 
     Evaluated as softplus(-margin) = ln(1 + exp(-margin)) via logaddexp,
     which is stable for margins of either sign.  Strictly decreasing in
-    the margin; equals ln 2 at zero.
+    the margin; equals ln 2 at zero.  A float for a float margin, an array
+    for an array of margins.
     """
-    if not math.isfinite(margin):
+    if not np.isfinite(margin).all():
         raise DomainError(f"margin must be finite, got {margin}")
-    return float(np.logaddexp(0.0, -margin))
+    loss = np.logaddexp(0.0, -np.asarray(margin))
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def pair_terms(pl: PairLogProbs, hp: Hyperparams, joint: bool = False,

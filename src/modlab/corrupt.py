@@ -123,15 +123,17 @@ def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule =
     if spec.kind == "random_swap":
         if pool is None or len(pool) == 0:
             raise CorruptionError("random_swap needs a non-empty feature pool")
-        candidates = [np.asarray(v, dtype=np.float64) for v in pool]
-        for v in candidates:
-            if v.shape != x.shape:
-                raise CorruptionError("pool vectors must match the input dimension")
-        eligible = [i for i, v in enumerate(candidates) if not np.array_equal(v, x)]
-        if not eligible:
+        try:
+            vectors = np.asarray(pool, dtype=np.float64)
+        except ValueError:  # ragged: members of different lengths
+            vectors = None
+        if vectors is None or vectors.ndim != 2 or vectors.shape[1] != x.shape[0]:
+            raise CorruptionError("pool vectors must match the input dimension")
+        eligible = np.flatnonzero(np.any(vectors != x, axis=1))
+        if not eligible.size:
             raise CorruptionError("random_swap pool contains no vector different from the input")
         pick = eligible[rng.integers(len(eligible))]
-        return candidates[pick].copy()
+        return vectors[pick].copy()
 
     # diffusion
     if spec.t == 0:
@@ -141,11 +143,37 @@ def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule =
     return math.sqrt(abar) * x + math.sqrt(1.0 - abar) * eps
 
 
-def corrupt_context(ctx, spec: CorruptionSpec, modalities, pools=None):
-    """Copy of a ModalityContext with the named modalities ("audio",
-    "visual") corrupted by one spec; pools maps a modality to its
-    random_swap pool."""
-    return ctx.with_features(**{
-        m: corrupt(getattr(ctx, m), spec, pool=pools.get(m) if pools else None)
-        for m in modalities
-    })
+def corrupt_rows(features: dict, specs, modalities, pools=None) -> dict:
+    """Corrupted copies of stacked feature rows.
+
+    features maps "audio"/"visual" to (B, d) arrays; row i has the
+    modalities named in modalities[i] corrupted by specs[i] (both by the
+    same spec when two are named) and keeps the others.  pools maps a
+    modality to its random_swap pool.  Inputs are left untouched.
+    """
+    out = {m: np.array(x, dtype=np.float64) for m, x in features.items()}
+    for i, (spec, names) in enumerate(zip(specs, modalities)):
+        for m in names:
+            out[m][i] = corrupt(out[m][i], spec, pool=pools.get(m) if pools else None)
+    return out
+
+
+class FeaturePool:
+    """Real feature vectors of one modality, stacked once into an (N, d)
+    array for random_swap.
+
+    len() and truth tests behave as for the list of vectors it replaces;
+    np.asarray(pool) returns the stack without copying it.
+    """
+
+    def __init__(self, vectors):
+        self.vectors = np.array(vectors, dtype=np.float64)
+        if self.vectors.ndim != 2:
+            raise CorruptionError("a feature pool needs equal-length 1-D vectors")
+
+    def __len__(self) -> int:
+        return self.vectors.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        arr = self.vectors if dtype is None else self.vectors.astype(dtype, copy=False)
+        return arr.copy() if copy else arr

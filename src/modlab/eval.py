@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrupt import CorruptionSpec, corrupt_context
-from .policy import ModalityContext, PolicyParams, forward_logprobs, modality_roles
+from .corrupt import CorruptionSpec, corrupt_rows
+from .policy import ModalityContext, PolicyParams, forward, modality_roles, stack_contexts
 from .synth import (
     EVAL_QUESTION_KINDS,
     NO_ID,
@@ -150,10 +150,17 @@ class MetricsReport:
         }
 
 
+def predictions(params: PolicyParams, items) -> list:
+    """Yes/no decision per item: argmax over the two answer tokens, ties -> "no"."""
+    if not items:
+        return []
+    logprobs = forward(params, *stack_contexts([item.context for item in items])).logprobs
+    return ["yes" if yes else "no" for yes in logprobs[:, YES_ID] > logprobs[:, NO_ID]]
+
+
 def predict(params: PolicyParams, item: EvalItem) -> str:
-    """Yes/no decision: argmax over the two answer tokens, ties -> "no"."""
-    logprobs = forward_logprobs(params, item.context)
-    return "yes" if logprobs[YES_ID] > logprobs[NO_ID] else "no"
+    """predictions() of one item."""
+    return predictions(params, [item])[0]
 
 
 def score(predictions, items) -> MetricsReport:
@@ -175,15 +182,16 @@ def score(predictions, items) -> MetricsReport:
 
 
 def evaluate(params: PolicyParams, items) -> MetricsReport:
-    return score([predict(params, item) for item in items], items)
+    return score(predictions(params, items), items)
 
 
 def evaluate_by_group(params: PolicyParams, items) -> dict:
     """MetricsReport per task_group plus an "overall" entry."""
-    out = {"overall": evaluate(params, items)}
+    preds = predictions(params, items)
+    out = {"overall": score(preds, items)}
     for group in sorted({item.task_group for item in items}):
-        subset = [item for item in items if item.task_group == group]
-        out[group] = evaluate(params, subset)
+        subset = [i for i, item in enumerate(items) if item.task_group == group]
+        out[group] = score([preds[i] for i in subset], [items[i] for i in subset])
     return out
 
 
@@ -221,18 +229,22 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
     if which not in ("relevant", "irrelevant"):
         raise EvalError(f"which must be 'relevant' or 'irrelevant', got {which!r}")
     role = 0 if which == "relevant" else 1
-    deltas = np.empty(len(items))
-    for i, item in enumerate(items):
+    if not items:
+        deltas = np.empty(0)
+    else:
         try:
-            modality = modality_roles(item.context.modality_tag)[role]
+            modalities = [(modality_roles(item.context.modality_tag)[role],) for item in items]
         except ValueError:
             raise EvalError("shift analysis needs single-modality items") from None
-        corrupted_ctx = corrupt_context(item.context, spec.for_draw(spec.seed, i),
-                                        (modality,), pools)
-        answer = answer_id(item.ground_truth)
-        clean = forward_logprobs(params, item.context)[answer]
-        corrupted = forward_logprobs(params, corrupted_ctx)[answer]
-        deltas[i] = clean - corrupted
+        audio, visual, ids = stack_contexts([item.context for item in items])
+        corrupted = corrupt_rows({"audio": audio, "visual": visual},
+                                 [spec.for_draw(spec.seed, i) for i in range(len(items))],
+                                 modalities, pools)
+        rows = np.arange(len(items))
+        answers = np.array([answer_id(item.ground_truth) for item in items])
+        clean = forward(params, audio, visual, ids).logprobs[rows, answers]
+        shifted = forward(params, corrupted["audio"], corrupted["visual"], ids).logprobs
+        deltas = clean - shifted[rows, answers]
     counts, edges = _shift_histogram(deltas)
     return ShiftStats(
         mean=float(deltas.mean()) if len(items) else 0.0,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -31,8 +32,9 @@ from .eval import MetricsReport
 from .policy import (
     ModalityContext,
     backward,
-    forward_logprobs,
+    forward,
     init_params,
+    stack_contexts,
 )
 from .train import PassCounter, TrainConfig, pair_loss_terms, train_step
 
@@ -128,29 +130,38 @@ def pga_argmax(r, p_ref, q_inv, q_sens, hp: Hyperparams, max_iter: int = 20000,
 
 
 def grid_argmax_3(r, p_ref, q_inv, q_sens, hp: Hyperparams, grid_step: float = 1e-3):
-    """Exhaustive argmax of the objective over the 3-simplex grid.
+    """Exhaustive argmax of the objective over the 3-simplex grid, refined.
 
     Evaluates every lattice point (i, j, n-i-j)/n with n = 1/grid_step,
-    vectorized; p log p terms use the p -> 0 limit of zero.  Returns
-    (argmax point, objective value there).
+    vectorized, then every point of the ten times finer lattice within two
+    coarse cells of the best one, so the result localizes the argmax to
+    about grid_step/10.  p log p terms use the p -> 0 limit of zero.
+    Returns (argmax point, objective value there).
     """
-    n = int(round(1.0 / grid_step))
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    keep = (i + j) <= n
-    i, j = i[keep], j[keep]
-    p = np.stack([i, j, n - i - j], axis=1).astype(np.float64) / n
-
     r = np.asarray(r, dtype=np.float64)
     refs = [np.asarray(x, dtype=np.float64) for x in (p_ref, q_inv, q_sens)]
     signs = (-hp.beta, -hp.beta_inv, +hp.beta_sens)
 
-    values = p @ r
-    logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-    for q, coeff in zip(refs, signs):
-        kl = np.sum(np.where(p > 0, p * (logp - np.log(q)), 0.0), axis=1)
-        values += coeff * kl
-    best = int(np.argmax(values))
-    return p[best], float(values[best])
+    def best(i, j, n):
+        """(i, j, point, value) of the best lattice point (i, j, n-i-j)/n."""
+        keep = (i >= 0) & (j >= 0) & (i + j <= n)
+        i, j = i[keep], j[keep]
+        p = np.stack([i, j, n - i - j], axis=1).astype(np.float64) / n
+        values = p @ r
+        logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
+        for q, coeff in zip(refs, signs):
+            kl = np.sum(np.where(p > 0, p * (logp - np.log(q)), 0.0), axis=1)
+            values += coeff * kl
+        k = int(np.argmax(values))
+        return i[k], j[k], p[k], float(values[k])
+
+    n = int(round(1.0 / grid_step))
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    i, j, _, _ = best(i.ravel(), j.ravel(), n)
+    window = np.arange(-20, 21)
+    i, j = np.meshgrid(10 * i + window, 10 * j + window, indexing="ij")
+    _, _, point, value = best(i.ravel(), j.ravel(), 10 * n)
+    return point, value
 
 
 def random_instance(v: int, rng: np.random.Generator):
@@ -193,13 +204,20 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def policy_gradient_rel_error(params, ctx: ModalityContext, upstream: np.ndarray,
+def policy_gradient_rel_error(params, contexts, upstream: np.ndarray,
                               h: float = 1e-5) -> float:
-    """Max-norm relative error of backward() vs central differences."""
-    analytic = backward(params, ctx, upstream).to_vector()
+    """Max-norm relative error of backward() vs central differences.
+
+    contexts is one ModalityContext with a length-V upstream, or a list of
+    B contexts with a (B, V) upstream.
+    """
+    if isinstance(contexts, ModalityContext):
+        contexts, upstream = [contexts], np.reshape(upstream, (1, -1))
+    rows = stack_contexts(contexts)
+    analytic = backward(params, forward(params, *rows), upstream).to_vector()
 
     def f(vec):
-        return float(upstream @ forward_logprobs(params.from_vector(vec), ctx))
+        return float(np.sum(upstream * forward(params.from_vector(vec), *rows).logprobs))
 
     numeric = finite_difference_gradient(f, params.to_vector(), h)
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
@@ -216,18 +234,15 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
     for the current parameters; only the clean policy passes respond to
     the perturbation.  Relative error in L2.
     """
-    frozen = [training.evaluate_pair(params, ref_params, pair, cfg, step, idx, pools)[0]
-              for idx, pair in enumerate(batch)]
+    frozen, _, clean = training.evaluate_batch(params, ref_params, batch, cfg, step, pools)
+    rows = np.arange(len(batch))
+    y_w, y_l = training._labels(batch)
+    tag = batch[0].context.modality_tag
 
     def surrogate(vec):
-        theta = params.from_vector(vec)
-        total = 0.0
-        for pair, pl in zip(batch, frozen):
-            clean = forward_logprobs(theta, pair.context)
-            live = replace(pl, policy_w=clean[pair.y_w], policy_l=clean[pair.y_l])
-            loss, _, _ = pair_loss_terms(live, cfg, pair.context.modality_tag)
-            total += loss
-        return total / len(batch)
+        live = forward(params.from_vector(vec), clean.audio, clean.visual, clean.prompt_ids).logprobs
+        live = replace(frozen, policy_w=live[rows, y_w], policy_l=live[rows, y_l])
+        return float(np.mean(pair_loss_terms(live, cfg, tag)[0]))
 
     updated, _, _ = train_step(params, ref_params, batch, cfg, step, pools)
     analytic = (params.to_vector() - updated.to_vector()) / cfg.lr
@@ -279,21 +294,32 @@ def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
 
 
 def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> SuiteResult:
+    """n_triples single-context (params, context, upstream) triples, then
+    one batch of six contexts over three prompts, so the batched backward's
+    row sum and prompt-table scatter-add are audited too."""
     start = time.time()
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for i in range(n_triples):
-        params = init_params(d_a=5, d_v=4, d_h=6, vocab_size=5, n_prompts=3,
-                             seed=int(rng.integers(2 ** 31)))
-        ctx = ModalityContext(
+
+    def draw_params():
+        return init_params(d_a=5, d_v=4, d_h=6, vocab_size=5, n_prompts=3,
+                           seed=int(rng.integers(2 ** 31)))
+
+    def draw_context(i):
+        return ModalityContext(
             audio=rng.normal(size=5), visual=rng.normal(size=4),
             prompt_id=int(rng.integers(3)),
             modality_tag="visual_related" if i % 2 == 0 else "audio_related",
         )
-        upstream = rng.normal(size=5)
-        worst = max(worst, policy_gradient_rel_error(params, ctx, upstream))
+
+    worst = 0.0
+    for i in range(n_triples):
+        params, ctx = draw_params(), draw_context(i)
+        worst = max(worst, policy_gradient_rel_error(params, ctx, rng.normal(size=5)))
+    params, batch = draw_params(), [draw_context(i) for i in range(6)]
+    worst = max(worst, policy_gradient_rel_error(params, batch, rng.normal(size=(6, 5))))
     return SuiteResult("gradients", worst < tol,
-                       f"max relative error {worst:.2e} (tol {tol})", time.time() - start)
+                       f"max relative error {worst:.2e} over {n_triples} contexts and a batch "
+                       f"of 6 (tol {tol})", time.time() - start)
 
 
 def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
@@ -311,19 +337,16 @@ def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
     groups: dict = {}
     for pair in dataset:
         groups.setdefault(pair.context.modality_tag, []).append(pair)
+    schedule = (batch for epoch in range(cfg.epochs)
+                for batch in training._epoch_schedule(groups, cfg, epoch))
     worst = 0.0
-    step = 0
-    for epoch in range(cfg.epochs):
-        for batch in training._epoch_schedule(groups, cfg, epoch):
-            worst = max(worst, frozen_surrogate_rel_error(params, ref, batch, cfg, step, pools))
-            params, _, _ = train_step(params, ref, batch, cfg, step, pools)
-            step += 1
-            if step >= n_steps:
-                return SuiteResult("stop_gradient", worst < tol,
-                                   f"max relative error {worst:.2e} over {step} steps (tol {tol})",
-                                   time.time() - start)
+    steps = 0
+    for step, batch in enumerate(islice(schedule, n_steps)):
+        worst = max(worst, frozen_surrogate_rel_error(params, ref, batch, cfg, step, pools))
+        params, _, _ = train_step(params, ref, batch, cfg, step, pools)
+        steps = step + 1
     return SuiteResult("stop_gradient", worst < tol,
-                       f"max relative error {worst:.2e} over {step} steps (tol {tol})",
+                       f"max relative error {worst:.2e} over {steps} steps (tol {tol})",
                        time.time() - start)
 
 

@@ -12,6 +12,17 @@ is one entry of the output.  Gradients are hand-derived reverse-mode
 (log-softmax -> linear -> tanh) and audited against central finite
 differences by the test suite; there is no autodiff anywhere.
 
+The kernels are batch-first.  ``forward(params, A, V, prompt_ids)`` takes
+B stacked rows (A is (B, d_a), V is (B, d_v), prompt_ids is (B,)) and
+returns a ``ForwardCache``: the (B, V) log-probabilities plus the inputs,
+hidden activations and softmax that ``backward(params, cache, upstream)``
+needs for a (B, V) upstream.  The backward pass sums gradients over rows
+(the prompt table through ``np.add.at``, so repeated prompts accumulate).
+Slicing a cache (``cache[:n]``) keeps those rows only, which is how the
+trainer back-propagates through its clean rows and nothing else.
+``forward_logprobs``, ``forward_detached`` and ``backward(params, ctx,
+upstream)`` are the single-context (B = 1) calls of the same kernels.
+
 ``forward_detached`` is numerically identical to ``forward_logprobs`` and
 exists purely as a contract marker: values obtained through it enter loss
 values but must never contribute to gradients.  The trainer honors this by
@@ -25,7 +36,7 @@ and outputs byte-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,23 +71,6 @@ class ModalityContext:
         object.__setattr__(self, "visual", np.asarray(self.visual, dtype=np.float64))
         if not (np.all(np.isfinite(self.audio)) and np.all(np.isfinite(self.visual))):
             raise ValueError("context features must be finite")
-
-    def text_only(self) -> "ModalityContext":
-        """Copy with both feature vectors zeroed (the architecture's null input)."""
-        return ModalityContext(
-            audio=np.zeros_like(self.audio),
-            visual=np.zeros_like(self.visual),
-            prompt_id=self.prompt_id,
-            modality_tag=self.modality_tag,
-        )
-
-    def with_features(self, audio=None, visual=None) -> "ModalityContext":
-        return ModalityContext(
-            audio=self.audio if audio is None else audio,
-            visual=self.visual if visual is None else visual,
-            prompt_id=self.prompt_id,
-            modality_tag=self.modality_tag,
-        )
 
 
 @dataclass
@@ -130,9 +124,12 @@ class GradAccumulator:
 
     def add(self, other: "GradAccumulator") -> None:
         for f in PolicyParams.FIELDS:
-            buf = getattr(self, f)
-            buf += getattr(other, f)
-            if not np.all(np.isfinite(buf)):
+            getattr(self, f).__iadd__(getattr(other, f))
+        self.check_finite()
+
+    def check_finite(self) -> None:
+        for f in PolicyParams.FIELDS:
+            if not np.all(np.isfinite(getattr(self, f))):
                 raise FloatingPointError(f"gradient accumulator {f} became non-finite")
 
     def scale(self, factor: float) -> None:
@@ -174,26 +171,62 @@ def zero_params_like(params: PolicyParams) -> PolicyParams:
     return PolicyParams(*(np.zeros_like(getattr(params, f)) for f in PolicyParams.FIELDS))
 
 
-def _pre_activation(params: PolicyParams, ctx: ModalityContext) -> np.ndarray:
-    if ctx.audio.shape[0] != params.u_a.shape[1]:
+@dataclass(eq=False)
+class ForwardCache:
+    """One batched forward pass: its inputs, intermediates and output.
+
+    audio (B, d_a), visual (B, d_v), prompt_ids (B,), h (B, d_h) the hidden
+    activations, probs (B, V) the softmax and logprobs (B, V) its log.
+    """
+
+    audio: np.ndarray
+    visual: np.ndarray
+    prompt_ids: np.ndarray
+    h: np.ndarray
+    probs: np.ndarray
+    logprobs: np.ndarray
+
+    def __getitem__(self, rows) -> "ForwardCache":
+        """The cache of a subset of rows (a slice or an index array)."""
+        return ForwardCache(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def stack_contexts(contexts):
+    """(A, V, prompt_ids) rows of a non-empty sequence of ModalityContexts."""
+    return (np.stack([c.audio for c in contexts]), np.stack([c.visual for c in contexts]),
+            np.array([c.prompt_id for c in contexts]))
+
+
+def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
+    """log_softmax(W_out tanh(U_a a + U_v v + E_x[p]) + b) for every row."""
+    audio = np.asarray(audio, dtype=np.float64)
+    visual = np.asarray(visual, dtype=np.float64)
+    prompt_ids = np.asarray(prompt_ids)
+    if audio.ndim != 2 or audio.shape[1] != params.u_a.shape[1]:
         raise ValueError(
-            f"audio feature length {ctx.audio.shape[0]} does not match d_a={params.u_a.shape[1]}"
+            f"audio feature length {audio.shape[-1]} does not match d_a={params.u_a.shape[1]}"
         )
-    if ctx.visual.shape[0] != params.u_v.shape[1]:
+    if visual.ndim != 2 or visual.shape[1] != params.u_v.shape[1]:
         raise ValueError(
-            f"visual feature length {ctx.visual.shape[0]} does not match d_v={params.u_v.shape[1]}"
+            f"visual feature length {visual.shape[-1]} does not match d_v={params.u_v.shape[1]}"
         )
-    if not (0 <= ctx.prompt_id < params.n_prompts):
-        raise ValueError(f"prompt_id {ctx.prompt_id} outside table of size {params.n_prompts}")
-    return params.u_a @ ctx.audio + params.u_v @ ctx.visual + params.e_x[ctx.prompt_id]
+    if not (audio.shape[0] == visual.shape[0] == prompt_ids.shape[0]):
+        raise ValueError(f"row counts differ: audio {audio.shape[0]}, visual "
+                         f"{visual.shape[0]}, prompt_ids {prompt_ids.shape[0]}")
+    bad = (prompt_ids < 0) | (prompt_ids >= params.n_prompts)
+    if bad.any():
+        raise ValueError(f"prompt_id {prompt_ids[bad][0]} outside table of size {params.n_prompts}")
+    h = np.tanh(audio @ params.u_a.T + visual @ params.u_v.T + params.e_x[prompt_ids])
+    logits = h @ params.w_out.T + params.b
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    return ForwardCache(audio, visual, prompt_ids, h, exp / total, shifted - np.log(total))
 
 
 def forward_logprobs(params: PolicyParams, ctx: ModalityContext) -> np.ndarray:
-    """log_softmax(W_out tanh(U_a a + U_v v + E_x[p]) + b), length V."""
-    h = np.tanh(_pre_activation(params, ctx))
-    logits = params.w_out @ h + params.b
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-probabilities (length V) for one context: forward with B = 1."""
+    return forward(params, *stack_contexts([ctx])).logprobs[0]
 
 
 def forward_detached(params: PolicyParams, ctx: ModalityContext) -> np.ndarray:
@@ -205,37 +238,33 @@ def forward_detached(params: PolicyParams, ctx: ModalityContext) -> np.ndarray:
     return forward_logprobs(params, ctx)
 
 
-def backward(params: PolicyParams, ctx: ModalityContext, upstream: np.ndarray) -> GradAccumulator:
-    """Gradient of upstream . log_softmax(logits) w.r.t. every parameter.
+def backward(params: PolicyParams, cache, upstream: np.ndarray) -> GradAccumulator:
+    """Gradient of sum_rows upstream . log_softmax(logits) w.r.t. every parameter.
 
-    upstream is a length-V vector of partial derivatives of the scalar loss
-    with respect to the output log-probabilities.  Chain rule through
-    log-softmax: d(logprob_j)/d(logit_k) = delta_jk - softmax_k, so the
-    logit gradient is upstream - sum(upstream) * softmax(logits).
+    cache is a ForwardCache with an upstream of shape (B, V), or a single
+    ModalityContext with a length-V upstream (evaluated as B = 1).  upstream
+    holds the partial derivatives of the scalar loss with respect to the
+    output log-probabilities.  Chain rule through log-softmax:
+    d(logprob_j)/d(logit_k) = delta_jk - softmax_k, so the logit gradient
+    is upstream - sum(upstream) * softmax(logits).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (params.vocab_size,):
-        raise ValueError(f"upstream must have length {params.vocab_size}, got {upstream.shape}")
+    if isinstance(cache, ModalityContext):
+        cache, upstream = forward(params, *stack_contexts([cache])), upstream.reshape(1, -1)
+    if upstream.shape != cache.probs.shape:
+        raise ValueError(f"upstream must have shape {cache.probs.shape}, got {upstream.shape}")
     if not np.all(np.isfinite(upstream)):
         raise ValueError("upstream must be finite")
 
-    pre = _pre_activation(params, ctx)
-    h = np.tanh(pre)
-    logits = params.w_out @ h + params.b
-    shifted = logits - logits.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-
-    g_logits = upstream - upstream.sum() * probs
-    g_h = params.w_out.T @ g_logits
-    g_pre = g_h * (1.0 - h * h)
+    g_logits = upstream - upstream.sum(axis=1, keepdims=True) * cache.probs
+    g_pre = (g_logits @ params.w_out) * (1.0 - cache.h * cache.h)
 
     grads = GradAccumulator(params)
-    grads.b += g_logits
-    grads.w_out += np.outer(g_logits, h)
-    grads.u_a += np.outer(g_pre, ctx.audio)
-    grads.u_v += np.outer(g_pre, ctx.visual)
-    grads.e_x[ctx.prompt_id] += g_pre
+    grads.b += g_logits.sum(axis=0)
+    grads.w_out += g_logits.T @ cache.h
+    grads.u_a += g_pre.T @ cache.audio
+    grads.u_v += g_pre.T @ cache.visual
+    np.add.at(grads.e_x, cache.prompt_ids, g_pre)
     return grads
 
 

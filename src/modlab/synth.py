@@ -554,12 +554,23 @@ def pair_record(pair: PreferencePair) -> dict:
     }
 
 
+def _index_field(rec: dict, name: str, size: int) -> int:
+    """rec[name] as an integer index into a table of the given size."""
+    try:
+        value = int(rec[name])
+    except (TypeError, ValueError):
+        raise WorldError(f"{name} {rec[name]!r} is not an integer") from None
+    if not 0 <= value < size:
+        raise WorldError(f"{name} {value} outside [0, {size})")
+    return value
+
+
 def context_from_record(rec: dict) -> ModalityContext:
     """The model input of a dataset or eval-item record."""
     return ModalityContext(
         audio=np.array(rec["audio_feat"], dtype=np.float64),
         visual=np.array(rec["visual_feat"], dtype=np.float64),
-        prompt_id=int(rec["prompt_id"]),
+        prompt_id=_index_field(rec, "prompt_id", N_PROMPTS),
         modality_tag=rec["modality_tag"],
     )
 
@@ -568,8 +579,8 @@ def pair_from_record(rec: dict) -> PreferencePair:
     return PreferencePair(
         context=context_from_record(rec),
         question_kind=rec["question_kind"],
-        y_w=int(rec["y_w"]),
-        y_l=int(rec["y_l"]),
+        y_w=_index_field(rec, "y_w", VOCAB_SIZE),
+        y_l=_index_field(rec, "y_l", VOCAB_SIZE),
         matched=bool(rec["matched"]),
         scene_refs=(int(rec["visual_scene"]), int(rec["audio_scene"])),
     )
@@ -630,9 +641,28 @@ def _write_records(path, records, stats: dict) -> dict:
 
 
 def read_records(path, decode) -> list:
-    """decode(record) for every non-blank line of a JSONL file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return [decode(json.loads(line)) for line in (raw.strip() for raw in fh) if line]
+    """decode(record) for every non-blank line of a JSONL file.
+
+    A line that is not ASCII JSON, lacks a field or holds a value decode
+    rejects raises WorldError naming the path, the line and the problem.
+    """
+    records = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            where = f"{path}, line {line_no}"
+            try:
+                line = raw.decode("ascii").strip()
+                if line:
+                    records.append(decode(json.loads(line)))
+            except UnicodeDecodeError:
+                raise WorldError(f"{where}: not ASCII text") from None
+            except json.JSONDecodeError as exc:
+                raise WorldError(f"{where}: invalid JSON ({exc.msg})") from None
+            except KeyError as exc:
+                raise WorldError(f"{where}: missing field {exc.args[0]!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise WorldError(f"{where}: {exc}") from None
+    return records
 
 
 def assemble_dataset(cfg: SynthConfig, path) -> dict:

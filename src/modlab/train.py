@@ -19,12 +19,18 @@ Loss variants:
 
 Per-pair pass counts follow sequence-model accounting: scoring y_w and y_l
 counts as two passes even though the desk-scale policy produces the whole
-response distribution in one evaluation.  This keeps the counters
-comparable across variants:
+response distribution in one evaluation, and a batch's rows go through one
+matrix call per model.  The counters count logical passes, not calls,
+which keeps them comparable across variants:
 
     dpo    fwd_policy=2  fwd_ref=2  bwd_policy=2  bwd_ref=0
     mod    fwd_policy=6  fwd_ref=2  bwd_policy=2  bwd_ref=0
     modpp  fwd_policy=6  fwd_ref=4  bwd_policy=2  bwd_ref=0
+
+A training step is batch-first: one policy forward over the clean rows
+with the corrupted rows stacked under them, one reference forward over the
+clean and text-only rows, the loss of all pairs in one core.pair_terms
+call, and one backward through the clean rows only.
 
 Determinism: everything derives from cfg.seed through tagged seed
 sequences; each pair's corruption draw is seeded by (seed, step, pair
@@ -42,18 +48,17 @@ import numpy as np
 
 from . import core
 from .core import ConfigurationError, Hyperparams, PairLogProbs
-from .corrupt import CorruptionSpec, corrupt_context
+from .corrupt import CorruptionSpec, FeaturePool, corrupt_rows
 from .policy import (
-    GradAccumulator,
     PolicyParams,
     apply_gradient_step,
     backward,
-    forward_detached,
-    forward_logprobs,
+    forward,
     init_params,
     modality_roles,
+    stack_contexts,
 )
-from .synth import N_PROMPTS, VOCAB_SIZE, PreferencePair, _rng
+from .synth import N_PROMPTS, VOCAB_SIZE, _rng
 
 LOSS_VARIANTS = ("dpo", "mod", "modpp", "mod_with_av")
 
@@ -62,6 +67,10 @@ _ORDER_STREAM = 12
 _CORRUPT_STREAM = 13
 
 _D_H_DEFAULT = 16
+
+# PairLogProbs slot filled by each corruption draw slot: the irrelevant
+# modality corrupted, the relevant one, or both (joint-audiovisual pairs).
+_SLOT_FIELDS = {0: "inv", 1: "sens", 2: "sens"}
 
 
 class TrainingError(ValueError):
@@ -142,62 +151,15 @@ class TrainResult:
     n_av_excluded: int = 0
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, stable for margins of either sign."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def feature_pools(dataset) -> dict:
-    """Per-modality pools of real feature vectors for random_swap."""
-    return {
-        "audio": [p.context.audio for p in dataset],
-        "visual": [p.context.visual for p in dataset],
-    }
-
-
-def evaluate_pair(params: PolicyParams, ref_params: PolicyParams, pair: PreferencePair,
-                  cfg: TrainConfig, step: int, pair_index: int, pools=None):
-    """All log-probabilities a variant needs for one pair, plus pass counts.
-
-    Clean policy passes are the only tracked evaluations; corrupted passes
-    go through forward_detached and the reference is frozen throughout.
-    Corruption seeds derive from (cfg.seed, step, pair_index, slot).
-    """
-    ctx = pair.context
-    w, l = pair.y_w, pair.y_l
-    clean = forward_logprobs(params, ctx)
-    fwd_policy = 2
-    ref = forward_logprobs(ref_params, ctx)
-    fwd_ref = 2
-
-    slots = {}
-    variant = cfg.loss_variant
-    draw = (cfg.seed, _CORRUPT_STREAM, step, pair_index)
-    if _is_joint(cfg, ctx.modality_tag):
-        spec_both = cfg.corruption.for_draw(*draw, 2)
-        both_lp = forward_detached(params,
-                                   corrupt_context(ctx, spec_both, ("audio", "visual"), pools))
-        fwd_policy += 2
-        slots.update(sens_w=both_lp[w], sens_l=both_lp[l])
-    elif variant != "dpo":
-        relevant, irrelevant = modality_roles(ctx.modality_tag)
-        spec_inv = cfg.corruption.for_draw(*draw, 0)
-        spec_sens = cfg.corruption.for_draw(*draw, 1)
-        inv_lp = forward_detached(params, corrupt_context(ctx, spec_inv, (irrelevant,), pools))
-        sens_lp = forward_detached(params, corrupt_context(ctx, spec_sens, (relevant,), pools))
-        fwd_policy += 4
-        slots.update(inv_w=inv_lp[w], inv_l=inv_lp[l], sens_w=sens_lp[w], sens_l=sens_lp[l])
-
-    if variant == "modpp":
-        text_lp = forward_logprobs(ref_params, ctx.text_only())
-        fwd_ref += 2
-        slots.update(text_w=text_lp[w], text_l=text_lp[l])
-
-    pl = PairLogProbs(policy_w=clean[w], policy_l=clean[l], ref_w=ref[w], ref_l=ref[l], **slots)
-    counter = PassCounter(fwd_policy=fwd_policy, fwd_ref=fwd_ref, bwd_policy=2, bwd_ref=0)
-    return pl, counter
+    """Per-modality random_swap pools: every pair's feature vector, stacked once."""
+    return {m: FeaturePool([getattr(p.context, m) for p in dataset]) for m in ("audio", "visual")}
 
 
 def _is_joint(cfg: TrainConfig, tag: str) -> bool:
@@ -205,9 +167,81 @@ def _is_joint(cfg: TrainConfig, tag: str) -> bool:
     return cfg.loss_variant == "mod_with_av" and tag == "audiovisual"
 
 
+def _pass_counter(cfg: TrainConfig, joint: bool) -> PassCounter:
+    fwd_policy = 4 if joint else 2 if cfg.loss_variant == "dpo" else 6
+    fwd_ref = 4 if cfg.loss_variant == "modpp" else 2
+    return PassCounter(fwd_policy=fwd_policy, fwd_ref=fwd_ref, bwd_policy=2, bwd_ref=0)
+
+
+def _labels(batch) -> tuple:
+    return np.array([p.y_w for p in batch]), np.array([p.y_l for p in batch])
+
+
+def _forward_blocks(params: PolicyParams, blocks, ids):
+    """One forward over feature blocks stacked row-wise, each block with the
+    same prompt ids."""
+    return forward(params, np.concatenate([b["audio"] for b in blocks]),
+                   np.concatenate([b["visual"] for b in blocks]), np.tile(ids, len(blocks)))
+
+
+def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: TrainConfig,
+                   step: int, pools=None):
+    """All log-probabilities a variant needs for a batch of pairs.
+
+    Returns (PairLogProbs of (B,) arrays, the per-pair PassCounter, the
+    ForwardCache of the clean policy rows).  One policy forward scores the
+    clean rows with the corrupted rows stacked under them; one reference
+    forward scores the clean rows and, for modpp, the text-only rows.  Only
+    the returned clean-row cache may be back-propagated; the corrupted rows
+    are detached and the reference is frozen throughout.  Row i's draw for
+    slot s is seeded from (cfg.seed, step, i, s).
+    """
+    tags = [p.context.modality_tag for p in batch]
+    counters = {_pass_counter(cfg, joint) for joint in {_is_joint(cfg, t) for t in tags}}
+    if len(counters) != 1:
+        raise TrainingError(f"pass counts varied within one batch: {counters}")
+    n = len(batch)
+    audio, visual, ids = stack_contexts([p.context for p in batch])
+    if _is_joint(cfg, tags[0]):
+        slot_modalities = {2: [("audio", "visual")] * n}
+    elif cfg.loss_variant != "dpo":
+        roles = [modality_roles(t) for t in tags]
+        slot_modalities = {0: [(irr,) for _, irr in roles], 1: [(rel,) for rel, _ in roles]}
+    else:
+        slot_modalities = {}
+    clean = {"audio": audio, "visual": visual}
+    blocks = [clean] + [
+        corrupt_rows(clean, [cfg.corruption.for_draw(cfg.seed, _CORRUPT_STREAM, step, i, slot)
+                             for i in range(n)], modalities, pools)
+        for slot, modalities in slot_modalities.items()
+    ]
+    ref_blocks = [clean]
+    if cfg.loss_variant == "modpp":
+        ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})  # text-only
+    policy = _forward_blocks(params, blocks, ids)
+    ref = _forward_blocks(ref_params, ref_blocks, ids).logprobs
+
+    w, l = _labels(batch)
+    rows = np.arange(n)
+
+    def pick(logprobs, block):
+        return logprobs[block * n + rows, w], logprobs[block * n + rows, l]
+
+    slots = {}
+    for block, slot in enumerate(slot_modalities, start=1):
+        name = _SLOT_FIELDS[slot]
+        slots[f"{name}_w"], slots[f"{name}_l"] = pick(policy.logprobs, block)
+    if len(ref_blocks) == 2:
+        slots["text_w"], slots["text_l"] = pick(ref, 1)
+    (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
+    pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
+    return pl, counters.pop(), policy[:n]
+
+
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
-    """(loss, sigmoid margin, policy coefficient) for one pair under the
-    config's loss variant; see core.pair_terms."""
+    """(loss, sigmoid margin, policy coefficient) for one pair, or for a
+    batch of pairs sharing the tag's loss, under the config's loss variant;
+    see core.pair_terms."""
     return core.pair_terms(pl, cfg.loss_hp, _is_joint(cfg, tag), cfg.lpd_placement)
 
 
@@ -224,23 +258,18 @@ def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: Train
     if cfg.alternate_batches and len(tags) > 1:
         raise TrainingError(f"mixed-modality batch under alternation: {sorted(tags)}")
 
-    grads = GradAccumulator(params)
-    losses = []
-    counters = []
-    for idx, pair in enumerate(batch):
-        pl, counter = evaluate_pair(params, ref_params, pair, cfg, step, idx, pools)
-        counters.append(counter)
-        loss, margin, coef = pair_loss_terms(pl, cfg, pair.context.modality_tag)
-        losses.append(loss)
-        upstream = np.zeros(params.vocab_size)
-        weight = _sigmoid(-margin) * coef
-        upstream[pair.y_w] = -weight
-        upstream[pair.y_l] = weight
-        grads.add(backward(params, pair.context, upstream))
-    if len(set(counters)) != 1:
-        raise TrainingError(f"pass counts varied within one batch: {set(counters)}")
+    pl, counter, clean = evaluate_batch(params, ref_params, batch, cfg, step, pools)
+    losses, margins, coef = pair_loss_terms(pl, cfg, batch[0].context.modality_tag)
+    weights = _sigmoid(-margins) * coef
+    w, l = _labels(batch)
+    rows = np.arange(len(batch))
+    upstream = np.zeros_like(clean.probs)
+    upstream[rows, w] = -weights
+    upstream[rows, l] = weights
+    grads = backward(params, clean, upstream)
+    grads.check_finite()
     grads.scale(1.0 / len(batch))
-    return apply_gradient_step(params, grads, cfg.lr), float(np.mean(losses)), counters[0]
+    return apply_gradient_step(params, grads, cfg.lr), float(np.mean(losses)), counter
 
 
 def init_policy_for(dataset, seed: int, d_h: int = _D_H_DEFAULT) -> PolicyParams:
@@ -259,23 +288,31 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
     if not dataset:
         raise TrainingError("warm-up needs a non-empty dataset")
     params = init_policy_for(dataset, seed, d_h=d_h)
+    audio, visual, ids = stack_contexts([p.context for p in dataset])
+    y_w = _labels(dataset)[0]
+    n = len(dataset)
+    size = min(batch_size, n)
+    rows = np.arange(size)
     rng = _rng(seed, _WARMUP_STREAM)
-    order = np.arange(len(dataset))
-    cursor = len(dataset)  # force an initial shuffle
+    order = np.arange(n)
+    cursor = n  # force an initial shuffle
     for _ in range(steps):
-        batch = []
-        for _ in range(min(batch_size, len(dataset))):
-            if cursor >= len(dataset):
+        batch = np.empty(size, dtype=np.intp)
+        filled = 0
+        while filled < size:
+            if cursor >= n:
                 rng.shuffle(order)
                 cursor = 0
-            batch.append(dataset[order[cursor]])
-            cursor += 1
-        grads = GradAccumulator(params)
-        for pair in batch:
-            upstream = np.zeros(params.vocab_size)
-            upstream[pair.y_w] = -1.0  # minimize -log pi(y_w)
-            grads.add(backward(params, pair.context, upstream))
-        grads.scale(1.0 / len(batch))
+            take = min(size - filled, n - cursor)
+            batch[filled : filled + take] = order[cursor : cursor + take]
+            filled += take
+            cursor += take
+        cache = forward(params, audio[batch], visual[batch], ids[batch])
+        upstream = np.zeros_like(cache.probs)
+        upstream[rows, y_w[batch]] = -1.0  # minimize -log pi(y_w)
+        grads = backward(params, cache, upstream)
+        grads.check_finite()
+        grads.scale(1.0 / size)
         params = apply_gradient_step(params, grads, lr)
     return params
 

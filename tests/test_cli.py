@@ -121,6 +121,28 @@ class TestOverridesAndErrors:
         assert (tmp_path / "run" / "dataset.jsonl").exists()
 
 
+class TestBadRecords:
+    @pytest.mark.parametrize("line,needle", [
+        ('"y_w": 99', "y_w 99 outside [0, 8)"),
+        ('"y_w": -1', "y_w -1 outside [0, 8)"),
+        (None, "invalid JSON"),
+    ])
+    def test_train_rejects_bad_line_with_one_message(self, tmp_path, capsys, line, needle):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        dataset = tmp_path / "run" / "dataset.jsonl"
+        lines = dataset.read_text().splitlines()
+        if line is None:
+            lines[2] = lines[2][: len(lines[2]) // 2]  # truncated record
+        else:
+            lines[2] = lines[2].replace(f'"y_w": {json.loads(lines[2])["y_w"]}', line)
+        dataset.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.run("train", config_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{dataset}, line 3: {needle}" in err[0], err
+
+
 class TestConfigParsing:
     def test_exponent_floats_without_a_dot(self, tmp_path):
         path = tmp_path / "config.yaml"

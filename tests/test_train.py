@@ -254,12 +254,12 @@ class TestCorruptionIntegration:
                            corruption=CorruptionSpec(kind="diffusion", t=0))
         pools = training.feature_pools(data)
         batch = [p for p in data if p.context.modality_tag == "visual_related"][:4]
-        pl, _ = training.evaluate_pair(ref, ref, batch[0], cfg, 0, 0, pools)
-        assert pl.inv_w == pl.policy_w and pl.sens_l == pl.policy_l
+        pl, _, _ = training.evaluate_batch(ref, ref, batch, cfg, 0, pools)
+        assert np.array_equal(pl.inv_w, pl.policy_w) and np.array_equal(pl.sens_l, pl.policy_l)
         from modlab.core import mod_margin
         margin = mod_margin(pl, cfg.hp)
         vanilla = cfg.hp.beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l))
-        assert margin == pytest.approx(vanilla, abs=1e-12)
+        np.testing.assert_allclose(margin, vanilla, rtol=0, atol=1e-12)
 
 
 class TestPairLossTerms:
