@@ -11,8 +11,9 @@ outputs:
     modlab verify  [k=v ...]               run the oracle battery
 
 Every command is deterministic given (config, seed): rerunning writes
-byte-identical artifacts.  Exit codes: 0 success, 2 config error,
-3 missing input, 4 verification failure, 1 unexpected runtime error.
+byte-identical artifacts.  Exit codes: 0 success, 2 config error (also a
+malformed dataset line or checkpoint), 3 missing input, 4 verification
+failure, 1 a diverging training run or an unexpected runtime error.
 The default config path can be set via the MODLAB_CONFIG environment
 variable.
 """
@@ -33,7 +34,7 @@ from . import oracles, synth
 from . import train as training
 from .core import ConfigurationError, Hyperparams
 from .corrupt import CorruptionSpec
-from .policy import load_checkpoint, save_checkpoint
+from .policy import CheckpointError, load_checkpoint, save_checkpoint
 from .presets import PRESET_NAMES, make_config
 
 EXIT_OK = 0
@@ -406,9 +407,12 @@ def run(command: str, config_path=None, overrides=()) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigurationError, synth.WorldError, training.TrainingError) as exc:
+    except (ConfigurationError, synth.WorldError, training.TrainingError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except training.DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING

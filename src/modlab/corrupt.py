@@ -11,9 +11,17 @@ for a feature vector:
 Diffusion uses the standard linear-beta forward schedule; small t leaves
 the vector close to the original (signal coefficient sqrt(abar_t) decays
 monotonically in t), large t destroys it.  Corrupted vectors are not
-renormalized to the input's scale statistics.  Every call is
-deterministic given (input, spec) because the generator is rebuilt from
-spec.seed.
+renormalized to the input's scale statistics.
+
+``corrupt`` takes one (d,) vector or a (B, d) block of rows and draws
+from the generator it is given (default: a fresh ``default_rng(spec.seed)``,
+so a call without one is deterministic given (input, spec)).  A block call
+draws exactly what B row calls would draw from the same generator in row
+order: gaussian and diffusion fill their (B, d) noise row-major, and
+random_swap takes one pool index per row.  ``corrupt_rows`` corrupts the
+rows of an audio/visual pair of blocks with one generator, audio block
+first, so a caller that passes the same generator to successive calls
+fixes every draw by its own seed and call order.
 """
 
 from __future__ import annotations
@@ -84,13 +92,6 @@ class CorruptionSpec:
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise CorruptionError(f"sigma must be finite and > 0, got {self.sigma}")
 
-    def reseeded(self, seed: int) -> "CorruptionSpec":
-        return CorruptionSpec(kind=self.kind, t=self.t, sigma=self.sigma, seed=seed)
-
-    def for_draw(self, *key) -> "CorruptionSpec":
-        """Copy seeded for one draw, the seed derived from the integer key."""
-        return self.reseeded(int(np.random.SeedSequence(list(key)).generate_state(1)[0]))
-
 
 def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
     """Cumulative signal retention prod_{s=1..t}(1 - beta_s), in (0, 1]."""
@@ -99,20 +100,25 @@ def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
     return float(schedule.alpha_bar[t])
 
 
-def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule = DEFAULT_SCHEDULE):
-    """Corrupted copy of a feature vector, dimension-preserving and finite.
+def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule = DEFAULT_SCHEDULE,
+            rng: np.random.Generator = None):
+    """Corrupted copy of a (d,) feature vector or a (B, d) block of rows,
+    shape-preserving and finite.
 
-    gaussian replaces the vector with pure noise (an uninformative input)
-    rather than adding noise to it.  random_swap draws uniformly from the
-    pool, excluding members identical to the input so the result is a
-    genuinely different source.  diffusion at t=0 is the identity.
+    gaussian replaces each row with pure noise (an uninformative input)
+    rather than adding noise to it.  random_swap draws each row uniformly
+    from the pool, excluding members identical to that row so the result
+    is a genuinely different source.  diffusion at t=0 is the identity.
+    rng defaults to default_rng(spec.seed); zeros and diffusion at t=0
+    draw nothing from it.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise CorruptionError("features must be a 1-D vector")
+    if x.ndim not in (1, 2):
+        raise CorruptionError("features must be a (d,) vector or a (B, d) block of rows")
     if not np.all(np.isfinite(x)):
         raise CorruptionError("features must be finite")
-    rng = np.random.default_rng(spec.seed)
+    if rng is None:
+        rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "zeros":
         return np.zeros_like(x)
@@ -121,19 +127,7 @@ def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule =
         return rng.normal(0.0, spec.sigma, size=x.shape)
 
     if spec.kind == "random_swap":
-        if pool is None or len(pool) == 0:
-            raise CorruptionError("random_swap needs a non-empty feature pool")
-        try:
-            vectors = np.asarray(pool, dtype=np.float64)
-        except ValueError:  # ragged: members of different lengths
-            vectors = None
-        if vectors is None or vectors.ndim != 2 or vectors.shape[1] != x.shape[0]:
-            raise CorruptionError("pool vectors must match the input dimension")
-        eligible = np.flatnonzero(np.any(vectors != x, axis=1))
-        if not eligible.size:
-            raise CorruptionError("random_swap pool contains no vector different from the input")
-        pick = eligible[rng.integers(len(eligible))]
-        return vectors[pick].copy()
+        return _swap(x, pool, rng)
 
     # diffusion
     if spec.t == 0:
@@ -143,18 +137,48 @@ def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule =
     return math.sqrt(abar) * x + math.sqrt(1.0 - abar) * eps
 
 
-def corrupt_rows(features: dict, specs, modalities, pools=None) -> dict:
+def _swap(x: np.ndarray, pool, rng: np.random.Generator) -> np.ndarray:
+    """random_swap of a vector or block: one uniform pool index per row; a
+    row whose pick equals it draws again, uniformly over the members that
+    differ from it.  Both draws together are uniform over the non-identical
+    members, and only the rejected rows are compared with the whole pool."""
+    if pool is None or len(pool) == 0:
+        raise CorruptionError("random_swap needs a non-empty feature pool")
+    try:
+        vectors = np.asarray(pool, dtype=np.float64)
+    except ValueError:  # ragged: members of different lengths
+        vectors = None
+    if vectors is None or vectors.ndim != 2 or vectors.shape[1] != x.shape[-1]:
+        raise CorruptionError("pool vectors must match the input dimension")
+    rows = x.reshape(-1, x.shape[-1])
+    picks = rng.integers(len(vectors), size=len(rows))
+    rejected = np.flatnonzero(np.all(vectors[picks] == rows, axis=1))
+    if rejected.size:
+        differs = np.any(vectors != rows[rejected, None, :], axis=2)  # (R, N)
+        counts = differs.sum(axis=1)
+        if not counts.all():
+            raise CorruptionError("random_swap pool contains no vector different from the input")
+        nth = rng.integers(counts)
+        picks[rejected] = np.argmax(np.cumsum(differs, axis=1) > nth[:, None], axis=1)
+    return vectors[picks].reshape(x.shape)
+
+
+def corrupt_rows(features: dict, spec: CorruptionSpec, modalities, rng: np.random.Generator,
+                 pools=None) -> dict:
     """Corrupted copies of stacked feature rows.
 
     features maps "audio"/"visual" to (B, d) arrays; row i has the
-    modalities named in modalities[i] corrupted by specs[i] (both by the
-    same spec when two are named) and keeps the others.  pools maps a
-    modality to its random_swap pool.  Inputs are left untouched.
+    modalities named in modalities[i] corrupted and keeps the others.
+    Each modality's selected rows are corrupted as one block drawn from
+    rng, audio before visual, rows in order.  pools maps a modality to
+    its random_swap pool.  Inputs are left untouched.
     """
     out = {m: np.array(x, dtype=np.float64) for m, x in features.items()}
-    for i, (spec, names) in enumerate(zip(specs, modalities)):
-        for m in names:
-            out[m][i] = corrupt(out[m][i], spec, pool=pools.get(m) if pools else None)
+    for m in ("audio", "visual"):
+        rows = [i for i, names in enumerate(modalities) if m in names]
+        if rows:
+            out[m][rows] = corrupt(out[m][rows], spec, pool=pools.get(m) if pools else None,
+                                   rng=rng)
     return out
 
 

@@ -20,7 +20,12 @@ anti-hallucination default.
 The log-likelihood-shift analysis corrupts one modality of each item and
 reports the change in the correct answer's log-probability: a
 modality-faithful model shifts a lot when the prompt-relevant modality is
-corrupted and very little when the irrelevant one is.
+corrupted and very little when the irrelevant one is.  Each call draws its
+corruption from one generator seeded by the spec's seed: the items whose
+chosen modality is audio form one block, drawn first, and the visual
+block follows, each in item order.  An item's draw therefore depends on
+its position among the items sharing its modality, and the relevant and
+irrelevant analyses restart the same stream.
 """
 
 from __future__ import annotations
@@ -223,8 +228,10 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
     """Delta = log p(correct | clean) - log p(correct | corrupted).
 
     which selects whether the prompt-RELEVANT or prompt-IRRELEVANT modality
-    of each item is corrupted (per its modality tag).  Each item's draw is
-    seeded from (spec.seed, item index), so the analysis is repeatable.
+    of each item is corrupted (per its modality tag).  All draws come from
+    one generator seeded by spec.seed, the audio block (items whose chosen
+    modality is audio, in item order) before the visual block, so the
+    analysis is repeatable.
     """
     if which not in ("relevant", "irrelevant"):
         raise EvalError(f"which must be 'relevant' or 'irrelevant', got {which!r}")
@@ -237,9 +244,8 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
         except ValueError:
             raise EvalError("shift analysis needs single-modality items") from None
         audio, visual, ids = stack_contexts([item.context for item in items])
-        corrupted = corrupt_rows({"audio": audio, "visual": visual},
-                                 [spec.for_draw(spec.seed, i) for i in range(len(items))],
-                                 modalities, pools)
+        corrupted = corrupt_rows({"audio": audio, "visual": visual}, spec, modalities,
+                                 np.random.default_rng(spec.seed), pools)
         rows = np.arange(len(items))
         answers = np.array([answer_id(item.ground_truth) for item in items])
         clean = forward(params, audio, visual, ids).logprobs[rows, answers]

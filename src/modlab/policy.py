@@ -36,6 +36,7 @@ and outputs byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -294,26 +295,80 @@ def save_checkpoint(params: PolicyParams, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be loaded; the message names the file,
+    the line and the problem."""
+
+
+_TENSOR_NDIM = {"u_a": 2, "u_v": 2, "e_x": 2, "w_out": 2, "b": 1}
+
+# (tensor, axis, tensor, axis) pairs whose sizes must agree: d_h and V.
+_SHAPE_LINKS = (("u_v", 0, "u_a", 0), ("e_x", 1, "u_a", 0), ("w_out", 1, "u_a", 0),
+                ("b", 0, "w_out", 0))
+
+
 def load_checkpoint(path) -> PolicyParams:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Read the named-tensor text format written by ``save_checkpoint``.
+
+    Raises CheckpointError("<path>, line <n>: <problem>") for a bad header,
+    a malformed tensor line, a truncated tensor, a non-numeric or
+    non-finite value, a row of the wrong length, a missing, repeated or
+    unknown tensor, and tensor shapes that disagree (d_h or V).
+    """
+    def fail(line: int, problem: str):
+        raise CheckpointError(f"{path}, line {line}: {problem}")
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        fail(data.count(b"\n", 0, exc.start) + 1, "not ASCII text")
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError(f"not a recognized checkpoint file: {path}")
-    tensors: dict[str, np.ndarray] = {}
+        fail(1, f"not a checkpoint: the first line must be {CHECKPOINT_HEADER!r}")
+    tensors, header_line = {}, {}
     i = 1
     while i < len(lines):
-        if not lines[i].strip():
+        head = lines[i].split()
+        if not head:
             i += 1
             continue
-        head = lines[i].split()
-        if head[0] != "tensor" or len(head) < 3:
-            raise ValueError(f"malformed tensor header at line {i + 1} of {path}")
-        name, dims = head[1], [int(d) for d in head[2:]]
-        n_rows = dims[0] if len(dims) == 2 else 1
-        rows = [np.array([float(v) for v in lines[i + 1 + r].split()]) for r in range(n_rows)]
-        tensors[name] = np.vstack(rows).reshape(dims)
+        if head[0] != "tensor" or len(head) < 2 or head[1] not in _TENSOR_NDIM:
+            fail(i + 1, f"expected 'tensor <name> <dims>' with a name in {PolicyParams.FIELDS}, "
+                        f"got {lines[i][:60]!r}")
+        name = head[1]
+        if (len(head) != 2 + _TENSOR_NDIM[name]
+                or not all(d.isdigit() and int(d) > 0 for d in head[2:])):
+            fail(i + 1, f"tensor {name} needs {_TENSOR_NDIM[name]} positive integer "
+                        f"dimensions, got {head[2:]}")
+        dims = [int(d) for d in head[2:]]
+        if name in tensors:
+            fail(i + 1, f"tensor {name} appears twice")
+        n_rows, width = dims if len(dims) == 2 else (1, dims[0])
+        rows = []
+        for r in range(n_rows):
+            n = i + 2 + r  # 1-based line number of row r
+            if n > len(lines) or lines[n - 1].startswith("tensor"):
+                fail(min(n, len(lines)), f"tensor {name} ends after {r} of {n_rows} rows")
+            values = lines[n - 1].split()
+            try:
+                row = [float(v) for v in values]
+            except ValueError:
+                fail(n, f"non-numeric value in tensor {name}: {lines[n - 1][:60]!r}")
+            if len(row) != width:
+                fail(n, f"tensor {name} row has {len(row)} values, expected {width}")
+            if not all(math.isfinite(v) for v in row):
+                fail(n, f"non-finite value in tensor {name}")
+            rows.append(row)
+        tensors[name] = np.array(rows, dtype=np.float64).reshape(dims)
+        header_line[name] = i + 1
         i += 1 + n_rows
     missing = [f for f in PolicyParams.FIELDS if f not in tensors]
     if missing:
-        raise ValueError(f"checkpoint {path} is missing tensors: {missing}")
+        fail(len(lines), f"missing tensors {missing}")
+    for name, axis, other, other_axis in _SHAPE_LINKS:
+        size, want = tensors[name].shape[axis], tensors[other].shape[other_axis]
+        if size != want:
+            fail(header_line[name], f"tensor {name} has {size} {('rows', 'columns')[axis]} "
+                                    f"but {other} has {want} {('rows', 'columns')[other_axis]}")
     return PolicyParams(*(tensors[f] for f in PolicyParams.FIELDS))

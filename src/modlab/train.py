@@ -33,9 +33,20 @@ clean and text-only rows, the loss of all pairs in one core.pair_terms
 call, and one backward through the clean rows only.
 
 Determinism: everything derives from cfg.seed through tagged seed
-sequences; each pair's corruption draw is seeded by (seed, step, pair
-position, slot), so runs are exactly repeatable and variants that skip
-corruption draw identical batch orders.
+sequences, so runs are exactly repeatable.  Step s of a corrupting variant
+draws all its corrupted rows from one generator seeded by (cfg.seed,
+_CORRUPT_STREAM, s), in a fixed order: slot ascending (0 = irrelevant
+modality, 1 = relevant modality, 2 = both modalities of a joint-audiovisual
+pair), then the audio block before the visual block, then rows in batch
+order.  A joint-audiovisual row therefore gets independent audio and
+visual noise.  cfg.corruption supplies kind, t and sigma; its seed is not
+used by training.  dpo builds no corruption generator, and batch order
+comes from its own stream, so variants that skip corruption draw identical
+batch orders.
+
+Divergence guard: train() and warmup_reference() stop with DivergenceError
+when a step's loss is non-finite or above 100 times the first step's loss,
+or a gradient becomes non-finite; the error names the step and the loss.
 """
 
 from __future__ import annotations
@@ -68,6 +79,10 @@ _CORRUPT_STREAM = 13
 
 _D_H_DEFAULT = 16
 
+# A step whose mean loss exceeds this multiple of the first step's has
+# diverged; healthy runs peak near 1.4x.
+_DIVERGENCE_FACTOR = 100.0
+
 # PairLogProbs slot filled by each corruption draw slot: the irrelevant
 # modality corrupted, the relevant one, or both (joint-audiovisual pairs).
 _SLOT_FIELDS = {0: "inv", 1: "sens", 2: "sens"}
@@ -75,6 +90,28 @@ _SLOT_FIELDS = {0: "inv", 1: "sens", 2: "sens"}
 
 class TrainingError(ValueError):
     """Contract violation in the training loop (mixed batch, bad dataset)."""
+
+
+class DivergenceError(RuntimeError):
+    """A run diverged: non-finite loss or gradient, or a loss far above the
+    first step's."""
+
+
+def _check_finite_grads(grads, where: str) -> None:
+    try:
+        grads.check_finite()
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{where}: {exc}") from None
+
+
+def _check_loss(phase: str, step: int, loss: float, first: float) -> None:
+    """Raise DivergenceError when a step's loss is non-finite or above
+    _DIVERGENCE_FACTOR times the first step's."""
+    if not math.isfinite(loss):
+        raise DivergenceError(f"{phase} diverged at step {step}: loss {loss}")
+    if loss > _DIVERGENCE_FACTOR * abs(first):
+        raise DivergenceError(f"{phase} diverged at step {step}: loss {loss:.6g} exceeds "
+                              f"{_DIVERGENCE_FACTOR:g}x the first step's {first:.6g}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +230,9 @@ def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: T
     clean rows with the corrupted rows stacked under them; one reference
     forward scores the clean rows and, for modpp, the text-only rows.  Only
     the returned clean-row cache may be back-propagated; the corrupted rows
-    are detached and the reference is frozen throughout.  Row i's draw for
-    slot s is seeded from (cfg.seed, step, i, s).
+    are detached and the reference is frozen throughout.  All corrupted
+    rows of the step come from one generator seeded by (cfg.seed, step),
+    drawn slot by slot in ascending order (see the module docstring).
     """
     tags = [p.context.modality_tag for p in batch]
     counters = {_pass_counter(cfg, joint) for joint in {_is_joint(cfg, t) for t in tags}}
@@ -210,16 +248,19 @@ def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: T
     else:
         slot_modalities = {}
     clean = {"audio": audio, "visual": visual}
-    blocks = [clean] + [
-        corrupt_rows(clean, [cfg.corruption.for_draw(cfg.seed, _CORRUPT_STREAM, step, i, slot)
-                             for i in range(n)], modalities, pools)
-        for slot, modalities in slot_modalities.items()
-    ]
+    blocks = [clean]
+    if slot_modalities:
+        rng = _rng(cfg.seed, _CORRUPT_STREAM, step)
+        blocks += [corrupt_rows(clean, cfg.corruption, modalities, rng, pools)
+                   for modalities in slot_modalities.values()]
     ref_blocks = [clean]
     if cfg.loss_variant == "modpp":
         ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})  # text-only
     policy = _forward_blocks(params, blocks, ids)
     ref = _forward_blocks(ref_params, ref_blocks, ids).logprobs
+    if not (np.isfinite(policy.logprobs).all() and np.isfinite(ref).all()):
+        raise DivergenceError(f"training diverged at step {step}: loss nan "
+                              "(non-finite log-probabilities)")
 
     w, l = _labels(batch)
     rows = np.arange(n)
@@ -260,6 +301,7 @@ def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: Train
 
     pl, counter, clean = evaluate_batch(params, ref_params, batch, cfg, step, pools)
     losses, margins, coef = pair_loss_terms(pl, cfg, batch[0].context.modality_tag)
+    loss = float(np.mean(losses))
     weights = _sigmoid(-margins) * coef
     w, l = _labels(batch)
     rows = np.arange(len(batch))
@@ -267,9 +309,9 @@ def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: Train
     upstream[rows, w] = -weights
     upstream[rows, l] = weights
     grads = backward(params, clean, upstream)
-    grads.check_finite()
+    _check_finite_grads(grads, f"training diverged at step {step} (loss {loss:.6g})")
     grads.scale(1.0 / len(batch))
-    return apply_gradient_step(params, grads, cfg.lr), float(np.mean(losses)), counter
+    return apply_gradient_step(params, grads, cfg.lr), loss, counter
 
 
 def init_policy_for(dataset, seed: int, d_h: int = _D_H_DEFAULT) -> PolicyParams:
@@ -296,7 +338,8 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
     rng = _rng(seed, _WARMUP_STREAM)
     order = np.arange(n)
     cursor = n  # force an initial shuffle
-    for _ in range(steps):
+    first = None
+    for step in range(steps):
         batch = np.empty(size, dtype=np.intp)
         filled = 0
         while filled < size:
@@ -308,10 +351,13 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
             filled += take
             cursor += take
         cache = forward(params, audio[batch], visual[batch], ids[batch])
+        loss = -float(np.mean(cache.logprobs[rows, y_w[batch]]))
+        first = loss if first is None else first
+        _check_loss("warm-up", step, loss, first)
         upstream = np.zeros_like(cache.probs)
         upstream[rows, y_w[batch]] = -1.0  # minimize -log pi(y_w)
         grads = backward(params, cache, upstream)
-        grads.check_finite()
+        _check_finite_grads(grads, f"warm-up diverged at step {step}")
         grads.scale(1.0 / size)
         params = apply_gradient_step(params, grads, lr)
     return params
@@ -355,7 +401,8 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     Warm-up (unless reference params are supplied), then cfg.epochs passes
     of alternating modality batches.  Audiovisual-tagged pairs participate
     only under the mod_with_av variant and are excluded (with a count in
-    the result) otherwise.  The reference is never modified.
+    the result) otherwise.  The reference is never modified.  Raises
+    DivergenceError when a step diverges (see the module docstring).
     """
     if not dataset:
         raise TrainingError("training needs a non-empty dataset")
@@ -386,6 +433,7 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     for epoch in range(cfg.epochs):
         for batch in _epoch_schedule(groups, cfg, epoch):
             params, loss, counter = train_step(params, ref_params, batch, cfg, step, pools)
+            _check_loss("training", step, loss, losses[0] if losses else loss)
             losses.append(loss)
             counters.append(counter)
             step += 1

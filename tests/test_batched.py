@@ -2,8 +2,11 @@
 
 Each reference below is the per-pair computation written with the
 single-context API: forward_logprobs / backward(params, ctx, upstream) /
-core.pair_terms per pair, with the same corruption draw keys.  The batched
-code sums rows in another order, so results agree to 1e-12, not bitwise.
+core.pair_terms per pair.  Its corrupted rows come from the same generator
+in the documented draw order (slot ascending, audio before visual, rows in
+order), drawn one row at a time except for random_swap (see draw_rows).
+The batched code sums rows in another order, so results agree to 1e-12,
+not bitwise.
 """
 
 import math
@@ -66,28 +69,64 @@ def with_features(ctx, **features):
     return ModalityContext(prompt_id=ctx.prompt_id, modality_tag=ctx.modality_tag, **merged)
 
 
+def draw_rows(rows, spec, pool, rng):
+    """Corrupted copies of feature rows, drawn from rng in row order.
+
+    zeros, gaussian and diffusion draw one row at a time, so the batched
+    path's block draw must equal them.  random_swap draws its block's
+    picks first and then the rejected rows' redraws, so it is drawn as the
+    block the batched path draws.
+    """
+    if spec.kind == "random_swap":
+        return list(corrupt(np.stack(rows), spec, pool=pool, rng=rng))
+    return [corrupt(row, spec, pool=pool, rng=rng) for row in rows]
+
+
+def reference_draws(contexts, slot_modalities, spec, pools, rng):
+    """{(row, slot): {modality: corrupted vector}} in the documented order:
+    slot ascending, audio before visual, rows in order.  slot_modalities
+    maps each slot to its per-row tuple of modality names."""
+    out = {}
+    for slot, modalities in sorted(slot_modalities.items()):
+        for m in ("audio", "visual"):
+            rows = [i for i, names in enumerate(modalities) if m in names]
+            if rows:
+                drawn = draw_rows([getattr(contexts[i], m) for i in rows], spec, pools[m], rng)
+                for i, vec in zip(rows, drawn):
+                    out.setdefault((i, slot), {})[m] = vec
+    return out
+
+
 def reference_step(params, ref_params, batch, cfg, step, pools):
     """The per-pair train step: one B = 1 pass per context and slot."""
+    contexts = [p.context for p in batch]
+    joint = [cfg.loss_variant == "mod_with_av" and c.modality_tag == "audiovisual"
+             for c in contexts]
+    if all(joint):
+        slot_modalities = {2: [("audio", "visual")] * len(batch)}
+    elif cfg.loss_variant != "dpo":
+        roles = [modality_roles(c.modality_tag) for c in contexts]
+        slot_modalities = {0: [(irr,) for _, irr in roles], 1: [(rel,) for rel, _ in roles]}
+    else:
+        slot_modalities = {}
+    draws = reference_draws(contexts, slot_modalities, cfg.corruption, pools,
+                            synth._rng(cfg.seed, training._CORRUPT_STREAM, step))
     grads = GradAccumulator(params)
     losses = []
     for idx, pair in enumerate(batch):
         ctx, w, l = pair.context, pair.y_w, pair.y_l
-        joint = cfg.loss_variant == "mod_with_av" and ctx.modality_tag == "audiovisual"
 
-        def corrupted(slot, modalities):
-            spec = cfg.corruption.for_draw(cfg.seed, training._CORRUPT_STREAM, step, idx, slot)
-            return forward_logprobs(params, with_features(ctx, **{
-                m: corrupt(getattr(ctx, m), spec, pool=pools[m]) for m in modalities}))
+        def corrupted(slot):
+            return forward_logprobs(params, with_features(ctx, **draws[idx, slot]))
 
         clean = forward_logprobs(params, ctx)
         ref = forward_logprobs(ref_params, ctx)
         slots = {}
-        if joint:
-            both = corrupted(2, ("audio", "visual"))
+        if joint[idx]:
+            both = corrupted(2)
             slots.update(sens_w=both[w], sens_l=both[l])
         elif cfg.loss_variant != "dpo":
-            relevant, irrelevant = modality_roles(ctx.modality_tag)
-            inv, sens = corrupted(0, (irrelevant,)), corrupted(1, (relevant,))
+            inv, sens = corrupted(0), corrupted(1)
             slots.update(inv_w=inv[w], inv_l=inv[l], sens_w=sens[w], sens_l=sens[l])
         if cfg.loss_variant == "modpp":
             text = forward_logprobs(ref_params, with_features(
@@ -95,7 +134,7 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
             slots.update(text_w=text[w], text_l=text[l])
         pl = PairLogProbs(policy_w=clean[w], policy_l=clean[l], ref_w=ref[w], ref_l=ref[l],
                           **slots)
-        loss, margin, coef = core.pair_terms(pl, cfg.loss_hp, joint, cfg.lpd_placement)
+        loss, margin, coef = core.pair_terms(pl, cfg.loss_hp, joint[idx], cfg.lpd_placement)
         losses.append(loss)
         weight = coef / (1.0 + math.exp(margin))  # coef * sigmoid(-margin)
         upstream = np.zeros(params.vocab_size)
@@ -184,17 +223,28 @@ def test_loglik_shift_matches_per_item_loop(models, items, kind, which):
     pools = {m: FeaturePool([getattr(it.context, m) for it in unimodal])
              for m in ("audio", "visual")}
     role = 0 if which == "relevant" else 1
+    contexts = [item.context for item in unimodal]
+    modalities = [(modality_roles(c.modality_tag)[role],) for c in contexts]
+    draws = reference_draws(contexts, {0: modalities}, spec, pools,
+                            np.random.default_rng(spec.seed))
     loop = []
     for i, item in enumerate(unimodal):
-        modality = modality_roles(item.context.modality_tag)[role]
-        features = corrupt(getattr(item.context, modality), spec.for_draw(spec.seed, i),
-                           pool=pools[modality])
         answer = synth.answer_id(item.ground_truth)
         loop.append(forward_logprobs(params, item.context)[answer]
                     - forward_logprobs(params, with_features(item.context,
-                                                             **{modality: features}))[answer])
+                                                             **draws[i, 0]))[answer])
     stats = eval_mod.loglik_shift(params, unimodal, spec, which, pools)
     np.testing.assert_allclose(stats.deltas, loop, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "diffusion"])
+def test_block_draw_equals_row_draws_from_one_generator(kind):
+    rows = np.random.default_rng(0).normal(size=(5, 8))
+    spec = CorruptionSpec(kind=kind, t=300, sigma=0.7, seed=2)
+    rng = np.random.default_rng(17)
+    one_by_one = [corrupt(row, spec, rng=rng) for row in rows]
+    block = corrupt(rows, spec, rng=np.random.default_rng(17))
+    assert np.array_equal(block, np.stack(one_by_one))
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -143,6 +143,63 @@ class TestBadRecords:
         assert len(err) == 1 and f"{dataset}, line 3: {needle}" in err[0], err
 
 
+def _break_checkpoint(lines):
+    """Checkpoint faults: (name, edit of the file's lines, line and problem
+    the error must name).  Lines are 0-based here, 1-based in messages."""
+    u_a_width = len(lines[2].split())
+    e_x = next(i for i, line in enumerate(lines) if line.startswith("tensor e_x"))
+    n_prompts, d_h = map(int, lines[e_x].split()[2:])
+    e_x_rows = slice(e_x + 1, e_x + 1 + n_prompts)
+
+    def replace_line(i, text):
+        return lambda ls: ls[:i] + [text] + ls[i + 1:]
+
+    return [
+        ("bad header", replace_line(0, "modlab-checkpoint v0"),
+         "line 1: not a checkpoint"),
+        ("truncated tensor", lambda ls: ls[:5],
+         "line 5: tensor u_a ends after 3 of 16 rows"),
+        ("non-numeric value", replace_line(3, lines[3].replace(lines[3].split()[1], "0.1x", 1)),
+         "line 4: non-numeric value in tensor u_a"),
+        ("wrong row length", replace_line(2, " ".join(lines[2].split()[:-1])),
+         f"line 3: tensor u_a row has {u_a_width - 1} values, expected {u_a_width}"),
+        ("shapes disagree",  # e_x loses its last column, so its d_h disagrees with u_a's
+         lambda ls: ls[:e_x] + [f"tensor e_x {n_prompts} {d_h - 1}"]
+         + [" ".join(row.split()[:-1]) for row in ls[e_x_rows]] + ls[e_x_rows.stop:],
+         f"line {e_x + 1}: tensor e_x has {d_h - 1} columns but u_a has {d_h} rows"),
+    ]
+
+
+class TestBadCheckpoints:
+    @pytest.mark.parametrize("fault", ["bad header", "truncated tensor", "non-numeric value",
+                                       "wrong row length", "shapes disagree"])
+    def test_eval_rejects_bad_checkpoint_with_one_message(self, tmp_path, capsys, fault):
+        config_path, _ = write_config(tmp_path, train={"preset": "dpo", "lr": 0.2, "epochs": 1,
+                                                       "warmup_steps": 5})
+        assert cli.run("synth", config_path) == 0
+        assert cli.run("train", config_path) == 0
+        good = tmp_path / "run" / "policy.ckpt"
+        lines = good.read_text().splitlines()
+        edit, needle = {name: (e, n) for name, e, n in _break_checkpoint(lines)}[fault]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        assert cli.run("eval", config_path, [f"eval.checkpoint={bad}"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{bad}, {needle}" in err[0], err
+
+
+class TestDivergingRun:
+    def test_train_exits_1_naming_step_and_loss(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        capsys.readouterr()
+        assert cli.run("train", config_path, ["train.lr=1.0e+9"]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "training diverged at step 1: loss" in err[0], err
+        assert not (tmp_path / "run" / "policy.ckpt").exists()
+
+
 class TestConfigParsing:
     def test_exponent_floats_without_a_dot(self, tmp_path):
         path = tmp_path / "config.yaml"

@@ -58,11 +58,6 @@ class TestSpecValidation:
         with pytest.raises(CorruptionError):
             CorruptionSpec(kind="gaussian", sigma=0.0)
 
-    def test_reseeded_copies(self):
-        spec = CorruptionSpec(kind="diffusion", t=50, seed=1)
-        other = spec.reseeded(99)
-        assert other.seed == 99 and other.t == 50 and spec.seed == 1
-
 
 class TestCorrupt:
     def test_zeros(self):
@@ -126,6 +121,39 @@ class TestCorrupt:
         out = corrupt(np.ones(3), CorruptionSpec(kind="random_swap", seed=1), pool=pool)
         out += 1.0
         assert np.array_equal(pool[0], np.zeros(3)) and np.array_equal(pool[1], np.full(3, 2.0))
+
+
+class TestRandomSwapBlock:
+    SWAP = CorruptionSpec(kind="random_swap")
+
+    def test_uniform_over_non_identical_members(self):
+        # Three copies of the input and three other members: every pick of
+        # a 6000-row block must be one of the three others, each about 2000
+        # times (binomial sd ~37; the bound is over 5 sd).
+        x = np.ones(4)
+        others = [np.array([float(k), 0.0, 0.0, 0.0]) for k in (2, 3, 4)]
+        pool = [x, others[0], x, others[1], x, others[2]]
+        out = corrupt(np.tile(x, (6000, 1)), self.SWAP, pool=pool, rng=np.random.default_rng(3))
+        assert not np.any(np.all(out == x, axis=1))
+        counts = [int(np.sum(np.all(out == o, axis=1))) for o in others]
+        assert sum(counts) == 6000
+        assert all(abs(c - 2000) < 200 for c in counts), counts
+
+    def test_pool_of_only_the_input_raises(self):
+        x = np.ones(4)
+        with pytest.raises(CorruptionError, match="no vector different from the input"):
+            corrupt(np.tile(x, (3, 1)), self.SWAP, pool=[x, x.copy(), x.copy()])
+
+    def test_block_mixing_eligible_and_ineligible_rows_raises(self):
+        x, y = np.ones(4), np.zeros(4)
+        with pytest.raises(CorruptionError, match="no vector different from the input"):
+            corrupt(np.stack([y, x, y]), self.SWAP, pool=[x, x])
+
+    def test_dimension_mismatch(self):
+        pool = [np.zeros(3), np.ones(3)]
+        for features in (np.ones(4), np.ones((2, 4))):
+            with pytest.raises(CorruptionError, match="pool vectors must match the input dimension"):
+                corrupt(features, self.SWAP, pool=pool)
 
 
 class TestSnrOrdering:

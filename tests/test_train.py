@@ -192,6 +192,43 @@ class TestDeterminismAndImmutability:
         assert np.mean(lasts) < np.mean(firsts)
 
 
+class TestDivergenceGuard:
+    def test_loss_far_above_the_first_step_fails(self):
+        data = small_dataset(n=64)
+        with pytest.raises(training.DivergenceError,
+                           match=r"training diverged at step \d+: loss \S+ exceeds 100x "
+                                 r"the first step's"):
+            training.train(data, quick_config(lr=1e9, batch_size=16))
+
+    def test_non_finite_loss_fails(self):
+        data = small_dataset(n=32)
+        ref = training.init_policy_for(data, seed=0)
+        ref.w_out[0] = np.inf  # every log-probability becomes nan
+        with np.errstate(invalid="ignore"), pytest.raises(
+                training.DivergenceError, match="training diverged at step 0: loss nan"):
+            training.train(data, quick_config(loss_variant="dpo"), ref_params=ref)
+
+    def test_non_finite_gradient_fails(self, monkeypatch):
+        data = small_dataset(n=32)
+        real_backward = training.backward
+
+        def overflowing(params, cache, upstream):
+            grads = real_backward(params, cache, upstream)
+            grads.u_a[0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(training, "backward", overflowing)
+        with pytest.raises(training.DivergenceError,
+                           match=r"training diverged at step 0 \(loss \S+\): gradient "
+                                 r"accumulator u_a became non-finite"):
+            training.train(data, quick_config(warmup_steps=0))
+
+    def test_diverging_warmup_fails(self):
+        data = small_dataset(n=32)
+        with pytest.raises(training.DivergenceError, match="warm-up diverged at step 1"):
+            training.warmup_reference(data, steps=5, seed=0, lr=1e300)
+
+
 class TestStopGradient:
     def test_loss_of_only_detached_passes_accumulates_no_gradient(self):
         # The contract: values from forward_detached may enter loss
