@@ -12,8 +12,9 @@ outputs:
 
 Every command is deterministic given (config, seed): rerunning writes
 byte-identical artifacts.  Exit codes: 0 success, 2 config error (also a
-malformed dataset line or checkpoint), 3 missing input, 4 verification
-failure, 1 a diverging training run or an unexpected runtime error.
+malformed dataset line or checkpoint, or a checkpoint whose feature sizes
+differ from the data's), 3 missing input, 4 verification failure, 1 a
+diverging training run or an unexpected runtime error.
 The default config path can be set via the MODLAB_CONFIG environment
 variable.
 """
@@ -173,6 +174,18 @@ def _require_file(path, what: str) -> str:
     return path
 
 
+def _check_feature_dims(params, ckpt_path, records, data_path) -> None:
+    """Exit 2 when a checkpoint's d_a/d_v differ from the data's features."""
+    if not records:
+        return
+    context = records[0].context
+    want = params.u_a.shape[1], params.u_v.shape[1]
+    have = context.audio.size, context.visual.size
+    if want != have:
+        raise CliError(f"checkpoint {ckpt_path} has d_a={want[0]}, d_v={want[1]} but "
+                       f"{data_path} has d_a={have[0]}, d_v={have[1]}", EXIT_CONFIG)
+
+
 def _shift_spec(section: dict, seed: int) -> CorruptionSpec:
     shift_cfg = section.get("shift") or {}
     return CorruptionSpec(kind=shift_cfg.get("kind", "diffusion"),
@@ -268,7 +281,9 @@ def cmd_train(cfg: dict) -> int:
 
     ref_params = None
     if section.get("reference"):
-        ref_params = load_checkpoint(_require_file(section["reference"], "reference checkpoint"))
+        ref_path = _require_file(section["reference"], "reference checkpoint")
+        ref_params = load_checkpoint(ref_path)
+        _check_feature_dims(ref_params, ref_path, dataset, dataset_path)
     result = training.train(dataset, train_cfg, ref_params=ref_params)
 
     ckpt = _out_path(cfg, section.get("checkpoint", "policy.ckpt"))
@@ -312,6 +327,7 @@ def cmd_eval(cfg: dict) -> int:
     items_path = section.get("items") or _out_path(cfg, "eval_items.jsonl")
     params = load_checkpoint(_require_file(ckpt, "checkpoint"))
     items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
+    _check_feature_dims(params, ckpt, items, items_path)
 
     reports = eval_mod.evaluate_by_group(params, items)
     prefix = section.get("out_prefix", "metrics")
@@ -347,8 +363,11 @@ def cmd_report(cfg: dict) -> int:
                  "policy": _out_path(cfg, "policy.ckpt")}
     items_path = section.get("items") or _out_path(cfg, "eval_items.jsonl")
     items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
-    named = [(name, load_checkpoint(_require_file(path, f"checkpoint {name!r}")))
-             for name, path in sorted(ckpts.items())]
+    named = []
+    for name, path in sorted(ckpts.items()):
+        params = load_checkpoint(_require_file(path, f"checkpoint {name!r}"))
+        _check_feature_dims(params, path, items, items_path)
+        named.append((name, params))
     rows = eval_mod.compare(named, items, shift_spec=_shift_spec(section, int(cfg["seed"])))
     prefix = section.get("out_prefix", "comparison")
     eval_mod.comparison_to_csv(rows, _out_path(cfg, f"{prefix}.csv"))
@@ -428,7 +447,7 @@ def main(argv=None) -> int:
                         help="YAML config path (default: $MODLAB_CONFIG or built-ins)")
     parser.add_argument("overrides", nargs="*",
                         help="dotted-key overrides, e.g. train.lr=0.5")
-    args = parser.parse_args(argv)
+    args = parser.parse_intermixed_args(argv)
     return run(args.command, args.config, args.overrides)
 
 

@@ -13,6 +13,12 @@ route that shares none of its code:
                              injection
     pass accounting      vs  the fixed per-variant tables
 
+Each oracle is evaluated as a few array calls.  Finite differences build
+the whole (2n, n) stack of perturbed points and evaluate it once: the
+policy oracles score every perturbed parameter vector in one ``forward``
+over stacked parameters.  The grid search reads a coarse simplex lattice
+(and its p log p terms) built once per resolution and cached.
+
 The ``run_all`` entry point executes the whole battery and is what the
 command-line ``verify`` command wraps.
 """
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -129,39 +136,61 @@ def pga_argmax(r, p_ref, q_inv, q_sens, hp: Hyperparams, max_iter: int = 20000,
     return p
 
 
+def _simplex_lattice(i, j, n: int):
+    """(points, sum p log p) of the lattice points (i, j, n-i-j)/n with
+    i, j >= 0 and i + j <= n; 0 log 0 is taken as 0."""
+    keep = (i >= 0) & (j >= 0) & (i + j <= n)
+    i, j = i[keep], j[keep]
+    p = np.empty((i.size, 3))
+    p[:, 0], p[:, 1], p[:, 2] = i, j, n - i - j
+    p /= n
+    logp = np.zeros_like(p)
+    np.log(p, out=logp, where=p > 0)
+    logp *= p
+    return p, logp.sum(axis=1)
+
+
+@lru_cache(maxsize=4)
+def _coarse_lattice(n: int):
+    """The whole lattice at resolution 1/n, built once per n (read-only)."""
+    i, j = np.ogrid[: n + 1, : n + 1]
+    lattice = _simplex_lattice(*np.broadcast_arrays(i, j), n)
+    for array in lattice:
+        array.flags.writeable = False
+    return lattice
+
+
 def grid_argmax_3(r, p_ref, q_inv, q_sens, hp: Hyperparams, grid_step: float = 1e-3):
     """Exhaustive argmax of the objective over the 3-simplex grid, refined.
 
     Evaluates every lattice point (i, j, n-i-j)/n with n = 1/grid_step,
     vectorized, then every point of the ten times finer lattice within two
     coarse cells of the best one, so the result localizes the argmax to
-    about grid_step/10.  p log p terms use the p -> 0 limit of zero.
-    Returns (argmax point, objective value there).
-    """
-    r = np.asarray(r, dtype=np.float64)
-    refs = [np.asarray(x, dtype=np.float64) for x in (p_ref, q_inv, q_sens)]
-    signs = (-hp.beta, -hp.beta_inv, +hp.beta_sens)
+    about grid_step/10.  The objective is evaluated as
 
-    def best(i, j, n):
-        """(i, j, point, value) of the best lattice point (i, j, n-i-j)/n."""
-        keep = (i >= 0) & (j >= 0) & (i + j <= n)
-        i, j = i[keep], j[keep]
-        p = np.stack([i, j, n - i - j], axis=1).astype(np.float64) / n
-        values = p @ r
-        logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        for q, coeff in zip(refs, signs):
-            kl = np.sum(np.where(p > 0, p * (logp - np.log(q)), 0.0), axis=1)
-            values += coeff * kl
+        p @ (r - sum_k c_k log q_k) + (sum_k c_k) * sum p log p
+
+    with c = (-beta, -beta_inv, +beta_sens) for (p_ref, q_inv, q_sens), so
+    only the first term depends on the instance; the coarse lattice and its
+    p log p terms are cached per n.  Returns (argmax point, objective value
+    there).
+    """
+    coeffs = (-hp.beta, -hp.beta_inv, +hp.beta_sens)
+    logs = [np.log(np.asarray(q, dtype=np.float64)) for q in (p_ref, q_inv, q_sens)]
+    linear = np.asarray(r, dtype=np.float64) - sum(c * log_q for c, log_q in zip(coeffs, logs))
+
+    def best(p, plogp):
+        """(point, value) of the best of the given lattice points."""
+        values = p @ linear + sum(coeffs) * plogp
         k = int(np.argmax(values))
-        return i[k], j[k], p[k], float(values[k])
+        return p[k], float(values[k])
 
     n = int(round(1.0 / grid_step))
-    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    i, j, _, _ = best(i.ravel(), j.ravel(), n)
+    point, _ = best(*_coarse_lattice(n))
+    i, j = np.rint(point[:2] * n).astype(int)
     window = np.arange(-20, 21)
     i, j = np.meshgrid(10 * i + window, 10 * j + window, indexing="ij")
-    _, _, point, value = best(i.ravel(), j.ravel(), 10 * n)
-    return point, value
+    return best(*_simplex_lattice(i.ravel(), j.ravel(), 10 * n))
 
 
 def random_instance(v: int, rng: np.random.Generator):
@@ -194,14 +223,16 @@ def random_instance(v: int, rng: np.random.Generator):
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central differences (f(x+h e_i) - f(x-h e_i)) / 2h for every i."""
+    """Central differences (f(x+h e_i) - f(x-h e_i)) / 2h for every i.
+
+    x is a flat (n,) vector.  f is called once, on the (2n, n) stack whose
+    rows are x + h e_0, ..., x + h e_{n-1}, then x - h e_0, ..., x - h e_{n-1},
+    and returns the (2n,) vector of values at those points.
+    """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return grad
+    steps = h * np.eye(x.size)
+    values = np.asarray(f(np.concatenate([x + steps, x - steps])), dtype=np.float64)
+    return (values[: x.size] - values[x.size :]) / (2.0 * h)
 
 
 def policy_gradient_rel_error(params, contexts, upstream: np.ndarray,
@@ -216,8 +247,9 @@ def policy_gradient_rel_error(params, contexts, upstream: np.ndarray,
     rows = stack_contexts(contexts)
     analytic = backward(params, forward(params, *rows), upstream).to_vector()
 
-    def f(vec):
-        return float(np.sum(upstream * forward(params.from_vector(vec), *rows).logprobs))
+    def f(stack):
+        logprobs = forward(params.from_vector(stack), *rows).logprobs
+        return np.sum(upstream * logprobs, axis=(-2, -1))
 
     numeric = finite_difference_gradient(f, params.to_vector(), h)
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
@@ -239,10 +271,11 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
     y_w, y_l = training._labels(batch)
     tag = batch[0].context.modality_tag
 
-    def surrogate(vec):
-        live = forward(params.from_vector(vec), clean.audio, clean.visual, clean.prompt_ids).logprobs
-        live = replace(frozen, policy_w=live[rows, y_w], policy_l=live[rows, y_l])
-        return float(np.mean(pair_loss_terms(live, cfg, tag)[0]))
+    def surrogate(stack):
+        live = forward(params.from_vector(stack), clean.audio, clean.visual,
+                       clean.prompt_ids).logprobs
+        live = replace(frozen, policy_w=live[:, rows, y_w], policy_l=live[:, rows, y_l])
+        return np.mean(pair_loss_terms(live, cfg, tag)[0], axis=-1)
 
     updated, _, _ = train_step(params, ref_params, batch, cfg, step, pools)
     analytic = (params.to_vector() - updated.to_vector()) / cfg.lr
@@ -266,7 +299,7 @@ class SuiteResult:
 def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
                       l1_tol: float = 1e-4, seed: int = 0) -> SuiteResult:
     """Closed form vs projected gradient ascent (and V=3 grid search)."""
-    start = time.time()
+    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     sizes = [2, 3, 5, 8]
     if grid_instances is None:
@@ -284,20 +317,20 @@ def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
             grid_point, grid_val = grid_argmax_3(r, p_ref, q_inv, q_sens, hp)
             worst_grid = max(worst_grid, float(np.abs(closed - grid_point).sum()))
             if core.mod_objective_value(closed, r, p_ref, q_inv, q_sens, hp) < grid_val - 1e-9:
-                return SuiteResult("closed_form", False,
-                                   "a grid point beat the closed form", time.time() - start)
+                return SuiteResult("closed_form", False, "a grid point beat the closed form",
+                                   time.perf_counter() - start)
             grid_done += 1
     # The grid can only localize the argmax to its own resolution.
     passed = worst_pga < l1_tol and worst_grid < 2e-3
     detail = f"worst L1 vs ascent {worst_pga:.2e} (tol {l1_tol}), vs grid {worst_grid:.2e} (tol 2e-3)"
-    return SuiteResult("closed_form", passed, detail, time.time() - start)
+    return SuiteResult("closed_form", passed, detail, time.perf_counter() - start)
 
 
 def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> SuiteResult:
     """n_triples single-context (params, context, upstream) triples, then
     one batch of six contexts over three prompts, so the batched backward's
     row sum and prompt-table scatter-add are audited too."""
-    start = time.time()
+    start = time.perf_counter()
     rng = np.random.default_rng(seed)
 
     def draw_params():
@@ -319,13 +352,13 @@ def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> Su
     worst = max(worst, policy_gradient_rel_error(params, batch, rng.normal(size=(6, 5))))
     return SuiteResult("gradients", worst < tol,
                        f"max relative error {worst:.2e} over {n_triples} contexts and a batch "
-                       f"of 6 (tol {tol})", time.time() - start)
+                       f"of 6 (tol {tol})", time.perf_counter() - start)
 
 
 def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
                         variant: str = "modpp") -> SuiteResult:
     """Audit the analytic step against the frozen surrogate while training."""
-    start = time.time()
+    start = time.perf_counter()
     cfg_data = synth.SynthConfig(n_pairs=64, n_scenes=24, seed=seed, world_seed=seed + 1)
     dataset = synth.generate_pairs(cfg_data)
     cfg = TrainConfig(loss_variant=variant, lr=0.1, epochs=max(1, n_steps), batch_size=4,
@@ -347,7 +380,7 @@ def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
         steps = step + 1
     return SuiteResult("stop_gradient", worst < tol,
                        f"max relative error {worst:.2e} over {steps} steps (tol {tol})",
-                       time.time() - start)
+                       time.perf_counter() - start)
 
 
 def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, tmp_dir=None) -> SuiteResult:
@@ -356,7 +389,7 @@ def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, tmp_dir=None) -> SuiteRe
     import os
     import tempfile
 
-    start = time.time()
+    start = time.perf_counter()
     tmp_dir = tmp_dir or tempfile.mkdtemp(prefix="modlab-verify-")
     for seed in range(n_seeds):
         path = os.path.join(tmp_dir, f"roundtrip-{seed}.jsonl")
@@ -366,7 +399,7 @@ def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, tmp_dir=None) -> SuiteRe
             return SuiteResult("dataset_roundtrip", False,
                                f"seed {seed}: {report.n_violations} violations, "
                                f"{len(report.parse_errors)} parse errors",
-                               time.time() - start)
+                               time.perf_counter() - start)
         # Fault injection: swap y_w / y_l on one line, expect exactly one bad line.
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -385,10 +418,10 @@ def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, tmp_dir=None) -> SuiteRe
         if bad_lines != {8}:
             return SuiteResult("dataset_roundtrip", False,
                                f"fault injection flagged lines {sorted(bad_lines)}, expected [8]",
-                               time.time() - start)
+                               time.perf_counter() - start)
     return SuiteResult("dataset_roundtrip", True,
                        f"{n_seeds} seeds x {n_pairs} records clean; fault injection localized",
-                       time.time() - start)
+                       time.perf_counter() - start)
 
 
 _EXPECTED_COUNTERS = {
@@ -401,7 +434,7 @@ _EXPECTED_COUNTERS = {
 def pass_count_suite(n_steps: int = 100, seed: int = 0) -> SuiteResult:
     """Per-pair counters of every step against the per-variant table; the
     detail reports the fewest steps any variant took."""
-    start = time.time()
+    start = time.perf_counter()
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=2 * n_steps, n_scenes=60, seed=seed))
     steps = []
     for variant, expected in _EXPECTED_COUNTERS.items():
@@ -410,25 +443,26 @@ def pass_count_suite(n_steps: int = 100, seed: int = 0) -> SuiteResult:
         result = training.train(dataset, cfg)
         if len(result.counters) < n_steps:
             return SuiteResult("pass_counts", False,
-                               f"{variant}: only {len(result.counters)} steps", time.time() - start)
+                               f"{variant}: only {len(result.counters)} steps",
+                               time.perf_counter() - start)
         for step, counter in enumerate(result.counters):
             if counter != expected:
                 return SuiteResult("pass_counts", False,
                                    f"{variant} step {step}: {counter} != {expected}",
-                                   time.time() - start)
+                                   time.perf_counter() - start)
         steps.append(len(result.counters))
-    return SuiteResult("pass_counts", True,
-                       f"all three variants exact over {min(steps)} steps", time.time() - start)
+    return SuiteResult("pass_counts", True, f"all three variants exact over {min(steps)} steps",
+                       time.perf_counter() - start)
 
 
 def metrics_suite(seed: int = 0) -> SuiteResult:
     """A frozen hand tally, then 1000 random confusion tables: empty strata
     give None, the accuracy and harmonic-mean identities hold to 1e-12, and
     two zero strata give a flagged f1 of 0."""
-    start = time.time()
+    start = time.perf_counter()
 
     def fail(detail):
-        return SuiteResult("metrics", False, detail, time.time() - start)
+        return SuiteResult("metrics", False, detail, time.perf_counter() - start)
 
     # Frozen hand tally: 4 yes with 3 correct, 6 no with 5 correct.
     report = MetricsReport(yes_total=4, yes_correct=3, no_total=6, no_correct=5)
@@ -460,7 +494,8 @@ def metrics_suite(seed: int = 0) -> SuiteResult:
                     return fail("harmonic identity violated")
             elif f1 != 0.0 or not report.degenerate_f1:
                 return fail("zero strata give an unflagged or nonzero f1")
-    return SuiteResult("metrics", True, "hand tally and identities hold", time.time() - start)
+    return SuiteResult("metrics", True, "hand tally and identities hold",
+                       time.perf_counter() - start)
 
 
 def run_all(fast: bool = True, seed: int = 0):

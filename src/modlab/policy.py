@@ -91,25 +91,30 @@ class PolicyParams:
 
     @property
     def vocab_size(self) -> int:
-        return self.b.shape[0]
+        return self.b.shape[-1]
 
     @property
     def n_prompts(self) -> int:
-        return self.e_x.shape[0]
+        return self.e_x.shape[-2]
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([getattr(self, f).ravel() for f in self.FIELDS])
 
     def from_vector(self, vec: np.ndarray) -> "PolicyParams":
-        """New params with the same shapes, values taken from a flat vector."""
+        """New params with the same shapes, values taken from a flat vector.
+
+        A (K, n) stack of flat vectors gives K stacked parameter sets: every
+        tensor gains a leading K axis, which ``forward`` broadcasts over.
+        """
+        vec = np.asarray(vec, dtype=np.float64)
         out, offset = [], 0
         for f in self.FIELDS:
             shape = getattr(self, f).shape
             size = int(np.prod(shape))
-            out.append(np.asarray(vec[offset : offset + size], dtype=np.float64).reshape(shape))
+            out.append(vec[..., offset : offset + size].reshape(vec.shape[:-1] + shape))
             offset += size
-        if offset != vec.size:
-            raise ValueError(f"flat vector has {vec.size} entries, expected {offset}")
+        if offset != vec.shape[-1]:
+            raise ValueError(f"flat vector has {vec.shape[-1]} entries, expected {offset}")
         return PolicyParams(*out)
 
 
@@ -199,17 +204,22 @@ def stack_contexts(contexts):
 
 
 def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
-    """log_softmax(W_out tanh(U_a a + U_v v + E_x[p]) + b) for every row."""
+    """log_softmax(W_out tanh(U_a a + U_v v + E_x[p]) + b) for every row.
+
+    With K stacked parameter sets (``PolicyParams.from_vector`` of a (K, n)
+    stack) every row is scored under each set: h, probs and logprobs gain a
+    leading K axis.  The cache of a stacked call is not for ``backward``.
+    """
     audio = np.asarray(audio, dtype=np.float64)
     visual = np.asarray(visual, dtype=np.float64)
     prompt_ids = np.asarray(prompt_ids)
-    if audio.ndim != 2 or audio.shape[1] != params.u_a.shape[1]:
+    if audio.ndim != 2 or audio.shape[1] != params.u_a.shape[-1]:
         raise ValueError(
-            f"audio feature length {audio.shape[-1]} does not match d_a={params.u_a.shape[1]}"
+            f"audio feature length {audio.shape[-1]} does not match d_a={params.u_a.shape[-1]}"
         )
-    if visual.ndim != 2 or visual.shape[1] != params.u_v.shape[1]:
+    if visual.ndim != 2 or visual.shape[1] != params.u_v.shape[-1]:
         raise ValueError(
-            f"visual feature length {visual.shape[-1]} does not match d_v={params.u_v.shape[1]}"
+            f"visual feature length {visual.shape[-1]} does not match d_v={params.u_v.shape[-1]}"
         )
     if not (audio.shape[0] == visual.shape[0] == prompt_ids.shape[0]):
         raise ValueError(f"row counts differ: audio {audio.shape[0]}, visual "
@@ -217,11 +227,11 @@ def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
     bad = (prompt_ids < 0) | (prompt_ids >= params.n_prompts)
     if bad.any():
         raise ValueError(f"prompt_id {prompt_ids[bad][0]} outside table of size {params.n_prompts}")
-    h = np.tanh(audio @ params.u_a.T + visual @ params.u_v.T + params.e_x[prompt_ids])
-    logits = h @ params.w_out.T + params.b
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    h = np.tanh(audio @ params.u_a.mT + visual @ params.u_v.mT + params.e_x[..., prompt_ids, :])
+    logits = h @ params.w_out.mT + params.b[..., None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True)
+    total = exp.sum(axis=-1, keepdims=True)
     return ForwardCache(audio, visual, prompt_ids, h, exp / total, shifted - np.log(total))
 
 

@@ -264,3 +264,20 @@ def test_batched_forward_backward_equal_stacked_single_rows(rows, n_prompts, see
         total.add(backward(params, ctx, up))
     batched = backward(params, cache, upstream)
     np.testing.assert_allclose(batched.to_vector(), total.to_vector(), rtol=0, atol=TOL)
+
+
+# Stacked parameter sets change no arithmetic, so these agree bitwise.
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=st.integers(1, 7), stack=st.integers(1, 6), d_h=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_parameter_forward_equals_separate_forwards(rows, stack, d_h, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(d_a=5, d_v=4, d_h=d_h, vocab_size=5, n_prompts=3, seed=seed)
+    vectors = params.to_vector() + rng.normal(scale=0.1, size=(stack, params.to_vector().size))
+    audio, visual = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 4))
+    prompt_ids = rng.integers(3, size=rows)
+    stacked = forward(params.from_vector(vectors), audio, visual, prompt_ids)
+    for k, vec in enumerate(vectors):
+        single = forward(params.from_vector(vec), audio, visual, prompt_ids)
+        for name in ("h", "probs", "logprobs"):
+            assert np.array_equal(getattr(stacked, name)[k], getattr(single, name)), name

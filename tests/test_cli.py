@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from modlab import cli
+from modlab.policy import init_params, save_checkpoint
 
 
 def write_config(tmp_path, **extra):
@@ -120,6 +121,15 @@ class TestOverridesAndErrors:
         assert cli.main(["synth"]) == 0
         assert (tmp_path / "run" / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("order", ["config first", "command first"])
+    def test_config_option_before_or_after_command(self, tmp_path, order):
+        config_path, _ = write_config(tmp_path)
+        argv = {"config first": ["-c", str(config_path), "synth", "synth.n_pairs=60"],
+                "command first": ["synth", "-c", str(config_path), "synth.n_pairs=60"]}[order]
+        assert cli.main(argv) == 0
+        stats = json.loads((tmp_path / "run" / "dataset.jsonl.stats.json").read_text())
+        assert stats["n_records"] == 60
+
 
 class TestBadRecords:
     @pytest.mark.parametrize("line,needle", [
@@ -187,6 +197,24 @@ class TestBadCheckpoints:
         assert cli.run("eval", config_path, [f"eval.checkpoint={bad}"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{bad}, {needle}" in err[0], err
+
+    @pytest.mark.parametrize("command,override,data", [
+        ("train", "train.reference", "dataset.jsonl"),
+        ("eval", "eval.checkpoint", "eval_items.jsonl"),
+        ("report", "report.checkpoints.small", "eval_items.jsonl"),
+    ])
+    def test_checkpoint_dims_must_match_data(self, tmp_path, capsys, command, override, data):
+        config_path, _ = write_config(tmp_path, train={"preset": "dpo", "lr": 0.2, "epochs": 1,
+                                                       "warmup_steps": 5})
+        assert cli.run("synth", config_path) == 0
+        assert cli.run("train", config_path) == 0
+        small = tmp_path / "small.ckpt"
+        save_checkpoint(init_params(d_a=4), small)
+        capsys.readouterr()
+        assert cli.run(command, config_path, [f"{override}={small}"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: checkpoint {small} has d_a=4, d_v=8 but "
+                       f"{tmp_path / 'run' / data} has d_a=8, d_v=8"], err
 
 
 class TestDivergingRun:

@@ -1,5 +1,7 @@
 """The verification machinery itself: projection, ascent, differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from modlab.oracles import (
     pga_argmax,
     project_to_simplex,
 )
+from modlab.policy import forward, init_params
 
 
 class TestSimplexProjection:
@@ -66,17 +69,87 @@ class TestGrid:
         assert value == pytest.approx(0.0, abs=1e-3)
         assert value <= 0.0
 
+    def test_argmax_equals_brute_force_on_the_lattice(self):
+        # grid_step 0.2 refines to the 0.02 lattice; core.mod_objective_value
+        # at every point of that lattice must pick the same point.
+        rng = np.random.default_rng(5)
+        n = 50
+        lattice = [np.array([i, j, n - i - j]) / n for i in range(n + 1) for j in range(n + 1 - i)]
+        for _ in range(5):
+            instance = oracles.random_instance(3, rng)
+            values = [core.mod_objective_value(p, *instance) for p in lattice]
+            k = int(np.argmax(values))
+            point, value = grid_argmax_3(*instance, grid_step=0.2)
+            assert np.array_equal(point, lattice[k])
+            assert value == pytest.approx(values[k], rel=0, abs=1e-12)
+
+    def test_cached_lattice_is_built_once_per_resolution(self):
+        for n in (3, 7, 3, 20, 7):
+            points, plogp = oracles._coarse_lattice(n)
+            expected = [(i / n, j / n, (n - i - j) / n)
+                        for i in range(n + 1) for j in range(n + 1 - i)]
+            assert np.array_equal(points, np.array(expected))
+            entropy = [sum(x * math.log(x) for x in p if x > 0) for p in expected]
+            np.testing.assert_allclose(plogp, entropy, rtol=0, atol=1e-15)
+            assert oracles._coarse_lattice(n)[0] is points
+
+
+def per_coordinate_differences(f, x, h):
+    """The per-coordinate loop that finite_difference_gradient replaces:
+    f takes one point and returns a float."""
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return grad
+
 
 class TestFiniteDifferences:
     def test_quadratic_gradient(self):
         a = np.array([1.0, -2.0, 3.0])
 
-        def f(x):
-            return float(0.5 * x @ x + a @ x)
+        def f(points):
+            return 0.5 * np.sum(points * points, axis=1) + points @ a
 
         x0 = np.array([0.3, 0.7, -1.1])
         grad = finite_difference_gradient(f, x0, h=1e-6)
         np.testing.assert_allclose(grad, x0 + a, atol=1e-8)
+
+    def test_one_call_on_the_perturbed_points(self):
+        x0 = np.array([0.3, -0.0, 1e-9, -2.5])
+        calls = []
+
+        def f(points):
+            calls.append(points.copy())
+            return points.sum(axis=1)
+
+        finite_difference_gradient(f, x0, h=1e-5)
+        assert len(calls) == 1
+        for i in range(x0.size):
+            e = np.zeros_like(x0)
+            e[i] = 1e-5
+            assert np.array_equal(calls[0][i], x0 + e)
+            assert np.array_equal(calls[0][x0.size + i], x0 - e)
+
+    def test_equals_per_coordinate_loop_on_a_policy_objective(self):
+        rng = np.random.default_rng(11)
+        params = init_params(seed=3)
+        audio, visual = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+        prompt_ids = rng.integers(params.n_prompts, size=4)
+        upstream = rng.normal(size=(4, params.vocab_size))
+
+        def one(vec):
+            logprobs = forward(params.from_vector(vec), audio, visual, prompt_ids).logprobs
+            return float(np.sum(upstream * logprobs))
+
+        def stacked(points):
+            logprobs = forward(params.from_vector(points), audio, visual, prompt_ids).logprobs
+            return np.sum(upstream * logprobs, axis=(-2, -1))
+
+        x0 = params.to_vector()
+        assert np.array_equal(finite_difference_gradient(stacked, x0, h=1e-5),
+                              per_coordinate_differences(one, x0, 1e-5))
 
 
 class TestSuites:

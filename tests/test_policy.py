@@ -10,11 +10,13 @@ from modlab.policy import (
     PolicyParams,
     apply_gradient_step,
     backward,
+    forward,
     forward_detached,
     forward_logprobs,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    stack_contexts,
     zero_params_like,
 )
 
@@ -111,8 +113,8 @@ class TestBackward:
         expected[y] += 1.0
         np.testing.assert_allclose(grads.b, expected, atol=1e-12)
 
-        def f(vec):
-            return forward_logprobs(params.from_vector(vec), ctx)[y]
+        def f(points):
+            return forward(params.from_vector(points), *stack_contexts([ctx])).logprobs[:, 0, y]
 
         numeric = finite_difference_gradient(f, params.to_vector())
         np.testing.assert_allclose(grads.to_vector(), numeric, atol=1e-7)
@@ -158,6 +160,16 @@ class TestVectorRoundTrip:
         rebuilt = params.from_vector(params.to_vector())
         for f in PolicyParams.FIELDS:
             assert np.array_equal(getattr(params, f), getattr(rebuilt, f))
+
+    def test_stack_of_vectors_gives_stacked_tensors(self):
+        params = make_params(37)
+        vectors = params.to_vector() + np.random.default_rng(12).normal(size=(3, 107))
+        stacked = params.from_vector(vectors)
+        for k, vec in enumerate(vectors):
+            single = params.from_vector(vec)
+            for f in PolicyParams.FIELDS:
+                assert np.array_equal(getattr(stacked, f)[k], getattr(single, f))
+        assert (stacked.vocab_size, stacked.n_prompts) == (params.vocab_size, params.n_prompts)
 
     def test_wrong_length_rejected(self):
         params = make_params()
