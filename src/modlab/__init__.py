@@ -8,7 +8,8 @@ Subpackages:
               gradients and checkpoint I/O
     corrupt   feature corruption strategies (zeros / gaussian / swap /
               diffusion forward noising)
-    synth     synthetic world oracle and preference/eval data pipeline
+    synth     synthetic world oracle, preference/eval data pipeline and the
+              columnar record tables every other module reads
     train     warm-up, alternating-batch preference training, pass counts
     eval      metrics, log-likelihood-shift analysis, model comparison
     oracles   independent verification routes (simplex ascent, grid,
@@ -34,10 +35,8 @@ from .core import (
 from .corrupt import CorruptionSpec, NoiseSchedule, alpha_bar, corrupt
 from .policy import (
     GradAccumulator,
-    ModalityContext,
     PolicyParams,
     backward,
-    forward_detached,
     forward_logprobs,
     init_params,
     load_checkpoint,
@@ -46,6 +45,9 @@ from .policy import (
 from .synth import (
     Entity,
     EvalConfig,
+    EvalItem,
+    ItemTable,
+    PairTable,
     PreferencePair,
     Scene,
     SynthConfig,

@@ -12,9 +12,10 @@ outputs:
 
 Every command is deterministic given (config, seed): rerunning writes
 byte-identical artifacts.  Exit codes: 0 success, 2 config error (also a
-malformed dataset line or checkpoint, or a checkpoint whose feature sizes
-differ from the data's), 3 missing input, 4 verification failure, 1 a
-diverging training run or an unexpected runtime error.
+malformed dataset line or checkpoint, or a checkpoint that does not fit
+the data: other feature sizes, another vocabulary, or too few prompts), 3
+missing input, 4 verification failure, 1 a diverging training run or an
+unexpected runtime error.
 The default config path can be set via the MODLAB_CONFIG environment
 variable.
 """
@@ -174,16 +175,24 @@ def _require_file(path, what: str) -> str:
     return path
 
 
-def _check_feature_dims(params, ckpt_path, records, data_path) -> None:
-    """Exit 2 when a checkpoint's d_a/d_v differ from the data's features."""
-    if not records:
+def check_compatible(params, ckpt_path, data, data_path) -> None:
+    """Exit 2 unless a checkpoint fits a record table: its d_a/d_v match the
+    features, its vocabulary is synth's, and it has a row for every
+    prompt_id in the data."""
+    if not len(data):
         return
-    context = records[0].context
     want = params.u_a.shape[1], params.u_v.shape[1]
-    have = context.audio.size, context.visual.size
+    have = data.audio.shape[1], data.visual.shape[1]
     if want != have:
         raise CliError(f"checkpoint {ckpt_path} has d_a={want[0]}, d_v={want[1]} but "
                        f"{data_path} has d_a={have[0]}, d_v={have[1]}", EXIT_CONFIG)
+    if params.vocab_size != synth.VOCAB_SIZE:
+        raise CliError(f"checkpoint {ckpt_path} has vocab_size={params.vocab_size} but "
+                       f"{data_path} needs vocab_size={synth.VOCAB_SIZE}", EXIT_CONFIG)
+    needed = int(data.prompt_id.max()) + 1
+    if params.n_prompts < needed:
+        raise CliError(f"checkpoint {ckpt_path} has n_prompts={params.n_prompts} but "
+                       f"{data_path} needs n_prompts>={needed}", EXIT_CONFIG)
 
 
 def _shift_spec(section: dict, seed: int) -> CorruptionSpec:
@@ -283,7 +292,7 @@ def cmd_train(cfg: dict) -> int:
     if section.get("reference"):
         ref_path = _require_file(section["reference"], "reference checkpoint")
         ref_params = load_checkpoint(ref_path)
-        _check_feature_dims(ref_params, ref_path, dataset, dataset_path)
+        check_compatible(ref_params, ref_path, dataset, dataset_path)
     result = training.train(dataset, train_cfg, ref_params=ref_params)
 
     ckpt = _out_path(cfg, section.get("checkpoint", "policy.ckpt"))
@@ -327,7 +336,7 @@ def cmd_eval(cfg: dict) -> int:
     items_path = section.get("items") or _out_path(cfg, "eval_items.jsonl")
     params = load_checkpoint(_require_file(ckpt, "checkpoint"))
     items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
-    _check_feature_dims(params, ckpt, items, items_path)
+    check_compatible(params, ckpt, items, items_path)
 
     reports = eval_mod.evaluate_by_group(params, items)
     prefix = section.get("out_prefix", "metrics")
@@ -339,9 +348,9 @@ def cmd_eval(cfg: dict) -> int:
             writer.writerow([group, *map(_csv_cell, report.as_dict().values())])
 
     spec = _shift_spec(section, int(cfg["seed"]))
-    unimodal = [it for it in items if it.context.modality_tag != "audiovisual"]
+    unimodal = items[items.modality_tag != synth.AUDIOVISUAL]
     shift_summary = {}
-    if unimodal:
+    if len(unimodal):
         for which in ("relevant", "irrelevant"):
             stats = eval_mod.loglik_shift(params, unimodal, spec, which)
             eval_mod.shift_histogram_to_file(stats, _out_path(cfg, f"{prefix}_shift_{which}.csv"))
@@ -366,7 +375,7 @@ def cmd_report(cfg: dict) -> int:
     named = []
     for name, path in sorted(ckpts.items()):
         params = load_checkpoint(_require_file(path, f"checkpoint {name!r}"))
-        _check_feature_dims(params, path, items, items_path)
+        check_compatible(params, path, items, items_path)
         named.append((name, params))
     rows = eval_mod.compare(named, items, shift_spec=_shift_spec(section, int(cfg["seed"])))
     prefix = section.get("out_prefix", "comparison")

@@ -19,9 +19,9 @@ so a call without one is deterministic given (input, spec)).  A block call
 draws exactly what B row calls would draw from the same generator in row
 order: gaussian and diffusion fill their (B, d) noise row-major, and
 random_swap takes one pool index per row.  ``corrupt_rows`` corrupts the
-rows of an audio/visual pair of blocks with one generator, audio block
-first, so a caller that passes the same generator to successive calls
-fixes every draw by its own seed and call order.
+masked rows of an audio/visual pair of blocks with one generator, audio
+block first, so a caller that passes the same generator to successive
+calls fixes every draw by its own seed and call order.
 """
 
 from __future__ import annotations
@@ -163,20 +163,20 @@ def _swap(x: np.ndarray, pool, rng: np.random.Generator) -> np.ndarray:
     return vectors[picks].reshape(x.shape)
 
 
-def corrupt_rows(features: dict, spec: CorruptionSpec, modalities, rng: np.random.Generator,
+def corrupt_rows(features: dict, spec: CorruptionSpec, masks: dict, rng: np.random.Generator,
                  pools=None) -> dict:
     """Corrupted copies of stacked feature rows.
 
-    features maps "audio"/"visual" to (B, d) arrays; row i has the
-    modalities named in modalities[i] corrupted and keeps the others.
-    Each modality's selected rows are corrupted as one block drawn from
-    rng, audio before visual, rows in order.  pools maps a modality to
-    its random_swap pool.  Inputs are left untouched.
+    features maps "audio"/"visual" to (B, d) arrays and masks maps a
+    modality to the (B,) boolean mask of the rows to corrupt; a modality
+    without a mask is kept.  Each modality's masked rows are corrupted as
+    one block drawn from rng, audio before visual, rows in order.  pools
+    maps a modality to its random_swap pool.  Inputs are left untouched.
     """
     out = {m: np.array(x, dtype=np.float64) for m, x in features.items()}
     for m in ("audio", "visual"):
-        rows = [i for i, names in enumerate(modalities) if m in names]
-        if rows:
+        rows = masks.get(m)
+        if rows is not None and rows.any():
             out[m][rows] = corrupt(out[m][rows], spec, pool=pools.get(m) if pools else None,
                                    rng=rng)
     return out

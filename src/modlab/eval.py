@@ -26,6 +26,12 @@ chosen modality is audio form one block, drawn first, and the visual
 block follows, each in item order.  An item's draw therefore depends on
 its position among the items sharing its modality, and the relevant and
 irrelevant analyses restart the same stream.
+
+Items are a ``synth.ItemTable``; every entry point also takes a list of
+``EvalItem`` rows (as ``item_from_record`` returns) and stacks it once.
+Scoring, grouping and the shift analysis work on its columns and masks.
+``predict`` (one item) has no caller in the package; it stays only
+because the benchmark harness wraps it by name.
 """
 
 from __future__ import annotations
@@ -36,14 +42,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrupt import CorruptionSpec, corrupt_rows
-from .policy import ModalityContext, PolicyParams, forward, modality_roles, stack_contexts
+from .policy import PolicyParams, forward
 from .synth import (
+    ANSWERS,
+    AUDIO_RELATED,
+    AUDIOVISUAL,
     EVAL_QUESTION_KINDS,
+    MODALITY_TAGS,
     NO_ID,
     TASK_GROUPS,
+    VISUAL_RELATED,
     YES_ID,
-    answer_id,
-    context_from_record,
+    EvalItem,
+    ItemTable,
     read_records,
 )
 
@@ -55,33 +66,21 @@ class EvalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EvalItem:
-    context: ModalityContext
-    question_kind: str
-    ground_truth: str
-    task_group: str
-
-    def __post_init__(self):
-        if self.question_kind not in EVAL_QUESTION_KINDS:
-            raise EvalError(f"unknown question_kind {self.question_kind!r}")
-        if self.ground_truth not in ("yes", "no"):
-            raise EvalError(f"ground_truth must be 'yes' or 'no', got {self.ground_truth!r}")
-        if self.task_group not in TASK_GROUPS:
-            raise EvalError(f"unknown task_group {self.task_group!r}")
-
-
 def item_from_record(rec: dict) -> EvalItem:
-    return EvalItem(
-        context=context_from_record(rec),
-        question_kind=rec["question_kind"],
-        ground_truth=rec["ground_truth"],
-        task_group=rec["task_group"],
-    )
+    """The EvalItem row of one decoded eval-item record.  Only the fields
+    stored as codes are checked; ``load_eval_items`` checks whole files."""
+    codes = []
+    for key, names in (("modality_tag", MODALITY_TAGS), ("question_kind", EVAL_QUESTION_KINDS),
+                       ("ground_truth", ANSWERS), ("task_group", TASK_GROUPS)):
+        if rec[key] not in names:
+            raise EvalError(f"{key} must be one of {names}, got {rec[key]!r}")
+        codes.append(names.index(rec[key]))
+    return EvalItem(np.array(rec["audio_feat"], dtype=np.float64),
+                    np.array(rec["visual_feat"], dtype=np.float64), int(rec["prompt_id"]), *codes)
 
 
-def load_eval_items(path):
-    return read_records(path, item_from_record)
+def load_eval_items(path) -> ItemTable:
+    return read_records(path, ItemTable)
 
 
 @dataclass
@@ -155,48 +154,52 @@ class MetricsReport:
         }
 
 
-def predictions(params: PolicyParams, items) -> list:
-    """Yes/no decision per item: argmax over the two answer tokens, ties -> "no"."""
-    if not items:
-        return []
-    logprobs = forward(params, *stack_contexts([item.context for item in items])).logprobs
-    return ["yes" if yes else "no" for yes in logprobs[:, YES_ID] > logprobs[:, NO_ID]]
+def predictions(params: PolicyParams, items) -> np.ndarray:
+    """Yes/no decision per item, an array of "yes"/"no": argmax over the two
+    answer tokens, ties -> "no"."""
+    items = ItemTable.coerce(items)
+    if not len(items):
+        return np.empty(0, dtype="<U3")
+    logprobs = forward(params, items.audio, items.visual, items.prompt_id).logprobs
+    return np.where(logprobs[:, YES_ID] > logprobs[:, NO_ID], ANSWERS[YES_ID], ANSWERS[NO_ID])
 
 
 def predict(params: PolicyParams, item: EvalItem) -> str:
     """predictions() of one item."""
-    return predictions(params, [item])[0]
+    return str(predictions(params, [item])[0])
 
 
 def score(predictions, items) -> MetricsReport:
-    """Stratified tallies over aligned predictions and items."""
-    if len(predictions) != len(items):
-        raise EvalError(f"{len(predictions)} predictions for {len(items)} items")
-    report = MetricsReport()
-    for pred, item in zip(predictions, items):
-        if pred not in ("yes", "no"):
-            raise EvalError(f"prediction must be 'yes' or 'no', got {pred!r}")
-        correct = pred == item.ground_truth
-        if item.ground_truth == "yes":
-            report.yes_total += 1
-            report.yes_correct += int(correct)
-        else:
-            report.no_total += 1
-            report.no_correct += int(correct)
-    return report
+    """Stratified tallies over aligned predictions ("yes"/"no") and items."""
+    items = ItemTable.coerce(items)
+    preds = np.asarray(predictions, dtype=np.str_)
+    if len(preds) != len(items):
+        raise EvalError(f"{len(preds)} predictions for {len(items)} items")
+    said_yes = preds == ANSWERS[YES_ID]
+    invalid = ~said_yes & (preds != ANSWERS[NO_ID])
+    if invalid.any():
+        raise EvalError(f"prediction must be 'yes' or 'no', got {str(preds[invalid][0])!r}")
+    truly_yes = items.ground_truth == YES_ID
+    correct = said_yes == truly_yes
+    return MetricsReport(yes_total=int(truly_yes.sum()),
+                         yes_correct=int((correct & truly_yes).sum()),
+                         no_total=int((~truly_yes).sum()),
+                         no_correct=int((correct & ~truly_yes).sum()))
 
 
 def evaluate(params: PolicyParams, items) -> MetricsReport:
+    items = ItemTable.coerce(items)
     return score(predictions(params, items), items)
 
 
 def evaluate_by_group(params: PolicyParams, items) -> dict:
     """MetricsReport per task_group plus an "overall" entry."""
+    items = ItemTable.coerce(items)
     preds = predictions(params, items)
     out = {"overall": score(preds, items)}
-    for group in sorted({item.task_group for item in items}):
-        subset = [i for i, item in enumerate(items) if item.task_group == group]
-        out[group] = score([preds[i] for i in subset], [items[i] for i in subset])
+    for group in sorted(TASK_GROUPS[g] for g in np.unique(items.task_group)):
+        rows = items.task_group == TASK_GROUPS.index(group)
+        out[group] = score(preds[rows], items[rows])
     return out
 
 
@@ -235,20 +238,22 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
     """
     if which not in ("relevant", "irrelevant"):
         raise EvalError(f"which must be 'relevant' or 'irrelevant', got {which!r}")
-    role = 0 if which == "relevant" else 1
-    if not items:
+    items = ItemTable.coerce(items)
+    if not len(items):
         deltas = np.empty(0)
     else:
-        try:
-            modalities = [(modality_roles(item.context.modality_tag)[role],) for item in items]
-        except ValueError:
-            raise EvalError("shift analysis needs single-modality items") from None
-        audio, visual, ids = stack_contexts([item.context for item in items])
-        corrupted = corrupt_rows({"audio": audio, "visual": visual}, spec, modalities,
-                                 np.random.default_rng(spec.seed), pools)
-        rows = np.arange(len(items))
-        answers = np.array([answer_id(item.ground_truth) for item in items])
-        clean = forward(params, audio, visual, ids).logprobs[rows, answers]
+        audio_rel = items.modality_tag == AUDIO_RELATED
+        visual_rel = items.modality_tag == VISUAL_RELATED
+        if not (audio_rel | visual_rel).all():
+            raise EvalError("shift analysis needs single-modality items")
+        if which == "relevant":
+            masks = {"audio": audio_rel, "visual": visual_rel}
+        else:
+            masks = {"audio": visual_rel, "visual": audio_rel}
+        features = {"audio": items.audio, "visual": items.visual}
+        corrupted = corrupt_rows(features, spec, masks, np.random.default_rng(spec.seed), pools)
+        rows, answers, ids = np.arange(len(items)), items.ground_truth, items.prompt_id
+        clean = forward(params, items.audio, items.visual, ids).logprobs[rows, answers]
         shifted = forward(params, corrupted["audio"], corrupted["visual"], ids).logprobs
         deltas = clean - shifted[rows, answers]
     counts, edges = _shift_histogram(deltas)
@@ -282,11 +287,12 @@ def compare(named_params, items, shift_spec: CorruptionSpec = None):
     """
     if not named_params:
         raise EvalError("compare needs at least one model")
-    unimodal = [it for it in items if it.context.modality_tag != "audiovisual"]
+    items = ItemTable.coerce(items)
+    unimodal = items[items.modality_tag != AUDIOVISUAL]
     rows = []
     for name, params in named_params:
         row = ComparisonRow(name=name, group_reports=evaluate_by_group(params, items))
-        if shift_spec is not None and unimodal:
+        if shift_spec is not None and len(unimodal):
             row.shift_relevant = loglik_shift(params, unimodal, shift_spec, "relevant")
             row.shift_irrelevant = loglik_shift(params, unimodal, shift_spec, "irrelevant")
         rows.append(row)

@@ -104,12 +104,10 @@ def build_world(spec: ExperimentSpec, seed: int):
     """(warmup pairs, training pairs, eval items, frozen reference)."""
     ws = 10_000 + seed
     if spec.warmup_noise_split:
-        warmup = synth.generate_pairs(synth.SynthConfig(
+        warmup = synth.PairTable.concat([synth.generate_pairs(synth.SynthConfig(
             n_pairs=800, n_scenes=300, matched_fraction=1.0, matched_bias=spec.warmup_bias,
-            presence_fraction=0.8, feature_noise=(0.05, 1.0), seed=seed * 4 + 1, world_seed=ws))
-        warmup += synth.generate_pairs(synth.SynthConfig(
-            n_pairs=800, n_scenes=300, matched_fraction=1.0, matched_bias=spec.warmup_bias,
-            presence_fraction=0.8, feature_noise=(1.0, 0.05), seed=seed * 4 + 2, world_seed=ws))
+            presence_fraction=0.8, feature_noise=noise, seed=seed * 4 + half, world_seed=ws))
+            for half, noise in ((1, (0.05, 1.0)), (2, (1.0, 0.05)))])
     else:
         warmup = synth.generate_pairs(synth.SynthConfig(
             n_pairs=1500, n_scenes=spec.n_scenes, matched_fraction=1.0,
@@ -119,10 +117,10 @@ def build_world(spec: ExperimentSpec, seed: int):
         n_pairs=spec.n_train, n_scenes=spec.n_scenes,
         matched_fraction=spec.train_matched_fraction, matched_bias=spec.train_bias,
         presence_fraction=0.7, seed=seed * 4 + 3, world_seed=ws))
-    items = [eval_mod.item_from_record(rec) for rec in synth.generate_eval_records(
+    items = synth.ItemTable.from_records(synth.generate_eval_records(
         synth.EvalConfig(n_items=spec.n_eval, n_scenes=spec.n_scenes,
                          matched_fraction=spec.eval_matched_fraction,
-                         matched_bias=spec.train_bias, seed=seed * 4 + 4, world_seed=ws))]
+                         matched_bias=spec.train_bias, seed=seed * 4 + 4, world_seed=ws)))
     reference = training.warmup_reference(warmup, spec.warmup_steps, seed,
                                           lr=spec.warmup_lr, batch_size=spec.batch_size)
     return warmup, train_pairs, items, reference

@@ -28,7 +28,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -36,13 +35,8 @@ from . import core, synth
 from . import train as training
 from .core import Hyperparams
 from .eval import MetricsReport
-from .policy import (
-    ModalityContext,
-    backward,
-    forward,
-    init_params,
-    stack_contexts,
-)
+from .policy import backward, forward, init_params
+from .synth import MODALITY_TAGS, PairTable
 from .train import PassCounter, TrainConfig, pair_loss_terms, train_step
 
 
@@ -235,16 +229,12 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return (values[: x.size] - values[x.size :]) / (2.0 * h)
 
 
-def policy_gradient_rel_error(params, contexts, upstream: np.ndarray,
+def policy_gradient_rel_error(params, audio, visual, prompt_ids, upstream: np.ndarray,
                               h: float = 1e-5) -> float:
-    """Max-norm relative error of backward() vs central differences.
-
-    contexts is one ModalityContext with a length-V upstream, or a list of
-    B contexts with a (B, V) upstream.
-    """
-    if isinstance(contexts, ModalityContext):
-        contexts, upstream = [contexts], np.reshape(upstream, (1, -1))
-    rows = stack_contexts(contexts)
+    """Max-norm relative error of backward() vs central differences for B
+    input rows (audio (B, d_a), visual (B, d_v), prompt_ids (B,)) and a
+    (B, V) upstream."""
+    rows = (audio, visual, prompt_ids)
     analytic = backward(params, forward(params, *rows), upstream).to_vector()
 
     def f(stack):
@@ -266,10 +256,10 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
     for the current parameters; only the clean policy passes respond to
     the perturbation.  Relative error in L2.
     """
+    batch = PairTable.coerce(batch)
     frozen, _, clean = training.evaluate_batch(params, ref_params, batch, cfg, step, pools)
-    rows = np.arange(len(batch))
-    y_w, y_l = training._labels(batch)
-    tag = batch[0].context.modality_tag
+    rows, y_w, y_l = np.arange(len(batch)), batch.y_w, batch.y_l
+    tag = MODALITY_TAGS[batch.modality_tag[0]]
 
     def surrogate(stack):
         live = forward(params.from_vector(stack), clean.audio, clean.visual,
@@ -327,9 +317,9 @@ def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
 
 
 def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> SuiteResult:
-    """n_triples single-context (params, context, upstream) triples, then
-    one batch of six contexts over three prompts, so the batched backward's
-    row sum and prompt-table scatter-add are audited too."""
+    """n_triples single-row (params, input row, upstream) triples, then one
+    batch of six rows over three prompts, so the batched backward's row sum
+    and prompt-table scatter-add are audited too."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
 
@@ -337,19 +327,17 @@ def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> Su
         return init_params(d_a=5, d_v=4, d_h=6, vocab_size=5, n_prompts=3,
                            seed=int(rng.integers(2 ** 31)))
 
-    def draw_context(i):
-        return ModalityContext(
-            audio=rng.normal(size=5), visual=rng.normal(size=4),
-            prompt_id=int(rng.integers(3)),
-            modality_tag="visual_related" if i % 2 == 0 else "audio_related",
-        )
+    def draw_rows(n):
+        """(audio, visual, prompt_ids) of n rows, each drawn in that order."""
+        rows = [(rng.normal(size=5), rng.normal(size=4), int(rng.integers(3))) for _ in range(n)]
+        return tuple(np.array(column) for column in zip(*rows))
 
     worst = 0.0
-    for i in range(n_triples):
-        params, ctx = draw_params(), draw_context(i)
-        worst = max(worst, policy_gradient_rel_error(params, ctx, rng.normal(size=5)))
-    params, batch = draw_params(), [draw_context(i) for i in range(6)]
-    worst = max(worst, policy_gradient_rel_error(params, batch, rng.normal(size=(6, 5))))
+    for _ in range(n_triples):
+        params, rows = draw_params(), draw_rows(1)
+        worst = max(worst, policy_gradient_rel_error(params, *rows, rng.normal(size=(1, 5))))
+    params, rows = draw_params(), draw_rows(6)
+    worst = max(worst, policy_gradient_rel_error(params, *rows, rng.normal(size=(6, 5))))
     return SuiteResult("gradients", worst < tol,
                        f"max relative error {worst:.2e} over {n_triples} contexts and a batch "
                        f"of 6 (tol {tol})", time.perf_counter() - start)
@@ -359,22 +347,19 @@ def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
                         variant: str = "modpp") -> SuiteResult:
     """Audit the analytic step against the frozen surrogate while training."""
     start = time.perf_counter()
-    cfg_data = synth.SynthConfig(n_pairs=64, n_scenes=24, seed=seed, world_seed=seed + 1)
-    dataset = synth.generate_pairs(cfg_data)
+    dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=64, n_scenes=24, seed=seed,
+                                                     world_seed=seed + 1))
     cfg = TrainConfig(loss_variant=variant, lr=0.1, epochs=max(1, n_steps), batch_size=4,
                       seed=seed, warmup_steps=30)
     ref = training.warmup_reference(dataset, cfg.warmup_steps, cfg.seed,
                                  lr=cfg.warmup_lr, batch_size=cfg.batch_size)
     params = ref.copy()
     pools = training.feature_pools(dataset)
-    groups: dict = {}
-    for pair in dataset:
-        groups.setdefault(pair.context.modality_tag, []).append(pair)
-    schedule = (batch for epoch in range(cfg.epochs)
-                for batch in training._epoch_schedule(groups, cfg, epoch))
+    schedule, _ = training.batch_schedule(dataset, cfg)
     worst = 0.0
     steps = 0
-    for step, batch in enumerate(islice(schedule, n_steps)):
+    for step, rows in enumerate(schedule[:n_steps]):
+        batch = dataset[rows]
         worst = max(worst, frozen_surrogate_rel_error(params, ref, batch, cfg, step, pools))
         params, _, _ = train_step(params, ref, batch, cfg, step, pools)
         steps = step + 1

@@ -1,6 +1,6 @@
 """A tiny differentiable audio/visual/text policy with analytic gradients.
 
-The network maps a modality context (audio features a, visual features v,
+The network maps one input row (audio features a, visual features v,
 prompt id x) to a log-probability vector over a small response vocabulary:
 
     h       = tanh(U_a a + U_v v + E_x[prompt])
@@ -19,15 +19,13 @@ hidden activations and softmax that ``backward(params, cache, upstream)``
 needs for a (B, V) upstream.  The backward pass sums gradients over rows
 (the prompt table through ``np.add.at``, so repeated prompts accumulate).
 Slicing a cache (``cache[:n]``) keeps those rows only, which is how the
-trainer back-propagates through its clean rows and nothing else.
-``forward_logprobs``, ``forward_detached`` and ``backward(params, ctx,
-upstream)`` are the single-context (B = 1) calls of the same kernels.
+trainer back-propagates through its clean rows and nothing else: its
+corrupted and reference rows enter loss values but never ``backward``.
+The rows come straight from the columns of a ``synth`` record table.
 
-``forward_detached`` is numerically identical to ``forward_logprobs`` and
-exists purely as a contract marker: values obtained through it enter loss
-values but must never contribute to gradients.  The trainer honors this by
-only ever calling ``backward`` with upstreams assembled from tracked
-(clean-input) passes.
+``forward_logprobs`` (the log-probabilities without the cache) and
+``GradAccumulator.add`` have no caller in the package; they stay only
+because the benchmark harness wraps them by name.
 
 Checkpoints are written as a flat named-tensor text format with a version
 header (see ``save_checkpoint``); %.17g formatting makes round-trips exact
@@ -42,37 +40,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 CHECKPOINT_HEADER = "modlab-checkpoint v1"
-
-MODALITY_TAGS = ("audio_related", "visual_related", "audiovisual")
-
-# (prompt-relevant, prompt-irrelevant) modality of each single-modality tag.
-_MODALITY_ROLES = {"visual_related": ("visual", "audio"), "audio_related": ("audio", "visual")}
-
-
-def modality_roles(tag: str) -> tuple:
-    """(relevant, irrelevant) modality names for a single-modality tag."""
-    if tag not in _MODALITY_ROLES:
-        raise ValueError(f"relevant/irrelevant modalities are undefined for tag {tag!r}")
-    return _MODALITY_ROLES[tag]
-
-
-@dataclass(frozen=True)
-class ModalityContext:
-    """One (audio, visual, prompt) input with its modality-relevance tag."""
-
-    audio: np.ndarray
-    visual: np.ndarray
-    prompt_id: int
-    modality_tag: str
-
-    def __post_init__(self):
-        if self.modality_tag not in MODALITY_TAGS:
-            raise ValueError(f"modality_tag must be one of {MODALITY_TAGS}, got {self.modality_tag!r}")
-        object.__setattr__(self, "audio", np.asarray(self.audio, dtype=np.float64))
-        object.__setattr__(self, "visual", np.asarray(self.visual, dtype=np.float64))
-        if not (np.all(np.isfinite(self.audio)) and np.all(np.isfinite(self.visual))):
-            raise ValueError("context features must be finite")
-
 
 @dataclass
 class PolicyParams:
@@ -197,12 +164,6 @@ class ForwardCache:
         return ForwardCache(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def stack_contexts(contexts):
-    """(A, V, prompt_ids) rows of a non-empty sequence of ModalityContexts."""
-    return (np.stack([c.audio for c in contexts]), np.stack([c.visual for c in contexts]),
-            np.array([c.prompt_id for c in contexts]))
-
-
 def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
     """log_softmax(W_out tanh(U_a a + U_v v + E_x[p]) + b) for every row.
 
@@ -235,33 +196,21 @@ def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
     return ForwardCache(audio, visual, prompt_ids, h, exp / total, shifted - np.log(total))
 
 
-def forward_logprobs(params: PolicyParams, ctx: ModalityContext) -> np.ndarray:
-    """Log-probabilities (length V) for one context: forward with B = 1."""
-    return forward(params, *stack_contexts([ctx])).logprobs[0]
-
-
-def forward_detached(params: PolicyParams, ctx: ModalityContext) -> np.ndarray:
-    """Same numerics as forward_logprobs; marks a stop-gradient evaluation.
-
-    The returned values may enter loss expressions but the caller must not
-    route any upstream through them into ``backward``.
-    """
-    return forward_logprobs(params, ctx)
+def forward_logprobs(params: PolicyParams, audio, visual, prompt_ids) -> np.ndarray:
+    """The (B, V) log-probabilities of ``forward``, without its cache."""
+    return forward(params, audio, visual, prompt_ids).logprobs
 
 
 def backward(params: PolicyParams, cache, upstream: np.ndarray) -> GradAccumulator:
     """Gradient of sum_rows upstream . log_softmax(logits) w.r.t. every parameter.
 
-    cache is a ForwardCache with an upstream of shape (B, V), or a single
-    ModalityContext with a length-V upstream (evaluated as B = 1).  upstream
-    holds the partial derivatives of the scalar loss with respect to the
-    output log-probabilities.  Chain rule through log-softmax:
+    cache is a ForwardCache and upstream, of its (B, V) shape, holds the
+    partial derivatives of the scalar loss with respect to the output
+    log-probabilities.  Chain rule through log-softmax:
     d(logprob_j)/d(logit_k) = delta_jk - softmax_k, so the logit gradient
     is upstream - sum(upstream) * softmax(logits).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    if isinstance(cache, ModalityContext):
-        cache, upstream = forward(params, *stack_contexts([cache])), upstream.reshape(1, -1)
     if upstream.shape != cache.probs.shape:
         raise ValueError(f"upstream must have shape {cache.probs.shape}, got {upstream.shape}")
     if not np.all(np.isfinite(upstream)):

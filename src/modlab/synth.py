@@ -30,17 +30,24 @@ Evaluation-item files use the same conventions with ``ground_truth`` and
 ``task_group`` in place of ``y_w``/``y_l``.  A sidecar JSON file
 (``<path>.stats.json``) stores the generation parameters needed by the
 verifier plus summary statistics.
+
+In memory a file is one struct-of-arrays table (``PairTable`` or
+``ItemTable``), built once by ``read_records`` or the generator: audio
+(N, d_a) and visual (N, d_v) features, then one (N,) column per other
+field, with tags, question kinds, answers and task groups as int codes
+(indices into MODALITY_TAGS, EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).
+``t[rows]`` is a sub-table, ``t[i]`` one row (a ``PreferencePair`` or
+``EvalItem`` named tuple), and ``coerce`` stacks a list of rows once.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .policy import ModalityContext
 
 FORMAT_VERSION = 1
 
@@ -73,6 +80,12 @@ QUESTION_KINDS = ("visual_presence", "audio_presence", "visual_caption", "audio_
 EVAL_QUESTION_KINDS = QUESTION_KINDS + ("av_matching",)
 
 TASK_GROUPS = ("adv_hallucination", "vda_hallucination", "matching", "dominance")
+
+MODALITY_TAGS = ("audio_related", "visual_related", "audiovisual")
+AUDIO_RELATED, VISUAL_RELATED, AUDIOVISUAL = range(len(MODALITY_TAGS))
+
+# Ground-truth answers, indexed by their vocabulary ids YES_ID and NO_ID.
+ANSWERS = ("yes", "no")
 
 # Prompt table: ids 0..5 visual presence per kind, 6..11 audio presence per
 # kind, 12/13 the two caption prompts, 14 the audiovisual matching prompt.
@@ -150,24 +163,6 @@ class Scene:
             raise WorldError(f"scenes hold 1-4 entities, got {len(self.entities)}")
 
 
-@dataclass(frozen=True)
-class PreferencePair:
-    """One training record: context, chosen/rejected response ids, lineage."""
-
-    context: ModalityContext
-    question_kind: str
-    y_w: int
-    y_l: int
-    matched: bool
-    scene_refs: tuple  # (visual scene_id, audio scene_id)
-
-    def __post_init__(self):
-        if self.y_w == self.y_l:
-            raise WorldError("chosen and rejected responses must differ")
-        if self.matched != (self.scene_refs[0] == self.scene_refs[1]):
-            raise WorldError("matched flag inconsistent with scene_refs")
-
-
 def classify_entity(e: Entity, kind: str) -> str:
     """Five-way taxonomy from (visible, sounding, object-vs-pure-sound)."""
     if kind not in ("object", "pure_sound"):
@@ -216,6 +211,181 @@ def visible_kinds(scene: Scene) -> frozenset:
 def sounding_kinds(scene: Scene) -> frozenset:
     """Entity kinds the scene sounds, read from the ground-truth flags."""
     return frozenset(e.entity_id for e in scene.entities if e.sounding)
+
+
+# ---------------------------------------------------------------------------
+# Record tables
+
+class _BadRow(Exception):
+    """A record value no column can hold: (row index, problem)."""
+
+
+def _field(records, key: str) -> list:
+    try:
+        return [rec[key] for rec in records]
+    except KeyError:
+        row = next(i for i, rec in enumerate(records) if key not in rec)
+        raise _BadRow(row, f"missing field {key!r}") from None
+
+
+def _ints(values, key: str):
+    try:
+        return np.array([int(v) for v in values], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        for i, value in enumerate(values):
+            try:
+                np.int64(int(value))
+            except (TypeError, ValueError, OverflowError):
+                raise _BadRow(i, f"{key} {value!r} is not an integer") from None
+
+
+def _flags(values, key: str):
+    return np.array([bool(v) for v in values], dtype=bool)
+
+
+def _codes(names: tuple):
+    """Parser of values that must be one of names, stored as their index."""
+    index = {n: i for i, n in enumerate(names)}
+
+    def parse(values, key: str):
+        for i, value in enumerate(values):
+            if not isinstance(value, str) or value not in index:
+                raise _BadRow(i, f"{key} must be one of {names}, got {value!r}")
+        return np.array([index[v] for v in values], dtype=np.int64)
+
+    return parse
+
+
+def _features(values, key: str):
+    """(rows, d) column of number lists that all have the first one's length."""
+    if not values:
+        return np.empty((0, 0))
+    try:
+        column = np.array(values, dtype=np.float64)
+        if column.ndim == 2:
+            return column
+    except (TypeError, ValueError):
+        pass
+    for i, value in enumerate(values):
+        try:
+            row = np.array(value, dtype=np.float64)
+        except (TypeError, ValueError):
+            row = None
+        if row is None or row.ndim != 1:
+            raise _BadRow(i, f"{key} is not a list of numbers")
+        if row.size != len(values[0]):
+            raise _BadRow(i, f"{key} has {row.size} values, expected {len(values[0])}")
+
+
+def _non_finite(column, name: str):
+    return ~np.isfinite(column).all(axis=1), lambda i: f"{name} holds a non-finite value"
+
+
+def _outside(column, name: str, size: int):
+    return (column < 0) | (column >= size), lambda i: f"{name} {column[i]} outside [0, {size})"
+
+
+class _Table:
+    """Struct of arrays: one numpy column per field of ``Row``, rows on axis 0.
+
+    Subclasses list ``RECORD``, the (record key, parser) pair of each field;
+    a column is named after its key without the "_feat" suffix.
+    """
+
+    RECORD = ()
+    Row = None
+
+    def __init__(self, **columns):
+        for name in self.Row._fields:
+            setattr(self, name, columns[name])
+
+    def __len__(self) -> int:
+        return len(self.prompt_id)
+
+    def __getitem__(self, rows):
+        """Row i for an integer i, otherwise the sub-table of the selected rows."""
+        if isinstance(rows, (int, np.integer)):
+            return self.Row(*(getattr(self, name)[rows] for name in self.Row._fields))
+        return type(self)(**{name: getattr(self, name)[rows] for name in self.Row._fields})
+
+    def __iter__(self):
+        return map(self.Row, *(getattr(self, name) for name in self.Row._fields))
+
+    @classmethod
+    def coerce(cls, data):
+        """data itself when it is a table, else its rows stacked column by column."""
+        if isinstance(data, cls):
+            return data
+        columns = list(zip(*data)) or [()] * len(cls.Row._fields)
+        return cls(**{name: np.array(column) for name, column in zip(cls.Row._fields, columns)})
+
+    @classmethod
+    def concat(cls, tables):
+        return cls(**{name: np.concatenate([getattr(t, name) for t in tables])
+                      for name in cls.Row._fields})
+
+    def _faults(self) -> list:
+        """(mask of bad rows, problem of row i) of each check of the columns."""
+        return [_non_finite(self.audio, "audio_feat"), _non_finite(self.visual, "visual_feat"),
+                _outside(self.prompt_id, "prompt_id", N_PROMPTS)]
+
+    @classmethod
+    def from_records(cls, records, path="<records>", line_nos=None):
+        """The table of decoded JSON records, each column parsed and checked once.
+
+        Raises WorldError("<path>, line <n>: <problem>") for the first bad
+        record: a missing field, a value of the wrong type or out of range,
+        an unknown tag, question kind, answer or task group, a feature row
+        of another length or with a non-finite value, or a failed check of
+        the file kind.  line_nos gives each record's line (default 1..N).
+        """
+        records = list(records)
+        line_nos = line_nos or range(1, len(records) + 1)
+        try:
+            table = cls(**{key.removesuffix("_feat"): parse(_field(records, key), key)
+                           for key, parse in cls.RECORD})
+        except _BadRow as bad:
+            row, problem = bad.args
+            cls.from_records(records[:row], path, line_nos)  # an earlier line fails first
+            raise WorldError(f"{path}, line {line_nos[row]}: {problem}") from None
+        faults = [(int(np.argmax(mask)), problem) for mask, problem in table._faults()
+                  if mask.any()]
+        if faults:
+            row, problem = min(faults, key=lambda fault: fault[0])
+            raise WorldError(f"{path}, line {line_nos[row]}: {problem(row)}")
+        return table
+
+
+_CONTEXT = (("audio_feat", _features), ("visual_feat", _features), ("prompt_id", _ints),
+            ("modality_tag", _codes(MODALITY_TAGS)),
+            ("question_kind", _codes(EVAL_QUESTION_KINDS)))
+
+
+class PairTable(_Table):
+    """Preference pairs; a row is a PreferencePair."""
+
+    RECORD = _CONTEXT + (("y_w", _ints), ("y_l", _ints), ("matched", _flags),
+                         ("visual_scene", _ints), ("audio_scene", _ints))
+    Row = namedtuple("PreferencePair", [key.removesuffix("_feat") for key, _ in RECORD])
+
+    def _faults(self) -> list:
+        return super()._faults() + [
+            _outside(self.y_w, "y_w", VOCAB_SIZE),
+            _outside(self.y_l, "y_l", VOCAB_SIZE),
+            (self.y_w == self.y_l, lambda i: "chosen and rejected responses must differ"),
+            (self.matched != (self.visual_scene == self.audio_scene),
+             lambda i: "matched flag inconsistent with scene_refs"),
+        ]
+
+
+class ItemTable(_Table):
+    """Evaluation items; a row is an EvalItem (ground_truth YES_ID or NO_ID)."""
+
+    RECORD = _CONTEXT + (("ground_truth", _codes(ANSWERS)), ("task_group", _codes(TASK_GROUPS)))
+    Row = namedtuple("EvalItem", [key.removesuffix("_feat") for key, _ in RECORD])
+
+
+PreferencePair, EvalItem = PairTable.Row, ItemTable.Row
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +575,6 @@ def oracle_responses(visual_scene: Scene, audio_scene: Scene, question_kind: str
     return y_w, y_l
 
 
-def context_for(visual_scene: Scene, audio_scene: Scene, question_kind: str,
-                target_kind=None) -> ModalityContext:
-    return ModalityContext(
-        audio=audio_scene.audio_feat,
-        visual=visual_scene.visual_feat,
-        prompt_id=prompt_for(question_kind, target_kind),
-        modality_tag=tag_for(question_kind),
-    )
-
-
 def build_pair(visual_scene: Scene, audio_scene: Scene, question_kind: str,
                rng: np.random.Generator):
     """One preference pair, or None when the context has no eligible target."""
@@ -430,12 +590,16 @@ def build_pair(visual_scene: Scene, audio_scene: Scene, question_kind: str,
         return None
     y_w, y_l = responses
     return PreferencePair(
-        context=context_for(visual_scene, audio_scene, question_kind, target),
-        question_kind=question_kind,
+        audio=audio_scene.audio_feat,
+        visual=visual_scene.visual_feat,
+        prompt_id=prompt_for(question_kind, target),
+        modality_tag=MODALITY_TAGS.index(tag_for(question_kind)),
+        question_kind=EVAL_QUESTION_KINDS.index(question_kind),
         y_w=y_w,
         y_l=y_l,
         matched=visual_scene.scene_id == audio_scene.scene_id,
-        scene_refs=(visual_scene.scene_id, audio_scene.scene_id),
+        visual_scene=visual_scene.scene_id,
+        audio_scene=audio_scene.scene_id,
     )
 
 
@@ -514,8 +678,8 @@ def _draw_scene_pair(scenes, matched: bool, rng: np.random.Generator):
     return scenes[i], scenes[j]
 
 
-def generate_pairs(cfg: SynthConfig):
-    """Deterministic list of preference pairs for a config."""
+def generate_pairs(cfg: SynthConfig) -> PairTable:
+    """Deterministic table of preference pairs for a config."""
     scenes = generate_scenes(cfg.n_scenes, cfg.seed, cfg.world_seed, cfg.matched_bias,
                              cfg.feature_noise)
     alloc_rng = _rng(cfg.seed, _PAIR_STREAM, 0)
@@ -536,77 +700,43 @@ def generate_pairs(cfg: SynthConfig):
                 "the scene pool is too small or too sparse"
             )
         pairs.append(pair)
-    return pairs
+    return PairTable.coerce(pairs)
 
 
 def pair_record(pair: PreferencePair) -> dict:
+    """The dataset-file record of one pair (a row of a PairTable)."""
     return {
-        "visual_scene": pair.scene_refs[0],
-        "audio_scene": pair.scene_refs[1],
-        "question_kind": pair.question_kind,
-        "prompt_id": pair.context.prompt_id,
-        "modality_tag": pair.context.modality_tag,
-        "matched": pair.matched,
-        "y_w": pair.y_w,
-        "y_l": pair.y_l,
-        "audio_feat": [float(v) for v in pair.context.audio],
-        "visual_feat": [float(v) for v in pair.context.visual],
+        "visual_scene": int(pair.visual_scene),
+        "audio_scene": int(pair.audio_scene),
+        "question_kind": EVAL_QUESTION_KINDS[pair.question_kind],
+        "prompt_id": int(pair.prompt_id),
+        "modality_tag": MODALITY_TAGS[pair.modality_tag],
+        "matched": bool(pair.matched),
+        "y_w": int(pair.y_w),
+        "y_l": int(pair.y_l),
+        "audio_feat": pair.audio.tolist(),
+        "visual_feat": pair.visual.tolist(),
     }
 
 
-def _index_field(rec: dict, name: str, size: int) -> int:
-    """rec[name] as an integer index into a table of the given size."""
-    try:
-        value = int(rec[name])
-    except (TypeError, ValueError):
-        raise WorldError(f"{name} {rec[name]!r} is not an integer") from None
-    if not 0 <= value < size:
-        raise WorldError(f"{name} {value} outside [0, {size})")
-    return value
-
-
-def context_from_record(rec: dict) -> ModalityContext:
-    """The model input of a dataset or eval-item record."""
-    return ModalityContext(
-        audio=np.array(rec["audio_feat"], dtype=np.float64),
-        visual=np.array(rec["visual_feat"], dtype=np.float64),
-        prompt_id=_index_field(rec, "prompt_id", N_PROMPTS),
-        modality_tag=rec["modality_tag"],
-    )
-
-
-def pair_from_record(rec: dict) -> PreferencePair:
-    return PreferencePair(
-        context=context_from_record(rec),
-        question_kind=rec["question_kind"],
-        y_w=_index_field(rec, "y_w", VOCAB_SIZE),
-        y_l=_index_field(rec, "y_l", VOCAB_SIZE),
-        matched=bool(rec["matched"]),
-        scene_refs=(int(rec["visual_scene"]), int(rec["audio_scene"])),
-    )
+def _code_counts(codes, names) -> dict:
+    """{name: count} of the codes present, sorted by name."""
+    counts = np.bincount(codes, minlength=len(names))
+    return dict(sorted((names[i], int(n)) for i, n in enumerate(counts) if n))
 
 
 def dataset_stats(pairs, cfg: SynthConfig) -> dict:
-    question_counts: dict = {}
-    tag_counts: dict = {}
-    answers = {"yes": 0, "no": 0}
-    matched = 0
-    for p in pairs:
-        question_counts[p.question_kind] = question_counts.get(p.question_kind, 0) + 1
-        tag = p.context.modality_tag
-        tag_counts[tag] = tag_counts.get(tag, 0) + 1
-        matched += int(p.matched)
-        if p.y_w == YES_ID:
-            answers["yes"] += 1
-        elif p.y_w == NO_ID:
-            answers["no"] += 1
+    """Sidecar stats of a pair table (or list of pairs)."""
+    pairs = PairTable.coerce(pairs)
+    matched = int(pairs.matched.sum())
     return {
         **_stats_header("preference", cfg, len(pairs)),
         "matched_records": matched,
-        "matched_ratio": matched / len(pairs) if pairs else 0.0,
-        "question_kind_counts": dict(sorted(question_counts.items())),
-        "modality_tag_counts": dict(sorted(tag_counts.items())),
-        "presence_answer_balance": answers,
+        "matched_ratio": matched / len(pairs) if len(pairs) else 0.0,
+        "question_kind_counts": _code_counts(pairs.question_kind, EVAL_QUESTION_KINDS),
+        "modality_tag_counts": _code_counts(pairs.modality_tag, MODALITY_TAGS),
+        "presence_answer_balance": {"yes": int(np.sum(pairs.y_w == YES_ID)),
+                                    "no": int(np.sum(pairs.y_w == NO_ID))},
     }
 
 
@@ -640,29 +770,32 @@ def _write_records(path, records, stats: dict) -> dict:
     return stats
 
 
-def read_records(path, decode) -> list:
-    """decode(record) for every non-blank line of a JSONL file.
+def read_records(path, table):
+    """The table (PairTable or ItemTable) of a JSONL file's non-blank lines.
 
-    A line that is not ASCII JSON, lacks a field or holds a value decode
-    rejects raises WorldError naming the path, the line and the problem.
+    Lines count from 1, blank lines included.  The first bad line raises
+    WorldError naming the path, the line and the problem: text that is not
+    ASCII, not JSON or not a JSON object, or a field that fails the
+    table's column checks (see ``_Table.from_records``).
     """
-    records = []
+    records, line_nos = [], []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            where = f"{path}, line {line_no}"
             try:
                 line = raw.decode("ascii").strip()
-                if line:
-                    records.append(decode(json.loads(line)))
+                rec = json.loads(line) if line else {}
+                problem = None if isinstance(rec, dict) else "not a JSON object"
             except UnicodeDecodeError:
-                raise WorldError(f"{where}: not ASCII text") from None
+                problem = "not ASCII text"
             except json.JSONDecodeError as exc:
-                raise WorldError(f"{where}: invalid JSON ({exc.msg})") from None
-            except KeyError as exc:
-                raise WorldError(f"{where}: missing field {exc.args[0]!r}") from None
-            except (TypeError, ValueError) as exc:
-                raise WorldError(f"{where}: {exc}") from None
-    return records
+                problem = f"invalid JSON ({exc.msg})"
+            if problem:
+                table.from_records(records, path, line_nos)  # an earlier bad line wins
+                raise WorldError(f"{path}, line {line_no}: {problem}")
+            if line:
+                records.append(rec)
+                line_nos.append(line_no)
+    return table.from_records(records, path, line_nos)
 
 
 def assemble_dataset(cfg: SynthConfig, path) -> dict:
@@ -671,8 +804,8 @@ def assemble_dataset(cfg: SynthConfig, path) -> dict:
     return _write_records(path, (pair_record(p) for p in pairs), dataset_stats(pairs, cfg))
 
 
-def load_pairs(path):
-    return read_records(path, pair_from_record)
+def load_pairs(path) -> PairTable:
+    return read_records(path, PairTable)
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +828,12 @@ class VerifyReport:
         self.violations.append((line_no, reason))
 
 
-def _check_record(rec: dict, scenes) -> list:
+def _check_labels(rec: dict, scenes) -> tuple:
+    """(problems with a record's labels, whether its features are compared)."""
     problems = []
     qk = rec["question_kind"]
     if qk not in QUESTION_KINDS:
-        return [f"unknown question_kind {qk!r}"]
+        return [f"unknown question_kind {qk!r}"], False
     visual_scene = scenes[int(rec["visual_scene"])]
     audio_scene = scenes[int(rec["audio_scene"])]
     matched = visual_scene.scene_id == audio_scene.scene_id
@@ -712,23 +846,22 @@ def _check_record(rec: dict, scenes) -> list:
         base = VISUAL_PRESENCE_BASE if qk == "visual_presence" else AUDIO_PRESENCE_BASE
         target = int(rec["prompt_id"]) - base
         if not (0 <= target < N_ENTITY_KINDS):
-            return problems + ["prompt_id outside the presence-prompt range"]
+            return problems + ["prompt_id outside the presence-prompt range"], False
     elif int(rec["prompt_id"]) != prompt_for(qk):
         problems.append("prompt_id inconsistent with question_kind")
     expected = oracle_responses(visual_scene, audio_scene, qk, target)
     if expected is None:
         problems.append("question has no eligible target in this context")
-        return problems
+        return problems, False
     y_w_true, _ = expected
     if int(rec["y_w"]) != y_w_true:
         problems.append(f"stored y_w={rec['y_w']} but the oracle answer is {y_w_true}")
     if int(rec["y_l"]) == y_w_true:
         problems.append("rejected response agrees with the ground truth")
-    if not np.allclose(rec["audio_feat"], audio_scene.audio_feat, atol=0):
-        problems.append("audio features do not match the referenced scene")
-    if not np.allclose(rec["visual_feat"], visual_scene.visual_feat, atol=0):
-        problems.append("visual features do not match the referenced scene")
-    return problems
+    return problems, True
+
+
+_MODALITIES = ("audio", "visual")
 
 
 def verify_dataset(path) -> VerifyReport:
@@ -736,8 +869,12 @@ def verify_dataset(path) -> VerifyReport:
 
     Confirms the stored chosen response, that the rejected response
     contradicts the relevant modality's ground truth, the matched flag,
-    and the inline features.  Parse failures are reported per line and do
-    not abort the scan.
+    and the inline features.  Labels are re-derived line by line; the
+    features of all lines are compared with the referenced scenes' in one
+    isclose(rtol=1e-5, atol=0) per modality, and a feature row of the
+    wrong length is reported on its own line.  Parse failures are reported
+    per line and do not abort the scan.  Lines are numbered among the
+    non-blank lines.
     """
     report = VerifyReport()
     with open(path, "r", encoding="ascii") as fh:
@@ -756,14 +893,37 @@ def verify_dataset(path) -> VerifyReport:
         report.parse_errors.append((0, f"cannot rebuild the world from sidecar stats: {exc}"))
         return report
 
+    found = {}  # line -> reasons, in line order
+    compared = []  # (line, {modality: (stored row, scene index)}) of lines whose labels fit
     for line_no, line in enumerate(lines, start=1):
         try:
             rec = json.loads(line)
             report.n_records += 1
-            for reason in _check_record(rec, scenes):
-                report.add_violation(line_no, reason)
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+            problems, compare = _check_labels(rec, scenes)
+            if compare:
+                compared.append((line_no, {m: (np.array(rec[f"{m}_feat"], dtype=np.float64),
+                                               int(rec[f"{m}_scene"])) for m in _MODALITIES}))
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             report.parse_errors.append((line_no, str(exc)))
+            continue
+        found[line_no] = problems
+    for m in _MODALITIES:
+        feats = np.stack([getattr(scene, f"{m}_feat") for scene in scenes])
+        fits = []
+        for line_no, stored in compared:
+            row, scene_id = stored[m]
+            if row.shape == feats.shape[1:]:
+                fits.append((line_no, row, scene_id))
+            else:
+                found[line_no].append(f"{m}_feat has {row.size} values, expected {feats.shape[1]}")
+        if fits:
+            line_nos, rows, scene_ids = zip(*fits)
+            close = np.isclose(np.stack(rows), feats[list(scene_ids)], rtol=1e-5, atol=0)
+            for line_no in np.asarray(line_nos)[~close.all(axis=1)]:
+                found[line_no].append(f"{m} features do not match the referenced scene")
+    for line_no, reasons in found.items():
+        for reason in reasons:
+            report.add_violation(line_no, reason)
     return report
 
 

@@ -30,7 +30,11 @@ which keeps them comparable across variants:
 A training step is batch-first: one policy forward over the clean rows
 with the corrupted rows stacked under them, one reference forward over the
 clean and text-only rows, the loss of all pairs in one core.pair_terms
-call, and one backward through the clean rows only.
+call, and one backward through the clean rows only.  Datasets are
+``synth.PairTable`` columns (a list of pairs is stacked once on entry):
+``batch_schedule`` turns the tag column into one row-index array per step,
+and each step indexes its row block out of the table.  ``pair_loss_terms``
+is a one-line wrapper the benchmark harness times as the loss.
 
 Determinism: everything derives from cfg.seed through tagged seed
 sequences, so runs are exactly repeatable.  Step s of a corrupting variant
@@ -60,16 +64,17 @@ import numpy as np
 from . import core
 from .core import ConfigurationError, Hyperparams, PairLogProbs
 from .corrupt import CorruptionSpec, FeaturePool, corrupt_rows
-from .policy import (
-    PolicyParams,
-    apply_gradient_step,
-    backward,
-    forward,
-    init_params,
-    modality_roles,
-    stack_contexts,
+from .policy import PolicyParams, apply_gradient_step, backward, forward, init_params
+from .synth import (
+    AUDIO_RELATED,
+    AUDIOVISUAL,
+    MODALITY_TAGS,
+    N_PROMPTS,
+    VISUAL_RELATED,
+    VOCAB_SIZE,
+    PairTable,
+    _rng,
 )
-from .synth import N_PROMPTS, VOCAB_SIZE, _rng
 
 LOSS_VARIANTS = ("dpo", "mod", "modpp", "mod_with_av")
 
@@ -82,10 +87,6 @@ _D_H_DEFAULT = 16
 # A step whose mean loss exceeds this multiple of the first step's has
 # diverged; healthy runs peak near 1.4x.
 _DIVERGENCE_FACTOR = 100.0
-
-# PairLogProbs slot filled by each corruption draw slot: the irrelevant
-# modality corrupted, the relevant one, or both (joint-audiovisual pairs).
-_SLOT_FIELDS = {0: "inv", 1: "sens", 2: "sens"}
 
 
 class TrainingError(ValueError):
@@ -195,8 +196,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def feature_pools(dataset) -> dict:
-    """Per-modality random_swap pools: every pair's feature vector, stacked once."""
-    return {m: FeaturePool([getattr(p.context, m) for p in dataset]) for m in ("audio", "visual")}
+    """Per-modality random_swap pools: the dataset's feature columns."""
+    dataset = PairTable.coerce(dataset)
+    return {m: FeaturePool(getattr(dataset, m)) for m in ("audio", "visual")}
 
 
 def _is_joint(cfg: TrainConfig, tag: str) -> bool:
@@ -208,10 +210,6 @@ def _pass_counter(cfg: TrainConfig, joint: bool) -> PassCounter:
     fwd_policy = 4 if joint else 2 if cfg.loss_variant == "dpo" else 6
     fwd_ref = 4 if cfg.loss_variant == "modpp" else 2
     return PassCounter(fwd_policy=fwd_policy, fwd_ref=fwd_ref, bwd_policy=2, bwd_ref=0)
-
-
-def _labels(batch) -> tuple:
-    return np.array([p.y_w for p in batch]), np.array([p.y_l for p in batch])
 
 
 def _forward_blocks(params: PolicyParams, blocks, ids):
@@ -234,25 +232,32 @@ def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: T
     rows of the step come from one generator seeded by (cfg.seed, step),
     drawn slot by slot in ascending order (see the module docstring).
     """
-    tags = [p.context.modality_tag for p in batch]
-    counters = {_pass_counter(cfg, joint) for joint in {_is_joint(cfg, t) for t in tags}}
-    if len(counters) != 1:
+    batch = PairTable.coerce(batch)
+    n, tags = len(batch), batch.modality_tag
+    joint = (tags == AUDIOVISUAL) & (cfg.loss_variant == "mod_with_av")
+    if joint.any() != joint.all():
+        counters = {_pass_counter(cfg, j) for j in (False, True)}
         raise TrainingError(f"pass counts varied within one batch: {counters}")
-    n = len(batch)
-    audio, visual, ids = stack_contexts([p.context for p in batch])
-    if _is_joint(cfg, tags[0]):
-        slot_modalities = {2: [("audio", "visual")] * n}
+    counter = _pass_counter(cfg, bool(joint.all()))
+    audio_rel, visual_rel = tags == AUDIO_RELATED, tags == VISUAL_RELATED
+    # Row masks of each draw slot, keyed by the PairLogProbs slot it fills.
+    if joint.all():
+        slot_masks = {"sens": {"audio": joint, "visual": joint}}
     elif cfg.loss_variant != "dpo":
-        roles = [modality_roles(t) for t in tags]
-        slot_modalities = {0: [(irr,) for _, irr in roles], 1: [(rel,) for rel, _ in roles]}
+        if not (audio_rel | visual_rel).all():
+            raise TrainingError("relevant/irrelevant modalities are undefined for "
+                                "audiovisual pairs outside mod_with_av")
+        slot_masks = {"inv": {"audio": visual_rel, "visual": audio_rel},
+                      "sens": {"audio": audio_rel, "visual": visual_rel}}
     else:
-        slot_modalities = {}
-    clean = {"audio": audio, "visual": visual}
+        slot_masks = {}
+    ids = batch.prompt_id
+    clean = {"audio": batch.audio, "visual": batch.visual}
     blocks = [clean]
-    if slot_modalities:
+    if slot_masks:
         rng = _rng(cfg.seed, _CORRUPT_STREAM, step)
-        blocks += [corrupt_rows(clean, cfg.corruption, modalities, rng, pools)
-                   for modalities in slot_modalities.values()]
+        blocks += [corrupt_rows(clean, cfg.corruption, masks, rng, pools)
+                   for masks in slot_masks.values()]
     ref_blocks = [clean]
     if cfg.loss_variant == "modpp":
         ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})  # text-only
@@ -262,21 +267,20 @@ def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: T
         raise DivergenceError(f"training diverged at step {step}: loss nan "
                               "(non-finite log-probabilities)")
 
-    w, l = _labels(batch)
+    w, l = batch.y_w, batch.y_l
     rows = np.arange(n)
 
     def pick(logprobs, block):
         return logprobs[block * n + rows, w], logprobs[block * n + rows, l]
 
     slots = {}
-    for block, slot in enumerate(slot_modalities, start=1):
-        name = _SLOT_FIELDS[slot]
+    for block, name in enumerate(slot_masks, start=1):
         slots[f"{name}_w"], slots[f"{name}_l"] = pick(policy.logprobs, block)
     if len(ref_blocks) == 2:
         slots["text_w"], slots["text_l"] = pick(ref, 1)
     (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
     pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
-    return pl, counters.pop(), policy[:n]
+    return pl, counter, policy[:n]
 
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
@@ -288,26 +292,27 @@ def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
 
 def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: TrainConfig,
                step: int = 0, pools=None):
-    """One gradient-descent update on a batch of preference pairs.
+    """One gradient-descent update on a row block of preference pairs.
 
     Returns (updated params, mean pair loss, per-pair PassCounter).  The
     batch must be modality-homogeneous when alternation is enabled.
     """
-    if not batch:
+    batch = PairTable.coerce(batch)
+    if not len(batch):
         raise TrainingError("empty batch")
-    tags = {p.context.modality_tag for p in batch}
-    if cfg.alternate_batches and len(tags) > 1:
-        raise TrainingError(f"mixed-modality batch under alternation: {sorted(tags)}")
+    tags = batch.modality_tag
+    if cfg.alternate_batches and (tags != tags[0]).any():
+        names = sorted(MODALITY_TAGS[t] for t in np.unique(tags))
+        raise TrainingError(f"mixed-modality batch under alternation: {names}")
 
     pl, counter, clean = evaluate_batch(params, ref_params, batch, cfg, step, pools)
-    losses, margins, coef = pair_loss_terms(pl, cfg, batch[0].context.modality_tag)
+    losses, margins, coef = pair_loss_terms(pl, cfg, MODALITY_TAGS[tags[0]])
     loss = float(np.mean(losses))
     weights = _sigmoid(-margins) * coef
-    w, l = _labels(batch)
     rows = np.arange(len(batch))
     upstream = np.zeros_like(clean.probs)
-    upstream[rows, w] = -weights
-    upstream[rows, l] = weights
+    upstream[rows, batch.y_w] = -weights
+    upstream[rows, batch.y_l] = weights
     grads = backward(params, clean, upstream)
     _check_finite_grads(grads, f"training diverged at step {step} (loss {loss:.6g})")
     grads.scale(1.0 / len(batch))
@@ -315,8 +320,8 @@ def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: Train
 
 
 def init_policy_for(dataset, seed: int, d_h: int = _D_H_DEFAULT) -> PolicyParams:
-    ctx = dataset[0].context
-    return init_params(d_a=ctx.audio.size, d_v=ctx.visual.size, d_h=d_h,
+    dataset = PairTable.coerce(dataset)
+    return init_params(d_a=dataset.audio.shape[1], d_v=dataset.visual.shape[1], d_h=d_h,
                        vocab_size=VOCAB_SIZE, n_prompts=N_PROMPTS, seed=seed)
 
 
@@ -327,11 +332,11 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
     Returns the frozen reference parameters; steps=0 returns the seeded
     initialization untouched.
     """
-    if not dataset:
+    dataset = PairTable.coerce(dataset)
+    if not len(dataset):
         raise TrainingError("warm-up needs a non-empty dataset")
     params = init_policy_for(dataset, seed, d_h=d_h)
-    audio, visual, ids = stack_contexts([p.context for p in dataset])
-    y_w = _labels(dataset)[0]
+    audio, visual, ids, y_w = dataset.audio, dataset.visual, dataset.prompt_id, dataset.y_w
     n = len(dataset)
     size = min(batch_size, n)
     rows = np.arange(size)
@@ -363,36 +368,62 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
     return params
 
 
-def _batches(pairs, batch_size: int):
-    return [pairs[i : i + batch_size] for i in range(0, len(pairs), batch_size)]
+def _batches(rows, batch_size: int):
+    return [rows[i : i + batch_size] for i in range(0, len(rows), batch_size)]
 
 
 def _epoch_schedule(groups: dict, cfg: TrainConfig, epoch: int):
-    """Batch order for one epoch: strict visual/audio alternation, then any
-    joint-audiovisual batches."""
+    """Row-index arrays of one epoch's batches: strict visual/audio
+    alternation, then any joint-audiovisual batches."""
     rng = _rng(cfg.seed, _ORDER_STREAM, epoch)
     shuffled = {}
-    for tag, pairs in groups.items():
-        order = np.arange(len(pairs))
+    for tag, rows in groups.items():
+        order = np.arange(len(rows))
         rng.shuffle(order)
-        shuffled[tag] = [pairs[i] for i in order]
+        shuffled[tag] = rows[order]
+    none = np.empty(0, dtype=np.intp)
 
     if not cfg.alternate_batches:
-        merged = [p for tag in ("visual_related", "audio_related", "audiovisual")
-                  for p in shuffled.get(tag, [])]
+        merged = np.concatenate([shuffled.get(tag, none)
+                                 for tag in (VISUAL_RELATED, AUDIO_RELATED, AUDIOVISUAL)])
         order = np.arange(len(merged))
         rng.shuffle(order)
-        return _batches([merged[i] for i in order], cfg.batch_size)
+        return _batches(merged[order], cfg.batch_size)
 
-    visual = _batches(shuffled.get("visual_related", []), cfg.batch_size)
-    audio = _batches(shuffled.get("audio_related", []), cfg.batch_size)
+    visual = _batches(shuffled.get(VISUAL_RELATED, none), cfg.batch_size)
+    audio = _batches(shuffled.get(AUDIO_RELATED, none), cfg.batch_size)
     schedule = []
     for v, a in zip(visual, audio):
         schedule.extend((v, a))
     longer = visual if len(visual) > len(audio) else audio
     schedule.extend(longer[min(len(visual), len(audio)):])
-    schedule.extend(_batches(shuffled.get("audiovisual", []), cfg.batch_size))
+    schedule.extend(_batches(shuffled.get(AUDIOVISUAL, none), cfg.batch_size))
     return schedule
+
+
+def batch_schedule(dataset, cfg: TrainConfig):
+    """(row-index array of every step's batch over all epochs, number of
+    audiovisual rows left out).
+
+    Rows are grouped by modality tag, the groups in order of first
+    appearance; audiovisual rows take part only under mod_with_av.  Raises
+    ConfigurationError when alternation lacks a modality.
+    """
+    tags = PairTable.coerce(dataset).modality_tag
+    codes, first = np.unique(tags, return_index=True)
+    groups = {int(c): np.flatnonzero(tags == c) for c in codes[np.argsort(first)]}
+    n_av_excluded = 0
+    if cfg.loss_variant != "mod_with_av" and AUDIOVISUAL in groups:
+        n_av_excluded = len(groups.pop(AUDIOVISUAL))
+    if cfg.alternate_batches:
+        missing = [MODALITY_TAGS[t] for t in (VISUAL_RELATED, AUDIO_RELATED)
+                   if t not in groups]
+        if missing:
+            raise ConfigurationError(
+                f"alternating batches need both modalities; dataset lacks {missing}"
+            )
+    schedule = [rows for epoch in range(cfg.epochs) for rows in _epoch_schedule(groups, cfg, epoch)]
+    return schedule, n_av_excluded
 
 
 def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainResult:
@@ -404,21 +435,10 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     the result) otherwise.  The reference is never modified.  Raises
     DivergenceError when a step diverges (see the module docstring).
     """
-    if not dataset:
+    dataset = PairTable.coerce(dataset)
+    if not len(dataset):
         raise TrainingError("training needs a non-empty dataset")
-
-    groups: dict = {}
-    for pair in dataset:
-        groups.setdefault(pair.context.modality_tag, []).append(pair)
-    n_av_excluded = 0
-    if cfg.loss_variant != "mod_with_av" and "audiovisual" in groups:
-        n_av_excluded = len(groups.pop("audiovisual"))
-    if cfg.alternate_batches:
-        missing = [t for t in ("visual_related", "audio_related") if not groups.get(t)]
-        if missing:
-            raise ConfigurationError(
-                f"alternating batches need both modalities; dataset lacks {missing}"
-            )
+    schedule, n_av_excluded = batch_schedule(dataset, cfg)
 
     if ref_params is None:
         ref_params = warmup_reference(dataset, cfg.warmup_steps, cfg.seed,
@@ -429,13 +449,10 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
 
     losses = []
     counters = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        for batch in _epoch_schedule(groups, cfg, epoch):
-            params, loss, counter = train_step(params, ref_params, batch, cfg, step, pools)
-            _check_loss("training", step, loss, losses[0] if losses else loss)
-            losses.append(loss)
-            counters.append(counter)
-            step += 1
+    for step, rows in enumerate(schedule):
+        params, loss, counter = train_step(params, ref_params, dataset[rows], cfg, step, pools)
+        _check_loss("training", step, loss, losses[0] if losses else loss)
+        losses.append(loss)
+        counters.append(counter)
     return TrainResult(params=params, ref_params=ref_params, losses=np.array(losses),
                        counters=counters, n_av_excluded=n_av_excluded)

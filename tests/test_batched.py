@@ -1,19 +1,22 @@
-"""Batch-first kernels against the per-pair (B = 1) loops they replace.
+"""Batch-first kernels against the per-pair (B = 1) loops they replace,
+and the record tables they read.
 
-Each reference below is the per-pair computation written with the
-single-context API: forward_logprobs / backward(params, ctx, upstream) /
-core.pair_terms per pair.  Its corrupted rows come from the same generator
-in the documented draw order (slot ascending, audio before visual, rows in
-order), drawn one row at a time except for random_swap (see draw_rows).
-The batched code sums rows in another order, so results agree to 1e-12,
-not bitwise.
+Each reference below is the per-pair computation written one table row at
+a time: a B = 1 forward / backward and core.pair_terms per pair.  Its
+corrupted rows come from the same generator in the documented draw order
+(slot ascending, audio before visual, rows in order), drawn one row at a
+time except for random_swap (see draw_rows).  The batched code sums rows
+in another order, so results agree to 1e-12, not bitwise.  Table indexing
+and row stacking change no value, so those properties hold bitwise.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modlab import core, synth
@@ -21,22 +24,36 @@ from modlab import eval as eval_mod
 from modlab import train as training
 from modlab.core import LPD_PLACEMENTS, PairLogProbs
 from modlab.corrupt import CORRUPTION_KINDS, CorruptionSpec, FeaturePool, corrupt
-from modlab.policy import (
+from modlab.policy import GradAccumulator, apply_gradient_step, backward, forward, init_params
+from modlab.synth import (
+    AUDIO_RELATED,
+    AUDIOVISUAL,
     MODALITY_TAGS,
-    GradAccumulator,
-    ModalityContext,
-    apply_gradient_step,
-    backward,
-    forward,
-    forward_logprobs,
-    init_params,
-    modality_roles,
-    stack_contexts,
+    VISUAL_RELATED,
+    ItemTable,
+    SynthConfig,
 )
-from modlab.synth import PreferencePair, SynthConfig
 from modlab.train import TrainConfig, TrainingError, train_step
 
 TOL = 1e-12
+
+# (prompt-relevant, prompt-irrelevant) modality of each single-modality tag.
+ROLES = {VISUAL_RELATED: ("visual", "audio"), AUDIO_RELATED: ("audio", "visual")}
+
+
+def row_inputs(row, **features):
+    """(audio, visual, prompt_ids) of one row as B = 1 arrays, with any
+    feature vector replaced by the given one."""
+    audio, visual = features.get("audio", row.audio), features.get("visual", row.visual)
+    return audio[None], visual[None], np.array([row.prompt_id])
+
+
+def row_logprobs(params, row, **features):
+    return forward(params, *row_inputs(row, **features)).logprobs[0]
+
+
+def row_grads(params, row, upstream):
+    return backward(params, forward(params, *row_inputs(row)), upstream[None])
 
 
 @pytest.fixture(scope="module")
@@ -52,21 +69,14 @@ def models(data):
 
 
 def as_audiovisual(pair):
-    ctx = ModalityContext(audio=pair.context.audio, visual=pair.context.visual,
-                          prompt_id=synth.AV_MATCHING_PROMPT, modality_tag="audiovisual")
-    return PreferencePair(context=ctx, question_kind=pair.question_kind, y_w=pair.y_w,
-                          y_l=pair.y_l, matched=pair.matched, scene_refs=pair.scene_refs)
+    return pair._replace(prompt_id=synth.AV_MATCHING_PROMPT, modality_tag=AUDIOVISUAL)
 
 
 def batch_of(data, tag, size=6):
+    """A list of size rows with the named tag."""
     if tag == "audiovisual":
         return [as_audiovisual(p) for p in data[:size]]
-    return [p for p in data if p.context.modality_tag == tag][:size]
-
-
-def with_features(ctx, **features):
-    merged = {"audio": ctx.audio, "visual": ctx.visual, **features}
-    return ModalityContext(prompt_id=ctx.prompt_id, modality_tag=ctx.modality_tag, **merged)
+    return list(data[data.modality_tag == MODALITY_TAGS.index(tag)][:size])
 
 
 def draw_rows(rows, spec, pool, rng):
@@ -82,45 +92,43 @@ def draw_rows(rows, spec, pool, rng):
     return [corrupt(row, spec, pool=pool, rng=rng) for row in rows]
 
 
-def reference_draws(contexts, slot_modalities, spec, pools, rng):
+def reference_draws(rows, slot_modalities, spec, pools, rng):
     """{(row, slot): {modality: corrupted vector}} in the documented order:
     slot ascending, audio before visual, rows in order.  slot_modalities
     maps each slot to its per-row tuple of modality names."""
     out = {}
     for slot, modalities in sorted(slot_modalities.items()):
         for m in ("audio", "visual"):
-            rows = [i for i, names in enumerate(modalities) if m in names]
-            if rows:
-                drawn = draw_rows([getattr(contexts[i], m) for i in rows], spec, pools[m], rng)
-                for i, vec in zip(rows, drawn):
+            picked = [i for i, names in enumerate(modalities) if m in names]
+            if picked:
+                drawn = draw_rows([getattr(rows[i], m) for i in picked], spec, pools[m], rng)
+                for i, vec in zip(picked, drawn):
                     out.setdefault((i, slot), {})[m] = vec
     return out
 
 
 def reference_step(params, ref_params, batch, cfg, step, pools):
-    """The per-pair train step: one B = 1 pass per context and slot."""
-    contexts = [p.context for p in batch]
-    joint = [cfg.loss_variant == "mod_with_av" and c.modality_tag == "audiovisual"
-             for c in contexts]
+    """The per-pair train step: one B = 1 pass per row and slot."""
+    joint = [cfg.loss_variant == "mod_with_av" and p.modality_tag == AUDIOVISUAL for p in batch]
     if all(joint):
         slot_modalities = {2: [("audio", "visual")] * len(batch)}
     elif cfg.loss_variant != "dpo":
-        roles = [modality_roles(c.modality_tag) for c in contexts]
+        roles = [ROLES[p.modality_tag] for p in batch]
         slot_modalities = {0: [(irr,) for _, irr in roles], 1: [(rel,) for rel, _ in roles]}
     else:
         slot_modalities = {}
-    draws = reference_draws(contexts, slot_modalities, cfg.corruption, pools,
+    draws = reference_draws(batch, slot_modalities, cfg.corruption, pools,
                             synth._rng(cfg.seed, training._CORRUPT_STREAM, step))
     grads = GradAccumulator(params)
     losses = []
     for idx, pair in enumerate(batch):
-        ctx, w, l = pair.context, pair.y_w, pair.y_l
+        w, l = pair.y_w, pair.y_l
 
         def corrupted(slot):
-            return forward_logprobs(params, with_features(ctx, **draws[idx, slot]))
+            return row_logprobs(params, pair, **draws[idx, slot])
 
-        clean = forward_logprobs(params, ctx)
-        ref = forward_logprobs(ref_params, ctx)
+        clean = row_logprobs(params, pair)
+        ref = row_logprobs(ref_params, pair)
         slots = {}
         if joint[idx]:
             both = corrupted(2)
@@ -129,8 +137,8 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
             inv, sens = corrupted(0), corrupted(1)
             slots.update(inv_w=inv[w], inv_l=inv[l], sens_w=sens[w], sens_l=sens[l])
         if cfg.loss_variant == "modpp":
-            text = forward_logprobs(ref_params, with_features(
-                ctx, audio=np.zeros_like(ctx.audio), visual=np.zeros_like(ctx.visual)))
+            text = row_logprobs(ref_params, pair, audio=np.zeros_like(pair.audio),
+                                visual=np.zeros_like(pair.visual))
             slots.update(text_w=text[w], text_l=text[l])
         pl = PairLogProbs(policy_w=clean[w], policy_l=clean[l], ref_w=ref[w], ref_l=ref[l],
                           **slots)
@@ -139,7 +147,7 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
         weight = coef / (1.0 + math.exp(margin))  # coef * sigmoid(-margin)
         upstream = np.zeros(params.vocab_size)
         upstream[w], upstream[l] = -weight, weight
-        grads.add(backward(params, ctx, upstream))
+        grads.add(row_grads(params, pair, upstream))
     grads.scale(1.0 / len(batch))
     return apply_gradient_step(params, grads, cfg.lr), float(np.mean(losses))
 
@@ -190,7 +198,7 @@ def test_warmup_matches_per_pair_loop(data):
             cursor += 1
             upstream = np.zeros(params.vocab_size)
             upstream[pair.y_w] = -1.0
-            grads.add(backward(params, pair.context, upstream))
+            grads.add(row_grads(params, pair, upstream))
         grads.scale(1.0 / size)
         params = apply_gradient_step(params, grads, lr)
     got = training.warmup_reference(dataset, steps, seed, lr=lr, batch_size=size)
@@ -208,9 +216,9 @@ def test_evaluate_matches_per_item_loop(models, items):
     params = models[0]
     loop = []
     for item in items:
-        logprobs = forward_logprobs(params, item.context)
+        logprobs = row_logprobs(params, item)
         loop.append("yes" if logprobs[synth.YES_ID] > logprobs[synth.NO_ID] else "no")
-    assert eval_mod.predictions(params, items) == loop
+    assert list(eval_mod.predictions(params, items)) == loop
     assert eval_mod.evaluate(params, items).as_dict() == eval_mod.score(loop, items).as_dict()
 
 
@@ -219,20 +227,17 @@ def test_evaluate_matches_per_item_loop(models, items):
 def test_loglik_shift_matches_per_item_loop(models, items, kind, which):
     params = models[0]
     spec = CorruptionSpec(kind=kind, t=400, seed=8)
-    unimodal = [it for it in items if it.context.modality_tag != "audiovisual"]
-    pools = {m: FeaturePool([getattr(it.context, m) for it in unimodal])
-             for m in ("audio", "visual")}
+    unimodal = [it for it in items if it.modality_tag != AUDIOVISUAL]
+    pools = {m: FeaturePool([getattr(it, m) for it in unimodal]) for m in ("audio", "visual")}
     role = 0 if which == "relevant" else 1
-    contexts = [item.context for item in unimodal]
-    modalities = [(modality_roles(c.modality_tag)[role],) for c in contexts]
-    draws = reference_draws(contexts, {0: modalities}, spec, pools,
+    modalities = [(ROLES[it.modality_tag][role],) for it in unimodal]
+    draws = reference_draws(unimodal, {0: modalities}, spec, pools,
                             np.random.default_rng(spec.seed))
     loop = []
     for i, item in enumerate(unimodal):
-        answer = synth.answer_id(item.ground_truth)
-        loop.append(forward_logprobs(params, item.context)[answer]
-                    - forward_logprobs(params, with_features(item.context,
-                                                             **draws[i, 0]))[answer])
+        answer = item.ground_truth
+        loop.append(row_logprobs(params, item)[answer]
+                    - row_logprobs(params, item, **draws[i, 0])[answer])
     stats = eval_mod.loglik_shift(params, unimodal, spec, which, pools)
     np.testing.assert_allclose(stats.deltas, loop, rtol=0, atol=TOL)
 
@@ -252,16 +257,17 @@ def test_block_draw_equals_row_draws_from_one_generator(kind):
 def test_batched_forward_backward_equal_stacked_single_rows(rows, n_prompts, seed):
     rng = np.random.default_rng(seed)
     params = init_params(d_a=5, d_v=4, d_h=6, vocab_size=5, n_prompts=n_prompts, seed=seed)
-    contexts = [ModalityContext(audio=rng.normal(size=5), visual=rng.normal(size=4),
-                                prompt_id=int(rng.integers(n_prompts)),
-                                modality_tag="visual_related") for _ in range(rows)]
+    audio, visual = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 4))
+    prompt_ids = rng.integers(n_prompts, size=rows)
     upstream = rng.normal(size=(rows, 5))
-    cache = forward(params, *stack_contexts(contexts))
-    single = np.stack([forward_logprobs(params, ctx) for ctx in contexts])
-    np.testing.assert_allclose(cache.logprobs, single, rtol=0, atol=TOL)
+    cache = forward(params, audio, visual, prompt_ids)
+    singles = [forward(params, audio[i:i + 1], visual[i:i + 1], prompt_ids[i:i + 1])
+               for i in range(rows)]
+    np.testing.assert_allclose(cache.logprobs, np.concatenate([c.logprobs for c in singles]),
+                               rtol=0, atol=TOL)
     total = GradAccumulator(params)
-    for ctx, up in zip(contexts, upstream):
-        total.add(backward(params, ctx, up))
+    for single, up in zip(singles, upstream):
+        total.add(backward(params, single, up[None]))
     batched = backward(params, cache, upstream)
     np.testing.assert_allclose(batched.to_vector(), total.to_vector(), rtol=0, atol=TOL)
 
@@ -281,3 +287,58 @@ def test_stacked_parameter_forward_equals_separate_forwards(rows, stack, d_h, se
         single = forward(params.from_vector(vec), audio, visual, prompt_ids)
         for name in ("h", "probs", "logprobs"):
             assert np.array_equal(getattr(stacked, name)[k], getattr(single, name)), name
+
+
+# ---------------------------------------------------------------------------
+# Record tables
+
+
+def assert_same_table(a, b):
+    assert type(a) is type(b)
+    for name in a.Row._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def tables(data, items):
+    """The 60-pair table and the 120-item table (stacked from rows)."""
+    return data, ItemTable.coerce(items)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=st.lists(st.integers(0, 59), min_size=1, max_size=30), cut=st.slices(60))
+def test_indexed_table_equals_its_stacked_rows(tables, picks, cut):
+    # An empty selection is left out: the stack of no rows has no width.
+    assume(len(range(60)[cut]) > 0)
+    for table in tables:
+        for rows in (np.array(picks), cut):
+            selected = np.arange(60)[rows]
+            stacked = type(table).coerce([table[int(i)] for i in selected])
+            assert_same_table(table[:60][rows], stacked)
+
+
+def test_coerced_rows_give_the_same_table(tables, items):
+    for table in tables:
+        assert_same_table(type(table).coerce(list(table)), table)
+    # item_from_record rows stack to the table the file loader parses.
+    records = synth.generate_eval_records(synth.EvalConfig(n_items=120, n_scenes=24, seed=5,
+                                                           world_seed=104))
+    assert_same_table(ItemTable.coerce(items), ItemTable.from_records(records))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(n_pairs=st.integers(1, 40), n_scenes=st.integers(2, 20),
+       matched=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_loaded_dataset_equals_the_generated_table(n_pairs, n_scenes, matched, seed):
+    cfg = SynthConfig(n_pairs=n_pairs, n_scenes=n_scenes, matched_fraction=matched, seed=seed,
+                      world_seed=seed + 1)
+    try:
+        generated = synth.generate_pairs(cfg)
+    except synth.WorldError:  # a scene pool too small for some question: nothing to write
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pairs.jsonl")
+        synth.assemble_dataset(cfg, path)
+        assert_same_table(synth.load_pairs(path), generated)

@@ -152,6 +152,31 @@ class TestBadRecords:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{dataset}, line 3: {needle}" in err[0], err
 
+    @pytest.mark.parametrize("command,data,field,edit,needle", [
+        ("train", "dataset.jsonl", "audio_feat", lambda v: v[:7],
+         "audio_feat has 7 values, expected 8"),
+        ("train", "dataset.jsonl", "audio_feat", lambda v: v[:2] + [float("nan")] + v[3:],
+         "audio_feat holds a non-finite value"),
+        ("eval", "eval_items.jsonl", "visual_feat", lambda v: v[:7],
+         "visual_feat has 7 values, expected 8"),
+    ])
+    def test_bad_feature_row_rejected_with_one_message(self, tmp_path, capsys, command, data,
+                                                       field, edit, needle):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        if command == "eval":
+            assert cli.run("train", config_path) == 0
+        path = tmp_path / "run" / data
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec[field] = edit(rec[field])
+        lines[3] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.run(command, config_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}, line 4: {needle}"], err
+
 
 def _break_checkpoint(lines):
     """Checkpoint faults: (name, edit of the file's lines, line and problem
@@ -215,6 +240,30 @@ class TestBadCheckpoints:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: checkpoint {small} has d_a=4, d_v=8 but "
                        f"{tmp_path / 'run' / data} has d_a=8, d_v=8"], err
+
+    @pytest.mark.parametrize("command,override,data,size", [
+        ("eval", "eval.checkpoint", "eval_items.jsonl", {"n_prompts": 4}),
+        ("train", "train.reference", "dataset.jsonl", {"vocab_size": 4}),
+        ("eval", "eval.checkpoint", "eval_items.jsonl", {"vocab_size": 4}),
+    ])
+    def test_checkpoint_must_cover_prompts_and_vocabulary(self, tmp_path, capsys, command,
+                                                          override, data, size):
+        config_path, _ = write_config(tmp_path, train={"preset": "dpo", "lr": 0.2, "epochs": 1,
+                                                       "warmup_steps": 5})
+        assert cli.run("synth", config_path) == 0
+        assert cli.run("train", config_path) == 0
+        small = tmp_path / "small.ckpt"
+        save_checkpoint(init_params(**size), small)
+        path = tmp_path / "run" / data
+        needed = 1 + max(json.loads(line)["prompt_id"] for line in path.read_text().splitlines())
+        capsys.readouterr()
+        assert cli.run(command, config_path, [f"{override}={small}"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        if "n_prompts" in size:
+            sizes = f"n_prompts=4 but {path} needs n_prompts>={needed}"
+        else:
+            sizes = f"vocab_size=4 but {path} needs vocab_size=8"
+        assert err == [f"error: checkpoint {small} has {sizes}"], err
 
 
 class TestDivergingRun:

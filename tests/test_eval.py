@@ -6,8 +6,8 @@ import pytest
 from modlab import eval as eval_mod
 from modlab import synth
 from modlab.corrupt import CorruptionSpec
-from modlab.eval import EvalItem, MetricsReport, compare, loglik_shift, predict, score
-from modlab.policy import ModalityContext, init_params, zero_params_like
+from modlab.eval import MetricsReport, compare, loglik_shift, predict, score
+from modlab.policy import init_params, zero_params_like
 from modlab.synth import EvalConfig
 
 
@@ -17,12 +17,11 @@ def make_items(n=40, seed=0, matched_fraction=0.5):
 
 
 def item_with(ground_truth, tag="visual_related"):
-    ctx = ModalityContext(audio=np.zeros(8), visual=np.zeros(8), prompt_id=0,
-                          modality_tag=tag)
-    return EvalItem(context=ctx, question_kind="visual_presence",
-                    ground_truth=ground_truth,
-                    task_group="adv_hallucination" if tag == "visual_related"
-                    else "vda_hallucination")
+    return eval_mod.item_from_record({
+        "audio_feat": [0.0] * 8, "visual_feat": [0.0] * 8, "prompt_id": 0,
+        "modality_tag": tag, "question_kind": "visual_presence", "ground_truth": ground_truth,
+        "task_group": "adv_hallucination" if tag == "visual_related" else "vda_hallucination",
+    })
 
 
 class TestPredict:
@@ -189,7 +188,7 @@ class TestItemLoading:
         synth.assemble_eval_items(EvalConfig(n_items=20, n_scenes=15, seed=15), path)
         items = eval_mod.load_eval_items(path)
         assert len(items) == 20
-        assert all(it.ground_truth in ("yes", "no") for it in items)
+        assert set(items.ground_truth) <= {synth.YES_ID, synth.NO_ID}
 
     def test_invalid_record_rejected(self):
         with pytest.raises(eval_mod.EvalError):

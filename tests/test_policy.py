@@ -6,24 +6,29 @@ import pytest
 from modlab.oracles import finite_difference_gradient, policy_gradient_rel_error
 from modlab.policy import (
     GradAccumulator,
-    ModalityContext,
     PolicyParams,
     apply_gradient_step,
     backward,
     forward,
-    forward_detached,
-    forward_logprobs,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    stack_contexts,
     zero_params_like,
 )
 
 
-def make_ctx(rng, d_a=5, d_v=4, n_prompts=3, tag="visual_related"):
-    return ModalityContext(audio=rng.normal(size=d_a), visual=rng.normal(size=d_v),
-                           prompt_id=int(rng.integers(n_prompts)), modality_tag=tag)
+def make_row(rng, d_a=5, d_v=4, n_prompts=3):
+    """One input row as B = 1 arrays: audio (1, d_a), visual (1, d_v), prompt_ids (1,)."""
+    return (rng.normal(size=(1, d_a)), rng.normal(size=(1, d_v)),
+            np.array([rng.integers(n_prompts)]))
+
+
+def logprobs(params, row):
+    return forward(params, *row).logprobs[0]
+
+
+def row_backward(params, row, upstream):
+    return backward(params, forward(params, *row), np.reshape(upstream, (1, -1)))
 
 
 def make_params(seed=0):
@@ -33,88 +38,74 @@ def make_params(seed=0):
 class TestForward:
     def test_zero_params_give_uniform(self):
         params = zero_params_like(make_params())
-        ctx = make_ctx(np.random.default_rng(0))
-        logprobs = forward_logprobs(params, ctx)
-        np.testing.assert_allclose(logprobs, -np.log(5.0), atol=1e-15)
+        row = make_row(np.random.default_rng(0))
+        np.testing.assert_allclose(logprobs(params, row), -np.log(5.0), atol=1e-15)
 
     def test_logit_shift_invariance(self):
         params = make_params(3)
-        ctx = make_ctx(np.random.default_rng(1))
-        base = forward_logprobs(params, ctx)
+        row = make_row(np.random.default_rng(1))
+        base = logprobs(params, row)
         shifted = params.copy()
         shifted.b = shifted.b + 7.5
-        np.testing.assert_allclose(forward_logprobs(shifted, ctx), base, atol=1e-12)
+        np.testing.assert_allclose(logprobs(shifted, row), base, atol=1e-12)
 
     def test_matches_independent_reimplementation(self):
         # Straightforward re-evaluation with no shared code paths.
         params = make_params(7)
         rng = np.random.default_rng(2)
-        ctx = make_ctx(rng)
-        h = np.tanh(params.u_a @ ctx.audio + params.u_v @ ctx.visual
-                    + params.e_x[ctx.prompt_id])
+        row = make_row(rng)
+        (audio,), (visual,), (prompt_id,) = row
+        h = np.tanh(params.u_a @ audio + params.u_v @ visual + params.e_x[prompt_id])
         logits = params.w_out @ h + params.b
         expected = logits - np.log(np.sum(np.exp(logits)))
-        np.testing.assert_allclose(forward_logprobs(params, ctx), expected, atol=1e-12)
+        np.testing.assert_allclose(logprobs(params, row), expected, atol=1e-12)
 
     def test_outputs_exponentiate_to_simplex(self):
         rng = np.random.default_rng(3)
         for seed in range(20):
             params = make_params(seed)
-            probs = np.exp(forward_logprobs(params, make_ctx(rng)))
+            probs = np.exp(logprobs(params, make_row(rng)))
             assert abs(probs.sum() - 1.0) < 1e-9
             assert np.all(probs > 0)
 
     def test_determinism(self):
         params = make_params(5)
-        ctx = make_ctx(np.random.default_rng(4))
-        a = forward_logprobs(params, ctx)
-        b = forward_logprobs(params, ctx)
-        assert np.array_equal(a, b)
+        row = make_row(np.random.default_rng(4))
+        assert np.array_equal(logprobs(params, row), logprobs(params, row))
 
     def test_dimension_mismatch(self):
         params = make_params()
-        ctx = ModalityContext(audio=np.zeros(9), visual=np.zeros(4), prompt_id=0,
-                              modality_tag="audio_related")
         with pytest.raises(ValueError):
-            forward_logprobs(params, ctx)
+            forward(params, np.zeros((1, 9)), np.zeros((1, 4)), np.array([0]))
 
     def test_prompt_out_of_range(self):
         params = make_params()
-        ctx = ModalityContext(audio=np.zeros(5), visual=np.zeros(4), prompt_id=99,
-                              modality_tag="audio_related")
         with pytest.raises(ValueError):
-            forward_logprobs(params, ctx)
-
-
-class TestDetached:
-    def test_bit_identical_to_tracked_forward(self):
-        params = make_params(11)
-        ctx = make_ctx(np.random.default_rng(5))
-        assert np.array_equal(forward_detached(params, ctx), forward_logprobs(params, ctx))
+            forward(params, np.zeros((1, 5)), np.zeros((1, 4)), np.array([99]))
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         params = make_params(13)
-        ctx = make_ctx(np.random.default_rng(6))
-        grads = backward(params, ctx, np.zeros(5))
+        row = make_row(np.random.default_rng(6))
+        grads = row_backward(params, row, np.zeros(5))
         assert grads.max_abs() == 0.0
 
     def test_bias_gradient_closed_form(self):
         # d log pi(y) / d b = one_hot(y) - softmax(logits)
         params = make_params(17)
-        ctx = make_ctx(np.random.default_rng(7))
+        row = make_row(np.random.default_rng(7))
         y = 2
         upstream = np.zeros(5)
         upstream[y] = 1.0
-        grads = backward(params, ctx, upstream)
-        probs = np.exp(forward_logprobs(params, ctx))
+        grads = row_backward(params, row, upstream)
+        probs = np.exp(logprobs(params, row))
         expected = -probs
         expected[y] += 1.0
         np.testing.assert_allclose(grads.b, expected, atol=1e-12)
 
         def f(points):
-            return forward(params.from_vector(points), *stack_contexts([ctx])).logprobs[:, 0, y]
+            return forward(params.from_vector(points), *row).logprobs[:, 0, y]
 
         numeric = finite_difference_gradient(f, params.to_vector())
         np.testing.assert_allclose(grads.to_vector(), numeric, atol=1e-7)
@@ -122,11 +113,11 @@ class TestBackward:
     def test_matches_finite_differences_on_random_triples(self):
         rng = np.random.default_rng(8)
         worst = 0.0
-        for i in range(100):
+        for _ in range(100):
             params = make_params(int(rng.integers(2 ** 31)))
-            ctx = make_ctx(rng, tag="audio_related" if i % 2 else "visual_related")
-            upstream = rng.normal(size=5)
-            worst = max(worst, policy_gradient_rel_error(params, ctx, upstream))
+            row = make_row(rng)
+            upstream = rng.normal(size=(1, 5))
+            worst = max(worst, policy_gradient_rel_error(params, *row, upstream))
         assert worst < 1e-5
 
 
@@ -134,9 +125,9 @@ class TestGradAccumulator:
     def test_accumulation_and_scaling(self):
         params = make_params(19)
         rng = np.random.default_rng(9)
-        ctx = make_ctx(rng)
-        g1 = backward(params, ctx, rng.normal(size=5))
-        g2 = backward(params, ctx, rng.normal(size=5))
+        row = make_row(rng)
+        g1 = row_backward(params, row, rng.normal(size=5))
+        g2 = row_backward(params, row, rng.normal(size=5))
         total = GradAccumulator(params)
         total.add(g1)
         total.add(g2)
@@ -146,7 +137,7 @@ class TestGradAccumulator:
     def test_gradient_step_returns_new_params(self):
         params = make_params(23)
         rng = np.random.default_rng(10)
-        grads = backward(params, make_ctx(rng), rng.normal(size=5))
+        grads = row_backward(params, make_row(rng), rng.normal(size=5))
         before = params.to_vector().copy()
         updated = apply_gradient_step(params, grads, 0.1)
         assert np.array_equal(params.to_vector(), before)

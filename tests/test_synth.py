@@ -11,7 +11,6 @@ from modlab.synth import (
     YES_ID,
     Entity,
     EvalConfig,
-    PreferencePair,
     SynthConfig,
     WorldError,
     answer_for,
@@ -127,7 +126,8 @@ class TestBuildPair:
         for scene in self.scenes:
             pair = build_pair(scene, scene, "audio_presence", rng)
             if pair is not None:
-                assert pair.matched and pair.scene_refs == (scene.scene_id, scene.scene_id)
+                assert pair.matched
+                assert (pair.visual_scene, pair.audio_scene) == (scene.scene_id, scene.scene_id)
                 break
         else:
             pytest.fail("no eligible audio_presence pair found")
@@ -150,7 +150,7 @@ class TestBuildPair:
         audio_scene = synth.Scene(1, (Entity(2, False, True),), sigs[0][2], np.zeros(8))
         pair = build_pair(visual_scene, audio_scene, "visual_presence",
                           np.random.default_rng(2))
-        assert pair.question_kind == "visual_presence"
+        assert synth.EVAL_QUESTION_KINDS[pair.question_kind] == "visual_presence"
         assert pair.y_w == NO_ID and pair.y_l == YES_ID
         assert not pair.matched
 
@@ -181,7 +181,7 @@ class TestBuildPair:
             visible = synth.visible_kinds(scene)
             assert pair.y_w == synth.caption_slot(visible)
             assert pair.y_l != pair.y_w
-            assert pair.context.prompt_id == synth.VISUAL_CAPTION_PROMPT
+            assert pair.prompt_id == synth.VISUAL_CAPTION_PROMPT
             break
 
     def test_prompt_and_tag_consistency(self):
@@ -191,8 +191,8 @@ class TestBuildPair:
             pair = build_pair(scene, scene, "audio_presence", rng)
             if pair is not None:
                 break
-        assert pair.context.modality_tag == "audio_related"
-        target = pair.context.prompt_id - synth.AUDIO_PRESENCE_BASE
+        assert synth.MODALITY_TAGS[pair.modality_tag] == "audio_related"
+        target = pair.prompt_id - synth.AUDIO_PRESENCE_BASE
         assert 0 <= target < synth.N_ENTITY_KINDS
 
 
@@ -223,7 +223,8 @@ class TestDatasetAssembly:
     def test_task_mix_controlled(self):
         pairs = generate_pairs(SynthConfig(n_pairs=400, n_scenes=60,
                                            presence_fraction=0.75, seed=2))
-        presence = sum(p.question_kind.endswith("presence") for p in pairs)
+        presence = sum(synth.EVAL_QUESTION_KINDS[p.question_kind].endswith("presence")
+                       for p in pairs)
         assert presence == 300
 
     def test_deterministic_bytes(self, tmp_path):
@@ -248,7 +249,7 @@ class TestDatasetAssembly:
         assert len(loaded) == 50
         for a, b in zip(loaded, original):
             assert a.y_w == b.y_w and a.y_l == b.y_l and a.matched == b.matched
-            assert np.array_equal(a.context.audio, b.context.audio)
+            assert np.array_equal(a.audio, b.audio)
 
     def test_infeasible_config_rejected(self):
         with pytest.raises(WorldError):
@@ -295,6 +296,36 @@ class TestVerifyDataset:
         report = verify_dataset(path)
         assert report.n_records == 0 and report.n_violations == 0 and report.ok
 
+    def test_feature_faults_flag_exactly_their_lines(self, tmp_path):
+        # The features of all lines are compared in one vectorized pass per
+        # modality; a 1e-3 relative change must still land on its own line.
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=40, n_scenes=20, seed=12), path)
+        lines = path.read_text().splitlines()
+        for index, field, k in ((4, "audio_feat", 0), (8, "visual_feat", 3)):
+            rec = json.loads(lines[index])
+            rec[field][k] *= 1.0 + 1e-3
+            lines[index] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_dataset(path)
+        assert report.violations == [(5, "audio features do not match the referenced scene"),
+                                     (9, "visual features do not match the referenced scene")]
+        assert not report.parse_errors and report.n_records == 40
+
+    def test_ragged_feature_line_reported_on_its_own_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=13), path)
+        lines = path.read_text().splitlines()
+        for index in (3, 11):
+            rec = json.loads(lines[index])
+            rec["audio_feat"] = rec["audio_feat"][:7]
+            lines[index] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_dataset(path)
+        assert report.violations == [(4, "audio_feat has 7 values, expected 8"),
+                                     (12, "audio_feat has 7 values, expected 8")]
+        assert report.n_records == 20 and not report.parse_errors
+
     def test_parse_errors_reported_per_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
@@ -305,6 +336,79 @@ class TestVerifyDataset:
         assert report.n_records == 19
         assert [line for line, _ in report.parse_errors] == [5]
         assert report.n_violations == 0
+
+
+def _write_lines(tmp_path, edits, n_pairs=12):
+    """A generated dataset file with some lines replaced (0-based index ->
+    function of the decoded record, returning a record or raw text)."""
+    path = tmp_path / "d.jsonl"
+    assemble_dataset(SynthConfig(n_pairs=n_pairs, n_scenes=10, seed=3), path)
+    lines = path.read_text().splitlines()
+    for index, edit in edits.items():
+        new = edit(json.loads(lines[index]))
+        lines[index] = new if isinstance(new, str) else json.dumps(new)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _with(**fields):
+    return lambda rec: {**rec, **fields}
+
+
+class TestColumnValidation:
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda rec: {**rec, "audio_feat": rec["audio_feat"][:7]},
+         "audio_feat has 7 values, expected 8"),
+        (lambda rec: {**rec, "visual_feat": rec["visual_feat"] + [0.5]},
+         "visual_feat has 9 values, expected 8"),
+        (lambda rec: {**rec, "audio_feat": "loud"}, "audio_feat is not a list of numbers"),
+        (lambda rec: json.dumps(rec).replace(str(rec["visual_feat"][2]), "NaN", 1),
+         "visual_feat holds a non-finite value"),
+        (_with(prompt_id=15), "prompt_id 15 outside [0, 15)"),
+        (_with(prompt_id="first"), "prompt_id 'first' is not an integer"),
+        (_with(y_w=8), "y_w 8 outside [0, 8)"),
+        (_with(y_l=-1), "y_l -1 outside [0, 8)"),
+        (lambda rec: {**rec, "y_l": rec["y_w"]}, "chosen and rejected responses must differ"),
+        (lambda rec: {**rec, "matched": not rec["matched"]},
+         "matched flag inconsistent with scene_refs"),
+        (_with(modality_tag="olfactory"), "modality_tag must be one of"),
+        (_with(question_kind="smell_presence"), "question_kind must be one of"),
+        (lambda rec: {k: v for k, v in rec.items() if k != "y_l"}, "missing field 'y_l'"),
+        (lambda rec: "[1, 2]", "not a JSON object"),
+    ])
+    def test_first_bad_line_named_with_its_field(self, tmp_path, edit, problem):
+        path = _write_lines(tmp_path, {5: edit})
+        with pytest.raises(WorldError) as err:
+            synth.load_pairs(path)
+        assert str(err.value).startswith(f"{path}, line 6: {problem}"), str(err.value)
+
+    def test_earliest_line_wins_across_fields_and_parse_errors(self, tmp_path):
+        path = _write_lines(tmp_path, {2: _with(y_w=99), 4: _with(modality_tag="x"),
+                                       7: lambda rec: "{not json"})
+        with pytest.raises(WorldError, match=r"line 3: y_w 99 outside \[0, 8\)"):
+            synth.load_pairs(path)
+        path = _write_lines(tmp_path, {6: lambda rec: "{not json", 9: _with(y_w=99)})
+        with pytest.raises(WorldError, match="line 7: invalid JSON"):
+            synth.load_pairs(path)
+
+    def test_blank_lines_count(self, tmp_path):
+        path = _write_lines(tmp_path, {4: _with(y_l=-1)})
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
+        with pytest.raises(WorldError, match="line 7: y_l -1"):
+            synth.load_pairs(path)
+
+    def test_eval_item_columns(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        synth.assemble_eval_items(EvalConfig(n_items=10, n_scenes=15, seed=2), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["ground_truth"] = "maybe"
+        lines[3] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        expected = r"line 4: ground_truth must be one of \('yes', 'no'\), got 'maybe'"
+        with pytest.raises(WorldError, match=expected):
+            synth.read_records(path, synth.ItemTable)
 
 
 class TestEvalItems:

@@ -8,8 +8,8 @@ from modlab import train as training
 from modlab.core import LPD_PLACEMENTS, ConfigurationError, Hyperparams, PairLogProbs
 from modlab.corrupt import CorruptionSpec
 from modlab.oracles import frozen_surrogate_rel_error
-from modlab.policy import MODALITY_TAGS, ModalityContext, forward_logprobs
-from modlab.synth import PreferencePair, SynthConfig
+from modlab.policy import backward, forward
+from modlab.synth import AUDIO_RELATED, AUDIOVISUAL, MODALITY_TAGS, VISUAL_RELATED, SynthConfig
 from modlab.train import PassCounter, TrainConfig, TrainingError, train_step
 
 
@@ -25,11 +25,11 @@ def quick_config(**overrides):
 
 
 def av_pair_from(pair):
-    ctx = ModalityContext(audio=pair.context.audio, visual=pair.context.visual,
-                          prompt_id=synth.AV_MATCHING_PROMPT, modality_tag="audiovisual")
-    return PreferencePair(context=ctx, question_kind=pair.question_kind,
-                          y_w=pair.y_w, y_l=pair.y_l, matched=pair.matched,
-                          scene_refs=pair.scene_refs)
+    return pair._replace(prompt_id=synth.AV_MATCHING_PROMPT, modality_tag=AUDIOVISUAL)
+
+
+def rows_tagged(data, tag):
+    return data[data.modality_tag == tag]
 
 
 class TestConfig:
@@ -75,8 +75,8 @@ class TestWarmup:
         for seed in range(5):
             data = small_dataset(n=200, seed=seed)
             params = training.warmup_reference(data, steps=500, seed=seed)
-            logliks = [forward_logprobs(params, p.context)[p.y_w] for p in data]
-            means.append(np.mean(logliks))
+            logprobs = forward(params, data.audio, data.visual, data.prompt_id).logprobs
+            means.append(np.mean(logprobs[np.arange(len(data)), data.y_w]))
         assert np.mean(means) > -np.log(synth.VOCAB_SIZE)
 
     def test_empty_dataset_rejected(self):
@@ -112,33 +112,32 @@ class TestPassCounts:
 class TestAlternation:
     def test_strict_alternation_schedule(self):
         data = small_dataset(n=80)
-        visual = [p for p in data if p.context.modality_tag == "visual_related"][:5]
-        audio = [p for p in data if p.context.modality_tag == "audio_related"][:5]
+        five = synth.PairTable.concat([rows_tagged(data, VISUAL_RELATED)[:5],
+                                       rows_tagged(data, AUDIO_RELATED)[:5]])
         cfg = quick_config(batch_size=1, warmup_steps=0)
-        groups = {"visual_related": visual, "audio_related": audio}
-        schedule = training._epoch_schedule(groups, cfg, epoch=0)
+        schedule, _ = training.batch_schedule(five, cfg)
         assert len(schedule) == 10
-        tags = [batch[0].context.modality_tag for batch in schedule]
-        assert tags == ["visual_related", "audio_related"] * 5
+        tags = [five.modality_tag[rows[0]] for rows in schedule]
+        assert tags == [VISUAL_RELATED, AUDIO_RELATED] * 5
 
     def test_mixed_batch_rejected(self):
         data = small_dataset(n=20)
-        visual = next(p for p in data if p.context.modality_tag == "visual_related")
-        audio = next(p for p in data if p.context.modality_tag == "audio_related")
+        visual = rows_tagged(data, VISUAL_RELATED)[0]
+        audio = rows_tagged(data, AUDIO_RELATED)[0]
         ref = training.warmup_reference(data, steps=0, seed=0)
         with pytest.raises(TrainingError):
             train_step(ref.copy(), ref, [visual, audio], quick_config(), step=0)
 
     def test_missing_modality_rejected(self):
         data = small_dataset(n=40)
-        visual_only = [p for p in data if p.context.modality_tag == "visual_related"]
+        visual_only = rows_tagged(data, VISUAL_RELATED)
         with pytest.raises(ConfigurationError):
             training.train(visual_only, quick_config(warmup_steps=0))
 
     def test_av_pairs_excluded_outside_mod_with_av(self):
         data = small_dataset(n=32)
         av = [av_pair_from(p) for p in data[:3]]
-        result = training.train(data + av, quick_config(warmup_steps=0))
+        result = training.train(list(data) + av, quick_config(warmup_steps=0))
         assert result.n_av_excluded == 3
 
 
@@ -231,21 +230,21 @@ class TestDivergenceGuard:
 
 class TestStopGradient:
     def test_loss_of_only_detached_passes_accumulates_no_gradient(self):
-        # The contract: values from forward_detached may enter loss
-        # expressions but never route upstream into backward.  A "loss"
-        # composed purely of detached evaluations therefore leaves the
-        # accumulator at zero.
-        from modlab.policy import GradAccumulator, forward_detached
-
+        # The contract: corrupted-pass values may enter loss expressions
+        # but never route upstream into backward.  evaluate_batch scores the
+        # corrupted rows in the same forward as the clean ones, yet returns
+        # a cache of the clean rows only, so a loss composed purely of
+        # detached values has nothing to back-propagate through.
         data = small_dataset(n=8, seed=11)
         params = training.init_policy_for(data, seed=11)
-        grads = GradAccumulator(params)
-        detached_loss = 0.0
-        for pair in data:
-            lp = forward_detached(params, pair.context)
-            detached_loss += -(lp[pair.y_w] - lp[pair.y_l])
+        batch = rows_tagged(data, VISUAL_RELATED)[:4]
+        cfg = quick_config(loss_variant="mod")
+        pl, _, clean = training.evaluate_batch(params, params, batch, cfg, 0,
+                                               training.feature_pools(data))
+        assert clean.probs.shape == (len(batch), synth.VOCAB_SIZE)
+        detached_loss = -np.sum(pl.inv_w - pl.inv_l) - np.sum(pl.sens_w - pl.sens_l)
         assert np.isfinite(detached_loss)
-        assert grads.max_abs() == 0.0
+        assert backward(params, clean, np.zeros_like(clean.probs)).max_abs() == 0.0
 
     def test_detached_losses_do_not_move_parameters(self):
         # A batch whose loss depends only on detached passes: strengths on
@@ -257,7 +256,7 @@ class TestStopGradient:
         cfg = quick_config(loss_variant="modpp", lr=0.05)
         ref = training.warmup_reference(data, steps=20, seed=3)
         pools = training.feature_pools(data)
-        batch = [p for p in data if p.context.modality_tag == "visual_related"][:4]
+        batch = rows_tagged(data, VISUAL_RELATED)[:4]
         err = frozen_surrogate_rel_error(ref.copy(), ref, batch, cfg, step=0, pools=pools)
         assert err < 1e-4
 
@@ -265,7 +264,7 @@ class TestStopGradient:
         data = small_dataset(n=24, seed=5)
         ref = training.warmup_reference(data, steps=20, seed=5)
         pools = training.feature_pools(data)
-        batch = [p for p in data if p.context.modality_tag == "audio_related"][:4]
+        batch = rows_tagged(data, AUDIO_RELATED)[:4]
         for variant in ("dpo", "mod", "modpp"):
             cfg = quick_config(loss_variant=variant, lr=0.05)
             err = frozen_surrogate_rel_error(ref.copy(), ref, batch, cfg,
@@ -290,7 +289,7 @@ class TestCorruptionIntegration:
         cfg = quick_config(loss_variant="mod",
                            corruption=CorruptionSpec(kind="diffusion", t=0))
         pools = training.feature_pools(data)
-        batch = [p for p in data if p.context.modality_tag == "visual_related"][:4]
+        batch = rows_tagged(data, VISUAL_RELATED)[:4]
         pl, _, _ = training.evaluate_batch(ref, ref, batch, cfg, 0, pools)
         assert np.array_equal(pl.inv_w, pl.policy_w) and np.array_equal(pl.sens_l, pl.policy_l)
         from modlab.core import mod_margin
