@@ -23,13 +23,11 @@ from .core import (
     DomainError,
     Hyperparams,
     PairLogProbs,
-    av_pair_loss,
     closed_form_policy,
     kl_divergence,
     lpd_margin,
     mod_margin,
     mod_objective_value,
-    modpp_pair_loss,
     pair_loss,
 )
 from .corrupt import CorruptionSpec, NoiseSchedule, alpha_bar, corrupt

@@ -258,6 +258,12 @@ def cmd_synth(cfg: dict) -> int:
     return EXIT_OK
 
 
+# The TrainConfig fields a train section sets directly, and every key it may hold.
+_TRAIN_FIELDS = ("loss_variant", "lr", "epochs", "batch_size", "warmup_steps", "warmup_lr")
+_TRAIN_KEYS = {*_TRAIN_FIELDS, "preset", "hp", "corruption", "dataset", "reference",
+               "checkpoint", "reference_checkpoint", "loss_trace", "counters"}
+
+
 def build_train_config(section: dict, seed: int) -> training.TrainConfig:
     preset = section.get("preset")
     overrides = {}
@@ -265,8 +271,7 @@ def build_train_config(section: dict, seed: int) -> training.TrainConfig:
         overrides["hp"] = Hyperparams(**section["hp"])
     if "corruption" in section:
         overrides["corruption"] = CorruptionSpec(**section["corruption"])
-    for field in ("loss_variant", "lr", "epochs", "batch_size", "alternate_batches",
-                  "lpd_placement", "warmup_steps", "warmup_lr"):
+    for field in _TRAIN_FIELDS:
         if field in section and section[field] is not None:
             overrides[field] = section[field]
     overrides["seed"] = seed
@@ -280,6 +285,10 @@ def build_train_config(section: dict, seed: int) -> training.TrainConfig:
 
 def cmd_train(cfg: dict) -> int:
     section = cfg["train"]
+    unknown = sorted(set(section) - _TRAIN_KEYS)
+    if unknown:
+        raise CliError("unknown train setting " + ", ".join(f"train.{k}" for k in unknown),
+                       EXIT_CONFIG)
     dataset_path = section.get("dataset") or _out_path(cfg, "dataset.jsonl")
     _require_file(dataset_path, "training dataset")
     dataset = synth.load_pairs(dataset_path)

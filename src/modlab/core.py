@@ -18,22 +18,20 @@ Sign conventions for a preference pair (y_w chosen, y_l rejected), writing
              - beta_inv * d_corrupt_irrelevant
              + beta_sens * d_corrupt_relevant
 
-with temperature ``tau = beta + beta_inv - beta_sens`` ("appendix" mode;
-a "maintext" mode with the plus sign is kept behind a flag for comparison).
-The pair loss is ``-log sigmoid(margin)``.  The language-prior debiasing
-penalty contributes ``-gamma_lpd * d_ref_text_only`` to the margin
-("inside" placement) or is added to the loss as a constant ("outside").
+with temperature ``tau = beta + beta_inv - beta_sens``, the value the
+stationarity condition of the decoupled objective fixes, so the closed-form
+policy is the objective's maximizer.  The pair loss is
+``-log sigmoid(margin)``.  The language-prior debiasing penalty contributes
+``-gamma_lpd * d_ref_text_only`` to the margin, inside the sigmoid, where
+it carries gradient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-TAU_MODES = ("appendix", "maintext")
-LPD_PLACEMENTS = ("inside", "outside")
 
 # Sum-to-one slack for validating distributions.
 _SUM_TOL = 1e-9
@@ -61,39 +59,32 @@ class Hyperparams:
     beta_sens:  sensitivity pressure (shift under corruption of the
                 prompt-relevant modality).
     gamma_lpd:  strength of the language-prior debiasing penalty.
-    tau_mode:   "appendix" gives tau = beta + beta_inv - beta_sens (the
-                value consistent with the stationarity derivation and the
-                default); "maintext" gives beta + beta_inv + beta_sens.
 
-    All strengths must be >= 0 and the resulting tau must be > 0, which is
-    what makes the decoupled objective strictly concave on the simplex.
+    All strengths must be >= 0 and tau = beta + beta_inv - beta_sens must
+    be > 0, which is what makes the decoupled objective strictly concave on
+    the simplex.
     """
 
     beta: float = 0.1
     beta_inv: float = 0.02
     beta_sens: float = 0.05
     gamma_lpd: float = 0.05
-    tau_mode: str = "appendix"
 
     def __post_init__(self):
         for name in ("beta", "beta_inv", "beta_sens", "gamma_lpd"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
-        if self.tau_mode not in TAU_MODES:
-            raise ConfigurationError(f"tau_mode must be one of {TAU_MODES}, got {self.tau_mode!r}")
         if self.tau <= 0:
             raise ConfigurationError(
                 f"temperature tau must be positive, got {self.tau} "
                 f"(beta={self.beta}, beta_inv={self.beta_inv}, "
-                f"beta_sens={self.beta_sens}, tau_mode={self.tau_mode})"
+                f"beta_sens={self.beta_sens})"
             )
 
     @property
     def tau(self) -> float:
-        if self.tau_mode == "appendix":
-            return self.beta + self.beta_inv - self.beta_sens
-        return self.beta + self.beta_inv + self.beta_sens
+        return self.beta + self.beta_inv - self.beta_sens
 
     @property
     def tau_av(self) -> float:
@@ -217,8 +208,6 @@ def closed_form_policy(r, p_ref, q_inv, q_sens, hp: Hyperparams) -> np.ndarray:
     positive input distributions; zeros in q_sens would put a negative
     exponent on zero.
     """
-    if hp.tau <= 0:
-        raise ConfigurationError(f"closed-form policy requires tau > 0, got {hp.tau}")
     r = np.asarray(r, dtype=np.float64)
     p_ref = _as_strictly_positive_distribution(p_ref, "p_ref")
     if r.shape != p_ref.shape:
@@ -298,53 +287,25 @@ def pair_loss(margin):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def pair_terms(pl: PairLogProbs, hp: Hyperparams, joint: bool = False,
-               lpd_placement: str = "inside"):
+def pair_terms(pl: PairLogProbs, hp: Hyperparams, joint: bool = False):
     """(loss, sigmoid margin, policy coefficient) of one preference pair.
 
     The coefficient multiplies d_policy inside the sigmoid, i.e. it is the
-    factor the gradient flows through.  The decoupled margin uses tau; the
-    debiasing penalty goes inside the sigmoid ("inside", where it carries
-    gradient) or is added to the loss after it ("outside", the additive
-    surface form, constant in the trainable parameters).
+    factor the gradient flows through.  The decoupled margin uses tau, and
+    the debiasing penalty goes inside the sigmoid with it.
 
     joint selects the loss for prompts that need both modalities at once:
-    the invariance term is dropped (there is no irrelevant modality), the
-    temperature becomes tau_av = beta - beta_sens, the sens slots carry the
+    the invariance term is dropped (there is no irrelevant modality), so the
+    temperature becomes tau_av = beta - beta_sens; the sens slots carry the
     both-modalities-corrupted pass and there is no debiasing term:
 
         -ln sigmoid(tau_av*d_policy - beta*d_ref + beta_sens*d_corrupted)
     """
-    if lpd_placement not in LPD_PLACEMENTS:
-        raise ConfigurationError(
-            f"lpd_placement must be one of {LPD_PLACEMENTS}, got {lpd_placement!r}"
-        )
     if joint:
-        tau_av = hp.tau_av
-        if tau_av <= 0:
+        if hp.tau_av <= 0:
             raise ConfigurationError(
-                f"joint-audiovisual loss requires beta > beta_sens, got tau_av={tau_av}"
+                f"joint-audiovisual loss requires beta > beta_sens, got tau_av={hp.tau_av}"
             )
-        d_policy = pl.policy_w - pl.policy_l
-        d_ref = pl.ref_w - pl.ref_l
-        margin = tau_av * d_policy - hp.beta * d_ref
-        d_both = _delta(pl.sens_w, pl.sens_l, hp.beta_sens, "both-modalities-corrupted")
-        if d_both is not None:
-            margin += hp.beta_sens * d_both
-        return pair_loss(margin), margin, tau_av
-    margin = mod_margin(pl, hp)
-    lpd = lpd_margin(pl, hp)
-    if lpd_placement == "inside":
-        margin += lpd
-        return pair_loss(margin), margin, hp.tau
-    return pair_loss(margin) + lpd, margin, hp.tau
-
-
-def modpp_pair_loss(pl: PairLogProbs, hp: Hyperparams, lpd_placement: str = "inside") -> float:
-    """Pair loss of the debiased decoupled objective (see pair_terms)."""
-    return pair_terms(pl, hp, lpd_placement=lpd_placement)[0]
-
-
-def av_pair_loss(pl: PairLogProbs, hp: Hyperparams) -> float:
-    """Pair loss for prompts that need both modalities at once (see pair_terms)."""
-    return pair_terms(pl, hp, joint=True)[0]
+        hp = replace(hp, beta_inv=0.0, gamma_lpd=0.0)
+    margin = mod_margin(pl, hp) + lpd_margin(pl, hp)
+    return pair_loss(margin), margin, hp.tau

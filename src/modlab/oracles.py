@@ -25,6 +25,10 @@ command-line ``verify`` command wraps.
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -207,8 +211,7 @@ def random_instance(v: int, rng: np.random.Generator):
         beta_sens = rng.uniform(0.0, 0.15)
         if beta + beta_inv - beta_sens >= 0.05:
             break
-    hp = Hyperparams(beta=beta, beta_inv=beta_inv, beta_sens=beta_sens,
-                     gamma_lpd=0.0, tau_mode="appendix")
+    hp = Hyperparams(beta=beta, beta_inv=beta_inv, beta_sens=beta_sens, gamma_lpd=0.0)
     return r, dist(), dist(), dist(), hp
 
 
@@ -369,41 +372,43 @@ def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
 
 
 def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, tmp_dir=None) -> SuiteResult:
-    """Round-trip (assemble then verify: zero violations) plus fault injection."""
-    import json
-    import os
-    import tempfile
+    """Round-trip (assemble then verify: zero violations) plus fault injection.
 
+    The files go to tmp_dir, or to a temporary directory removed afterwards.
+    """
     start = time.perf_counter()
-    tmp_dir = tmp_dir or tempfile.mkdtemp(prefix="modlab-verify-")
-    for seed in range(n_seeds):
-        path = os.path.join(tmp_dir, f"roundtrip-{seed}.jsonl")
-        synth.assemble_dataset(synth.SynthConfig(n_pairs=n_pairs, n_scenes=300, seed=seed), path)
-        report = synth.verify_dataset(path)
-        if not report.ok or report.n_records != n_pairs:
-            return SuiteResult("dataset_roundtrip", False,
-                               f"seed {seed}: {report.n_violations} violations, "
-                               f"{len(report.parse_errors)} parse errors",
-                               time.perf_counter() - start)
-        # Fault injection: swap y_w / y_l on one line, expect exactly one bad line.
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        rec = json.loads(lines[7])
-        rec["y_w"], rec["y_l"] = rec["y_l"], rec["y_w"]
-        lines[7] = json.dumps(rec)
-        broken = os.path.join(tmp_dir, f"broken-{seed}.jsonl")
-        with open(broken, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with open(synth.stats_path(path)) as fh:
-            sidecar = fh.read()
-        with open(synth.stats_path(broken), "w") as fh:
-            fh.write(sidecar)
-        injected = synth.verify_dataset(broken)
-        bad_lines = {line for line, _ in injected.violations}
-        if bad_lines != {8}:
-            return SuiteResult("dataset_roundtrip", False,
-                               f"fault injection flagged lines {sorted(bad_lines)}, expected [8]",
-                               time.perf_counter() - start)
+    scratch = (contextlib.nullcontext(tmp_dir) if tmp_dir
+               else tempfile.TemporaryDirectory(prefix="modlab-verify-"))
+    with scratch as tmp_dir:
+        for seed in range(n_seeds):
+            path = os.path.join(tmp_dir, f"roundtrip-{seed}.jsonl")
+            synth.assemble_dataset(synth.SynthConfig(n_pairs=n_pairs, n_scenes=300, seed=seed),
+                                   path)
+            report = synth.verify_dataset(path)
+            if not report.ok or report.n_records != n_pairs:
+                return SuiteResult("dataset_roundtrip", False,
+                                   f"seed {seed}: {report.n_violations} violations, "
+                                   f"{len(report.parse_errors)} parse errors",
+                                   time.perf_counter() - start)
+            # Fault injection: swap y_w / y_l on one line, expect exactly one bad line.
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            rec = json.loads(lines[7])
+            rec["y_w"], rec["y_l"] = rec["y_l"], rec["y_w"]
+            lines[7] = json.dumps(rec)
+            broken = os.path.join(tmp_dir, f"broken-{seed}.jsonl")
+            with open(broken, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with open(synth.stats_path(path)) as fh:
+                sidecar = fh.read()
+            with open(synth.stats_path(broken), "w") as fh:
+                fh.write(sidecar)
+            injected = synth.verify_dataset(broken)
+            bad_lines = {line for line, _ in injected.violations}
+            if bad_lines != {8}:
+                return SuiteResult("dataset_roundtrip", False,
+                                   f"fault injection flagged lines {sorted(bad_lines)}, "
+                                   "expected [8]", time.perf_counter() - start)
     return SuiteResult("dataset_roundtrip", True,
                        f"{n_seeds} seeds x {n_pairs} records clean; fault injection localized",
                        time.perf_counter() - start)

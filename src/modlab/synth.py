@@ -229,18 +229,19 @@ def _field(records, key: str) -> list:
 
 
 def _ints(values, key: str):
-    try:
-        return np.array([int(v) for v in values], dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        for i, value in enumerate(values):
-            try:
-                np.int64(int(value))
-            except (TypeError, ValueError, OverflowError):
-                raise _BadRow(i, f"{key} {value!r} is not an integer") from None
+    """int64 column of JSON integers; floats, strings and booleans are rejected."""
+    for i, value in enumerate(values):
+        if type(value) is not int or not -2**63 <= value < 2**63:
+            raise _BadRow(i, f"{key} {value!r} is not an integer")
+    return np.array(values, dtype=np.int64)
 
 
 def _flags(values, key: str):
-    return np.array([bool(v) for v in values], dtype=bool)
+    """bool column of JSON booleans."""
+    for i, value in enumerate(values):
+        if type(value) is not bool:
+            raise _BadRow(i, f"{key} {value!r} is not a boolean")
+    return np.array(values, dtype=bool)
 
 
 def _codes(names: tuple):
@@ -830,7 +831,13 @@ class VerifyReport:
 
 def _check_labels(rec: dict, scenes) -> tuple:
     """(problems with a record's labels, whether its features are compared)."""
-    problems = []
+    problems = [f"{key} {rec[key]!r} is not an integer"
+                for key in ("prompt_id", "y_w", "y_l", "visual_scene", "audio_scene")
+                if type(rec[key]) is not int]
+    if type(rec["matched"]) is not bool:
+        problems.append(f"matched {rec['matched']!r} is not a boolean")
+    if problems:
+        return problems, False
     qk = rec["question_kind"]
     if qk not in QUESTION_KINDS:
         return [f"unknown question_kind {qk!r}"], False
@@ -873,12 +880,12 @@ def verify_dataset(path) -> VerifyReport:
     features of all lines are compared with the referenced scenes' in one
     isclose(rtol=1e-5, atol=0) per modality, and a feature row of the
     wrong length is reported on its own line.  Parse failures are reported
-    per line and do not abort the scan.  Lines are numbered among the
-    non-blank lines.
+    per line and do not abort the scan.  Lines count from 1, blank lines
+    included, as in read_records.
     """
     report = VerifyReport()
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+        lines = [(n, ln) for n, ln in enumerate((raw.strip() for raw in fh), start=1) if ln]
     if not lines:
         return report
 
@@ -895,7 +902,7 @@ def verify_dataset(path) -> VerifyReport:
 
     found = {}  # line -> reasons, in line order
     compared = []  # (line, {modality: (stored row, scene index)}) of lines whose labels fit
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in lines:
         try:
             rec = json.loads(line)
             report.n_records += 1

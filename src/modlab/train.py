@@ -21,11 +21,14 @@ Per-pair pass counts follow sequence-model accounting: scoring y_w and y_l
 counts as two passes even though the desk-scale policy produces the whole
 response distribution in one evaluation, and a batch's rows go through one
 matrix call per model.  The counters count logical passes, not calls,
-which keeps them comparable across variants:
+which keeps them comparable across variants.  evaluate_batch derives them
+from the feature blocks it forwards (two passes per block, two backward
+passes through the clean block), which gives:
 
-    dpo    fwd_policy=2  fwd_ref=2  bwd_policy=2  bwd_ref=0
-    mod    fwd_policy=6  fwd_ref=2  bwd_policy=2  bwd_ref=0
-    modpp  fwd_policy=6  fwd_ref=4  bwd_policy=2  bwd_ref=0
+    dpo          fwd_policy=2  fwd_ref=2  bwd_policy=2  bwd_ref=0
+    mod          fwd_policy=6  fwd_ref=2  bwd_policy=2  bwd_ref=0
+    modpp        fwd_policy=6  fwd_ref=4  bwd_policy=2  bwd_ref=0
+    joint pairs  fwd_policy=4  fwd_ref=2  bwd_policy=2  bwd_ref=0
 
 A training step is batch-first: one policy forward over the clean rows
 with the corrupted rows stacked under them, one reference forward over the
@@ -33,8 +36,9 @@ clean and text-only rows, the loss of all pairs in one core.pair_terms
 call, and one backward through the clean rows only.  Datasets are
 ``synth.PairTable`` columns (a list of pairs is stacked once on entry):
 ``batch_schedule`` turns the tag column into one row-index array per step,
-and each step indexes its row block out of the table.  ``pair_loss_terms``
-is a one-line wrapper the benchmark harness times as the loss.
+and each step indexes its row block out of the table, whose rows share
+one modality tag.  ``pair_loss_terms`` is a one-line wrapper the benchmark
+harness times as the loss.
 
 Determinism: everything derives from cfg.seed through tagged seed
 sequences, so runs are exactly repeatable.  Step s of a corrupting variant
@@ -150,8 +154,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 16
     seed: int = 0
-    alternate_batches: bool = True
-    lpd_placement: str = "inside"
     warmup_steps: int = 500
     warmup_lr: float = 0.5
 
@@ -166,8 +168,6 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if self.warmup_steps < 0:
             raise ConfigurationError("warmup_steps must be >= 0")
-        if self.lpd_placement not in core.LPD_PLACEMENTS:
-            raise ConfigurationError(f"lpd_placement must be one of {core.LPD_PLACEMENTS}")
 
     @cached_property
     def loss_hp(self) -> Hyperparams:
@@ -201,17 +201,6 @@ def feature_pools(dataset) -> dict:
     return {m: FeaturePool(getattr(dataset, m)) for m in ("audio", "visual")}
 
 
-def _is_joint(cfg: TrainConfig, tag: str) -> bool:
-    """Whether a pair is trained with the joint-audiovisual loss."""
-    return cfg.loss_variant == "mod_with_av" and tag == "audiovisual"
-
-
-def _pass_counter(cfg: TrainConfig, joint: bool) -> PassCounter:
-    fwd_policy = 4 if joint else 2 if cfg.loss_variant == "dpo" else 6
-    fwd_ref = 4 if cfg.loss_variant == "modpp" else 2
-    return PassCounter(fwd_policy=fwd_policy, fwd_ref=fwd_ref, bwd_policy=2, bwd_ref=0)
-
-
 def _forward_blocks(params: PolicyParams, blocks, ids):
     """One forward over feature blocks stacked row-wise, each block with the
     same prompt ids."""
@@ -226,38 +215,38 @@ def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: T
     Returns (PairLogProbs of (B,) arrays, the per-pair PassCounter, the
     ForwardCache of the clean policy rows).  One policy forward scores the
     clean rows with the corrupted rows stacked under them; one reference
-    forward scores the clean rows and, for modpp, the text-only rows.  Only
-    the returned clean-row cache may be back-propagated; the corrupted rows
-    are detached and the reference is frozen throughout.  All corrupted
-    rows of the step come from one generator seeded by (cfg.seed, step),
-    drawn slot by slot in ascending order (see the module docstring).
+    forward scores the clean rows and, for modpp, the text-only rows.  The
+    counter counts two passes per forwarded block of each model.  Only the
+    returned clean-row cache may be back-propagated; the corrupted rows are
+    detached and the reference is frozen throughout.  All corrupted rows of
+    the step come from one generator seeded by (cfg.seed, step), drawn slot
+    by slot in ascending order (see the module docstring).  Raises
+    TrainingError for an empty batch or one whose rows mix modality tags.
     """
     batch = PairTable.coerce(batch)
     n, tags = len(batch), batch.modality_tag
-    joint = (tags == AUDIOVISUAL) & (cfg.loss_variant == "mod_with_av")
-    if joint.any() != joint.all():
-        counters = {_pass_counter(cfg, j) for j in (False, True)}
-        raise TrainingError(f"pass counts varied within one batch: {counters}")
-    counter = _pass_counter(cfg, bool(joint.all()))
-    audio_rel, visual_rel = tags == AUDIO_RELATED, tags == VISUAL_RELATED
-    # Row masks of each draw slot, keyed by the PairLogProbs slot it fills.
-    if joint.all():
-        slot_masks = {"sens": {"audio": joint, "visual": joint}}
-    elif cfg.loss_variant != "dpo":
-        if not (audio_rel | visual_rel).all():
+    if not n or (tags != tags[0]).any():
+        names = [MODALITY_TAGS[t] for t in np.unique(tags)]
+        raise TrainingError(f"a batch needs rows of one modality tag, got {names}")
+    # The modalities each draw slot corrupts, keyed by the PairLogProbs slot it fills.
+    if cfg.loss_variant == "dpo":
+        corrupted = {}
+    elif tags[0] == AUDIOVISUAL:
+        if cfg.loss_variant != "mod_with_av":
             raise TrainingError("relevant/irrelevant modalities are undefined for "
                                 "audiovisual pairs outside mod_with_av")
-        slot_masks = {"inv": {"audio": visual_rel, "visual": audio_rel},
-                      "sens": {"audio": audio_rel, "visual": visual_rel}}
+        corrupted = {"sens": ("audio", "visual")}
     else:
-        slot_masks = {}
+        relevant, irrelevant = (("audio", "visual") if tags[0] == AUDIO_RELATED
+                                else ("visual", "audio"))
+        corrupted = {"inv": (irrelevant,), "sens": (relevant,)}
     ids = batch.prompt_id
     clean = {"audio": batch.audio, "visual": batch.visual}
     blocks = [clean]
-    if slot_masks:
-        rng = _rng(cfg.seed, _CORRUPT_STREAM, step)
-        blocks += [corrupt_rows(clean, cfg.corruption, masks, rng, pools)
-                   for masks in slot_masks.values()]
+    if corrupted:
+        rng, every = _rng(cfg.seed, _CORRUPT_STREAM, step), np.ones(n, dtype=bool)
+        blocks += [corrupt_rows(clean, cfg.corruption, dict.fromkeys(modalities, every), rng, pools)
+                   for modalities in corrupted.values()]
     ref_blocks = [clean]
     if cfg.loss_variant == "modpp":
         ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})  # text-only
@@ -274,20 +263,23 @@ def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: T
         return logprobs[block * n + rows, w], logprobs[block * n + rows, l]
 
     slots = {}
-    for block, name in enumerate(slot_masks, start=1):
+    for block, name in enumerate(corrupted, start=1):
         slots[f"{name}_w"], slots[f"{name}_l"] = pick(policy.logprobs, block)
     if len(ref_blocks) == 2:
         slots["text_w"], slots["text_l"] = pick(ref, 1)
     (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
     pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
+    counter = PassCounter(fwd_policy=2 * len(blocks), fwd_ref=2 * len(ref_blocks), bwd_policy=2)
     return pl, counter, policy[:n]
 
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
     """(loss, sigmoid margin, policy coefficient) for one pair, or for a
     batch of pairs sharing the tag's loss, under the config's loss variant;
-    see core.pair_terms."""
-    return core.pair_terms(pl, cfg.loss_hp, _is_joint(cfg, tag), cfg.lpd_placement)
+    see core.pair_terms.  Audiovisual pairs take the joint loss under
+    mod_with_av."""
+    joint = cfg.loss_variant == "mod_with_av" and tag == "audiovisual"
+    return core.pair_terms(pl, cfg.loss_hp, joint)
 
 
 def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: TrainConfig,
@@ -295,18 +287,11 @@ def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: Train
     """One gradient-descent update on a row block of preference pairs.
 
     Returns (updated params, mean pair loss, per-pair PassCounter).  The
-    batch must be modality-homogeneous when alternation is enabled.
+    batch's rows must share one modality tag (see evaluate_batch).
     """
     batch = PairTable.coerce(batch)
-    if not len(batch):
-        raise TrainingError("empty batch")
-    tags = batch.modality_tag
-    if cfg.alternate_batches and (tags != tags[0]).any():
-        names = sorted(MODALITY_TAGS[t] for t in np.unique(tags))
-        raise TrainingError(f"mixed-modality batch under alternation: {names}")
-
     pl, counter, clean = evaluate_batch(params, ref_params, batch, cfg, step, pools)
-    losses, margins, coef = pair_loss_terms(pl, cfg, MODALITY_TAGS[tags[0]])
+    losses, margins, coef = pair_loss_terms(pl, cfg, MODALITY_TAGS[batch.modality_tag[0]])
     loss = float(np.mean(losses))
     weights = _sigmoid(-margins) * coef
     rows = np.arange(len(batch))
@@ -382,14 +367,6 @@ def _epoch_schedule(groups: dict, cfg: TrainConfig, epoch: int):
         rng.shuffle(order)
         shuffled[tag] = rows[order]
     none = np.empty(0, dtype=np.intp)
-
-    if not cfg.alternate_batches:
-        merged = np.concatenate([shuffled.get(tag, none)
-                                 for tag in (VISUAL_RELATED, AUDIO_RELATED, AUDIOVISUAL)])
-        order = np.arange(len(merged))
-        rng.shuffle(order)
-        return _batches(merged[order], cfg.batch_size)
-
     visual = _batches(shuffled.get(VISUAL_RELATED, none), cfg.batch_size)
     audio = _batches(shuffled.get(AUDIO_RELATED, none), cfg.batch_size)
     schedule = []
@@ -407,7 +384,8 @@ def batch_schedule(dataset, cfg: TrainConfig):
 
     Rows are grouped by modality tag, the groups in order of first
     appearance; audiovisual rows take part only under mod_with_av.  Raises
-    ConfigurationError when alternation lacks a modality.
+    ConfigurationError when the dataset lacks visual or audio rows, since
+    batches alternate between the two.
     """
     tags = PairTable.coerce(dataset).modality_tag
     codes, first = np.unique(tags, return_index=True)
@@ -415,13 +393,10 @@ def batch_schedule(dataset, cfg: TrainConfig):
     n_av_excluded = 0
     if cfg.loss_variant != "mod_with_av" and AUDIOVISUAL in groups:
         n_av_excluded = len(groups.pop(AUDIOVISUAL))
-    if cfg.alternate_batches:
-        missing = [MODALITY_TAGS[t] for t in (VISUAL_RELATED, AUDIO_RELATED)
-                   if t not in groups]
-        if missing:
-            raise ConfigurationError(
-                f"alternating batches need both modalities; dataset lacks {missing}"
-            )
+    missing = [MODALITY_TAGS[t] for t in (VISUAL_RELATED, AUDIO_RELATED) if t not in groups]
+    if missing:
+        raise ConfigurationError(
+            f"alternating batches need both modalities; dataset lacks {missing}")
     schedule = [rows for epoch in range(cfg.epochs) for rows in _epoch_schedule(groups, cfg, epoch)]
     return schedule, n_av_excluded
 

@@ -85,7 +85,7 @@ def test_criterion_2_reduction_identity():
         pl = PairLogProbs(*(-rng.exponential(1.0, size=10)))
         vanilla = core.pair_loss(hp.beta * ((pl.policy_w - pl.policy_l)
                                             - (pl.ref_w - pl.ref_l)))
-        worst = max(worst, abs(core.modpp_pair_loss(pl, hp, "inside") - vanilla))
+        worst = max(worst, abs(core.pair_terms(pl, hp)[0] - vanilla))
     assert worst <= 1e-12, f"loss disagreement {worst:.2e}"
 
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=300, n_scenes=60, seed=2))

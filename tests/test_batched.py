@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from modlab import core, synth
 from modlab import eval as eval_mod
 from modlab import train as training
-from modlab.core import LPD_PLACEMENTS, PairLogProbs
+from modlab.core import PairLogProbs
 from modlab.corrupt import CORRUPTION_KINDS, CorruptionSpec, FeaturePool, corrupt
 from modlab.policy import GradAccumulator, apply_gradient_step, backward, forward, init_params
 from modlab.synth import (
@@ -142,7 +142,7 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
             slots.update(text_w=text[w], text_l=text[l])
         pl = PairLogProbs(policy_w=clean[w], policy_l=clean[l], ref_w=ref[w], ref_l=ref[l],
                           **slots)
-        loss, margin, coef = core.pair_terms(pl, cfg.loss_hp, joint[idx], cfg.lpd_placement)
+        loss, margin, coef = core.pair_terms(pl, cfg.loss_hp, joint[idx])
         losses.append(loss)
         weight = coef / (1.0 + math.exp(margin))  # coef * sigmoid(-margin)
         upstream = np.zeros(params.vocab_size)
@@ -152,21 +152,31 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
     return apply_gradient_step(params, grads, cfg.lr), float(np.mean(losses))
 
 
-CASES = [(variant, tag, kind, placement)
+def swap_pools(data, batch, pool):
+    """random_swap pools of the batch's own rows ("inside": some picks equal
+    their row and are redrawn) or of the vectors of data that no batch row
+    holds ("outside": no pick is redrawn)."""
+    if pool == "inside":
+        return training.feature_pools(batch)
+    return {m: FeaturePool([v for v in getattr(data, m)
+                            if not any(np.array_equal(v, getattr(p, m)) for p in batch)])
+            for m in ("audio", "visual")}
+
+
+CASES = [(variant, tag, kind, pool)
          for variant in training.LOSS_VARIANTS for tag in MODALITY_TAGS
-         for kind in CORRUPTION_KINDS for placement in LPD_PLACEMENTS
+         for kind in CORRUPTION_KINDS for pool in ("inside", "outside")
          # mod and modpp need a relevant/irrelevant split, which audiovisual lacks
          if tag != "audiovisual" or variant in ("dpo", "mod_with_av")]
 
 
-@pytest.mark.parametrize("variant,tag,kind,placement", CASES)
-def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, placement):
+@pytest.mark.parametrize("variant,tag,kind,pool", CASES)
+def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool):
     params, ref = models
     cfg = TrainConfig(loss_variant=variant, lr=0.1, batch_size=6, seed=3,
-                      lpd_placement=placement,
                       corruption=CorruptionSpec(kind=kind, t=300, sigma=0.7))
     batch = batch_of(data, tag)
-    pools = training.feature_pools(data)
+    pools = swap_pools(data, batch, pool)
     got, loss, _ = train_step(params, ref, batch, cfg, step=5, pools=pools)
     want, want_loss = reference_step(params, ref, batch, cfg, 5, pools)
     assert abs(loss - want_loss) <= TOL
@@ -175,9 +185,10 @@ def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, plac
 
 def test_mixed_joint_batch_still_rejected(data, models):
     params, ref = models
-    cfg = TrainConfig(loss_variant="mod_with_av", lr=0.1, alternate_batches=False)
+    cfg = TrainConfig(loss_variant="mod_with_av", lr=0.1)
     batch = batch_of(data, "visual_related", 2) + batch_of(data, "audiovisual", 2)
-    with pytest.raises(TrainingError, match="pass counts varied"):
+    with pytest.raises(TrainingError, match=r"one modality tag, got \['visual_related', "
+                                            r"'audiovisual'\]"):
         train_step(params, ref, batch, cfg, step=0, pools=training.feature_pools(data))
 
 

@@ -121,6 +121,21 @@ class TestOverridesAndErrors:
         assert cli.main(["synth"]) == 0
         assert (tmp_path / "run" / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("override,key", [
+        ("train.learnig_rate=5", "train.learnig_rate"),
+        ("train.lpd_placement=outside", "train.lpd_placement"),
+        ("train.alternate_batches=false", "train.alternate_batches"),
+        ("train.hp.tau_mode=maintext", "tau_mode"),
+    ])
+    def test_unknown_train_setting_is_config_error(self, tmp_path, capsys, override, key):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        capsys.readouterr()
+        assert cli.run("train", config_path, [override]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and key in err[0], err
+        assert not (tmp_path / "run" / "policy.ckpt").exists()
+
     @pytest.mark.parametrize("order", ["config first", "command first"])
     def test_config_option_before_or_after_command(self, tmp_path, order):
         config_path, _ = write_config(tmp_path)
@@ -135,6 +150,7 @@ class TestBadRecords:
     @pytest.mark.parametrize("line,needle", [
         ('"y_w": 99', "y_w 99 outside [0, 8)"),
         ('"y_w": -1', "y_w -1 outside [0, 8)"),
+        ('"y_w": 1.5', "y_w 1.5 is not an integer"),
         (None, "invalid JSON"),
     ])
     def test_train_rejects_bad_line_with_one_message(self, tmp_path, capsys, line, needle):

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modlab import core
 from modlab.core import (
@@ -38,10 +40,6 @@ class TestHyperparams:
     def test_default_temperature_uses_minus_sign(self):
         assert HP.tau == pytest.approx(0.1 + 0.02 - 0.05)
 
-    def test_maintext_mode_uses_plus_sign(self):
-        hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, tau_mode="maintext")
-        assert hp.tau == pytest.approx(0.17)
-
     def test_negative_strength_rejected(self):
         with pytest.raises(ConfigurationError):
             Hyperparams(beta=-0.1)
@@ -49,10 +47,6 @@ class TestHyperparams:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigurationError):
             Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.2)
-
-    def test_maintext_mode_permits_dominant_sensitivity(self):
-        hp = Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.2, tau_mode="maintext")
-        assert hp.tau == pytest.approx(0.3)
 
     def test_av_temperature(self):
         assert HP.tau_av == pytest.approx(0.05)
@@ -194,8 +188,8 @@ class TestClosedFormPolicy:
         shift = -0.25
         shifted = PairLogProbs(*(getattr(pl, f) + shift for f in pl.__dataclass_fields__))
         assert core.mod_margin(pl, HP) == core.mod_margin(shifted, HP)
-        assert core.modpp_pair_loss(pl, HP) == core.modpp_pair_loss(shifted, HP)
-        assert core.av_pair_loss(pl, HP) == core.av_pair_loss(shifted, HP)
+        assert core.pair_terms(pl, HP)[0] == core.pair_terms(shifted, HP)[0]
+        assert core.pair_terms(pl, HP, joint=True)[0] == core.pair_terms(shifted, HP, joint=True)[0]
 
 
 class TestMargins:
@@ -271,21 +265,11 @@ class TestPairLoss:
 
 
 class TestModppPairLoss:
-    def test_zero_gamma_placements_agree(self):
-        hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0)
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            pl = random_pair_logprobs(rng)
-            inside = core.modpp_pair_loss(pl, hp, "inside")
-            outside = core.modpp_pair_loss(pl, hp, "outside")
-            assert inside == outside == core.pair_loss(core.mod_margin(pl, hp))
-
     def test_zero_margins_give_ln2(self):
         pl = PairLogProbs(policy_w=-1.0, policy_l=-1.0, ref_w=-1.0, ref_l=-1.0,
                           inv_w=-1.0, inv_l=-1.0, sens_w=-1.0, sens_l=-1.0,
                           text_w=-1.0, text_l=-1.0)
-        assert core.modpp_pair_loss(pl, HP, "inside") == pytest.approx(LN2)
-        assert core.modpp_pair_loss(pl, HP, "outside") == pytest.approx(LN2)
+        assert core.pair_terms(pl, HP)[0] == pytest.approx(LN2)
 
     def test_inside_hand_arithmetic(self):
         # mod margin 0.5 plus debias margin -0.1 -> softplus(-0.4),
@@ -297,23 +281,10 @@ class TestModppPairLoss:
         )
         assert core.mod_margin(pl, HP) == pytest.approx(0.5, abs=1e-12)
         assert core.lpd_margin(pl, HP) == pytest.approx(-0.1, abs=1e-12)
-        got = core.modpp_pair_loss(pl, HP, "inside")
+        got = core.pair_terms(pl, HP)[0]
         assert got == pytest.approx(0.5130152523999526, abs=1e-12)
         assert got == pytest.approx(0.5130, abs=1e-4)
 
-    def test_outside_is_additive(self):
-        pl = PairLogProbs(policy_w=-0.5, policy_l=-1.5, ref_w=-1.0, ref_l=-1.2,
-                          inv_w=-1.0, inv_l=-1.1, sens_w=-0.9, sens_l=-1.3,
-                          text_w=-1.1, text_l=-0.9)
-        expected = core.pair_loss(core.mod_margin(pl, HP)) + core.lpd_margin(pl, HP)
-        assert core.modpp_pair_loss(pl, HP, "outside") == expected
-
-    def test_unknown_placement_rejected(self):
-        pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.5,
-                          inv_w=-1.0, inv_l=-1.0, sens_w=-1.0, sens_l=-1.0,
-                          text_w=-1.0, text_l=-1.0)
-        with pytest.raises(ConfigurationError):
-            core.modpp_pair_loss(pl, HP, "sideways")
 
 
 class TestAvPairLoss:
@@ -322,19 +293,19 @@ class TestAvPairLoss:
         pl = PairLogProbs(policy_w=-0.5, policy_l=-1.5, ref_w=-1.0, ref_l=-1.2,
                           sens_w=-1.0, sens_l=-1.0)
         vanilla = core.pair_loss(0.1 * ((-0.5 + 1.5) - (-1.0 + 1.2)))
-        assert core.av_pair_loss(pl, hp) == pytest.approx(vanilla, abs=1e-15)
+        assert core.pair_terms(pl, hp, joint=True)[0] == pytest.approx(vanilla, abs=1e-15)
 
     def test_zero_deltas(self):
         pl = PairLogProbs(policy_w=-1.0, policy_l=-1.0, ref_w=-1.0, ref_l=-1.0,
                           sens_w=-1.0, sens_l=-1.0)
-        assert core.av_pair_loss(pl, HP) == pytest.approx(LN2)
+        assert core.pair_terms(pl, HP, joint=True)[0] == pytest.approx(LN2)
 
     def test_hand_arithmetic(self):
         # tau_av = 0.05; margin = 0.05*1 - 0.1*0 + 0.05*0.5 = 0.075
         # loss = ln(1 + e^-0.075) evaluated independently = 0.65635...
         pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.0,
                           sens_w=-1.0, sens_l=-1.5)
-        got = core.av_pair_loss(pl, HP)
+        got = core.pair_terms(pl, HP, joint=True)[0]
         assert got == pytest.approx(0.6563501408267951, abs=1e-12)
         assert got == pytest.approx(0.6562, abs=2e-4)
 
@@ -343,7 +314,7 @@ class TestAvPairLoss:
         pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.0,
                           sens_w=-1.0, sens_l=-1.5)
         with pytest.raises(ConfigurationError):
-            core.av_pair_loss(pl, hp)
+            core.pair_terms(pl, hp, joint=True)[0]
 
 
 class TestReductionIdentity:
@@ -354,7 +325,7 @@ class TestReductionIdentity:
             pl = random_pair_logprobs(rng)
             vanilla = core.pair_loss(
                 hp.beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l)))
-            assert abs(core.modpp_pair_loss(pl, hp, "inside") - vanilla) <= 1e-12
+            assert abs(core.pair_terms(pl, hp)[0] - vanilla) <= 1e-12
 
     def test_monotone_in_policy_margin(self):
         rng = np.random.default_rng(9)
@@ -366,5 +337,38 @@ class TestReductionIdentity:
                                  ref_w=pl.ref_w, ref_l=pl.ref_l, inv_w=pl.inv_w,
                                  inv_l=pl.inv_l, sens_w=pl.sens_w, sens_l=pl.sens_l,
                                  text_w=pl.text_w, text_l=pl.text_l)
-            losses.append(core.modpp_pair_loss(moved, HP))
+            losses.append(core.pair_terms(moved, HP)[0])
         assert all(a > b for a, b in zip(losses, losses[1:]))
+
+
+def _strengths(beta, beta_inv, beta_sens):
+    assume(beta + beta_inv - beta_sens >= 1e-3)  # well inside the strictly concave regime
+    return Hyperparams(beta=beta, beta_inv=beta_inv, beta_sens=beta_sens)
+
+
+strengths = st.builds(_strengths, st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+positive_3 = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3).map(
+    lambda w: np.array(w) / np.sum(w))
+log_probs = st.lists(st.floats(-20.0, -1e-3), min_size=10, max_size=10)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(hp=strengths, r=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           p_ref=positive_3, q_inv=positive_3, q_sens=positive_3)
+    def test_closed_form_maximizes_the_objective(self, hp, r, p_ref, q_inv, q_sens):
+        from modlab.oracles import grid_argmax_3
+
+        out = core.closed_form_policy(r, p_ref, q_inv, q_sens, hp)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        value = core.mod_objective_value(out, r, p_ref, q_inv, q_sens, hp)
+        point, _ = grid_argmax_3(r, p_ref, q_inv, q_sens, hp, grid_step=0.02)
+        assert core.mod_objective_value(point, r, p_ref, q_inv, q_sens, hp) <= value + 1e-12
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(beta=st.floats(0.01, 1.0), values=log_probs, joint=st.booleans())
+    def test_pair_terms_reduce_to_dpo_at_zero_strengths(self, beta, values, joint):
+        hp = Hyperparams(beta=beta, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
+        pl = PairLogProbs(*values)
+        vanilla = core.pair_loss(beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l)))
+        assert abs(core.pair_terms(pl, hp, joint)[0] - vanilla) <= 1e-12

@@ -1,6 +1,7 @@
 """The verification machinery itself: projection, ascent, differences."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -158,3 +159,9 @@ class TestSuites:
         assert len(results) == 6
         for res in results:
             assert res.passed, f"{res.name}: {res.detail}"
+
+    def test_dataset_suite_leaves_no_files_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        res = oracles.dataset_suite(n_pairs=50, n_seeds=1)
+        assert res.passed, res.detail
+        assert list(tmp_path.iterdir()) == []

@@ -326,6 +326,37 @@ class TestVerifyDataset:
                                      (12, "audio_feat has 7 values, expected 8")]
         assert report.n_records == 20 and not report.parse_errors
 
+    def test_blank_lines_count_as_in_read_records(self, tmp_path):
+        # Two blank lines on top, then a y_w/y_l swap on physical line 9.
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
+        lines = ["", ""] + path.read_text().splitlines()
+        rec = json.loads(lines[8])
+        rec["y_w"], rec["y_l"] = rec["y_l"], rec["y_w"]
+        lines[8] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_dataset(path)
+        assert {line for line, _ in report.violations} == {9}
+        assert report.n_records == 20 and not report.parse_errors
+
+    def test_values_of_the_wrong_type_flagged(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
+        lines = path.read_text().splitlines()
+        edits = {2: ("y_w", lambda v: v + 0.9), 5: ("prompt_id", str),
+                 9: ("matched", lambda v: "yes" if v else "no")}
+        for index, (key, edit) in edits.items():
+            rec = json.loads(lines[index])
+            rec[key] = edit(rec[key])
+            lines[index] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_dataset(path)
+        assert [line for line, _ in report.violations] == [3, 6, 10]
+        assert [reason.split()[0] for _, reason in report.violations] == [
+            "y_w", "prompt_id", "matched"]
+        assert all(reason.endswith(("not an integer", "not a boolean"))
+                   for _, reason in report.violations)
+
     def test_parse_errors_reported_per_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
@@ -375,6 +406,13 @@ class TestColumnValidation:
         (_with(question_kind="smell_presence"), "question_kind must be one of"),
         (lambda rec: {k: v for k, v in rec.items() if k != "y_l"}, "missing field 'y_l'"),
         (lambda rec: "[1, 2]", "not a JSON object"),
+        (_with(y_w=1.9), "y_w 1.9 is not an integer"),
+        (_with(prompt_id="9"), "prompt_id '9' is not an integer"),
+        (_with(y_l=True), "y_l True is not an integer"),
+        (_with(visual_scene=2.0), "visual_scene 2.0 is not an integer"),
+        (_with(audio_scene=None), "audio_scene None is not an integer"),
+        (_with(matched="no"), "matched 'no' is not a boolean"),
+        (_with(matched=1), "matched 1 is not a boolean"),
     ])
     def test_first_bad_line_named_with_its_field(self, tmp_path, edit, problem):
         path = _write_lines(tmp_path, {5: edit})

@@ -5,7 +5,7 @@ import pytest
 
 from modlab import core, synth
 from modlab import train as training
-from modlab.core import LPD_PLACEMENTS, ConfigurationError, Hyperparams, PairLogProbs
+from modlab.core import ConfigurationError, Hyperparams, PairLogProbs
 from modlab.corrupt import CorruptionSpec
 from modlab.oracles import frozen_surrogate_rel_error
 from modlab.policy import backward, forward
@@ -40,8 +40,6 @@ class TestConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(loss_variant="rlhf")
-        with pytest.raises(ConfigurationError):
-            TrainConfig(lpd_placement="nowhere")
 
     def test_defaults_keep_invariance_below_sensitivity(self):
         cfg = TrainConfig()
@@ -103,7 +101,7 @@ class TestPassCounts:
         data = small_dataset(n=16)
         av_batch = [av_pair_from(p) for p in data[:4]]
         ref = training.warmup_reference(data, steps=0, seed=0)
-        cfg = quick_config(loss_variant="mod_with_av", alternate_batches=False)
+        cfg = quick_config(loss_variant="mod_with_av")
         _, _, counter = train_step(ref.copy(), ref, av_batch, cfg, step=0,
                                    pools=training.feature_pools(data))
         assert counter == PassCounter(4, 2, 2, 0)
@@ -125,8 +123,15 @@ class TestAlternation:
         visual = rows_tagged(data, VISUAL_RELATED)[0]
         audio = rows_tagged(data, AUDIO_RELATED)[0]
         ref = training.warmup_reference(data, steps=0, seed=0)
-        with pytest.raises(TrainingError):
+        with pytest.raises(TrainingError,
+                           match=r"one modality tag, got \['audio_related', 'visual_related'\]"):
             train_step(ref.copy(), ref, [visual, audio], quick_config(), step=0)
+
+    def test_empty_batch_rejected(self):
+        data = small_dataset(n=20)
+        ref = training.warmup_reference(data, steps=0, seed=0)
+        with pytest.raises(TrainingError, match=r"one modality tag, got \[\]"):
+            train_step(ref.copy(), ref, data[:0], quick_config(), step=0)
 
     def test_missing_modality_rejected(self):
         data = small_dataset(n=40)
@@ -309,18 +314,17 @@ class TestPairLossTerms:
             "modpp": hp,
             "mod_with_av": Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0),
         }
-        configs = [(TrainConfig(hp=hp, loss_variant=variant, lpd_placement=placement), placement)
-                   for variant in training.LOSS_VARIANTS for placement in LPD_PLACEMENTS]
+        configs = [TrainConfig(hp=hp, loss_variant=variant) for variant in training.LOSS_VARIANTS]
         rng = np.random.default_rng(17)
         for _ in range(200):
             pl = PairLogProbs(*(-rng.exponential(1.0, size=10)))
-            for cfg, placement in configs:
+            for cfg in configs:
                 want_hp = kept[cfg.loss_variant]
                 for tag in MODALITY_TAGS:
                     loss, _, coef = training.pair_loss_terms(pl, cfg, tag)
                     if cfg.loss_variant == "mod_with_av" and tag == "audiovisual":
-                        assert loss == core.av_pair_loss(pl, want_hp)
+                        assert loss == core.pair_terms(pl, want_hp, joint=True)[0]
                         assert coef == want_hp.tau_av
                     else:
-                        assert loss == core.modpp_pair_loss(pl, want_hp, placement)
+                        assert loss == core.pair_terms(pl, want_hp)[0]
                         assert coef == want_hp.tau
