@@ -214,7 +214,7 @@ def _csv_cell(value):
 
 
 def cmd_synth(cfg: dict) -> int:
-    section = cfg["synth"]
+    section = _section(cfg, "synth")
     try:
         data_cfg = synth.SynthConfig(
             n_pairs=int(section["n_pairs"]),
@@ -258,10 +258,40 @@ def cmd_synth(cfg: dict) -> int:
     return EXIT_OK
 
 
-# The TrainConfig fields a train section sets directly, and every key it may hold.
+# The TrainConfig fields a train section sets directly.
 _TRAIN_FIELDS = ("loss_variant", "lr", "epochs", "batch_size", "warmup_steps", "warmup_lr")
-_TRAIN_KEYS = {*_TRAIN_FIELDS, "preset", "hp", "corruption", "dataset", "reference",
-               "checkpoint", "reference_checkpoint", "loss_trace", "counters"}
+# The keys each section may hold; a nested mapping checked here lists its
+# own.  train.hp and train.corruption are checked by the dataclasses they
+# build, and report.checkpoints names checkpoints freely.
+_SHIFT = {"kind": None, "t": None, "sigma": None}
+_SECTION_KEYS = {
+    "synth": {**dict.fromkeys(default_config()["synth"]), "eval_items": dict.fromkeys(
+        ("n_items", "matched_fraction", "matching_fraction", "dominance_fraction", "out"))},
+    "train": dict.fromkeys((*_TRAIN_FIELDS, "preset", "hp", "corruption", "dataset", "reference",
+                            "checkpoint", "reference_checkpoint", "loss_trace", "counters")),
+    "eval": {"checkpoint": None, "items": None, "out_prefix": None, "shift": _SHIFT},
+    "report": {"checkpoints": None, "items": None, "out_prefix": None, "shift": _SHIFT},
+    "verify": {"fast": None},
+}
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """cfg[name], or exit 2 with one line naming a section (or a nested
+    mapping other than null) that is not a mapping, or an unknown key."""
+
+    def check(section, path: str, keys: dict):
+        if not isinstance(section, dict):
+            raise CliError(f"config section {path} must be a mapping, got {section!r}",
+                           EXIT_CONFIG)
+        unknown = sorted(f"{path}.{k}" for k in set(section) - set(keys))
+        if unknown:
+            raise CliError(f"unknown {name} setting {', '.join(unknown)}", EXIT_CONFIG)
+        for key, nested in keys.items():
+            if nested and section.get(key) is not None:
+                check(section[key], f"{path}.{key}", nested)
+
+    check(cfg.get(name), name, _SECTION_KEYS[name])
+    return cfg[name]
 
 
 def build_train_config(section: dict, seed: int) -> training.TrainConfig:
@@ -284,11 +314,7 @@ def build_train_config(section: dict, seed: int) -> training.TrainConfig:
 
 
 def cmd_train(cfg: dict) -> int:
-    section = cfg["train"]
-    unknown = sorted(set(section) - _TRAIN_KEYS)
-    if unknown:
-        raise CliError("unknown train setting " + ", ".join(f"train.{k}" for k in unknown),
-                       EXIT_CONFIG)
+    section = _section(cfg, "train")
     dataset_path = section.get("dataset") or _out_path(cfg, "dataset.jsonl")
     _require_file(dataset_path, "training dataset")
     dataset = synth.load_pairs(dataset_path)
@@ -340,7 +366,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    section = cfg["eval"]
+    section = _section(cfg, "eval")
     ckpt = section.get("checkpoint") or _out_path(cfg, "policy.ckpt")
     items_path = section.get("items") or _out_path(cfg, "eval_items.jsonl")
     params = load_checkpoint(_require_file(ckpt, "checkpoint"))
@@ -374,7 +400,7 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    section = cfg["report"]
+    section = _section(cfg, "report")
     ckpts = section.get("checkpoints") or {}
     if not ckpts:
         ckpts = {"reference": _out_path(cfg, "reference.ckpt"),
@@ -412,7 +438,7 @@ def cmd_report(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    fast = bool(cfg.get("verify", {}).get("fast", True))
+    fast = bool(_section(cfg, "verify").get("fast", True))
     results = oracles.run_all(fast=fast, seed=int(cfg.get("seed", 0)))
     failed = 0
     for res in results:
@@ -433,13 +459,8 @@ def run(command: str, config_path=None, overrides=()) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(config_path, overrides)
-        handler = {
-            "synth": cmd_synth,
-            "train": cmd_train,
-            "eval": cmd_eval,
-            "report": cmd_report,
-            "verify": cmd_verify,
-        }[command]
+        handler = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval,
+                   "report": cmd_report, "verify": cmd_verify}[command]
         return handler(cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,8 +20,9 @@ draws exactly what B row calls would draw from the same generator in row
 order: gaussian and diffusion fill their (B, d) noise row-major, and
 random_swap takes one pool index per row.  ``corrupt_rows`` corrupts the
 masked rows of an audio/visual pair of blocks with one generator, audio
-block first, so a caller that passes the same generator to successive
-calls fixes every draw by its own seed and call order.
+block first, into fresh arrays or into the caller's buffers, so a caller
+that passes the same generator to successive calls fixes every draw by its
+own seed and call order.
 """
 
 from __future__ import annotations
@@ -164,16 +165,21 @@ def _swap(x: np.ndarray, pool, rng: np.random.Generator) -> np.ndarray:
 
 
 def corrupt_rows(features: dict, spec: CorruptionSpec, masks: dict, rng: np.random.Generator,
-                 pools=None) -> dict:
+                 pools=None, out: dict = None) -> dict:
     """Corrupted copies of stacked feature rows.
 
     features maps "audio"/"visual" to (B, d) arrays and masks maps a
     modality to the (B,) boolean mask of the rows to corrupt; a modality
     without a mask is kept.  Each modality's masked rows are corrupted as
     one block drawn from rng, audio before visual, rows in order.  pools
-    maps a modality to its random_swap pool.  Inputs are left untouched.
+    maps a modality to its random_swap pool.  The result is written into
+    out, which maps each modality to a (B, d) float64 array (a slice of a
+    larger buffer, say), or into fresh arrays; inputs are left untouched.
     """
-    out = {m: np.array(x, dtype=np.float64) for m, x in features.items()}
+    if out is None:
+        out = {m: np.empty(np.shape(x)) for m, x in features.items()}
+    for m, x in features.items():
+        out[m][...] = x
     for m in ("audio", "visual"):
         rows = masks.get(m)
         if rows is not None and rows.any():

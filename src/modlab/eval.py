@@ -140,18 +140,9 @@ class MetricsReport:
         return 2.0 * pre * rec / (pre + rec)
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "pa": self.pa,
-            "hr": self.hr,
-            "yes_correct": self.yes_correct,
-            "yes_total": self.yes_total,
-            "no_correct": self.no_correct,
-            "no_total": self.no_total,
-        }
+        return {name: getattr(self, name) for name in (
+            "accuracy", "precision", "recall", "f1", "pa", "hr",
+            "yes_correct", "yes_total", "no_correct", "no_total")}
 
 
 def predictions(params: PolicyParams, items) -> np.ndarray:

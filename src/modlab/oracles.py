@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -260,7 +261,8 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
     the perturbation.  Relative error in L2.
     """
     batch = PairTable.coerce(batch)
-    frozen, _, clean = training.evaluate_batch(params, ref_params, batch, cfg, step, pools)
+    ref = training.reference_logprobs(ref_params, batch, cfg)
+    frozen, _, clean = training.evaluate_batch(params, ref, batch, cfg, step, pools)
     rows, y_w, y_l = np.arange(len(batch)), batch.y_w, batch.y_l
     tag = MODALITY_TAGS[batch.modality_tag[0]]
 
@@ -270,7 +272,7 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
         live = replace(frozen, policy_w=live[:, rows, y_w], policy_l=live[:, rows, y_l])
         return np.mean(pair_loss_terms(live, cfg, tag)[0], axis=-1)
 
-    updated, _, _ = train_step(params, ref_params, batch, cfg, step, pools)
+    updated, _, _ = train_step(params, ref, batch, cfg, step, pools)
     analytic = (params.to_vector() - updated.to_vector()) / cfg.lr
     numeric = finite_difference_gradient(surrogate, params.to_vector(), h)
     denom = max(float(np.linalg.norm(numeric)), 1e-12)
@@ -364,7 +366,8 @@ def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
     for step, rows in enumerate(schedule[:n_steps]):
         batch = dataset[rows]
         worst = max(worst, frozen_surrogate_rel_error(params, ref, batch, cfg, step, pools))
-        params, _, _ = train_step(params, ref, batch, cfg, step, pools)
+        params, _, _ = train_step(params, training.reference_logprobs(ref, batch, cfg), batch,
+                                  cfg, step, pools)
         steps = step + 1
     return SuiteResult("stop_gradient", worst < tol,
                        f"max relative error {worst:.2e} over {steps} steps (tol {tol})",
@@ -399,10 +402,7 @@ def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, tmp_dir=None) -> SuiteRe
             broken = os.path.join(tmp_dir, f"broken-{seed}.jsonl")
             with open(broken, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
-            with open(synth.stats_path(path)) as fh:
-                sidecar = fh.read()
-            with open(synth.stats_path(broken), "w") as fh:
-                fh.write(sidecar)
+            shutil.copyfile(synth.stats_path(path), synth.stats_path(broken))
             injected = synth.verify_dataset(broken)
             bad_lines = {line for line, _ in injected.violations}
             if bad_lines != {8}:

@@ -23,9 +23,12 @@ trainer back-propagates through its clean rows and nothing else: its
 corrupted and reference rows enter loss values but never ``backward``.
 The rows come straight from the columns of a ``synth`` record table.
 
-``forward_logprobs`` (the log-probabilities without the cache) and
-``GradAccumulator.add`` have no caller in the package; they stay only
-because the benchmark harness wraps them by name.
+``PolicyParams`` and ``GradAccumulator`` keep their five named tensors
+as views into one flat vector, so a copy, a gradient step, a scaling or a
+finiteness check is one array operation.  ``forward_logprobs`` (the
+log-probabilities without the cache) and ``GradAccumulator.add`` have no
+caller in the package; they stay only because the benchmark harness wraps
+them by name.
 
 Checkpoints are written as a flat named-tensor text format with a version
 header (see ``save_checkpoint``); %.17g formatting makes round-trips exact
@@ -34,6 +37,7 @@ and outputs byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -41,20 +45,52 @@ import numpy as np
 
 CHECKPOINT_HEADER = "modlab-checkpoint v1"
 
-@dataclass
-class PolicyParams:
-    """All trainable tensors.  d_h x d_a, d_h x d_v, P x d_h, V x d_h, V."""
 
-    u_a: np.ndarray
-    u_v: np.ndarray
-    e_x: np.ndarray
-    w_out: np.ndarray
-    b: np.ndarray
+class _FlatTensors:
+    """The policy's five named tensors as views into one flat float64
+    ``vector``, so arithmetic on the whole set is one array operation.
+    ``layout`` holds each field's (name, start, stop, shape) in the vector;
+    a (K, n) vector gives K stacked sets, every field gaining a leading K
+    axis.  Assigning to a field writes into its view of the vector."""
+
+    def _bind(self, vector: np.ndarray, layout: tuple) -> None:
+        state, lead = self.__dict__, vector.shape[:-1]
+        state["vector"], state["layout"] = vector, layout
+        for name, start, stop, shape in layout:
+            state[name] = vector[..., start:stop].reshape(lead + shape)
+
+    def __setattr__(self, name, value):
+        if name not in PolicyParams.FIELDS:
+            object.__setattr__(self, name, value)
+        elif value is not (view := getattr(self, name)):  # `grads.b += x` returns the view
+            view[...] = value
+
+    def to_vector(self) -> np.ndarray:
+        """A copy of the flat vector: (n,), or (K, n) for a stack."""
+        return self.vector.copy()
+
+
+class PolicyParams(_FlatTensors):
+    """All trainable tensors.  d_h x d_a, d_h x d_v, P x d_h, V x d_h, V.
+    Built from five arrays, it copies them into one flat vector."""
 
     FIELDS = ("u_a", "u_v", "e_x", "w_out", "b")
 
+    def __init__(self, u_a, u_v, e_x, w_out, b):
+        tensors = [np.asarray(t, dtype=np.float64) for t in (u_a, u_v, e_x, w_out, b)]
+        stops = list(itertools.accumulate(t.size for t in tensors))
+        self._bind(np.concatenate([t.ravel() for t in tensors]),
+                   tuple(zip(self.FIELDS, [0, *stops], stops, (t.shape for t in tensors))))
+
+    @classmethod
+    def _wrap(cls, vector: np.ndarray, layout: tuple) -> "PolicyParams":
+        """Params whose fields are views into vector (no copy)."""
+        params = cls.__new__(cls)
+        params._bind(vector, layout)
+        return params
+
     def copy(self) -> "PolicyParams":
-        return PolicyParams(*(getattr(self, f).copy() for f in self.FIELDS))
+        return self._wrap(self.vector.copy(), self.layout)
 
     @property
     def vocab_size(self) -> int:
@@ -64,67 +100,46 @@ class PolicyParams:
     def n_prompts(self) -> int:
         return self.e_x.shape[-2]
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f).ravel() for f in self.FIELDS])
-
     def from_vector(self, vec: np.ndarray) -> "PolicyParams":
-        """New params with the same shapes, values taken from a flat vector.
+        """New params with the same shapes whose fields are views into a
+        flat vector.
 
         A (K, n) stack of flat vectors gives K stacked parameter sets: every
         tensor gains a leading K axis, which ``forward`` broadcasts over.
         """
-        vec = np.asarray(vec, dtype=np.float64)
-        out, offset = [], 0
-        for f in self.FIELDS:
-            shape = getattr(self, f).shape
-            size = int(np.prod(shape))
-            out.append(vec[..., offset : offset + size].reshape(vec.shape[:-1] + shape))
-            offset += size
-        if offset != vec.shape[-1]:
-            raise ValueError(f"flat vector has {vec.shape[-1]} entries, expected {offset}")
-        return PolicyParams(*out)
+        vec, size = np.asarray(vec, dtype=np.float64), self.layout[-1][2]
+        if vec.shape[-1] != size:
+            raise ValueError(f"flat vector has {vec.shape[-1]} entries, expected {size}")
+        return self._wrap(vec, self.layout)
 
 
-class GradAccumulator:
-    """Additive gradient buffers matching PolicyParams shapes."""
+class GradAccumulator(_FlatTensors):
+    """Additive gradient buffers matching PolicyParams shapes, zeroed."""
 
     def __init__(self, params: PolicyParams):
-        self.u_a = np.zeros_like(params.u_a)
-        self.u_v = np.zeros_like(params.u_v)
-        self.e_x = np.zeros_like(params.e_x)
-        self.w_out = np.zeros_like(params.w_out)
-        self.b = np.zeros_like(params.b)
+        self._bind(np.zeros_like(params.vector), params.layout)
 
     def add(self, other: "GradAccumulator") -> None:
-        for f in PolicyParams.FIELDS:
-            getattr(self, f).__iadd__(getattr(other, f))
+        self.vector += other.vector
         self.check_finite()
 
     def check_finite(self) -> None:
-        for f in PolicyParams.FIELDS:
-            if not np.all(np.isfinite(getattr(self, f))):
-                raise FloatingPointError(f"gradient accumulator {f} became non-finite")
+        """Raise FloatingPointError naming the first field holding a
+        non-finite entry (looked up only after the whole-vector check)."""
+        if not np.isfinite(self.vector).all():
+            bad = next(name for name, start, stop, _ in self.layout
+                       if not np.isfinite(self.vector[..., start:stop]).all())
+            raise FloatingPointError(f"gradient accumulator {bad} became non-finite")
 
     def scale(self, factor: float) -> None:
-        for f in PolicyParams.FIELDS:
-            getattr(self, f).__imul__(factor)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f).ravel() for f in PolicyParams.FIELDS])
+        self.vector *= factor
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(getattr(self, f)))) for f in PolicyParams.FIELDS)
+        return float(np.max(np.abs(self.vector)))
 
 
-def init_params(
-    d_a: int = 8,
-    d_v: int = 8,
-    d_h: int = 16,
-    vocab_size: int = 8,
-    n_prompts: int = 16,
-    seed: int = 0,
-    scale: float = 0.1,
-) -> PolicyParams:
+def init_params(d_a: int = 8, d_v: int = 8, d_h: int = 16, vocab_size: int = 8,
+                n_prompts: int = 16, seed: int = 0, scale: float = 0.1) -> PolicyParams:
     """Seeded uniform(-scale, scale) initialization of every tensor."""
     rng = np.random.default_rng(seed)
 
@@ -141,7 +156,7 @@ def init_params(
 
 
 def zero_params_like(params: PolicyParams) -> PolicyParams:
-    return PolicyParams(*(np.zeros_like(getattr(params, f)) for f in PolicyParams.FIELDS))
+    return PolicyParams._wrap(np.zeros_like(params.vector), params.layout)
 
 
 @dataclass(eq=False)
@@ -230,9 +245,7 @@ def backward(params: PolicyParams, cache, upstream: np.ndarray) -> GradAccumulat
 
 def apply_gradient_step(params: PolicyParams, grads: GradAccumulator, lr: float) -> PolicyParams:
     """Plain gradient-descent update, returning new params (inputs untouched)."""
-    return PolicyParams(
-        *(getattr(params, f) - lr * getattr(grads, f) for f in PolicyParams.FIELDS)
-    )
+    return PolicyParams._wrap(params.vector - lr * grads.vector, params.layout)
 
 
 def save_checkpoint(params: PolicyParams, path) -> None:

@@ -46,6 +46,7 @@ import json
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -67,13 +68,8 @@ N_OBJECT_KINDS = 4
 FEATURE_DIM = 8
 FEATURE_NOISE = 0.05
 
-ENTITY_CATEGORIES = (
-    "in_view_sound_source",
-    "in_view_sound",
-    "in_view_silent_object",
-    "out_of_view_sound_source",
-    "out_of_view_sound",
-)
+ENTITY_CATEGORIES = ("in_view_sound_source", "in_view_sound", "in_view_silent_object",
+                     "out_of_view_sound_source", "out_of_view_sound")
 
 QUESTION_KINDS = ("visual_presence", "audio_presence", "visual_caption", "audio_caption")
 # Evaluation files may additionally carry audiovisual matching probes.
@@ -96,16 +92,6 @@ AUDIO_CAPTION_PROMPT = VISUAL_CAPTION_PROMPT + 1
 AV_MATCHING_PROMPT = VISUAL_CAPTION_PROMPT + 2
 N_PROMPTS = AV_MATCHING_PROMPT + 1
 
-PROMPT_TEXTS = tuple(
-    [f"Can you see the {name} in the video?" for name in KIND_NAMES]
-    + [f"Can you hear the {name} in the audio?" for name in KIND_NAMES]
-    + [
-        "Describe what is visible.",
-        "Describe what is audible.",
-        "Do the audio and the video belong together?",
-    ]
-)
-
 # Seed-stream tags so scenes, pairs and eval items draw from disjoint
 # deterministic streams.
 _SCENE_STREAM = 1
@@ -113,18 +99,8 @@ _PAIR_STREAM = 2
 _EVAL_STREAM = 3
 _SIGNATURE_STREAM = 4
 
-RECORD_FIELDS = (
-    "visual_scene",
-    "audio_scene",
-    "question_kind",
-    "prompt_id",
-    "modality_tag",
-    "matched",
-    "y_w",
-    "y_l",
-    "audio_feat",
-    "visual_feat",
-)
+RECORD_FIELDS = ("visual_scene", "audio_scene", "question_kind", "prompt_id", "modality_tag",
+                 "matched", "y_w", "y_l", "audio_feat", "visual_feat")
 
 
 class WorldError(ValueError):
@@ -161,6 +137,16 @@ class Scene:
     def __post_init__(self):
         if not (1 <= len(self.entities) <= 4):
             raise WorldError(f"scenes hold 1-4 entities, got {len(self.entities)}")
+
+    @cached_property
+    def visible_kinds(self) -> frozenset:
+        """Entity kinds the scene shows, read from the ground-truth flags."""
+        return frozenset(e.entity_id for e in self.entities if e.visible)
+
+    @cached_property
+    def sounding_kinds(self) -> frozenset:
+        """Entity kinds the scene sounds, read from the ground-truth flags."""
+        return frozenset(e.entity_id for e in self.entities if e.sounding)
 
 
 def classify_entity(e: Entity, kind: str) -> str:
@@ -201,16 +187,6 @@ def answer_for(category: str, question_kind: str):
     if question_kind not in ("visual_presence", "audio_presence"):
         raise WorldError(f"answer_for handles presence questions, got {question_kind!r}")
     return _ANSWER_TABLE.get((category, question_kind))
-
-
-def visible_kinds(scene: Scene) -> frozenset:
-    """Entity kinds the scene shows, read from the ground-truth flags."""
-    return frozenset(e.entity_id for e in scene.entities if e.visible)
-
-
-def sounding_kinds(scene: Scene) -> frozenset:
-    """Entity kinds the scene sounds, read from the ground-truth flags."""
-    return frozenset(e.entity_id for e in scene.entities if e.sounding)
 
 
 # ---------------------------------------------------------------------------
@@ -503,34 +479,28 @@ def caption_slot(active_kinds) -> int:
     return CAPTION_BASE + (mask % N_CAPTION_SLOTS)
 
 
-def _composite_entity(kind: int, visible: bool, sounding: bool):
-    """Entity as it exists in a (possibly mismatched) audiovisual context;
-    None when the flags are not a classifiable combination."""
-    if not (visible or sounding):
-        return None
-    if kind_of(kind) == "pure_sound" and not sounding:
-        return None
-    return Entity(kind, visible, sounding)
-
-
-def presence_candidates(visual_scene: Scene, audio_scene: Scene, question_kind: str):
+def presence_candidates(visual_scene: Scene, audio_scene: Scene, question_kind: str) -> tuple:
     """Kinds eligible for a presence question in this context, with answers.
 
     Visibility is read from the visual scene and audibility from the audio
     scene, which is exactly what a (possibly mismatched) context presents.
-    Returns a sorted list of (kind, answer) pairs.
+    Returns a sorted tuple of (kind, answer) pairs.
     """
-    visible = visible_kinds(visual_scene)
-    sounding = sounding_kinds(audio_scene)
+    return _presence_candidates(visual_scene.visible_kinds, audio_scene.sounding_kinds,
+                                question_kind)
+
+
+@cache  # at most 2**6 visible sets x 2**6 sounding sets x 2 question kinds
+def _presence_candidates(visible: frozenset, sounding: frozenset, question_kind: str) -> tuple:
     out = []
     for k in sorted(visible | sounding):
-        e = _composite_entity(k, k in visible, k in sounding)
-        if e is None:
-            continue
-        answer = answer_for(classify_entity(e, kind_of(k)), question_kind)
+        if kind_of(k) == "pure_sound" and k not in sounding:
+            continue  # a silent pure sound has no category
+        entity = Entity(k, k in visible, k in sounding)  # as the context presents it
+        answer = answer_for(classify_entity(entity, kind_of(k)), question_kind)
         if answer is not None:
             out.append((k, answer))
-    return out
+    return tuple(out)
 
 
 def answer_id(answer: str) -> int:
@@ -560,11 +530,11 @@ def oracle_responses(visual_scene: Scene, audio_scene: Scene, question_kind: str
         y_w = answer_id(candidates[target_kind])
         return y_w, _invert(y_w)
     if question_kind == "visual_caption":
-        active = visible_kinds(visual_scene)
-        other = sounding_kinds(audio_scene)
+        active = visual_scene.visible_kinds
+        other = audio_scene.sounding_kinds
     elif question_kind == "audio_caption":
-        active = sounding_kinds(audio_scene)
-        other = visible_kinds(visual_scene)
+        active = audio_scene.sounding_kinds
+        other = visual_scene.visible_kinds
     else:
         raise WorldError(f"no oracle for question kind {question_kind!r}")
     if not active:
@@ -659,12 +629,8 @@ def _exact_allocation(n: int, fraction: float, rng: np.random.Generator) -> np.n
 
 def _question_allocation(cfg: SynthConfig, rng: np.random.Generator):
     n_presence = int(round(cfg.n_pairs * cfg.presence_fraction))
-    kinds = []
-    for i in range(n_presence):
-        kinds.append("visual_presence" if i % 2 == 0 else "audio_presence")
-    for i in range(cfg.n_pairs - n_presence):
-        kinds.append("visual_caption" if i % 2 == 0 else "audio_caption")
-    kinds = np.array(kinds)
+    kinds = np.array([QUESTION_KINDS[i % 2] for i in range(n_presence)]
+                     + [QUESTION_KINDS[2 + i % 2] for i in range(cfg.n_pairs - n_presence)])
     rng.shuffle(kinds)
     return kinds
 
@@ -1029,7 +995,7 @@ def generate_eval_records(cfg: EvalConfig):
             rng = next_rng()
             visual_scene, audio_scene = _draw_scene_pair(
                 scenes, bool(rng.random() < cfg.matched_fraction), rng)
-            present = visible_kinds(visual_scene) | sounding_kinds(audio_scene)
+            present = visual_scene.visible_kinds | audio_scene.sounding_kinds
             absent = [k for k in range(N_ENTITY_KINDS) if k not in present]
             if not absent:
                 continue
@@ -1050,7 +1016,7 @@ def generate_eval_records(cfg: EvalConfig):
         for _ in range(500):
             rng = next_rng()
             visual_scene, audio_scene = _draw_scene_pair(scenes, bool(matched_flags[i]), rng)
-            candidates = presence_candidates(visual_scene, audio_scene, qk)
+            candidates = list(presence_candidates(visual_scene, audio_scene, qk))
             rng.shuffle(candidates)
             placed = False
             for target, answer in candidates:

@@ -19,26 +19,26 @@ Loss variants:
 
 Per-pair pass counts follow sequence-model accounting: scoring y_w and y_l
 counts as two passes even though the desk-scale policy produces the whole
-response distribution in one evaluation, and a batch's rows go through one
-matrix call per model.  The counters count logical passes, not calls,
-which keeps them comparable across variants.  evaluate_batch derives them
-from the feature blocks it forwards (two passes per block, two backward
-passes through the clean block), which gives:
+response distribution in one evaluation.  The counters count logical
+passes per pair, not calls, which keeps them comparable across variants:
+two per forwarded block of each model (the reference's blocks being the
+ones its slots hold) and two backward passes through the clean block:
 
     dpo          fwd_policy=2  fwd_ref=2  bwd_policy=2  bwd_ref=0
     mod          fwd_policy=6  fwd_ref=2  bwd_policy=2  bwd_ref=0
     modpp        fwd_policy=6  fwd_ref=4  bwd_policy=2  bwd_ref=0
     joint pairs  fwd_policy=4  fwd_ref=2  bwd_policy=2  bwd_ref=0
 
-A training step is batch-first: one policy forward over the clean rows
-with the corrupted rows stacked under them, one reference forward over the
-clean and text-only rows, the loss of all pairs in one core.pair_terms
-call, and one backward through the clean rows only.  Datasets are
-``synth.PairTable`` columns (a list of pairs is stacked once on entry):
-``batch_schedule`` turns the tag column into one row-index array per step,
-and each step indexes its row block out of the table, whose rows share
-one modality tag.  ``pair_loss_terms`` is a one-line wrapper the benchmark
-harness times as the loss.
+The reference is frozen, so train() scores it once per run: one forward
+per reference block over every row (``reference_logprobs``), after which
+each step gathers its rows' columns.  A step then makes one policy
+forward over one buffer per modality holding the clean rows with each
+corrupted block in the slices under them, scores all pairs in one
+core.pair_terms call, and makes one backward through the clean rows.
+Datasets are ``synth.PairTable`` columns (a list of pairs is stacked once
+on entry); ``batch_schedule`` turns the tag column into one row-index
+array per step, whose rows share one modality tag.  ``pair_loss_terms``
+is a one-line wrapper the benchmark harness times as the loss.
 
 Determinism: everything derives from cfg.seed through tagged seed
 sequences, so runs are exactly repeatable.  Step s of a corrupting variant
@@ -201,27 +201,44 @@ def feature_pools(dataset) -> dict:
     return {m: FeaturePool(getattr(dataset, m)) for m in ("audio", "visual")}
 
 
-def _forward_blocks(params: PolicyParams, blocks, ids):
-    """One forward over feature blocks stacked row-wise, each block with the
-    same prompt ids."""
-    return forward(params, np.concatenate([b["audio"] for b in blocks]),
-                   np.concatenate([b["visual"] for b in blocks]), np.tile(ids, len(blocks)))
+# The rows of a reference_logprobs table, in order: clean, then text-only.
+REF_SLOTS = ("ref_w", "ref_l", "text_w", "text_l")
 
 
-def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: TrainConfig,
+def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.ndarray:
+    """The frozen reference's log-probabilities of every row's chosen and
+    rejected responses: a (2, N) array of ref_w and ref_l, or under modpp a
+    (4, N) array that adds text_w and text_l (features zeroed).
+
+    One forward per block over all N rows.  The reference never changes
+    during preference training, so train() builds this table once per run
+    and each step takes its rows' columns; the oracles call it on a batch.
+    """
+    table = PairTable.coerce(table)
+    blocks = [(table.audio, table.visual)]
+    if cfg.loss_variant == "modpp":
+        blocks.append((np.zeros_like(table.audio), np.zeros_like(table.visual)))  # text-only
+    rows, responses = np.arange(len(table)), np.stack((table.y_w, table.y_l))
+    return np.concatenate([forward(ref_params, a, v, table.prompt_id).logprobs[rows, responses]
+                           for a, v in blocks])
+
+
+def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
                    step: int, pools=None):
     """All log-probabilities a variant needs for a batch of pairs.
 
-    Returns (PairLogProbs of (B,) arrays, the per-pair PassCounter, the
-    ForwardCache of the clean policy rows).  One policy forward scores the
-    clean rows with the corrupted rows stacked under them; one reference
-    forward scores the clean rows and, for modpp, the text-only rows.  The
-    counter counts two passes per forwarded block of each model.  Only the
-    returned clean-row cache may be back-propagated; the corrupted rows are
-    detached and the reference is frozen throughout.  All corrupted rows of
-    the step come from one generator seeded by (cfg.seed, step), drawn slot
-    by slot in ascending order (see the module docstring).  Raises
-    TrainingError for an empty batch or one whose rows mix modality tags.
+    ref holds the batch's reference slots, its rows' columns of a
+    reference_logprobs table.  Returns (PairLogProbs of (B,) arrays, the
+    per-pair PassCounter, the ForwardCache of the clean policy rows).  The
+    clean rows and each corrupted block fill slices of one buffer per
+    modality, which one policy forward scores.  The counter counts two
+    passes per block of each model, the reference's blocks being those the
+    slots hold.  Only the returned clean-row cache may be back-propagated;
+    the corrupted rows are detached and the reference is frozen throughout.
+    All corrupted rows of the step come from one generator seeded by
+    (cfg.seed, step), drawn slot by slot in ascending order (see the module
+    docstring).  Raises TrainingError for an empty batch or one whose rows
+    mix modality tags.
     """
     batch = PairTable.coerce(batch)
     n, tags = len(batch), batch.modality_tag
@@ -240,37 +257,24 @@ def evaluate_batch(params: PolicyParams, ref_params: PolicyParams, batch, cfg: T
         relevant, irrelevant = (("audio", "visual") if tags[0] == AUDIO_RELATED
                                 else ("visual", "audio"))
         corrupted = {"inv": (irrelevant,), "sens": (relevant,)}
-    ids = batch.prompt_id
-    clean = {"audio": batch.audio, "visual": batch.visual}
-    blocks = [clean]
-    if corrupted:
-        rng, every = _rng(cfg.seed, _CORRUPT_STREAM, step), np.ones(n, dtype=bool)
-        blocks += [corrupt_rows(clean, cfg.corruption, dict.fromkeys(modalities, every), rng, pools)
-                   for modalities in corrupted.values()]
-    ref_blocks = [clean]
-    if cfg.loss_variant == "modpp":
-        ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})  # text-only
-    policy = _forward_blocks(params, blocks, ids)
-    ref = _forward_blocks(ref_params, ref_blocks, ids).logprobs
+    k, clean = 1 + len(corrupted), {"audio": batch.audio, "visual": batch.visual}
+    stacked = {m: np.empty((k * n, x.shape[1])) for m, x in clean.items()}
+    rng = _rng(cfg.seed, _CORRUPT_STREAM, step) if corrupted else None
+    every = np.ones(n, dtype=bool)
+    for block, modalities in enumerate(((), *corrupted.values())):  # block 0: clean copy
+        corrupt_rows(clean, cfg.corruption, dict.fromkeys(modalities, every), rng, pools,
+                     out={m: x[block * n : (block + 1) * n] for m, x in stacked.items()})
+    policy = forward(params, stacked["audio"], stacked["visual"], np.tile(batch.prompt_id, k))
     if not (np.isfinite(policy.logprobs).all() and np.isfinite(ref).all()):
         raise DivergenceError(f"training diverged at step {step}: loss nan "
                               "(non-finite log-probabilities)")
-
-    w, l = batch.y_w, batch.y_l
-    rows = np.arange(n)
-
-    def pick(logprobs, block):
-        return logprobs[block * n + rows, w], logprobs[block * n + rows, l]
-
-    slots = {}
+    # picked[block] holds the block's (chosen, rejected) log-probabilities.
+    picked = policy.logprobs.reshape(k, n, -1)[:, np.arange(n), np.stack((batch.y_w, batch.y_l))]
+    slots = dict(zip(REF_SLOTS, ref))
     for block, name in enumerate(corrupted, start=1):
-        slots[f"{name}_w"], slots[f"{name}_l"] = pick(policy.logprobs, block)
-    if len(ref_blocks) == 2:
-        slots["text_w"], slots["text_l"] = pick(ref, 1)
-    (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
-    pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
-    counter = PassCounter(fwd_policy=2 * len(blocks), fwd_ref=2 * len(ref_blocks), bwd_policy=2)
-    return pl, counter, policy[:n]
+        slots[f"{name}_w"], slots[f"{name}_l"] = picked[block]
+    pl = PairLogProbs(policy_w=picked[0, 0], policy_l=picked[0, 1], **slots)
+    return pl, PassCounter(fwd_policy=2 * k, fwd_ref=len(ref), bwd_policy=2), policy[:n]
 
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
@@ -282,15 +286,16 @@ def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
     return core.pair_terms(pl, cfg.loss_hp, joint)
 
 
-def train_step(params: PolicyParams, ref_params: PolicyParams, batch, cfg: TrainConfig,
+def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
                step: int = 0, pools=None):
     """One gradient-descent update on a row block of preference pairs.
 
-    Returns (updated params, mean pair loss, per-pair PassCounter).  The
-    batch's rows must share one modality tag (see evaluate_batch).
+    ref holds the batch's reference slots (see evaluate_batch).  Returns
+    (updated params, mean pair loss, per-pair PassCounter).  The batch's
+    rows must share one modality tag.
     """
     batch = PairTable.coerce(batch)
-    pl, counter, clean = evaluate_batch(params, ref_params, batch, cfg, step, pools)
+    pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools)
     losses, margins, coef = pair_loss_terms(pl, cfg, MODALITY_TAGS[batch.modality_tag[0]])
     loss = float(np.mean(losses))
     weights = _sigmoid(-margins) * coef
@@ -325,21 +330,15 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
     n = len(dataset)
     size = min(batch_size, n)
     rows = np.arange(size)
-    rng = _rng(seed, _WARMUP_STREAM)
-    order = np.arange(n)
-    cursor = n  # force an initial shuffle
+    # Batches walk the row order, reshuffled in place each time it runs out.
+    rng, order, shuffles = _rng(seed, _WARMUP_STREAM), np.arange(n), []
+    for _ in range(-(-steps * size // n)):
+        rng.shuffle(order)
+        shuffles.append(order.copy())
+    stream = np.concatenate(shuffles or [order])
     first = None
     for step in range(steps):
-        batch = np.empty(size, dtype=np.intp)
-        filled = 0
-        while filled < size:
-            if cursor >= n:
-                rng.shuffle(order)
-                cursor = 0
-            take = min(size - filled, n - cursor)
-            batch[filled : filled + take] = order[cursor : cursor + take]
-            filled += take
-            cursor += take
+        batch = stream[step * size : (step + 1) * size]
         cache = forward(params, audio[batch], visual[batch], ids[batch])
         loss = -float(np.mean(cache.logprobs[rows, y_w[batch]]))
         first = loss if first is None else first
@@ -421,11 +420,13 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     ref_params = ref_params.copy()
     params = ref_params.copy()
     pools = feature_pools(dataset)
+    ref_table = reference_logprobs(ref_params, dataset, cfg)
 
     losses = []
     counters = []
     for step, rows in enumerate(schedule):
-        params, loss, counter = train_step(params, ref_params, dataset[rows], cfg, step, pools)
+        params, loss, counter = train_step(params, ref_table[:, rows], dataset[rows], cfg, step,
+                                           pools)
         _check_loss("training", step, loss, losses[0] if losses else loss)
         losses.append(loss)
         counters.append(counter)

@@ -23,8 +23,15 @@ from modlab import core, synth
 from modlab import eval as eval_mod
 from modlab import train as training
 from modlab.core import PairLogProbs
-from modlab.corrupt import CORRUPTION_KINDS, CorruptionSpec, FeaturePool, corrupt
-from modlab.policy import GradAccumulator, apply_gradient_step, backward, forward, init_params
+from modlab.corrupt import CORRUPTION_KINDS, CorruptionSpec, FeaturePool, corrupt, corrupt_rows
+from modlab.policy import (
+    GradAccumulator,
+    PolicyParams,
+    apply_gradient_step,
+    backward,
+    forward,
+    init_params,
+)
 from modlab.synth import (
     AUDIO_RELATED,
     AUDIOVISUAL,
@@ -177,7 +184,8 @@ def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool
                       corruption=CorruptionSpec(kind=kind, t=300, sigma=0.7))
     batch = batch_of(data, tag)
     pools = swap_pools(data, batch, pool)
-    got, loss, _ = train_step(params, ref, batch, cfg, step=5, pools=pools)
+    slots = training.reference_logprobs(ref, batch, cfg)
+    got, loss, _ = train_step(params, slots, batch, cfg, step=5, pools=pools)
     want, want_loss = reference_step(params, ref, batch, cfg, 5, pools)
     assert abs(loss - want_loss) <= TOL
     np.testing.assert_allclose(got.to_vector(), want.to_vector(), rtol=0, atol=TOL)
@@ -189,7 +197,8 @@ def test_mixed_joint_batch_still_rejected(data, models):
     batch = batch_of(data, "visual_related", 2) + batch_of(data, "audiovisual", 2)
     with pytest.raises(TrainingError, match=r"one modality tag, got \['visual_related', "
                                             r"'audiovisual'\]"):
-        train_step(params, ref, batch, cfg, step=0, pools=training.feature_pools(data))
+        train_step(params, training.reference_logprobs(ref, batch, cfg), batch, cfg, step=0,
+                   pools=training.feature_pools(data))
 
 
 def test_warmup_matches_per_pair_loop(data):
@@ -214,6 +223,130 @@ def test_warmup_matches_per_pair_loop(data):
         params = apply_gradient_step(params, grads, lr)
     got = training.warmup_reference(dataset, steps, seed, lr=lr, batch_size=size)
     np.testing.assert_allclose(got.to_vector(), params.to_vector(), rtol=0, atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# The lean training loop against the step it replaced
+
+
+def loop_step(params, ref_params, batch, cfg, step, pools):
+    """The training step before the reference table: every step forwards
+    the reference on its own rows (clean, then text-only under modpp),
+    concatenates fresh corrupted blocks under the clean rows, and updates
+    the parameters field by field."""
+    n, tag = len(batch), batch.modality_tag[0]
+    if cfg.loss_variant == "dpo":
+        corrupted = {}
+    elif tag == AUDIOVISUAL:
+        corrupted = {"sens": ("audio", "visual")}
+    else:
+        relevant, irrelevant = ROLES[tag]
+        corrupted = {"inv": (irrelevant,), "sens": (relevant,)}
+    clean = {"audio": batch.audio, "visual": batch.visual}
+    blocks = [clean]
+    if corrupted:
+        rng, every = synth._rng(cfg.seed, training._CORRUPT_STREAM, step), np.ones(n, dtype=bool)
+        blocks += [corrupt_rows(clean, cfg.corruption, dict.fromkeys(modalities, every), rng, pools)
+                   for modalities in corrupted.values()]
+    ref_blocks = [clean]
+    if cfg.loss_variant == "modpp":
+        ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})
+
+    def forward_blocks(model, stacked):
+        return forward(model, np.concatenate([b["audio"] for b in stacked]),
+                       np.concatenate([b["visual"] for b in stacked]),
+                       np.tile(batch.prompt_id, len(stacked)))
+
+    policy, ref = forward_blocks(params, blocks), forward_blocks(ref_params, ref_blocks).logprobs
+    rows = np.arange(n)
+
+    def pick(logprobs, block):
+        return logprobs[block * n + rows, batch.y_w], logprobs[block * n + rows, batch.y_l]
+
+    slots = {}
+    for block, name in enumerate(corrupted, start=1):
+        slots[f"{name}_w"], slots[f"{name}_l"] = pick(policy.logprobs, block)
+    if len(ref_blocks) == 2:
+        slots["text_w"], slots["text_l"] = pick(ref, 1)
+    (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
+    pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
+    losses, margins, coef = training.pair_loss_terms(pl, cfg, MODALITY_TAGS[tag])
+    weights = training._sigmoid(-margins) * coef
+    upstream = np.zeros_like(policy.probs[:n])
+    upstream[rows, batch.y_w], upstream[rows, batch.y_l] = -weights, weights
+    grads = backward(params, policy[:n], upstream)
+    factor = 1.0 / n
+    updated = PolicyParams(*(getattr(params, f) - cfg.lr * (getattr(grads, f) * factor)
+                             for f in PolicyParams.FIELDS))
+    counter = training.PassCounter(2 * len(blocks), 2 * len(ref_blocks), 2)
+    return updated, float(np.mean(losses)), counter
+
+
+def loop_train(dataset, cfg, ref_params):
+    schedule, _ = training.batch_schedule(dataset, cfg)
+    pools = training.feature_pools(dataset)
+    params, losses, counters = ref_params.copy(), [], []
+    for step, rows in enumerate(schedule):
+        params, loss, counter = loop_step(params, ref_params, dataset[rows], cfg, step, pools)
+        losses.append(loss)
+        counters.append(counter)
+    return params, np.array(losses), counters
+
+
+@pytest.fixture(scope="module")
+def with_av(data):
+    """The 60 pairs plus 10 audiovisual copies: in batches of 8 every batch
+    holds at least 2 rows (tails of 6, 6 and 2)."""
+    return synth.PairTable.concat([data, synth.PairTable.coerce(batch_of(data, "audiovisual", 10))])
+
+
+@pytest.mark.parametrize("variant", training.LOSS_VARIANTS)
+def test_train_equals_the_per_step_reference_loop(with_av, models, variant):
+    # Every step forwards at least 2 reference rows, so the table's rows
+    # equal the per-step reference forward bitwise.
+    ref = models[1]
+    cfg = TrainConfig(loss_variant=variant, lr=0.1, epochs=2, batch_size=8, seed=3,
+                      corruption=CorruptionSpec(kind="gaussian", sigma=0.7))
+    schedule, _ = training.batch_schedule(with_av, cfg)
+    assert min(len(rows) for rows in schedule) >= 2
+    result = training.train(with_av, cfg, ref_params=ref)
+    params, losses, counters = loop_train(with_av, cfg, ref)
+    assert result.params.to_vector().tobytes() == params.to_vector().tobytes()
+    assert result.losses.tobytes() == losses.tobytes()
+    assert result.counters == counters
+
+
+def test_one_row_dpo_batch_agrees_within_tolerance(data, models):
+    # 30 visual and 29 audio pairs in batches of 7: the audio tail holds one
+    # row.  A one-row reference forward takes numpy's matrix-vector path,
+    # which may round differently from the table's matrix-matrix rows; the
+    # two runs agree to a relative 1e-12 (measured here: bitwise equal
+    # parameters, and one step's loss 1.6e-16 apart, relative).
+    dataset = data[:59]
+    cfg = TrainConfig(loss_variant="dpo", lr=0.1, epochs=2, batch_size=7, seed=3)
+    schedule, _ = training.batch_schedule(dataset, cfg)
+    assert min(len(rows) for rows in schedule) == 1
+    result = training.train(dataset, cfg, ref_params=models[1])
+    params, losses, counters = loop_train(dataset, cfg, models[1])
+    np.testing.assert_allclose(result.params.to_vector(), params.to_vector(), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(result.losses, losses, rtol=1e-12, atol=0)
+    assert result.counters == counters
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(picks=st.lists(st.integers(0, 59), min_size=2, max_size=30),
+       variant=st.sampled_from(["dpo", "modpp"]))
+def test_reference_table_rows_equal_the_forward_of_those_rows(data, models, picks, variant):
+    ref, rows = models[1], np.array(picks)
+    table = training.reference_logprobs(ref, data, TrainConfig(loss_variant=variant))
+    batch, picked = data[rows], np.arange(len(rows))
+    want = []
+    for audio, visual in [(batch.audio, batch.visual)] + (
+            [(np.zeros_like(batch.audio), np.zeros_like(batch.visual))] if variant == "modpp"
+            else []):
+        logprobs = forward(ref, audio, visual, batch.prompt_id).logprobs
+        want += [logprobs[picked, batch.y_w], logprobs[picked, batch.y_l]]
+    assert table[:, rows].tobytes() == np.stack(want).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -136,6 +136,30 @@ class TestOverridesAndErrors:
         assert len(err) == 1 and key in err[0], err
         assert not (tmp_path / "run" / "policy.ckpt").exists()
 
+    @pytest.mark.parametrize("command,override,key", [
+        ("synth", "synth.n_pairz=5", "synth.n_pairz"),
+        ("synth", "synth.eval_items.n_itemz=5", "synth.eval_items.n_itemz"),
+        ("eval", "eval.shift.sigmaa=2", "eval.shift.sigmaa"),
+        ("report", "report.shift.tt=3", "report.shift.tt"),
+        ("report", "report.out_prefx=x", "report.out_prefx"),
+        ("verify", "verify.fsat=true", "verify.fsat"),
+    ])
+    def test_unknown_section_setting_is_config_error(self, tmp_path, capsys, command, override,
+                                                     key):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run(command, config_path, [override]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown {command} setting {key}"]
+        assert not (tmp_path / "run" / f"{command}.config.yaml").exists()
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("value", ["null", "5"])
+    def test_section_that_is_not_a_mapping_is_config_error(self, tmp_path, capsys, command,
+                                                           value):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run(command, config_path, [f"{command}={value}"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"config section {command} must be a mapping" in err[0], err
+
     @pytest.mark.parametrize("order", ["config first", "command first"])
     def test_config_option_before_or_after_command(self, tmp_path, order):
         config_path, _ = write_config(tmp_path)

@@ -138,11 +138,62 @@ class TestGradAccumulator:
         params = make_params(23)
         rng = np.random.default_rng(10)
         grads = row_backward(params, make_row(rng), rng.normal(size=5))
-        before = params.to_vector().copy()
+        before, grads_before = params.to_vector(), grads.to_vector()
         updated = apply_gradient_step(params, grads, 0.1)
-        assert np.array_equal(params.to_vector(), before)
-        np.testing.assert_allclose(updated.to_vector(),
-                                   before - 0.1 * grads.to_vector(), atol=1e-15)
+        assert params.to_vector().tobytes() == before.tobytes()
+        assert grads.to_vector().tobytes() == grads_before.tobytes()
+        assert updated.vector is not params.vector
+        # The flat update is the field-by-field update, bitwise.
+        for f in PolicyParams.FIELDS:
+            want = getattr(params, f) - 0.1 * getattr(grads, f)
+            assert getattr(updated, f).tobytes() == want.tobytes(), f
+
+    @pytest.mark.parametrize("end", [0, -1])  # the field's first or last flat entry
+    @pytest.mark.parametrize("field", PolicyParams.FIELDS)
+    def test_non_finite_entry_is_named_by_its_field(self, field, end):
+        params = make_params(3)
+        grads = row_backward(params, make_row(np.random.default_rng(4)), np.ones(5))
+        grads.check_finite()
+        view = getattr(grads, field)
+        view[(end,) * view.ndim] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=f"^gradient accumulator {field} became non-finite$"):
+            grads.check_finite()
+        total = GradAccumulator(params)
+        with pytest.raises(FloatingPointError, match=f"accumulator {field} became"):
+            total.add(grads)
+
+
+class TestFlatBuffer:
+    def test_fields_are_views_of_one_vector(self):
+        params = make_params(5)
+        for obj in (params, GradAccumulator(params), params.copy()):
+            for f in PolicyParams.FIELDS:
+                assert np.shares_memory(getattr(obj, f), obj.vector), f
+        assert params.to_vector().tobytes() == np.concatenate(
+            [getattr(params, f).ravel() for f in PolicyParams.FIELDS]).tobytes()
+
+    def test_assigning_a_field_writes_through(self):
+        params = make_params(6)
+        params.b = params.b + 7.5
+        params.w_out[0, 0] = 3.0
+        rebuilt = params.from_vector(params.to_vector())
+        for f in PolicyParams.FIELDS:
+            assert np.array_equal(getattr(rebuilt, f), getattr(params, f)), f
+        assert np.shares_memory(params.b, params.vector)
+
+    def test_separate_arrays_train_like_a_flat_vector(self):
+        # Five separately allocated arrays are copied into one vector; the
+        # result takes the same gradient steps as params built from_vector.
+        seed_params = make_params(8)
+        separate = PolicyParams(*(np.array(getattr(seed_params, f)) for f in PolicyParams.FIELDS))
+        flat = seed_params.from_vector(seed_params.to_vector())
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            row, upstream = make_row(rng), rng.normal(size=5)
+            separate = apply_gradient_step(separate, row_backward(separate, row, upstream), 0.3)
+            flat = apply_gradient_step(flat, row_backward(flat, row, upstream), 0.3)
+        assert separate.to_vector().tobytes() == flat.to_vector().tobytes()
 
 
 class TestVectorRoundTrip:
@@ -174,8 +225,10 @@ class TestCheckpoint:
         path = tmp_path / "policy.ckpt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
+        assert loaded.to_vector().tobytes() == params.to_vector().tobytes()
         for f in PolicyParams.FIELDS:
-            assert np.array_equal(getattr(params, f), getattr(loaded, f))
+            assert getattr(loaded, f).shape == getattr(params, f).shape
+            assert np.shares_memory(getattr(loaded, f), loaded.vector), f
 
     def test_save_is_byte_stable(self, tmp_path):
         params = make_params(37)

@@ -178,7 +178,7 @@ class TestBuildPair:
             pair = build_pair(scene, scene, "visual_caption", rng)
             if pair is None:
                 continue
-            visible = synth.visible_kinds(scene)
+            visible = scene.visible_kinds
             assert pair.y_w == synth.caption_slot(visible)
             assert pair.y_l != pair.y_w
             assert pair.prompt_id == synth.VISUAL_CAPTION_PROMPT

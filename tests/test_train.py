@@ -102,7 +102,8 @@ class TestPassCounts:
         av_batch = [av_pair_from(p) for p in data[:4]]
         ref = training.warmup_reference(data, steps=0, seed=0)
         cfg = quick_config(loss_variant="mod_with_av")
-        _, _, counter = train_step(ref.copy(), ref, av_batch, cfg, step=0,
+        slots = training.reference_logprobs(ref, av_batch, cfg)
+        _, _, counter = train_step(ref.copy(), slots, av_batch, cfg, step=0,
                                    pools=training.feature_pools(data))
         assert counter == PassCounter(4, 2, 2, 0)
 
@@ -122,16 +123,18 @@ class TestAlternation:
         data = small_dataset(n=20)
         visual = rows_tagged(data, VISUAL_RELATED)[0]
         audio = rows_tagged(data, AUDIO_RELATED)[0]
-        ref = training.warmup_reference(data, steps=0, seed=0)
+        ref, cfg = training.warmup_reference(data, steps=0, seed=0), quick_config()
         with pytest.raises(TrainingError,
                            match=r"one modality tag, got \['audio_related', 'visual_related'\]"):
-            train_step(ref.copy(), ref, [visual, audio], quick_config(), step=0)
+            train_step(ref.copy(), training.reference_logprobs(ref, [visual, audio], cfg),
+                       [visual, audio], cfg, step=0)
 
     def test_empty_batch_rejected(self):
         data = small_dataset(n=20)
         ref = training.warmup_reference(data, steps=0, seed=0)
         with pytest.raises(TrainingError, match=r"one modality tag, got \[\]"):
-            train_step(ref.copy(), ref, data[:0], quick_config(), step=0)
+            train_step(ref.copy(), training.reference_logprobs(ref, data[:0], quick_config()),
+                       data[:0], quick_config(), step=0)
 
     def test_missing_modality_rejected(self):
         data = small_dataset(n=40)
@@ -244,8 +247,9 @@ class TestStopGradient:
         params = training.init_policy_for(data, seed=11)
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
         cfg = quick_config(loss_variant="mod")
-        pl, _, clean = training.evaluate_batch(params, params, batch, cfg, 0,
-                                               training.feature_pools(data))
+        pl, _, clean = training.evaluate_batch(params,
+                                               training.reference_logprobs(params, batch, cfg),
+                                               batch, cfg, 0, training.feature_pools(data))
         assert clean.probs.shape == (len(batch), synth.VOCAB_SIZE)
         detached_loss = -np.sum(pl.inv_w - pl.inv_l) - np.sum(pl.sens_w - pl.sens_l)
         assert np.isfinite(detached_loss)
@@ -295,7 +299,8 @@ class TestCorruptionIntegration:
                            corruption=CorruptionSpec(kind="diffusion", t=0))
         pools = training.feature_pools(data)
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
-        pl, _, _ = training.evaluate_batch(ref, ref, batch, cfg, 0, pools)
+        pl, _, _ = training.evaluate_batch(ref, training.reference_logprobs(ref, batch, cfg), batch,
+                                           cfg, 0, pools)
         assert np.array_equal(pl.inv_w, pl.policy_w) and np.array_equal(pl.sens_l, pl.policy_l)
         from modlab.core import mod_margin
         margin = mod_margin(pl, cfg.hp)
