@@ -11,11 +11,12 @@ outputs:
     modlab verify  [k=v ...]               run the oracle battery
 
 Every command is deterministic given (config, seed): rerunning writes
-byte-identical artifacts.  Exit codes: 0 success, 2 config error (also a
-malformed dataset line or checkpoint, or a checkpoint that does not fit
-the data: other feature sizes, another vocabulary, or too few prompts), 3
-missing input, 4 verification failure, 1 a diverging training run or an
-unexpected runtime error.
+byte-identical artifacts.  Exit codes: 0 success, 2 config error (an
+unknown key, a setting not of its default's type or rejected by the class
+built from it; also a malformed dataset line or checkpoint, or a
+checkpoint that does not fit the data: other feature sizes, another
+vocabulary, or too few prompts), 3 missing input, 4 verification failure,
+1 a diverging training run or an unexpected runtime error.
 The default config path can be set via the MODLAB_CONFIG environment
 variable.
 """
@@ -69,7 +70,17 @@ class CliError(Exception):
 
 
 def default_config() -> dict:
-    """Desk-scale defaults for a full synth -> train -> eval -> report pass."""
+    """The config schema: every setting a command reads, with its default
+    (desk scale, for a full synth -> train -> eval -> report pass).
+
+    A setting must have its default's type: an integer default takes only
+    integers, a float default a number or a list of numbers, a string or
+    boolean default only its type, and a mapping default a mapping or null
+    (a section only a mapping).  A null default stands for the value the
+    comment beside it names; the class built from it checks a value set
+    there.  report.checkpoints maps names of the user's choice to paths.
+    """
+    shift = {"kind": "diffusion", "t": 500, "sigma": 1.0}  # null: CorruptionSpec's defaults
     return {
         "seed": 0,
         "out_dir": "runs/demo",
@@ -78,46 +89,88 @@ def default_config() -> dict:
             "n_scenes": 500,
             "matched_fraction": 0.5,
             "presence_fraction": 0.7,
-            "matched_bias": 0.5,
-            "feature_noise": 0.05,
+            "matched_bias": 0.5,  # or one co-occurrence rate per entity kind
+            "feature_noise": 0.05,  # or an (audio, visual) pair
             "world_seed": 7,
             "out": "dataset.jsonl",
-            "eval_items": {
+            "eval_items": {  # null: no eval items
                 "n_items": 2000,
                 "matched_fraction": 0.5,
+                "matching_fraction": 0.0,
+                "dominance_fraction": 0.0,
                 "out": "eval_items.jsonl",
             },
         },
         "train": {
-            "dataset": None,  # default: <out_dir>/dataset.jsonl
+            "dataset": None,  # <out_dir>/dataset.jsonl
+            "reference": None,  # a reference checkpoint; null: warm one up
             "preset": "modpp",
             "lr": 0.15,
             "epochs": 4,
+            # null: the preset's value
+            "loss_variant": None,
+            "batch_size": None,
+            "warmup_steps": None,
+            "warmup_lr": None,
+            "hp": None,  # Hyperparams fields
+            "corruption": None,  # CorruptionSpec fields
             "checkpoint": "policy.ckpt",
             "reference_checkpoint": "reference.ckpt",
+            "loss_trace": "loss_trace.csv",
+            "counters": "counters.json",
         },
         "eval": {
-            "checkpoint": None,  # default: <out_dir>/policy.ckpt
-            "items": None,  # default: <out_dir>/eval_items.jsonl
-            "shift": {"kind": "diffusion", "t": 500},
+            "checkpoint": None,  # <out_dir>/policy.ckpt
+            "items": None,  # <out_dir>/eval_items.jsonl
+            "shift": dict(shift),
             "out_prefix": "metrics",
         },
         "report": {
-            "checkpoints": {},  # name -> path; empty means reference+policy
-            "items": None,
+            "checkpoints": {},  # name -> path; empty: reference and policy in out_dir
+            "items": None,  # <out_dir>/eval_items.jsonl
+            "shift": dict(shift),
             "out_prefix": "comparison",
         },
         "verify": {"fast": True},
     }
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
-        else:
-            base[key] = value
-    return base
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# The type of a setting's default -> (test of a value, what the value must be).
+_TYPE_RULES = {
+    bool: (lambda v: type(v) is bool, "true or false"),
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: _is_number(v) or type(v) is list and all(map(_is_number, v)),
+            "a number or a list of numbers"),
+    str: (lambda v: type(v) is str, "a string"),
+}
+
+
+def _resolve(value, default, path: str = ""):
+    """value checked against its default (see default_config), with every
+    key a mapping leaves out set to its default; path names the setting."""
+    if default is None:  # checked by what the command builds from it
+        return value
+    if not isinstance(default, dict):
+        fits, kind = _TYPE_RULES[type(default)]
+        if not fits(value):
+            raise CliError(f"setting {path} must be {kind}, got {value!r}", EXIT_CONFIG)
+        return value
+    if value is None and "." in path:
+        return None
+    if not isinstance(value, dict):
+        raise CliError(f"config section {path} must be a mapping, got {value!r}", EXIT_CONFIG)
+    prefix = f"{path}." if path else ""
+    if not default:  # names of the user's choice, each mapped to a path
+        return {k: _resolve(v, "", f"{prefix}{k}") for k, v in value.items()}
+    unknown = sorted(f"{prefix}{k}" for k in set(value) - set(default))
+    if unknown:
+        where = path.split(".")[0] or "top-level"
+        raise CliError(f"unknown {where} setting {', '.join(unknown)}", EXIT_CONFIG)
+    return {k: _resolve(value.get(k, d), d, f"{prefix}{k}") for k, d in default.items()}
 
 
 def apply_override(cfg: dict, dotted: str) -> None:
@@ -127,7 +180,9 @@ def apply_override(cfg: dict, dotted: str) -> None:
     node = cfg
     parts = key.split(".")
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
+        if node.get(part) is None:
+            node[part] = {}
+        node = node[part]
         if not isinstance(node, dict):
             raise CliError(f"override {key!r} descends through a non-section value", EXIT_CONFIG)
     try:
@@ -138,29 +193,27 @@ def apply_override(cfg: dict, dotted: str) -> None:
 
 
 def load_config(config_path, overrides) -> dict:
-    cfg = default_config()
+    """The config file (if any) with the overrides applied, checked against
+    default_config() and completed from it."""
+    cfg = {}
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
-                user_cfg = yaml.load(fh, Loader=_ConfigLoader) or {}
+                cfg = yaml.load(fh, Loader=_ConfigLoader) or {}
         except OSError as exc:
             raise CliError(f"cannot read config {config_path}: {exc}", EXIT_MISSING)
         except yaml.YAMLError as exc:
             raise CliError(f"config {config_path} does not parse: {exc}", EXIT_CONFIG)
-        if not isinstance(user_cfg, dict):
+        if not isinstance(cfg, dict):
             raise CliError(f"config {config_path} must be a mapping of sections", EXIT_CONFIG)
-        _deep_update(cfg, user_cfg)
     for dotted in overrides or ():
         apply_override(cfg, dotted)
-    if "seed" not in cfg or cfg["seed"] is None:
-        raise CliError("a global seed is required", EXIT_CONFIG)
-    return cfg
+    return _resolve(cfg, default_config())
 
 
 def _out_path(cfg: dict, name: str) -> str:
-    out_dir = cfg.get("out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+    os.makedirs(cfg["out_dir"], exist_ok=True)
+    return os.path.join(cfg["out_dir"], name)
 
 
 def _write_snapshot(cfg: dict, command: str) -> None:
@@ -170,9 +223,18 @@ def _write_snapshot(cfg: dict, command: str) -> None:
 
 
 def _require_file(path, what: str) -> str:
-    if not path or not os.path.exists(path):
+    if not isinstance(path, str) or not os.path.exists(path):
         raise CliError(f"{what} not found: {path}", EXIT_MISSING)
     return path
+
+
+def _build(what: str, make):
+    """make(), or exit 2 with one line naming the settings ``what`` when the
+    class it builds rejects them (TypeError or ValueError)."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"invalid {what} config: {exc}", EXIT_CONFIG) from None
 
 
 def check_compatible(params, ckpt_path, data, data_path) -> None:
@@ -195,12 +257,11 @@ def check_compatible(params, ckpt_path, data, data_path) -> None:
                        f"{data_path} needs n_prompts>={needed}", EXIT_CONFIG)
 
 
-def _shift_spec(section: dict, seed: int) -> CorruptionSpec:
-    shift_cfg = section.get("shift") or {}
-    return CorruptionSpec(kind=shift_cfg.get("kind", "diffusion"),
-                          t=int(shift_cfg.get("t", 500)),
-                          sigma=float(shift_cfg.get("sigma", 1.0)),
-                          seed=seed)
+def _shift_spec(cfg: dict, name: str) -> CorruptionSpec:
+    """The CorruptionSpec of section name's shift settings (its defaults when
+    they are null), seeded by the global seed."""
+    shift = cfg[name]["shift"] or {}
+    return _build(f"{name}.shift", lambda: CorruptionSpec(**shift, seed=cfg["seed"]))
 
 
 def _csv_cell(value):
@@ -214,43 +275,24 @@ def _csv_cell(value):
 
 
 def cmd_synth(cfg: dict) -> int:
-    section = _section(cfg, "synth")
-    try:
-        data_cfg = synth.SynthConfig(
-            n_pairs=int(section["n_pairs"]),
-            n_scenes=int(section["n_scenes"]),
-            matched_fraction=float(section["matched_fraction"]),
-            presence_fraction=float(section["presence_fraction"]),
-            matched_bias=section.get("matched_bias", 0.5),
-            feature_noise=section.get("feature_noise", synth.FEATURE_NOISE),
-            seed=int(cfg["seed"]),
-            world_seed=int(section.get("world_seed", 7)),
-        )
-    except (KeyError, TypeError, ValueError, synth.WorldError) as exc:
-        raise CliError(f"invalid synth config: {exc}", EXIT_CONFIG)
-    out = _out_path(cfg, section.get("out", "dataset.jsonl"))
+    # The synth settings besides out and eval_items are SynthConfig fields, and
+    # the eval_items settings besides out are EvalConfig fields.
+    section, seed = cfg["synth"], cfg["seed"]
+    fields = {k: v for k, v in section.items() if k not in ("out", "eval_items")}
+    data_cfg = _build("synth", lambda: synth.SynthConfig(seed=seed, **fields))
+    items = section["eval_items"]
+    if items is not None:
+        world = {k: fields[k] for k in ("n_scenes", "matched_bias", "feature_noise", "world_seed")}
+        eval_cfg = _build("synth.eval_items", lambda: synth.EvalConfig(
+            seed=seed + 1, **world, **{k: v for k, v in items.items() if k != "out"}))
+
+    out = _out_path(cfg, section["out"])
     stats = synth.assemble_dataset(data_cfg, out)
     print(f"wrote {stats['n_records']} preference records to {out}")
     print(f"  matched ratio {stats['matched_ratio']:.3f}; "
           f"tasks {stats['question_kind_counts']}")
-
-    items_section = section.get("eval_items")
-    if items_section:
-        try:
-            eval_cfg = synth.EvalConfig(
-                n_items=int(items_section.get("n_items", 2000)),
-                n_scenes=int(section["n_scenes"]),
-                matched_fraction=float(items_section.get("matched_fraction", 0.5)),
-                matched_bias=section.get("matched_bias", 0.5),
-                matching_fraction=float(items_section.get("matching_fraction", 0.0)),
-                dominance_fraction=float(items_section.get("dominance_fraction", 0.0)),
-                feature_noise=section.get("feature_noise", synth.FEATURE_NOISE),
-                seed=int(cfg["seed"]) + 1,
-                world_seed=int(section.get("world_seed", 7)),
-            )
-        except (TypeError, ValueError, synth.WorldError) as exc:
-            raise CliError(f"invalid eval_items config: {exc}", EXIT_CONFIG)
-        items_out = _out_path(cfg, items_section.get("out", "eval_items.jsonl"))
+    if items is not None:
+        items_out = _out_path(cfg, items["out"])
         istats = synth.assemble_eval_items(eval_cfg, items_out)
         print(f"wrote {istats['n_records']} eval items to {items_out} "
               f"(answers {istats['answer_balance']})")
@@ -258,85 +300,39 @@ def cmd_synth(cfg: dict) -> int:
     return EXIT_OK
 
 
-# The TrainConfig fields a train section sets directly.
-_TRAIN_FIELDS = ("loss_variant", "lr", "epochs", "batch_size", "warmup_steps", "warmup_lr")
-# The keys each section may hold; a nested mapping checked here lists its
-# own.  train.hp and train.corruption are checked by the dataclasses they
-# build, and report.checkpoints names checkpoints freely.
-_SHIFT = {"kind": None, "t": None, "sigma": None}
-_SECTION_KEYS = {
-    "synth": {**dict.fromkeys(default_config()["synth"]), "eval_items": dict.fromkeys(
-        ("n_items", "matched_fraction", "matching_fraction", "dominance_fraction", "out"))},
-    "train": dict.fromkeys((*_TRAIN_FIELDS, "preset", "hp", "corruption", "dataset", "reference",
-                            "checkpoint", "reference_checkpoint", "loss_trace", "counters")),
-    "eval": {"checkpoint": None, "items": None, "out_prefix": None, "shift": _SHIFT},
-    "report": {"checkpoints": None, "items": None, "out_prefix": None, "shift": _SHIFT},
-    "verify": {"fast": None},
-}
-
-
-def _section(cfg: dict, name: str) -> dict:
-    """cfg[name], or exit 2 with one line naming a section (or a nested
-    mapping other than null) that is not a mapping, or an unknown key."""
-
-    def check(section, path: str, keys: dict):
-        if not isinstance(section, dict):
-            raise CliError(f"config section {path} must be a mapping, got {section!r}",
-                           EXIT_CONFIG)
-        unknown = sorted(f"{path}.{k}" for k in set(section) - set(keys))
-        if unknown:
-            raise CliError(f"unknown {name} setting {', '.join(unknown)}", EXIT_CONFIG)
-        for key, nested in keys.items():
-            if nested and section.get(key) is not None:
-                check(section[key], f"{path}.{key}", nested)
-
-    check(cfg.get(name), name, _SECTION_KEYS[name])
-    return cfg[name]
-
-
 def build_train_config(section: dict, seed: int) -> training.TrainConfig:
-    preset = section.get("preset")
-    overrides = {}
-    if "hp" in section:
-        overrides["hp"] = Hyperparams(**section["hp"])
-    if "corruption" in section:
-        overrides["corruption"] = CorruptionSpec(**section["corruption"])
-    for field in _TRAIN_FIELDS:
-        if field in section and section[field] is not None:
-            overrides[field] = section[field]
-    overrides["seed"] = seed
-    if preset:
-        if preset not in PRESET_NAMES:
-            raise CliError(f"unknown preset {preset!r}; known: {', '.join(PRESET_NAMES)}",
-                           EXIT_CONFIG)
-        return make_config(preset, **overrides)
-    return training.TrainConfig(**overrides)
+    """The preset's TrainConfig with the section's non-null settings over it."""
+    if section["preset"] not in PRESET_NAMES:
+        raise CliError(f"unknown preset {section['preset']!r}; known: {', '.join(PRESET_NAMES)}",
+                       EXIT_CONFIG)
+    overrides = {key: section[key] for key in ("loss_variant", "lr", "epochs", "batch_size",
+                                               "warmup_steps", "warmup_lr")
+                 if section[key] is not None}
+    for key, cls in (("hp", Hyperparams), ("corruption", CorruptionSpec)):
+        if section[key] is not None:
+            overrides[key] = _build(f"train.{key}", lambda: cls(**section[key]))
+    return _build("train", lambda: make_config(section["preset"], seed=seed, **overrides))
 
 
 def cmd_train(cfg: dict) -> int:
-    section = _section(cfg, "train")
-    dataset_path = section.get("dataset") or _out_path(cfg, "dataset.jsonl")
-    _require_file(dataset_path, "training dataset")
-    dataset = synth.load_pairs(dataset_path)
-    try:
-        train_cfg = build_train_config(section, int(cfg["seed"]))
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        raise CliError(f"invalid train config: {exc}", EXIT_CONFIG)
+    section = cfg["train"]
+    train_cfg = build_train_config(section, cfg["seed"])
+    dataset_path = section["dataset"] or _out_path(cfg, "dataset.jsonl")
+    dataset = synth.load_pairs(_require_file(dataset_path, "training dataset"))
 
     ref_params = None
-    if section.get("reference"):
+    if section["reference"]:
         ref_path = _require_file(section["reference"], "reference checkpoint")
         ref_params = load_checkpoint(ref_path)
         check_compatible(ref_params, ref_path, dataset, dataset_path)
     result = training.train(dataset, train_cfg, ref_params=ref_params)
 
-    ckpt = _out_path(cfg, section.get("checkpoint", "policy.ckpt"))
-    ref_ckpt = _out_path(cfg, section.get("reference_checkpoint", "reference.ckpt"))
+    ckpt = _out_path(cfg, section["checkpoint"])
+    ref_ckpt = _out_path(cfg, section["reference_checkpoint"])
     save_checkpoint(result.params, ckpt)
     save_checkpoint(result.ref_params, ref_ckpt)
 
-    trace_path = _out_path(cfg, section.get("loss_trace", "loss_trace.csv"))
-    with open(trace_path, "w", newline="", encoding="ascii") as fh:
+    with open(_out_path(cfg, section["loss_trace"]), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
         for step, loss in enumerate(result.losses):
@@ -351,8 +347,7 @@ def cmd_train(cfg: dict) -> int:
         "n_av_excluded": result.n_av_excluded,
         "final_loss": float(result.losses[-1]) if len(result.losses) else None,
     }
-    counters_path = _out_path(cfg, section.get("counters", "counters.json"))
-    with open(counters_path, "w", encoding="ascii") as fh:
+    with open(_out_path(cfg, section["counters"]), "w", encoding="ascii") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     print(f"trained {train_cfg.loss_variant} for {len(result.counters)} steps; "
@@ -366,54 +361,46 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_eval(cfg: dict) -> int:
-    section = _section(cfg, "eval")
-    ckpt = section.get("checkpoint") or _out_path(cfg, "policy.ckpt")
-    items_path = section.get("items") or _out_path(cfg, "eval_items.jsonl")
+    section = cfg["eval"]
+    spec = _shift_spec(cfg, "eval")
+    ckpt = section["checkpoint"] or _out_path(cfg, "policy.ckpt")
+    items_path = section["items"] or _out_path(cfg, "eval_items.jsonl")
     params = load_checkpoint(_require_file(ckpt, "checkpoint"))
     items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
     check_compatible(params, ckpt, items, items_path)
 
-    reports = eval_mod.evaluate_by_group(params, items)
-    prefix = section.get("out_prefix", "metrics")
-    csv_path = _out_path(cfg, f"{prefix}.csv")
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
+    [row] = eval_mod.compare([("policy", params)], items, shift_spec=spec)
+    prefix = section["out_prefix"]
+    with open(_out_path(cfg, f"{prefix}.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["group", *reports["overall"].as_dict()])
-        for group, report in sorted(reports.items()):
+        writer.writerow(["group", *row.group_reports["overall"].as_dict()])
+        for group, report in sorted(row.group_reports.items()):
             writer.writerow([group, *map(_csv_cell, report.as_dict().values())])
-
-    spec = _shift_spec(section, int(cfg["seed"]))
-    unimodal = items[items.modality_tag != synth.AUDIOVISUAL]
-    shift_summary = {}
-    if len(unimodal):
-        for which in ("relevant", "irrelevant"):
-            stats = eval_mod.loglik_shift(params, unimodal, spec, which)
-            eval_mod.shift_histogram_to_file(stats, _out_path(cfg, f"{prefix}_shift_{which}.csv"))
-            shift_summary[which] = {"mean": stats.mean, "mean_abs": stats.mean_abs}
-    overall = reports["overall"]
+    overall = row.group_reports["overall"]
     print(f"overall: acc={overall.accuracy:.2f} pa={overall.pa:.2f} hr={overall.hr:.2f} "
           f"f1={overall.f1:.2f} on {overall.total} items")
-    for which, s in shift_summary.items():
-        print(f"shift {which}: mean {s['mean']:+.4f}, mean|d| {s['mean_abs']:.4f}")
+    for which, stats in (("relevant", row.shift_relevant), ("irrelevant", row.shift_irrelevant)):
+        if stats is not None:
+            eval_mod.shift_histogram_to_file(stats, _out_path(cfg, f"{prefix}_shift_{which}.csv"))
+            print(f"shift {which}: mean {stats.mean:+.4f}, mean|d| {stats.mean_abs:.4f}")
     _write_snapshot(cfg, "eval")
     return EXIT_OK
 
 
 def cmd_report(cfg: dict) -> int:
-    section = _section(cfg, "report")
-    ckpts = section.get("checkpoints") or {}
-    if not ckpts:
-        ckpts = {"reference": _out_path(cfg, "reference.ckpt"),
-                 "policy": _out_path(cfg, "policy.ckpt")}
-    items_path = section.get("items") or _out_path(cfg, "eval_items.jsonl")
+    section = cfg["report"]
+    spec = _shift_spec(cfg, "report")
+    ckpts = section["checkpoints"] or {"reference": _out_path(cfg, "reference.ckpt"),
+                                       "policy": _out_path(cfg, "policy.ckpt")}
+    items_path = section["items"] or _out_path(cfg, "eval_items.jsonl")
     items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
     named = []
     for name, path in sorted(ckpts.items()):
         params = load_checkpoint(_require_file(path, f"checkpoint {name!r}"))
         check_compatible(params, path, items, items_path)
         named.append((name, params))
-    rows = eval_mod.compare(named, items, shift_spec=_shift_spec(section, int(cfg["seed"])))
-    prefix = section.get("out_prefix", "comparison")
+    rows = eval_mod.compare(named, items, shift_spec=spec)
+    prefix = section["out_prefix"]
     eval_mod.comparison_to_csv(rows, _out_path(cfg, f"{prefix}.csv"))
     table = eval_mod.comparison_table(rows)
     with open(_out_path(cfg, f"{prefix}.txt"), "w", encoding="ascii") as fh:
@@ -438,8 +425,7 @@ def cmd_report(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    fast = bool(_section(cfg, "verify").get("fast", True))
-    results = oracles.run_all(fast=fast, seed=int(cfg.get("seed", 0)))
+    results = oracles.run_all(fast=cfg["verify"]["fast"], seed=cfg["seed"])
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

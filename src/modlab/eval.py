@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrupt import CorruptionSpec, corrupt_rows
+from .corrupt import CorruptionSpec, FeaturePool, corrupt_rows
 from .policy import PolicyParams, forward
 from .synth import (
     ANSWERS,
@@ -225,7 +225,8 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
     of each item is corrupted (per its modality tag).  All draws come from
     one generator seeded by spec.seed, the audio block (items whose chosen
     modality is audio, in item order) before the visual block, so the
-    analysis is repeatable.
+    analysis is repeatable.  pools maps a modality to its random_swap pool,
+    by default the items' own feature columns.
     """
     if which not in ("relevant", "irrelevant"):
         raise EvalError(f"which must be 'relevant' or 'irrelevant', got {which!r}")
@@ -242,6 +243,8 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
         else:
             masks = {"audio": visual_rel, "visual": audio_rel}
         features = {"audio": items.audio, "visual": items.visual}
+        if pools is None and spec.kind == "random_swap":  # no other kind reads a pool
+            pools = {m: FeaturePool(x) for m, x in features.items()}
         corrupted = corrupt_rows(features, spec, masks, np.random.default_rng(spec.seed), pools)
         rows, answers, ids = np.arange(len(items)), items.ground_truth, items.prompt_id
         clean = forward(params, items.audio, items.visual, ids).logprobs[rows, answers]

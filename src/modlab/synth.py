@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -191,33 +191,24 @@ def answer_for(category: str, question_kind: str):
 
 # ---------------------------------------------------------------------------
 # Record tables
-
-class _BadRow(Exception):
-    """A record value no column can hold: (row index, problem)."""
-
-
-def _field(records, key: str) -> list:
-    try:
-        return [rec[key] for rec in records]
-    except KeyError:
-        row = next(i for i, rec in enumerate(records) if key not in rec)
-        raise _BadRow(row, f"missing field {key!r}") from None
+#
+# A column parser maps the values of one field (None where a record lacks
+# it) to (column, {row: problem}).  A bad row holds a filler value, so the
+# checks of the other columns still run on every row.
 
 
 def _ints(values, key: str):
-    """int64 column of JSON integers; floats, strings and booleans are rejected."""
-    for i, value in enumerate(values):
-        if type(value) is not int or not -2**63 <= value < 2**63:
-            raise _BadRow(i, f"{key} {value!r} is not an integer")
-    return np.array(values, dtype=np.int64)
+    """int64 column of JSON integers; floats, strings and booleans are bad."""
+    bad = {i: f"{key} {v!r} is not an integer" for i, v in enumerate(values)
+           if type(v) is not int or not -2**63 <= v < 2**63}
+    return np.array([0 if i in bad else v for i, v in enumerate(values)] if bad else values,
+                    dtype=np.int64), bad
 
 
 def _flags(values, key: str):
     """bool column of JSON booleans."""
-    for i, value in enumerate(values):
-        if type(value) is not bool:
-            raise _BadRow(i, f"{key} {value!r} is not a boolean")
-    return np.array(values, dtype=bool)
+    bad = {i: f"{key} {v!r} is not a boolean" for i, v in enumerate(values) if type(v) is not bool}
+    return np.array([i not in bad and v for i, v in enumerate(values)], dtype=bool), bad
 
 
 def _codes(names: tuple):
@@ -225,33 +216,40 @@ def _codes(names: tuple):
     index = {n: i for i, n in enumerate(names)}
 
     def parse(values, key: str):
-        for i, value in enumerate(values):
-            if not isinstance(value, str) or value not in index:
-                raise _BadRow(i, f"{key} must be one of {names}, got {value!r}")
-        return np.array([index[v] for v in values], dtype=np.int64)
+        bad = {i: f"{key} must be one of {names}, got {v!r}" for i, v in enumerate(values)
+               if not isinstance(v, str) or v not in index}
+        return np.array([0 if i in bad else index[v] for i, v in enumerate(values)],
+                        dtype=np.int64), bad
 
     return parse
 
 
 def _features(values, key: str):
-    """(rows, d) column of number lists that all have the first one's length."""
-    if not values:
-        return np.empty((0, 0))
+    """(rows, d) column of number lists, d the most common row length."""
     try:
         column = np.array(values, dtype=np.float64)
         if column.ndim == 2:
-            return column
+            return column, {}
     except (TypeError, ValueError):
         pass
-    for i, value in enumerate(values):
+    rows = []
+    for value in values:
         try:
             row = np.array(value, dtype=np.float64)
         except (TypeError, ValueError):
             row = None
-        if row is None or row.ndim != 1:
-            raise _BadRow(i, f"{key} is not a list of numbers")
-        if row.size != len(values[0]):
-            raise _BadRow(i, f"{key} has {row.size} values, expected {len(values[0])}")
+        rows.append(row if row is not None and row.ndim == 1 else None)
+    lengths = Counter(row.size for row in rows if row is not None)
+    d = lengths.most_common(1)[0][0] if lengths else 0
+    column, bad = np.zeros((len(rows), d)), {}
+    for i, row in enumerate(rows):
+        if row is None:
+            bad[i] = f"{key} is not a list of numbers"
+        elif row.size != d:
+            bad[i] = f"{key} has {row.size} values, expected {d}"
+        else:
+            column[i] = row
+    return column, bad
 
 
 def _non_finite(column, name: str):
@@ -307,29 +305,40 @@ class _Table:
                 _outside(self.prompt_id, "prompt_id", N_PROMPTS)]
 
     @classmethod
-    def from_records(cls, records, path="<records>", line_nos=None):
-        """The table of decoded JSON records, each column parsed and checked once.
+    def check(cls, records) -> tuple:
+        """(table, {row: first problem}) of decoded JSON records, each column
+        parsed and checked once.
 
-        Raises WorldError("<path>, line <n>: <problem>") for the first bad
-        record: a missing field, a value of the wrong type or out of range,
-        an unknown tag, question kind, answer or task group, a feature row
-        of another length or with a non-finite value, or a failed check of
-        the file kind.  line_nos gives each record's line (default 1..N).
+        A row's problem is the first of: a missing field, a value of the
+        wrong type or out of range, an unknown tag, question kind, answer or
+        task group, a feature row not as long as most rows or with a
+        non-finite value, or a failed check of the file kind; fields in
+        ``RECORD`` order, then the checks in ``_faults`` order.
         """
+        problems, columns = {}, {}
+        for key, parse in cls.RECORD:
+            values = [rec.get(key) for rec in records]
+            columns[key.removesuffix("_feat")], bad = parse(values, key)
+            for row, problem in bad.items():
+                problems.setdefault(row, problem if key in records[row]
+                                    else f"missing field {key!r}")
+        table = cls(**columns)
+        for mask, problem in table._faults():
+            for row in np.flatnonzero(mask).tolist():
+                problems.setdefault(row, problem(row))
+        return table, problems
+
+    @classmethod
+    def from_records(cls, records, path="<records>", line_nos=None):
+        """The table of decoded JSON records; the earliest bad record raises
+        WorldError("<path>, line <n>: <problem>") (see ``check``).  line_nos
+        gives each record's line (default 1..N)."""
         records = list(records)
-        line_nos = line_nos or range(1, len(records) + 1)
-        try:
-            table = cls(**{key.removesuffix("_feat"): parse(_field(records, key), key)
-                           for key, parse in cls.RECORD})
-        except _BadRow as bad:
-            row, problem = bad.args
-            cls.from_records(records[:row], path, line_nos)  # an earlier line fails first
-            raise WorldError(f"{path}, line {line_nos[row]}: {problem}") from None
-        faults = [(int(np.argmax(mask)), problem) for mask, problem in table._faults()
-                  if mask.any()]
-        if faults:
-            row, problem = min(faults, key=lambda fault: fault[0])
-            raise WorldError(f"{path}, line {line_nos[row]}: {problem(row)}")
+        table, problems = cls.check(records)
+        if problems:
+            row = min(problems)
+            line_no = (line_nos or range(1, len(records) + 1))[row]
+            raise WorldError(f"{path}, line {line_no}: {problems[row]}")
         return table
 
 
@@ -350,6 +359,8 @@ class PairTable(_Table):
             _outside(self.y_w, "y_w", VOCAB_SIZE),
             _outside(self.y_l, "y_l", VOCAB_SIZE),
             (self.y_w == self.y_l, lambda i: "chosen and rejected responses must differ"),
+            (self.visual_scene < 0, lambda i: f"visual_scene {self.visual_scene[i]} is negative"),
+            (self.audio_scene < 0, lambda i: f"audio_scene {self.audio_scene[i]} is negative"),
             (self.matched != (self.visual_scene == self.audio_scene),
              lambda i: "matched flag inconsistent with scene_refs"),
         ]
@@ -578,11 +589,25 @@ def build_pair(visual_scene: Scene, audio_scene: Scene, question_kind: str,
 # Dataset assembly
 
 
-def _freeze_sequences(cfg) -> None:
-    """Store per-kind biases and (audio, visual) noise levels as float tuples."""
-    for name in ("matched_bias", "feature_noise"):
+# (name, sequence length, upper bound, accepted forms) of the per-world levels.
+_LEVELS = (("matched_bias", N_ENTITY_KINDS, 1.0, "a number in [0, 1] or one per entity kind"),
+           ("feature_noise", 2, np.inf, "a finite number >= 0 or an (audio, visual) pair"))
+
+
+def _check_rates(cfg, *fractions) -> None:
+    """Reject fractions outside [0, 1] and a matched_bias or feature_noise of
+    another form than _LEVELS names; store a per-kind or per-modality
+    sequence as a float tuple."""
+    for name in fractions:
+        if not (0.0 <= getattr(cfg, name) <= 1.0):
+            raise WorldError(f"{name} must lie in [0, 1]")
+    for name, size, upper, forms in _LEVELS:
         value = getattr(cfg, name)
-        if not np.isscalar(value):
+        levels = np.asarray(value)
+        if (levels.dtype.kind not in "iuf" or levels.shape not in ((), (size,))
+                or not np.all((levels >= 0) & (levels <= upper) & np.isfinite(levels))):
+            raise WorldError(f"{name} must be {forms}, got {value!r}")
+        if levels.ndim:
             object.__setattr__(cfg, name, tuple(float(v) for v in value))
 
 
@@ -608,13 +633,9 @@ class SynthConfig:
     world_seed: int = 7
 
     def __post_init__(self):
-        _freeze_sequences(self)
+        _check_rates(self, "matched_fraction", "presence_fraction")
         if self.n_pairs < 1 or self.n_scenes < 1:
             raise WorldError("n_pairs and n_scenes must be positive")
-        if not (0.0 <= self.matched_fraction <= 1.0):
-            raise WorldError("matched_fraction must lie in [0, 1]")
-        if not (0.0 <= self.presence_fraction <= 1.0):
-            raise WorldError("presence_fraction must lie in [0, 1]")
         if self.matched_fraction < 1.0 and self.n_scenes < 2:
             raise WorldError("mismatched contexts need at least two scenes")
 
@@ -737,15 +758,15 @@ def _write_records(path, records, stats: dict) -> dict:
     return stats
 
 
-def read_records(path, table):
-    """The table (PairTable or ItemTable) of a JSONL file's non-blank lines.
+def _scan(path, table) -> tuple:
+    """A JSONL file's non-blank lines read through the table's checks.
 
-    Lines count from 1, blank lines included.  The first bad line raises
-    WorldError naming the path, the line and the problem: text that is not
-    ASCII, not JSON or not a JSON object, or a field that fails the
-    table's column checks (see ``_Table.from_records``).
+    Returns (table of the lines that hold a JSON object, their line
+    numbers, {line: problem} of the lines that are not ASCII, not JSON or
+    not a JSON object, {row: first problem} of the table's rows; see
+    ``_Table.check``).  Lines count from 1, blank lines included.
     """
-    records, line_nos = [], []
+    records, line_nos, unreadable = [], [], {}
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -757,12 +778,26 @@ def read_records(path, table):
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON ({exc.msg})"
             if problem:
-                table.from_records(records, path, line_nos)  # an earlier bad line wins
-                raise WorldError(f"{path}, line {line_no}: {problem}")
-            if line:
+                unreadable[line_no] = problem
+            elif line:
                 records.append(rec)
                 line_nos.append(line_no)
-    return table.from_records(records, path, line_nos)
+    data, bad_rows = table.check(records)
+    return data, line_nos, unreadable, bad_rows
+
+
+def read_records(path, table):
+    """The table (PairTable or ItemTable) of a JSONL file's non-blank lines.
+
+    The earliest bad line raises WorldError naming the path, the line and
+    the problem (see ``_scan``).
+    """
+    data, line_nos, unreadable, bad_rows = _scan(path, table)
+    problems = {**{line_nos[row]: problem for row, problem in bad_rows.items()}, **unreadable}
+    if problems:
+        line = min(problems)
+        raise WorldError(f"{path}, line {line}: {problems[line]}")
+    return data
 
 
 def assemble_dataset(cfg: SynthConfig, path) -> dict:
@@ -782,121 +817,96 @@ def load_pairs(path) -> PairTable:
 @dataclass
 class VerifyReport:
     n_records: int = 0
-    n_violations: int = 0
     violations: list = field(default_factory=list)  # (line number, reason)
-    parse_errors: list = field(default_factory=list)
+    parse_errors: list = field(default_factory=list)  # (line number, problem)
+
+    @property
+    def n_violations(self) -> int:
+        return len(self.violations)
 
     @property
     def ok(self) -> bool:
-        return self.n_violations == 0 and not self.parse_errors
-
-    def add_violation(self, line_no: int, reason: str) -> None:
-        self.n_violations += 1
-        self.violations.append((line_no, reason))
+        return not self.violations and not self.parse_errors
 
 
-def _check_labels(rec: dict, scenes) -> tuple:
-    """(problems with a record's labels, whether its features are compared)."""
-    problems = [f"{key} {rec[key]!r} is not an integer"
-                for key in ("prompt_id", "y_w", "y_l", "visual_scene", "audio_scene")
-                if type(rec[key]) is not int]
-    if type(rec["matched"]) is not bool:
-        problems.append(f"matched {rec['matched']!r} is not a boolean")
-    if problems:
-        return problems, False
-    qk = rec["question_kind"]
+def _check_labels(pair: PreferencePair, scenes) -> tuple:
+    """(problems with a pair's labels, whether its features are compared)."""
+    for name in ("visual_scene", "audio_scene"):
+        if not 0 <= getattr(pair, name) < len(scenes):
+            return [f"{name} {getattr(pair, name)} outside [0, {len(scenes)})"], False
+    qk = EVAL_QUESTION_KINDS[pair.question_kind]
     if qk not in QUESTION_KINDS:
         return [f"unknown question_kind {qk!r}"], False
-    visual_scene = scenes[int(rec["visual_scene"])]
-    audio_scene = scenes[int(rec["audio_scene"])]
-    matched = visual_scene.scene_id == audio_scene.scene_id
-    if bool(rec["matched"]) != matched:
-        problems.append("matched flag inconsistent with scene references")
-    if rec["modality_tag"] != tag_for(qk):
+    visual_scene, audio_scene = scenes[pair.visual_scene], scenes[pair.audio_scene]
+    problems = []
+    if MODALITY_TAGS[pair.modality_tag] != tag_for(qk):
         problems.append("modality_tag inconsistent with question_kind")
     target = None
     if qk in ("visual_presence", "audio_presence"):
         base = VISUAL_PRESENCE_BASE if qk == "visual_presence" else AUDIO_PRESENCE_BASE
-        target = int(rec["prompt_id"]) - base
+        target = int(pair.prompt_id) - base
         if not (0 <= target < N_ENTITY_KINDS):
             return problems + ["prompt_id outside the presence-prompt range"], False
-    elif int(rec["prompt_id"]) != prompt_for(qk):
+    elif pair.prompt_id != prompt_for(qk):
         problems.append("prompt_id inconsistent with question_kind")
     expected = oracle_responses(visual_scene, audio_scene, qk, target)
     if expected is None:
         problems.append("question has no eligible target in this context")
         return problems, False
     y_w_true, _ = expected
-    if int(rec["y_w"]) != y_w_true:
-        problems.append(f"stored y_w={rec['y_w']} but the oracle answer is {y_w_true}")
-    if int(rec["y_l"]) == y_w_true:
+    if pair.y_w != y_w_true:
+        problems.append(f"stored y_w={pair.y_w} but the oracle answer is {y_w_true}")
+    if pair.y_l == y_w_true:
         problems.append("rejected response agrees with the ground truth")
     return problems, True
-
-
-_MODALITIES = ("audio", "visual")
 
 
 def verify_dataset(path) -> VerifyReport:
     """Re-derive every record from the world oracle and report violations.
 
-    Confirms the stored chosen response, that the rejected response
-    contradicts the relevant modality's ground truth, the matched flag,
-    and the inline features.  Labels are re-derived line by line; the
-    features of all lines are compared with the referenced scenes' in one
-    isclose(rtol=1e-5, atol=0) per modality, and a feature row of the
-    wrong length is reported on its own line.  Parse failures are reported
-    per line and do not abort the scan.  Lines count from 1, blank lines
-    included, as in read_records.
+    The lines are read through the loader's checks (``_scan``): a line that
+    is not a JSON object is a parse error, and a record failing a column
+    check is a violation naming its first problem.  The other records'
+    scene references must lie within the sidecar's scene count; then the
+    stored chosen response, the rejected response (which must contradict
+    the relevant modality's ground truth), the modality tag and the prompt
+    are re-derived record by record, and the features of all records are
+    compared with the referenced scenes' in one isclose(rtol=1e-5, atol=0)
+    per modality.  Lines count from 1, blank lines included.
     """
-    report = VerifyReport()
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [(n, ln) for n, ln in enumerate((raw.strip() for raw in fh), start=1) if ln]
-    if not lines:
+    pairs, line_nos, unreadable, bad_rows = _scan(path, PairTable)
+    report = VerifyReport(n_records=len(pairs), parse_errors=sorted(unreadable.items()))
+    if not len(pairs):
         return report
-
     try:
         with open(stats_path(path), "r", encoding="ascii") as fh:
             meta = json.load(fh)
-        scenes = generate_scenes(
-            int(meta["n_scenes"]), int(meta["seed"]), int(meta["world_seed"]),
-            meta.get("matched_bias", 0.5), meta.get("feature_noise", FEATURE_NOISE),
-        )
-    except (OSError, KeyError, ValueError) as exc:
+        scenes = generate_scenes(int(meta["n_scenes"]), int(meta["seed"]), int(meta["world_seed"]),
+                                 meta["matched_bias"], meta["feature_noise"])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         report.parse_errors.append((0, f"cannot rebuild the world from sidecar stats: {exc}"))
         return report
 
-    found = {}  # line -> reasons, in line order
-    compared = []  # (line, {modality: (stored row, scene index)}) of lines whose labels fit
-    for line_no, line in lines:
-        try:
-            rec = json.loads(line)
-            report.n_records += 1
-            problems, compare = _check_labels(rec, scenes)
+    found = {row: [problem] for row, problem in bad_rows.items()}  # row -> reasons
+    compared = []  # rows whose features are compared
+    for row, pair in enumerate(pairs):
+        if row not in found:
+            problems, compare = _check_labels(pair, scenes)
+            if problems:
+                found[row] = problems
             if compare:
-                compared.append((line_no, {m: (np.array(rec[f"{m}_feat"], dtype=np.float64),
-                                               int(rec[f"{m}_scene"])) for m in _MODALITIES}))
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            report.parse_errors.append((line_no, str(exc)))
-            continue
-        found[line_no] = problems
-    for m in _MODALITIES:
+                compared.append(row)
+    compared = np.array(compared, dtype=np.int64)
+    for m in ("audio", "visual"):
         feats = np.stack([getattr(scene, f"{m}_feat") for scene in scenes])
-        fits = []
-        for line_no, stored in compared:
-            row, scene_id = stored[m]
-            if row.shape == feats.shape[1:]:
-                fits.append((line_no, row, scene_id))
-            else:
-                found[line_no].append(f"{m}_feat has {row.size} values, expected {feats.shape[1]}")
-        if fits:
-            line_nos, rows, scene_ids = zip(*fits)
-            close = np.isclose(np.stack(rows), feats[list(scene_ids)], rtol=1e-5, atol=0)
-            for line_no in np.asarray(line_nos)[~close.all(axis=1)]:
-                found[line_no].append(f"{m} features do not match the referenced scene")
-    for line_no, reasons in found.items():
-        for reason in reasons:
-            report.add_violation(line_no, reason)
+        stored, refs = getattr(pairs, m)[compared], getattr(pairs, f"{m}_scene")[compared]
+        close = np.zeros(len(compared), dtype=bool)
+        if stored.shape[1] == feats.shape[1]:
+            close = np.isclose(stored, feats[refs], rtol=1e-5, atol=0).all(axis=1)
+        for row in compared[~close].tolist():
+            found.setdefault(row, []).append(f"{m} features do not match the referenced scene")
+    report.violations = [(line_nos[row], reason) for row in sorted(found)
+                         for reason in found[row]]
     return report
 
 
@@ -927,7 +937,7 @@ class EvalConfig:
     world_seed: int = 7
 
     def __post_init__(self):
-        _freeze_sequences(self)
+        _check_rates(self, "matched_fraction", "matching_fraction", "dominance_fraction")
         if self.n_items < 2:
             raise WorldError("need at least two eval items")
         if self.matching_fraction + self.dominance_fraction > 1.0:

@@ -60,6 +60,7 @@ or a gradient becomes non-finite; the error names the step and the loss.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -160,14 +161,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_variant not in LOSS_VARIANTS:
             raise ConfigurationError(f"loss_variant must be one of {LOSS_VARIANTS}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.warmup_steps < 0:
-            raise ConfigurationError("warmup_steps must be >= 0")
+        for name in ("lr", "warmup_lr"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be a positive number, got {value!r}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("warmup_steps", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @cached_property
     def loss_hp(self) -> Hyperparams:

@@ -377,3 +377,105 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 6
         assert "[FAIL]" not in out
+
+
+@pytest.fixture(scope="module")
+def built_run(tmp_path_factory):
+    """A synth + train run of the small test config; its files are inputs only."""
+    tmp_path = tmp_path_factory.mktemp("built")
+    config_path, _ = write_config(tmp_path)
+    assert cli.run("synth", config_path) == 0
+    assert cli.run("train", config_path) == 0
+    return tmp_path / "run"
+
+
+def _inputs(run, command):
+    """Overrides pointing a command at the inputs of a built run."""
+    return {"synth": [], "verify": [],
+            "train": [f"train.dataset={run / 'dataset.jsonl'}"],
+            "eval": [f"eval.checkpoint={run / 'policy.ckpt'}",
+                     f"eval.items={run / 'eval_items.jsonl'}"],
+            "report": [f"report.checkpoints.policy={run / 'policy.ckpt'}",
+                       f"report.items={run / 'eval_items.jsonl'}"]}[command]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command,override,needle", [
+        ("eval", "eval.shift.kind=blur", "eval.shift"),
+        ("eval", "eval.shift.t=abc", "eval.shift.t"),
+        ("eval", "eval.shift.t=10.9", "eval.shift.t"),
+        ("report", "report.shift.t=5000", "report.shift"),
+        ("synth", "synth.n_pairs=1.7", "synth.n_pairs"),
+        ("synth", "synth.matched_bias=abc", "synth.matched_bias"),
+        ("synth", "synth.matched_bias=[0.5,0.5]", "matched_bias"),
+        ("synth", "synth.matched_bias=1.5", "matched_bias"),
+        ("synth", "synth.feature_noise=-1", "feature_noise"),
+        ("synth", "synth.out=null", "synth.out"),
+        ("train", "train.checkpoint=null", "train.checkpoint"),
+        ("synth", "out_dir=null", "out_dir"),
+        ("eval", "eval.out_prefix=null", "eval.out_prefix"),
+        ("train", "trian.lr=0.5", "trian"),
+        ("verify", "verify.fast=maybe", "verify.fast"),
+        ("train", "train.epochs=1.5", "train.epochs"),
+        ("train", "train.batch_size=2.5", "batch_size"),
+        ("train", "train.warmup_steps=10.5", "warmup_steps"),
+        ("train", "train.warmup_lr=abc", "warmup_lr"),
+        ("train", "train.hp.beta=abc", "train.hp"),
+        ("report", "report.checkpoints.other=5", "report.checkpoints.other"),
+    ])
+    def test_bad_setting_exits_2_naming_it(self, tmp_path, capsys, built_run, command, override,
+                                           needle):
+        config_path, _ = write_config(tmp_path)
+        capsys.readouterr()
+        code = cli.run(command, config_path, [*_inputs(built_run, command), override])
+        err = capsys.readouterr().err.splitlines()
+        assert code == cli.EXIT_CONFIG, err
+        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    def test_random_swap_shift_uses_the_items_as_pool(self, tmp_path, built_run):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("eval", config_path,
+                       [*_inputs(built_run, "eval"), "eval.shift.kind=random_swap"]) == 0
+        assert (tmp_path / "run" / "metrics_shift_relevant.csv").exists()
+
+    def test_null_eval_items_are_skipped(self, tmp_path):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path, ["synth.eval_items=null"]) == 0
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+            "dataset.jsonl", "dataset.jsonl.stats.json", "synth.config.yaml"]
+
+    def test_null_shift_runs_at_the_spec_defaults(self, tmp_path, built_run):
+        config_path, _ = write_config(tmp_path)
+        run = tmp_path / "run"
+        histograms = {}
+        for shift in ("eval.shift=null", "eval.shift.t=500"):
+            assert cli.run("eval", config_path, [*_inputs(built_run, "eval"), shift]) == 0
+            histograms[shift] = (run / "metrics_shift_relevant.csv").read_bytes()
+        assert histograms["eval.shift=null"] == histograms["eval.shift.t=500"]
+
+    def test_every_setting_is_in_the_snapshot(self, tmp_path):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        snapshot = yaml.safe_load((tmp_path / "run" / "synth.config.yaml").read_text())
+
+        def keys(tree, prefix=""):
+            out = set()
+            for key, value in tree.items():
+                out.add(prefix + key)
+                if isinstance(value, dict):
+                    out |= keys(value, f"{prefix}{key}.")
+            return out
+
+        assert keys(snapshot) == keys(cli.default_config())
+
+    def test_snapshot_reruns_byte_identical(self, tmp_path):
+        config_path, _ = write_config(tmp_path)
+        run = tmp_path / "run"
+        commands = ("synth", "train", "eval", "report")
+        for command in commands:
+            assert cli.run(command, config_path) == 0
+        first = {p.name: p.read_bytes() for p in run.iterdir()}
+        for command in commands:
+            assert cli.run(command, run / f"{command}.config.yaml") == 0
+            assert {p.name: p.read_bytes() for p in run.iterdir()} == first, command

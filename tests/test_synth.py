@@ -357,6 +357,41 @@ class TestVerifyDataset:
         assert all(reason.endswith(("not an integer", "not a boolean"))
                    for _, reason in report.violations)
 
+    @pytest.mark.parametrize("text,problem", [
+        ('{"y_w": "\u00e9"}'.encode("utf-8"), "not ASCII text"),
+        (b"[1, 2]", "not a JSON object"),
+    ])
+    def test_unreadable_line_is_a_parse_error(self, tmp_path, text, problem):
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
+        lines = path.read_bytes().splitlines()
+        lines[3] = text
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        report = verify_dataset(path)
+        assert report.parse_errors == [(4, problem)]
+        assert report.n_records == 19 and report.n_violations == 0
+
+    @pytest.mark.parametrize("shift,problem", [(-10, "is negative"), (10, "outside [0, 10)")])
+    def test_scene_references_outside_the_world(self, tmp_path, shift, problem):
+        # Moving both references of a matched record by the scene count keeps
+        # the matched flag consistent; a negative one would index the same
+        # scene from the end.
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if json.loads(line)["matched"])
+        rec = json.loads(lines[index])
+        rec["visual_scene"] = rec["audio_scene"] = rec["visual_scene"] + shift
+        lines[index] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        report = verify_dataset(path)
+        assert report.violations == [(index + 1, f"visual_scene {rec['visual_scene']} {problem}")]
+        if shift < 0:
+            with pytest.raises(WorldError, match=f"line {index + 1}: visual_scene -"):
+                synth.load_pairs(path)
+        else:  # the loader does not know the scene count
+            assert len(synth.load_pairs(path)) == 20
+
     def test_parse_errors_reported_per_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
@@ -436,6 +471,14 @@ class TestColumnValidation:
         with pytest.raises(WorldError, match="line 7: y_l -1"):
             synth.load_pairs(path)
 
+    def test_truncated_first_line_is_the_bad_one(self, tmp_path):
+        # Rows are measured against the most common length, not the first.
+        path = _write_lines(tmp_path, {0: lambda rec: {**rec, "audio_feat": rec["audio_feat"][:7]}})
+        with pytest.raises(WorldError) as err:
+            synth.load_pairs(path)
+        assert str(err.value) == f"{path}, line 1: audio_feat has 7 values, expected 8"
+        assert verify_dataset(path).violations == [(1, "audio_feat has 7 values, expected 8")]
+
     def test_eval_item_columns(self, tmp_path):
         path = tmp_path / "items.jsonl"
         synth.assemble_eval_items(EvalConfig(n_items=10, n_scenes=15, seed=2), path)
@@ -447,6 +490,32 @@ class TestColumnValidation:
         expected = r"line 4: ground_truth must be one of \('yes', 'no'\), got 'maybe'"
         with pytest.raises(WorldError, match=expected):
             synth.read_records(path, synth.ItemTable)
+
+
+class TestLevelSettings:
+    @pytest.mark.parametrize("config", [SynthConfig, EvalConfig])
+    @pytest.mark.parametrize("field,value", [
+        ("matched_bias", "abc"), ("matched_bias", [0.5, 0.5]), ("matched_bias", 1.5),
+        ("matched_bias", -0.1), ("matched_bias", True), ("feature_noise", -1),
+        ("feature_noise", float("inf")), ("feature_noise", (0.1,)), ("feature_noise", [0.1, "x"]),
+    ])
+    def test_bad_level_rejected(self, config, field, value):
+        with pytest.raises(WorldError, match=f"{field} must be"):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("matched_fraction", 5.0), ("matching_fraction", -0.5), ("dominance_fraction", 1.5),
+    ])
+    def test_eval_fractions_must_lie_in_0_1(self, field, value):
+        with pytest.raises(WorldError, match=f"{field} must lie in"):
+            EvalConfig(**{field: value})
+
+    @pytest.mark.parametrize("config", [SynthConfig, EvalConfig])
+    def test_accepted_forms(self, config):
+        cfg = config(matched_bias=[0.2] * synth.N_ENTITY_KINDS, feature_noise=[0.05, 1])
+        assert cfg.matched_bias == (0.2,) * synth.N_ENTITY_KINDS
+        assert cfg.feature_noise == (0.05, 1.0)
+        assert config(matched_bias=1, feature_noise=0).matched_bias == 1
 
 
 class TestEvalItems:

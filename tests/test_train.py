@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             TrainConfig(loss_variant="rlhf")
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "warmup_steps"])
+    @pytest.mark.parametrize("value", [10.5, "10", True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
     def test_defaults_keep_invariance_below_sensitivity(self):
         cfg = TrainConfig()
         assert cfg.hp.beta_inv < cfg.hp.beta_sens
