@@ -10,8 +10,10 @@ outputs:
     modlab report  -c cfg.yaml [k=v ...]   comparison table across checkpoints
     modlab verify  [k=v ...]               run the oracle battery
 
-Every command is deterministic given (config, seed): rerunning writes
-byte-identical artifacts.  Exit codes: 0 success, 2 config error (an
+A later command reads what an earlier one wrote under out_dir by the
+names the earlier one was given (see default_config).  Every command is
+deterministic given (config, seed): rerunning writes byte-identical
+artifacts.  Exit codes: 0 success, 2 config error (an
 unknown key, a setting not of its default's type or rejected by the class
 built from it; also a malformed dataset line or checkpoint, or a
 checkpoint that does not fit the data: other feature sizes, another
@@ -79,6 +81,8 @@ def default_config() -> dict:
     (a section only a mapping).  A null default stands for the value the
     comment beside it names; the class built from it checks a value set
     there.  report.checkpoints maps names of the user's choice to paths.
+    Output names are relative to out_dir and may name subdirectories; a
+    null input path is the out_dir file its writer was told to write.
     """
     shift = {"kind": "diffusion", "t": 500, "sigma": 1.0}  # null: CorruptionSpec's defaults
     return {
@@ -102,7 +106,7 @@ def default_config() -> dict:
             },
         },
         "train": {
-            "dataset": None,  # <out_dir>/dataset.jsonl
+            "dataset": None,  # null: synth.out
             "reference": None,  # a reference checkpoint; null: warm one up
             "preset": "modpp",
             "lr": 0.15,
@@ -120,14 +124,15 @@ def default_config() -> dict:
             "counters": "counters.json",
         },
         "eval": {
-            "checkpoint": None,  # <out_dir>/policy.ckpt
-            "items": None,  # <out_dir>/eval_items.jsonl
+            "checkpoint": None,  # null: train.checkpoint
+            "items": None,  # null: synth.eval_items.out
             "shift": dict(shift),
             "out_prefix": "metrics",
         },
         "report": {
-            "checkpoints": {},  # name -> path; empty: reference and policy in out_dir
-            "items": None,  # <out_dir>/eval_items.jsonl
+            # name -> path; empty: train.reference_checkpoint and train.checkpoint
+            "checkpoints": {},
+            "items": None,  # null: synth.eval_items.out
             "shift": dict(shift),
             "out_prefix": "comparison",
         },
@@ -212,8 +217,21 @@ def load_config(config_path, overrides) -> dict:
 
 
 def _out_path(cfg: dict, name: str) -> str:
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    return os.path.join(cfg["out_dir"], name)
+    """<out_dir>/<name>, its directory created."""
+    path = os.path.join(cfg["out_dir"], name)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
+
+
+def _written(cfg: dict) -> dict:
+    """The paths of what synth and train are told to write, which null input
+    settings stand for (items: None when synth writes no eval items)."""
+    def at(name):
+        return os.path.join(cfg["out_dir"], name)
+
+    items, train = cfg["synth"]["eval_items"], cfg["train"]
+    return {"dataset": at(cfg["synth"]["out"]), "items": items and at(items["out"]),
+            "reference": at(train["reference_checkpoint"]), "policy": at(train["checkpoint"])}
 
 
 def _write_snapshot(cfg: dict, command: str) -> None:
@@ -255,6 +273,21 @@ def check_compatible(params, ckpt_path, data, data_path) -> None:
     if params.n_prompts < needed:
         raise CliError(f"checkpoint {ckpt_path} has n_prompts={params.n_prompts} but "
                        f"{data_path} needs n_prompts>={needed}", EXIT_CONFIG)
+
+
+def _load_eval_inputs(cfg: dict, name: str, checkpoints: dict) -> tuple:
+    """(eval items, [(name, params)]) of section name: its items, by default
+    the file synth wrote, and the named checkpoints, each fit to the items."""
+    items_path = cfg[name]["items"] or _written(cfg)["items"]
+    if items_path is None:
+        raise CliError(f"no eval items: {name}.items and synth.eval_items are null", EXIT_MISSING)
+    items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
+    named = []
+    for model, path in sorted(checkpoints.items()):
+        params = load_checkpoint(_require_file(path, f"checkpoint {model!r}"))
+        check_compatible(params, path, items, items_path)
+        named.append((model, params))
+    return items, named
 
 
 def _shift_spec(cfg: dict, name: str) -> CorruptionSpec:
@@ -317,7 +350,7 @@ def build_train_config(section: dict, seed: int) -> training.TrainConfig:
 def cmd_train(cfg: dict) -> int:
     section = cfg["train"]
     train_cfg = build_train_config(section, cfg["seed"])
-    dataset_path = section["dataset"] or _out_path(cfg, "dataset.jsonl")
+    dataset_path = section["dataset"] or _written(cfg)["dataset"]
     dataset = synth.load_pairs(_require_file(dataset_path, "training dataset"))
 
     ref_params = None
@@ -363,13 +396,10 @@ def cmd_train(cfg: dict) -> int:
 def cmd_eval(cfg: dict) -> int:
     section = cfg["eval"]
     spec = _shift_spec(cfg, "eval")
-    ckpt = section["checkpoint"] or _out_path(cfg, "policy.ckpt")
-    items_path = section["items"] or _out_path(cfg, "eval_items.jsonl")
-    params = load_checkpoint(_require_file(ckpt, "checkpoint"))
-    items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
-    check_compatible(params, ckpt, items, items_path)
+    ckpt = section["checkpoint"] or _written(cfg)["policy"]
+    items, named = _load_eval_inputs(cfg, "eval", {"policy": ckpt})
 
-    [row] = eval_mod.compare([("policy", params)], items, shift_spec=spec)
+    [row] = eval_mod.compare(named, items, shift_spec=spec)
     prefix = section["out_prefix"]
     with open(_out_path(cfg, f"{prefix}.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -390,15 +420,8 @@ def cmd_eval(cfg: dict) -> int:
 def cmd_report(cfg: dict) -> int:
     section = cfg["report"]
     spec = _shift_spec(cfg, "report")
-    ckpts = section["checkpoints"] or {"reference": _out_path(cfg, "reference.ckpt"),
-                                       "policy": _out_path(cfg, "policy.ckpt")}
-    items_path = section["items"] or _out_path(cfg, "eval_items.jsonl")
-    items = eval_mod.load_eval_items(_require_file(items_path, "eval items"))
-    named = []
-    for name, path in sorted(ckpts.items()):
-        params = load_checkpoint(_require_file(path, f"checkpoint {name!r}"))
-        check_compatible(params, path, items, items_path)
-        named.append((name, params))
+    ckpts = section["checkpoints"] or {m: _written(cfg)[m] for m in ("reference", "policy")}
+    items, named = _load_eval_inputs(cfg, "report", ckpts)
     rows = eval_mod.compare(named, items, shift_spec=spec)
     prefix = section["out_prefix"]
     eval_mod.comparison_to_csv(rows, _out_path(cfg, f"{prefix}.csv"))
@@ -407,11 +430,12 @@ def cmd_report(cfg: dict) -> int:
         fh.write(table + "\n")
     print(table)
 
-    # Pass-counter summaries written by train runs next to the checkpoints,
-    # once per directory.
+    # Pass-counter summaries train runs wrote under the train.counters name
+    # next to the checkpoints, once per directory.
     seen = set()
     for name, path in sorted(ckpts.items()):
-        counters_path = os.path.join(os.path.dirname(os.path.abspath(path)), "counters.json")
+        counters_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                     cfg["train"]["counters"])
         if counters_path in seen or not os.path.exists(counters_path):
             continue
         seen.add(counters_path)

@@ -29,6 +29,7 @@ it carries gradient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,27 @@ class DomainError(ValueError):
 
 class ConfigurationError(ValueError):
     """Hyperparameters are ill-posed (e.g. non-positive temperature)."""
+
+
+def check_numbers(obj, error, names, *, integer=False, low=0, high=math.inf, above=False):
+    """Raise error naming the first of obj's fields ``names`` whose value is
+    not a number (with integer, not an integer; a bool is neither) or lies
+    outside [low, high], or (low, high) when above.  A non-finite value and
+    an integer too large for a float lie outside every interval."""
+    kind = "an integer" if integer else "a number"
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integer else numbers.Real):
+            raise error(f"{name} must be {kind}, got {value!r}")
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+        if not (math.isfinite(x) and (low < x < high if above else low <= x <= high)):
+            closed = not above and math.isfinite(high)
+            raise error(f"{name} must lie in {'(' if above else '['}{low}, {high}"
+                        f"{']' if closed else ')'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +93,7 @@ class Hyperparams:
     gamma_lpd: float = 0.05
 
     def __post_init__(self):
-        for name in ("beta", "beta_inv", "beta_sens", "gamma_lpd"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        check_numbers(self, ConfigurationError, ("beta", "beta_inv", "beta_sens", "gamma_lpd"))
         if self.tau <= 0:
             raise ConfigurationError(
                 f"temperature tau must be positive, got {self.tau} "

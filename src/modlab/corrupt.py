@@ -20,9 +20,9 @@ draws exactly what B row calls would draw from the same generator in row
 order: gaussian and diffusion fill their (B, d) noise row-major, and
 random_swap takes one pool index per row.  ``corrupt_rows`` corrupts the
 masked rows of an audio/visual pair of blocks with one generator, audio
-block first, into fresh arrays or into the caller's buffers, so a caller
-that passes the same generator to successive calls fixes every draw by its
-own seed and call order.
+block first, into fresh arrays, so a caller that passes the same
+generator to successive calls fixes every draw by its own seed and call
+order.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .core import check_numbers
 
 CORRUPTION_KINDS = ("zeros", "gaussian", "random_swap", "diffusion")
 
@@ -58,12 +60,11 @@ class NoiseSchedule:
     alpha_bar: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T < 1:
-            raise CorruptionError(f"schedule length T must be >= 1, got {self.T}")
-        if not (0 < self.beta_start <= self.beta_end < 1):
+        check_numbers(self, CorruptionError, ("T",), integer=True, low=1)
+        check_numbers(self, CorruptionError, ("beta_start", "beta_end"), high=1, above=True)
+        if self.beta_start > self.beta_end:
             raise CorruptionError(
-                f"need 0 < beta_start <= beta_end < 1, got {self.beta_start}, {self.beta_end}"
-            )
+                f"need beta_start <= beta_end, got {self.beta_start}, {self.beta_end}")
         betas = np.linspace(self.beta_start, self.beta_end, self.T)
         abar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
         object.__setattr__(self, "alpha_bar", abar)
@@ -77,7 +78,7 @@ class CorruptionSpec:
     """One corruption draw: kind, parameters, and the seed that fixes it.
 
     t is only meaningful for diffusion (step count in [0, T]); sigma only
-    for gaussian.
+    for gaussian.  The seed is an integer >= 0.
     """
 
     kind: str = "diffusion"
@@ -88,10 +89,9 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise CorruptionError(f"kind must be one of {CORRUPTION_KINDS}, got {self.kind!r}")
-        if not (0 <= self.t <= DEFAULT_T_MAX):
-            raise CorruptionError(f"diffusion step t must be in [0, {DEFAULT_T_MAX}], got {self.t}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise CorruptionError(f"sigma must be finite and > 0, got {self.sigma}")
+        check_numbers(self, CorruptionError, ("t",), integer=True, high=DEFAULT_T_MAX)
+        check_numbers(self, CorruptionError, ("seed",), integer=True)
+        check_numbers(self, CorruptionError, ("sigma",), above=True)
 
 
 def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
@@ -101,8 +101,7 @@ def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
     return float(schedule.alpha_bar[t])
 
 
-def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule = DEFAULT_SCHEDULE,
-            rng: np.random.Generator = None):
+def corrupt(features, spec: CorruptionSpec, pool=None, rng: np.random.Generator = None):
     """Corrupted copy of a (d,) feature vector or a (B, d) block of rows,
     shape-preserving and finite.
 
@@ -111,7 +110,7 @@ def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule =
     from the pool, excluding members identical to that row so the result
     is a genuinely different source.  diffusion at t=0 is the identity.
     rng defaults to default_rng(spec.seed); zeros and diffusion at t=0
-    draw nothing from it.
+    draw nothing from it.  diffusion follows DEFAULT_SCHEDULE.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -133,7 +132,7 @@ def corrupt(features, spec: CorruptionSpec, pool=None, schedule: NoiseSchedule =
     # diffusion
     if spec.t == 0:
         return x.copy()
-    abar = alpha_bar(schedule, spec.t)
+    abar = alpha_bar(DEFAULT_SCHEDULE, spec.t)
     eps = rng.standard_normal(x.shape)
     return math.sqrt(abar) * x + math.sqrt(1.0 - abar) * eps
 
@@ -165,26 +164,20 @@ def _swap(x: np.ndarray, pool, rng: np.random.Generator) -> np.ndarray:
 
 
 def corrupt_rows(features: dict, spec: CorruptionSpec, masks: dict, rng: np.random.Generator,
-                 pools=None, out: dict = None) -> dict:
+                 pools=None) -> dict:
     """Corrupted copies of stacked feature rows.
 
     features maps "audio"/"visual" to (B, d) arrays and masks maps a
     modality to the (B,) boolean mask of the rows to corrupt; a modality
     without a mask is kept.  Each modality's masked rows are corrupted as
     one block drawn from rng, audio before visual, rows in order.  pools
-    maps a modality to its random_swap pool.  The result is written into
-    out, which maps each modality to a (B, d) float64 array (a slice of a
-    larger buffer, say), or into fresh arrays; inputs are left untouched.
+    maps a modality to its random_swap pool.  The inputs are left untouched.
     """
-    if out is None:
-        out = {m: np.empty(np.shape(x)) for m, x in features.items()}
-    for m, x in features.items():
-        out[m][...] = x
+    out = {m: np.array(x, dtype=np.float64) for m, x in features.items()}
     for m in ("audio", "visual"):
         rows = masks.get(m)
         if rows is not None and rows.any():
-            out[m][rows] = corrupt(out[m][rows], spec, pool=pools.get(m) if pools else None,
-                                   rng=rng)
+            out[m][rows] = corrupt(out[m][rows], spec, pools.get(m) if pools else None, rng)
     return out
 
 

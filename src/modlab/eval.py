@@ -87,16 +87,15 @@ def load_eval_items(path) -> ItemTable:
 class MetricsReport:
     """Stratum tallies and the derived percentages.
 
-    Metrics whose stratum is empty are None (undefined), not zero.  When a
-    nonempty stratum scores zero the harmonic mean degenerates; f1 is then
-    reported as 0 with degenerate_f1 set.
+    Metrics whose stratum is empty are None (undefined), not zero.  When
+    both strata are nonempty and score zero the harmonic mean degenerates;
+    f1 is then reported as 0 and degenerate_f1 is True.
     """
 
     yes_total: int = 0
     yes_correct: int = 0
     no_total: int = 0
     no_correct: int = 0
-    degenerate_f1: bool = False
 
     @property
     def total(self) -> int:
@@ -129,13 +128,16 @@ class MetricsReport:
         return self.recall
 
     @property
+    def degenerate_f1(self) -> bool:
+        return (self.yes_total > 0 and self.no_total > 0
+                and self.yes_correct == 0 and self.no_correct == 0)
+
+    @property
     def f1(self):
         pre, rec = self.precision, self.recall
         if pre is None or rec is None:
             return None
-        if pre + rec == 0:
-            # Both stratum accuracies are zero; flagged rather than NaN.
-            self.degenerate_f1 = True
+        if self.degenerate_f1:  # flagged rather than NaN
             return 0.0
         return 2.0 * pre * rec / (pre + rec)
 

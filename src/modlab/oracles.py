@@ -73,23 +73,28 @@ def _objective_gradient(p, r, p_ref, q_inv, q_sens, hp: Hyperparams):
     )
 
 
-def pga_argmax(r, p_ref, q_inv, q_sens, hp: Hyperparams, max_iter: int = 20000,
-               tol: float = 1e-11, delta: float = 1e-12) -> np.ndarray:
+# Projected ascent: iteration cap, L1 move that ends the ascent, simplex floor.
+_PGA_MAX_ITER = 20000
+_PGA_TOL = 1e-11
+_PGA_FLOOR = 1e-12
+
+
+def pga_argmax(r, p_ref, q_inv, q_sens, hp: Hyperparams) -> np.ndarray:
     """Projected gradient ascent on the decoupled objective.
 
-    Ascent runs on the floored simplex {p >= delta, sum p = 1} (an affine
-    reparameterization of the standard projection), which keeps every log
-    finite and bounded; components whose true optimum lies below the floor
-    sit on it, costing at most V*delta in L1.  The Armijo-style line search
-    restarts each iteration from an enlarged step so one bad iteration
-    cannot poison the rest.  Strict concavity (tau > 0) guarantees the
-    maximizer is unique.
+    Ascent runs on the floored simplex {p >= delta, sum p = 1}, delta =
+    _PGA_FLOOR (an affine reparameterization of the standard projection),
+    which keeps every log finite and bounded; components whose true
+    optimum lies below the floor sit on it, costing at most V*delta in L1.
+    The Armijo-style line search restarts each iteration from an enlarged
+    step so one bad iteration cannot poison the rest.  Strict concavity
+    (tau > 0) guarantees the maximizer is unique.
     """
     r = np.asarray(r, dtype=np.float64)
     p_ref = np.asarray(p_ref, dtype=np.float64)
     q_inv = np.asarray(q_inv, dtype=np.float64)
     q_sens = np.asarray(q_sens, dtype=np.float64)
-    n = r.size
+    n, delta = r.size, _PGA_FLOOR
     scale = 1.0 - n * delta
 
     def project(v):
@@ -105,7 +110,7 @@ def pga_argmax(r, p_ref, q_inv, q_sens, hp: Hyperparams, max_iter: int = 20000,
     p = np.full(n, 1.0 / n)
     best = value(p)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(_PGA_MAX_ITER):
         grad = _objective_gradient(p, r, p_ref, q_inv, q_sens, hp)
         # Coordinate curvature is tau/p_i, so the natural (replicator)
         # direction p * (g - <p, g>) equalizes progress across twelve
@@ -124,7 +129,7 @@ def pga_argmax(r, p_ref, q_inv, q_sens, hp: Hyperparams, max_iter: int = 20000,
                     move = float(np.abs(cand - p).sum())
                     p, best, moved = cand, cand_val, True
                     step = trial
-                    if move < tol:
+                    if move < _PGA_TOL:
                         return p
                     break
                 trial *= 0.5
@@ -233,8 +238,7 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return (values[: x.size] - values[x.size :]) / (2.0 * h)
 
 
-def policy_gradient_rel_error(params, audio, visual, prompt_ids, upstream: np.ndarray,
-                              h: float = 1e-5) -> float:
+def policy_gradient_rel_error(params, audio, visual, prompt_ids, upstream: np.ndarray) -> float:
     """Max-norm relative error of backward() vs central differences for B
     input rows (audio (B, d_a), visual (B, d_v), prompt_ids (B,)) and a
     (B, V) upstream."""
@@ -245,13 +249,13 @@ def policy_gradient_rel_error(params, audio, visual, prompt_ids, upstream: np.nd
         logprobs = forward(params.from_vector(stack), *rows).logprobs
         return np.sum(upstream * logprobs, axis=(-2, -1))
 
-    numeric = finite_difference_gradient(f, params.to_vector(), h)
+    numeric = finite_difference_gradient(f, params.to_vector())
     scale = max(float(np.max(np.abs(numeric))), 1e-12)
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
 def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step: int,
-                               pools=None, h: float = 1e-6) -> float:
+                               pools=None) -> float:
     """Stop-gradient audit for one batch.
 
     The trainer's analytic step direction is compared against central
@@ -274,7 +278,7 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
 
     updated, _, _ = train_step(params, ref, batch, cfg, step, pools)
     analytic = (params.to_vector() - updated.to_vector()) / cfg.lr
-    numeric = finite_difference_gradient(surrogate, params.to_vector(), h)
+    numeric = finite_difference_gradient(surrogate, params.to_vector(), h=1e-6)
     denom = max(float(np.linalg.norm(numeric)), 1e-12)
     return float(np.linalg.norm(analytic - numeric)) / denom
 
@@ -348,13 +352,12 @@ def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> Su
                        f"of 6 (tol {tol})", time.perf_counter() - start)
 
 
-def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0,
-                        variant: str = "modpp") -> SuiteResult:
-    """Audit the analytic step against the frozen surrogate while training."""
+def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0) -> SuiteResult:
+    """Audit modpp's analytic step against the frozen surrogate while training."""
     start = time.perf_counter()
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=64, n_scenes=24, seed=seed,
                                                      world_seed=seed + 1))
-    cfg = TrainConfig(loss_variant=variant, lr=0.1, epochs=max(1, n_steps), batch_size=4,
+    cfg = TrainConfig(loss_variant="modpp", lr=0.1, epochs=max(1, n_steps), batch_size=4,
                       seed=seed, warmup_steps=30)
     ref = training.warmup_reference(dataset, cfg.warmup_steps, cfg.seed,
                                  lr=cfg.warmup_lr, batch_size=cfg.batch_size)

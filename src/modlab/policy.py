@@ -139,12 +139,12 @@ class GradAccumulator(_FlatTensors):
 
 
 def init_params(d_a: int = 8, d_v: int = 8, d_h: int = 16, vocab_size: int = 8,
-                n_prompts: int = 16, seed: int = 0, scale: float = 0.1) -> PolicyParams:
-    """Seeded uniform(-scale, scale) initialization of every tensor."""
+                n_prompts: int = 16, seed: int = 0) -> PolicyParams:
+    """Seeded uniform(-0.1, 0.1) initialization of every tensor."""
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
-        return rng.uniform(-scale, scale, size=shape)
+        return rng.uniform(-0.1, 0.1, size=shape)
 
     return PolicyParams(
         u_a=draw(d_h, d_a),

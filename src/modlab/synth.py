@@ -50,6 +50,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .core import check_numbers
+
 FORMAT_VERSION = 1
 
 # Response vocabulary layout.
@@ -329,16 +331,13 @@ class _Table:
         return table, problems
 
     @classmethod
-    def from_records(cls, records, path="<records>", line_nos=None):
+    def from_records(cls, records):
         """The table of decoded JSON records; the earliest bad record raises
-        WorldError("<path>, line <n>: <problem>") (see ``check``).  line_nos
-        gives each record's line (default 1..N)."""
-        records = list(records)
-        table, problems = cls.check(records)
+        WorldError("record <n>: <problem>"), counting from 1 (see ``check``)."""
+        table, problems = cls.check(list(records))
         if problems:
             row = min(problems)
-            line_no = (line_nos or range(1, len(records) + 1))[row]
-            raise WorldError(f"{path}, line {line_no}: {problems[row]}")
+            raise WorldError(f"record {row + 1}: {problems[row]}")
         return table
 
 
@@ -595,12 +594,16 @@ _LEVELS = (("matched_bias", N_ENTITY_KINDS, 1.0, "a number in [0, 1] or one per 
 
 
 def _check_rates(cfg, *fractions) -> None:
-    """Reject fractions outside [0, 1] and a matched_bias or feature_noise of
-    another form than _LEVELS names; store a per-kind or per-modality
-    sequence as a float tuple."""
-    for name in fractions:
-        if not (0.0 <= getattr(cfg, name) <= 1.0):
-            raise WorldError(f"{name} must lie in [0, 1]")
+    """The world rules SynthConfig and EvalConfig share: fractions in
+    [0, 1], integer seeds >= 0, n_scenes >= 1 and two scenes when contexts
+    can be mismatched (matched_fraction below 1, or matching probes), and a
+    matched_bias or feature_noise of a form _LEVELS names; a per-kind or
+    per-modality sequence is stored as a float tuple."""
+    check_numbers(cfg, WorldError, fractions, high=1)
+    check_numbers(cfg, WorldError, ("seed", "world_seed"), integer=True)
+    check_numbers(cfg, WorldError, ("n_scenes",), integer=True, low=1)
+    if cfg.n_scenes < 2 and (cfg.matched_fraction < 1 or getattr(cfg, "matching_fraction", 0)):
+        raise WorldError("mismatched contexts need at least two scenes")
     for name, size, upper, forms in _LEVELS:
         value = getattr(cfg, name)
         levels = np.asarray(value)
@@ -633,11 +636,8 @@ class SynthConfig:
     world_seed: int = 7
 
     def __post_init__(self):
+        check_numbers(self, WorldError, ("n_pairs",), integer=True, low=1)
         _check_rates(self, "matched_fraction", "presence_fraction")
-        if self.n_pairs < 1 or self.n_scenes < 1:
-            raise WorldError("n_pairs and n_scenes must be positive")
-        if self.matched_fraction < 1.0 and self.n_scenes < 2:
-            raise WorldError("mismatched contexts need at least two scenes")
 
 
 def _exact_allocation(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -937,9 +937,8 @@ class EvalConfig:
     world_seed: int = 7
 
     def __post_init__(self):
+        check_numbers(self, WorldError, ("n_items",), integer=True, low=2)
         _check_rates(self, "matched_fraction", "matching_fraction", "dominance_fraction")
-        if self.n_items < 2:
-            raise WorldError("need at least two eval items")
         if self.matching_fraction + self.dominance_fraction > 1.0:
             raise WorldError("matching and dominance fractions exceed the item budget")
 

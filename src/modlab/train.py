@@ -60,15 +60,14 @@ or a gradient becomes non-finite; the error names the step and the loss.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import core
-from .core import ConfigurationError, Hyperparams, PairLogProbs
-from .corrupt import CorruptionSpec, FeaturePool, corrupt_rows
+from .core import ConfigurationError, Hyperparams, PairLogProbs, check_numbers
+from .corrupt import CorruptionSpec, FeaturePool, corrupt
 from .policy import PolicyParams, apply_gradient_step, backward, forward, init_params
 from .synth import (
     AUDIO_RELATED,
@@ -87,7 +86,8 @@ _WARMUP_STREAM = 11
 _ORDER_STREAM = 12
 _CORRUPT_STREAM = 13
 
-_D_H_DEFAULT = 16
+# Hidden width of every policy training initializes.
+_D_H = 16
 
 # A step whose mean loss exceeds this multiple of the first step's has
 # diverged; healthy runs peak near 1.4x.
@@ -101,13 +101,6 @@ class TrainingError(ValueError):
 class DivergenceError(RuntimeError):
     """A run diverged: non-finite loss or gradient, or a loss far above the
     first step's."""
-
-
-def _check_finite_grads(grads, where: str) -> None:
-    try:
-        grads.check_finite()
-    except FloatingPointError as exc:
-        raise DivergenceError(f"{where}: {exc}") from None
 
 
 def _check_loss(phase: str, step: int, loss: float, first: float) -> None:
@@ -161,14 +154,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_variant not in LOSS_VARIANTS:
             raise ConfigurationError(f"loss_variant must be one of {LOSS_VARIANTS}")
-        for name in ("lr", "warmup_lr"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be a positive number, got {value!r}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("warmup_steps", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_numbers(self, ConfigurationError, ("lr", "warmup_lr"), above=True)
+        check_numbers(self, ConfigurationError, ("epochs", "batch_size"), integer=True, low=1)
+        check_numbers(self, ConfigurationError, ("warmup_steps", "seed"), integer=True)
 
     @cached_property
     def loss_hp(self) -> Hyperparams:
@@ -258,13 +246,13 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
         relevant, irrelevant = (("audio", "visual") if tags[0] == AUDIO_RELATED
                                 else ("visual", "audio"))
         corrupted = {"inv": (irrelevant,), "sens": (relevant,)}
-    k, clean = 1 + len(corrupted), {"audio": batch.audio, "visual": batch.visual}
-    stacked = {m: np.empty((k * n, x.shape[1])) for m, x in clean.items()}
+    k = 1 + len(corrupted)
+    stacked = {"audio": np.tile(batch.audio, (k, 1)), "visual": np.tile(batch.visual, (k, 1))}
     rng = _rng(cfg.seed, _CORRUPT_STREAM, step) if corrupted else None
-    every = np.ones(n, dtype=bool)
-    for block, modalities in enumerate(((), *corrupted.values())):  # block 0: clean copy
-        corrupt_rows(clean, cfg.corruption, dict.fromkeys(modalities, every), rng, pools,
-                     out={m: x[block * n : (block + 1) * n] for m, x in stacked.items()})
+    for block, modalities in enumerate(corrupted.values(), start=1):  # block 0 stays clean
+        for m in modalities:  # audio before visual
+            rows = stacked[m][block * n : (block + 1) * n]
+            rows[...] = corrupt(rows, cfg.corruption, pools.get(m) if pools else None, rng)
     policy = forward(params, stacked["audio"], stacked["visual"], np.tile(batch.prompt_id, k))
     if not (np.isfinite(policy.logprobs).all() and np.isfinite(ref).all()):
         raise DivergenceError(f"training diverged at step {step}: loss nan "
@@ -304,20 +292,32 @@ def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
     upstream = np.zeros_like(clean.probs)
     upstream[rows, batch.y_w] = -weights
     upstream[rows, batch.y_l] = weights
-    grads = backward(params, clean, upstream)
-    _check_finite_grads(grads, f"training diverged at step {step} (loss {loss:.6g})")
-    grads.scale(1.0 / len(batch))
-    return apply_gradient_step(params, grads, cfg.lr), loss, counter
+    where = f"training diverged at step {step} (loss {loss:.6g})"
+    return _descend(params, clean, upstream, cfg.lr, where), loss, counter
 
 
-def init_policy_for(dataset, seed: int, d_h: int = _D_H_DEFAULT) -> PolicyParams:
+def _descend(params: PolicyParams, cache, upstream: np.ndarray, lr: float,
+             where: str) -> PolicyParams:
+    """One descent step of a B-row upstream: backward through cache, a
+    DivergenceError prefixed by where if a gradient is non-finite, the
+    1/B scale, and the update of size lr."""
+    grads = backward(params, cache, upstream)
+    try:
+        grads.check_finite()
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{where}: {exc}") from None
+    grads.scale(1.0 / len(upstream))
+    return apply_gradient_step(params, grads, lr)
+
+
+def init_policy_for(dataset, seed: int) -> PolicyParams:
     dataset = PairTable.coerce(dataset)
-    return init_params(d_a=dataset.audio.shape[1], d_v=dataset.visual.shape[1], d_h=d_h,
+    return init_params(d_a=dataset.audio.shape[1], d_v=dataset.visual.shape[1], d_h=_D_H,
                        vocab_size=VOCAB_SIZE, n_prompts=N_PROMPTS, seed=seed)
 
 
 def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
-                     batch_size: int = 16, d_h: int = _D_H_DEFAULT) -> PolicyParams:
+                     batch_size: int = 16) -> PolicyParams:
     """Supervised warm-up: maximize log-likelihood of chosen responses.
 
     Returns the frozen reference parameters; steps=0 returns the seeded
@@ -326,7 +326,7 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
     dataset = PairTable.coerce(dataset)
     if not len(dataset):
         raise TrainingError("warm-up needs a non-empty dataset")
-    params = init_policy_for(dataset, seed, d_h=d_h)
+    params = init_policy_for(dataset, seed)
     audio, visual, ids, y_w = dataset.audio, dataset.visual, dataset.prompt_id, dataset.y_w
     n = len(dataset)
     size = min(batch_size, n)
@@ -346,10 +346,7 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
         _check_loss("warm-up", step, loss, first)
         upstream = np.zeros_like(cache.probs)
         upstream[rows, y_w[batch]] = -1.0  # minimize -log pi(y_w)
-        grads = backward(params, cache, upstream)
-        _check_finite_grads(grads, f"warm-up diverged at step {step}")
-        grads.scale(1.0 / size)
-        params = apply_gradient_step(params, grads, lr)
+        params = _descend(params, cache, upstream, lr, f"warm-up diverged at step {step}")
     return params
 
 

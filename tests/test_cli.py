@@ -479,3 +479,84 @@ class TestConfigSchema:
         for command in commands:
             assert cli.run(command, run / f"{command}.config.yaml") == 0
             assert {p.name: p.read_bytes() for p in run.iterdir()} == first, command
+
+
+class TestSettingValues:
+    """A value that passes the schema's null defaults is checked by the class
+    built from it: exit 2 and one line naming the setting, before any output."""
+
+    @pytest.mark.parametrize("command,overrides,needles", [
+        ("train", ["train.corruption.t=10.5"], ("train.corruption", "t must be an integer")),
+        ("train", ["train.corruption.t=true"], ("train.corruption", "t must be an integer")),
+        ("train", ["train.hp.beta=true"], ("train.hp", "beta must be a number")),
+        ("train", ["train.warmup_lr=true"], ("train", "warmup_lr must be a number")),
+        ("train", ["train.hp.beta=abc"], ("train.hp", "beta must be a number")),
+        ("train", ["train.corruption.sigma=abc"], ("train.corruption", "sigma must be a number")),
+        ("train", ["seed=-1"], ("seed must lie in",)),
+        ("eval", ["seed=-1"], ("seed must lie in",)),
+        ("synth", ["synth.world_seed=-3"], ("synth", "world_seed must lie in")),
+        ("synth", ["synth.n_scenes=1", "synth.matched_fraction=1.0"],
+         ("synth.eval_items", "at least two scenes")),
+    ])
+    def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, built_run, command, overrides,
+                                         needles):
+        config_path, _ = write_config(tmp_path)
+        capsys.readouterr()
+        code = cli.run(command, config_path, [*_inputs(built_run, command), *overrides])
+        err = capsys.readouterr().err.splitlines()
+        assert code == cli.EXIT_CONFIG, err
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert all(needle in err[0] for needle in needles), err
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+
+def _renamed_config(tmp_path, checkpoint):
+    """The test config with every artifact name the later commands read set
+    to a non-default one."""
+    _, cfg = write_config(tmp_path)
+    cfg["synth"]["out"] = "pairs.jsonl"
+    cfg["synth"]["eval_items"]["out"] = "probes.jsonl"
+    cfg["train"].update(checkpoint=checkpoint, counters="passes.json")
+    path = tmp_path / "renamed.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+class TestArtifactNames:
+    """A null input path is the file its writer was told to write."""
+
+    def test_renamed_artifacts_run_end_to_end(self, tmp_path, capsys):
+        config_path = _renamed_config(tmp_path, "models/final.ckpt")
+        run = tmp_path / "run"
+        for command in ("synth", "train", "eval", "report"):
+            assert cli.run(command, config_path) == 0, capsys.readouterr().err
+        assert (run / "models" / "final.ckpt").exists() and (run / "passes.json").exists()
+        assert (run / "metrics.csv").exists() and (run / "comparison.txt").exists()
+        for default in ("dataset.jsonl", "eval_items.jsonl", "policy.ckpt", "counters.json"):
+            assert not (run / default).exists(), default
+        lines = capsys.readouterr().out.splitlines()
+        assert "counters [modpp] near reference: (6,4,2,0) per pair" in lines
+
+    def test_nested_checkpoint_name_is_written(self, tmp_path):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        assert cli.run("train", config_path, ["train.checkpoint=sub/policy.ckpt"]) == 0
+        assert (tmp_path / "run" / "sub" / "policy.ckpt").exists()
+        assert cli.run("eval", config_path, ["train.checkpoint=sub/policy.ckpt"]) == 0
+
+    def test_report_reads_the_counters_train_wrote(self, tmp_path, capsys):
+        config_path = _renamed_config(tmp_path, "policy.ckpt")
+        for command in ("synth", "train"):
+            assert cli.run(command, config_path) == 0
+        capsys.readouterr()
+        assert cli.run("report", config_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("counters")] == [
+            "counters [modpp] near policy: (6,4,2,0) per pair"]
+
+    def test_eval_items_unset_when_synth_writes_none(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        capsys.readouterr()
+        assert cli.run("report", config_path, ["synth.eval_items=null"]) == cli.EXIT_MISSING
+        assert capsys.readouterr().err == (
+            "error: no eval items: report.items and synth.eval_items are null\n")

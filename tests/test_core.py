@@ -372,3 +372,43 @@ class TestProperties:
         pl = PairLogProbs(*values)
         vanilla = core.pair_loss(beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l)))
         assert abs(core.pair_terms(pl, hp, joint)[0] - vanilla) <= 1e-12
+
+
+class TestCheckNumbers:
+    """One value rule for every numeric field of the config classes."""
+
+    @pytest.mark.parametrize("value,problem", [
+        (True, "beta must be a number, got True"),
+        ("abc", "beta must be a number, got 'abc'"),
+        (None, "beta must be a number, got None"),
+        (-0.1, r"beta must lie in \[0, inf\), got -0.1"),
+        (float("nan"), r"beta must lie in \[0, inf\), got nan"),
+        (float("inf"), r"beta must lie in \[0, inf\), got inf"),
+        pytest.param(10 ** 400, r"beta must lie in \[0, inf\), got 1000", id="huge-int"),
+    ])
+    def test_bad_strength_names_the_field(self, value, problem):
+        with pytest.raises(ConfigurationError, match=f"^{problem}"):
+            Hyperparams(beta=value)
+
+    def test_integers_are_numbers(self):
+        assert Hyperparams(beta=1, beta_inv=0, beta_sens=0, gamma_lpd=0).tau == 1
+
+    @pytest.mark.parametrize("value,problem", [
+        (2.0, "must be an integer"), (True, "must be an integer"), (np.int64(-1), "must lie in"),
+        pytest.param(10 ** 400, "must lie in", id="huge-int"), (5, r"must lie in \[1, 4\]"),
+    ])
+    def test_integer_fields(self, value, problem):
+        obj = type("Obj", (), {"n": value})()
+        with pytest.raises(KeyError, match=f"n {problem}"):
+            core.check_numbers(obj, KeyError, ("n",), integer=True, low=1, high=4)
+
+    @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0])
+    def test_open_interval_excludes_both_ends(self, value):
+        obj = type("Obj", (), {"x": value})()
+        with pytest.raises(ValueError, match=r"x must lie in \(0, 1\)"):
+            core.check_numbers(obj, ValueError, ("x",), high=1, above=True)
+
+    def test_accepted_values_pass(self):
+        obj = type("Obj", (), {"n": np.int64(3), "x": 0.5})()
+        core.check_numbers(obj, ValueError, ("n",), integer=True, low=1, high=4)
+        core.check_numbers(obj, ValueError, ("x", "n"), high=4, above=True)

@@ -175,3 +175,33 @@ class TestSnrOrdering:
     def test_signal_coefficient_monotone(self):
         coeffs = [math.sqrt(alpha_bar(DEFAULT_SCHEDULE, t)) for t in range(0, 1001, 50)]
         assert all(a > b for a, b in zip(coeffs, coeffs[1:]))
+
+
+class TestSpecValues:
+    @pytest.mark.parametrize("fields,problem", [
+        ({"t": 10.5}, "t must be an integer"),  # used to index the schedule: IndexError
+        ({"t": True}, "t must be an integer"),
+        ({"t": -1}, "t must lie in"),
+        ({"seed": -1}, "seed must lie in"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"sigma": "abc"}, "sigma must be a number"),
+        ({"sigma": float("inf")}, "sigma must lie in"),
+    ])
+    def test_bad_value_names_the_field(self, fields, problem):
+        with pytest.raises(CorruptionError, match=problem):
+            CorruptionSpec(**fields)
+
+    @pytest.mark.parametrize("fields,problem", [
+        ({"T": 10.0}, "T must be an integer"), ({"beta_end": 1.0}, "beta_end must lie in"),
+        ({"beta_start": 0.0}, "beta_start must lie in"),
+    ])
+    def test_bad_schedule_names_the_field(self, fields, problem):
+        with pytest.raises(CorruptionError, match=problem):
+            NoiseSchedule(**fields)
+
+
+def test_package_attribute_is_the_module():
+    import modlab
+    from modlab import corrupt as module
+
+    assert module is modlab.corrupt and module.__name__ == "modlab.corrupt"

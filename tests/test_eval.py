@@ -208,3 +208,18 @@ class TestItemLoading:
                 "modality_tag": "visual_related", "question_kind": "visual_presence",
                 "ground_truth": "maybe", "task_group": "adv_hallucination",
             })
+
+
+class TestDegenerateFlag:
+    def test_set_by_the_tallies_before_f1_is_read(self):
+        report = MetricsReport(yes_total=2, yes_correct=0, no_total=3, no_correct=0)
+        assert report.degenerate_f1
+        assert report.f1 == 0.0
+
+    @pytest.mark.parametrize("tallies", [
+        dict(yes_total=2, yes_correct=1, no_total=3, no_correct=0),
+        dict(yes_total=0, yes_correct=0, no_total=3, no_correct=0),
+        dict(),
+    ])
+    def test_clear_unless_both_strata_score_zero(self, tallies):
+        assert not MetricsReport(**tallies).degenerate_f1

@@ -561,3 +561,115 @@ class TestEvalItems:
                 continue
             candidates = dict(synth.presence_candidates(visual, audio, qk))
             assert candidates[target] == rec["ground_truth"]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("config,fields,problem", [
+        (SynthConfig, {"n_pairs": 2.5}, "n_pairs must be an integer"),
+        (SynthConfig, {"n_pairs": True}, "n_pairs must be an integer"),
+        (SynthConfig, {"seed": -1}, "seed must lie in"),
+        (SynthConfig, {"world_seed": -3}, "world_seed must lie in"),
+        (SynthConfig, {"presence_fraction": "abc"}, "presence_fraction must be a number"),
+        (EvalConfig, {"n_items": 10.5}, "n_items must be an integer"),
+        (EvalConfig, {"n_items": 1}, "n_items must lie in"),
+        (EvalConfig, {"n_scenes": 0}, "n_scenes must lie in"),
+        (EvalConfig, {"seed": -1}, "seed must lie in"),
+        (EvalConfig, {"world_seed": 1.0}, "world_seed must be an integer"),
+        (EvalConfig, {"matched_fraction": True}, "matched_fraction must be a number"),
+    ])
+    def test_bad_value_names_the_field(self, config, fields, problem):
+        with pytest.raises(WorldError, match=problem):
+            config(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        {"n_scenes": 1},  # matched_fraction 0.5
+        {"n_scenes": 1, "matched_fraction": 1.0, "matching_fraction": 0.1},
+    ])
+    def test_eval_items_need_two_scenes_for_mismatched_contexts(self, fields):
+        with pytest.raises(WorldError, match="at least two scenes"):
+            EvalConfig(**fields)
+
+    def test_one_scene_serves_matched_contexts(self):
+        assert EvalConfig(n_scenes=1, matched_fraction=1.0).n_scenes == 1
+        assert SynthConfig(n_scenes=1, matched_fraction=1.0).n_scenes == 1
+
+
+def _dataset_lines(tmp_path, n_pairs=40):
+    """(path, decoded records, scenes) of a generated dataset file."""
+    cfg = SynthConfig(n_pairs=n_pairs, n_scenes=20, seed=4)
+    path = tmp_path / "d.jsonl"
+    assemble_dataset(cfg, path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return path, records, generate_scenes(cfg.n_scenes, cfg.seed, cfg.world_seed)
+
+
+def _rewrite(path, records):
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+
+class TestVerifyLabels:
+    """The checks verify_dataset makes with the world after the loader's."""
+
+    def _first(self, records, *kinds):
+        return next(i for i, rec in enumerate(records) if rec["question_kind"] in kinds)
+
+    def test_modality_tag_inconsistent_with_question_kind(self, tmp_path):
+        path, records, _ = _dataset_lines(tmp_path)
+        i = self._first(records, "visual_presence", "visual_caption")
+        records[i]["modality_tag"] = "audio_related"
+        _rewrite(path, records)
+        assert verify_dataset(path).violations == [
+            (i + 1, "modality_tag inconsistent with question_kind")]
+
+    def test_caption_prompt_inconsistent_with_question_kind(self, tmp_path):
+        path, records, _ = _dataset_lines(tmp_path)
+        i = self._first(records, "visual_caption")
+        records[i]["prompt_id"] = synth.AUDIO_CAPTION_PROMPT
+        _rewrite(path, records)
+        assert verify_dataset(path).violations == [
+            (i + 1, "prompt_id inconsistent with question_kind")]
+
+    def test_presence_prompt_outside_its_range(self, tmp_path):
+        path, records, _ = _dataset_lines(tmp_path)
+        i = self._first(records, "visual_presence")
+        records[i]["prompt_id"] = synth.VISUAL_CAPTION_PROMPT
+        _rewrite(path, records)
+        assert verify_dataset(path).violations == [
+            (i + 1, "prompt_id outside the presence-prompt range")]
+
+    def test_question_kind_without_an_oracle(self, tmp_path):
+        path, records, _ = _dataset_lines(tmp_path)
+        records[2]["question_kind"] = "av_matching"
+        _rewrite(path, records)
+        assert verify_dataset(path).violations == [(3, "unknown question_kind 'av_matching'")]
+
+    def test_presence_target_not_eligible_in_the_context(self, tmp_path):
+        path, records, scenes = _dataset_lines(tmp_path)
+        for i, rec in enumerate(records):
+            if rec["question_kind"] != "visual_presence":
+                continue
+            eligible = dict(synth.presence_candidates(
+                scenes[rec["visual_scene"]], scenes[rec["audio_scene"]], "visual_presence"))
+            absent = [k for k in range(synth.N_ENTITY_KINDS) if k not in eligible]
+            if absent:
+                break
+        rec["prompt_id"] = synth.VISUAL_PRESENCE_BASE + absent[0]
+        _rewrite(path, records)
+        assert verify_dataset(path).violations == [
+            (i + 1, "question has no eligible target in this context")]
+
+    def test_missing_sidecar_is_a_parse_error(self, tmp_path):
+        path, _, _ = _dataset_lines(tmp_path, n_pairs=10)
+        (tmp_path / "d.jsonl.stats.json").unlink()
+        report = verify_dataset(path)
+        assert report.n_records == 10 and not report.violations and not report.ok
+        [(line, problem)] = report.parse_errors
+        assert line == 0 and problem.startswith("cannot rebuild the world from sidecar stats:")
+
+
+def test_from_records_names_the_first_bad_record():
+    records = synth.generate_eval_records(EvalConfig(n_items=6, n_scenes=10, seed=1))
+    records[1]["ground_truth"] = "maybe"
+    records[4]["task_group"] = "other"
+    with pytest.raises(WorldError, match=r"^record 2: ground_truth must be one of"):
+        synth.ItemTable.from_records(records)

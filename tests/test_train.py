@@ -339,3 +339,17 @@ class TestPairLossTerms:
                     else:
                         assert loss == core.pair_terms(pl, want_hp)[0]
                         assert coef == want_hp.tau
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("fields,problem", [
+        ({"seed": -1}, "seed must lie in"),
+        ({"seed": 0.5}, "seed must be an integer"),
+        ({"warmup_lr": True}, "warmup_lr must be a number"),
+        ({"lr": True}, "lr must be a number"),
+        ({"lr": float("nan")}, "lr must lie in"),
+        ({"warmup_steps": -1}, "warmup_steps must lie in"),
+    ])
+    def test_bad_value_names_the_field(self, fields, problem):
+        with pytest.raises(ConfigurationError, match=problem):
+            TrainConfig(**fields)
