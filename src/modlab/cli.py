@@ -319,14 +319,17 @@ def cmd_synth(cfg: dict) -> int:
         eval_cfg = _build("synth.eval_items", lambda: synth.EvalConfig(
             seed=seed + 1, **world, **{k: v for k, v in items.items() if k != "out"}))
 
+    # Generate both sets before writing either, so a failure writes nothing.
+    pairs = synth.generate_pairs(data_cfg)
+    records = synth.generate_eval_records(eval_cfg) if items is not None else None
     out = _out_path(cfg, section["out"])
-    stats = synth.assemble_dataset(data_cfg, out)
+    stats = synth.write_pairs(out, pairs, data_cfg)
     print(f"wrote {stats['n_records']} preference records to {out}")
     print(f"  matched ratio {stats['matched_ratio']:.3f}; "
           f"tasks {stats['question_kind_counts']}")
     if items is not None:
         items_out = _out_path(cfg, items["out"])
-        istats = synth.assemble_eval_items(eval_cfg, items_out)
+        istats = synth.write_eval_items(items_out, records, eval_cfg)
         print(f"wrote {istats['n_records']} eval items to {items_out} "
               f"(answers {istats['answer_balance']})")
     _write_snapshot(cfg, "synth")

@@ -45,7 +45,8 @@ from .presets import make_config
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """World construction and training budget for one experiment family."""
+    """World construction for one experiment family; the training budget and
+    world sizes are class constants that every family shares."""
 
     name: str
     warmup_noise_split: bool  # True: two halves with asymmetric feature noise
@@ -53,14 +54,14 @@ class ExperimentSpec:
     train_matched_fraction: float
     train_bias: float
     eval_matched_fraction: float
-    lr: float = 1.0
-    epochs: int = 6
-    batch_size: int = 16
-    warmup_steps: int = 500
-    warmup_lr: float = 0.5
-    n_train: int = 2000
-    n_eval: int = 2000
-    n_scenes: int = 400
+    lr = 1.0
+    epochs = 6
+    batch_size = 16
+    warmup_steps = 500
+    warmup_lr = 0.5
+    n_train = 2000
+    n_eval = 2000
+    n_scenes = 400
 
 
 HALLUCINATION_BENCHMARK = ExperimentSpec(

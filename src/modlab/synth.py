@@ -1,16 +1,21 @@
 """Synthetic audiovisual world and preference-data pipeline.
 
-A deterministic world oracle stands in for external annotation models:
-scenes are small sets of entities with visible/sounding flags, and feature
-vectors are sums of per-kind signature vectors plus seeded noise, so the
-correct answer to a modality question is decodable from the corresponding
-feature vector (and not from the other one).
+A deterministic world oracle stands in for external annotation models.  A
+scene pool is one ``Scenes`` table of columns: two (S,) bit masks, the
+entity kinds each scene shows (``visible``) and sounds (``sounding``), bit k
+for kind k, and (S, FEATURE_DIM) audio and visual features, each row a sum
+of per-kind signature vectors plus seeded noise, so the correct answer to a
+modality question is decodable from the corresponding feature vector (and
+not from the other one).
 
 The pipeline mirrors a three-stage construction:
 
     1. scenes are generated with disentangled audio/visual ground truth;
-    2. entities are classified into a five-way taxonomy from which yes/no
-       presence questions and their answers follow mechanically;
+    2. entities are classified into a five-way taxonomy (``classify_entity``,
+       ``answer_for``) from which yes/no presence questions and their answers
+       follow mechanically; at import the taxonomy fills one answer table,
+       ``PRESENCE[question, visible mask, sounding mask]``, which the
+       generators and the verifier both read;
     3. preference pairs get a hard-negative rejected response: the answer
        implied by the *other* modality's content, which contradicts the
        relevant modality's ground truth (mismatched audio/visual contexts
@@ -42,11 +47,12 @@ field, with tags, question kinds, answers and task groups as int codes
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -115,59 +121,23 @@ def kind_of(entity_id: int) -> str:
     return "object" if entity_id < N_OBJECT_KINDS else "pure_sound"
 
 
-@dataclass(frozen=True)
-class Entity:
-    """One entity kind in a scene with its perceptual footprint flags."""
-
-    entity_id: int
-    visible: bool
-    sounding: bool
-
-    def __post_init__(self):
-        kind_of(self.entity_id)
-        if not (self.visible or self.sounding):
-            raise WorldError("an entity must be visible or sounding (or both)")
-
-
-@dataclass(frozen=True)
-class Scene:
-    scene_id: int
-    entities: tuple
-    audio_feat: np.ndarray
-    visual_feat: np.ndarray
-
-    def __post_init__(self):
-        if not (1 <= len(self.entities) <= 4):
-            raise WorldError(f"scenes hold 1-4 entities, got {len(self.entities)}")
-
-    @cached_property
-    def visible_kinds(self) -> frozenset:
-        """Entity kinds the scene shows, read from the ground-truth flags."""
-        return frozenset(e.entity_id for e in self.entities if e.visible)
-
-    @cached_property
-    def sounding_kinds(self) -> frozenset:
-        """Entity kinds the scene sounds, read from the ground-truth flags."""
-        return frozenset(e.entity_id for e in self.entities if e.sounding)
-
-
-def classify_entity(e: Entity, kind: str) -> str:
+def classify_entity(visible: bool, sounding: bool, kind: str) -> str:
     """Five-way taxonomy from (visible, sounding, object-vs-pure-sound)."""
     if kind not in ("object", "pure_sound"):
         raise WorldError(f"kind must be 'object' or 'pure_sound', got {kind!r}")
-    if not (e.visible or e.sounding):
+    if not (visible or sounding):
         raise WorldError("invalid flag combination: neither visible nor sounding")
     if kind == "object":
-        if e.visible and e.sounding:
+        if visible and sounding:
             return "in_view_sound_source"
-        if e.visible:
+        if visible:
             return "in_view_silent_object"
         return "out_of_view_sound_source"
     # Pure sounds always sound; "visible" means the sound's source is on
     # screen.
-    if not e.sounding:
+    if not sounding:
         raise WorldError("invalid flag combination: a silent pure sound")
-    return "in_view_sound" if e.visible else "out_of_view_sound"
+    return "in_view_sound" if visible else "out_of_view_sound"
 
 
 # (category, question_kind) -> "yes" / "no"; combinations not listed are
@@ -189,6 +159,41 @@ def answer_for(category: str, question_kind: str):
     if question_kind not in ("visual_presence", "audio_presence"):
         raise WorldError(f"answer_for handles presence questions, got {question_kind!r}")
     return _ANSWER_TABLE.get((category, question_kind))
+
+
+# Presence questions lead QUESTION_KINDS; a question code below this asks
+# about one entity kind.
+N_PRESENCE = 2
+NO_ANSWER = -1
+
+
+def _presence_table() -> np.ndarray:
+    """PRESENCE[q, visible, sounding, k]: the answer id (YES_ID or NO_ID) to
+    presence question q about kind k in a context that shows the kinds of
+    the visible mask and sounds those of the sounding mask, or NO_ANSWER
+    where the taxonomy asks none (k absent from both, a silent pure sound,
+    or a category answer_for skips)."""
+    answers = np.full((N_PRESENCE, N_ENTITY_KINDS, 2, 2), NO_ANSWER, dtype=np.int64)
+    for q, k, shown, heard in itertools.product(range(N_PRESENCE), range(N_ENTITY_KINDS),
+                                                (0, 1), (0, 1)):
+        try:
+            answer = answer_for(classify_entity(shown, heard, kind_of(k)), QUESTION_KINDS[q])
+        except WorldError:  # no category: absent, or a silent pure sound
+            continue
+        if answer is not None:
+            answers[q, k, shown, heard] = ANSWERS.index(answer)
+    kinds = np.arange(N_ENTITY_KINDS)
+    bits = (np.arange(2 ** N_ENTITY_KINDS)[:, None] >> kinds) & 1  # (mask, k) -> bit k
+    return answers[:, kinds, bits[:, None], bits[None, :]]
+
+
+PRESENCE = _presence_table()
+
+# Per question code (an index into EVAL_QUESTION_KINDS): its modality tag
+# code and its prompt, for a presence question the prompt of kind 0.
+TAG_OF = (VISUAL_RELATED, AUDIO_RELATED, VISUAL_RELATED, AUDIO_RELATED, AUDIOVISUAL)
+PROMPT_OF = (VISUAL_PRESENCE_BASE, AUDIO_PRESENCE_BASE, VISUAL_CAPTION_PROMPT,
+             AUDIO_CAPTION_PROMPT, AV_MATCHING_PROMPT)
 
 
 # ---------------------------------------------------------------------------
@@ -394,193 +399,120 @@ def build_signatures(world_seed: int):
     return sigs[0], sigs[1]
 
 
-def _bias_for(matched_bias, kind: int) -> float:
-    if np.isscalar(matched_bias):
-        return float(matched_bias)
-    return float(matched_bias[kind])
+@dataclass(frozen=True, eq=False)
+class Scenes:
+    """A scene pool as columns, scene s in row s: the bit masks of the
+    entity kinds it shows (``visible``) and sounds (``sounding``), bit k for
+    kind k, and its (S, FEATURE_DIM) ``audio`` and ``visual`` features."""
 
+    visible: np.ndarray
+    sounding: np.ndarray
+    audio: np.ndarray
+    visual: np.ndarray
 
-def generate_scene(scene_id: int, seed: int, signatures, matched_bias=0.5,
-                   feature_noise=FEATURE_NOISE) -> Scene:
-    """One scene from a per-scene derived stream.
-
-    Object entities of kind k are visible-and-sounding with probability
-    matched_bias (a scalar, or one value per kind), otherwise visible-only
-    or sounding-only with equal odds: the per-kind co-occurrence rate
-    decides how informative the wrong-modality shortcut is.  Pure sounds
-    use the same value as their in-view probability.
-    """
-    audio_sigs, visual_sigs = signatures
-    rng = _rng(seed, _SCENE_STREAM, scene_id)
-    n_entities = int(rng.integers(1, 5))
-    kinds = rng.choice(N_ENTITY_KINDS, size=n_entities, replace=False)
-    entities = []
-    for k in sorted(int(k) for k in kinds):
-        bias = _bias_for(matched_bias, k)
-        if kind_of(k) == "object":
-            u = rng.random()
-            rest = (1.0 - bias) / 2.0
-            if u < bias:
-                visible, sounding = True, True
-            elif u < bias + rest:
-                visible, sounding = True, False
-            else:
-                visible, sounding = False, True
-        else:
-            visible, sounding = bool(rng.random() < bias), True
-        entities.append(Entity(k, visible, sounding))
-
-    audio = np.zeros(FEATURE_DIM)
-    visual = np.zeros(FEATURE_DIM)
-    for e in entities:
-        if e.sounding:
-            audio += audio_sigs[e.entity_id]
-        if e.visible:
-            visual += visual_sigs[e.entity_id]
-    if np.isscalar(feature_noise):
-        audio_noise = visual_noise = float(feature_noise)
-    else:
-        audio_noise, visual_noise = (float(v) for v in feature_noise)
-    audio += audio_noise * rng.standard_normal(FEATURE_DIM)
-    visual += visual_noise * rng.standard_normal(FEATURE_DIM)
-    return Scene(scene_id, tuple(entities), audio, visual)
+    def __len__(self) -> int:
+        return len(self.visible)
 
 
 def generate_scenes(n_scenes: int, seed: int, world_seed: int, matched_bias=0.5,
-                    feature_noise=FEATURE_NOISE):
+                    feature_noise=FEATURE_NOISE) -> Scenes:
+    """The scene pool; scene s draws 1-4 distinct kinds from its own stream.
+
+    An object of kind k is visible-and-sounding with probability
+    matched_bias (a scalar, or one value per kind), otherwise visible-only
+    or sounding-only with equal odds: the per-kind co-occurrence rate
+    decides how informative the wrong-modality shortcut is.  Pure sounds
+    always sound and use the same value as their in-view probability.  A
+    feature row sums the signatures of what its modality presents, plus
+    noise at feature_noise (a scalar or an (audio, visual) pair).
+    """
     if n_scenes < 1:
         raise WorldError("need at least one scene")
-    signatures = build_signatures(world_seed)
-    return [generate_scene(i, seed, signatures, matched_bias, feature_noise)
-            for i in range(n_scenes)]
+    bias = np.broadcast_to(np.asarray(matched_bias, dtype=np.float64), (N_ENTITY_KINDS,))
+    noise = np.broadcast_to(np.asarray(feature_noise, dtype=np.float64), (2,))
+    shows = np.zeros((n_scenes, N_ENTITY_KINDS), dtype=bool)
+    sounds = np.zeros((n_scenes, N_ENTITY_KINDS), dtype=bool)
+    draws = np.empty((2, n_scenes, FEATURE_DIM))  # audio then visual
+    for s in range(n_scenes):
+        rng = _rng(seed, _SCENE_STREAM, s)
+        n_entities = int(rng.integers(1, 5))
+        for k in sorted(rng.choice(N_ENTITY_KINDS, size=n_entities, replace=False).tolist()):
+            u = rng.random()
+            if kind_of(k) == "pure_sound":
+                shows[s, k], sounds[s, k] = u < bias[k], True
+            else:  # [0, bias): both, then visible-only and sounding-only halves
+                shows[s, k] = u < bias[k] + (1.0 - bias[k]) / 2.0
+                sounds[s, k] = u < bias[k] or not shows[s, k]
+        draws[0, s] = rng.standard_normal(FEATURE_DIM)
+        draws[1, s] = rng.standard_normal(FEATURE_DIM)
+    features = []
+    for flags, signatures, level, draw in zip((sounds, shows), build_signatures(world_seed),
+                                              noise, draws):
+        feats = np.zeros((n_scenes, FEATURE_DIM))
+        for k in range(N_ENTITY_KINDS):
+            feats[flags[:, k]] += signatures[k]
+        features.append(feats + level * draw)
+    bits = 1 << np.arange(N_ENTITY_KINDS)
+    return Scenes(shows @ bits, sounds @ bits, *features)
 
 
 # ---------------------------------------------------------------------------
 # Question construction
 
 
-def prompt_for(question_kind: str, target_kind=None) -> int:
-    if question_kind == "visual_presence":
-        return VISUAL_PRESENCE_BASE + int(target_kind)
-    if question_kind == "audio_presence":
-        return AUDIO_PRESENCE_BASE + int(target_kind)
-    if question_kind == "visual_caption":
-        return VISUAL_CAPTION_PROMPT
-    if question_kind == "audio_caption":
-        return AUDIO_CAPTION_PROMPT
-    if question_kind == "av_matching":
-        return AV_MATCHING_PROMPT
-    raise WorldError(f"unknown question kind {question_kind!r}")
+@cache  # at most 2 questions x 2**6 visible masks x 2**6 sounding masks
+def presence_candidates(question: int, visible: int, sounding: int) -> tuple:
+    """(kind, answer id) of each kind PRESENCE answers presence question
+    ``question`` about in a context with these masks, by kind."""
+    return tuple((k, a) for k, a in enumerate(PRESENCE[question, visible, sounding].tolist())
+                 if a != NO_ANSWER)
 
 
-def tag_for(question_kind: str) -> str:
-    if question_kind.startswith("visual"):
-        return "visual_related"
-    if question_kind.startswith("audio"):
-        return "audio_related"
-    return "audiovisual"
+def caption_slot(mask):
+    """Vocabulary id summarizing an active entity set given as a bit mask
+    (V-way caption); a mask column gives a column."""
+    return CAPTION_BASE + mask % N_CAPTION_SLOTS
 
 
-def caption_slot(active_kinds) -> int:
-    """Vocabulary id summarizing an active entity set (V-way caption)."""
-    mask = 0
-    for k in active_kinds:
-        mask |= 1 << int(k)
-    return CAPTION_BASE + (mask % N_CAPTION_SLOTS)
-
-
-def presence_candidates(visual_scene: Scene, audio_scene: Scene, question_kind: str) -> tuple:
-    """Kinds eligible for a presence question in this context, with answers.
-
-    Visibility is read from the visual scene and audibility from the audio
-    scene, which is exactly what a (possibly mismatched) context presents.
-    Returns a sorted tuple of (kind, answer) pairs.
-    """
-    return _presence_candidates(visual_scene.visible_kinds, audio_scene.sounding_kinds,
-                                question_kind)
-
-
-@cache  # at most 2**6 visible sets x 2**6 sounding sets x 2 question kinds
-def _presence_candidates(visible: frozenset, sounding: frozenset, question_kind: str) -> tuple:
-    out = []
-    for k in sorted(visible | sounding):
-        if kind_of(k) == "pure_sound" and k not in sounding:
-            continue  # a silent pure sound has no category
-        entity = Entity(k, k in visible, k in sounding)  # as the context presents it
-        answer = answer_for(classify_entity(entity, kind_of(k)), question_kind)
-        if answer is not None:
-            out.append((k, answer))
-    return tuple(out)
-
-
-def answer_id(answer: str) -> int:
-    """Vocabulary id of a "yes"/"no" answer."""
-    return YES_ID if answer == "yes" else NO_ID
-
-
-def _invert(token_id: int) -> int:
-    return NO_ID if token_id == YES_ID else YES_ID
-
-
-def oracle_responses(visual_scene: Scene, audio_scene: Scene, question_kind: str,
-                     target_kind=None):
-    """(y_w, y_l) the pipeline must produce for this question, or None.
-
-    Presence: y_w is the relevant modality's ground truth and y_l is its
-    inversion, which coincides with the answer suggested by the irrelevant
-    modality's footprint for every eligible category.  Captions: y_w is the
-    caption slot of the relevant scene's active set, y_l the slot describing
-    the other modality's content (shifted by one slot on collision so the
-    rejected response always contradicts the ground truth).
-    """
-    if question_kind in ("visual_presence", "audio_presence"):
-        candidates = dict(presence_candidates(visual_scene, audio_scene, question_kind))
-        if target_kind not in candidates:
-            return None
-        y_w = answer_id(candidates[target_kind])
-        return y_w, _invert(y_w)
-    if question_kind == "visual_caption":
-        active = visual_scene.visible_kinds
-        other = audio_scene.sounding_kinds
-    elif question_kind == "audio_caption":
-        active = audio_scene.sounding_kinds
-        other = visual_scene.visible_kinds
-    else:
-        raise WorldError(f"no oracle for question kind {question_kind!r}")
-    if not active:
-        return None
-    y_w = caption_slot(active)
-    y_l = caption_slot(other)
-    if y_l == y_w:
-        y_l = CAPTION_BASE + ((y_l - CAPTION_BASE + 1) % N_CAPTION_SLOTS)
-    return y_w, y_l
-
-
-def build_pair(visual_scene: Scene, audio_scene: Scene, question_kind: str,
+def build_pair(scenes: Scenes, visual_scene: int, audio_scene: int, question_kind: str,
                rng: np.random.Generator):
-    """One preference pair, or None when the context has no eligible target."""
-    if question_kind in ("visual_presence", "audio_presence"):
-        candidates = presence_candidates(visual_scene, audio_scene, question_kind)
+    """The preference pair of a question about the visual scene's video
+    and the audio scene's sound, or None when it has no eligible target.
+
+    Presence: a target drawn from the context's candidates; y_w is its
+    PRESENCE answer and y_l the inversion, which is the answer the
+    irrelevant modality suggests for every eligible category.  Captions:
+    y_w is the caption slot of the relevant modality's kinds, y_l the other
+    modality's (shifted by one slot on collision, so it contradicts y_w).
+    """
+    if question_kind not in QUESTION_KINDS:
+        raise WorldError(f"no oracle for question kind {question_kind!r}")
+    q = QUESTION_KINDS.index(question_kind)
+    visible, sounding = int(scenes.visible[visual_scene]), int(scenes.sounding[audio_scene])
+    if q < N_PRESENCE:
+        candidates = presence_candidates(q, visible, sounding)
         if not candidates:
             return None
-        target, _ = candidates[int(rng.integers(len(candidates)))]
+        target, y_w = candidates[int(rng.integers(len(candidates)))]
+        prompt, y_l = PROMPT_OF[q] + target, NO_ID if y_w == YES_ID else YES_ID
     else:
-        target = None
-    responses = oracle_responses(visual_scene, audio_scene, question_kind, target)
-    if responses is None:
-        return None
-    y_w, y_l = responses
+        active, other = (visible, sounding) if TAG_OF[q] == VISUAL_RELATED else (sounding, visible)
+        if not active:
+            return None
+        prompt, y_w, y_l = PROMPT_OF[q], caption_slot(active), caption_slot(other)
+        if y_l == y_w:
+            y_l = CAPTION_BASE + ((y_l - CAPTION_BASE + 1) % N_CAPTION_SLOTS)
     return PreferencePair(
-        audio=audio_scene.audio_feat,
-        visual=visual_scene.visual_feat,
-        prompt_id=prompt_for(question_kind, target),
-        modality_tag=MODALITY_TAGS.index(tag_for(question_kind)),
-        question_kind=EVAL_QUESTION_KINDS.index(question_kind),
+        audio=scenes.audio[audio_scene],
+        visual=scenes.visual[visual_scene],
+        prompt_id=prompt,
+        modality_tag=TAG_OF[q],
+        question_kind=q,
         y_w=y_w,
         y_l=y_l,
-        matched=visual_scene.scene_id == audio_scene.scene_id,
-        visual_scene=visual_scene.scene_id,
-        audio_scene=audio_scene.scene_id,
+        matched=visual_scene == audio_scene,
+        visual_scene=visual_scene,
+        audio_scene=audio_scene,
     )
 
 
@@ -591,6 +523,11 @@ def build_pair(visual_scene: Scene, audio_scene: Scene, question_kind: str,
 # (name, sequence length, upper bound, accepted forms) of the per-world levels.
 _LEVELS = (("matched_bias", N_ENTITY_KINDS, 1.0, "a number in [0, 1] or one per entity kind"),
            ("feature_noise", 2, np.inf, "a finite number >= 0 or an (audio, visual) pair"))
+
+
+# The settings that fix a scene pool, in generate_scenes' argument order;
+# sidecars store them so the verifier can rebuild the pool.
+_WORLD = ("n_scenes", "seed", "world_seed", "matched_bias", "feature_noise")
 
 
 def _check_rates(cfg, *fractions) -> None:
@@ -612,6 +549,11 @@ def _check_rates(cfg, *fractions) -> None:
             raise WorldError(f"{name} must be {forms}, got {value!r}")
         if levels.ndim:
             object.__setattr__(cfg, name, tuple(float(v) for v in value))
+
+
+def _scenes_of(world) -> Scenes:
+    """The scene pool of an object holding the _WORLD settings."""
+    return generate_scenes(*(getattr(world, key) for key in _WORLD))
 
 
 @dataclass(frozen=True)
@@ -656,37 +598,34 @@ def _question_allocation(cfg: SynthConfig, rng: np.random.Generator):
     return kinds
 
 
-def _draw_scene_pair(scenes, matched: bool, rng: np.random.Generator):
-    i = int(rng.integers(len(scenes)))
+def _draw_scene_pair(n_scenes: int, matched: bool, rng: np.random.Generator):
+    """(visual scene, audio scene): one scene twice when matched, else two."""
+    i = int(rng.integers(n_scenes))
     if matched:
-        return scenes[i], scenes[i]
-    j = int(rng.integers(len(scenes) - 1))
+        return i, i
+    j = int(rng.integers(n_scenes - 1))
     if j >= i:
         j += 1
-    return scenes[i], scenes[j]
+    return i, j
 
 
 def generate_pairs(cfg: SynthConfig) -> PairTable:
     """Deterministic table of preference pairs for a config."""
-    scenes = generate_scenes(cfg.n_scenes, cfg.seed, cfg.world_seed, cfg.matched_bias,
-                             cfg.feature_noise)
+    scenes = _scenes_of(cfg)
     alloc_rng = _rng(cfg.seed, _PAIR_STREAM, 0)
     matched_flags = _exact_allocation(cfg.n_pairs, cfg.matched_fraction, alloc_rng)
     question_kinds = _question_allocation(cfg, alloc_rng)
     pairs = []
     for i in range(cfg.n_pairs):
         rng = _rng(cfg.seed, _PAIR_STREAM, i + 1)
-        pair = None
         for _ in range(200):
-            visual_scene, audio_scene = _draw_scene_pair(scenes, bool(matched_flags[i]), rng)
-            pair = build_pair(visual_scene, audio_scene, str(question_kinds[i]), rng)
+            visual_scene, audio_scene = _draw_scene_pair(len(scenes), bool(matched_flags[i]), rng)
+            pair = build_pair(scenes, visual_scene, audio_scene, str(question_kinds[i]), rng)
             if pair is not None:
                 break
-        if pair is None:
-            raise WorldError(
-                f"could not realize a {question_kinds[i]} pair after 200 attempts; "
-                "the scene pool is too small or too sparse"
-            )
+        else:
+            raise WorldError(f"could not realize a {question_kinds[i]} pair after 200 attempts; "
+                             "the scene pool is too small or too sparse")
         pairs.append(pair)
     return PairTable.coerce(pairs)
 
@@ -731,16 +670,8 @@ def dataset_stats(pairs, cfg: SynthConfig) -> dict:
 def _stats_header(kind: str, cfg, n_records: int) -> dict:
     """Sidecar fields shared by both file kinds: what the verifier needs to
     rebuild the world, plus the record count."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "seed": cfg.seed,
-        "world_seed": cfg.world_seed,
-        "n_scenes": cfg.n_scenes,
-        "matched_bias": cfg.matched_bias,
-        "feature_noise": cfg.feature_noise,
-        "n_records": n_records,
-    }
+    return {"format_version": FORMAT_VERSION, "kind": kind,
+            **{key: getattr(cfg, key) for key in _WORLD}, "n_records": n_records}
 
 
 def stats_path(path) -> str:
@@ -800,10 +731,14 @@ def read_records(path, table):
     return data
 
 
+def write_pairs(path, pairs: PairTable, cfg: SynthConfig) -> dict:
+    """Write generated pairs (records plus sidecar stats); returns the stats."""
+    return _write_records(path, map(pair_record, pairs), dataset_stats(pairs, cfg))
+
+
 def assemble_dataset(cfg: SynthConfig, path) -> dict:
     """Generate, write (records plus sidecar stats), and return the stats."""
-    pairs = generate_pairs(cfg)
-    return _write_records(path, (pair_record(p) for p in pairs), dataset_stats(pairs, cfg))
+    return write_pairs(path, generate_pairs(cfg), cfg)
 
 
 def load_pairs(path) -> PairTable:
@@ -829,50 +764,20 @@ class VerifyReport:
         return not self.violations and not self.parse_errors
 
 
-def _check_labels(pair: PreferencePair, scenes) -> tuple:
-    """(problems with a pair's labels, whether its features are compared)."""
-    for name in ("visual_scene", "audio_scene"):
-        if not 0 <= getattr(pair, name) < len(scenes):
-            return [f"{name} {getattr(pair, name)} outside [0, {len(scenes)})"], False
-    qk = EVAL_QUESTION_KINDS[pair.question_kind]
-    if qk not in QUESTION_KINDS:
-        return [f"unknown question_kind {qk!r}"], False
-    visual_scene, audio_scene = scenes[pair.visual_scene], scenes[pair.audio_scene]
-    problems = []
-    if MODALITY_TAGS[pair.modality_tag] != tag_for(qk):
-        problems.append("modality_tag inconsistent with question_kind")
-    target = None
-    if qk in ("visual_presence", "audio_presence"):
-        base = VISUAL_PRESENCE_BASE if qk == "visual_presence" else AUDIO_PRESENCE_BASE
-        target = int(pair.prompt_id) - base
-        if not (0 <= target < N_ENTITY_KINDS):
-            return problems + ["prompt_id outside the presence-prompt range"], False
-    elif pair.prompt_id != prompt_for(qk):
-        problems.append("prompt_id inconsistent with question_kind")
-    expected = oracle_responses(visual_scene, audio_scene, qk, target)
-    if expected is None:
-        problems.append("question has no eligible target in this context")
-        return problems, False
-    y_w_true, _ = expected
-    if pair.y_w != y_w_true:
-        problems.append(f"stored y_w={pair.y_w} but the oracle answer is {y_w_true}")
-    if pair.y_l == y_w_true:
-        problems.append("rejected response agrees with the ground truth")
-    return problems, True
-
-
 def verify_dataset(path) -> VerifyReport:
     """Re-derive every record from the world oracle and report violations.
 
     The lines are read through the loader's checks (``_scan``): a line that
     is not a JSON object is a parse error, and a record failing a column
-    check is a violation naming its first problem.  The other records'
-    scene references must lie within the sidecar's scene count; then the
-    stored chosen response, the rejected response (which must contradict
-    the relevant modality's ground truth), the modality tag and the prompt
-    are re-derived record by record, and the features of all records are
-    compared with the referenced scenes' in one isclose(rtol=1e-5, atol=0)
-    per modality.  Lines count from 1, blank lines included.
+    check is a violation naming its first problem.  The sidecar's _WORLD
+    settings must pass SynthConfig's rules, else one parse error on line 0.
+    Each check of the other records then runs on all rows at once, in the
+    order a record's problems are reported: scene references, question
+    kind, modality tag, prompt, chosen response (PRESENCE or the caption
+    slot), rejected response (it must contradict the ground truth), and the
+    features, one isclose(rtol=1e-5, atol=0) per modality.  A failed
+    reference, question kind, presence prompt or eligibility ends a
+    record's checks.  Lines count from 1, blank lines included.
     """
     pairs, line_nos, unreadable, bad_rows = _scan(path, PairTable)
     report = VerifyReport(n_records=len(pairs), parse_errors=sorted(unreadable.items()))
@@ -881,30 +786,59 @@ def verify_dataset(path) -> VerifyReport:
     try:
         with open(stats_path(path), "r", encoding="ascii") as fh:
             meta = json.load(fh)
-        scenes = generate_scenes(int(meta["n_scenes"]), int(meta["seed"]), int(meta["world_seed"]),
-                                 meta["matched_bias"], meta["feature_noise"])
+        # SynthConfig's rules check the world settings (matched contexts
+        # only, so that a one-scene world passes).
+        scenes = _scenes_of(SynthConfig(matched_fraction=1.0, **{key: meta[key] for key in _WORLD}))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         report.parse_errors.append((0, f"cannot rebuild the world from sidecar stats: {exc}"))
         return report
 
     found = {row: [problem] for row, problem in bad_rows.items()}  # row -> reasons
-    compared = []  # rows whose features are compared
-    for row, pair in enumerate(pairs):
-        if row not in found:
-            problems, compare = _check_labels(pair, scenes)
-            if problems:
-                found[row] = problems
-            if compare:
-                compared.append(row)
-    compared = np.array(compared, dtype=np.int64)
+    live = np.ones(len(pairs), dtype=bool)  # rows still checked
+    live[list(found)] = False
+
+    def fault(mask, problem, final=False):
+        """Report problem(row) for each row of mask; final ends their checks."""
+        for row in np.flatnonzero(mask).tolist():
+            found.setdefault(row, []).append(problem(row))
+        if final:
+            live[mask] = False
+
+    refs = {"visual": pairs.visual_scene, "audio": pairs.audio_scene}
+    for m, ref in refs.items():
+        fault(live & ((ref < 0) | (ref >= len(scenes))),
+              lambda i: f"{m}_scene {ref[i]} outside [0, {len(scenes)})", final=True)
+    fault(live & (pairs.question_kind >= len(QUESTION_KINDS)),
+          lambda i: f"unknown question_kind {EVAL_QUESTION_KINDS[pairs.question_kind[i]]!r}",
+          final=True)
+    # Rows out of the checks read scene 0 and question 0 in what follows.
+    q = np.where(live, pairs.question_kind, 0)
+    scene = {m: np.where(live, refs[m], 0) for m in refs}
+    visible, sounding = scenes.visible[scene["visual"]], scenes.sounding[scene["audio"]]
+    tag = np.asarray(TAG_OF)[q]
+    fault(live & (pairs.modality_tag != tag),
+          lambda i: "modality_tag inconsistent with question_kind")
+    presence = q < N_PRESENCE
+    offset = pairs.prompt_id - np.asarray(PROMPT_OF)[q]
+    fault(live & presence & ((offset < 0) | (offset >= N_ENTITY_KINDS)),
+          lambda i: "prompt_id outside the presence-prompt range", final=True)
+    fault(live & ~presence & (offset != 0), lambda i: "prompt_id inconsistent with question_kind")
+    active = np.where(tag == VISUAL_RELATED, visible, sounding)
+    truth = np.where(presence,
+                     PRESENCE[np.minimum(q, N_PRESENCE - 1), visible, sounding,
+                              np.clip(offset, 0, N_ENTITY_KINDS - 1)],
+                     np.where(active > 0, caption_slot(active), NO_ANSWER))
+    fault(live & (truth == NO_ANSWER),
+          lambda i: "question has no eligible target in this context", final=True)
+    fault(live & (pairs.y_w != truth),
+          lambda i: f"stored y_w={pairs.y_w[i]} but the oracle answer is {truth[i]}")
+    fault(live & (pairs.y_l == truth), lambda i: "rejected response agrees with the ground truth")
     for m in ("audio", "visual"):
-        feats = np.stack([getattr(scene, f"{m}_feat") for scene in scenes])
-        stored, refs = getattr(pairs, m)[compared], getattr(pairs, f"{m}_scene")[compared]
-        close = np.zeros(len(compared), dtype=bool)
+        stored, feats = getattr(pairs, m), getattr(scenes, m)
+        close = np.zeros(len(pairs), dtype=bool)
         if stored.shape[1] == feats.shape[1]:
-            close = np.isclose(stored, feats[refs], rtol=1e-5, atol=0).all(axis=1)
-        for row in compared[~close].tolist():
-            found.setdefault(row, []).append(f"{m} features do not match the referenced scene")
+            close = np.isclose(stored, feats[scene[m]], rtol=1e-5, atol=0).all(axis=1)
+        fault(live & ~close, lambda i: f"{m} features do not match the referenced scene")
     report.violations = [(line_nos[row], reason) for row in sorted(found)
                          for reason in found[row]]
     return report
@@ -943,25 +877,27 @@ class EvalConfig:
             raise WorldError("matching and dominance fractions exceed the item budget")
 
 
-def eval_record(visual_scene, audio_scene, question_kind, target, ground_truth, task_group):
+def eval_record(scenes: Scenes, visual_scene: int, audio_scene: int, question_kind: str,
+                target, ground_truth: str, task_group: str) -> dict:
+    """The eval-item record of a question (about kind target, for presence)."""
+    q = EVAL_QUESTION_KINDS.index(question_kind)
     return {
-        "visual_scene": visual_scene.scene_id,
-        "audio_scene": audio_scene.scene_id,
+        "visual_scene": visual_scene,
+        "audio_scene": audio_scene,
         "question_kind": question_kind,
-        "prompt_id": prompt_for(question_kind, target),
-        "modality_tag": tag_for(question_kind),
-        "matched": visual_scene.scene_id == audio_scene.scene_id,
+        "prompt_id": PROMPT_OF[q] + (target or 0),
+        "modality_tag": MODALITY_TAGS[TAG_OF[q]],
+        "matched": visual_scene == audio_scene,
         "ground_truth": ground_truth,
         "task_group": task_group,
-        "audio_feat": [float(v) for v in audio_scene.audio_feat],
-        "visual_feat": [float(v) for v in visual_scene.visual_feat],
+        "audio_feat": scenes.audio[audio_scene].tolist(),
+        "visual_feat": scenes.visual[visual_scene].tolist(),
     }
 
 
 def generate_eval_records(cfg: EvalConfig):
     """Evaluation records with an exactly balanced yes/no ground truth."""
-    scenes = generate_scenes(cfg.n_scenes, cfg.seed, cfg.world_seed, cfg.matched_bias,
-                             cfg.feature_noise)
+    scenes = _scenes_of(cfg)
     n_matching = int(round(cfg.n_items * cfg.matching_fraction))
     n_dominance = int(round(cfg.n_items * cfg.dominance_fraction))
     n_presence = cfg.n_items - n_matching - n_dominance
@@ -969,6 +905,7 @@ def generate_eval_records(cfg: EvalConfig):
     # Matching items answer "yes" exactly when matched; dominance items are
     # always "no".  Reserve their ground truths up front.
     records = []
+    rngs = (_rng(cfg.seed, _EVAL_STREAM, index) for index in itertools.count())
 
     def consume(answer: str) -> bool:
         if quota[answer] <= 0:
@@ -976,22 +913,14 @@ def generate_eval_records(cfg: EvalConfig):
         quota[answer] -= 1
         return True
 
-    item_index = 0
-
-    def next_rng():
-        nonlocal item_index
-        rng = _rng(cfg.seed, _EVAL_STREAM, item_index)
-        item_index += 1
-        return rng
-
     for i in range(n_matching):
         for _ in range(500):
-            rng = next_rng()
+            rng = next(rngs)
             want_yes = quota["yes"] >= quota["no"]
-            visual_scene, audio_scene = _draw_scene_pair(scenes, want_yes, rng)
-            answer = "yes" if visual_scene.scene_id == audio_scene.scene_id else "no"
+            visual_scene, audio_scene = _draw_scene_pair(len(scenes), want_yes, rng)
+            answer = "yes" if visual_scene == audio_scene else "no"
             if consume(answer):
-                records.append(eval_record(visual_scene, audio_scene, "av_matching",
+                records.append(eval_record(scenes, visual_scene, audio_scene, "av_matching",
                                            None, answer, "matching"))
                 break
         else:
@@ -1001,18 +930,17 @@ def generate_eval_records(cfg: EvalConfig):
         if not consume("no"):
             raise WorldError("dominance items need 'no' budget; lower dominance_fraction")
         for _ in range(500):
-            rng = next_rng()
+            rng = next(rngs)
             visual_scene, audio_scene = _draw_scene_pair(
-                scenes, bool(rng.random() < cfg.matched_fraction), rng)
-            present = visual_scene.visible_kinds | audio_scene.sounding_kinds
-            absent = [k for k in range(N_ENTITY_KINDS) if k not in present]
+                len(scenes), bool(rng.random() < cfg.matched_fraction), rng)
+            present = int(scenes.visible[visual_scene] | scenes.sounding[audio_scene])
+            absent = [k for k in range(N_ENTITY_KINDS) if not present >> k & 1]
             if not absent:
                 continue
             target = absent[int(rng.integers(len(absent)))]
-            qk = "visual_presence" if i % 2 == 0 else "audio_presence"
-            if kind_of(target) == "pure_sound" and qk == "visual_presence":
-                qk = "audio_presence"
-            records.append(eval_record(visual_scene, audio_scene, qk, target, "no", "dominance"))
+            q = i % 2 if kind_of(target) == "object" else 1  # pure sounds are only heard
+            records.append(eval_record(scenes, visual_scene, audio_scene, QUESTION_KINDS[q],
+                                       target, "no", "dominance"))
             break
         else:
             raise WorldError("could not satisfy the dominance-item quota")
@@ -1020,21 +948,21 @@ def generate_eval_records(cfg: EvalConfig):
     matched_flags = _exact_allocation(n_presence, cfg.matched_fraction,
                                       _rng(cfg.seed, _EVAL_STREAM, 10 ** 6))
     for i in range(n_presence):
-        qk = "visual_presence" if i % 2 == 0 else "audio_presence"
-        group = "adv_hallucination" if qk == "visual_presence" else "vda_hallucination"
+        q = i % 2  # visual_presence, then audio_presence
+        group = "adv_hallucination" if q == 0 else "vda_hallucination"
         for _ in range(500):
-            rng = next_rng()
-            visual_scene, audio_scene = _draw_scene_pair(scenes, bool(matched_flags[i]), rng)
-            candidates = list(presence_candidates(visual_scene, audio_scene, qk))
+            rng = next(rngs)
+            visual_scene, audio_scene = _draw_scene_pair(len(scenes), bool(matched_flags[i]), rng)
+            candidates = list(presence_candidates(q, int(scenes.visible[visual_scene]),
+                                                  int(scenes.sounding[audio_scene])))
             rng.shuffle(candidates)
-            placed = False
-            for target, answer in candidates:
-                if consume(answer):
-                    records.append(eval_record(visual_scene, audio_scene, qk,
-                                               target, answer, group))
-                    placed = True
-                    break
+            placed = next(((target, ANSWERS[answer]) for target, answer in candidates
+                           if quota[ANSWERS[answer]] > 0), None)
             if placed:
+                target, answer = placed
+                consume(answer)
+                records.append(eval_record(scenes, visual_scene, audio_scene, QUESTION_KINDS[q],
+                                           target, answer, group))
                 break
         else:
             raise WorldError("could not balance the presence items; enlarge the scene pool")
@@ -1042,18 +970,20 @@ def generate_eval_records(cfg: EvalConfig):
 
 
 def eval_stats(records, cfg: EvalConfig) -> dict:
-    groups: dict = {}
-    answers = {"yes": 0, "no": 0}
-    for rec in records:
-        groups[rec["task_group"]] = groups.get(rec["task_group"], 0) + 1
-        answers[rec["ground_truth"]] += 1
+    """Sidecar stats of eval records."""
+    groups = Counter(rec["task_group"] for rec in records)
+    answers = Counter(rec["ground_truth"] for rec in records)
     return {
         **_stats_header("eval", cfg, len(records)),
         "task_group_counts": dict(sorted(groups.items())),
-        "answer_balance": answers,
+        "answer_balance": {answer: answers[answer] for answer in ANSWERS},
     }
 
 
-def assemble_eval_items(cfg: EvalConfig, path) -> dict:
-    records = generate_eval_records(cfg)
+def write_eval_items(path, records, cfg: EvalConfig) -> dict:
+    """Write generated eval records (plus sidecar stats); returns the stats."""
     return _write_records(path, records, eval_stats(records, cfg))
+
+
+def assemble_eval_items(cfg: EvalConfig, path) -> dict:
+    return write_eval_items(path, generate_eval_records(cfg), cfg)

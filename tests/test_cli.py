@@ -509,6 +509,18 @@ class TestSettingValues:
         assert all(needle in err[0] for needle in needles), err
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
+    def test_failed_generation_writes_no_file(self, tmp_path, capsys):
+        # The pairs can be built from one scene, the balanced eval items
+        # cannot: synth fails before it writes either file.
+        config_path, _ = write_config(tmp_path)
+        code = cli.run("synth", config_path, [
+            "synth.n_pairs=50", "synth.n_scenes=1", "synth.matched_fraction=1.0",
+            "synth.eval_items.matched_fraction=1.0", "synth.eval_items.n_items=20"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == cli.EXIT_CONFIG, err
+        assert len(err) == 1 and "could not balance the presence items" in err[0], err
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
 
 def _renamed_config(tmp_path, checkpoint):
     """The test config with every artifact name the later commands read set

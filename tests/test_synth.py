@@ -1,15 +1,17 @@
 """World oracle, taxonomy, pair construction, dataset round-trips."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modlab import synth
 from modlab.synth import (
     NO_ID,
     YES_ID,
-    Entity,
     EvalConfig,
     SynthConfig,
     WorldError,
@@ -24,10 +26,23 @@ from modlab.synth import (
 )
 
 
+def _pool(*scenes):
+    """A Scenes table of (visible kinds, sounding kinds, audio, visual) rows."""
+    def mask(kinds):
+        return sum(1 << k for k in kinds)
+    visible, sounding, audio, visual = zip(*scenes)
+    return synth.Scenes(np.array([mask(v) for v in visible]), np.array([mask(s) for s in sounding]),
+                        np.stack(audio), np.stack(visual))
+
+
+def _kinds(mask):
+    return [k for k in range(synth.N_ENTITY_KINDS) if int(mask) >> k & 1]
+
+
 class TestEntity:
     def test_invariant(self):
         with pytest.raises(WorldError):
-            Entity(0, visible=False, sounding=False)
+            classify_entity(visible=False, sounding=False, kind=kind_of(0))
 
     def test_kind_partition(self):
         kinds = [kind_of(k) for k in range(synth.N_ENTITY_KINDS)]
@@ -41,21 +56,21 @@ class TestEntity:
 
 class TestTaxonomy:
     def test_enumerated_object_categories(self):
-        assert classify_entity(Entity(0, True, True), "object") == "in_view_sound_source"
-        assert classify_entity(Entity(0, True, False), "object") == "in_view_silent_object"
-        assert classify_entity(Entity(0, False, True), "object") == "out_of_view_sound_source"
+        assert classify_entity(True, True, "object") == "in_view_sound_source"
+        assert classify_entity(True, False, "object") == "in_view_silent_object"
+        assert classify_entity(False, True, "object") == "out_of_view_sound_source"
 
     def test_enumerated_pure_sound_categories(self):
-        assert classify_entity(Entity(4, True, True), "pure_sound") == "in_view_sound"
-        assert classify_entity(Entity(4, False, True), "pure_sound") == "out_of_view_sound"
+        assert classify_entity(True, True, "pure_sound") == "in_view_sound"
+        assert classify_entity(False, True, "pure_sound") == "out_of_view_sound"
 
     def test_silent_pure_sound_rejected(self):
         with pytest.raises(WorldError):
-            classify_entity(Entity(4, True, False), "pure_sound")
+            classify_entity(True, False, "pure_sound")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(WorldError):
-            classify_entity(Entity(0, True, True), "hologram")
+            classify_entity(True, True, "hologram")
 
     def test_mapping_is_total_over_the_five_categories(self):
         seen = set()
@@ -63,7 +78,7 @@ class TestTaxonomy:
             for sounding in (True, False):
                 for kind in ("object", "pure_sound"):
                     try:
-                        seen.add(classify_entity(Entity(0, visible, sounding), kind))
+                        seen.add(classify_entity(visible, sounding, kind))
                     except WorldError:
                         pass
         assert seen == set(synth.ENTITY_CATEGORIES)
@@ -93,27 +108,28 @@ class TestScenes:
     def test_deterministic(self):
         a = generate_scenes(10, seed=3, world_seed=7)
         b = generate_scenes(10, seed=3, world_seed=7)
-        for s1, s2 in zip(a, b):
-            assert s1.entities == s2.entities
-            assert np.array_equal(s1.audio_feat, s2.audio_feat)
+        for s in range(10):
+            assert (a.visible[s], a.sounding[s]) == (b.visible[s], b.sounding[s])
+            assert np.array_equal(a.audio[s], b.audio[s])
 
     def test_entity_count_bounds(self):
-        for scene in generate_scenes(50, seed=5, world_seed=7):
-            assert 1 <= len(scene.entities) <= 4
+        scenes = generate_scenes(50, seed=5, world_seed=7)
+        for entities in scenes.visible | scenes.sounding:
+            assert 1 <= len(_kinds(entities)) <= 4
 
     def test_features_reflect_active_entities(self):
         # Without noise, the audio feature is exactly the sum of sounding
         # signatures; with default noise it stays within a tight ball.
         scenes = generate_scenes(20, seed=9, world_seed=11, feature_noise=1e-12)
         audio_sigs, visual_sigs = synth.build_signatures(11)
-        for scene in scenes:
-            expected = sum((audio_sigs[e.entity_id] for e in scene.entities if e.sounding),
+        for sounding, audio_feat in zip(scenes.sounding, scenes.audio):
+            expected = sum((audio_sigs[k] for k in _kinds(sounding)),
                            np.zeros(synth.FEATURE_DIM))
-            np.testing.assert_allclose(scene.audio_feat, expected, atol=1e-9)
+            np.testing.assert_allclose(audio_feat, expected, atol=1e-9)
 
     def test_per_modality_noise(self):
         quiet = generate_scenes(5, seed=1, world_seed=7, feature_noise=(1e-12, 5.0))
-        loud_visual = np.mean([np.linalg.norm(s.visual_feat) for s in quiet])
+        loud_visual = np.mean([np.linalg.norm(visual_feat) for visual_feat in quiet.visual])
         assert loud_visual > 5.0
 
 
@@ -123,11 +139,11 @@ class TestBuildPair:
 
     def test_matched_pair_flags(self):
         rng = np.random.default_rng(0)
-        for scene in self.scenes:
-            pair = build_pair(scene, scene, "audio_presence", rng)
+        for scene in range(len(self.scenes)):
+            pair = build_pair(self.scenes, scene, scene, "audio_presence", rng)
             if pair is not None:
                 assert pair.matched
-                assert (pair.visual_scene, pair.audio_scene) == (scene.scene_id, scene.scene_id)
+                assert (pair.visual_scene, pair.audio_scene) == (scene, scene)
                 break
         else:
             pytest.fail("no eligible audio_presence pair found")
@@ -136,9 +152,8 @@ class TestBuildPair:
         # visible & silent object: chosen answer no, rejected asserts the
         # sound that the visual presence suggests.
         sigs = synth.build_signatures(7)
-        scene = synth.Scene(0, (Entity(1, True, False),),
-                            *(np.zeros(8), sigs[1][1]))
-        pair = build_pair(scene, scene, "audio_presence", np.random.default_rng(1))
+        scenes = _pool(([1], [], np.zeros(8), sigs[1][1]))
+        pair = build_pair(scenes, 0, 0, "audio_presence", np.random.default_rng(1))
         assert pair.y_w == NO_ID and pair.y_l == YES_ID
 
     def test_mismatched_sounding_absent_visual(self):
@@ -146,10 +161,8 @@ class TestBuildPair:
         # the visual ground truth refutes it and the rejected response is
         # the audio-suggested yes.
         sigs = synth.build_signatures(7)
-        visual_scene = synth.Scene(0, (Entity(0, True, True),), np.zeros(8), sigs[1][0])
-        audio_scene = synth.Scene(1, (Entity(2, False, True),), sigs[0][2], np.zeros(8))
-        pair = build_pair(visual_scene, audio_scene, "visual_presence",
-                          np.random.default_rng(2))
+        scenes = _pool(([0], [0], np.zeros(8), sigs[1][0]), ([], [2], sigs[0][2], np.zeros(8)))
+        pair = build_pair(scenes, 0, 1, "visual_presence", np.random.default_rng(2))
         assert synth.EVAL_QUESTION_KINDS[pair.question_kind] == "visual_presence"
         assert pair.y_w == NO_ID and pair.y_l == YES_ID
         assert not pair.matched
@@ -159,7 +172,7 @@ class TestBuildPair:
         emitted = 0
         for qk in ("visual_presence", "audio_presence", "visual_caption", "audio_caption"):
             for i in range(0, 30, 2):
-                pair = build_pair(self.scenes[i], self.scenes[i + 1], qk, rng)
+                pair = build_pair(self.scenes, i, i + 1, qk, rng)
                 if pair is not None:
                     emitted += 1
                     assert pair.y_w != pair.y_l
@@ -169,16 +182,16 @@ class TestBuildPair:
         # A silent, visible-only scene offers no visual-presence target
         # (those require an audible entity).
         sigs = synth.build_signatures(7)
-        scene = synth.Scene(0, (Entity(1, True, False),), np.zeros(8), sigs[1][1])
-        assert build_pair(scene, scene, "visual_presence", np.random.default_rng(0)) is None
+        scenes = _pool(([1], [], np.zeros(8), sigs[1][1]))
+        assert build_pair(scenes, 0, 0, "visual_presence", np.random.default_rng(0)) is None
 
     def test_caption_pair_targets_relevant_modality(self):
         rng = np.random.default_rng(4)
-        for scene in self.scenes:
-            pair = build_pair(scene, scene, "visual_caption", rng)
+        for scene in range(len(self.scenes)):
+            pair = build_pair(self.scenes, scene, scene, "visual_caption", rng)
             if pair is None:
                 continue
-            visible = scene.visible_kinds
+            visible = self.scenes.visible[scene]
             assert pair.y_w == synth.caption_slot(visible)
             assert pair.y_l != pair.y_w
             assert pair.prompt_id == synth.VISUAL_CAPTION_PROMPT
@@ -187,8 +200,8 @@ class TestBuildPair:
     def test_prompt_and_tag_consistency(self):
         rng = np.random.default_rng(5)
         pair = None
-        for scene in self.scenes:
-            pair = build_pair(scene, scene, "audio_presence", rng)
+        for scene in range(len(self.scenes)):
+            pair = build_pair(self.scenes, scene, scene, "audio_presence", rng)
             if pair is not None:
                 break
         assert synth.MODALITY_TAGS[pair.modality_tag] == "audio_related"
@@ -554,12 +567,13 @@ class TestEvalItems:
             base = (synth.VISUAL_PRESENCE_BASE if qk == "visual_presence"
                     else synth.AUDIO_PRESENCE_BASE)
             target = rec["prompt_id"] - base
-            visual = scenes[rec["visual_scene"]]
-            audio = scenes[rec["audio_scene"]]
+            visual = int(scenes.visible[rec["visual_scene"]])
+            audio = int(scenes.sounding[rec["audio_scene"]])
             if rec["task_group"] == "dominance":
                 assert rec["ground_truth"] == "no"
                 continue
-            candidates = dict(synth.presence_candidates(visual, audio, qk))
+            candidates = {k: synth.ANSWERS[a] for k, a in synth.presence_candidates(
+                synth.QUESTION_KINDS.index(qk), visual, audio)}
             assert candidates[target] == rec["ground_truth"]
 
 
@@ -648,8 +662,8 @@ class TestVerifyLabels:
         for i, rec in enumerate(records):
             if rec["question_kind"] != "visual_presence":
                 continue
-            eligible = dict(synth.presence_candidates(
-                scenes[rec["visual_scene"]], scenes[rec["audio_scene"]], "visual_presence"))
+            eligible = dict(synth.presence_candidates(0, int(scenes.visible[rec["visual_scene"]]),
+                                                      int(scenes.sounding[rec["audio_scene"]])))
             absent = [k for k in range(synth.N_ENTITY_KINDS) if k not in eligible]
             if absent:
                 break
@@ -665,6 +679,93 @@ class TestVerifyLabels:
         assert report.n_records == 10 and not report.violations and not report.ok
         [(line, problem)] = report.parse_errors
         assert line == 0 and problem.startswith("cannot rebuild the world from sidecar stats:")
+
+    @pytest.mark.parametrize("key,value,problem", [
+        ("matched_bias", [0.5, 0.5],
+         "matched_bias must be a number in [0, 1] or one per entity kind, got [0.5, 0.5]"),
+        ("n_scenes", 5.7, "n_scenes must be an integer, got 5.7"),
+        ("n_scenes", True, "n_scenes must be an integer, got True"),
+        ("feature_noise", -1.0,
+         "feature_noise must be a finite number >= 0 or an (audio, visual) pair, got -1.0"),
+    ])
+    def test_malformed_sidecar_is_one_parse_error(self, tmp_path, key, value, problem):
+        # The sidecar's world settings pass SynthConfig's rules; a bad one is
+        # neither a traceback nor a flood of record violations.
+        path, _, _ = _dataset_lines(tmp_path)
+        sidecar = tmp_path / "d.jsonl.stats.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        report = verify_dataset(path)
+        assert report.parse_errors == [
+            (0, f"cannot rebuild the world from sidecar stats: {problem}")]
+        assert report.n_records == 40 and not report.violations
+
+
+@pytest.fixture(scope="module")
+def clean_lines(tmp_path_factory):
+    """(lines, scene count, path to rewrite) of a generated dataset file
+    whose sidecar sits beside the path."""
+    directory = tmp_path_factory.mktemp("clean")
+    cfg = SynthConfig(n_pairs=40, n_scenes=12, seed=8)
+    assemble_dataset(cfg, directory / "d.jsonl")
+    return (directory / "d.jsonl").read_text().splitlines(), cfg.n_scenes, directory / "d.jsonl"
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_one_corrupted_field_flags_its_line_and_no_other(clean_lines, data):
+    lines, n_scenes, path = clean_lines
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    rec = json.loads(lines[index])
+    key = data.draw(st.sampled_from(["y_w", "modality_tag", "prompt_id", "visual_scene",
+                                     "audio_scene"]), label="field")
+    if key == "y_w":
+        values = range(synth.VOCAB_SIZE)
+    elif key == "modality_tag":
+        values = synth.MODALITY_TAGS
+    elif key == "prompt_id":  # a prompt outside the question kind's prompts
+        q = synth.QUESTION_KINDS.index(rec["question_kind"])
+        first = synth.PROMPT_OF[q]
+        own = range(first, first + (synth.N_ENTITY_KINDS if q < synth.N_PRESENCE else 1))
+        values = [p for p in range(-1, synth.N_PROMPTS + 1) if p not in own]
+    else:
+        values = range(-1, n_scenes + 1)
+    rec[key] = data.draw(st.sampled_from([v for v in values if v != rec[key]]), label="value")
+    path.write_text("\n".join(lines[:index] + [json.dumps(rec)] + lines[index + 1:]) + "\n")
+    report = verify_dataset(path)
+    assert {line for line, _ in report.violations} == {index + 1}, report.violations
+    assert not report.parse_errors
+
+
+class TestPinnedBytes:
+    """sha256 of small generated files and their sidecars, taken before scenes
+    became mask columns: generation must stay byte-identical until a change
+    means to alter it.  The values hold for the numpy build and LAPACK (the
+    signature QR) of the host they were taken on."""
+
+    BIAS = (0.2, 0.4, 0.6, 0.8, 0.5, 0.3)
+    NOISE = (0.05, 0.2)
+
+    def _digests(self, path):
+        return [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (path, path.with_name(path.name + ".stats.json"))]
+
+    def test_pair_file(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=60, n_scenes=20, matched_bias=self.BIAS,
+                                     feature_noise=self.NOISE, seed=5, world_seed=11), path)
+        assert self._digests(path) == [
+            "f4fed538a16f39e8b3a564d2b516594d7376e5f6899dd878f476247506138513",
+            "cabc6314ab82b2d86fee8e3f34ccef7db13f744ba195b9851e03a2eec9e33398"]
+
+    def test_eval_item_file(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        stats = synth.assemble_eval_items(EvalConfig(
+            n_items=40, n_scenes=20, matched_bias=self.BIAS, feature_noise=self.NOISE,
+            matching_fraction=0.2, dominance_fraction=0.2, seed=6, world_seed=11), path)
+        assert {"matching", "dominance"} <= set(stats["task_group_counts"])
+        assert self._digests(path) == [
+            "a567dca564fb891520b0f6aa45b8ee92669eba375d1e4788c162713562cd2ced",
+            "1c9fc0c21f189274849ae70d9a97f5f83afecff5e569e7346fd3203c53a4d4f5"]
 
 
 def test_from_records_names_the_first_bad_record():
