@@ -43,12 +43,23 @@ field, with tags, question kinds, answers and task groups as int codes
 (indices into MODALITY_TAGS, EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).
 ``t[rows]`` is a sub-table, ``t[i]`` one row (a ``PreferencePair`` or
 ``EvalItem`` named tuple), and ``coerce`` stacks a list of rows once.
+
+Random streams: stream ``(seed, tag, i)`` is ``_rng(seed, tag, i)``, that
+is ``default_rng(SeedSequence([seed, tag, i]))``.  Scene s draws from
+``(seed, 1, s)``, pair i from ``(seed, 2, i + 1)`` after the allocation
+stream ``(seed, 2, 0)``, eval attempt j from ``(seed, 3, j)`` and the eval
+allocation from ``(seed, 3, 10**6)``; the signatures use ``(world_seed, 4)``.
+Loops seed their streams in one pass through ``_streams``, which runs the
+SeedSequence hash over all indices at once and is checked bitwise against
+``_rng`` by a property test.  A generator that ``_streams`` yields is valid
+only until the next one is drawn: the same Generator is reseeded.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
@@ -106,6 +117,8 @@ _SCENE_STREAM = 1
 _PAIR_STREAM = 2
 _EVAL_STREAM = 3
 _SIGNATURE_STREAM = 4
+# The eval-attempt stream has no end; it is seeded this many indices at a time.
+_EVAL_BLOCK = 1024
 
 RECORD_FIELDS = ("visual_scene", "audio_scene", "question_kind", "prompt_id", "modality_tag",
                  "matched", "y_w", "y_l", "audio_feat", "visual_feat")
@@ -389,6 +402,65 @@ def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(key)))
 
 
+# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64 seeding.
+_MASK32, _MASK128 = 2 ** 32 - 1, 2 ** 128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's running hash of uint32 columns, one constant per call."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return result ^ result >> 16
+
+
+def _streams(prefix, indices):
+    """For each index i, a Generator in the state of ``_rng(*prefix, i)``:
+    one reused Generator, valid until the next is drawn.  Prefix ints
+    (>= 0) split into 32-bit words as in SeedSequence; indices must lie in
+    [0, 2**32)."""
+    words = []
+    for key in map(operator.index, prefix):
+        if key < 0:
+            raise ValueError(f"stream key {key} is negative")
+        words += [key >> shift & _MASK32 for shift in range(0, max(key.bit_length(), 1), 32)]
+    index = np.asarray(indices)
+    if index.size and (index.dtype.kind not in "iu" or index.min() < 0 or index.max() > _MASK32):
+        raise ValueError("stream indices must be integers in [0, 2**32)")
+    entropy = [np.full(index.shape, w, np.uint32) for w in words] + [index.astype(np.uint32)]
+    entropy += [np.zeros(index.shape, np.uint32)] * (4 - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[j % 4]).astype(np.uint64) for j in range(8)]
+    # generate_state(4, uint64): PCG64's seed high and low halves, then its increment's.
+    halves = [(out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    gen = np.random.Generator(np.random.PCG64(0))
+
+    def seeded(s_high, s_low, i_high, i_low):
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        return gen
+
+    return itertools.starmap(seeded, zip(*halves))
+
+
 def build_signatures(world_seed: int):
     """Per-kind signature vectors, orthonormal rows from a seeded QR."""
     rng = _rng(world_seed, _SIGNATURE_STREAM)
@@ -433,8 +505,7 @@ def generate_scenes(n_scenes: int, seed: int, world_seed: int, matched_bias=0.5,
     shows = np.zeros((n_scenes, N_ENTITY_KINDS), dtype=bool)
     sounds = np.zeros((n_scenes, N_ENTITY_KINDS), dtype=bool)
     draws = np.empty((2, n_scenes, FEATURE_DIM))  # audio then visual
-    for s in range(n_scenes):
-        rng = _rng(seed, _SCENE_STREAM, s)
+    for s, rng in enumerate(_streams((seed, _SCENE_STREAM), range(n_scenes))):
         n_entities = int(rng.integers(1, 5))
         for k in sorted(rng.choice(N_ENTITY_KINDS, size=n_entities, replace=False).tolist()):
             u = rng.random()
@@ -616,8 +687,7 @@ def generate_pairs(cfg: SynthConfig) -> PairTable:
     matched_flags = _exact_allocation(cfg.n_pairs, cfg.matched_fraction, alloc_rng)
     question_kinds = _question_allocation(cfg, alloc_rng)
     pairs = []
-    for i in range(cfg.n_pairs):
-        rng = _rng(cfg.seed, _PAIR_STREAM, i + 1)
+    for i, rng in enumerate(_streams((cfg.seed, _PAIR_STREAM), range(1, cfg.n_pairs + 1))):
         for _ in range(200):
             visual_scene, audio_scene = _draw_scene_pair(len(scenes), bool(matched_flags[i]), rng)
             pair = build_pair(scenes, visual_scene, audio_scene, str(question_kinds[i]), rng)
@@ -905,7 +975,9 @@ def generate_eval_records(cfg: EvalConfig):
     # Matching items answer "yes" exactly when matched; dominance items are
     # always "no".  Reserve their ground truths up front.
     records = []
-    rngs = (_rng(cfg.seed, _EVAL_STREAM, index) for index in itertools.count())
+    rngs = itertools.chain.from_iterable(
+        _streams((cfg.seed, _EVAL_STREAM), range(start, start + _EVAL_BLOCK))
+        for start in itertools.count(0, _EVAL_BLOCK))
 
     def consume(answer: str) -> bool:
         if quota[answer] <= 0:

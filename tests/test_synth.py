@@ -104,6 +104,42 @@ class TestAnswerTable:
             answer_for("in_view_ghost", "audio_presence")
 
 
+def _draws(rng):
+    """One of each kind of draw the world generators make, in a fixed order."""
+    k = int(rng.integers(1, 5))
+    items = list(range(7))
+    rng.shuffle(items)
+    return [k, float(rng.random()), rng.choice(6, k, replace=False).tolist(),
+            rng.standard_normal(8).tolist(), items, int(rng.integers(2 ** 40))]
+
+
+class TestStreams:
+    """synth._streams seeds many streams at once; synth._rng defines each."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(prefix=st.lists(st.integers(0, 2 ** 64 - 1), max_size=4),
+           indices=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5))
+    def test_streams_equal_rng_bitwise(self, prefix, indices):
+        for i, rng in zip(indices, synth._streams(prefix, indices), strict=True):
+            reference = synth._rng(*prefix, i)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert _draws(rng) == _draws(reference)
+
+    @pytest.mark.parametrize("prefix, indices", [
+        ((0, 1), [2 ** 32]), ((0, 1), [3, -1]), ((0,), [2 ** 64]), ((0,), [1.0]),
+        ((-1,), [0]), ((5, -2 ** 40), [0])])
+    def test_key_out_of_range_raises(self, prefix, indices):
+        with pytest.raises(ValueError):
+            synth._streams(prefix, indices)
+
+    def test_a_yielded_generator_lasts_until_the_next_draw(self):
+        streams = synth._streams((3, 1), range(2))
+        first = next(streams)
+        second = next(streams)
+        assert second is first
+        assert first.bit_generator.state == synth._rng(3, 1, 1).bit_generator.state
+
+
 class TestScenes:
     def test_deterministic(self):
         a = generate_scenes(10, seed=3, world_seed=7)
