@@ -31,13 +31,14 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 import yaml
 
 from . import eval as eval_mod
 from . import oracles, synth
 from . import train as training
-from .core import ConfigurationError, Hyperparams
+from .core import ConfigurationError
 from .corrupt import CorruptionSpec
 from .policy import CheckpointError, load_checkpoint, save_checkpoint
 from .presets import PRESET_NAMES, make_config
@@ -337,16 +338,19 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def build_train_config(section: dict, seed: int) -> training.TrainConfig:
-    """The preset's TrainConfig with the section's non-null settings over it."""
+    """The preset's TrainConfig with the section's non-null settings over it;
+    an hp or corruption mapping sets the fields it names over the preset's."""
     if section["preset"] not in PRESET_NAMES:
         raise CliError(f"unknown preset {section['preset']!r}; known: {', '.join(PRESET_NAMES)}",
                        EXIT_CONFIG)
     overrides = {key: section[key] for key in ("loss_variant", "lr", "epochs", "batch_size",
                                                "warmup_steps", "warmup_lr")
                  if section[key] is not None}
-    for key, cls in (("hp", Hyperparams), ("corruption", CorruptionSpec)):
+    preset = make_config(section["preset"])
+    for key in ("hp", "corruption"):
         if section[key] is not None:
-            overrides[key] = _build(f"train.{key}", lambda: cls(**section[key]))
+            overrides[key] = _build(f"train.{key}",
+                                    lambda: replace(getattr(preset, key), **section[key]))
     return _build("train", lambda: make_config(section["preset"], seed=seed, **overrides))
 
 

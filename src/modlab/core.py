@@ -183,7 +183,9 @@ def kl_divergence(p, q) -> float:
     """KL(p || q) = sum_y p(y) * ln(p(y)/q(y)) in nats.
 
     Zero entries of p contribute nothing; a zero entry of q under positive
-    p mass is a domain error (the divergence is infinite).
+    p mass is a domain error (the divergence is infinite).  p and q sum to 1
+    only to rounding, which can leave a divergence near zero slightly
+    negative; it is returned as 0.
     """
     p = _as_probability_vector(p, "p")
     q = _as_probability_vector(q, "q")
@@ -193,7 +195,7 @@ def kl_divergence(p, q) -> float:
     if np.any(q[support] == 0):
         raise DomainError("q has zero mass where p is positive; KL(p||q) is infinite")
     ps = p[support]
-    return float(np.sum(ps * np.log(ps / q[support])))
+    return max(0.0, float(np.sum(ps * np.log(ps / q[support]))))
 
 
 def mod_objective_value(p, r, p_ref, q_inv, q_sens, hp: Hyperparams) -> float:

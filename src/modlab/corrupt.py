@@ -8,10 +8,12 @@ for a feature vector:
     random_swap  a different vector drawn from a pool of real features
     diffusion    forward noising sqrt(abar_t)*x + sqrt(1-abar_t)*eps
 
-Diffusion uses the standard linear-beta forward schedule; small t leaves
-the vector close to the original (signal coefficient sqrt(abar_t) decays
-monotonically in t), large t destroys it.  Corrupted vectors are not
-renormalized to the input's scale statistics.
+Diffusion follows the fixed table ``ALPHA_BAR``: abar_t is the cumulative
+product of (1 - beta_s) for s = 1..t, with DDPM's linear schedule, beta
+from 1e-4 to 0.02 over T_MAX = 1000 steps (Ho et al., 2020), and
+abar_0 = 1.  Small t leaves the vector close to the original (the signal
+coefficient sqrt(abar_t) decays monotonically in t), large t destroys it.
+Corrupted vectors are not renormalized to the input's scale statistics.
 
 ``corrupt`` takes one (d,) vector or a (B, d) block of rows and draws
 from the generator it is given (default: a fresh ``default_rng(spec.seed)``,
@@ -28,7 +30,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +38,13 @@ from .core import check_numbers
 
 CORRUPTION_KINDS = ("zeros", "gaussian", "random_swap", "diffusion")
 
-DEFAULT_T_MAX = 1000
-DEFAULT_BETA_START = 1e-4
-DEFAULT_BETA_END = 0.02
+T_MAX = 1000
+ALPHA_BAR = np.concatenate([[1.0], np.cumprod(1.0 - np.linspace(1e-4, 0.02, T_MAX))])
+ALPHA_BAR.flags.writeable = False
+
+# A gaussian draw is sigma * N(0, 1): finite for sigma below this bound,
+# while sigma near 1e307 and above can overflow to inf.
+SIGMA_MAX = 1e300
 
 
 class CorruptionError(ValueError):
@@ -46,39 +52,11 @@ class CorruptionError(ValueError):
 
 
 @dataclass(frozen=True)
-class NoiseSchedule:
-    """Linear forward-noising schedule with precomputed cumulative products.
-
-    alpha_bar[t] = prod_{s=1..t} (1 - beta_s) with beta_s interpolated
-    linearly from beta_start to beta_end over T steps; alpha_bar[0] = 1
-    and the sequence is strictly decreasing.
-    """
-
-    T: int = DEFAULT_T_MAX
-    beta_start: float = DEFAULT_BETA_START
-    beta_end: float = DEFAULT_BETA_END
-    alpha_bar: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        check_numbers(self, CorruptionError, ("T",), integer=True, low=1)
-        check_numbers(self, CorruptionError, ("beta_start", "beta_end"), high=1, above=True)
-        if self.beta_start > self.beta_end:
-            raise CorruptionError(
-                f"need beta_start <= beta_end, got {self.beta_start}, {self.beta_end}")
-        betas = np.linspace(self.beta_start, self.beta_end, self.T)
-        abar = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-        object.__setattr__(self, "alpha_bar", abar)
-
-
-DEFAULT_SCHEDULE = NoiseSchedule()
-
-
-@dataclass(frozen=True)
 class CorruptionSpec:
     """One corruption draw: kind, parameters, and the seed that fixes it.
 
-    t is only meaningful for diffusion (step count in [0, T]); sigma only
-    for gaussian.  The seed is an integer >= 0.
+    t is only meaningful for diffusion (step count in [0, T_MAX]); sigma only
+    for gaussian (in (0, SIGMA_MAX)).  The seed is an integer >= 0.
     """
 
     kind: str = "diffusion"
@@ -89,16 +67,9 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise CorruptionError(f"kind must be one of {CORRUPTION_KINDS}, got {self.kind!r}")
-        check_numbers(self, CorruptionError, ("t",), integer=True, high=DEFAULT_T_MAX)
+        check_numbers(self, CorruptionError, ("t",), integer=True, high=T_MAX)
         check_numbers(self, CorruptionError, ("seed",), integer=True)
-        check_numbers(self, CorruptionError, ("sigma",), above=True)
-
-
-def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
-    """Cumulative signal retention prod_{s=1..t}(1 - beta_s), in (0, 1]."""
-    if not (0 <= t <= schedule.T):
-        raise CorruptionError(f"t must be in [0, {schedule.T}], got {t}")
-    return float(schedule.alpha_bar[t])
+        check_numbers(self, CorruptionError, ("sigma",), high=SIGMA_MAX, above=True)
 
 
 def corrupt(features, spec: CorruptionSpec, pool=None, rng: np.random.Generator = None):
@@ -110,7 +81,7 @@ def corrupt(features, spec: CorruptionSpec, pool=None, rng: np.random.Generator 
     from the pool, excluding members identical to that row so the result
     is a genuinely different source.  diffusion at t=0 is the identity.
     rng defaults to default_rng(spec.seed); zeros and diffusion at t=0
-    draw nothing from it.  diffusion follows DEFAULT_SCHEDULE.
+    draw nothing from it.  diffusion follows ALPHA_BAR.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -132,7 +103,7 @@ def corrupt(features, spec: CorruptionSpec, pool=None, rng: np.random.Generator 
     # diffusion
     if spec.t == 0:
         return x.copy()
-    abar = alpha_bar(DEFAULT_SCHEDULE, spec.t)
+    abar = float(ALPHA_BAR[spec.t])
     eps = rng.standard_normal(x.shape)
     return math.sqrt(abar) * x + math.sqrt(1.0 - abar) * eps
 

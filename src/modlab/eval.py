@@ -219,16 +219,15 @@ def _shift_histogram(deltas: np.ndarray):
     return counts, edges
 
 
-def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
-                 pools=None) -> ShiftStats:
+def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str) -> ShiftStats:
     """Delta = log p(correct | clean) - log p(correct | corrupted).
 
     which selects whether the prompt-RELEVANT or prompt-IRRELEVANT modality
     of each item is corrupted (per its modality tag).  All draws come from
     one generator seeded by spec.seed, the audio block (items whose chosen
     modality is audio, in item order) before the visual block, so the
-    analysis is repeatable.  pools maps a modality to its random_swap pool,
-    by default the items' own feature columns.
+    analysis is repeatable.  random_swap draws from the items' own feature
+    columns.
     """
     if which not in ("relevant", "irrelevant"):
         raise EvalError(f"which must be 'relevant' or 'irrelevant', got {which!r}")
@@ -245,8 +244,8 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
         else:
             masks = {"audio": visual_rel, "visual": audio_rel}
         features = {"audio": items.audio, "visual": items.visual}
-        if pools is None and spec.kind == "random_swap":  # no other kind reads a pool
-            pools = {m: FeaturePool(x) for m, x in features.items()}
+        pools = ({m: FeaturePool(x) for m, x in features.items()}
+                 if spec.kind == "random_swap" else None)  # no other kind reads a pool
         corrupted = corrupt_rows(features, spec, masks, np.random.default_rng(spec.seed), pools)
         rows, answers, ids = np.arange(len(items)), items.ground_truth, items.prompt_id
         clean = forward(params, items.audio, items.visual, ids).logprobs[rows, answers]

@@ -25,7 +25,6 @@ command-line ``verify`` command wraps.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import shutil
@@ -295,8 +294,15 @@ class SuiteResult:
     seconds: float
 
 
+# Acceptance tolerances: L1 distance of the closed form from ascent, and
+# the relative errors of the analytic gradients and of the stop-gradient step.
+_L1_TOL = 1e-4
+_GRADIENT_TOL = 1e-5
+_STOP_GRADIENT_TOL = 1e-4
+
+
 def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
-                      l1_tol: float = 1e-4, seed: int = 0) -> SuiteResult:
+                      seed: int = 0) -> SuiteResult:
     """Closed form vs projected gradient ascent (and V=3 grid search)."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -320,12 +326,13 @@ def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
                                    time.perf_counter() - start)
             grid_done += 1
     # The grid can only localize the argmax to its own resolution.
-    passed = worst_pga < l1_tol and worst_grid < 2e-3
-    detail = f"worst L1 vs ascent {worst_pga:.2e} (tol {l1_tol}), vs grid {worst_grid:.2e} (tol 2e-3)"
+    passed = worst_pga < _L1_TOL and worst_grid < 2e-3
+    detail = (f"worst L1 vs ascent {worst_pga:.2e} (tol {_L1_TOL}), "
+              f"vs grid {worst_grid:.2e} (tol 2e-3)")
     return SuiteResult("closed_form", passed, detail, time.perf_counter() - start)
 
 
-def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> SuiteResult:
+def gradient_suite(n_triples: int = 100, seed: int = 0) -> SuiteResult:
     """n_triples single-row (params, input row, upstream) triples, then one
     batch of six rows over three prompts, so the batched backward's row sum
     and prompt-table scatter-add are audited too."""
@@ -347,12 +354,12 @@ def gradient_suite(n_triples: int = 100, tol: float = 1e-5, seed: int = 0) -> Su
         worst = max(worst, policy_gradient_rel_error(params, *rows, rng.normal(size=(1, 5))))
     params, rows = draw_params(), draw_rows(6)
     worst = max(worst, policy_gradient_rel_error(params, *rows, rng.normal(size=(6, 5))))
-    return SuiteResult("gradients", worst < tol,
+    return SuiteResult("gradients", worst < _GRADIENT_TOL,
                        f"max relative error {worst:.2e} over {n_triples} contexts and a batch "
-                       f"of 6 (tol {tol})", time.perf_counter() - start)
+                       f"of 6 (tol {_GRADIENT_TOL})", time.perf_counter() - start)
 
 
-def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0) -> SuiteResult:
+def stop_gradient_suite(n_steps: int = 20, seed: int = 0) -> SuiteResult:
     """Audit modpp's analytic step against the frozen surrogate while training."""
     start = time.perf_counter()
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=64, n_scenes=24, seed=seed,
@@ -372,20 +379,17 @@ def stop_gradient_suite(n_steps: int = 20, tol: float = 1e-4, seed: int = 0) -> 
         params, _, _ = train_step(params, training.reference_logprobs(ref, batch, cfg), batch,
                                   cfg, step, pools)
         steps = step + 1
-    return SuiteResult("stop_gradient", worst < tol,
-                       f"max relative error {worst:.2e} over {steps} steps (tol {tol})",
+    return SuiteResult("stop_gradient", worst < _STOP_GRADIENT_TOL,
+                       f"max relative error {worst:.2e} over {steps} steps "
+                       f"(tol {_STOP_GRADIENT_TOL})",
                        time.perf_counter() - start)
 
 
-def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, tmp_dir=None) -> SuiteResult:
-    """Round-trip (assemble then verify: zero violations) plus fault injection.
-
-    The files go to tmp_dir, or to a temporary directory removed afterwards.
-    """
+def dataset_suite(n_pairs: int = 500, n_seeds: int = 2) -> SuiteResult:
+    """Round-trip (assemble then verify: zero violations) plus fault injection,
+    on files in a temporary directory removed afterwards."""
     start = time.perf_counter()
-    scratch = (contextlib.nullcontext(tmp_dir) if tmp_dir
-               else tempfile.TemporaryDirectory(prefix="modlab-verify-"))
-    with scratch as tmp_dir:
+    with tempfile.TemporaryDirectory(prefix="modlab-verify-") as tmp_dir:
         for seed in range(n_seeds):
             path = os.path.join(tmp_dir, f"roundtrip-{seed}.jsonl")
             synth.assemble_dataset(synth.SynthConfig(n_pairs=n_pairs, n_scenes=300, seed=seed),

@@ -985,18 +985,13 @@ def generate_eval_records(cfg: EvalConfig):
         quota[answer] -= 1
         return True
 
-    for i in range(n_matching):
-        for _ in range(500):
-            rng = next(rngs)
-            want_yes = quota["yes"] >= quota["no"]
-            visual_scene, audio_scene = _draw_scene_pair(len(scenes), want_yes, rng)
-            answer = "yes" if visual_scene == audio_scene else "no"
-            if consume(answer):
-                records.append(eval_record(scenes, visual_scene, audio_scene, "av_matching",
-                                           None, answer, "matching"))
-                break
-        else:
-            raise WorldError("could not satisfy the matching-item quota")
+    for _ in range(n_matching):
+        # The quotas still sum to the items left, so the larger one has room.
+        answer = "yes" if quota["yes"] >= quota["no"] else "no"
+        consume(answer)
+        visual_scene, audio_scene = _draw_scene_pair(len(scenes), answer == "yes", next(rngs))
+        records.append(eval_record(scenes, visual_scene, audio_scene, "av_matching",
+                                   None, answer, "matching"))
 
     for i in range(n_dominance):
         if not consume("no"):

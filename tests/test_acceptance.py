@@ -43,11 +43,10 @@ def benchmark_runs():
     for seed in SEEDS:
         runs.append(experiments.run_benchmark(
             experiments.HALLUCINATION_BENCHMARK, seed,
-            variants=("dpo", "modpp_desk"), compute_shifts=False))
+            variants=("dpo", "modpp_desk")))
         weak = experiments.run_benchmark(
             experiments.HALLUCINATION_BENCHMARK, seed, variants=("modpp_desk",),
-            corruption_overrides={"modpp_desk": CorruptionSpec(kind="diffusion", t=10)},
-            compute_shifts=False)
+            corruption_overrides={"modpp_desk": CorruptionSpec(kind="diffusion", t=10)})
         t10_accuracies.append(weak.variants["modpp_desk"].accuracy)
     return runs, t10_accuracies, time.time() - start
 
@@ -67,8 +66,9 @@ def shift_runs():
 def test_criterion_1_closed_form_equivalence():
     # 200 instances, every V=3 one grid-checked; strict tolerances 1e-4
     # (ascent) and 2e-3 (the grid's own resolution).
-    res = oracles.closed_form_suite(n_instances=200, l1_tol=1e-4, seed=0)
+    res = oracles.closed_form_suite(n_instances=200, seed=0)
     assert res.passed, res.detail
+    assert "(tol 0.0001)" in res.detail and "(tol 2e-3)" in res.detail, res.detail
     assert res.seconds < 60.0, f"took {res.seconds:.1f}s"
     report("criterion 1", f"200 instances: {res.detail}, {res.seconds:.1f}s")
 
@@ -106,10 +106,12 @@ def test_criterion_2_reduction_identity():
 
 
 def test_criterion_3_gradient_audit():
-    grad = oracles.gradient_suite(n_triples=100, tol=1e-5, seed=3)
+    grad = oracles.gradient_suite(n_triples=100, seed=3)
     assert grad.passed, grad.detail
-    stop = oracles.stop_gradient_suite(n_steps=20, tol=1e-4, seed=3)
+    assert grad.detail.endswith("(tol 1e-05)"), grad.detail
+    stop = oracles.stop_gradient_suite(n_steps=20, seed=3)
     assert stop.passed, stop.detail
+    assert stop.detail.endswith("(tol 0.0001)"), stop.detail
     report("criterion 3", f"{grad.detail}; stop-gradient {stop.detail}")
 
 
@@ -129,8 +131,8 @@ def test_criterion_4_pass_counts():
 # Criterion 5: dataset round-trip
 
 
-def test_criterion_5_dataset_round_trip(tmp_path):
-    res = oracles.dataset_suite(n_pairs=2000, n_seeds=10, tmp_dir=str(tmp_path))
+def test_criterion_5_dataset_round_trip():
+    res = oracles.dataset_suite(n_pairs=2000, n_seeds=10)
     assert res.passed, res.detail
     report("criterion 5", "10 seeds x 2000 records verify clean; "
                           "fault injection flags exactly the swapped line")

@@ -382,7 +382,7 @@ def test_loglik_shift_matches_per_item_loop(models, items, kind, which):
         answer = item.ground_truth
         loop.append(row_logprobs(params, item)[answer]
                     - row_logprobs(params, item, **draws[i, 0])[answer])
-    stats = eval_mod.loglik_shift(params, unimodal, spec, which, pools)
+    stats = eval_mod.loglik_shift(params, unimodal, spec, which)
     np.testing.assert_allclose(stats.deltas, loop, rtol=0, atol=TOL)
 
 

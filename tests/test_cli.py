@@ -7,6 +7,8 @@ import pytest
 import yaml
 
 from modlab import cli
+from modlab.core import Hyperparams
+from modlab.corrupt import CorruptionSpec
 from modlab.policy import init_params, save_checkpoint
 
 
@@ -326,6 +328,19 @@ class TestConfigParsing:
         cfg = cli.load_config(path, ["train.lr=3e-7", "train.preset=dpo"])
         assert cfg["train"]["lr"] == 3e-7 and cfg["train"]["preset"] == "dpo"
         assert cli.build_train_config(cfg["train"], 0).lr == 3e-7
+
+    @pytest.mark.parametrize("overrides,key,want", [
+        (["train.preset=modpp_desk", "train.hp.beta=0.2"], "hp",
+         Hyperparams(beta=0.2, beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)),
+        (["train.preset=modpp_swap", "train.corruption.t=10"], "corruption",
+         CorruptionSpec(kind="random_swap", t=10)),
+    ])
+    def test_partial_mapping_keeps_the_presets_other_fields(self, tmp_path, overrides, key,
+                                                           want):
+        path = tmp_path / "config.yaml"
+        path.write_text("seed: 0\n")
+        cfg = cli.load_config(path, overrides)
+        assert getattr(cli.build_train_config(cfg["train"], 0), key) == want
 
 
 class TestReportCounters:

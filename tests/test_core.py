@@ -110,6 +110,14 @@ class TestKlDivergence:
                 assert kl > 0.0
             assert core.kl_divergence(p, p) == 0.0
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(weights=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(1e-300, 1e6)),
+                            min_size=1, max_size=8))
+    def test_nonnegative(self, weights):
+        p, q = (np.array(w) for w in zip(*weights))
+        assume(p.sum() > 0)
+        assert core.kl_divergence(p / p.sum(), q / q.sum()) >= 0.0
+
 
 class TestObjectiveValue:
     def test_all_terms_vanish(self):

@@ -1,48 +1,61 @@
 """Corruption strategies and the forward-noising schedule."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modlab.corrupt import (
-    DEFAULT_SCHEDULE,
+    ALPHA_BAR,
+    CORRUPTION_KINDS,
+    SIGMA_MAX,
+    T_MAX,
     CorruptionError,
     CorruptionSpec,
-    NoiseSchedule,
-    alpha_bar,
     corrupt,
 )
+
+ALPHA_BAR_SHA256 = "8d733306ef0280b0012870d677a1ab193083a3c7ecf4d903f496169bbf144293"
 
 
 class TestSchedule:
     def test_starts_at_one(self):
-        assert alpha_bar(DEFAULT_SCHEDULE, 0) == 1.0
+        assert ALPHA_BAR[0] == 1.0
 
     def test_first_step(self):
-        assert alpha_bar(DEFAULT_SCHEDULE, 1) == pytest.approx(0.9999, abs=1e-12)
+        assert ALPHA_BAR[1] == pytest.approx(0.9999, abs=1e-12)
 
     def test_strictly_decreasing(self):
-        values = DEFAULT_SCHEDULE.alpha_bar
-        assert np.all(np.diff(values) < 0)
-        assert alpha_bar(DEFAULT_SCHEDULE, 500) < alpha_bar(DEFAULT_SCHEDULE, 50)
+        assert np.all(np.diff(ALPHA_BAR) < 0)
+        assert ALPHA_BAR[500] < ALPHA_BAR[50]
 
     def test_out_of_range(self):
-        with pytest.raises(CorruptionError):
-            alpha_bar(DEFAULT_SCHEDULE, -1)
-        with pytest.raises(CorruptionError):
-            alpha_bar(DEFAULT_SCHEDULE, DEFAULT_SCHEDULE.T + 1)
+        # The table has an entry for exactly the steps a spec admits.
+        assert ALPHA_BAR.shape == (T_MAX + 1,)
+        for t in (-1, T_MAX + 1):
+            with pytest.raises(CorruptionError):
+                CorruptionSpec(kind="diffusion", t=t)
 
     def test_matches_direct_product(self):
         betas = np.linspace(1e-4, 0.02, 1000)
         direct = np.prod(1.0 - betas[:50])
-        assert alpha_bar(DEFAULT_SCHEDULE, 50) == pytest.approx(direct, rel=1e-12)
+        assert ALPHA_BAR[50] == pytest.approx(direct, rel=1e-12)
 
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(CorruptionError):
-            NoiseSchedule(T=0)
-        with pytest.raises(CorruptionError):
-            NoiseSchedule(beta_start=0.5, beta_end=0.1)
+    def test_pinned_bit_for_bit(self):
+        # DDPM's linear schedule as one cumulative product; the digest is
+        # that of the table every diffusion draw has used so far.
+        expected = np.concatenate([[1.0], np.cumprod(1.0 - np.linspace(1e-4, 0.02, 1000))])
+        assert ALPHA_BAR.tobytes() == expected.tobytes()
+        assert hashlib.sha256(ALPHA_BAR.tobytes()).hexdigest() == ALPHA_BAR_SHA256
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            ALPHA_BAR[1] = 0.5
+        assert ALPHA_BAR[1] == pytest.approx(0.9999, abs=1e-12)
 
 
 class TestSpecValidation:
@@ -173,7 +186,7 @@ class TestSnrOrdering:
         assert mean_corr[10] > mean_corr[50] > mean_corr[500]
 
     def test_signal_coefficient_monotone(self):
-        coeffs = [math.sqrt(alpha_bar(DEFAULT_SCHEDULE, t)) for t in range(0, 1001, 50)]
+        coeffs = [math.sqrt(ALPHA_BAR[t]) for t in range(0, T_MAX + 1, 50)]
         assert all(a > b for a, b in zip(coeffs, coeffs[1:]))
 
 
@@ -186,18 +199,36 @@ class TestSpecValues:
         ({"seed": 1.5}, "seed must be an integer"),
         ({"sigma": "abc"}, "sigma must be a number"),
         ({"sigma": float("inf")}, "sigma must lie in"),
+        ({"sigma": 1e300}, "sigma must lie in"),  # its draws would overflow to inf
     ])
     def test_bad_value_names_the_field(self, fields, problem):
         with pytest.raises(CorruptionError, match=problem):
             CorruptionSpec(**fields)
 
-    @pytest.mark.parametrize("fields,problem", [
-        ({"T": 10.0}, "T must be an integer"), ({"beta_end": 1.0}, "beta_end must lie in"),
-        ({"beta_start": 0.0}, "beta_start must lie in"),
-    ])
-    def test_bad_schedule_names_the_field(self, fields, problem):
-        with pytest.raises(CorruptionError, match=problem):
-            NoiseSchedule(**fields)
+
+finite_rows = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(allow_nan=False,
+                                                               allow_infinity=False)))
+
+
+class TestCorruptProperties:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(x=finite_rows, kind=st.sampled_from(CORRUPTION_KINDS), t=st.integers(0, T_MAX),
+           sigma=st.floats(min_value=0.0, max_value=SIGMA_MAX, exclude_min=True,
+                           exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_shape_finite_and_fixed_by_the_seed(self, x, kind, t, sigma, seed):
+        # For random_swap, the rows themselves plus one member that differs
+        # from every row in its first entry.
+        free = next(k for k in range(len(x) + 1) if k not in x[:, 0])
+        pool = np.vstack([x, np.full(x.shape[1], float(free))]) if kind == "random_swap" else None
+        spec = CorruptionSpec(kind=kind, t=t, sigma=sigma, seed=seed)
+        out = corrupt(x, spec, pool, np.random.default_rng(seed))
+        assert out.shape == x.shape
+        assert np.all(np.isfinite(out))
+        assert out.tobytes() == corrupt(x, spec, pool, np.random.default_rng(seed)).tobytes()
+        if kind == "diffusion" and t == 0:
+            assert out.tobytes() == x.tobytes()
 
 
 def test_package_attribute_is_the_module():

@@ -1,7 +1,13 @@
 """Toy policy: forward numerics, analytic gradients, checkpoints."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modlab.oracles import finite_difference_gradient, policy_gradient_rel_error
 from modlab.policy import (
@@ -229,6 +235,24 @@ class TestCheckpoint:
         for f in PolicyParams.FIELDS:
             assert getattr(loaded, f).shape == getattr(params, f).shape
             assert np.shares_memory(getattr(loaded, f), loaded.vector), f
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 5), data=st.data())
+    def test_round_trip_is_bitwise_for_any_finite_value(self, dims, data):
+        d_h, vocab, d_a, d_v, n_prompts = dims
+        values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308, -1e308])
+        shapes = {"u_a": (d_h, d_a), "u_v": (d_h, d_v), "e_x": (n_prompts, d_h),
+                  "w_out": (vocab, d_h), "b": (vocab,)}
+        params = PolicyParams(*(data.draw(arrays(np.float64, shapes[f], elements=values))
+                                for f in PolicyParams.FIELDS))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "policy.ckpt")
+            save_checkpoint(params, path)
+            loaded = load_checkpoint(path)
+        for f in PolicyParams.FIELDS:
+            assert getattr(loaded, f).shape == shapes[f]
+            assert getattr(loaded, f).tobytes() == getattr(params, f).tobytes(), f
 
     def test_save_is_byte_stable(self, tmp_path):
         params = make_params(37)

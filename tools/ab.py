@@ -2,6 +2,7 @@
 
     python3 tools/ab.py --base HEAD~1 --slug my-change --seeds 91-100 \
         --claim corruption_ablation:setup_s --traced experiment:91-93
+    python3 tools/ab.py --base HEAD~1 --slug no-gain --seeds 101-110
 
 Run from the repository root.  The workloads, the run length and the
 end-to-end metrics with their directions and bounds are read from
@@ -19,7 +20,9 @@ for neither), the change/base median ratio and whether the change is worse
 than the base by more than the metric's bound.  ``--traced W:a-b`` adds one
 ``--trace 1`` run per side on each of those seeds, in the same alternating
 order, and the per-layer metrics' medians over them.  The last line printed
-is the claim's summary.
+is the claim's summary; without ``--claim`` the file's claim is null and the
+last line says whether every end-to-end metric is within its bound on every
+workload, naming any that is not.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision of the base side")
     parser.add_argument("--slug", required=True)
     parser.add_argument("--seeds", required=True, help="first-last, one pair per seed")
-    parser.add_argument("--claim", required=True, help="workload:metric the change claims")
+    parser.add_argument("--claim", help="workload:metric the change claims, if any")
     parser.add_argument("--traced", help="workload:first-last, one --trace 1 pair per seed")
     parser.add_argument("--change-note", default="", help="what the change does")
     args = parser.parse_args(argv)
@@ -119,7 +122,6 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     first, last = map(int, args.seeds.split("-"))
     seeds = list(range(first, last + 1))
-    claim_workload, claim_metric = args.claim.split(":")
 
     doc = {"slug": args.slug, "change": args.change_note,
            "base": f"{args.base} (a git archive of it, run from its own checkout)",
@@ -172,20 +174,33 @@ def main(argv=None) -> int:
                             if all(name in r[s]["metrics"] for r in ran for s in sides)},
                 "metrics_are": f"medians over the {len(ran)} traced pairs where both sides ran"}
 
-    s = doc["workloads"][claim_workload]["summary"].get(claim_metric)
-    met = bool(s) and s["change_wins"] >= 0.9 * s["pairs"] and s["pairs"] == len(seeds) and (
-        -s["worse_frac"] * s["base"]["median"] > s["base_iqr"])
-    doc["claim"] = {"workload": claim_workload, "metric": claim_metric, "met": met,
-                    "rule": "every pair ran, the change wins >= 9/10 of them and the median gap "
-                            "exceeds the base IQR"}
+    doc["claim"] = None
+    if args.claim:
+        claim_workload, claim_metric = args.claim.split(":")
+        s = doc["workloads"][claim_workload]["summary"].get(claim_metric)
+        met = bool(s) and s["change_wins"] >= 0.9 * s["pairs"] and s["pairs"] == len(seeds) and (
+            -s["worse_frac"] * s["base"]["median"] > s["base_iqr"])
+        doc["claim"] = {"workload": claim_workload, "metric": claim_metric, "met": met,
+                        "rule": "every pair ran, the change wins >= 9/10 of them and the median "
+                                "gap exceeds the base IQR"}
     with open(os.path.join(ROOT, f"BENCH_{args.slug}.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    beyond, unsummarized = [], [w for w, e in doc["workloads"].items() if not e["summary"]]
     for workload, entry in doc["workloads"].items():
         for name, m in entry["summary"].items():
             if not m["within_bound"]:
+                beyond.append(f"{workload} {name}")
                 print(f"{workload} {name}: worse by {m['worse_frac']:.1%}, "
                       f"beyond its bound {m['bound']:g}")
+    if not args.claim:
+        if unsummarized:
+            print(f"fewer than two pairs ran on {', '.join(unsummarized)}; bounds not checked")
+        elif beyond:
+            print(f"no claim; beyond its bound: {', '.join(beyond)}")
+        else:
+            print("no claim; every end-to-end metric is within its bound on every workload")
+        return 0
     if not s:
         print(f"{claim_workload} {claim_metric}: fewer than two pairs ran; claim not met")
         return 0
