@@ -232,7 +232,8 @@ def _written(cfg: dict) -> dict:
 
     items, train = cfg["synth"]["eval_items"], cfg["train"]
     return {"dataset": at(cfg["synth"]["out"]), "items": items and at(items["out"]),
-            "reference": at(train["reference_checkpoint"]), "policy": at(train["checkpoint"])}
+            "reference": at(train["reference_checkpoint"]), "policy": at(train["checkpoint"]),
+            "counters": at(train["counters"])}
 
 
 def _write_snapshot(cfg: dict, command: str) -> None:
@@ -384,7 +385,6 @@ def cmd_train(cfg: dict) -> int:
         "loss_variant": train_cfg.loss_variant,
         "n_steps": len(result.counters),
         "per_pair_counters": sorted(dict(u) for u in unique),
-        "n_av_excluded": result.n_av_excluded,
         "final_loss": float(result.losses[-1]) if len(result.losses) else None,
     }
     with open(_out_path(cfg, section["counters"]), "w", encoding="ascii") as fh:
@@ -414,8 +414,9 @@ def cmd_eval(cfg: dict) -> int:
         for group, report in sorted(row.group_reports.items()):
             writer.writerow([group, *map(_csv_cell, report.as_dict().values())])
     overall = row.group_reports["overall"]
-    print(f"overall: acc={overall.accuracy:.2f} pa={overall.pa:.2f} hr={overall.hr:.2f} "
-          f"f1={overall.f1:.2f} on {overall.total} items")
+    acc, pa, hr, f1 = ("-" if v is None else f"{v:.2f}"  # undefined metrics print as "-"
+                       for v in (overall.accuracy, overall.pa, overall.hr, overall.f1))
+    print(f"overall: acc={acc} pa={pa} hr={hr} f1={f1} on {overall.total} items")
     for which, stats in (("relevant", row.shift_relevant), ("irrelevant", row.shift_irrelevant)):
         if stats is not None:
             eval_mod.shift_histogram_to_file(stats, _out_path(cfg, f"{prefix}_shift_{which}.csv"))
@@ -437,15 +438,16 @@ def cmd_report(cfg: dict) -> int:
         fh.write(table + "\n")
     print(table)
 
-    # Pass-counter summaries train runs wrote under the train.counters name
-    # next to the checkpoints, once per directory.
-    seen = set()
-    for name, path in sorted(ckpts.items()):
-        counters_path = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                     cfg["train"]["counters"])
-        if counters_path in seen or not os.path.exists(counters_path):
+    # Pass-counter summaries: by default the one this config's train wrote,
+    # else those train runs wrote under the train.counters name next to the
+    # named checkpoints, once per directory.
+    near = {_written(cfg)["counters"]: "policy"} if not section["checkpoints"] else {}
+    for name, path in sorted(section["checkpoints"].items()):
+        near.setdefault(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                     cfg["train"]["counters"]), name)
+    for counters_path, name in near.items():
+        if not os.path.exists(counters_path):
             continue
-        seen.add(counters_path)
         with open(counters_path, encoding="ascii") as fh:
             summary = json.load(fh)
         for c in summary.get("per_pair_counters", []):

@@ -2,8 +2,8 @@
 
 This module is the numerical heart of the package: KL divergence, the
 decoupled regularized objective, its closed-form optimal policy, reward
-margins, and the Bradley-Terry pair losses (vanilla, decoupled, decoupled
-with language-prior debiasing, and the joint-audiovisual variant).
+margins, and the Bradley-Terry pair losses (vanilla, decoupled, and
+decoupled with language-prior debiasing).
 
 Probability distributions over the response vocabulary are plain 1-D numpy
 arrays of strictly positive entries summing to one; log-probabilities are
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,11 +105,6 @@ class Hyperparams:
     def tau(self) -> float:
         return self.beta + self.beta_inv - self.beta_sens
 
-    @property
-    def tau_av(self) -> float:
-        """Temperature of the joint-audiovisual loss (invariance term dropped)."""
-        return self.beta - self.beta_sens
-
 
 @dataclass(frozen=True)
 class PairLogProbs:
@@ -123,8 +118,7 @@ class PairLogProbs:
     inv_w / inv_l:       policy on the input with the prompt-IRRELEVANT
         modality corrupted (detached).
     sens_w / sens_l:     policy on the input with the prompt-RELEVANT
-        modality corrupted (detached).  For joint-audiovisual pairs these
-        slots hold the both-modalities-corrupted pass.
+        modality corrupted (detached).
     text_w / text_l:     reference on the text-only input (features zeroed),
         realizing the language prior.
 
@@ -308,25 +302,12 @@ def pair_loss(margin):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def pair_terms(pl: PairLogProbs, hp: Hyperparams, joint: bool = False):
+def pair_terms(pl: PairLogProbs, hp: Hyperparams):
     """(loss, sigmoid margin, policy coefficient) of one preference pair.
 
     The coefficient multiplies d_policy inside the sigmoid, i.e. it is the
     factor the gradient flows through.  The decoupled margin uses tau, and
     the debiasing penalty goes inside the sigmoid with it.
-
-    joint selects the loss for prompts that need both modalities at once:
-    the invariance term is dropped (there is no irrelevant modality), so the
-    temperature becomes tau_av = beta - beta_sens; the sens slots carry the
-    both-modalities-corrupted pass and there is no debiasing term:
-
-        -ln sigmoid(tau_av*d_policy - beta*d_ref + beta_sens*d_corrupted)
     """
-    if joint:
-        if hp.tau_av <= 0:
-            raise ConfigurationError(
-                f"joint-audiovisual loss requires beta > beta_sens, got tau_av={hp.tau_av}"
-            )
-        hp = replace(hp, beta_inv=0.0, gamma_lpd=0.0)
     margin = mod_margin(pl, hp) + lpd_margin(pl, hp)
     return pair_loss(margin), margin, hp.tau

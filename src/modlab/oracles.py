@@ -40,7 +40,7 @@ from . import train as training
 from .core import Hyperparams
 from .eval import MetricsReport
 from .policy import backward, forward, init_params
-from .synth import MODALITY_TAGS, PairTable
+from .synth import PairTable
 from .train import PassCounter, TrainConfig, pair_loss_terms, train_step
 
 
@@ -267,13 +267,12 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
     ref = training.reference_logprobs(ref_params, batch, cfg)
     frozen, _, clean = training.evaluate_batch(params, ref, batch, cfg, step, pools)
     rows, y_w, y_l = np.arange(len(batch)), batch.y_w, batch.y_l
-    tag = MODALITY_TAGS[batch.modality_tag[0]]
 
     def surrogate(stack):
         live = forward(params.from_vector(stack), clean.audio, clean.visual,
                        clean.prompt_ids).logprobs
         live = replace(frozen, policy_w=live[:, rows, y_w], policy_l=live[:, rows, y_l])
-        return np.mean(pair_loss_terms(live, cfg, tag)[0], axis=-1)
+        return np.mean(pair_loss_terms(live, cfg)[0], axis=-1)
 
     updated, _, _ = train_step(params, ref, batch, cfg, step, pools)
     analytic = (params.to_vector() - updated.to_vector()) / cfg.lr
@@ -370,7 +369,7 @@ def stop_gradient_suite(n_steps: int = 20, seed: int = 0) -> SuiteResult:
                                  lr=cfg.warmup_lr, batch_size=cfg.batch_size)
     params = ref.copy()
     pools = training.feature_pools(dataset)
-    schedule, _ = training.batch_schedule(dataset, cfg)
+    schedule = training.batch_schedule(dataset, cfg)
     worst = 0.0
     steps = 0
     for step, rows in enumerate(schedule[:n_steps]):

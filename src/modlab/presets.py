@@ -22,7 +22,6 @@ _PRESETS = {
     "dpo": dict(loss_variant="dpo"),
     "mod": dict(loss_variant="mod", hp=Hyperparams(gamma_lpd=0.0)),
     "modpp": dict(loss_variant="modpp"),
-    "mod_with_av": dict(loss_variant="mod_with_av", hp=Hyperparams(gamma_lpd=0.0)),
     # Invariance-dominant strengths tuned for the toy policy, the reverse of
     # the full-scale recommendation.  The single-token policy shares its
     # answer logits across all prompts, so the sensitivity weight's margin

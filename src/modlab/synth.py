@@ -31,10 +31,12 @@ this fixed order (format version 1):
     visual_scene, audio_scene, question_kind, prompt_id, modality_tag,
     matched, y_w, y_l, audio_feat, visual_feat
 
-Evaluation-item files use the same conventions with ``ground_truth`` and
-``task_group`` in place of ``y_w``/``y_l``.  A sidecar JSON file
-(``<path>.stats.json``) stores the generation parameters needed by the
-verifier plus summary statistics.
+A pair has one relevant modality: its question is one of QUESTION_KINDS
+and its tag audio_related or visual_related.  Evaluation-item files use
+the same conventions with ``ground_truth`` and ``task_group`` in place of
+``y_w``/``y_l``, and may also hold audiovisual matching probes.  A sidecar
+JSON file (``<path>.stats.json``) stores the generation parameters needed
+by the verifier plus summary statistics.
 
 In memory a file is one struct-of-arrays table (``PairTable`` or
 ``ItemTable``), built once by ``read_records`` or the generator: audio
@@ -111,7 +113,7 @@ AUDIO_CAPTION_PROMPT = VISUAL_CAPTION_PROMPT + 1
 AV_MATCHING_PROMPT = VISUAL_CAPTION_PROMPT + 2
 N_PROMPTS = AV_MATCHING_PROMPT + 1
 
-# Seed-stream tags so scenes, pairs and eval items draw from disjoint
+# Seed-stream tags so scenes, pairs and eval items draw from separate
 # deterministic streams.
 _SCENE_STREAM = 1
 _PAIR_STREAM = 2
@@ -359,16 +361,16 @@ class _Table:
         return table
 
 
-_CONTEXT = (("audio_feat", _features), ("visual_feat", _features), ("prompt_id", _ints),
-            ("modality_tag", _codes(MODALITY_TAGS)),
-            ("question_kind", _codes(EVAL_QUESTION_KINDS)))
+_CONTEXT = (("audio_feat", _features), ("visual_feat", _features), ("prompt_id", _ints))
 
 
 class PairTable(_Table):
-    """Preference pairs; a row is a PreferencePair."""
+    """Preference pairs, each of one relevant modality; a row is a PreferencePair."""
 
-    RECORD = _CONTEXT + (("y_w", _ints), ("y_l", _ints), ("matched", _flags),
-                         ("visual_scene", _ints), ("audio_scene", _ints))
+    RECORD = _CONTEXT + (("modality_tag", _codes(MODALITY_TAGS[:AUDIOVISUAL])),
+                         ("question_kind", _codes(QUESTION_KINDS)), ("y_w", _ints),
+                         ("y_l", _ints), ("matched", _flags), ("visual_scene", _ints),
+                         ("audio_scene", _ints))
     Row = namedtuple("PreferencePair", [key.removesuffix("_feat") for key, _ in RECORD])
 
     def _faults(self) -> list:
@@ -386,7 +388,9 @@ class PairTable(_Table):
 class ItemTable(_Table):
     """Evaluation items; a row is an EvalItem (ground_truth YES_ID or NO_ID)."""
 
-    RECORD = _CONTEXT + (("ground_truth", _codes(ANSWERS)), ("task_group", _codes(TASK_GROUPS)))
+    RECORD = _CONTEXT + (("modality_tag", _codes(MODALITY_TAGS)),
+                         ("question_kind", _codes(EVAL_QUESTION_KINDS)),
+                         ("ground_truth", _codes(ANSWERS)), ("task_group", _codes(TASK_GROUPS)))
     Row = namedtuple("EvalItem", [key.removesuffix("_feat") for key, _ in RECORD])
 
 
@@ -705,7 +709,7 @@ def pair_record(pair: PreferencePair) -> dict:
     return {
         "visual_scene": int(pair.visual_scene),
         "audio_scene": int(pair.audio_scene),
-        "question_kind": EVAL_QUESTION_KINDS[pair.question_kind],
+        "question_kind": QUESTION_KINDS[pair.question_kind],
         "prompt_id": int(pair.prompt_id),
         "modality_tag": MODALITY_TAGS[pair.modality_tag],
         "matched": bool(pair.matched),
@@ -730,7 +734,7 @@ def dataset_stats(pairs, cfg: SynthConfig) -> dict:
         **_stats_header("preference", cfg, len(pairs)),
         "matched_records": matched,
         "matched_ratio": matched / len(pairs) if len(pairs) else 0.0,
-        "question_kind_counts": _code_counts(pairs.question_kind, EVAL_QUESTION_KINDS),
+        "question_kind_counts": _code_counts(pairs.question_kind, QUESTION_KINDS),
         "modality_tag_counts": _code_counts(pairs.modality_tag, MODALITY_TAGS),
         "presence_answer_balance": {"yes": int(np.sum(pairs.y_w == YES_ID)),
                                     "no": int(np.sum(pairs.y_w == NO_ID))},
@@ -840,18 +844,19 @@ def verify_dataset(path) -> VerifyReport:
     The lines are read through the loader's checks (``_scan``): a line that
     is not a JSON object is a parse error, and a record failing a column
     check is a violation naming its first problem.  The sidecar's _WORLD
-    settings must pass SynthConfig's rules, else one parse error on line 0.
+    settings must pass SynthConfig's rules, else one parse error on line 0,
+    and its n_records must count the file's non-blank lines, else another.
     Each check of the other records then runs on all rows at once, in the
-    order a record's problems are reported: scene references, question
-    kind, modality tag, prompt, chosen response (PRESENCE or the caption
-    slot), rejected response (it must contradict the ground truth), and the
-    features, one isclose(rtol=1e-5, atol=0) per modality.  A failed
-    reference, question kind, presence prompt or eligibility ends a
-    record's checks.  Lines count from 1, blank lines included.
+    order a record's problems are reported: scene references, modality
+    tag, prompt, chosen response (PRESENCE or the caption slot), rejected
+    response (it must contradict the ground truth), and the features, one
+    isclose(rtol=1e-5, atol=0) per modality.  A failed reference, presence
+    prompt or eligibility ends a record's checks.  A file without records
+    or sidecar passes.  Lines count from 1, blank lines included.
     """
     pairs, line_nos, unreadable, bad_rows = _scan(path, PairTable)
     report = VerifyReport(n_records=len(pairs), parse_errors=sorted(unreadable.items()))
-    if not len(pairs):
+    if not len(pairs) and not os.path.exists(stats_path(path)):
         return report
     try:
         with open(stats_path(path), "r", encoding="ascii") as fh:
@@ -862,6 +867,10 @@ def verify_dataset(path) -> VerifyReport:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         report.parse_errors.append((0, f"cannot rebuild the world from sidecar stats: {exc}"))
         return report
+    n_lines = len(line_nos) + len(unreadable)
+    if meta.get("n_records") != n_lines:
+        report.parse_errors.append((0, f"sidecar stats say n_records {meta.get('n_records')!r} "
+                                       f"but the file has {n_lines} non-blank lines"))
 
     found = {row: [problem] for row, problem in bad_rows.items()}  # row -> reasons
     live = np.ones(len(pairs), dtype=bool)  # rows still checked
@@ -878,11 +887,8 @@ def verify_dataset(path) -> VerifyReport:
     for m, ref in refs.items():
         fault(live & ((ref < 0) | (ref >= len(scenes))),
               lambda i: f"{m}_scene {ref[i]} outside [0, {len(scenes)})", final=True)
-    fault(live & (pairs.question_kind >= len(QUESTION_KINDS)),
-          lambda i: f"unknown question_kind {EVAL_QUESTION_KINDS[pairs.question_kind[i]]!r}",
-          final=True)
-    # Rows out of the checks read scene 0 and question 0 in what follows.
-    q = np.where(live, pairs.question_kind, 0)
+    # Rows out of the checks read scene 0 in what follows.
+    q = pairs.question_kind
     scene = {m: np.where(live, refs[m], 0) for m in refs}
     visible, sounding = scenes.visible[scene["visual"]], scenes.sounding[scene["audio"]]
     tag = np.asarray(TAG_OF)[q]

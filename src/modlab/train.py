@@ -2,7 +2,7 @@
 
 Implements the full recipe: supervised warm-up of a frozen reference,
 strictly alternating visual/audio batches, corrupted forward passes that
-enter the loss but never the gradient (stop-gradient contract), the four
+enter the loss but never the gradient (stop-gradient contract), the three
 loss variants, plain gradient-descent updates, and per-pair forward/backward
 pass accounting.
 
@@ -13,9 +13,6 @@ Loss variants:
     mod          decoupled loss with invariance + sensitivity terms
     modpp        mod plus the language-prior debiasing penalty (adds two
                  reference passes on the text-only input)
-    mod_with_av  mod for single-modality pairs; audiovisual-tagged pairs
-                 are trained with the joint loss (both modalities
-                 corrupted, invariance term dropped)
 
 Per-pair pass counts follow sequence-model accounting: scoring y_w and y_l
 counts as two passes even though the desk-scale policy produces the whole
@@ -27,7 +24,6 @@ ones its slots hold) and two backward passes through the clean block:
     dpo          fwd_policy=2  fwd_ref=2  bwd_policy=2  bwd_ref=0
     mod          fwd_policy=6  fwd_ref=2  bwd_policy=2  bwd_ref=0
     modpp        fwd_policy=6  fwd_ref=4  bwd_policy=2  bwd_ref=0
-    joint pairs  fwd_policy=4  fwd_ref=2  bwd_policy=2  bwd_ref=0
 
 The reference is frozen, so train() scores it once per run: one forward
 per reference block over every row (``reference_logprobs``), after which
@@ -44,13 +40,10 @@ Determinism: everything derives from cfg.seed through tagged seed
 sequences, so runs are exactly repeatable.  Step s of a corrupting variant
 draws all its corrupted rows from one generator seeded by (cfg.seed,
 _CORRUPT_STREAM, s), in a fixed order: slot ascending (0 = irrelevant
-modality, 1 = relevant modality, 2 = both modalities of a joint-audiovisual
-pair), then the audio block before the visual block, then rows in batch
-order.  A joint-audiovisual row therefore gets independent audio and
-visual noise.  cfg.corruption supplies kind, t and sigma; its seed is not
-used by training.  dpo builds no corruption generator, and batch order
-comes from its own stream, so variants that skip corruption draw identical
-batch orders.
+modality, 1 = relevant modality), then rows in batch order.  cfg.corruption
+supplies kind, t and sigma; its seed is not used by training.  dpo builds
+no corruption generator, and batch order comes from its own stream, so
+variants that skip corruption draw identical batch orders.
 
 Divergence guard: train() and warmup_reference() stop with DivergenceError
 when a step's loss is non-finite or above 100 times the first step's loss,
@@ -80,7 +73,7 @@ from .synth import (
     _rng,
 )
 
-LOSS_VARIANTS = ("dpo", "mod", "modpp", "mod_with_av")
+LOSS_VARIANTS = ("dpo", "mod", "modpp")
 
 _WARMUP_STREAM = 11
 _ORDER_STREAM = 12
@@ -161,10 +154,10 @@ class TrainConfig:
     @cached_property
     def loss_hp(self) -> Hyperparams:
         """The strengths the variant's loss uses: dpo drops the corruption
-        and debiasing terms, mod and mod_with_av the debiasing term."""
+        and debiasing terms, mod the debiasing term."""
         if self.loss_variant == "dpo":
             return replace(self.hp, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
-        if self.loss_variant in ("mod", "mod_with_av"):
+        if self.loss_variant == "mod":
             return replace(self.hp, gamma_lpd=0.0)
         return self.hp
 
@@ -175,7 +168,6 @@ class TrainResult:
     ref_params: PolicyParams
     losses: np.ndarray
     counters: list
-    n_av_excluded: int = 0
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -226,33 +218,25 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     the corrupted rows are detached and the reference is frozen throughout.
     All corrupted rows of the step come from one generator seeded by
     (cfg.seed, step), drawn slot by slot in ascending order (see the module
-    docstring).  Raises TrainingError for an empty batch or one whose rows
-    mix modality tags.
+    docstring).  Raises TrainingError for an empty batch, one whose rows
+    mix modality tags, or an audiovisual one.
     """
     batch = PairTable.coerce(batch)
     n, tags = len(batch), batch.modality_tag
     if not n or (tags != tags[0]).any():
         names = [MODALITY_TAGS[t] for t in np.unique(tags)]
         raise TrainingError(f"a batch needs rows of one modality tag, got {names}")
-    # The modalities each draw slot corrupts, keyed by the PairLogProbs slot it fills.
-    if cfg.loss_variant == "dpo":
-        corrupted = {}
-    elif tags[0] == AUDIOVISUAL:
-        if cfg.loss_variant != "mod_with_av":
-            raise TrainingError("relevant/irrelevant modalities are undefined for "
-                                "audiovisual pairs outside mod_with_av")
-        corrupted = {"sens": ("audio", "visual")}
-    else:
-        relevant, irrelevant = (("audio", "visual") if tags[0] == AUDIO_RELATED
-                                else ("visual", "audio"))
-        corrupted = {"inv": (irrelevant,), "sens": (relevant,)}
+    if tags[0] == AUDIOVISUAL:
+        raise TrainingError("relevant/irrelevant modalities are undefined for audiovisual pairs")
+    relevant, irrelevant = ("audio", "visual") if tags[0] == AUDIO_RELATED else ("visual", "audio")
+    # The modality each draw slot corrupts, keyed by the PairLogProbs slot it fills.
+    corrupted = {} if cfg.loss_variant == "dpo" else {"inv": irrelevant, "sens": relevant}
     k = 1 + len(corrupted)
     stacked = {"audio": np.tile(batch.audio, (k, 1)), "visual": np.tile(batch.visual, (k, 1))}
     rng = _rng(cfg.seed, _CORRUPT_STREAM, step) if corrupted else None
-    for block, modalities in enumerate(corrupted.values(), start=1):  # block 0 stays clean
-        for m in modalities:  # audio before visual
-            rows = stacked[m][block * n : (block + 1) * n]
-            rows[...] = corrupt(rows, cfg.corruption, pools.get(m) if pools else None, rng)
+    for block, m in enumerate(corrupted.values(), start=1):  # block 0 stays clean
+        rows = stacked[m][block * n : (block + 1) * n]
+        rows[...] = corrupt(rows, cfg.corruption, pools.get(m) if pools else None, rng)
     policy = forward(params, stacked["audio"], stacked["visual"], np.tile(batch.prompt_id, k))
     if not (np.isfinite(policy.logprobs).all() and np.isfinite(ref).all()):
         raise DivergenceError(f"training diverged at step {step}: loss nan "
@@ -266,13 +250,10 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     return pl, PassCounter(fwd_policy=2 * k, fwd_ref=len(ref), bwd_policy=2), policy[:n]
 
 
-def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig, tag: str):
+def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
     """(loss, sigmoid margin, policy coefficient) for one pair, or for a
-    batch of pairs sharing the tag's loss, under the config's loss variant;
-    see core.pair_terms.  Audiovisual pairs take the joint loss under
-    mod_with_av."""
-    joint = cfg.loss_variant == "mod_with_av" and tag == "audiovisual"
-    return core.pair_terms(pl, cfg.loss_hp, joint)
+    batch of pairs, under the config's loss variant; see core.pair_terms."""
+    return core.pair_terms(pl, cfg.loss_hp)
 
 
 def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
@@ -285,7 +266,7 @@ def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
     """
     batch = PairTable.coerce(batch)
     pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools)
-    losses, margins, coef = pair_loss_terms(pl, cfg, MODALITY_TAGS[batch.modality_tag[0]])
+    losses, margins, coef = pair_loss_terms(pl, cfg)
     loss = float(np.mean(losses))
     weights = _sigmoid(-margins) * coef
     rows = np.arange(len(batch))
@@ -356,61 +337,53 @@ def _batches(rows, batch_size: int):
 
 def _epoch_schedule(groups: dict, cfg: TrainConfig, epoch: int):
     """Row-index arrays of one epoch's batches: strict visual/audio
-    alternation, then any joint-audiovisual batches."""
+    alternation, then the longer group's remaining batches."""
     rng = _rng(cfg.seed, _ORDER_STREAM, epoch)
-    shuffled = {}
-    for tag, rows in groups.items():
-        order = np.arange(len(rows))
-        rng.shuffle(order)
-        shuffled[tag] = rows[order]
-    none = np.empty(0, dtype=np.intp)
-    visual = _batches(shuffled.get(VISUAL_RELATED, none), cfg.batch_size)
-    audio = _batches(shuffled.get(AUDIO_RELATED, none), cfg.batch_size)
+    shuffled = {tag: rows[rng.permutation(len(rows))] for tag, rows in groups.items()}
+    visual = _batches(shuffled[VISUAL_RELATED], cfg.batch_size)
+    audio = _batches(shuffled[AUDIO_RELATED], cfg.batch_size)
     schedule = []
     for v, a in zip(visual, audio):
         schedule.extend((v, a))
     longer = visual if len(visual) > len(audio) else audio
     schedule.extend(longer[min(len(visual), len(audio)):])
-    schedule.extend(_batches(shuffled.get(AUDIOVISUAL, none), cfg.batch_size))
     return schedule
 
 
 def batch_schedule(dataset, cfg: TrainConfig):
-    """(row-index array of every step's batch over all epochs, number of
-    audiovisual rows left out).
+    """The row-index array of every step's batch over all epochs.
 
     Rows are grouped by modality tag, the groups in order of first
-    appearance; audiovisual rows take part only under mod_with_av.  Raises
+    appearance.  Raises TrainingError when a row is audiovisual, and
     ConfigurationError when the dataset lacks visual or audio rows, since
     batches alternate between the two.
     """
     tags = PairTable.coerce(dataset).modality_tag
+    if (tags == AUDIOVISUAL).any():
+        raise TrainingError(f"training pairs need one relevant modality; row "
+                            f"{int(np.argmax(tags == AUDIOVISUAL))} is audiovisual")
     codes, first = np.unique(tags, return_index=True)
     groups = {int(c): np.flatnonzero(tags == c) for c in codes[np.argsort(first)]}
-    n_av_excluded = 0
-    if cfg.loss_variant != "mod_with_av" and AUDIOVISUAL in groups:
-        n_av_excluded = len(groups.pop(AUDIOVISUAL))
     missing = [MODALITY_TAGS[t] for t in (VISUAL_RELATED, AUDIO_RELATED) if t not in groups]
     if missing:
         raise ConfigurationError(
             f"alternating batches need both modalities; dataset lacks {missing}")
-    schedule = [rows for epoch in range(cfg.epochs) for rows in _epoch_schedule(groups, cfg, epoch)]
-    return schedule, n_av_excluded
+    return [rows for epoch in range(cfg.epochs) for rows in _epoch_schedule(groups, cfg, epoch)]
 
 
 def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainResult:
     """Full preference-optimization run.
 
     Warm-up (unless reference params are supplied), then cfg.epochs passes
-    of alternating modality batches.  Audiovisual-tagged pairs participate
-    only under the mod_with_av variant and are excluded (with a count in
-    the result) otherwise.  The reference is never modified.  Raises
-    DivergenceError when a step diverges (see the module docstring).
+    of alternating modality batches.  Raises TrainingError, before warm-up,
+    when a pair is audiovisual (see batch_schedule).  The reference is
+    never modified.  Raises DivergenceError when a step diverges (see the
+    module docstring).
     """
     dataset = PairTable.coerce(dataset)
     if not len(dataset):
         raise TrainingError("training needs a non-empty dataset")
-    schedule, n_av_excluded = batch_schedule(dataset, cfg)
+    schedule = batch_schedule(dataset, cfg)
 
     if ref_params is None:
         ref_params = warmup_reference(dataset, cfg.warmup_steps, cfg.seed,
@@ -429,4 +402,4 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
         losses.append(loss)
         counters.append(counter)
     return TrainResult(params=params, ref_params=ref_params, losses=np.array(losses),
-                       counters=counters, n_av_excluded=n_av_excluded)
+                       counters=counters)

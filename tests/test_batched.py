@@ -116,10 +116,7 @@ def reference_draws(rows, slot_modalities, spec, pools, rng):
 
 def reference_step(params, ref_params, batch, cfg, step, pools):
     """The per-pair train step: one B = 1 pass per row and slot."""
-    joint = [cfg.loss_variant == "mod_with_av" and p.modality_tag == AUDIOVISUAL for p in batch]
-    if all(joint):
-        slot_modalities = {2: [("audio", "visual")] * len(batch)}
-    elif cfg.loss_variant != "dpo":
+    if cfg.loss_variant != "dpo":
         roles = [ROLES[p.modality_tag] for p in batch]
         slot_modalities = {0: [(irr,) for _, irr in roles], 1: [(rel,) for rel, _ in roles]}
     else:
@@ -137,10 +134,7 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
         clean = row_logprobs(params, pair)
         ref = row_logprobs(ref_params, pair)
         slots = {}
-        if joint[idx]:
-            both = corrupted(2)
-            slots.update(sens_w=both[w], sens_l=both[l])
-        elif cfg.loss_variant != "dpo":
+        if cfg.loss_variant != "dpo":
             inv, sens = corrupted(0), corrupted(1)
             slots.update(inv_w=inv[w], inv_l=inv[l], sens_w=sens[w], sens_l=sens[l])
         if cfg.loss_variant == "modpp":
@@ -149,7 +143,7 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
             slots.update(text_w=text[w], text_l=text[l])
         pl = PairLogProbs(policy_w=clean[w], policy_l=clean[l], ref_w=ref[w], ref_l=ref[l],
                           **slots)
-        loss, margin, coef = core.pair_terms(pl, cfg.loss_hp, joint[idx])
+        loss, margin, coef = core.pair_terms(pl, cfg.loss_hp)
         losses.append(loss)
         weight = coef / (1.0 + math.exp(margin))  # coef * sigmoid(-margin)
         upstream = np.zeros(params.vocab_size)
@@ -171,10 +165,8 @@ def swap_pools(data, batch, pool):
 
 
 CASES = [(variant, tag, kind, pool)
-         for variant in training.LOSS_VARIANTS for tag in MODALITY_TAGS
-         for kind in CORRUPTION_KINDS for pool in ("inside", "outside")
-         # mod and modpp need a relevant/irrelevant split, which audiovisual lacks
-         if tag != "audiovisual" or variant in ("dpo", "mod_with_av")]
+         for variant in training.LOSS_VARIANTS for tag in MODALITY_TAGS[:AUDIOVISUAL]
+         for kind in CORRUPTION_KINDS for pool in ("inside", "outside")]
 
 
 @pytest.mark.parametrize("variant,tag,kind,pool", CASES)
@@ -193,7 +185,7 @@ def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool
 
 def test_mixed_joint_batch_still_rejected(data, models):
     params, ref = models
-    cfg = TrainConfig(loss_variant="mod_with_av", lr=0.1)
+    cfg = TrainConfig(loss_variant="mod", lr=0.1)
     batch = batch_of(data, "visual_related", 2) + batch_of(data, "audiovisual", 2)
     with pytest.raises(TrainingError, match=r"one modality tag, got \['visual_related', "
                                             r"'audiovisual'\]"):
@@ -234,20 +226,15 @@ def loop_step(params, ref_params, batch, cfg, step, pools):
     the reference on its own rows (clean, then text-only under modpp),
     concatenates fresh corrupted blocks under the clean rows, and updates
     the parameters field by field."""
-    n, tag = len(batch), batch.modality_tag[0]
-    if cfg.loss_variant == "dpo":
-        corrupted = {}
-    elif tag == AUDIOVISUAL:
-        corrupted = {"sens": ("audio", "visual")}
-    else:
-        relevant, irrelevant = ROLES[tag]
-        corrupted = {"inv": (irrelevant,), "sens": (relevant,)}
+    n = len(batch)
+    relevant, irrelevant = ROLES[batch.modality_tag[0]]
+    corrupted = {} if cfg.loss_variant == "dpo" else {"inv": irrelevant, "sens": relevant}
     clean = {"audio": batch.audio, "visual": batch.visual}
     blocks = [clean]
     if corrupted:
         rng, every = synth._rng(cfg.seed, training._CORRUPT_STREAM, step), np.ones(n, dtype=bool)
-        blocks += [corrupt_rows(clean, cfg.corruption, dict.fromkeys(modalities, every), rng, pools)
-                   for modalities in corrupted.values()]
+        blocks += [corrupt_rows(clean, cfg.corruption, {m: every}, rng, pools)
+                   for m in corrupted.values()]
     ref_blocks = [clean]
     if cfg.loss_variant == "modpp":
         ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})
@@ -270,7 +257,7 @@ def loop_step(params, ref_params, batch, cfg, step, pools):
         slots["text_w"], slots["text_l"] = pick(ref, 1)
     (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
     pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
-    losses, margins, coef = training.pair_loss_terms(pl, cfg, MODALITY_TAGS[tag])
+    losses, margins, coef = training.pair_loss_terms(pl, cfg)
     weights = training._sigmoid(-margins) * coef
     upstream = np.zeros_like(policy.probs[:n])
     upstream[rows, batch.y_w], upstream[rows, batch.y_l] = -weights, weights
@@ -283,7 +270,7 @@ def loop_step(params, ref_params, batch, cfg, step, pools):
 
 
 def loop_train(dataset, cfg, ref_params):
-    schedule, _ = training.batch_schedule(dataset, cfg)
+    schedule = training.batch_schedule(dataset, cfg)
     pools = training.feature_pools(dataset)
     params, losses, counters = ref_params.copy(), [], []
     for step, rows in enumerate(schedule):
@@ -293,24 +280,17 @@ def loop_train(dataset, cfg, ref_params):
     return params, np.array(losses), counters
 
 
-@pytest.fixture(scope="module")
-def with_av(data):
-    """The 60 pairs plus 10 audiovisual copies: in batches of 8 every batch
-    holds at least 2 rows (tails of 6, 6 and 2)."""
-    return synth.PairTable.concat([data, synth.PairTable.coerce(batch_of(data, "audiovisual", 10))])
-
-
 @pytest.mark.parametrize("variant", training.LOSS_VARIANTS)
-def test_train_equals_the_per_step_reference_loop(with_av, models, variant):
-    # Every step forwards at least 2 reference rows, so the table's rows
-    # equal the per-step reference forward bitwise.
+def test_train_equals_the_per_step_reference_loop(data, models, variant):
+    # In batches of 8 every step forwards at least 2 reference rows, so the
+    # table's rows equal the per-step reference forward bitwise.
     ref = models[1]
     cfg = TrainConfig(loss_variant=variant, lr=0.1, epochs=2, batch_size=8, seed=3,
                       corruption=CorruptionSpec(kind="gaussian", sigma=0.7))
-    schedule, _ = training.batch_schedule(with_av, cfg)
+    schedule = training.batch_schedule(data, cfg)
     assert min(len(rows) for rows in schedule) >= 2
-    result = training.train(with_av, cfg, ref_params=ref)
-    params, losses, counters = loop_train(with_av, cfg, ref)
+    result = training.train(data, cfg, ref_params=ref)
+    params, losses, counters = loop_train(data, cfg, ref)
     assert result.params.to_vector().tobytes() == params.to_vector().tobytes()
     assert result.losses.tobytes() == losses.tobytes()
     assert result.counters == counters
@@ -324,7 +304,7 @@ def test_one_row_dpo_batch_agrees_within_tolerance(data, models):
     # parameters, and one step's loss 1.6e-16 apart, relative).
     dataset = data[:59]
     cfg = TrainConfig(loss_variant="dpo", lr=0.1, epochs=2, batch_size=7, seed=3)
-    schedule, _ = training.batch_schedule(dataset, cfg)
+    schedule = training.batch_schedule(dataset, cfg)
     assert min(len(rows) for rows in schedule) == 1
     result = training.train(dataset, cfg, ref_params=models[1])
     params, losses, counters = loop_train(dataset, cfg, models[1])

@@ -383,6 +383,30 @@ class TestMatchingItems:
         assert all(len(cells[i].split(".")[1]) == 4 for i in (1, 3, 6))
 
 
+class TestUndefinedMetrics:
+    """A metric whose stratum is empty prints as "-" and is an empty cell."""
+
+    @pytest.mark.parametrize("keep,line,empty", [
+        ("none", "overall: acc=- pa=- hr=- f1=- on 0 items", {1, 2, 3, 4, 5, 6}),
+        ("yes", " hr=- f1=- on 40 items", {3, 4, 6}),  # no "no" items
+    ], ids=["empty-file", "only-yes-items"])
+    def test_eval_prints_an_undefined_metric_as_a_dash(self, tmp_path, capsys, keep, line, empty):
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        assert cli.run("train", config_path) == 0
+        items = tmp_path / "run" / "eval_items.jsonl"
+        items.write_text("".join(rec + "\n" for rec in items.read_text().splitlines()
+                                 if json.loads(rec)["ground_truth"] == keep))
+        capsys.readouterr()
+        assert cli.run("eval", config_path) == 0
+        [overall] = [out for out in capsys.readouterr().out.splitlines()
+                     if out.startswith("overall:")]
+        assert overall.endswith(line)
+        metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        cells = next(row for row in metrics if row.startswith("overall,")).split(",")
+        assert {i for i, cell in enumerate(cells) if not cell} == empty
+
+
 class TestVerifyCommand:
     def test_verify_passes_on_clean_build(self, capsys):
         # trimmed suite sizes keep this test quick; the acceptance module
@@ -562,7 +586,7 @@ class TestArtifactNames:
         for default in ("dataset.jsonl", "eval_items.jsonl", "policy.ckpt", "counters.json"):
             assert not (run / default).exists(), default
         lines = capsys.readouterr().out.splitlines()
-        assert "counters [modpp] near reference: (6,4,2,0) per pair" in lines
+        assert "counters [modpp] near policy: (6,4,2,0) per pair" in lines
 
     def test_nested_checkpoint_name_is_written(self, tmp_path):
         config_path, _ = write_config(tmp_path)

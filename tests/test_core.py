@@ -48,9 +48,6 @@ class TestHyperparams:
         with pytest.raises(ConfigurationError):
             Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.2)
 
-    def test_av_temperature(self):
-        assert HP.tau_av == pytest.approx(0.05)
-
 
 class TestPairLogProbs:
     def test_positive_logprob_rejected(self):
@@ -197,7 +194,6 @@ class TestClosedFormPolicy:
         shifted = PairLogProbs(*(getattr(pl, f) + shift for f in pl.__dataclass_fields__))
         assert core.mod_margin(pl, HP) == core.mod_margin(shifted, HP)
         assert core.pair_terms(pl, HP)[0] == core.pair_terms(shifted, HP)[0]
-        assert core.pair_terms(pl, HP, joint=True)[0] == core.pair_terms(shifted, HP, joint=True)[0]
 
 
 class TestMargins:
@@ -295,36 +291,6 @@ class TestModppPairLoss:
 
 
 
-class TestAvPairLoss:
-    def test_reduces_to_vanilla(self):
-        hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.0)
-        pl = PairLogProbs(policy_w=-0.5, policy_l=-1.5, ref_w=-1.0, ref_l=-1.2,
-                          sens_w=-1.0, sens_l=-1.0)
-        vanilla = core.pair_loss(0.1 * ((-0.5 + 1.5) - (-1.0 + 1.2)))
-        assert core.pair_terms(pl, hp, joint=True)[0] == pytest.approx(vanilla, abs=1e-15)
-
-    def test_zero_deltas(self):
-        pl = PairLogProbs(policy_w=-1.0, policy_l=-1.0, ref_w=-1.0, ref_l=-1.0,
-                          sens_w=-1.0, sens_l=-1.0)
-        assert core.pair_terms(pl, HP, joint=True)[0] == pytest.approx(LN2)
-
-    def test_hand_arithmetic(self):
-        # tau_av = 0.05; margin = 0.05*1 - 0.1*0 + 0.05*0.5 = 0.075
-        # loss = ln(1 + e^-0.075) evaluated independently = 0.65635...
-        pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.0,
-                          sens_w=-1.0, sens_l=-1.5)
-        got = core.pair_terms(pl, HP, joint=True)[0]
-        assert got == pytest.approx(0.6563501408267951, abs=1e-12)
-        assert got == pytest.approx(0.6562, abs=2e-4)
-
-    def test_nonpositive_av_temperature_rejected(self):
-        hp = Hyperparams(beta=0.1, beta_inv=0.05, beta_sens=0.1)
-        pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.0,
-                          sens_w=-1.0, sens_l=-1.5)
-        with pytest.raises(ConfigurationError):
-            core.pair_terms(pl, hp, joint=True)[0]
-
-
 class TestReductionIdentity:
     def test_modpp_equals_vanilla_dpo_when_strengths_vanish(self):
         hp = Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
@@ -374,12 +340,12 @@ class TestProperties:
         assert core.mod_objective_value(point, r, p_ref, q_inv, q_sens, hp) <= value + 1e-12
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(beta=st.floats(0.01, 1.0), values=log_probs, joint=st.booleans())
-    def test_pair_terms_reduce_to_dpo_at_zero_strengths(self, beta, values, joint):
+    @given(beta=st.floats(0.01, 1.0), values=log_probs)
+    def test_pair_terms_reduce_to_dpo_at_zero_strengths(self, beta, values):
         hp = Hyperparams(beta=beta, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
         pl = PairLogProbs(*values)
         vanilla = core.pair_loss(beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l)))
-        assert abs(core.pair_terms(pl, hp, joint)[0] - vanilla) <= 1e-12
+        assert abs(core.pair_terms(pl, hp)[0] - vanilla) <= 1e-12
 
 
 class TestCheckNumbers:

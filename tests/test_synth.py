@@ -441,6 +441,20 @@ class TestVerifyDataset:
         else:  # the loader does not know the scene count
             assert len(synth.load_pairs(path)) == 20
 
+    def test_lost_records_are_a_parse_error(self, tmp_path):
+        # Lines 1-30 of 50 and 5 of them again: every line still checks out.
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=50, n_scenes=20, seed=1), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:30] + lines[:5]) + "\n")
+        report = verify_dataset(path)
+        assert report.n_records == 35 and not report.violations
+        assert report.parse_errors == [
+            (0, "sidecar stats say n_records 50 but the file has 35 non-blank lines")]
+        path.write_text("\n\n")
+        assert verify_dataset(path).parse_errors == [
+            (0, "sidecar stats say n_records 50 but the file has 0 non-blank lines")]
+
     def test_parse_errors_reported_per_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)
@@ -691,7 +705,8 @@ class TestVerifyLabels:
         path, records, _ = _dataset_lines(tmp_path)
         records[2]["question_kind"] = "av_matching"
         _rewrite(path, records)
-        assert verify_dataset(path).violations == [(3, "unknown question_kind 'av_matching'")]
+        assert verify_dataset(path).violations == [
+            (3, f"question_kind must be one of {synth.QUESTION_KINDS}, got 'av_matching'")]
 
     def test_presence_target_not_eligible_in_the_context(self, tmp_path):
         path, records, scenes = _dataset_lines(tmp_path)

@@ -1,15 +1,17 @@
 """Training loop: pass accounting, alternation, reduction, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
-from modlab import core, synth
+from modlab import cli, core, synth
 from modlab import train as training
 from modlab.core import ConfigurationError, Hyperparams, PairLogProbs
 from modlab.corrupt import CorruptionSpec
 from modlab.oracles import frozen_surrogate_rel_error
 from modlab.policy import backward, forward
-from modlab.synth import AUDIO_RELATED, AUDIOVISUAL, MODALITY_TAGS, VISUAL_RELATED, SynthConfig
+from modlab.synth import AUDIO_RELATED, AUDIOVISUAL, VISUAL_RELATED, SynthConfig
 from modlab.train import PassCounter, TrainConfig, TrainingError, train_step
 
 
@@ -103,16 +105,6 @@ class TestPassCounts:
             assert len(result.counters) == 10
             assert all(counter == expected for counter in result.counters)
 
-    def test_av_pair_counts(self):
-        data = small_dataset(n=16)
-        av_batch = [av_pair_from(p) for p in data[:4]]
-        ref = training.warmup_reference(data, steps=0, seed=0)
-        cfg = quick_config(loss_variant="mod_with_av")
-        slots = training.reference_logprobs(ref, av_batch, cfg)
-        _, _, counter = train_step(ref.copy(), slots, av_batch, cfg, step=0,
-                                   pools=training.feature_pools(data))
-        assert counter == PassCounter(4, 2, 2, 0)
-
 
 class TestAlternation:
     def test_strict_alternation_schedule(self):
@@ -120,7 +112,7 @@ class TestAlternation:
         five = synth.PairTable.concat([rows_tagged(data, VISUAL_RELATED)[:5],
                                        rows_tagged(data, AUDIO_RELATED)[:5]])
         cfg = quick_config(batch_size=1, warmup_steps=0)
-        schedule, _ = training.batch_schedule(five, cfg)
+        schedule = training.batch_schedule(five, cfg)
         assert len(schedule) == 10
         tags = [five.modality_tag[rows[0]] for rows in schedule]
         assert tags == [VISUAL_RELATED, AUDIO_RELATED] * 5
@@ -148,11 +140,49 @@ class TestAlternation:
         with pytest.raises(ConfigurationError):
             training.train(visual_only, quick_config(warmup_steps=0))
 
-    def test_av_pairs_excluded_outside_mod_with_av(self):
+
+class TestSingleModalityPairs:
+    """A preference pair has exactly one relevant modality."""
+
+    def test_audiovisual_row_rejected_before_warmup(self, monkeypatch):
         data = small_dataset(n=32)
-        av = [av_pair_from(p) for p in data[:3]]
-        result = training.train(list(data) + av, quick_config(warmup_steps=0))
-        assert result.n_av_excluded == 3
+        table = synth.PairTable.coerce(list(data[:5]) + [av_pair_from(data[5])] + list(data[6:]))
+
+        def warmup(*args, **kwargs):
+            raise AssertionError("warm-up ran")
+
+        monkeypatch.setattr(training, "warmup_reference", warmup)
+        for variant in training.LOSS_VARIANTS:
+            with pytest.raises(TrainingError, match="row 5 is audiovisual"):
+                training.train(table, quick_config(loss_variant=variant))
+
+    def test_audiovisual_batch_rejected(self):
+        data = small_dataset(n=16)
+        batch = [av_pair_from(p) for p in data[:4]]
+        ref = training.warmup_reference(data, steps=0, seed=0)
+        for variant in training.LOSS_VARIANTS:
+            cfg = quick_config(loss_variant=variant)
+            with pytest.raises(TrainingError, match="undefined for audiovisual pairs"):
+                train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg), batch, cfg)
+
+    @pytest.mark.parametrize("key,value", [("modality_tag", "audiovisual"),
+                                           ("question_kind", "av_matching")])
+    def test_audiovisual_line_fails_at_load(self, tmp_path, capsys, key, value):
+        path = tmp_path / "pairs.jsonl"
+        synth.assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=3), path)
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), key: value})
+        path.write_text("\n".join(lines) + "\n")
+        names = (synth.MODALITY_TAGS[:AUDIOVISUAL] if key == "modality_tag"
+                 else synth.QUESTION_KINDS)
+        problem = f"{path}, line 3: {key} must be one of {names}, got {value!r}"
+        with pytest.raises(synth.WorldError) as caught:
+            synth.load_pairs(path)
+        assert str(caught.value) == problem
+        capsys.readouterr()
+        code = cli.run("train", None, [f"out_dir={tmp_path / 'run'}", f"train.dataset={path}"])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"error: {problem}"]
 
 
 class TestReduction:
@@ -318,12 +348,11 @@ class TestPairLossTerms:
     def test_matches_core_losses_for_every_variant_and_tag(self):
         hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.05)
         # The strengths each variant's loss keeps: dpo drops corruption and
-        # debiasing, mod and mod_with_av drop debiasing.
+        # debiasing, mod drops debiasing.
         kept = {
             "dpo": Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0),
             "mod": Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0),
             "modpp": hp,
-            "mod_with_av": Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0),
         }
         configs = [TrainConfig(hp=hp, loss_variant=variant) for variant in training.LOSS_VARIANTS]
         rng = np.random.default_rng(17)
@@ -331,14 +360,9 @@ class TestPairLossTerms:
             pl = PairLogProbs(*(-rng.exponential(1.0, size=10)))
             for cfg in configs:
                 want_hp = kept[cfg.loss_variant]
-                for tag in MODALITY_TAGS:
-                    loss, _, coef = training.pair_loss_terms(pl, cfg, tag)
-                    if cfg.loss_variant == "mod_with_av" and tag == "audiovisual":
-                        assert loss == core.pair_terms(pl, want_hp, joint=True)[0]
-                        assert coef == want_hp.tau_av
-                    else:
-                        assert loss == core.pair_terms(pl, want_hp)[0]
-                        assert coef == want_hp.tau
+                loss, _, coef = training.pair_loss_terms(pl, cfg)
+                assert loss == core.pair_terms(pl, want_hp)[0]
+                assert coef == want_hp.tau
 
 
 class TestConfigValues:
