@@ -113,7 +113,6 @@ def default_config() -> dict:
             "lr": 0.15,
             "epochs": 4,
             # null: the preset's value
-            "loss_variant": None,
             "batch_size": None,
             "warmup_steps": None,
             "warmup_lr": None,
@@ -344,8 +343,8 @@ def build_train_config(section: dict, seed: int) -> training.TrainConfig:
     if section["preset"] not in PRESET_NAMES:
         raise CliError(f"unknown preset {section['preset']!r}; known: {', '.join(PRESET_NAMES)}",
                        EXIT_CONFIG)
-    overrides = {key: section[key] for key in ("loss_variant", "lr", "epochs", "batch_size",
-                                               "warmup_steps", "warmup_lr")
+    overrides = {key: section[key] for key in ("lr", "epochs", "batch_size", "warmup_steps",
+                                               "warmup_lr")
                  if section[key] is not None}
     preset = make_config(section["preset"])
     for key in ("hp", "corruption"):

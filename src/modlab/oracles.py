@@ -363,8 +363,7 @@ def stop_gradient_suite(n_steps: int = 20, seed: int = 0) -> SuiteResult:
     start = time.perf_counter()
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=64, n_scenes=24, seed=seed,
                                                      world_seed=seed + 1))
-    cfg = TrainConfig(loss_variant="modpp", lr=0.1, epochs=max(1, n_steps), batch_size=4,
-                      seed=seed, warmup_steps=30)
+    cfg = TrainConfig(lr=0.1, epochs=max(1, n_steps), batch_size=4, seed=seed, warmup_steps=30)
     ref = training.warmup_reference(dataset, cfg.warmup_steps, cfg.seed,
                                  lr=cfg.warmup_lr, batch_size=cfg.batch_size)
     params = ref.copy()
@@ -420,31 +419,31 @@ def dataset_suite(n_pairs: int = 500, n_seeds: int = 2) -> SuiteResult:
                        time.perf_counter() - start)
 
 
+# Each variant's strengths and the per-pair passes they select.
 _EXPECTED_COUNTERS = {
-    "dpo": PassCounter(2, 2, 2, 0),
-    "mod": PassCounter(6, 2, 2, 0),
-    "modpp": PassCounter(6, 4, 2, 0),
+    Hyperparams(beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0): PassCounter(2, 2, 2, 0),
+    Hyperparams(gamma_lpd=0.0): PassCounter(6, 2, 2, 0),
+    Hyperparams(): PassCounter(6, 4, 2, 0),
 }
 
 
 def pass_count_suite(n_steps: int = 100, seed: int = 0) -> SuiteResult:
-    """Per-pair counters of every step against the per-variant table; the
-    detail reports the fewest steps any variant took."""
+    """Per-pair counters of every step against the passes each variant's
+    strengths select; the detail reports the fewest steps any variant took."""
     start = time.perf_counter()
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=2 * n_steps, n_scenes=60, seed=seed))
     steps = []
-    for variant, expected in _EXPECTED_COUNTERS.items():
-        cfg = TrainConfig(loss_variant=variant, lr=0.05, epochs=1, batch_size=2,
-                          seed=seed, warmup_steps=0)
+    for hp, expected in _EXPECTED_COUNTERS.items():
+        cfg = TrainConfig(hp=hp, lr=0.05, epochs=1, batch_size=2, seed=seed, warmup_steps=0)
         result = training.train(dataset, cfg)
         if len(result.counters) < n_steps:
             return SuiteResult("pass_counts", False,
-                               f"{variant}: only {len(result.counters)} steps",
+                               f"{cfg.loss_variant}: only {len(result.counters)} steps",
                                time.perf_counter() - start)
         for step, counter in enumerate(result.counters):
             if counter != expected:
                 return SuiteResult("pass_counts", False,
-                                   f"{variant} step {step}: {counter} != {expected}",
+                                   f"{cfg.loss_variant} step {step}: {counter} != {expected}",
                                    time.perf_counter() - start)
         steps.append(len(result.counters))
     return SuiteResult("pass_counts", True, f"all three variants exact over {min(steps)} steps",

@@ -3,8 +3,9 @@
 Each preset is a TrainConfig factory at desk scale: the regularization
 strengths are the tuned full-scale defaults of ``Hyperparams`` (beta=0.1,
 beta_sens=0.05, beta_inv=0.02, gamma_lpd=0.05) while step size and epoch
-budget are sized for the toy policy.  Ablations toggle one mechanism at a
-time by zeroing its strength; corruption presets swap the corruption
+budget are sized for the toy policy.  The strengths alone set the loss and
+the passes a step runs (see train), so the ladder and the ablations differ
+only in which strengths they zero; corruption presets swap the corruption
 family or diffusion step count.
 """
 
@@ -18,33 +19,28 @@ from .train import TrainConfig
 _DESK_SCALE = dict(lr=0.15, epochs=4, batch_size=16, warmup_steps=500, warmup_lr=0.5)
 
 _PRESETS = {
-    # Loss-variant ladder.
-    "dpo": dict(loss_variant="dpo"),
-    "mod": dict(loss_variant="mod", hp=Hyperparams(gamma_lpd=0.0)),
-    "modpp": dict(loss_variant="modpp"),
+    # Loss ladder.
+    "dpo": dict(hp=Hyperparams(beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)),
+    "mod": dict(hp=Hyperparams(gamma_lpd=0.0)),
+    "modpp": dict(),
     # Invariance-dominant strengths tuned for the toy policy, the reverse of
     # the full-scale recommendation.  The single-token policy shares its
     # answer logits across all prompts, so the sensitivity weight's margin
     # credit mostly tracks the answer prior and stalls debiasing, while the
     # invariance weight's margin discount keeps pressure on corruption-stable
     # pairs and raises the effective margin temperature.
-    "modpp_desk": dict(loss_variant="modpp",
-                       hp=Hyperparams(beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)),
-    # Component ablations: exactly one mechanism active at a time,
-    # plus the leave-one-out combinations.
-    "sens_only": dict(loss_variant="mod", hp=Hyperparams(beta_inv=0.0, gamma_lpd=0.0)),
-    "inv_only": dict(loss_variant="mod", hp=Hyperparams(beta_sens=0.0, gamma_lpd=0.0)),
-    "lpd_only": dict(loss_variant="modpp", hp=Hyperparams(beta_inv=0.0, beta_sens=0.0)),
-    "modpp_no_lpd": dict(loss_variant="modpp", hp=Hyperparams(gamma_lpd=0.0)),
+    "modpp_desk": dict(hp=Hyperparams(beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)),
+    # Component ablations: exactly one mechanism active at a time.
+    "sens_only": dict(hp=Hyperparams(beta_inv=0.0, gamma_lpd=0.0)),
+    "inv_only": dict(hp=Hyperparams(beta_sens=0.0, gamma_lpd=0.0)),
+    "lpd_only": dict(hp=Hyperparams(beta_inv=0.0, beta_sens=0.0)),
     # Corruption families.
-    "modpp_zeros": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="zeros")),
-    "modpp_gaussian": dict(loss_variant="modpp",
-                           corruption=CorruptionSpec(kind="gaussian", sigma=1.0)),
-    "modpp_swap": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="random_swap")),
-    "modpp_diff_t10": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="diffusion", t=10)),
-    "modpp_diff_t50": dict(loss_variant="modpp", corruption=CorruptionSpec(kind="diffusion", t=50)),
-    "modpp_diff_t500": dict(loss_variant="modpp",
-                            corruption=CorruptionSpec(kind="diffusion", t=500)),
+    "modpp_zeros": dict(corruption=CorruptionSpec(kind="zeros")),
+    "modpp_gaussian": dict(corruption=CorruptionSpec(kind="gaussian", sigma=1.0)),
+    "modpp_swap": dict(corruption=CorruptionSpec(kind="random_swap")),
+    "modpp_diff_t10": dict(corruption=CorruptionSpec(kind="diffusion", t=10)),
+    "modpp_diff_t50": dict(corruption=CorruptionSpec(kind="diffusion", t=50)),
+    "modpp_diff_t500": dict(corruption=CorruptionSpec(kind="diffusion", t=500)),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))

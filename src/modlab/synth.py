@@ -726,16 +726,21 @@ def _code_counts(codes, names) -> dict:
     return dict(sorted((names[i], int(n)) for i, n in enumerate(counts) if n))
 
 
+def _record_counts(pairs: PairTable) -> dict:
+    """The sidecar counts of a pair table that verify_dataset checks."""
+    return {"matched_records": int(pairs.matched.sum()),
+            "question_kind_counts": _code_counts(pairs.question_kind, QUESTION_KINDS),
+            "modality_tag_counts": _code_counts(pairs.modality_tag, MODALITY_TAGS)}
+
+
 def dataset_stats(pairs, cfg: SynthConfig) -> dict:
     """Sidecar stats of a pair table (or list of pairs)."""
     pairs = PairTable.coerce(pairs)
-    matched = int(pairs.matched.sum())
+    counts = _record_counts(pairs)
     return {
         **_stats_header("preference", cfg, len(pairs)),
-        "matched_records": matched,
-        "matched_ratio": matched / len(pairs) if len(pairs) else 0.0,
-        "question_kind_counts": _code_counts(pairs.question_kind, QUESTION_KINDS),
-        "modality_tag_counts": _code_counts(pairs.modality_tag, MODALITY_TAGS),
+        **counts,
+        "matched_ratio": counts["matched_records"] / len(pairs) if len(pairs) else 0.0,
         "presence_answer_balance": {"yes": int(np.sum(pairs.y_w == YES_ID)),
                                     "no": int(np.sum(pairs.y_w == NO_ID))},
     }
@@ -851,8 +856,11 @@ def verify_dataset(path) -> VerifyReport:
     tag, prompt, chosen response (PRESENCE or the caption slot), rejected
     response (it must contradict the ground truth), and the features, one
     isclose(rtol=1e-5, atol=0) per modality.  A failed reference, presence
-    prompt or eligibility ends a record's checks.  A file without records
-    or sidecar passes.  Lines count from 1, blank lines included.
+    prompt or eligibility ends a record's checks.  When every record
+    re-derives, each of the sidecar's _record_counts that differs from the
+    file's is one more parse error on line 0 (a block of lines replaced by
+    copies of others).  A file without records or sidecar passes.  Lines
+    count from 1, blank lines included.
     """
     pairs, line_nos, unreadable, bad_rows = _scan(path, PairTable)
     report = VerifyReport(n_records=len(pairs), parse_errors=sorted(unreadable.items()))
@@ -917,6 +925,11 @@ def verify_dataset(path) -> VerifyReport:
         fault(live & ~close, lambda i: f"{m} features do not match the referenced scene")
     report.violations = [(line_nos[row], reason) for row in sorted(found)
                          for reason in found[row]]
+    if report.ok:  # records that each re-derive may still not be the file's
+        report.parse_errors = [(0, f"sidecar stats say {key} {meta.get(key)!r} but the file "
+                                   f"has {got!r}")
+                               for key, got in _record_counts(pairs).items()
+                               if meta.get(key) != got]
     return report
 
 

@@ -2,28 +2,23 @@
 
 Implements the full recipe: supervised warm-up of a frozen reference,
 strictly alternating visual/audio batches, corrupted forward passes that
-enter the loss but never the gradient (stop-gradient contract), the three
-loss variants, plain gradient-descent updates, and per-pair forward/backward
-pass accounting.
+enter the loss but never the gradient (stop-gradient contract), the loss
+the strengths set, plain gradient-descent updates, and per-pair
+forward/backward pass accounting.
 
-Loss variants:
+The strengths alone set the loss: pair_loss_terms scores with cfg.hp as
+given, so zero strengths drop their terms and all three at zero give the
+vanilla preference loss.  They also set the passes a step runs, named by
+cfg.loss_variant.  Pass counts follow sequence-model accounting: scoring
+y_w and y_l counts as two passes although the desk-scale policy produces
+the whole response distribution in one evaluation.  The counters count
+logical passes per pair, not calls: two per forwarded block of each model
+(the reference's blocks being the ones its slots hold) and two backward
+passes through the clean block (bwd_ref is always 0):
 
-    dpo          vanilla preference loss (corruption strengths zeroed,
-                 no corrupted or text-only passes)
-    mod          decoupled loss with invariance + sensitivity terms
-    modpp        mod plus the language-prior debiasing penalty (adds two
-                 reference passes on the text-only input)
-
-Per-pair pass counts follow sequence-model accounting: scoring y_w and y_l
-counts as two passes even though the desk-scale policy produces the whole
-response distribution in one evaluation.  The counters count logical
-passes per pair, not calls, which keeps them comparable across variants:
-two per forwarded block of each model (the reference's blocks being the
-ones its slots hold) and two backward passes through the clean block:
-
-    dpo          fwd_policy=2  fwd_ref=2  bwd_policy=2  bwd_ref=0
-    mod          fwd_policy=6  fwd_ref=2  bwd_policy=2  bwd_ref=0
-    modpp        fwd_policy=6  fwd_ref=4  bwd_policy=2  bwd_ref=0
+    dpo    beta_inv = beta_sens = gamma_lpd = 0   fwd_policy=2  fwd_ref=2  bwd_policy=2
+    mod    gamma_lpd = 0 only (corrupted passes)  fwd_policy=6  fwd_ref=2  bwd_policy=2
+    modpp  gamma_lpd > 0 (plus text-only passes)  fwd_policy=6  fwd_ref=4  bwd_policy=2
 
 The reference is frozen, so train() scores it once per run: one forward
 per reference block over every row (``reference_logprobs``), after which
@@ -41,9 +36,9 @@ sequences, so runs are exactly repeatable.  Step s of a corrupting variant
 draws all its corrupted rows from one generator seeded by (cfg.seed,
 _CORRUPT_STREAM, s), in a fixed order: slot ascending (0 = irrelevant
 modality, 1 = relevant modality), then rows in batch order.  cfg.corruption
-supplies kind, t and sigma; its seed is not used by training.  dpo builds
-no corruption generator, and batch order comes from its own stream, so
-variants that skip corruption draw identical batch orders.
+supplies kind, t and sigma; its seed must be 0, as training never reads
+it.  dpo builds no corruption generator, and batch order comes from its
+own stream, so variants that skip corruption draw identical batch orders.
 
 Divergence guard: train() and warmup_reference() stop with DivergenceError
 when a step's loss is non-finite or above 100 times the first step's loss,
@@ -53,8 +48,7 @@ or a gradient becomes non-finite; the error names the step and the loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,7 +129,6 @@ class TrainConfig:
     """
 
     hp: Hyperparams = field(default_factory=Hyperparams)
-    loss_variant: str = "modpp"
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
     lr: float = 3e-7
     epochs: int = 1
@@ -145,21 +138,19 @@ class TrainConfig:
     warmup_lr: float = 0.5
 
     def __post_init__(self):
-        if self.loss_variant not in LOSS_VARIANTS:
-            raise ConfigurationError(f"loss_variant must be one of {LOSS_VARIANTS}")
+        if self.corruption.seed != 0:
+            raise ConfigurationError(f"corruption.seed must be 0 (training draws its corruption "
+                                     f"from seed), got {self.corruption.seed}")
         check_numbers(self, ConfigurationError, ("lr", "warmup_lr"), above=True)
         check_numbers(self, ConfigurationError, ("epochs", "batch_size"), integer=True, low=1)
         check_numbers(self, ConfigurationError, ("warmup_steps", "seed"), integer=True)
 
-    @cached_property
-    def loss_hp(self) -> Hyperparams:
-        """The strengths the variant's loss uses: dpo drops the corruption
-        and debiasing terms, mod the debiasing term."""
-        if self.loss_variant == "dpo":
-            return replace(self.hp, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
-        if self.loss_variant == "mod":
-            return replace(self.hp, gamma_lpd=0.0)
-        return self.hp
+    @property
+    def loss_variant(self) -> str:
+        """The pass set the strengths select (see the module docstring)."""
+        if self.hp.gamma_lpd:
+            return "modpp"
+        return "mod" if self.hp.beta_inv or self.hp.beta_sens else "dpo"
 
 
 @dataclass
@@ -252,8 +243,8 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
     """(loss, sigmoid margin, policy coefficient) for one pair, or for a
-    batch of pairs, under the config's loss variant; see core.pair_terms."""
-    return core.pair_terms(pl, cfg.loss_hp)
+    batch of pairs, under the config's strengths; see core.pair_terms."""
+    return core.pair_terms(pl, cfg.hp)
 
 
 def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,

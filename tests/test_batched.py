@@ -32,6 +32,7 @@ from modlab.policy import (
     forward,
     init_params,
 )
+from modlab.presets import make_config
 from modlab.synth import (
     AUDIO_RELATED,
     AUDIOVISUAL,
@@ -43,6 +44,9 @@ from modlab.synth import (
 from modlab.train import TrainConfig, TrainingError, train_step
 
 TOL = 1e-12
+
+# Each loss variant's strengths: those of the preset of that name.
+VARIANT_HP = {variant: make_config(variant).hp for variant in training.LOSS_VARIANTS}
 
 # (prompt-relevant, prompt-irrelevant) modality of each single-modality tag.
 ROLES = {VISUAL_RELATED: ("visual", "audio"), AUDIO_RELATED: ("audio", "visual")}
@@ -143,7 +147,7 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
             slots.update(text_w=text[w], text_l=text[l])
         pl = PairLogProbs(policy_w=clean[w], policy_l=clean[l], ref_w=ref[w], ref_l=ref[l],
                           **slots)
-        loss, margin, coef = core.pair_terms(pl, cfg.loss_hp)
+        loss, margin, coef = core.pair_terms(pl, cfg.hp)
         losses.append(loss)
         weight = coef / (1.0 + math.exp(margin))  # coef * sigmoid(-margin)
         upstream = np.zeros(params.vocab_size)
@@ -172,7 +176,7 @@ CASES = [(variant, tag, kind, pool)
 @pytest.mark.parametrize("variant,tag,kind,pool", CASES)
 def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool):
     params, ref = models
-    cfg = TrainConfig(loss_variant=variant, lr=0.1, batch_size=6, seed=3,
+    cfg = TrainConfig(hp=VARIANT_HP[variant], lr=0.1, batch_size=6, seed=3,
                       corruption=CorruptionSpec(kind=kind, t=300, sigma=0.7))
     batch = batch_of(data, tag)
     pools = swap_pools(data, batch, pool)
@@ -185,7 +189,7 @@ def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool
 
 def test_mixed_joint_batch_still_rejected(data, models):
     params, ref = models
-    cfg = TrainConfig(loss_variant="mod", lr=0.1)
+    cfg = TrainConfig(hp=VARIANT_HP["mod"], lr=0.1)
     batch = batch_of(data, "visual_related", 2) + batch_of(data, "audiovisual", 2)
     with pytest.raises(TrainingError, match=r"one modality tag, got \['visual_related', "
                                             r"'audiovisual'\]"):
@@ -285,7 +289,7 @@ def test_train_equals_the_per_step_reference_loop(data, models, variant):
     # In batches of 8 every step forwards at least 2 reference rows, so the
     # table's rows equal the per-step reference forward bitwise.
     ref = models[1]
-    cfg = TrainConfig(loss_variant=variant, lr=0.1, epochs=2, batch_size=8, seed=3,
+    cfg = TrainConfig(hp=VARIANT_HP[variant], lr=0.1, epochs=2, batch_size=8, seed=3,
                       corruption=CorruptionSpec(kind="gaussian", sigma=0.7))
     schedule = training.batch_schedule(data, cfg)
     assert min(len(rows) for rows in schedule) >= 2
@@ -303,7 +307,7 @@ def test_one_row_dpo_batch_agrees_within_tolerance(data, models):
     # two runs agree to a relative 1e-12 (measured here: bitwise equal
     # parameters, and one step's loss 1.6e-16 apart, relative).
     dataset = data[:59]
-    cfg = TrainConfig(loss_variant="dpo", lr=0.1, epochs=2, batch_size=7, seed=3)
+    cfg = TrainConfig(hp=VARIANT_HP["dpo"], lr=0.1, epochs=2, batch_size=7, seed=3)
     schedule = training.batch_schedule(dataset, cfg)
     assert min(len(rows) for rows in schedule) == 1
     result = training.train(dataset, cfg, ref_params=models[1])
@@ -318,7 +322,7 @@ def test_one_row_dpo_batch_agrees_within_tolerance(data, models):
        variant=st.sampled_from(["dpo", "modpp"]))
 def test_reference_table_rows_equal_the_forward_of_those_rows(data, models, picks, variant):
     ref, rows = models[1], np.array(picks)
-    table = training.reference_logprobs(ref, data, TrainConfig(loss_variant=variant))
+    table = training.reference_logprobs(ref, data, TrainConfig(hp=VARIANT_HP[variant]))
     batch, picked = data[rows], np.arange(len(rows))
     want = []
     for audio, visual in [(batch.audio, batch.visual)] + (

@@ -68,6 +68,23 @@ class TestPipeline:
         assert counters["per_pair_counters"] == [
             {"bwd_policy": 2, "bwd_ref": 0, "fwd_policy": 2, "fwd_ref": 2}]
 
+    def test_strengths_over_the_dpo_preset_set_the_loss(self, tmp_path, capsys):
+        # No setting zeroes a strength behind the config's back: a debiasing
+        # strength over the dpo preset trains modpp's passes and loss.
+        config_path, _ = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert cli.run("synth", config_path) == 0
+        assert cli.run("train", config_path, ["train.preset=dpo"]) == 0
+        dpo = (run / "policy.ckpt").read_bytes()
+        capsys.readouterr()
+        assert cli.run("train", config_path, ["train.preset=dpo", "train.hp.gamma_lpd=0.3"]) == 0
+        assert capsys.readouterr().out.startswith("trained modpp for ")
+        counters = json.loads((run / "counters.json").read_text())
+        assert counters["loss_variant"] == "modpp"
+        assert counters["per_pair_counters"] == [
+            {"bwd_policy": 2, "bwd_ref": 0, "fwd_policy": 6, "fwd_ref": 4}]
+        assert (run / "policy.ckpt").read_bytes() != dpo
+
 
 class TestDeterminism:
     def test_synth_byte_identical(self, tmp_path):
@@ -145,6 +162,7 @@ class TestOverridesAndErrors:
         ("report", "report.shift.tt=3", "report.shift.tt"),
         ("report", "report.out_prefx=x", "report.out_prefx"),
         ("verify", "verify.fsat=true", "verify.fsat"),
+        ("train", "train.loss_variant=dpo", "train.loss_variant"),
     ])
     def test_unknown_section_setting_is_config_error(self, tmp_path, capsys, command, override,
                                                      key):
@@ -536,6 +554,7 @@ class TestSettingValues:
         ("synth", ["synth.world_seed=-3"], ("synth", "world_seed must lie in")),
         ("synth", ["synth.n_scenes=1", "synth.matched_fraction=1.0"],
          ("synth.eval_items", "at least two scenes")),
+        ("train", ["train.corruption.seed=99"], ("train config", "corruption.seed must be 0")),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, built_run, command, overrides,
                                          needles):

@@ -455,6 +455,24 @@ class TestVerifyDataset:
         assert verify_dataset(path).parse_errors == [
             (0, "sidecar stats say n_records 50 but the file has 0 non-blank lines")]
 
+    def test_replaced_records_are_a_parse_error(self, tmp_path):
+        # Lines 46-50 of 50 replaced by copies of lines 1-5: the count holds
+        # and every copy re-derives, but the file's counts are not the
+        # sidecar's.
+        path = tmp_path / "d.jsonl"
+        assemble_dataset(SynthConfig(n_pairs=50, n_scenes=20, seed=1), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:45] + lines[:5]) + "\n")
+        report = verify_dataset(path)
+        assert report.n_records == 50 and not report.violations
+        kinds = ("audio_caption", "audio_presence", "visual_caption", "visual_presence")
+        assert report.parse_errors == [
+            (0, "sidecar stats say matched_records 25 but the file has 27"),
+            (0, f"sidecar stats say question_kind_counts {dict(zip(kinds, (7, 17, 8, 18)))} "
+                f"but the file has {dict(zip(kinds, (7, 16, 8, 19)))}"),
+            (0, "sidecar stats say modality_tag_counts {'audio_related': 24, 'visual_related': "
+                "26} but the file has {'audio_related': 23, 'visual_related': 27}")]
+
     def test_parse_errors_reported_per_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         assemble_dataset(SynthConfig(n_pairs=20, n_scenes=10, seed=7), path)

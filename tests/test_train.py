@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modlab import cli, core, synth
 from modlab import train as training
@@ -11,6 +13,7 @@ from modlab.core import ConfigurationError, Hyperparams, PairLogProbs
 from modlab.corrupt import CorruptionSpec
 from modlab.oracles import frozen_surrogate_rel_error
 from modlab.policy import backward, forward
+from modlab.presets import make_config
 from modlab.synth import AUDIO_RELATED, AUDIOVISUAL, VISUAL_RELATED, SynthConfig
 from modlab.train import PassCounter, TrainConfig, TrainingError, train_step
 
@@ -20,8 +23,12 @@ def small_dataset(n=64, seed=0):
                                             world_seed=seed + 100))
 
 
-def quick_config(**overrides):
-    base = dict(lr=0.1, epochs=1, batch_size=4, seed=0, warmup_steps=20)
+# Each loss variant's strengths: those of the preset of that name.
+VARIANT_HP = {variant: make_config(variant).hp for variant in training.LOSS_VARIANTS}
+
+
+def quick_config(variant="modpp", **overrides):
+    base = dict(hp=VARIANT_HP[variant], lr=0.1, epochs=1, batch_size=4, seed=0, warmup_steps=20)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -40,8 +47,8 @@ class TestConfig:
             TrainConfig(lr=0.0)
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(loss_variant="rlhf")
+        with pytest.raises(TypeError):
+            TrainConfig(loss_variant="dpo")  # the strengths alone set the loss
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size", "warmup_steps"])
     @pytest.mark.parametrize("value", [10.5, "10", True])
@@ -100,7 +107,7 @@ class TestPassCounts:
     def test_per_variant_per_step(self):
         data = small_dataset(n=40)
         for variant, expected in self.EXPECTED.items():
-            cfg = quick_config(loss_variant=variant, warmup_steps=0)
+            cfg = quick_config(variant, warmup_steps=0)
             result = training.train(data, cfg)
             assert len(result.counters) == 10
             assert all(counter == expected for counter in result.counters)
@@ -154,14 +161,14 @@ class TestSingleModalityPairs:
         monkeypatch.setattr(training, "warmup_reference", warmup)
         for variant in training.LOSS_VARIANTS:
             with pytest.raises(TrainingError, match="row 5 is audiovisual"):
-                training.train(table, quick_config(loss_variant=variant))
+                training.train(table, quick_config(variant))
 
     def test_audiovisual_batch_rejected(self):
         data = small_dataset(n=16)
         batch = [av_pair_from(p) for p in data[:4]]
         ref = training.warmup_reference(data, steps=0, seed=0)
         for variant in training.LOSS_VARIANTS:
-            cfg = quick_config(loss_variant=variant)
+            cfg = quick_config(variant)
             with pytest.raises(TrainingError, match="undefined for audiovisual pairs"):
                 train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg), batch, cfg)
 
@@ -186,17 +193,37 @@ class TestSingleModalityPairs:
 
 
 class TestReduction:
-    def test_traces_coincide_with_zeroed_strengths(self):
-        data = small_dataset(n=48, seed=2)
+    def test_zero_strengths_select_dpo_passes(self):
+        # All three strengths at zero give the vanilla preference loss (the
+        # per-pair identity of criterion 2) and dpo's passes: no corrupted
+        # or text-only rows are forwarded.
         hp_zero = Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
-        ref = training.warmup_reference(data, steps=30, seed=2)
-        dpo = training.train(data, quick_config(loss_variant="dpo", hp=hp_zero, seed=2),
-                             ref_params=ref)
-        modpp = training.train(data, quick_config(loss_variant="modpp", hp=hp_zero, seed=2),
-                               ref_params=ref)
-        np.testing.assert_allclose(dpo.losses, modpp.losses, atol=1e-12)
-        np.testing.assert_allclose(dpo.params.to_vector(), modpp.params.to_vector(),
-                                   atol=1e-12)
+        cfg = quick_config(hp=hp_zero, seed=2)
+        assert cfg.loss_variant == "dpo"
+        result = training.train(small_dataset(n=48, seed=2), cfg)
+        assert set(result.counters) == {PassCounter(2, 2, 2, 0)}
+
+
+class TestPassLadder:
+    """The strengths alone set the passes: dpo's when all three are zero,
+    mod's when only gamma_lpd is, modpp's otherwise."""
+
+    DATA = small_dataset(n=16, seed=4)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(strengths=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 0.05))] * 3))
+    def test_one_step_follows_the_ladder(self, strengths):
+        beta_inv, beta_sens, gamma_lpd = strengths
+        cfg = quick_config(hp=Hyperparams(beta=0.1, beta_inv=beta_inv, beta_sens=beta_sens,
+                                          gamma_lpd=gamma_lpd))
+        batch = rows_tagged(self.DATA, AUDIO_RELATED)[:4]
+        ref = training.init_policy_for(self.DATA, seed=0)
+        _, _, counter = train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg),
+                                   batch, cfg, pools=training.feature_pools(self.DATA))
+        corrupting = beta_inv > 0 or beta_sens > 0 or gamma_lpd > 0
+        assert counter == PassCounter(6 if corrupting else 2, 4 if gamma_lpd > 0 else 2, 2, 0)
+        assert cfg.loss_variant == ("modpp" if gamma_lpd > 0 else
+                                    "mod" if corrupting else "dpo")
 
 
 class TestDeterminismAndImmutability:
@@ -204,12 +231,12 @@ class TestDeterminismAndImmutability:
         data = small_dataset(n=32)
         ref = training.warmup_reference(data, steps=20, seed=1)
         before = ref.to_vector().copy()
-        training.train(data, quick_config(loss_variant="modpp"), ref_params=ref)
+        training.train(data, quick_config(), ref_params=ref)
         assert np.array_equal(ref.to_vector(), before)
 
     def test_full_run_determinism(self):
         data = small_dataset(n=48)
-        cfg = quick_config(loss_variant="modpp", epochs=2)
+        cfg = quick_config(epochs=2)
         a = training.train(data, cfg)
         b = training.train(data, cfg)
         assert np.array_equal(a.params.to_vector(), b.params.to_vector())
@@ -217,7 +244,7 @@ class TestDeterminismAndImmutability:
 
     def test_loss_values_finite_and_positive(self):
         data = small_dataset(n=32)
-        result = training.train(data, quick_config(loss_variant="mod"))
+        result = training.train(data, quick_config("mod"))
         assert np.all(np.isfinite(result.losses))
         assert np.all(result.losses > 0)
 
@@ -249,7 +276,7 @@ class TestDivergenceGuard:
         ref.w_out[0] = np.inf  # every log-probability becomes nan
         with np.errstate(invalid="ignore"), pytest.raises(
                 training.DivergenceError, match="training diverged at step 0: loss nan"):
-            training.train(data, quick_config(loss_variant="dpo"), ref_params=ref)
+            training.train(data, quick_config("dpo"), ref_params=ref)
 
     def test_non_finite_gradient_fails(self, monkeypatch):
         data = small_dataset(n=32)
@@ -282,7 +309,7 @@ class TestStopGradient:
         data = small_dataset(n=8, seed=11)
         params = training.init_policy_for(data, seed=11)
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
-        cfg = quick_config(loss_variant="mod")
+        cfg = quick_config("mod")
         pl, _, clean = training.evaluate_batch(params,
                                                training.reference_logprobs(params, batch, cfg),
                                                batch, cfg, 0, training.feature_pools(data))
@@ -298,7 +325,7 @@ class TestStopGradient:
         # through detached slots changes loss values but not the analytic
         # step direction beyond the clean-pass contribution.
         data = small_dataset(n=24, seed=3)
-        cfg = quick_config(loss_variant="modpp", lr=0.05)
+        cfg = quick_config(lr=0.05)
         ref = training.warmup_reference(data, steps=20, seed=3)
         pools = training.feature_pools(data)
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
@@ -311,7 +338,7 @@ class TestStopGradient:
         pools = training.feature_pools(data)
         batch = rows_tagged(data, AUDIO_RELATED)[:4]
         for variant in ("dpo", "mod", "modpp"):
-            cfg = quick_config(loss_variant=variant, lr=0.05)
+            cfg = quick_config(variant, lr=0.05)
             err = frozen_surrogate_rel_error(ref.copy(), ref, batch, cfg,
                                              step=1, pools=pools)
             assert err < 1e-4, variant
@@ -320,8 +347,7 @@ class TestStopGradient:
 class TestCorruptionIntegration:
     def test_swap_corruption_trains(self):
         data = small_dataset(n=32)
-        cfg = quick_config(loss_variant="mod",
-                           corruption=CorruptionSpec(kind="random_swap"))
+        cfg = quick_config("mod", corruption=CorruptionSpec(kind="random_swap"))
         result = training.train(data, cfg)
         assert np.all(np.isfinite(result.losses))
 
@@ -331,8 +357,7 @@ class TestCorruptionIntegration:
         # to beta * (d_policy - d_ref) exactly.
         data = small_dataset(n=16, seed=7)
         ref = training.warmup_reference(data, steps=10, seed=7)
-        cfg = quick_config(loss_variant="mod",
-                           corruption=CorruptionSpec(kind="diffusion", t=0))
+        cfg = quick_config("mod", corruption=CorruptionSpec(kind="diffusion", t=0))
         pools = training.feature_pools(data)
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
         pl, _, _ = training.evaluate_batch(ref, training.reference_logprobs(ref, batch, cfg), batch,
@@ -346,20 +371,20 @@ class TestCorruptionIntegration:
 
 class TestPairLossTerms:
     def test_matches_core_losses_for_every_variant_and_tag(self):
-        hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.05)
-        # The strengths each variant's loss keeps: dpo drops corruption and
-        # debiasing, mod drops debiasing.
+        # Each variant's strengths, which its loss uses as given: dpo zeroes
+        # corruption and debiasing, mod debiasing.
         kept = {
             "dpo": Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0),
             "mod": Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0),
-            "modpp": hp,
+            "modpp": Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.05),
         }
-        configs = [TrainConfig(hp=hp, loss_variant=variant) for variant in training.LOSS_VARIANTS]
+        configs = {variant: TrainConfig(hp=hp) for variant, hp in kept.items()}
         rng = np.random.default_rng(17)
         for _ in range(200):
             pl = PairLogProbs(*(-rng.exponential(1.0, size=10)))
-            for cfg in configs:
-                want_hp = kept[cfg.loss_variant]
+            for variant, cfg in configs.items():
+                assert cfg.loss_variant == variant
+                want_hp = kept[variant]
                 loss, _, coef = training.pair_loss_terms(pl, cfg)
                 assert loss == core.pair_terms(pl, want_hp)[0]
                 assert coef == want_hp.tau
@@ -373,6 +398,7 @@ class TestConfigValues:
         ({"lr": True}, "lr must be a number"),
         ({"lr": float("nan")}, "lr must lie in"),
         ({"warmup_steps": -1}, "warmup_steps must lie in"),
+        ({"corruption": CorruptionSpec(seed=99)}, "corruption.seed must be 0"),
     ])
     def test_bad_value_names_the_field(self, fields, problem):
         with pytest.raises(ConfigurationError, match=problem):
