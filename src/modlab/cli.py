@@ -17,8 +17,9 @@ artifacts.  Exit codes: 0 success, 2 config error (an
 unknown key, a setting not of its default's type or rejected by the class
 built from it; also a malformed dataset line or checkpoint, or a
 checkpoint that does not fit the data: other feature sizes, another
-vocabulary, or too few prompts), 3 missing input, 4 verification failure,
-1 a diverging training run or an unexpected runtime error.
+vocabulary, or too few prompts; or a corruption the data cannot give, such
+as random_swap with no distinct vector), 3 missing input, 4 verification
+failure, 1 a diverging training run or an unexpected runtime error.
 The default config path can be set via the MODLAB_CONFIG environment
 variable.
 """
@@ -39,7 +40,7 @@ from . import eval as eval_mod
 from . import oracles, synth
 from . import train as training
 from .core import ConfigurationError
-from .corrupt import CorruptionSpec
+from .corrupt import CorruptionError, CorruptionSpec
 from .policy import CheckpointError, load_checkpoint, save_checkpoint
 from .presets import PRESET_NAMES, make_config
 
@@ -483,7 +484,8 @@ def run(command: str, config_path=None, overrides=()) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ConfigurationError, synth.WorldError, training.TrainingError, CheckpointError) as exc:
+    except (ConfigurationError, CorruptionError, synth.WorldError, training.TrainingError,
+            CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except training.DivergenceError as exc:

@@ -23,9 +23,11 @@ are quoted as means over fresh worlds:
     relevant-modality corruption and little under irrelevant-modality
     corruption.
 
-Variants are preset names (see modlab.presets).  Budgets are equal across
-variants within an experiment (same lr, epochs, batch size, seeds); only
-the loss differs.
+Variants are preset names (see modlab.presets); the weak-corruption arm is
+``modpp_desk_t10``.  ``run_benchmark`` builds one world and warms up one
+reference per seed and trains every named variant from them at the spec's
+budget (same lr, epochs, batch size, seed), so arms differ only in their
+preset's strengths and corruption.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from . import synth
 from . import train as training
 from .corrupt import CorruptionSpec
 from .eval import MetricsReport
-from .policy import PolicyParams
 from .presets import make_config
 
 
@@ -81,24 +82,21 @@ SHIFT_ANALYSIS = ExperimentSpec(
 
 @dataclass
 class VariantOutcome:
-    name: str
     accuracy: float
     report: MetricsReport
     shift_relevant: float
     shift_irrelevant: float
     losses: np.ndarray = field(repr=False, default=None)
-    params: PolicyParams = field(repr=False, default=None)
 
 
 @dataclass
 class BenchmarkRun:
-    seed: int
     reference: VariantOutcome
     variants: dict
 
 
 def build_world(spec: ExperimentSpec, seed: int):
-    """(warmup pairs, training pairs, eval items, frozen reference)."""
+    """(training pairs, eval items, frozen reference)."""
     ws = 10_000 + seed
     if spec.warmup_noise_split:
         warmup = synth.PairTable.concat([synth.generate_pairs(synth.SynthConfig(
@@ -120,41 +118,29 @@ def build_world(spec: ExperimentSpec, seed: int):
                          matched_bias=spec.train_bias, seed=seed * 4 + 4, world_seed=ws)))
     reference = training.warmup_reference(warmup, spec.warmup_steps, seed,
                                           lr=spec.warmup_lr, batch_size=spec.batch_size)
-    return warmup, train_pairs, items, reference
+    return train_pairs, items, reference
 
 
-def variant_config(spec: ExperimentSpec, name: str, seed: int,
-                   corruption: CorruptionSpec = None) -> training.TrainConfig:
-    """The named preset at the experiment's budget."""
-    overrides = dict(lr=spec.lr, epochs=spec.epochs, batch_size=spec.batch_size, seed=seed,
-                     warmup_steps=spec.warmup_steps, warmup_lr=spec.warmup_lr)
-    if corruption is not None:
-        overrides["corruption"] = corruption
-    return make_config(name, **overrides)
-
-
-def _outcome(name, params, items, shift_spec, losses=None) -> VariantOutcome:
+def _outcome(params, items, shift_spec, losses=None) -> VariantOutcome:
     """Scores of one model, with its mean |shift| under shift_spec."""
     report = eval_mod.evaluate(params, items)
     rel = eval_mod.loglik_shift(params, items, shift_spec, "relevant").mean_abs
     irr = eval_mod.loglik_shift(params, items, shift_spec, "irrelevant").mean_abs
-    return VariantOutcome(name=name, accuracy=report.accuracy, report=report,
-                          shift_relevant=rel, shift_irrelevant=irr,
-                          losses=losses, params=params)
+    return VariantOutcome(accuracy=report.accuracy, report=report, shift_relevant=rel,
+                          shift_irrelevant=irr, losses=losses)
 
 
-def run_benchmark(spec: ExperimentSpec, seed: int, variants=("dpo", "modpp_desk"),
-                  corruption_overrides=None) -> BenchmarkRun:
-    """Train the requested variants from one shared reference and score them."""
-    corruption_overrides = corruption_overrides or {}
+def run_benchmark(spec: ExperimentSpec, seed: int, variants=("dpo", "modpp_desk")) -> BenchmarkRun:
+    """Train each named preset at the spec's budget from one world and one
+    shared reference, and score them."""
     shift_spec = CorruptionSpec(kind="diffusion", t=500, seed=seed)
-    _, train_pairs, items, reference = build_world(spec, seed)
-    run = BenchmarkRun(seed=seed, reference=_outcome("reference", reference, items, shift_spec),
-                       variants={})
+    train_pairs, items, reference = build_world(spec, seed)
+    run = BenchmarkRun(reference=_outcome(reference, items, shift_spec), variants={})
     for name in variants:
-        cfg = variant_config(spec, name, seed, corruption_overrides.get(name))
+        cfg = make_config(name, lr=spec.lr, epochs=spec.epochs, batch_size=spec.batch_size,
+                          seed=seed, warmup_steps=spec.warmup_steps, warmup_lr=spec.warmup_lr)
         result = training.train(train_pairs, cfg, ref_params=reference)
-        run.variants[name] = _outcome(name, result.params, items, shift_spec, result.losses)
+        run.variants[name] = _outcome(result.params, items, shift_spec, result.losses)
     return run
 
 

@@ -6,7 +6,8 @@ beta_sens=0.05, beta_inv=0.02, gamma_lpd=0.05) while step size and epoch
 budget are sized for the toy policy.  The strengths alone set the loss and
 the passes a step runs (see train), so the ladder and the ablations differ
 only in which strengths they zero; corruption presets swap the corruption
-family or diffusion step count.
+family or diffusion step count, and ``modpp_desk_t10`` is modpp_desk at the
+weak diffusion step, so every benchmark arm (modlab.experiments) is a preset.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ _PRESETS = {
     # invariance weight's margin discount keeps pressure on corruption-stable
     # pairs and raises the effective margin temperature.
     "modpp_desk": dict(hp=Hyperparams(beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)),
+    # The corruption-strength ablation at the desk strengths (criterion 8).
+    "modpp_desk_t10": dict(hp=Hyperparams(beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02),
+                           corruption=CorruptionSpec(kind="diffusion", t=10)),
     # Component ablations: exactly one mechanism active at a time.
     "sens_only": dict(hp=Hyperparams(beta_inv=0.0, gamma_lpd=0.0)),
     "inv_only": dict(hp=Hyperparams(beta_sens=0.0, gamma_lpd=0.0)),
@@ -40,6 +44,9 @@ _PRESETS = {
     "modpp_swap": dict(corruption=CorruptionSpec(kind="random_swap")),
     "modpp_diff_t10": dict(corruption=CorruptionSpec(kind="diffusion", t=10)),
     "modpp_diff_t50": dict(corruption=CorruptionSpec(kind="diffusion", t=50)),
+    # The same config as modpp (diffusion at t=500 is CorruptionSpec's
+    # default); kept while the benchmark's corruption_ablation workload
+    # names it.
     "modpp_diff_t500": dict(corruption=CorruptionSpec(kind="diffusion", t=500)),
 }
 

@@ -20,7 +20,6 @@ import pytest
 from modlab import core, experiments, oracles, synth
 from modlab import train as training
 from modlab.core import Hyperparams, PairLogProbs
-from modlab.corrupt import CorruptionSpec
 from modlab.train import PassCounter, TrainConfig
 
 SEEDS = range(5)
@@ -37,18 +36,12 @@ def report(criterion: str, detail: str) -> None:
 @pytest.fixture(scope="module")
 def benchmark_runs():
     """Hallucination benchmark (criteria 6 and 8): dpo vs desk-tuned modpp
-    plus the weak-corruption (t=10) arm, five seeds."""
+    plus the weak-corruption (t=10) arm, five seeds, one world each."""
     start = time.time()
-    runs, t10_accuracies = [], []
-    for seed in SEEDS:
-        runs.append(experiments.run_benchmark(
-            experiments.HALLUCINATION_BENCHMARK, seed,
-            variants=("dpo", "modpp_desk")))
-        weak = experiments.run_benchmark(
-            experiments.HALLUCINATION_BENCHMARK, seed, variants=("modpp_desk",),
-            corruption_overrides={"modpp_desk": CorruptionSpec(kind="diffusion", t=10)})
-        t10_accuracies.append(weak.variants["modpp_desk"].accuracy)
-    return runs, t10_accuracies, time.time() - start
+    runs = [experiments.run_benchmark(experiments.HALLUCINATION_BENCHMARK, seed,
+                                      variants=("dpo", "modpp_desk", "modpp_desk_t10"))
+            for seed in SEEDS]
+    return runs, time.time() - start
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +135,7 @@ def test_criterion_5_dataset_round_trip():
 
 
 def test_criterion_6_directional_benchmark(benchmark_runs):
-    runs, _, elapsed = benchmark_runs
+    runs, elapsed = benchmark_runs
     acc = experiments.seed_averaged(runs, "accuracy")
     gap = acc["modpp_desk"] - acc["dpo"]
     assert gap >= 3.0, f"gap {gap:+.2f}pp"
@@ -175,9 +168,8 @@ def test_criterion_7_shift_ordering(shift_runs):
 
 
 def test_criterion_8_corruption_strength(benchmark_runs):
-    runs, t10_accuracies, _ = benchmark_runs
-    t500 = experiments.seed_averaged(runs, "accuracy")["modpp_desk"]
-    t10 = float(np.mean(t10_accuracies))
+    acc = experiments.seed_averaged(benchmark_runs[0], "accuracy")
+    t500, t10 = acc["modpp_desk"], acc["modpp_desk_t10"]
     assert t500 > t10, f"t=500 {t500:.2f} vs t=10 {t10:.2f}"
     report("criterion 8", f"diffusion t=500 {t500:.2f} beats t=10 {t10:.2f} "
                           f"({t500 - t10:+.2f}pp, 5-seed means)")

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -578,6 +580,24 @@ class TestSettingValues:
         assert code == cli.EXIT_CONFIG, err
         assert len(err) == 1 and "could not balance the presence items" in err[0], err
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    def test_random_swap_without_a_distinct_vector_exits_2(self, tmp_path):
+        # One noiseless scene gives every pair the same feature vectors, so
+        # random_swap has nothing to swap in: one line, exit 2, no checkpoint.
+        out = tmp_path / "o"
+        assert cli.main(["synth", f"out_dir={out}", "synth.n_scenes=1",
+                         "synth.matched_fraction=1.0", "synth.feature_noise=0.0",
+                         "synth.n_pairs=40", "synth.eval_items=null"]) == 0
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "modlab.cli", "train", f"out_dir={out}",
+             "train.preset=modpp_swap", "train.warmup_steps=5", "train.epochs=1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        err = proc.stderr.splitlines()
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert len(err) == 1 and err[0].startswith("error: random_swap"), err
+        assert "Traceback" not in proc.stderr
+        assert not (out / "policy.ckpt").exists()
 
 
 def _renamed_config(tmp_path, checkpoint):

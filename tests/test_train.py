@@ -1,6 +1,7 @@
 """Training loop: pass accounting, alternation, reduction, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from modlab.core import ConfigurationError, Hyperparams, PairLogProbs
 from modlab.corrupt import CorruptionSpec
 from modlab.oracles import frozen_surrogate_rel_error
 from modlab.policy import backward, forward
-from modlab.presets import make_config
+from modlab.presets import PRESET_NAMES, make_config
 from modlab.synth import AUDIO_RELATED, AUDIOVISUAL, VISUAL_RELATED, SynthConfig
 from modlab.train import PassCounter, TrainConfig, TrainingError, train_step
 
@@ -98,19 +99,40 @@ class TestWarmup:
 
 
 class TestPassCounts:
-    EXPECTED = {
+    """Per-pair passes pinned by preset name: a new preset, or a preset whose
+    passes change, is an edit of this table."""
+
+    COUNTERS = {
         "dpo": PassCounter(2, 2, 2, 0),
-        "mod": PassCounter(6, 2, 2, 0),
-        "modpp": PassCounter(6, 4, 2, 0),
+        **dict.fromkeys(("mod", "sens_only", "inv_only"), PassCounter(6, 2, 2, 0)),
+        **dict.fromkeys(("modpp", "modpp_desk", "modpp_desk_t10", "lpd_only", "modpp_zeros",
+                         "modpp_gaussian", "modpp_swap", "modpp_diff_t10", "modpp_diff_t50",
+                         "modpp_diff_t500"), PassCounter(6, 4, 2, 0)),
     }
+    PRESET_DATA = small_dataset(n=32, seed=5)
 
     def test_per_variant_per_step(self):
         data = small_dataset(n=40)
-        for variant, expected in self.EXPECTED.items():
+        for variant in training.LOSS_VARIANTS:
             cfg = quick_config(variant, warmup_steps=0)
             result = training.train(data, cfg)
             assert len(result.counters) == 10
-            assert all(counter == expected for counter in result.counters)
+            assert all(counter == self.COUNTERS[variant] for counter in result.counters)
+
+    def test_the_table_names_every_preset(self):
+        assert sorted(self.COUNTERS) == sorted(PRESET_NAMES)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_trains_an_epoch_with_its_passes(self, name):
+        cfg = make_config(name, epochs=1, batch_size=8, warmup_steps=10)
+        result = training.train(self.PRESET_DATA, cfg)
+        assert set(result.counters) == {self.COUNTERS[name]}, set(result.counters)
+        assert np.isfinite(result.losses).all()
+
+    def test_the_weak_corruption_preset_differs_only_in_corruption(self):
+        t10 = make_config("modpp_desk_t10")
+        assert t10.corruption == CorruptionSpec(kind="diffusion", t=10)
+        assert replace(make_config("modpp_desk"), corruption=t10.corruption) == t10
 
 
 class TestAlternation:
