@@ -54,6 +54,9 @@ COMMANDS = ("synth", "train", "eval", "verify", "report")
 
 CONFIG_ENV_VAR = "MODLAB_CONFIG"
 
+# The per-pair pass counts of a counters file, in the order train and report print them.
+PASSES = ("fwd_policy", "fwd_ref", "bwd_policy", "bwd_ref")
+
 
 class _ConfigLoader(yaml.SafeLoader):
     """SafeLoader that also reads exponent floats without a dot (3e-7,
@@ -218,8 +221,11 @@ def load_config(config_path, overrides) -> dict:
 
 
 def _out_path(cfg: dict, name: str) -> str:
-    """<out_dir>/<name>, its directory created."""
+    """<out_dir>/<name>, its directory created; exit 2 when it names an
+    existing directory."""
     path = os.path.join(cfg["out_dir"], name)
+    if os.path.isdir(path):
+        raise CliError(f"output {path} is an existing directory", EXIT_CONFIG)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     return path
 
@@ -243,8 +249,11 @@ def _write_snapshot(cfg: dict, command: str) -> None:
 
 
 def _require_file(path, what: str) -> str:
+    """path, or exit 3 unless it names a regular file."""
     if not isinstance(path, str) or not os.path.exists(path):
         raise CliError(f"{what} not found: {path}", EXIT_MISSING)
+    if not os.path.isfile(path):
+        raise CliError(f"{what} is not a regular file: {path}", EXIT_MISSING)
     return path
 
 
@@ -315,23 +324,24 @@ def cmd_synth(cfg: dict) -> int:
     section, seed = cfg["synth"], cfg["seed"]
     fields = {k: v for k, v in section.items() if k not in ("out", "eval_items")}
     data_cfg = _build("synth", lambda: synth.SynthConfig(seed=seed, **fields))
-    items = section["eval_items"]
-    if items is not None:
+    item_settings = section["eval_items"]
+    if item_settings is not None:
         world = {k: fields[k] for k in ("n_scenes", "matched_bias", "feature_noise", "world_seed")}
         eval_cfg = _build("synth.eval_items", lambda: synth.EvalConfig(
-            seed=seed + 1, **world, **{k: v for k, v in items.items() if k != "out"}))
+            seed=seed + 1, **world, **{k: v for k, v in item_settings.items() if k != "out"}))
 
-    # Generate both sets before writing either, so a failure writes nothing.
+    # Generate both sets and check both outputs before writing either, so a
+    # failure writes nothing.
     pairs = synth.generate_pairs(data_cfg)
-    records = synth.generate_eval_records(eval_cfg) if items is not None else None
+    items = synth.generate_eval_items(eval_cfg) if item_settings is not None else None
     out = _out_path(cfg, section["out"])
+    items_out = _out_path(cfg, item_settings["out"]) if items is not None else None
     stats = synth.write_pairs(out, pairs, data_cfg)
     print(f"wrote {stats['n_records']} preference records to {out}")
     print(f"  matched ratio {stats['matched_ratio']:.3f}; "
           f"tasks {stats['question_kind_counts']}")
     if items is not None:
-        items_out = _out_path(cfg, items["out"])
-        istats = synth.write_eval_items(items_out, records, eval_cfg)
+        istats = synth.write_eval_items(items_out, items, eval_cfg)
         print(f"wrote {istats['n_records']} eval items to {items_out} "
               f"(answers {istats['answer_balance']})")
     _write_snapshot(cfg, "synth")
@@ -366,14 +376,14 @@ def cmd_train(cfg: dict) -> int:
         ref_path = _require_file(section["reference"], "reference checkpoint")
         ref_params = load_checkpoint(ref_path)
         check_compatible(ref_params, ref_path, dataset, dataset_path)
+    ckpt, ref_ckpt, loss_trace, counters_path = (
+        _out_path(cfg, section[key])
+        for key in ("checkpoint", "reference_checkpoint", "loss_trace", "counters"))
     result = training.train(dataset, train_cfg, ref_params=ref_params)
-
-    ckpt = _out_path(cfg, section["checkpoint"])
-    ref_ckpt = _out_path(cfg, section["reference_checkpoint"])
     save_checkpoint(result.params, ckpt)
     save_checkpoint(result.ref_params, ref_ckpt)
 
-    with open(_out_path(cfg, section["loss_trace"]), "w", newline="", encoding="ascii") as fh:
+    with open(loss_trace, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss"])
         for step, loss in enumerate(result.losses):
@@ -387,14 +397,13 @@ def cmd_train(cfg: dict) -> int:
         "per_pair_counters": sorted(dict(u) for u in unique),
         "final_loss": float(result.losses[-1]) if len(result.losses) else None,
     }
-    with open(_out_path(cfg, section["counters"]), "w", encoding="ascii") as fh:
+    with open(counters_path, "w", encoding="ascii") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     print(f"trained {train_cfg.loss_variant} for {len(result.counters)} steps; "
           f"final loss {summary['final_loss']:.6f}")
     for c in summary["per_pair_counters"]:
-        print(f"  per-pair passes: fwd_policy={c['fwd_policy']} fwd_ref={c['fwd_ref']} "
-              f"bwd_policy={c['bwd_policy']} bwd_ref={c['bwd_ref']}")
+        print("  per-pair passes: " + " ".join(f"{k}={c[k]}" for k in PASSES))
     print(f"checkpoints: {ckpt}, {ref_ckpt}")
     _write_snapshot(cfg, "train")
     return EXIT_OK
@@ -430,14 +439,6 @@ def cmd_report(cfg: dict) -> int:
     spec = _shift_spec(cfg, "report")
     ckpts = section["checkpoints"] or {m: _written(cfg)[m] for m in ("reference", "policy")}
     items, named = _load_eval_inputs(cfg, "report", ckpts)
-    rows = eval_mod.compare(named, items, shift_spec=spec)
-    prefix = section["out_prefix"]
-    eval_mod.comparison_to_csv(rows, _out_path(cfg, f"{prefix}.csv"))
-    table = eval_mod.comparison_table(rows)
-    with open(_out_path(cfg, f"{prefix}.txt"), "w", encoding="ascii") as fh:
-        fh.write(table + "\n")
-    print(table)
-
     # Pass-counter summaries: by default the one this config's train wrote,
     # else those train runs wrote under the train.counters name next to the
     # named checkpoints, once per directory.
@@ -445,16 +446,36 @@ def cmd_report(cfg: dict) -> int:
     for name, path in sorted(section["checkpoints"].items()):
         near.setdefault(os.path.join(os.path.dirname(os.path.abspath(path)),
                                      cfg["train"]["counters"]), name)
-    for counters_path, name in near.items():
-        if not os.path.exists(counters_path):
-            continue
-        with open(counters_path, encoding="ascii") as fh:
-            summary = json.load(fh)
+    summaries = [(name, _read_counters(path)) for path, name in near.items()
+                 if os.path.isfile(path)]
+
+    rows = eval_mod.compare(named, items, shift_spec=spec)
+    prefix = section["out_prefix"]
+    eval_mod.comparison_to_csv(rows, _out_path(cfg, f"{prefix}.csv"))
+    table = eval_mod.comparison_table(rows)
+    with open(_out_path(cfg, f"{prefix}.txt"), "w", encoding="ascii") as fh:
+        fh.write(table + "\n")
+    print(table)
+    for name, summary in summaries:
         for c in summary.get("per_pair_counters", []):
             print(f"counters [{summary.get('loss_variant', '?')}] near {name}: "
-                  f"({c['fwd_policy']},{c['fwd_ref']},{c['bwd_policy']},{c['bwd_ref']}) per pair")
+                  f"({','.join(str(c[k]) for k in PASSES)}) per pair")
     _write_snapshot(cfg, "report")
     return EXIT_OK
+
+
+def _read_counters(path) -> dict:
+    """The summary a train run wrote to a counters file; exit 2 with one line
+    naming the file unless it is a JSON object whose per_pair_counters
+    entries each hold the PASSES counts."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            summary = json.load(fh)
+        if all(set(PASSES) <= c.keys() for c in summary.get("per_pair_counters", [])):
+            return summary
+    except (ValueError, AttributeError, TypeError):  # not ASCII JSON, or not of that shape
+        pass
+    raise CliError(f"counters file {path} is not a train run's pass-count summary", EXIT_CONFIG)
 
 
 def cmd_verify(cfg: dict) -> int:

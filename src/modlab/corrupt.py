@@ -24,7 +24,10 @@ random_swap takes one pool index per row.  ``corrupt_rows`` corrupts the
 masked rows of an audio/visual pair of blocks with one generator, audio
 block first, into fresh arrays, so a caller that passes the same
 generator to successive calls fixes every draw by its own seed and call
-order.
+order.  A random_swap pool is a ``FeaturePool``, the (N, d) stack built
+once; it stays a wrapper rather than the bare array because the benchmark
+harness's traced run truth-tests the pool argument of every ``corrupt``
+call, which a 2-D array refuses.
 """
 
 from __future__ import annotations

@@ -28,15 +28,16 @@ its position among the items sharing its modality, and the relevant and
 irrelevant analyses restart the same stream.
 
 Items are a ``synth.ItemTable``; every entry point also takes a list of
-``EvalItem`` rows (as ``item_from_record`` returns) and stacks it once.
-Scoring, grouping and the shift analysis work on its columns and masks.
-``predict`` (one item) has no caller in the package; it stays only
-because the benchmark harness wraps it by name.
+``EvalItem`` rows and stacks it once.  Scoring, grouping and the shift
+analysis work on its columns and masks.  ``predict`` (one item) and
+``item_from_record`` (one decoded record as a row) have no caller in the
+package; they stay only because the benchmark harness calls them by name.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ from .synth import (
     AUDIOVISUAL,
     EVAL_QUESTION_KINDS,
     MODALITY_TAGS,
+    N_PROMPTS,
     NO_ID,
     TASK_GROUPS,
     VISUAL_RELATED,
@@ -67,16 +69,31 @@ class EvalError(ValueError):
 
 
 def item_from_record(rec: dict) -> EvalItem:
-    """The EvalItem row of one decoded eval-item record.  Only the fields
-    stored as codes are checked; ``load_eval_items`` checks whole files."""
-    codes = []
-    for key, names in (("modality_tag", MODALITY_TAGS), ("question_kind", EVAL_QUESTION_KINDS),
+    """The EvalItem row of one decoded eval-item record.  The code fields,
+    prompt_id (an integer in [0, N_PROMPTS)) and the features (finite 1-D)
+    are checked, each failure an EvalError naming the field;
+    ``load_eval_items`` checks whole files."""
+    codes = {}
+    for key, names in (("question_kind", EVAL_QUESTION_KINDS), ("modality_tag", MODALITY_TAGS),
                        ("ground_truth", ANSWERS), ("task_group", TASK_GROUPS)):
         if rec[key] not in names:
             raise EvalError(f"{key} must be one of {names}, got {rec[key]!r}")
-        codes.append(names.index(rec[key]))
-    return EvalItem(np.array(rec["audio_feat"], dtype=np.float64),
-                    np.array(rec["visual_feat"], dtype=np.float64), int(rec["prompt_id"]), *codes)
+        codes[key] = names.index(rec[key])
+    prompt = rec["prompt_id"]
+    if type(prompt) is not int or not 0 <= prompt < N_PROMPTS:  # a bool is not an int here
+        raise EvalError(f"prompt_id must be an integer in [0, {N_PROMPTS}), got {prompt!r}")
+    features = []
+    for key in ("audio_feat", "visual_feat"):
+        try:
+            x = np.array(rec[key], dtype=np.float64)
+        except (TypeError, ValueError):
+            x = None
+        if x is None or x.ndim != 1 or not all(map(math.isfinite, x.tolist())):
+            raise EvalError(f"{key} must be a 1-D list of finite numbers")
+        features.append(x)
+    return EvalItem(visual_scene=rec["visual_scene"], audio_scene=rec["audio_scene"],
+                    prompt_id=prompt, matched=rec["matched"], audio=features[0],
+                    visual=features[1], **codes)
 
 
 def load_eval_items(path) -> ItemTable:

@@ -112,10 +112,9 @@ def build_world(spec: ExperimentSpec, seed: int):
         n_pairs=spec.n_train, n_scenes=spec.n_scenes,
         matched_fraction=spec.train_matched_fraction, matched_bias=spec.train_bias,
         presence_fraction=0.7, seed=seed * 4 + 3, world_seed=ws))
-    items = synth.ItemTable.from_records(synth.generate_eval_records(
-        synth.EvalConfig(n_items=spec.n_eval, n_scenes=spec.n_scenes,
-                         matched_fraction=spec.eval_matched_fraction,
-                         matched_bias=spec.train_bias, seed=seed * 4 + 4, world_seed=ws)))
+    items = synth.generate_eval_items(synth.EvalConfig(
+        n_items=spec.n_eval, n_scenes=spec.n_scenes, matched_fraction=spec.eval_matched_fraction,
+        matched_bias=spec.train_bias, seed=seed * 4 + 4, world_seed=ws))
     reference = training.warmup_reference(warmup, spec.warmup_steps, seed,
                                           lr=spec.warmup_lr, batch_size=spec.batch_size)
     return train_pairs, items, reference

@@ -25,26 +25,26 @@ Response vocabulary (size 8): id 0 = "yes", id 1 = "no", ids 2..7 are
 caption summaries; caption questions are therefore a V-way choice whose
 correct slot is a deterministic function of the active entity set.
 
-Dataset files are line-delimited JSON, one record per line, with keys in
-this fixed order (format version 1):
-
-    visual_scene, audio_scene, question_kind, prompt_id, modality_tag,
-    matched, y_w, y_l, audio_feat, visual_feat
-
-A pair has one relevant modality: its question is one of QUESTION_KINDS
-and its tag audio_related or visual_related.  Evaluation-item files use
-the same conventions with ``ground_truth`` and ``task_group`` in place of
-``y_w``/``y_l``, and may also hold audiovisual matching probes.  A sidecar
-JSON file (``<path>.stats.json``) stores the generation parameters needed
-by the verifier plus summary statistics.
+Dataset files are line-delimited JSON, one record per line (format
+version 1).  ``PairTable.RECORD`` declares the keys of a preference-pair
+record, in file order, with the parser of each; ``ItemTable.RECORD`` does
+the same for evaluation items, which hold ``ground_truth`` and
+``task_group`` in place of ``y_w``/``y_l`` and may also be audiovisual
+matching probes.  A pair has one relevant modality: its question is one of
+QUESTION_KINDS and its tag audio_related or visual_related.  A sidecar JSON
+file (``<path>.stats.json``) stores the generation parameters needed by the
+verifier plus summary statistics.
 
 In memory a file is one struct-of-arrays table (``PairTable`` or
-``ItemTable``), built once by ``read_records`` or the generator: audio
-(N, d_a) and visual (N, d_v) features, then one (N,) column per other
-field, with tags, question kinds, answers and task groups as int codes
-(indices into MODALITY_TAGS, EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).
-``t[rows]`` is a sub-table, ``t[i]`` one row (a ``PreferencePair`` or
-``EvalItem`` named tuple), and ``coerce`` stacks a list of rows once.
+``ItemTable``), built once by ``read_records`` or the generator, and
+written by its ``records``: one (N,) column per field, the features (N, d)
+columns named ``audio`` and ``visual``, with tags, question kinds, answers
+and task groups as int codes (indices into MODALITY_TAGS,
+EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).  ``t[rows]`` is a sub-table,
+``t[i]`` one row (a ``PreferencePair`` or ``EvalItem`` named tuple), and
+``coerce`` stacks a list of rows once.  ``pair_record`` (one row) and
+``generate_eval_records`` (the generated items as records) stay only
+because the benchmark harness calls them by name.
 
 Random streams: stream ``(seed, tag, i)`` is ``_rng(seed, tag, i)``, that
 is ``default_rng(SeedSequence([seed, tag, i]))``.  Scene s draws from
@@ -121,9 +121,6 @@ _EVAL_STREAM = 3
 _SIGNATURE_STREAM = 4
 # The eval-attempt stream has no end; it is seeded this many indices at a time.
 _EVAL_BLOCK = 1024
-
-RECORD_FIELDS = ("visual_scene", "audio_scene", "question_kind", "prompt_id", "modality_tag",
-                 "matched", "y_w", "y_l", "audio_feat", "visual_feat")
 
 
 class WorldError(ValueError):
@@ -234,7 +231,8 @@ def _flags(values, key: str):
 
 
 def _codes(names: tuple):
-    """Parser of values that must be one of names, stored as their index."""
+    """Parser of values that must be one of names, stored as their index;
+    ``parse.names`` maps a code back to its value."""
     index = {n: i for i, n in enumerate(names)}
 
     def parse(values, key: str):
@@ -243,6 +241,7 @@ def _codes(names: tuple):
         return np.array([0 if i in bad else index[v] for i, v in enumerate(values)],
                         dtype=np.int64), bad
 
+    parse.names = names
     return parse
 
 
@@ -285,8 +284,10 @@ def _outside(column, name: str, size: int):
 class _Table:
     """Struct of arrays: one numpy column per field of ``Row``, rows on axis 0.
 
-    Subclasses list ``RECORD``, the (record key, parser) pair of each field;
-    a column is named after its key without the "_feat" suffix.
+    Subclasses list ``RECORD``, the (record key, parser) pair of each field
+    in file order: the one declaration of the file format, which ``check``
+    reads and ``records`` writes.  A column is named after its key without
+    the "_feat" suffix.
     """
 
     RECORD = ()
@@ -321,10 +322,26 @@ class _Table:
         return cls(**{name: np.concatenate([getattr(t, name) for t in tables])
                       for name in cls.Row._fields})
 
+    def records(self) -> list:
+        """The file record of each row: a dict with the RECORD keys in file
+        order, codes written as their names."""
+        columns = []
+        for (key, parse), name in zip(self.RECORD, self.Row._fields):
+            values = getattr(self, name).tolist()
+            names = getattr(parse, "names", None)
+            columns.append([names[code] for code in values] if names else values)
+        keys = [key for key, _ in self.RECORD]
+        return [dict(zip(keys, row)) for row in zip(*columns)]
+
     def _faults(self) -> list:
         """(mask of bad rows, problem of row i) of each check of the columns."""
-        return [_non_finite(self.audio, "audio_feat"), _non_finite(self.visual, "visual_feat"),
-                _outside(self.prompt_id, "prompt_id", N_PROMPTS)]
+        v_ref, a_ref = self.visual_scene, self.audio_scene
+        return [(v_ref < 0, lambda i: f"visual_scene {v_ref[i]} is negative"),
+                (a_ref < 0, lambda i: f"audio_scene {a_ref[i]} is negative"),
+                _outside(self.prompt_id, "prompt_id", N_PROMPTS),
+                (self.matched != (v_ref == a_ref),
+                 lambda i: "matched flag inconsistent with scene_refs"),
+                _non_finite(self.audio, "audio_feat"), _non_finite(self.visual, "visual_feat")]
 
     @classmethod
     def check(cls, records) -> tuple:
@@ -334,13 +351,15 @@ class _Table:
         A row's problem is the first of: a missing field, a value of the
         wrong type or out of range, an unknown tag, question kind, answer or
         task group, a feature row not as long as most rows or with a
-        non-finite value, or a failed check of the file kind; fields in
-        ``RECORD`` order, then the checks in ``_faults`` order.
+        non-finite value, a negative scene reference, a matched flag that
+        disagrees with the scene references, or a failed check of the file
+        kind; fields in ``RECORD`` (file) order, then the checks in
+        ``_faults`` order.
         """
         problems, columns = {}, {}
-        for key, parse in cls.RECORD:
+        for (key, parse), name in zip(cls.RECORD, cls.Row._fields):
             values = [rec.get(key) for rec in records]
-            columns[key.removesuffix("_feat")], bad = parse(values, key)
+            columns[name], bad = parse(values, key)
             for row, problem in bad.items():
                 problems.setdefault(row, problem if key in records[row]
                                     else f"missing field {key!r}")
@@ -361,16 +380,13 @@ class _Table:
         return table
 
 
-_CONTEXT = (("audio_feat", _features), ("visual_feat", _features), ("prompt_id", _ints))
-
-
 class PairTable(_Table):
     """Preference pairs, each of one relevant modality; a row is a PreferencePair."""
 
-    RECORD = _CONTEXT + (("modality_tag", _codes(MODALITY_TAGS[:AUDIOVISUAL])),
-                         ("question_kind", _codes(QUESTION_KINDS)), ("y_w", _ints),
-                         ("y_l", _ints), ("matched", _flags), ("visual_scene", _ints),
-                         ("audio_scene", _ints))
+    RECORD = (("visual_scene", _ints), ("audio_scene", _ints),
+              ("question_kind", _codes(QUESTION_KINDS)), ("prompt_id", _ints),
+              ("modality_tag", _codes(MODALITY_TAGS[:AUDIOVISUAL])), ("matched", _flags),
+              ("y_w", _ints), ("y_l", _ints), ("audio_feat", _features), ("visual_feat", _features))
     Row = namedtuple("PreferencePair", [key.removesuffix("_feat") for key, _ in RECORD])
 
     def _faults(self) -> list:
@@ -378,19 +394,17 @@ class PairTable(_Table):
             _outside(self.y_w, "y_w", VOCAB_SIZE),
             _outside(self.y_l, "y_l", VOCAB_SIZE),
             (self.y_w == self.y_l, lambda i: "chosen and rejected responses must differ"),
-            (self.visual_scene < 0, lambda i: f"visual_scene {self.visual_scene[i]} is negative"),
-            (self.audio_scene < 0, lambda i: f"audio_scene {self.audio_scene[i]} is negative"),
-            (self.matched != (self.visual_scene == self.audio_scene),
-             lambda i: "matched flag inconsistent with scene_refs"),
         ]
 
 
 class ItemTable(_Table):
     """Evaluation items; a row is an EvalItem (ground_truth YES_ID or NO_ID)."""
 
-    RECORD = _CONTEXT + (("modality_tag", _codes(MODALITY_TAGS)),
-                         ("question_kind", _codes(EVAL_QUESTION_KINDS)),
-                         ("ground_truth", _codes(ANSWERS)), ("task_group", _codes(TASK_GROUPS)))
+    RECORD = (("visual_scene", _ints), ("audio_scene", _ints),
+              ("question_kind", _codes(EVAL_QUESTION_KINDS)), ("prompt_id", _ints),
+              ("modality_tag", _codes(MODALITY_TAGS)), ("matched", _flags),
+              ("ground_truth", _codes(ANSWERS)), ("task_group", _codes(TASK_GROUPS)),
+              ("audio_feat", _features), ("visual_feat", _features))
     Row = namedtuple("EvalItem", [key.removesuffix("_feat") for key, _ in RECORD])
 
 
@@ -706,18 +720,7 @@ def generate_pairs(cfg: SynthConfig) -> PairTable:
 
 def pair_record(pair: PreferencePair) -> dict:
     """The dataset-file record of one pair (a row of a PairTable)."""
-    return {
-        "visual_scene": int(pair.visual_scene),
-        "audio_scene": int(pair.audio_scene),
-        "question_kind": QUESTION_KINDS[pair.question_kind],
-        "prompt_id": int(pair.prompt_id),
-        "modality_tag": MODALITY_TAGS[pair.modality_tag],
-        "matched": bool(pair.matched),
-        "y_w": int(pair.y_w),
-        "y_l": int(pair.y_l),
-        "audio_feat": pair.audio.tolist(),
-        "visual_feat": pair.visual.tolist(),
-    }
+    return PairTable.coerce([pair]).records()[0]
 
 
 def _code_counts(codes, names) -> dict:
@@ -812,7 +815,7 @@ def read_records(path, table):
 
 def write_pairs(path, pairs: PairTable, cfg: SynthConfig) -> dict:
     """Write generated pairs (records plus sidecar stats); returns the stats."""
-    return _write_records(path, map(pair_record, pairs), dataset_stats(pairs, cfg))
+    return _write_records(path, pairs.records(), dataset_stats(pairs, cfg))
 
 
 def assemble_dataset(cfg: SynthConfig, path) -> dict:
@@ -966,55 +969,34 @@ class EvalConfig:
             raise WorldError("matching and dominance fractions exceed the item budget")
 
 
-def eval_record(scenes: Scenes, visual_scene: int, audio_scene: int, question_kind: str,
-                target, ground_truth: str, task_group: str) -> dict:
-    """The eval-item record of a question (about kind target, for presence)."""
-    q = EVAL_QUESTION_KINDS.index(question_kind)
-    return {
-        "visual_scene": visual_scene,
-        "audio_scene": audio_scene,
-        "question_kind": question_kind,
-        "prompt_id": PROMPT_OF[q] + (target or 0),
-        "modality_tag": MODALITY_TAGS[TAG_OF[q]],
-        "matched": visual_scene == audio_scene,
-        "ground_truth": ground_truth,
-        "task_group": task_group,
-        "audio_feat": scenes.audio[audio_scene].tolist(),
-        "visual_feat": scenes.visual[visual_scene].tolist(),
-    }
-
-
-def generate_eval_records(cfg: EvalConfig):
-    """Evaluation records with an exactly balanced yes/no ground truth."""
+def generate_eval_items(cfg: EvalConfig) -> ItemTable:
+    """Evaluation items with an exactly balanced yes/no ground truth."""
     scenes = _scenes_of(cfg)
     n_matching = int(round(cfg.n_items * cfg.matching_fraction))
     n_dominance = int(round(cfg.n_items * cfg.dominance_fraction))
     n_presence = cfg.n_items - n_matching - n_dominance
-    quota = {"yes": cfg.n_items // 2, "no": cfg.n_items - cfg.n_items // 2}
+    quota = [cfg.n_items // 2, cfg.n_items - cfg.n_items // 2]  # per answer id
     # Matching items answer "yes" exactly when matched; dominance items are
-    # always "no".  Reserve their ground truths up front.
-    records = []
+    # always "no".  Reserve their ground truths up front.  Each item is one
+    # (visual scene, audio scene, question code, target kind, answer id,
+    # task group code) row.
+    rows = []
     rngs = itertools.chain.from_iterable(
         _streams((cfg.seed, _EVAL_STREAM), range(start, start + _EVAL_BLOCK))
         for start in itertools.count(0, _EVAL_BLOCK))
 
-    def consume(answer: str) -> bool:
-        if quota[answer] <= 0:
-            return False
-        quota[answer] -= 1
-        return True
-
     for _ in range(n_matching):
         # The quotas still sum to the items left, so the larger one has room.
-        answer = "yes" if quota["yes"] >= quota["no"] else "no"
-        consume(answer)
-        visual_scene, audio_scene = _draw_scene_pair(len(scenes), answer == "yes", next(rngs))
-        records.append(eval_record(scenes, visual_scene, audio_scene, "av_matching",
-                                   None, answer, "matching"))
+        answer = YES_ID if quota[YES_ID] >= quota[NO_ID] else NO_ID
+        quota[answer] -= 1
+        scene_pair = _draw_scene_pair(len(scenes), answer == YES_ID, next(rngs))
+        rows.append((*scene_pair, EVAL_QUESTION_KINDS.index("av_matching"), 0, answer,
+                     TASK_GROUPS.index("matching")))
 
     for i in range(n_dominance):
-        if not consume("no"):
+        if quota[NO_ID] <= 0:
             raise WorldError("dominance items need 'no' budget; lower dominance_fraction")
+        quota[NO_ID] -= 1
         for _ in range(500):
             rng = next(rngs)
             visual_scene, audio_scene = _draw_scene_pair(
@@ -1025,8 +1007,8 @@ def generate_eval_records(cfg: EvalConfig):
                 continue
             target = absent[int(rng.integers(len(absent)))]
             q = i % 2 if kind_of(target) == "object" else 1  # pure sounds are only heard
-            records.append(eval_record(scenes, visual_scene, audio_scene, QUESTION_KINDS[q],
-                                       target, "no", "dominance"))
+            rows.append((visual_scene, audio_scene, q, target, NO_ID,
+                         TASK_GROUPS.index("dominance")))
             break
         else:
             raise WorldError("could not satisfy the dominance-item quota")
@@ -1035,41 +1017,48 @@ def generate_eval_records(cfg: EvalConfig):
                                       _rng(cfg.seed, _EVAL_STREAM, 10 ** 6))
     for i in range(n_presence):
         q = i % 2  # visual_presence, then audio_presence
-        group = "adv_hallucination" if q == 0 else "vda_hallucination"
+        group = TASK_GROUPS.index("adv_hallucination" if q == 0 else "vda_hallucination")
         for _ in range(500):
             rng = next(rngs)
             visual_scene, audio_scene = _draw_scene_pair(len(scenes), bool(matched_flags[i]), rng)
             candidates = list(presence_candidates(q, int(scenes.visible[visual_scene]),
                                                   int(scenes.sounding[audio_scene])))
             rng.shuffle(candidates)
-            placed = next(((target, ANSWERS[answer]) for target, answer in candidates
-                           if quota[ANSWERS[answer]] > 0), None)
+            placed = next((c for c in candidates if quota[c[1]] > 0), None)  # (target, answer)
             if placed:
-                target, answer = placed
-                consume(answer)
-                records.append(eval_record(scenes, visual_scene, audio_scene, QUESTION_KINDS[q],
-                                           target, answer, group))
+                quota[placed[1]] -= 1
+                rows.append((visual_scene, audio_scene, q, *placed, group))
                 break
         else:
             raise WorldError("could not balance the presence items; enlarge the scene pool")
-    return records
+
+    visual_scene, audio_scene, q, target, answer, group = map(np.array, zip(*rows))
+    return ItemTable(visual_scene=visual_scene, audio_scene=audio_scene, question_kind=q,
+                     prompt_id=np.asarray(PROMPT_OF)[q] + target,
+                     modality_tag=np.asarray(TAG_OF)[q], matched=visual_scene == audio_scene,
+                     ground_truth=answer, task_group=group, audio=scenes.audio[audio_scene],
+                     visual=scenes.visual[visual_scene])
 
 
-def eval_stats(records, cfg: EvalConfig) -> dict:
-    """Sidecar stats of eval records."""
-    groups = Counter(rec["task_group"] for rec in records)
-    answers = Counter(rec["ground_truth"] for rec in records)
+def generate_eval_records(cfg: EvalConfig) -> list:
+    """The records of ``generate_eval_items(cfg)``."""
+    return generate_eval_items(cfg).records()
+
+
+def eval_stats(items: ItemTable, cfg: EvalConfig) -> dict:
+    """Sidecar stats of an eval-item table."""
     return {
-        **_stats_header("eval", cfg, len(records)),
-        "task_group_counts": dict(sorted(groups.items())),
-        "answer_balance": {answer: answers[answer] for answer in ANSWERS},
+        **_stats_header("eval", cfg, len(items)),
+        "task_group_counts": _code_counts(items.task_group, TASK_GROUPS),
+        "answer_balance": dict(zip(ANSWERS, np.bincount(items.ground_truth,
+                                                        minlength=len(ANSWERS)).tolist())),
     }
 
 
-def write_eval_items(path, records, cfg: EvalConfig) -> dict:
-    """Write generated eval records (plus sidecar stats); returns the stats."""
-    return _write_records(path, records, eval_stats(records, cfg))
+def write_eval_items(path, items: ItemTable, cfg: EvalConfig) -> dict:
+    """Write generated eval items (records plus sidecar stats); returns the stats."""
+    return _write_records(path, items.records(), eval_stats(items, cfg))
 
 
 def assemble_eval_items(cfg: EvalConfig, path) -> dict:
-    return write_eval_items(path, generate_eval_records(cfg), cfg)
+    return write_eval_items(path, generate_eval_items(cfg), cfg)

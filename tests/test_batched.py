@@ -456,6 +456,13 @@ def test_coerced_rows_give_the_same_table(tables, items):
     assert_same_table(ItemTable.coerce(items), ItemTable.from_records(records))
 
 
+def test_records_round_trip_column_by_column(tables):
+    for table in tables:
+        records, keys = table.records(), tuple(key for key, _ in table.RECORD)
+        assert len(records) == len(table) and all(tuple(rec) == keys for rec in records)
+        assert_same_table(type(table).from_records(records), table)
+
+
 @settings(max_examples=15, deadline=None, database=None)
 @given(n_pairs=st.integers(1, 40), n_scenes=st.integers(2, 20),
        matched=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2 ** 16))

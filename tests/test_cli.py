@@ -458,6 +458,48 @@ def _inputs(run, command):
                        f"report.items={run / 'eval_items.jsonl'}"]}[command]
 
 
+class TestPathKinds:
+    """A directory where a command reads or writes a file ends in one line."""
+
+    @pytest.mark.parametrize("command,setting", [
+        ("eval", "eval.checkpoint"), ("train", "train.dataset"), ("eval", "eval.items")])
+    def test_directory_input_exits_3(self, tmp_path, capsys, built_run, command, setting):
+        overrides = _inputs(built_run, command) + [f"out_dir={tmp_path / 'o'}",
+                                                   f"{setting}={tmp_path}"]
+        assert cli.run(command, None, overrides) == cli.EXIT_MISSING
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"is not a regular file: {tmp_path}"), err
+
+    def test_directory_output_exits_2_naming_it(self, tmp_path, capsys, built_run):
+        taken = tmp_path / "o" / "taken"
+        taken.mkdir(parents=True)
+        overrides = _inputs(built_run, "train") + [f"out_dir={tmp_path / 'o'}",
+                                                   "train.checkpoint=taken"]
+        assert cli.run("train", None, overrides) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: output {taken} is an existing directory"]
+
+
+class TestMalformedCounters:
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        json.dumps({"loss_variant": "modpp",
+                    "per_pair_counters": [{"fwd_policy": 6, "bwd_policy": 2, "bwd_ref": 0}]}),
+    ])
+    def test_report_exits_2_naming_the_file(self, tmp_path, capsys, built_run, text):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "policy.ckpt").write_bytes((built_run / "policy.ckpt").read_bytes())
+        (model / "counters.json").write_text(text)
+        overrides = [f"out_dir={tmp_path / 'o'}", f"report.items={built_run / 'eval_items.jsonl'}",
+                     f"report.checkpoints.policy={model / 'policy.ckpt'}"]
+        assert cli.run("report", None, overrides) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"counters file {model / 'counters.json'} " in err[0], err
+        assert not (tmp_path / "o").exists()
+
+
 class TestConfigSchema:
     @pytest.mark.parametrize("command,override,needle", [
         ("eval", "eval.shift.kind=blur", "eval.shift"),

@@ -18,6 +18,7 @@ def make_items(n=40, seed=0, matched_fraction=0.5):
 
 def item_with(ground_truth, tag="visual_related"):
     return eval_mod.item_from_record({
+        "visual_scene": 0, "audio_scene": 0, "matched": True,
         "audio_feat": [0.0] * 8, "visual_feat": [0.0] * 8, "prompt_id": 0,
         "modality_tag": tag, "question_kind": "visual_presence", "ground_truth": ground_truth,
         "task_group": "adv_hallucination" if tag == "visual_related" else "vda_hallucination",
@@ -205,6 +206,18 @@ class TestItemLoading:
                 "modality_tag": "visual_related", "question_kind": "visual_presence",
                 "ground_truth": "maybe", "task_group": "adv_hallucination",
             })
+
+    @pytest.mark.parametrize("key,value", [
+        ("prompt_id", True), ("prompt_id", 2.7), ("prompt_id", 99), ("prompt_id", -1),
+        ("prompt_id", "3"), ("audio_feat", [float("nan")] + [0.0] * 7),
+        ("visual_feat", [0.0] * 7 + [float("inf")]), ("audio_feat", [[0.0] * 8]),
+        ("visual_feat", 0.5), ("audio_feat", "loud"),
+    ])
+    def test_bad_prompt_or_features_rejected_naming_the_field(self, key, value):
+        rec = synth.generate_eval_records(EvalConfig(n_items=2, n_scenes=4, seed=3))[0]
+        eval_mod.item_from_record(rec)
+        with pytest.raises(eval_mod.EvalError, match=f"^{key} "):
+            eval_mod.item_from_record({**rec, key: value})
 
 
 class TestDegenerateFlag:

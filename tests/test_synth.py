@@ -284,10 +284,19 @@ class TestDatasetAssembly:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_record_field_order_is_the_documented_one(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        assemble_dataset(SynthConfig(n_pairs=5, n_scenes=10, seed=0), path)
-        first = json.loads(path.read_text().splitlines()[0])
-        assert tuple(first.keys()) == synth.RECORD_FIELDS
+        context = ("visual_scene", "audio_scene", "question_kind", "prompt_id", "modality_tag",
+                   "matched")
+        features = ("audio_feat", "visual_feat")
+        for table, assemble, cfg, fields in (
+                (synth.PairTable, assemble_dataset, SynthConfig(n_pairs=5, n_scenes=10, seed=0),
+                 ("y_w", "y_l")),
+                (synth.ItemTable, synth.assemble_eval_items,
+                 EvalConfig(n_items=6, n_scenes=10, seed=0), ("ground_truth", "task_group"))):
+            path = tmp_path / f"{table.__name__}.jsonl"
+            assemble(cfg, path)
+            first = json.loads(path.read_text().splitlines()[0])
+            assert tuple(first) == tuple(key for key, _ in table.RECORD)
+            assert tuple(first) == context + fields + features
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -571,6 +580,22 @@ class TestColumnValidation:
         expected = r"line 4: ground_truth must be one of \('yes', 'no'\), got 'maybe'"
         with pytest.raises(WorldError, match=expected):
             synth.read_records(path, synth.ItemTable)
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda rec: {**rec, "matched": not rec["matched"]},
+         "matched flag inconsistent with scene_refs"),
+        (_with(visual_scene=-1), "visual_scene -1 is negative"),
+        (_with(audio_scene=-3), "audio_scene -3 is negative"),
+    ])
+    def test_eval_item_scene_references(self, tmp_path, edit, problem):
+        path = tmp_path / "items.jsonl"
+        synth.assemble_eval_items(EvalConfig(n_items=10, n_scenes=15, seed=2), path)
+        lines = path.read_text().splitlines()
+        lines[3] = json.dumps(edit(json.loads(lines[3])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WorldError) as err:
+            synth.read_records(path, synth.ItemTable)
+        assert str(err.value) == f"{path}, line 4: {problem}"
 
 
 class TestLevelSettings:
