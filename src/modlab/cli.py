@@ -33,13 +33,14 @@ import os
 import re
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import yaml
 
 from . import eval as eval_mod
 from . import oracles, synth
 from . import train as training
-from .core import ConfigurationError
+from .core import ConfigurationError, check_numbers
 from .corrupt import CorruptionError, CorruptionSpec
 from .policy import CheckpointError, load_checkpoint, save_checkpoint
 from .presets import PRESET_NAMES, make_config
@@ -203,7 +204,7 @@ def apply_override(cfg: dict, dotted: str) -> None:
 
 def load_config(config_path, overrides) -> dict:
     """The config file (if any) with the overrides applied, checked against
-    default_config() and completed from it."""
+    default_config() and completed from it, with a non-negative seed."""
     cfg = {}
     if config_path:
         try:
@@ -217,7 +218,9 @@ def load_config(config_path, overrides) -> dict:
             raise CliError(f"config {config_path} must be a mapping of sections", EXIT_CONFIG)
     for dotted in overrides or ():
         apply_override(cfg, dotted)
-    return _resolve(cfg, default_config())
+    cfg = _resolve(cfg, default_config())
+    check_numbers(SimpleNamespace(seed=cfg["seed"]), ConfigurationError, ("seed",), integer=True)
+    return cfg
 
 
 def _out_path(cfg: dict, name: str) -> str:
@@ -457,8 +460,8 @@ def cmd_report(cfg: dict) -> int:
         fh.write(table + "\n")
     print(table)
     for name, summary in summaries:
-        for c in summary.get("per_pair_counters", []):
-            print(f"counters [{summary.get('loss_variant', '?')}] near {name}: "
+        for c in summary["per_pair_counters"]:
+            print(f"counters [{summary['loss_variant']}] near {name}: "
                   f"({','.join(str(c[k]) for k in PASSES)}) per pair")
     _write_snapshot(cfg, "report")
     return EXIT_OK
@@ -466,14 +469,16 @@ def cmd_report(cfg: dict) -> int:
 
 def _read_counters(path) -> dict:
     """The summary a train run wrote to a counters file; exit 2 with one line
-    naming the file unless it is a JSON object whose per_pair_counters
-    entries each hold the PASSES counts."""
+    naming the file unless it has cmd_train's shape: a string loss_variant
+    and a per_pair_counters list of objects holding the integer PASSES."""
     try:
         with open(path, encoding="ascii") as fh:
             summary = json.load(fh)
-        if all(set(PASSES) <= c.keys() for c in summary.get("per_pair_counters", [])):
+        counters = summary["per_pair_counters"]
+        if (isinstance(summary["loss_variant"], str) and isinstance(counters, list)
+                and all(type(c[k]) is int for c in counters for k in PASSES)):
             return summary
-    except (ValueError, AttributeError, TypeError):  # not ASCII JSON, or not of that shape
+    except (ValueError, LookupError, TypeError):  # not ASCII JSON, or not of that shape
         pass
     raise CliError(f"counters file {path} is not a train run's pass-count summary", EXIT_CONFIG)
 

@@ -2,8 +2,7 @@
 
 This module is the numerical heart of the package: KL divergence, the
 decoupled regularized objective, its closed-form optimal policy, reward
-margins, and the Bradley-Terry pair losses (vanilla, decoupled, and
-decoupled with language-prior debiasing).
+margins as one table of terms, and the Bradley-Terry pair loss.
 
 Probability distributions over the response vocabulary are plain 1-D numpy
 arrays of strictly positive entries summing to one; log-probabilities are
@@ -17,13 +16,14 @@ Sign conventions for a preference pair (y_w chosen, y_l rejected), writing
              - beta * d_ref
              - beta_inv * d_corrupt_irrelevant
              + beta_sens * d_corrupt_relevant
+             - gamma_lpd * d_ref_text_only
 
 with temperature ``tau = beta + beta_inv - beta_sens``, the value the
 stationarity condition of the decoupled objective fixes, so the closed-form
-policy is the objective's maximizer.  The pair loss is
-``-log sigmoid(margin)``.  The language-prior debiasing penalty contributes
-``-gamma_lpd * d_ref_text_only`` to the margin, inside the sigmoid, where
-it carries gradient.
+policy is the objective's maximizer.  ``MARGIN_TERMS`` holds the four
+weighted terms, in this order.  The pair loss is ``-log sigmoid(margin)``.
+Only d_policy carries gradient (the other slots are detached or frozen), so
+the debiasing term only scales each pair's sigmoid weight.
 """
 
 from __future__ import annotations
@@ -245,47 +245,38 @@ def closed_form_policy(r, p_ref, q_inv, q_sens, hp: Hyperparams) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _delta(w, l, coeff: float, name: str):
-    """Difference log X(y_w) - log X(y_l), or None when both slots are absent."""
-    if w is None and l is None:
-        if coeff != 0.0:
-            raise DomainError(f"{name} log-probs are required when their strength is nonzero")
-        return None
-    if w is None or l is None:
-        raise DomainError(f"{name} log-probs must be given for both y_w and y_l")
-    return w - l
+# The margin's weighted terms in summation order, after the policy term
+# tau * d_policy: (name, chosen slot, rejected slot, strength, sign).  A
+# term adds sign * strength * (chosen - rejected).
+MARGIN_TERMS = (
+    ("ref", "ref_w", "ref_l", "beta", -1),
+    ("inv", "inv_w", "inv_l", "beta_inv", -1),
+    ("sens", "sens_w", "sens_l", "beta_sens", +1),
+    ("text", "text_w", "text_l", "gamma_lpd", -1),
+)
 
 
-def mod_margin(pl: PairLogProbs, hp: Hyperparams):
-    """Reward difference r(y_w) - r(y_l) for the decoupled objective.
-
-    The normalizer of the closed-form policy is shared by y_w and y_l and
-    cancels here, which is why it is never computed or stored.  Setting
-    beta_inv = beta_sens = 0 reduces this to the vanilla preference margin
-    beta * (d_policy - d_ref).
-    """
-    d_policy = pl.policy_w - pl.policy_l
-    d_ref = pl.ref_w - pl.ref_l
-    margin = hp.tau * d_policy - hp.beta * d_ref
-    d_inv = _delta(pl.inv_w, pl.inv_l, hp.beta_inv, "irrelevant-corrupted")
-    if d_inv is not None:
-        margin -= hp.beta_inv * d_inv
-    d_sens = _delta(pl.sens_w, pl.sens_l, hp.beta_sens, "relevant-corrupted")
-    if d_sens is not None:
-        margin += hp.beta_sens * d_sens
-    return margin
+def margin_terms(pl: PairLogProbs, hp: Hyperparams) -> dict:
+    """The margin's terms by name: "policy" (tau * d_policy), then each
+    MARGIN_TERMS row with a nonzero strength (a zero one's slots may be
+    None).  DomainError when a weighted row's slots are None, or when a slot
+    is given without its partner."""
+    terms = {"policy": hp.tau * (pl.policy_w - pl.policy_l)}
+    for name, chosen, rejected, strength, sign in MARGIN_TERMS:
+        w, l = getattr(pl, chosen), getattr(pl, rejected)
+        if (w is None) != (l is None):
+            raise DomainError(f"{name} log-probs must be given for both {chosen} and {rejected}")
+        if weight := getattr(hp, strength):
+            if w is None:
+                raise DomainError(f"{name} log-probs are required when {strength} is nonzero")
+            terms[name] = sign * weight * (w - l)
+    return terms
 
 
-def lpd_margin(pl: PairLogProbs, hp: Hyperparams):
-    """Language-prior debiasing contribution to the pair margin.
-
-    -gamma_lpd * (log pi_text(y_w|x) - log pi_text(y_l|x)), with the text-only
-    policy realized by the reference model on a feature-free input.
-    """
-    d_text = _delta(pl.text_w, pl.text_l, hp.gamma_lpd, "text-only")
-    if d_text is None:
-        return 0.0
-    return -hp.gamma_lpd * d_text
+def margin(pl: PairLogProbs, hp: Hyperparams):
+    """The sum of the margin's terms in table order.  The closed-form
+    normalizer cancels in every difference, so it is never computed."""
+    return sum(margin_terms(pl, hp).values())
 
 
 def pair_loss(margin):
@@ -303,11 +294,7 @@ def pair_loss(margin):
 
 
 def pair_terms(pl: PairLogProbs, hp: Hyperparams):
-    """(loss, sigmoid margin, policy coefficient) of one preference pair.
-
-    The coefficient multiplies d_policy inside the sigmoid, i.e. it is the
-    factor the gradient flows through.  The decoupled margin uses tau, and
-    the debiasing penalty goes inside the sigmoid with it.
-    """
-    margin = mod_margin(pl, hp) + lpd_margin(pl, hp)
-    return pair_loss(margin), margin, hp.tau
+    """(loss, margin) of one preference pair, or of a batch of pairs.  The
+    gradient flows through d_policy alone, scaled by tau."""
+    m = margin(pl, hp)
+    return pair_loss(m), m

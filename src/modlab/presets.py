@@ -4,10 +4,11 @@ Each preset is a TrainConfig factory at desk scale: the regularization
 strengths are the tuned full-scale defaults of ``Hyperparams`` (beta=0.1,
 beta_sens=0.05, beta_inv=0.02, gamma_lpd=0.05) while step size and epoch
 budget are sized for the toy policy.  The strengths alone set the loss and
-the passes a step runs (see train), so the ladder and the ablations differ
-only in which strengths they zero; corruption presets swap the corruption
-family or diffusion step count, and ``modpp_desk_t10`` is modpp_desk at the
-weak diffusion step, so every benchmark arm (modlab.experiments) is a preset.
+the passes (see train): the ladder and the ablations differ only in which
+strengths they zero, and skip those strengths' passes; corruption presets
+swap the corruption family or diffusion step count, and ``modpp_desk_t10``
+is modpp_desk at the weak diffusion step, so every benchmark arm
+(modlab.experiments) is a preset.
 """
 
 from __future__ import annotations

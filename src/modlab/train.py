@@ -6,19 +6,21 @@ enter the loss but never the gradient (stop-gradient contract), the loss
 the strengths set, plain gradient-descent updates, and per-pair
 forward/backward pass accounting.
 
-The strengths alone set the loss: pair_loss_terms scores with cfg.hp as
-given, so zero strengths drop their terms and all three at zero give the
-vanilla preference loss.  They also set the passes a step runs, named by
-cfg.loss_variant.  Pass counts follow sequence-model accounting: scoring
+The strengths alone set the loss and the passes, term by term: a zero
+strength drops its margin term (core.MARGIN_TERMS), all three at zero give
+the vanilla preference loss, and a step forwards only the blocks of the
+nonzero strengths.  Pass counts follow sequence-model accounting: scoring
 y_w and y_l counts as two passes although the desk-scale policy produces
-the whole response distribution in one evaluation.  The counters count
-logical passes per pair, not calls: two per forwarded block of each model
-(the reference's blocks being the ones its slots hold) and two backward
-passes through the clean block (bwd_ref is always 0):
+the whole response distribution in one evaluation.  Per pair: two passes
+per forwarded block of each model (the reference's being those its slots
+hold) and two backward passes through the clean block:
 
-    dpo    beta_inv = beta_sens = gamma_lpd = 0   fwd_policy=2  fwd_ref=2  bwd_policy=2
-    mod    gamma_lpd = 0 only (corrupted passes)  fwd_policy=6  fwd_ref=2  bwd_policy=2
-    modpp  gamma_lpd > 0 (plus text-only passes)  fwd_policy=6  fwd_ref=4  bwd_policy=2
+    fwd_policy = 2 + 2*[beta_inv > 0] + 2*[beta_sens > 0]   clean, inv, sens
+    fwd_ref    = 2 + 2*[gamma_lpd > 0]                      clean, text-only
+    bwd_policy = 2,  bwd_ref = 0
+
+cfg.loss_variant only labels the strengths for counters.json and the
+printed lines: dpo (all three zero), mod (only gamma_lpd zero) or modpp.
 
 The reference is frozen, so train() scores it once per run: one forward
 per reference block over every row (``reference_logprobs``), after which
@@ -32,13 +34,14 @@ array per step, whose rows share one modality tag.  ``pair_loss_terms``
 is a one-line wrapper the benchmark harness times as the loss.
 
 Determinism: everything derives from cfg.seed through tagged seed
-sequences, so runs are exactly repeatable.  Step s of a corrupting variant
-draws all its corrupted rows from one generator seeded by (cfg.seed,
-_CORRUPT_STREAM, s), in a fixed order: slot ascending (0 = irrelevant
-modality, 1 = relevant modality), then rows in batch order.  cfg.corruption
-supplies kind, t and sigma; its seed must be 0, as training never reads
-it.  dpo builds no corruption generator, and batch order comes from its
-own stream, so variants that skip corruption draw identical batch orders.
+sequences, so runs are exactly repeatable.  Step s draws all its corrupted
+rows from one generator seeded by (cfg.seed, _CORRUPT_STREAM, s), in a
+fixed order: the irrelevant-modality block (when beta_inv > 0), then the
+relevant-modality block (when beta_sens > 0), rows in batch order.
+cfg.corruption supplies kind, t and sigma; its seed must be 0, as training
+never reads it.  A run with both corruption strengths zero builds no
+corruption generator, and batch order comes from its own stream, so runs
+that skip corruption draw identical batch orders.
 
 Divergence guard: train() and warmup_reference() stop with DivergenceError
 when a step's loss is non-finite or above 100 times the first step's loss,
@@ -66,8 +69,6 @@ from .synth import (
     PairTable,
     _rng,
 )
-
-LOSS_VARIANTS = ("dpo", "mod", "modpp")
 
 _WARMUP_STREAM = 11
 _ORDER_STREAM = 12
@@ -147,7 +148,7 @@ class TrainConfig:
 
     @property
     def loss_variant(self) -> str:
-        """The pass set the strengths select (see the module docstring)."""
+        """The label of the strengths (see the module docstring)."""
         if self.hp.gamma_lpd:
             return "modpp"
         return "mod" if self.hp.beta_inv or self.hp.beta_sens else "dpo"
@@ -179,8 +180,8 @@ REF_SLOTS = ("ref_w", "ref_l", "text_w", "text_l")
 
 def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.ndarray:
     """The frozen reference's log-probabilities of every row's chosen and
-    rejected responses: a (2, N) array of ref_w and ref_l, or under modpp a
-    (4, N) array that adds text_w and text_l (features zeroed).
+    rejected responses: a (2, N) array of ref_w and ref_l, or (4, N) with
+    text_w and text_l (features zeroed) when gamma_lpd > 0.
 
     One forward per block over all N rows.  The reference never changes
     during preference training, so train() builds this table once per run
@@ -188,7 +189,7 @@ def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.
     """
     table = PairTable.coerce(table)
     blocks = [(table.audio, table.visual)]
-    if cfg.loss_variant == "modpp":
+    if cfg.hp.gamma_lpd > 0:
         blocks.append((np.zeros_like(table.audio), np.zeros_like(table.visual)))  # text-only
     rows, responses = np.arange(len(table)), np.stack((table.y_w, table.y_l))
     return np.concatenate([forward(ref_params, a, v, table.prompt_id).logprobs[rows, responses]
@@ -197,20 +198,20 @@ def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.
 
 def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
                    step: int, pools=None):
-    """All log-probabilities a variant needs for a batch of pairs.
+    """All log-probabilities the config's strengths read for a batch of pairs.
 
     ref holds the batch's reference slots, its rows' columns of a
     reference_logprobs table.  Returns (PairLogProbs of (B,) arrays, the
     per-pair PassCounter, the ForwardCache of the clean policy rows).  The
-    clean rows and each corrupted block fill slices of one buffer per
-    modality, which one policy forward scores.  The counter counts two
+    clean rows and each corrupted block (irrelevant modality when beta_inv
+    > 0, then relevant modality when beta_sens > 0) fill slices of one buffer
+    per modality, which one policy forward scores.  The counter counts two
     passes per block of each model, the reference's blocks being those the
     slots hold.  Only the returned clean-row cache may be back-propagated;
     the corrupted rows are detached and the reference is frozen throughout.
-    All corrupted rows of the step come from one generator seeded by
-    (cfg.seed, step), drawn slot by slot in ascending order (see the module
-    docstring).  Raises TrainingError for an empty batch, one whose rows
-    mix modality tags, or an audiovisual one.
+    Corrupted rows come from one generator seeded by (cfg.seed, step), block
+    by block (see the module docstring).  Raises TrainingError for an empty
+    batch, one whose rows mix modality tags, or an audiovisual one.
     """
     batch = PairTable.coerce(batch)
     n, tags = len(batch), batch.modality_tag
@@ -220,8 +221,9 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     if tags[0] == AUDIOVISUAL:
         raise TrainingError("relevant/irrelevant modalities are undefined for audiovisual pairs")
     relevant, irrelevant = ("audio", "visual") if tags[0] == AUDIO_RELATED else ("visual", "audio")
-    # The modality each draw slot corrupts, keyed by the PairLogProbs slot it fills.
-    corrupted = {} if cfg.loss_variant == "dpo" else {"inv": irrelevant, "sens": relevant}
+    # The nonzero strengths' blocks in draw order: filled slot -> corrupted modality.
+    strengths = {"inv": (irrelevant, cfg.hp.beta_inv), "sens": (relevant, cfg.hp.beta_sens)}
+    corrupted = {slot: m for slot, (m, strength) in strengths.items() if strength > 0}
     k = 1 + len(corrupted)
     stacked = {"audio": np.tile(batch.audio, (k, 1)), "visual": np.tile(batch.visual, (k, 1))}
     rng = _rng(cfg.seed, _CORRUPT_STREAM, step) if corrupted else None
@@ -242,8 +244,8 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
 
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
-    """(loss, sigmoid margin, policy coefficient) for one pair, or for a
-    batch of pairs, under the config's strengths; see core.pair_terms."""
+    """(loss, margin) for one pair, or for a batch of pairs, under the
+    config's strengths; see core.pair_terms."""
     return core.pair_terms(pl, cfg.hp)
 
 
@@ -257,9 +259,9 @@ def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
     """
     batch = PairTable.coerce(batch)
     pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools)
-    losses, margins, coef = pair_loss_terms(pl, cfg)
+    losses, margins = pair_loss_terms(pl, cfg)
     loss = float(np.mean(losses))
-    weights = _sigmoid(-margins) * coef
+    weights = _sigmoid(-margins) * cfg.hp.tau  # d(margin)/d(d_policy) is tau
     rows = np.arange(len(batch))
     upstream = np.zeros_like(clean.probs)
     upstream[rows, batch.y_w] = -weights

@@ -115,8 +115,9 @@ def test_criterion_4_pass_counts():
     res = oracles.pass_count_suite(n_steps=100, seed=4)
     assert res.passed, res.detail
     assert res.detail.endswith("exact over 100 steps"), res.detail
-    report("criterion 4", "per-pair counters exact over 100 steps: "
-                          "dpo (2,2,2,0), mod (6,2,2,0), modpp (6,4,2,0)")
+    report("criterion 4", "per-pair counters exact over 100 steps: dpo (2,2,2,0), "
+                          "beta_inv only (4,2,2,0), beta_sens only (4,2,2,0), "
+                          "mod (6,2,2,0), modpp (6,4,2,0)")
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,10 @@ from modlab.train import TrainConfig, TrainingError, train_step
 
 TOL = 1e-12
 
-# Each loss variant's strengths: those of the preset of that name.
-VARIANT_HP = {variant: make_config(variant).hp for variant in training.LOSS_VARIANTS}
+# The strengths of the loss ladder and of the three one-strength ablations,
+# by the preset of that name.
+VARIANTS = ("dpo", "mod", "modpp", "inv_only", "sens_only", "lpd_only")
+VARIANT_HP = {variant: make_config(variant).hp for variant in VARIANTS}
 
 # (prompt-relevant, prompt-irrelevant) modality of each single-modality tag.
 ROLES = {VISUAL_RELATED: ("visual", "audio"), AUDIO_RELATED: ("audio", "visual")}
@@ -119,12 +121,15 @@ def reference_draws(rows, slot_modalities, spec, pools, rng):
 
 
 def reference_step(params, ref_params, batch, cfg, step, pools):
-    """The per-pair train step: one B = 1 pass per row and slot."""
-    if cfg.loss_variant != "dpo":
-        roles = [ROLES[p.modality_tag] for p in batch]
-        slot_modalities = {0: [(irr,) for _, irr in roles], 1: [(rel,) for rel, _ in roles]}
-    else:
-        slot_modalities = {}
+    """The per-pair train step: one B = 1 pass per row and slot.  There is
+    one corrupted slot per nonzero corruption strength, slots ascending (0:
+    the irrelevant modality, for beta_inv; 1: the relevant one, for
+    beta_sens), and a text-only reference pass when gamma_lpd is nonzero."""
+    corrupted = {slot: name for slot, (name, strength)
+                 in enumerate((("inv", cfg.hp.beta_inv), ("sens", cfg.hp.beta_sens)))
+                 if strength > 0}
+    roles = [ROLES[p.modality_tag] for p in batch]  # (relevant, irrelevant)
+    slot_modalities = {slot: [(role[1 - slot],) for role in roles] for slot in corrupted}
     draws = reference_draws(batch, slot_modalities, cfg.corruption, pools,
                             synth._rng(cfg.seed, training._CORRUPT_STREAM, step))
     grads = GradAccumulator(params)
@@ -132,24 +137,21 @@ def reference_step(params, ref_params, batch, cfg, step, pools):
     for idx, pair in enumerate(batch):
         w, l = pair.y_w, pair.y_l
 
-        def corrupted(slot):
-            return row_logprobs(params, pair, **draws[idx, slot])
-
         clean = row_logprobs(params, pair)
         ref = row_logprobs(ref_params, pair)
         slots = {}
-        if cfg.loss_variant != "dpo":
-            inv, sens = corrupted(0), corrupted(1)
-            slots.update(inv_w=inv[w], inv_l=inv[l], sens_w=sens[w], sens_l=sens[l])
-        if cfg.loss_variant == "modpp":
+        for slot, name in corrupted.items():
+            logprobs = row_logprobs(params, pair, **draws[idx, slot])
+            slots.update({f"{name}_w": logprobs[w], f"{name}_l": logprobs[l]})
+        if cfg.hp.gamma_lpd > 0:
             text = row_logprobs(ref_params, pair, audio=np.zeros_like(pair.audio),
                                 visual=np.zeros_like(pair.visual))
             slots.update(text_w=text[w], text_l=text[l])
         pl = PairLogProbs(policy_w=clean[w], policy_l=clean[l], ref_w=ref[w], ref_l=ref[l],
                           **slots)
-        loss, margin, coef = core.pair_terms(pl, cfg.hp)
+        loss, margin = core.pair_terms(pl, cfg.hp)
         losses.append(loss)
-        weight = coef / (1.0 + math.exp(margin))  # coef * sigmoid(-margin)
+        weight = cfg.hp.tau / (1.0 + math.exp(margin))  # tau * sigmoid(-margin)
         upstream = np.zeros(params.vocab_size)
         upstream[w], upstream[l] = -weight, weight
         grads.add(row_grads(params, pair, upstream))
@@ -169,7 +171,7 @@ def swap_pools(data, batch, pool):
 
 
 CASES = [(variant, tag, kind, pool)
-         for variant in training.LOSS_VARIANTS for tag in MODALITY_TAGS[:AUDIOVISUAL]
+         for variant in VARIANTS for tag in MODALITY_TAGS[:AUDIOVISUAL]
          for kind in CORRUPTION_KINDS for pool in ("inside", "outside")]
 
 
@@ -227,12 +229,14 @@ def test_warmup_matches_per_pair_loop(data):
 
 def loop_step(params, ref_params, batch, cfg, step, pools):
     """The training step before the reference table: every step forwards
-    the reference on its own rows (clean, then text-only under modpp),
+    the reference on its own rows (clean, then text-only when gamma_lpd > 0),
     concatenates fresh corrupted blocks under the clean rows, and updates
     the parameters field by field."""
     n = len(batch)
     relevant, irrelevant = ROLES[batch.modality_tag[0]]
-    corrupted = {} if cfg.loss_variant == "dpo" else {"inv": irrelevant, "sens": relevant}
+    corrupted = {slot: m for slot, m, strength in (("inv", irrelevant, cfg.hp.beta_inv),
+                                                   ("sens", relevant, cfg.hp.beta_sens))
+                 if strength > 0}
     clean = {"audio": batch.audio, "visual": batch.visual}
     blocks = [clean]
     if corrupted:
@@ -240,7 +244,7 @@ def loop_step(params, ref_params, batch, cfg, step, pools):
         blocks += [corrupt_rows(clean, cfg.corruption, {m: every}, rng, pools)
                    for m in corrupted.values()]
     ref_blocks = [clean]
-    if cfg.loss_variant == "modpp":
+    if cfg.hp.gamma_lpd > 0:
         ref_blocks.append({m: np.zeros_like(x) for m, x in clean.items()})
 
     def forward_blocks(model, stacked):
@@ -261,8 +265,8 @@ def loop_step(params, ref_params, batch, cfg, step, pools):
         slots["text_w"], slots["text_l"] = pick(ref, 1)
     (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
     pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
-    losses, margins, coef = training.pair_loss_terms(pl, cfg)
-    weights = training._sigmoid(-margins) * coef
+    losses, margins = training.pair_loss_terms(pl, cfg)
+    weights = training._sigmoid(-margins) * cfg.hp.tau
     upstream = np.zeros_like(policy.probs[:n])
     upstream[rows, batch.y_w], upstream[rows, batch.y_l] = -weights, weights
     grads = backward(params, policy[:n], upstream)
@@ -284,7 +288,7 @@ def loop_train(dataset, cfg, ref_params):
     return params, np.array(losses), counters
 
 
-@pytest.mark.parametrize("variant", training.LOSS_VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_train_equals_the_per_step_reference_loop(data, models, variant):
     # In batches of 8 every step forwards at least 2 reference rows, so the
     # table's rows equal the per-step reference forward bitwise.

@@ -72,7 +72,8 @@ class TestPipeline:
 
     def test_strengths_over_the_dpo_preset_set_the_loss(self, tmp_path, capsys):
         # No setting zeroes a strength behind the config's back: a debiasing
-        # strength over the dpo preset trains modpp's passes and loss.
+        # strength over the dpo preset trains the debiasing loss, labelled
+        # modpp, with the text-only passes and no corrupted ones.
         config_path, _ = write_config(tmp_path)
         run = tmp_path / "run"
         assert cli.run("synth", config_path) == 0
@@ -84,7 +85,7 @@ class TestPipeline:
         counters = json.loads((run / "counters.json").read_text())
         assert counters["loss_variant"] == "modpp"
         assert counters["per_pair_counters"] == [
-            {"bwd_policy": 2, "bwd_ref": 0, "fwd_policy": 6, "fwd_ref": 4}]
+            {"bwd_policy": 2, "bwd_ref": 0, "fwd_policy": 2, "fwd_ref": 4}]
         assert (run / "policy.ckpt").read_bytes() != dpo
 
 
@@ -486,6 +487,9 @@ class TestMalformedCounters:
         "[1, 2]",
         json.dumps({"loss_variant": "modpp",
                     "per_pair_counters": [{"fwd_policy": 6, "bwd_policy": 2, "bwd_ref": 0}]}),
+        json.dumps({"a": 1}),
+        json.dumps({"loss_variant": 5, "per_pair_counters": [
+            {"fwd_policy": 6, "fwd_ref": 4, "bwd_policy": 2, "bwd_ref": 0}]}),
     ])
     def test_report_exits_2_naming_the_file(self, tmp_path, capsys, built_run, text):
         model = tmp_path / "model"
@@ -599,6 +603,7 @@ class TestSettingValues:
         ("synth", ["synth.n_scenes=1", "synth.matched_fraction=1.0"],
          ("synth.eval_items", "at least two scenes")),
         ("train", ["train.corruption.seed=99"], ("train config", "corruption.seed must be 0")),
+        ("verify", ["seed=-1"], ("seed must lie in",)),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, built_run, command, overrides,
                                          needles):

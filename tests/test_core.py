@@ -5,6 +5,7 @@ the implementation (plain math expressions, evaluated once and frozen).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ class TestClosedFormPolicy:
                           text_w=-1.0, text_l=-1.375)
         shift = -0.25
         shifted = PairLogProbs(*(getattr(pl, f) + shift for f in pl.__dataclass_fields__))
-        assert core.mod_margin(pl, HP) == core.mod_margin(shifted, HP)
+        assert core.margin(pl, HP) == core.margin(shifted, HP)
         assert core.pair_terms(pl, HP)[0] == core.pair_terms(shifted, HP)[0]
 
 
@@ -200,42 +201,55 @@ class TestMargins:
     def test_zero_differences_give_zero_margin(self):
         pl = PairLogProbs(policy_w=-1.0, policy_l=-1.0, ref_w=-2.0, ref_l=-2.0,
                           inv_w=-0.5, inv_l=-0.5, sens_w=-3.0, sens_l=-3.0)
-        assert core.mod_margin(pl, HP) == 0.0
+        hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0)
+        assert core.margin_terms(pl, hp) == dict.fromkeys(("policy", "ref", "inv", "sens"), 0.0)
+        assert core.margin(pl, hp) == 0.0
 
     def test_reduces_to_vanilla_margin(self):
         hp = Hyperparams(beta=0.1, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
         pl = PairLogProbs(policy_w=-0.5, policy_l=-2.5, ref_w=-1.0, ref_l=-2.0)
-        got = core.mod_margin(pl, hp)
+        terms = core.margin_terms(pl, hp)
+        assert list(terms) == ["policy", "ref"]
+        got = core.margin(pl, hp)
         assert got == pytest.approx(0.1 * ((-0.5 + 2.5) - (-1.0 + 2.0)), abs=1e-15)
 
     def test_hand_arithmetic_margin(self):
         # deltas: policy 1, ref 0.5, irrelevant-corrupted 0.2, relevant -0.3
         pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.5,
                           inv_w=-1.0, inv_l=-1.2, sens_w=-1.3, sens_l=-1.0)
+        hp = replace(HP, gamma_lpd=0.0)
+        terms = core.margin_terms(pl, hp)
+        assert terms["policy"] == pytest.approx(0.07, abs=1e-15)
+        assert terms["ref"] == pytest.approx(-0.05, abs=1e-15)
+        assert terms["inv"] == pytest.approx(-0.004, abs=1e-15)
+        assert terms["sens"] == pytest.approx(-0.015, abs=1e-15)
         expected = 0.07 * 1.0 - 0.1 * 0.5 - 0.02 * 0.2 + 0.05 * (-0.3)
-        assert core.mod_margin(pl, HP) == pytest.approx(expected, abs=1e-15)
-        assert core.mod_margin(pl, HP) == pytest.approx(0.001, abs=1e-12)
+        assert core.margin(pl, hp) == pytest.approx(expected, abs=1e-15)
+        assert core.margin(pl, hp) == pytest.approx(0.001, abs=1e-12)
 
     def test_missing_slots_with_nonzero_strength_rejected(self):
         pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.5)
-        with pytest.raises(DomainError):
-            core.mod_margin(pl, HP)
+        with pytest.raises(DomainError, match="inv log-probs are required"):
+            core.margin_terms(pl, HP)
 
     def test_lpd_margin_zero_strength(self):
         hp = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.0)
         pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.5,
+                          inv_w=-1.0, inv_l=-1.0, sens_w=-1.0, sens_l=-1.0,
                           text_w=-1.0, text_l=-2.0)
-        assert core.lpd_margin(pl, hp) == 0.0
+        assert "text" not in core.margin_terms(pl, hp)
 
     def test_lpd_margin_symmetric_text_logprobs(self):
         pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.5,
+                          inv_w=-1.0, inv_l=-1.0, sens_w=-1.0, sens_l=-1.0,
                           text_w=-1.3, text_l=-1.3)
-        assert core.lpd_margin(pl, HP) == 0.0
+        assert core.margin_terms(pl, HP)["text"] == 0.0
 
     def test_lpd_margin_hand_arithmetic(self):
         pl = PairLogProbs(policy_w=-1.0, policy_l=-2.0, ref_w=-1.0, ref_l=-1.5,
+                          inv_w=-1.0, inv_l=-1.0, sens_w=-1.0, sens_l=-1.0,
                           text_w=-1.0, text_l=-2.0)
-        assert core.lpd_margin(pl, HP) == pytest.approx(-0.05, abs=1e-15)
+        assert core.margin_terms(pl, HP)["text"] == pytest.approx(-0.05, abs=1e-15)
 
 
 class TestPairLoss:
@@ -283,8 +297,9 @@ class TestModppPairLoss:
             inv_w=-1.0, inv_l=-1.0, sens_w=-1.0, sens_l=-1.0,
             text_w=-1.0, text_l=-1.0 - 0.1 / HP.gamma_lpd,
         )
-        assert core.mod_margin(pl, HP) == pytest.approx(0.5, abs=1e-12)
-        assert core.lpd_margin(pl, HP) == pytest.approx(-0.1, abs=1e-12)
+        terms = core.margin_terms(pl, HP)
+        assert terms.pop("text") == pytest.approx(-0.1, abs=1e-12)
+        assert sum(terms.values()) == pytest.approx(0.5, abs=1e-12)
         got = core.pair_terms(pl, HP)[0]
         assert got == pytest.approx(0.5130152523999526, abs=1e-12)
         assert got == pytest.approx(0.5130, abs=1e-4)
@@ -346,6 +361,30 @@ class TestProperties:
         pl = PairLogProbs(*values)
         vanilla = core.pair_loss(beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l)))
         assert abs(core.pair_terms(pl, hp)[0] - vanilla) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(strengths=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 1.0))] * 4),
+           values=log_probs)
+    def test_margin_sums_the_terms_of_the_nonzero_strengths(self, strengths, values):
+        beta, beta_inv, beta_sens, gamma_lpd = strengths
+        assume(beta + beta_inv - beta_sens >= 1e-3)
+        hp, pl = Hyperparams(*strengths), PairLogProbs(*values)
+        d = {name: getattr(pl, f"{name}_w") - getattr(pl, f"{name}_l")
+             for name in ("policy", "ref", "inv", "sens", "text")}
+        want = (hp.tau * d["policy"] - beta * d["ref"] - beta_inv * d["inv"]
+                + beta_sens * d["sens"] - gamma_lpd * d["text"])
+        got = core.margin(pl, hp)
+        assert abs(got - want) <= 1e-12
+        strength = {name: getattr(hp, s) for name, _, _, s, _ in core.MARGIN_TERMS}
+        unread = {f"{name}_{side}": None for name, s in strength.items() if not s for side in "wl"}
+        assert core.margin(replace(pl, **unread), hp).hex() == got.hex()
+        for name, s in strength.items():
+            if s:
+                with pytest.raises(DomainError, match="required"):
+                    core.margin(replace(pl, **{f"{name}_w": None, f"{name}_l": None}), hp)
+            for side in "wl":
+                with pytest.raises(DomainError, match="given for both"):
+                    core.margin(replace(pl, **{f"{name}_{side}": None}), hp)
 
 
 class TestCheckNumbers:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from modlab import cli, core, synth
 from modlab import train as training
 from modlab.core import ConfigurationError, Hyperparams, PairLogProbs
-from modlab.corrupt import CorruptionSpec
+from modlab.corrupt import CorruptionSpec, corrupt
 from modlab.oracles import frozen_surrogate_rel_error
 from modlab.policy import backward, forward
 from modlab.presets import PRESET_NAMES, make_config
@@ -24,8 +24,8 @@ def small_dataset(n=64, seed=0):
                                             world_seed=seed + 100))
 
 
-# Each loss variant's strengths: those of the preset of that name.
-VARIANT_HP = {variant: make_config(variant).hp for variant in training.LOSS_VARIANTS}
+# The loss ladder's strengths: those of the preset of each name.
+VARIANT_HP = {variant: make_config(variant).hp for variant in ("dpo", "mod", "modpp")}
 
 
 def quick_config(variant="modpp", **overrides):
@@ -104,8 +104,10 @@ class TestPassCounts:
 
     COUNTERS = {
         "dpo": PassCounter(2, 2, 2, 0),
-        **dict.fromkeys(("mod", "sens_only", "inv_only"), PassCounter(6, 2, 2, 0)),
-        **dict.fromkeys(("modpp", "modpp_desk", "modpp_desk_t10", "lpd_only", "modpp_zeros",
+        **dict.fromkeys(("sens_only", "inv_only"), PassCounter(4, 2, 2, 0)),
+        "lpd_only": PassCounter(2, 4, 2, 0),
+        "mod": PassCounter(6, 2, 2, 0),
+        **dict.fromkeys(("modpp", "modpp_desk", "modpp_desk_t10", "modpp_zeros",
                          "modpp_gaussian", "modpp_swap", "modpp_diff_t10", "modpp_diff_t50",
                          "modpp_diff_t500"), PassCounter(6, 4, 2, 0)),
     }
@@ -113,7 +115,7 @@ class TestPassCounts:
 
     def test_per_variant_per_step(self):
         data = small_dataset(n=40)
-        for variant in training.LOSS_VARIANTS:
+        for variant in VARIANT_HP:
             cfg = quick_config(variant, warmup_steps=0)
             result = training.train(data, cfg)
             assert len(result.counters) == 10
@@ -181,7 +183,7 @@ class TestSingleModalityPairs:
             raise AssertionError("warm-up ran")
 
         monkeypatch.setattr(training, "warmup_reference", warmup)
-        for variant in training.LOSS_VARIANTS:
+        for variant in VARIANT_HP:
             with pytest.raises(TrainingError, match="row 5 is audiovisual"):
                 training.train(table, quick_config(variant))
 
@@ -189,7 +191,7 @@ class TestSingleModalityPairs:
         data = small_dataset(n=16)
         batch = [av_pair_from(p) for p in data[:4]]
         ref = training.warmup_reference(data, steps=0, seed=0)
-        for variant in training.LOSS_VARIANTS:
+        for variant in VARIANT_HP:
             cfg = quick_config(variant)
             with pytest.raises(TrainingError, match="undefined for audiovisual pairs"):
                 train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg), batch, cfg)
@@ -227,8 +229,9 @@ class TestReduction:
 
 
 class TestPassLadder:
-    """The strengths alone set the passes: dpo's when all three are zero,
-    mod's when only gamma_lpd is, modpp's otherwise."""
+    """The strengths alone set the passes, term by term: two policy passes
+    per nonzero corruption strength and two reference passes for a nonzero
+    gamma_lpd, on top of the clean block's."""
 
     DATA = small_dataset(n=16, seed=4)
 
@@ -242,10 +245,10 @@ class TestPassLadder:
         ref = training.init_policy_for(self.DATA, seed=0)
         _, _, counter = train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg),
                                    batch, cfg, pools=training.feature_pools(self.DATA))
-        corrupting = beta_inv > 0 or beta_sens > 0 or gamma_lpd > 0
-        assert counter == PassCounter(6 if corrupting else 2, 4 if gamma_lpd > 0 else 2, 2, 0)
+        assert counter == PassCounter(2 + 2 * (beta_inv > 0) + 2 * (beta_sens > 0),
+                                      2 + 2 * (gamma_lpd > 0), 2, 0)
         assert cfg.loss_variant == ("modpp" if gamma_lpd > 0 else
-                                    "mod" if corrupting else "dpo")
+                                    "mod" if beta_inv > 0 or beta_sens > 0 else "dpo")
 
 
 class TestDeterminismAndImmutability:
@@ -385,10 +388,33 @@ class TestCorruptionIntegration:
         pl, _, _ = training.evaluate_batch(ref, training.reference_logprobs(ref, batch, cfg), batch,
                                            cfg, 0, pools)
         assert np.array_equal(pl.inv_w, pl.policy_w) and np.array_equal(pl.sens_l, pl.policy_l)
-        from modlab.core import mod_margin
-        margin = mod_margin(pl, cfg.hp)
+        margin = core.margin(pl, cfg.hp)
         vanilla = cfg.hp.beta * ((pl.policy_w - pl.policy_l) - (pl.ref_w - pl.ref_l))
         np.testing.assert_allclose(margin, vanilla, rtol=0, atol=1e-12)
+
+
+class TestPerTermPasses:
+    def test_sensitivity_block_takes_the_generators_first_draws(self, monkeypatch):
+        # sens_only forwards no invariance block, so its relevant-modality
+        # block is the first draw of the step's generator.
+        data = small_dataset(n=16, seed=7)
+        cfg, step = make_config("sens_only", seed=3), 5
+        params, pools = training.init_policy_for(data, seed=7), training.feature_pools(data)
+        batch = rows_tagged(data, VISUAL_RELATED)[:4]
+        ref = training.reference_logprobs(params, batch, cfg)
+        buffers, real_forward = [], training.forward
+
+        def recording(params, audio, visual, prompt_ids):
+            buffers.append(visual)
+            return real_forward(params, audio, visual, prompt_ids)
+
+        monkeypatch.setattr(training, "forward", recording)
+        pl, counter, _ = training.evaluate_batch(params, ref, batch, cfg, step, pools)
+        assert counter == PassCounter(4, 2, 2, 0) and pl.inv_w is None and pl.text_w is None
+        want = corrupt(batch.visual, cfg.corruption, pools["visual"],
+                       synth._rng(cfg.seed, training._CORRUPT_STREAM, step))
+        [visual] = buffers
+        assert visual[len(batch):].tobytes() == want.tobytes()
 
 
 class TestPairLossTerms:
@@ -407,9 +433,9 @@ class TestPairLossTerms:
             for variant, cfg in configs.items():
                 assert cfg.loss_variant == variant
                 want_hp = kept[variant]
-                loss, _, coef = training.pair_loss_terms(pl, cfg)
+                loss, margin = training.pair_loss_terms(pl, cfg)
                 assert loss == core.pair_terms(pl, want_hp)[0]
-                assert coef == want_hp.tau
+                assert margin == core.margin(pl, want_hp)
 
 
 class TestConfigValues:
