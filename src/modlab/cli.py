@@ -392,12 +392,11 @@ def cmd_train(cfg: dict) -> int:
         for step, loss in enumerate(result.losses):
             writer.writerow([step, "%.12g" % loss])
 
-    counters = [c.__dict__ for c in result.counters]
-    unique = {tuple(sorted(c.items())) for c in counters}
+    unique = {tuple(sorted(c.__dict__.items())) for c in result.counters}
     summary = {
         "loss_variant": train_cfg.loss_variant,
         "n_steps": len(result.counters),
-        "per_pair_counters": sorted(dict(u) for u in unique),
+        "per_pair_counters": [dict(u) for u in sorted(unique)],
         "final_loss": float(result.losses[-1]) if len(result.losses) else None,
     }
     with open(counters_path, "w", encoding="ascii") as fh:

@@ -125,7 +125,9 @@ class PairLogProbs:
     The caller assigns the irrelevant/relevant slots according to the
     prompt's modality tag, so the audio-symmetric form is just a slot swap.
     Corrupted and text slots may be omitted (None) when the corresponding
-    strength is zero and the trainer never evaluated them.
+    strength is zero and the trainer never evaluated them.  Construction
+    checks every given slot (finite, <= 0); ``checked`` skips that check
+    for slots the caller has already checked.
     """
 
     policy_w: float
@@ -150,6 +152,17 @@ class PairLogProbs:
                 raise DomainError(f"{name} must be finite, got {value}")
             if np.greater(value, 0).any():
                 raise DomainError(f"{name} is a log-probability and must be <= 0, got {value}")
+
+    @classmethod
+    def checked(cls, **slots) -> PairLogProbs:
+        """The PairLogProbs of slots already known finite and <= 0, built
+        without re-checking them; omitted slots are None."""
+        pl = cls.__new__(cls)
+        pl.__dict__.update(_NO_SLOTS, **slots)
+        return pl
+
+
+_NO_SLOTS = dict.fromkeys(PairLogProbs.__dataclass_fields__)
 
 
 def _as_probability_vector(p, name: str) -> np.ndarray:

@@ -22,16 +22,23 @@ hold) and two backward passes through the clean block:
 cfg.loss_variant only labels the strengths for counters.json and the
 printed lines: dpo (all three zero), mod (only gamma_lpd zero) or modpp.
 
-The reference is frozen, so train() scores it once per run: one forward
-per reference block over every row (``reference_logprobs``), after which
-each step gathers its rows' columns.  A step then makes one policy
-forward over one buffer per modality holding the clean rows with each
-corrupted block in the slices under them, scores all pairs in one
-core.pair_terms call, and makes one backward through the clean rows.
-Datasets are ``synth.PairTable`` columns (a list of pairs is stacked once
-on entry); ``batch_schedule`` turns the tag column into one row-index
-array per step, whose rows share one modality tag.  ``pair_loss_terms``
-is a one-line wrapper the benchmark harness times as the loss.
+Per run, train() does the work whose result no step changes: the batch
+schedule, the frozen reference's table (``reference_logprobs``, one
+forward per reference block over every row) and its check (finite and
+<= 0), and every step's corruption generator, seeded in one
+``synth._streams`` pass.  The per-pair PassCounter is built once per pass
+pattern.  Per step it gathers the six columns a step reads of its rows
+and the rows' reference columns, makes one policy forward over one
+buffer per modality holding the clean rows with each corrupted block in
+the slices under them, checks that block (finite and <= 0) in one pass,
+scores all pairs in one core.pair_terms call, and makes one backward
+through the clean rows.  A reference table that fails its check is
+checked again by each step, so the error names the step whose batch
+holds the bad row.  Datasets are ``synth.PairTable`` columns (a list of
+pairs is stacked once on entry); ``batch_schedule`` turns the tag column
+into one row-index array per step, whose rows share one modality tag.
+``pair_loss_terms`` is a one-line wrapper the benchmark harness times as
+the loss.
 
 Determinism: everything derives from cfg.seed through tagged seed
 sequences, so runs are exactly repeatable.  Step s draws all its corrupted
@@ -50,8 +57,10 @@ or a gradient becomes non-finite; the error names the step and the loss.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -68,6 +77,7 @@ from .synth import (
     VOCAB_SIZE,
     PairTable,
     _rng,
+    _streams,
 )
 
 _WARMUP_STREAM = 11
@@ -196,8 +206,20 @@ def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.
                            for a, v in blocks])
 
 
+def _log_probs_ok(x: np.ndarray) -> bool:
+    """Every entry finite and <= 0 (a NaN fails the max, -inf the min)."""
+    return bool(x.max() <= 0 and x.min() > -np.inf)
+
+
+@cache
+def _pass_counter(blocks: int, ref_slots: int) -> PassCounter:
+    """The per-pair counter of a step that forwards this many policy blocks
+    and reads this many reference slots: one shared instance per pattern."""
+    return PassCounter(fwd_policy=2 * blocks, fwd_ref=ref_slots, bwd_policy=2)
+
+
 def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
-                   step: int, pools=None):
+                   step: int, pools=None, *, rng=None, ref_checked: bool = False):
     """All log-probabilities the config's strengths read for a batch of pairs.
 
     ref holds the batch's reference slots, its rows' columns of a
@@ -209,9 +231,15 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     passes per block of each model, the reference's blocks being those the
     slots hold.  Only the returned clean-row cache may be back-propagated;
     the corrupted rows are detached and the reference is frozen throughout.
-    Corrupted rows come from one generator seeded by (cfg.seed, step), block
-    by block (see the module docstring).  Raises TrainingError for an empty
-    batch, one whose rows mix modality tags, or an audiovisual one.
+    Corrupted rows come from rng, by default the generator seeded by
+    (cfg.seed, step), block by block (see the module docstring).
+
+    The policy block and ref are each checked once for entries finite and
+    <= 0 (ref_checked skips ref, for a table already checked whole); a
+    failure re-runs the full checks, which raise DivergenceError for a
+    non-finite value and core.DomainError naming the slot for a positive one.  Raises
+    TrainingError for an empty batch, one whose rows mix modality tags, or
+    an audiovisual one.
     """
     batch = PairTable.coerce(batch)
     n, tags = len(batch), batch.modality_tag
@@ -225,22 +253,31 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     strengths = {"inv": (irrelevant, cfg.hp.beta_inv), "sens": (relevant, cfg.hp.beta_sens)}
     corrupted = {slot: m for slot, (m, strength) in strengths.items() if strength > 0}
     k = 1 + len(corrupted)
-    stacked = {"audio": np.tile(batch.audio, (k, 1)), "visual": np.tile(batch.visual, (k, 1))}
-    rng = _rng(cfg.seed, _CORRUPT_STREAM, step) if corrupted else None
+    stacked = {}
+    for m in ("audio", "visual"):  # every block starts as a copy of the clean rows
+        clean = getattr(batch, m)
+        stacked[m] = np.empty((k, n, clean.shape[1]))
+        stacked[m][:] = clean
+    if corrupted and rng is None:
+        rng = _rng(cfg.seed, _CORRUPT_STREAM, step)
     for block, m in enumerate(corrupted.values(), start=1):  # block 0 stays clean
-        rows = stacked[m][block * n : (block + 1) * n]
-        rows[...] = corrupt(rows, cfg.corruption, pools.get(m) if pools else None, rng)
-    policy = forward(params, stacked["audio"], stacked["visual"], np.tile(batch.prompt_id, k))
-    if not (np.isfinite(policy.logprobs).all() and np.isfinite(ref).all()):
-        raise DivergenceError(f"training diverged at step {step}: loss nan "
-                              "(non-finite log-probabilities)")
+        stacked[m][block] = corrupt(getattr(batch, m), cfg.corruption,
+                                    pools.get(m) if pools else None, rng)
+    policy = forward(params, stacked["audio"].reshape(k * n, -1),
+                     stacked["visual"].reshape(k * n, -1), np.concatenate([batch.prompt_id] * k))
     # picked[block] holds the block's (chosen, rejected) log-probabilities.
     picked = policy.logprobs.reshape(k, n, -1)[:, np.arange(n), np.stack((batch.y_w, batch.y_l))]
-    slots = dict(zip(REF_SLOTS, ref))
+    slots = dict(zip(REF_SLOTS, ref), policy_w=picked[0, 0], policy_l=picked[0, 1])
     for block, name in enumerate(corrupted, start=1):
         slots[f"{name}_w"], slots[f"{name}_l"] = picked[block]
-    pl = PairLogProbs(policy_w=picked[0, 0], policy_l=picked[0, 1], **slots)
-    return pl, PassCounter(fwd_policy=2 * k, fwd_ref=len(ref), bwd_policy=2), policy[:n]
+    if _log_probs_ok(policy.logprobs) and (ref_checked or _log_probs_ok(ref)):
+        pl = PairLogProbs.checked(**slots)
+    elif np.isfinite(policy.logprobs).all() and np.isfinite(ref).all():
+        pl = PairLogProbs(**slots)  # raises DomainError naming a positive slot
+    else:
+        raise DivergenceError(f"training diverged at step {step}: loss nan "
+                              "(non-finite log-probabilities)")
+    return pl, _pass_counter(k, len(ref)), policy[:n]
 
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
@@ -250,15 +287,16 @@ def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
 
 
 def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
-               step: int = 0, pools=None):
+               step: int = 0, pools=None, *, rng=None, ref_checked: bool = False):
     """One gradient-descent update on a row block of preference pairs.
 
-    ref holds the batch's reference slots (see evaluate_batch).  Returns
-    (updated params, mean pair loss, per-pair PassCounter).  The batch's
-    rows must share one modality tag.
+    ref, rng and ref_checked are as in evaluate_batch.  Returns (updated
+    params, mean pair loss, per-pair PassCounter).  The batch's rows must
+    share one modality tag.
     """
     batch = PairTable.coerce(batch)
-    pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools)
+    pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools, rng=rng,
+                                        ref_checked=ref_checked)
     losses, margins = pair_loss_terms(pl, cfg)
     loss = float(np.mean(losses))
     weights = _sigmoid(-margins) * cfg.hp.tau  # d(margin)/d(d_policy) is tau
@@ -343,6 +381,12 @@ def _epoch_schedule(groups: dict, cfg: TrainConfig, epoch: int):
     return schedule
 
 
+# The PairTable columns a step reads; train() gathers only these, leaving
+# the others None in each step's batch.
+_STEP_COLUMNS = ("audio", "visual", "prompt_id", "modality_tag", "y_w", "y_l")
+_UNREAD = dict.fromkeys(name for name in PairTable.Row._fields if name not in _STEP_COLUMNS)
+
+
 def batch_schedule(dataset, cfg: TrainConfig):
     """The row-index array of every step's batch over all epochs.
 
@@ -385,12 +429,19 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     params = ref_params.copy()
     pools = feature_pools(dataset)
     ref_table = reference_logprobs(ref_params, dataset, cfg)
+    ref_checked = _log_probs_ok(ref_table)
+    if cfg.hp.beta_inv > 0 or cfg.hp.beta_sens > 0:
+        rngs = _streams((cfg.seed, _CORRUPT_STREAM), range(len(schedule)))
+    else:
+        rngs = itertools.repeat(None)
+    columns = {name: getattr(dataset, name) for name in _STEP_COLUMNS}
 
     losses = []
     counters = []
-    for step, rows in enumerate(schedule):
-        params, loss, counter = train_step(params, ref_table[:, rows], dataset[rows], cfg, step,
-                                           pools)
+    for step, (rows, rng) in enumerate(zip(schedule, rngs)):
+        batch = PairTable(**_UNREAD, **{name: column[rows] for name, column in columns.items()})
+        params, loss, counter = train_step(params, ref_table[:, rows], batch, cfg, step, pools,
+                                           rng=rng, ref_checked=ref_checked)
         _check_loss("training", step, loss, losses[0] if losses else loss)
         losses.append(loss)
         counters.append(counter)

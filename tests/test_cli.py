@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from modlab import cli
+from modlab import train as training
 from modlab.core import Hyperparams
 from modlab.corrupt import CorruptionSpec
 from modlab.policy import init_params, save_checkpoint
@@ -69,6 +70,24 @@ class TestPipeline:
         counters = json.loads((tmp_path / "run" / "counters.json").read_text())
         assert counters["per_pair_counters"] == [
             {"bwd_policy": 2, "bwd_ref": 0, "fwd_policy": 2, "fwd_ref": 2}]
+
+    def test_every_distinct_counter_is_listed(self, tmp_path, monkeypatch):
+        # A run whose steps count passes two ways lists both, sorted.
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        real_train = training.train
+
+        def two_patterns(dataset, cfg, ref_params=None):
+            result = real_train(dataset, cfg, ref_params=ref_params)
+            result.counters[-1] = training.PassCounter(2, 2, 2, 0)
+            return result
+
+        monkeypatch.setattr(training, "train", two_patterns)
+        assert cli.run("train", config_path) == 0
+        counters = json.loads((tmp_path / "run" / "counters.json").read_text())
+        assert counters["per_pair_counters"] == [
+            {"bwd_policy": 2, "bwd_ref": 0, "fwd_policy": 2, "fwd_ref": 2},
+            {"bwd_policy": 2, "bwd_ref": 0, "fwd_policy": 6, "fwd_ref": 4}]
 
     def test_strengths_over_the_dpo_preset_set_the_loss(self, tmp_path, capsys):
         # No setting zeroes a strength behind the config's back: a debiasing

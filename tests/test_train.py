@@ -1,6 +1,8 @@
 """Training loop: pass accounting, alternation, reduction, determinism."""
 
+import importlib.util
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +305,46 @@ class TestDivergenceGuard:
                 training.DivergenceError, match="training diverged at step 0: loss nan"):
             training.train(data, quick_config("dpo"), ref_params=ref)
 
+    @staticmethod
+    def train_with_ref_table(monkeypatch, edit):
+        """Train dpo from a fixed reference whose log-probability table
+        edit(table) alters, returning the schedule the run uses."""
+        data = small_dataset(n=32)
+        cfg = quick_config("dpo")
+        real_table = training.reference_logprobs
+
+        def edited(ref_params, table, cfg):
+            out = real_table(ref_params, table, cfg)
+            edit(out)
+            return out
+
+        monkeypatch.setattr(training, "reference_logprobs", edited)
+        ref = training.init_policy_for(data, seed=0)
+        return data, cfg, ref, training.batch_schedule(data, cfg)
+
+    def test_a_non_finite_reference_row_fails_at_its_step(self, monkeypatch):
+        # The table is checked once per run, but a bad row still stops the
+        # run at the first step whose batch holds it, not before.
+        data, cfg, ref, schedule = self.train_with_ref_table(
+            monkeypatch, lambda t: t.__setitem__((1, 5), np.nan))
+        step = next(s for s, rows in enumerate(schedule) if 5 in rows)
+        assert step > 0
+        with pytest.raises(training.DivergenceError,
+                           match=rf"^training diverged at step {step}: loss nan "):
+            training.train(data, cfg, ref_params=ref)
+
+    def test_a_positive_reference_entry_names_its_slot(self, monkeypatch):
+        data, cfg, ref, _ = self.train_with_ref_table(
+            monkeypatch, lambda t: t.__setitem__((1, 7), 0.25))
+        with pytest.raises(core.DomainError, match="ref_l is a log-probability and must be <= 0"):
+            training.train(data, cfg, ref_params=ref)
+
+    def test_an_all_non_finite_reference_fails_at_step_0(self, monkeypatch):
+        data, cfg, ref, _ = self.train_with_ref_table(monkeypatch, lambda t: t.fill(np.inf))
+        with pytest.raises(training.DivergenceError,
+                           match=r"^training diverged at step 0: loss nan "):
+            training.train(data, cfg, ref_params=ref)
+
     def test_non_finite_gradient_fails(self, monkeypatch):
         data = small_dataset(n=32)
         real_backward = training.backward
@@ -393,6 +435,53 @@ class TestCorruptionIntegration:
         np.testing.assert_allclose(margin, vanilla, rtol=0, atol=1e-12)
 
 
+class TestStepGenerators:
+    def test_each_step_draws_from_its_seeded_stream(self, monkeypatch):
+        # Both corruption strengths nonzero: a step's first corrupt call gets
+        # the generator _rng(seed, _CORRUPT_STREAM, step) would build, and its
+        # second the same stream after the first block's draws.
+        data, cfg = small_dataset(n=32), quick_config("modpp", seed=4, warmup_steps=0)
+        calls, real_corrupt, real_step = [], training.corrupt, training.train_step
+
+        def recording_step(params, ref, batch, cfg, step, pools, **kw):
+            calls.append((step, []))
+            return real_step(params, ref, batch, cfg, step, pools, **kw)
+
+        def recording_corrupt(x, spec, pool, rng):
+            calls[-1][1].append((x.copy(), pool, rng.bit_generator.state))
+            return real_corrupt(x, spec, pool, rng)
+
+        monkeypatch.setattr(training, "train_step", recording_step)
+        monkeypatch.setattr(training, "corrupt", recording_corrupt)
+        training.train(data, cfg)
+        assert len(calls) == 8 and all(len(blocks) == 2 for _, blocks in calls)
+        for step, blocks in calls:
+            want = synth._rng(cfg.seed, training._CORRUPT_STREAM, step)
+            for x, pool, state in blocks:
+                assert state == want.bit_generator.state
+                real_corrupt(x, cfg.corruption, pool, want)
+
+    @pytest.mark.parametrize("name", ["dpo", "lpd_only"])
+    def test_a_run_without_corruption_builds_no_generator(self, monkeypatch, name):
+        # beta_inv == beta_sens == 0: no step corrupts, so no step stream is seeded.
+        built, real_rng, real_streams = [], training._rng, training._streams
+
+        def rng(*key):
+            built.append(key)
+            return real_rng(*key)
+
+        def streams(prefix, indices):
+            built.append(prefix)
+            return real_streams(prefix, indices)
+
+        monkeypatch.setattr(training, "_rng", rng)
+        monkeypatch.setattr(training, "_streams", streams)
+        data = small_dataset(n=32)
+        cfg = make_config(name, epochs=1, batch_size=4)
+        training.train(data, cfg, ref_params=training.init_policy_for(data, 0))
+        assert built and all(training._CORRUPT_STREAM not in key for key in built)
+
+
 class TestPerTermPasses:
     def test_sensitivity_block_takes_the_generators_first_draws(self, monkeypatch):
         # sens_only forwards no invariance block, so its relevant-modality
@@ -451,3 +540,48 @@ class TestConfigValues:
     def test_bad_value_names_the_field(self, fields, problem):
         with pytest.raises(ConfigurationError, match=problem):
             TrainConfig(**fields)
+
+
+def _preset_digest():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "preset_digest.py")
+    spec = importlib.util.spec_from_file_location("preset_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPresetFingerprints:
+    """Every preset trains bit for bit as it did before the training step
+    was trimmed: tools/preset_digest.py's sha256 over the trained and
+    reference parameters and the losses, as that version printed them."""
+
+    SHA256 = {
+        "dpo": "7cbf86626f4fd91e97d057fd79788dff39efa5f4cf085b2e800c86b766a7bd5e",
+        "inv_only": "28bd3f235585087b1536d4856baf6f4e69c1844e3644b65eef91fcd49a5f3eb2",
+        "lpd_only": "537dc35ba7cc86f3775346322c01da6506a9aa74e9afd434ba12dd9e09d44fdd",
+        "mod": "611d0d27afb1472052d6ab69af43e176b35ac26a3dc572eed9a2ce9df07078b4",
+        "modpp": "9a17b9816a0a765efbe6a2b85f823503b7bdd16eb14a83a89aa531d075525b32",
+        "modpp_desk": "c1bde3ffea0b54d2492dc013c293ed6eb84866304c7fabc4e9fda6a1deb5be47",
+        "modpp_desk_t10": "48b85377ef5f1d6a5f7e472209aa90c1dea1306f0288f42dbd7a208f7e8a57e2",
+        "modpp_diff_t10": "2601642cda53472faf324a57d18d874042ff3bfec8072fc2bc6182c71793ac2a",
+        "modpp_diff_t50": "3db345078512a7c3e4e7f32774f637f6adab9c3f9469f6585813e36bfc55b342",
+        "modpp_diff_t500": "9a17b9816a0a765efbe6a2b85f823503b7bdd16eb14a83a89aa531d075525b32",
+        "modpp_gaussian": "deeb7103bdc5c7ea9e7cc680e8a3604b3a9f70e2959966ca1d0084bfa75abde4",
+        "modpp_swap": "dad3f4906c6c189b495df46d4da63a759fcdea82dd56defcdb5a6cb67da26293",
+        "modpp_zeros": "d7684410386a72e75dc282f768fe38802fbe558c984690e27edd5a94611d1758",
+        "sens_only": "04911dd2eddd848cb6aa4d0665fccaabe80113d6f03b6352df21540e6a594881",
+    }
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        digest = _preset_digest()
+        return digest, synth.generate_pairs(digest.DATASET)
+
+    def test_the_table_names_every_preset(self):
+        assert sorted(self.SHA256) == sorted(PRESET_NAMES)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_the_preset_trains_bit_for_bit(self, world, name):
+        digest, dataset = world
+        assert digest.digest(name, dataset)["sha256"] == self.SHA256[name]
