@@ -16,7 +16,9 @@ The kernels are batch-first.  ``forward(params, A, V, prompt_ids)`` takes
 B stacked rows (A is (B, d_a), V is (B, d_v), prompt_ids is (B,)) and
 returns a ``ForwardCache``: the (B, V) log-probabilities plus the inputs,
 hidden activations and softmax that ``backward(params, cache, upstream)``
-needs for a (B, V) upstream.  The backward pass sums gradients over rows
+needs for a (B, V) upstream.  ``forward`` checks its inputs, then runs
+``forward_unchecked``, the arithmetic alone, which the trainer calls
+directly on rows a checked ``forward`` has already passed.  The backward pass sums gradients over rows
 (the prompt table through ``np.add.at``, so repeated prompts accumulate).
 Slicing a cache (``cache[:n]``) keeps those rows only, which is how the
 trainer back-propagates through its clean rows and nothing else: its
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +119,7 @@ class GradAccumulator(_FlatTensors):
     """Additive gradient buffers matching PolicyParams shapes, zeroed."""
 
     def __init__(self, params: PolicyParams):
-        self._bind(np.zeros_like(params.vector), params.layout)
+        self._bind(np.zeros(params.vector.shape), params.layout)
 
     def add(self, other: "GradAccumulator") -> None:
         self.vector += other.vector
@@ -176,7 +178,8 @@ class ForwardCache:
 
     def __getitem__(self, rows) -> "ForwardCache":
         """The cache of a subset of rows (a slice or an index array)."""
-        return ForwardCache(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return ForwardCache(self.audio[rows], self.visual[rows], self.prompt_ids[rows],
+                            self.h[rows], self.probs[rows], self.logprobs[rows])
 
 
 def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
@@ -203,6 +206,15 @@ def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
     bad = (prompt_ids < 0) | (prompt_ids >= params.n_prompts)
     if bad.any():
         raise ValueError(f"prompt_id {prompt_ids[bad][0]} outside table of size {params.n_prompts}")
+    return forward_unchecked(params, audio, visual, prompt_ids)
+
+
+def forward_unchecked(params: PolicyParams, audio: np.ndarray, visual: np.ndarray,
+                      prompt_ids: np.ndarray) -> ForwardCache:
+    """``forward``'s arithmetic without its checks, for float64 rows whose
+    widths, row counts and prompt ids a checked ``forward`` has already
+    passed (the trainer's rows, all scored by ``reference_logprobs``).  A
+    prompt id outside the table is not caught here: -1 wraps silently."""
     h = np.tanh(audio @ params.u_a.mT + visual @ params.u_v.mT + params.e_x[..., prompt_ids, :])
     logits = h @ params.w_out.mT + params.b[..., None, :]
     shifted = logits - logits.max(axis=-1, keepdims=True)

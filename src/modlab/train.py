@@ -22,19 +22,26 @@ hold) and two backward passes through the clean block:
 cfg.loss_variant only labels the strengths for counters.json and the
 printed lines: dpo (all three zero), mod (only gamma_lpd zero) or modpp.
 
-Per run, train() does the work whose result no step changes: the batch
-schedule, the frozen reference's table (``reference_logprobs``, one
-forward per reference block over every row) and its check (finite and
-<= 0), and every step's corruption generator, seeded in one
-``synth._streams`` pass.  The per-pair PassCounter is built once per pass
-pattern.  Per step it gathers the six columns a step reads of its rows
-and the rows' reference columns, makes one policy forward over one
-buffer per modality holding the clean rows with each corrupted block in
-the slices under them, checks that block (finite and <= 0) in one pass,
-scores all pairs in one core.pair_terms call, and makes one backward
-through the clean rows.  A reference table that fails its check is
-checked again by each step, so the error names the step whose batch
-holds the bad row.  Datasets are ``synth.PairTable`` columns (a list of
+Per run, train() does the work whose result no step changes:
+- the batch schedule, whose batches hold rows of one modality tag, none
+  audiovisual (so a step need not check its batch's tags);
+- the frozen reference's table (``reference_logprobs``, one checked
+  forward per reference block over every row) and its check (finite and
+  <= 0).  The checked forward passes every row's feature widths and
+  prompt id once, so a step scores its rows with ``forward_unchecked``,
+  the same arithmetic without the checks; corruption preserves shapes;
+- every step's corruption generator, seeded in one ``synth._streams``
+  pass, and one PassCounter per pass pattern.
+When the table passes its check, train() vouches for both with
+``checked=True``, and the step skips them.  Per step it gathers the six columns a step reads of its rows and the rows'
+reference columns, makes one policy forward (over the clean columns
+themselves when no strength corrupts, else over one buffer per modality
+holding the clean rows with each corrupted block in the slices under
+them), checks its log-probabilities finite in one pass (a log-softmax is
+<= 0 once finite), scores all pairs in one core.pair_terms call, and
+makes one backward through the clean rows.  A reference table that fails
+its check is checked again by each step, with every other check, so the
+error names the step whose batch holds the bad row.  Datasets are ``synth.PairTable`` columns (a list of
 pairs is stacked once on entry); ``batch_schedule`` turns the tag column
 into one row-index array per step, whose rows share one modality tag.
 ``pair_loss_terms`` is a one-line wrapper the benchmark harness times as
@@ -67,7 +74,14 @@ import numpy as np
 from . import core
 from .core import ConfigurationError, Hyperparams, PairLogProbs, check_numbers
 from .corrupt import CorruptionSpec, FeaturePool, corrupt
-from .policy import PolicyParams, apply_gradient_step, backward, forward, init_params
+from .policy import (
+    PolicyParams,
+    apply_gradient_step,
+    backward,
+    forward,
+    forward_unchecked,
+    init_params,
+)
 from .synth import (
     AUDIO_RELATED,
     AUDIOVISUAL,
@@ -173,9 +187,10 @@ class TrainResult:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable for margins of either sign."""
+    """Elementwise logistic function, stable for margins of either sign:
+    1 / (1 + e) or e / (1 + e) with e = exp(-|x|), in one divide."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def feature_pools(dataset) -> dict:
@@ -219,7 +234,7 @@ def _pass_counter(blocks: int, ref_slots: int) -> PassCounter:
 
 
 def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
-                   step: int, pools=None, *, rng=None, ref_checked: bool = False):
+                   step: int, pools=None, *, rng=None, checked: bool = False):
     """All log-probabilities the config's strengths read for a batch of pairs.
 
     ref holds the batch's reference slots, its rows' columns of a
@@ -235,49 +250,60 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     (cfg.seed, step), block by block (see the module docstring).
 
     The policy block and ref are each checked once for entries finite and
-    <= 0 (ref_checked skips ref, for a table already checked whole); a
-    failure re-runs the full checks, which raise DivergenceError for a
-    non-finite value and core.DomainError naming the slot for a positive one.  Raises
-    TrainingError for an empty batch, one whose rows mix modality tags, or
-    an audiovisual one.
+    <= 0; a failure re-runs the full checks, which raise DivergenceError for
+    a non-finite value and core.DomainError naming the slot for a positive
+    one.  Raises TrainingError for an empty batch, one whose rows mix
+    modality tags, or an audiovisual one.
+
+    checked is train()'s word for what it has checked once per run: ref is
+    a column block of a table already checked whole, and the batch is a
+    schedule batch of rows that reference_logprobs scored through the
+    checked forward (see batch_schedule).  It skips ref's check, the batch's
+    tag checks and forward's input checks.
     """
     batch = PairTable.coerce(batch)
     n, tags = len(batch), batch.modality_tag
-    if not n or (tags != tags[0]).any():
-        names = [MODALITY_TAGS[t] for t in np.unique(tags)]
-        raise TrainingError(f"a batch needs rows of one modality tag, got {names}")
-    if tags[0] == AUDIOVISUAL:
-        raise TrainingError("relevant/irrelevant modalities are undefined for audiovisual pairs")
+    if not checked:
+        if not n or (tags != tags[0]).any():
+            names = [MODALITY_TAGS[t] for t in np.unique(tags)]
+            raise TrainingError(f"a batch needs rows of one modality tag, got {names}")
+        if tags[0] == AUDIOVISUAL:
+            raise TrainingError("relevant/irrelevant modalities are undefined for audiovisual "
+                                "pairs")
     relevant, irrelevant = ("audio", "visual") if tags[0] == AUDIO_RELATED else ("visual", "audio")
     # The nonzero strengths' blocks in draw order: filled slot -> corrupted modality.
     strengths = {"inv": (irrelevant, cfg.hp.beta_inv), "sens": (relevant, cfg.hp.beta_sens)}
     corrupted = {slot: m for slot, (m, strength) in strengths.items() if strength > 0}
     k = 1 + len(corrupted)
-    stacked = {}
-    for m in ("audio", "visual"):  # every block starts as a copy of the clean rows
-        clean = getattr(batch, m)
-        stacked[m] = np.empty((k, n, clean.shape[1]))
-        stacked[m][:] = clean
-    if corrupted and rng is None:
-        rng = _rng(cfg.seed, _CORRUPT_STREAM, step)
-    for block, m in enumerate(corrupted.values(), start=1):  # block 0 stays clean
-        stacked[m][block] = corrupt(getattr(batch, m), cfg.corruption,
-                                    pools.get(m) if pools else None, rng)
-    policy = forward(params, stacked["audio"].reshape(k * n, -1),
-                     stacked["visual"].reshape(k * n, -1), np.concatenate([batch.prompt_id] * k))
+    audio, visual, prompt_ids = batch.audio, batch.visual, batch.prompt_id
+    if corrupted:
+        stacked = {}
+        for m in ("audio", "visual"):  # every block starts as a copy of the clean rows
+            clean = getattr(batch, m)
+            stacked[m] = np.empty((k, n, clean.shape[1]))
+            stacked[m][:] = clean
+        if rng is None:
+            rng = _rng(cfg.seed, _CORRUPT_STREAM, step)
+        for block, m in enumerate(corrupted.values(), start=1):  # block 0 stays clean
+            stacked[m][block] = corrupt(getattr(batch, m), cfg.corruption,
+                                        pools.get(m) if pools else None, rng)
+        audio, visual = stacked["audio"].reshape(k * n, -1), stacked["visual"].reshape(k * n, -1)
+        prompt_ids = np.concatenate([prompt_ids] * k)
+    policy = (forward_unchecked if checked else forward)(params, audio, visual, prompt_ids)
     # picked[block] holds the block's (chosen, rejected) log-probabilities.
-    picked = policy.logprobs.reshape(k, n, -1)[:, np.arange(n), np.stack((batch.y_w, batch.y_l))]
+    picked = policy.logprobs.reshape(k, n, -1)[:, np.arange(n), np.array((batch.y_w, batch.y_l))]
     slots = dict(zip(REF_SLOTS, ref), policy_w=picked[0, 0], policy_l=picked[0, 1])
     for block, name in enumerate(corrupted, start=1):
         slots[f"{name}_w"], slots[f"{name}_l"] = picked[block]
-    if _log_probs_ok(policy.logprobs) and (ref_checked or _log_probs_ok(ref)):
+    finite = np.isfinite(policy.logprobs).all()  # a log-softmax: finite means <= 0
+    if finite and (checked or _log_probs_ok(ref)):
         pl = PairLogProbs.checked(**slots)
-    elif np.isfinite(policy.logprobs).all() and np.isfinite(ref).all():
+    elif finite and np.isfinite(ref).all():
         pl = PairLogProbs(**slots)  # raises DomainError naming a positive slot
     else:
         raise DivergenceError(f"training diverged at step {step}: loss nan "
                               "(non-finite log-probabilities)")
-    return pl, _pass_counter(k, len(ref)), policy[:n]
+    return pl, _pass_counter(k, len(ref)), policy[:n] if corrupted else policy
 
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
@@ -287,37 +313,37 @@ def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
 
 
 def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
-               step: int = 0, pools=None, *, rng=None, ref_checked: bool = False):
+               step: int = 0, pools=None, *, rng=None, checked: bool = False):
     """One gradient-descent update on a row block of preference pairs.
 
-    ref, rng and ref_checked are as in evaluate_batch.  Returns (updated
+    ref, rng and checked are as in evaluate_batch.  Returns (updated
     params, mean pair loss, per-pair PassCounter).  The batch's rows must
     share one modality tag.
     """
     batch = PairTable.coerce(batch)
     pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools, rng=rng,
-                                        ref_checked=ref_checked)
+                                        checked=checked)
     losses, margins = pair_loss_terms(pl, cfg)
-    loss = float(np.mean(losses))
+    loss = float(losses.sum() / losses.size)
     weights = _sigmoid(-margins) * cfg.hp.tau  # d(margin)/d(d_policy) is tau
     rows = np.arange(len(batch))
-    upstream = np.zeros_like(clean.probs)
+    upstream = np.zeros(clean.probs.shape)
     upstream[rows, batch.y_w] = -weights
     upstream[rows, batch.y_l] = weights
-    where = f"training diverged at step {step} (loss {loss:.6g})"
-    return _descend(params, clean, upstream, cfg.lr, where), loss, counter
+    return _descend(params, clean, upstream, cfg.lr,
+                    lambda: f"training diverged at step {step} (loss {loss:.6g})"), loss, counter
 
 
 def _descend(params: PolicyParams, cache, upstream: np.ndarray, lr: float,
-             where: str) -> PolicyParams:
+             where) -> PolicyParams:
     """One descent step of a B-row upstream: backward through cache, a
-    DivergenceError prefixed by where if a gradient is non-finite, the
+    DivergenceError prefixed by where() if a gradient is non-finite, the
     1/B scale, and the update of size lr."""
     grads = backward(params, cache, upstream)
     try:
         grads.check_finite()
     except FloatingPointError as exc:
-        raise DivergenceError(f"{where}: {exc}") from None
+        raise DivergenceError(f"{where()}: {exc}") from None
     grads.scale(1.0 / len(upstream))
     return apply_gradient_step(params, grads, lr)
 
@@ -358,7 +384,7 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
         _check_loss("warm-up", step, loss, first)
         upstream = np.zeros_like(cache.probs)
         upstream[rows, y_w[batch]] = -1.0  # minimize -log pi(y_w)
-        params = _descend(params, cache, upstream, lr, f"warm-up diverged at step {step}")
+        params = _descend(params, cache, upstream, lr, lambda: f"warm-up diverged at step {step}")
     return params
 
 
@@ -428,8 +454,8 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     ref_params = ref_params.copy()
     params = ref_params.copy()
     pools = feature_pools(dataset)
-    ref_table = reference_logprobs(ref_params, dataset, cfg)
-    ref_checked = _log_probs_ok(ref_table)
+    ref_table = reference_logprobs(ref_params, dataset, cfg)  # forward checks every row
+    checked = _log_probs_ok(ref_table)
     if cfg.hp.beta_inv > 0 or cfg.hp.beta_sens > 0:
         rngs = _streams((cfg.seed, _CORRUPT_STREAM), range(len(schedule)))
     else:
@@ -441,7 +467,7 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     for step, (rows, rng) in enumerate(zip(schedule, rngs)):
         batch = PairTable(**_UNREAD, **{name: column[rows] for name, column in columns.items()})
         params, loss, counter = train_step(params, ref_table[:, rows], batch, cfg, step, pools,
-                                           rng=rng, ref_checked=ref_checked)
+                                           rng=rng, checked=checked)
         _check_loss("training", step, loss, losses[0] if losses else loss)
         losses.append(loss)
         counters.append(counter)

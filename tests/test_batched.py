@@ -266,7 +266,8 @@ def loop_step(params, ref_params, batch, cfg, step, pools):
     (policy_w, policy_l), (ref_w, ref_l) = pick(policy.logprobs, 0), pick(ref, 0)
     pl = PairLogProbs(policy_w=policy_w, policy_l=policy_l, ref_w=ref_w, ref_l=ref_l, **slots)
     losses, margins = training.pair_loss_terms(pl, cfg)
-    weights = training._sigmoid(-margins) * cfg.hp.tau
+    e = np.exp(-np.abs(margins))  # sigmoid(-margin), two-branch
+    weights = np.where(margins <= 0, 1.0 / (1.0 + e), e / (1.0 + e)) * cfg.hp.tau
     upstream = np.zeros_like(policy.probs[:n])
     upstream[rows, batch.y_w], upstream[rows, batch.y_l] = -weights, weights
     grads = backward(params, policy[:n], upstream)

@@ -16,6 +16,7 @@ from modlab.policy import (
     apply_gradient_step,
     backward,
     forward,
+    forward_unchecked,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -88,6 +89,31 @@ class TestForward:
         params = make_params()
         with pytest.raises(ValueError):
             forward(params, np.zeros((1, 5)), np.zeros((1, 4)), np.array([99]))
+
+    # The trainer's step skips these checks for rows that reference_logprobs
+    # has scored through them, so each message is pinned here.
+    @pytest.mark.parametrize("rows,message", [
+        ((np.zeros((2, 6)), np.zeros((2, 4)), np.array([0, 1])),
+         "audio feature length 6 does not match d_a=5"),
+        ((np.zeros((2, 5)), np.zeros((2, 3)), np.array([0, 1])),
+         "visual feature length 3 does not match d_v=4"),
+        ((np.zeros((2, 5)), np.zeros((3, 4)), np.array([0, 1])),
+         "row counts differ: audio 2, visual 3, prompt_ids 2"),
+        ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([0, -1])),
+         "prompt_id -1 outside table of size 3"),
+        ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([3, 0])),
+         "prompt_id 3 outside table of size 3"),
+    ], ids=["audio-width", "visual-width", "row-counts", "prompt-below-0", "prompt-at-size"])
+    def test_each_input_check_names_its_fault(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forward(make_params(), *rows)
+
+    def test_unchecked_kernel_is_forwards_arithmetic(self):
+        params, rng = make_params(4), np.random.default_rng(9)
+        rows = (rng.normal(size=(7, 5)), rng.normal(size=(7, 4)), rng.integers(3, size=7))
+        checked, kernel = forward(params, *rows), forward_unchecked(params, *rows)
+        for name in ("h", "probs", "logprobs"):
+            assert getattr(checked, name).tobytes() == getattr(kernel, name).tobytes()
 
 
 class TestBackward:

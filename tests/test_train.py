@@ -506,6 +506,100 @@ class TestPerTermPasses:
         assert visual[len(batch):].tobytes() == want.tobytes()
 
 
+class TestStepContract:
+    """What train() hands each step, and what each step calls."""
+
+    @pytest.mark.parametrize("bad", [synth.N_PROMPTS, -1])
+    @pytest.mark.parametrize("warm_up", [False, True])
+    def test_an_out_of_table_prompt_fails_before_step_0(self, monkeypatch, bad, warm_up):
+        # The step scores its rows without forward's checks, so a bad row
+        # must stop the run where forward checks every row once.
+        data = small_dataset(n=32)
+        ids = data.prompt_id.copy()
+        ids[7] = bad
+        table = synth.PairTable(**{name: getattr(data, name)
+                                   for name in synth.PairTable.Row._fields if name != "prompt_id"},
+                                prompt_id=ids)
+
+        def step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "train_step", step)
+        ref = None if warm_up else training.init_policy_for(data, 0)
+        with pytest.raises(ValueError, match=rf"^prompt_id {bad} outside table of size "
+                                             rf"{synth.N_PROMPTS}$"):
+            training.train(table, quick_config(), ref_params=ref)
+
+    @pytest.mark.parametrize("name", ["dpo", "inv_only", "sens_only", "modpp"])
+    def test_each_step_makes_the_calls_the_benchmark_divides_by(self, monkeypatch, name):
+        data, cfg = small_dataset(n=40), make_config(name, epochs=2, batch_size=6)
+        schedule = training.batch_schedule(data, cfg)
+        steps = []
+
+        def counting(attr):
+            real = getattr(training, attr)
+
+            def call(*args, **kwargs):
+                steps[-1][attr] = steps[-1].get(attr, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(training, attr, call)
+
+        for attr in ("backward", "apply_gradient_step", "pair_loss_terms", "corrupt"):
+            counting(attr)
+        real_step = training.train_step
+
+        def step(*args, **kwargs):
+            steps.append({"batch": len(args[2])})
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", step)
+        training.train(data, cfg, ref_params=training.init_policy_for(data, 0))
+        blocks = (cfg.hp.beta_inv > 0) + (cfg.hp.beta_sens > 0)
+        want = {"backward": 1, "apply_gradient_step": 1, "pair_loss_terms": 1}
+        if blocks:
+            want["corrupt"] = blocks
+        assert steps == [{"batch": len(rows), **want} for rows in schedule]
+
+
+def _sigmoid_before(x):
+    """training._sigmoid as it was written before it took one divide."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# Finite doubles of every magnitude, with both zeros and the subnormals.
+_ANY_FINITE = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e308, 1e308]),
+                        st.floats(-1e308, 1e308, allow_nan=False, allow_subnormal=True))
+
+
+class TestRewrittenArithmetic:
+    """Each rewritten step formula against the one it replaced, bitwise."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=st.lists(_ANY_FINITE, min_size=1, max_size=64))
+    def test_sigmoid_takes_one_divide_and_the_same_bits(self, values):
+        x = np.array(values)
+        assert training._sigmoid(x).tobytes() == _sigmoid_before(x).tobytes()
+
+    @pytest.fixture(scope="class")
+    def steps(self):
+        data = small_dataset(n=200, seed=4)
+        return (rows_tagged(data, VISUAL_RELATED), training.warmup_reference(data, 20, seed=4),
+                training.feature_pools(data))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(size=st.integers(1, 64), variant=st.sampled_from(sorted(VARIANT_HP)))
+    def test_the_step_loss_is_the_mean_pair_loss(self, steps, size, variant):
+        rows, ref, pools = steps
+        batch, cfg = rows[:size], quick_config(variant)
+        table = training.reference_logprobs(ref, batch, cfg)
+        pl, _, _ = training.evaluate_batch(ref, table, batch, cfg, 0, pools,
+                                           rng=np.random.default_rng(size))
+        losses, _ = training.pair_loss_terms(pl, cfg)
+        _, loss, _ = train_step(ref, table, batch, cfg, 0, pools, rng=np.random.default_rng(size))
+        assert len(batch) == size and loss.hex() == float(np.mean(losses)).hex()
+
+
 class TestPairLossTerms:
     def test_matches_core_losses_for_every_variant_and_tag(self):
         # Each variant's strengths, which its loss uses as given: dpo zeroes
