@@ -13,13 +13,14 @@ outputs:
 A later command reads what an earlier one wrote under out_dir by the
 names the earlier one was given (see default_config).  Every command is
 deterministic given (config, seed): rerunning writes byte-identical
-artifacts.  Exit codes: 0 success, 2 config error (an
-unknown key, a setting not of its default's type or rejected by the class
-built from it; also a malformed dataset line or checkpoint, or a
-checkpoint that does not fit the data: other feature sizes, another
-vocabulary, or too few prompts; or a corruption the data cannot give, such
-as random_swap with no distinct vector), 3 missing input, 4 verification
-failure, 1 a diverging training run or an unexpected runtime error.
+artifacts.  Exit codes: 0 success, 2 config error (an unknown key, a
+setting not of its default's type or rejected by the class built from it;
+an output path whose directory cannot be created; also a malformed dataset
+line or checkpoint, or a checkpoint that does not fit the data: other
+feature sizes, another vocabulary, or too few prompts; or a corruption the
+data cannot give, such as random_swap with no distinct vector), 3 missing
+input, 4 verification failure, 1 a diverging training run or an unexpected
+runtime error.
 The default config path can be set via the MODLAB_CONFIG environment
 variable.
 """
@@ -32,7 +33,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import yaml
@@ -43,7 +44,7 @@ from . import train as training
 from .core import ConfigurationError, check_numbers
 from .corrupt import CorruptionError, CorruptionSpec
 from .policy import CheckpointError, load_checkpoint, save_checkpoint
-from .presets import PRESET_NAMES, make_config
+from .presets import DESK_SCALE, PRESET_NAMES, make_config
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -56,7 +57,7 @@ COMMANDS = ("synth", "train", "eval", "verify", "report")
 CONFIG_ENV_VAR = "MODLAB_CONFIG"
 
 # The per-pair pass counts of a counters file, in the order train and report print them.
-PASSES = ("fwd_policy", "fwd_ref", "bwd_policy", "bwd_ref")
+PASSES = tuple(f.name for f in fields(training.PassCounter))
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -77,46 +78,48 @@ class CliError(Exception):
         self.code = code
 
 
+def _defaults(cls, skip) -> dict:
+    """{field: default} of a config class's fields outside skip, in field order."""
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
 def default_config() -> dict:
     """The config schema: every setting a command reads, with its default
     (desk scale, for a full synth -> train -> eval -> report pass).
 
+    The synth settings are SynthConfig's fields but seed, and the
+    synth.eval_items settings EvalConfig's fields outside the world synth
+    shares with it (synth.WORLD); eval.shift and report.shift are
+    CorruptionSpec's fields but seed; train.lr and train.epochs are the
+    presets' desk scale.  Each default is its class's own.  The global seed
+    seeds them all.
+
     A setting must have its default's type: an integer default takes only
-    integers, a float default a number or a list of numbers, a string or
-    boolean default only its type, and a mapping default a mapping or null
-    (a section only a mapping).  A null default stands for the value the
+    integers, a float default a number or a list of numbers (synth's
+    matched_bias one co-occurrence rate per entity kind, its feature_noise
+    an (audio, visual) pair), a string or boolean default only its type,
+    and a mapping default a mapping or null (a section only a mapping).  A
+    null synth.eval_items writes no eval items, and a null shift runs at
+    CorruptionSpec's defaults.  A null default stands for the value the
     comment beside it names; the class built from it checks a value set
     there.  report.checkpoints maps names of the user's choice to paths.
     Output names are relative to out_dir and may name subdirectories; a
     null input path is the out_dir file its writer was told to write.
     """
-    shift = {"kind": "diffusion", "t": 500, "sigma": 1.0}  # null: CorruptionSpec's defaults
+    shift = _defaults(CorruptionSpec, ("seed",))
     return {
         "seed": 0,
         "out_dir": "runs/demo",
         "synth": {
-            "n_pairs": 2000,
-            "n_scenes": 500,
-            "matched_fraction": 0.5,
-            "presence_fraction": 0.7,
-            "matched_bias": 0.5,  # or one co-occurrence rate per entity kind
-            "feature_noise": 0.05,  # or an (audio, visual) pair
-            "world_seed": 7,
+            **_defaults(synth.SynthConfig, ("seed",)),
             "out": "dataset.jsonl",
-            "eval_items": {  # null: no eval items
-                "n_items": 2000,
-                "matched_fraction": 0.5,
-                "matching_fraction": 0.0,
-                "dominance_fraction": 0.0,
-                "out": "eval_items.jsonl",
-            },
+            "eval_items": {**_defaults(synth.EvalConfig, synth.WORLD), "out": "eval_items.jsonl"},
         },
         "train": {
             "dataset": None,  # null: synth.out
             "reference": None,  # a reference checkpoint; null: warm one up
             "preset": "modpp",
-            "lr": 0.15,
-            "epochs": 4,
+            **DESK_SCALE,
             # null: the preset's value
             "batch_size": None,
             "warmup_steps": None,
@@ -225,11 +228,15 @@ def load_config(config_path, overrides) -> dict:
 
 def _out_path(cfg: dict, name: str) -> str:
     """<out_dir>/<name>, its directory created; exit 2 when it names an
-    existing directory."""
+    existing directory or its directory cannot be created."""
     path = os.path.join(cfg["out_dir"], name)
     if os.path.isdir(path):
         raise CliError(f"output {path} is an existing directory", EXIT_CONFIG)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create the directory of output {path}: {exc.strerror}",
+                       EXIT_CONFIG) from None
     return path
 
 
@@ -325,11 +332,11 @@ def cmd_synth(cfg: dict) -> int:
     # The synth settings besides out and eval_items are SynthConfig fields, and
     # the eval_items settings besides out are EvalConfig fields.
     section, seed = cfg["synth"], cfg["seed"]
-    fields = {k: v for k, v in section.items() if k not in ("out", "eval_items")}
-    data_cfg = _build("synth", lambda: synth.SynthConfig(seed=seed, **fields))
+    settings = {k: v for k, v in section.items() if k not in ("out", "eval_items")}
+    data_cfg = _build("synth", lambda: synth.SynthConfig(seed=seed, **settings))
     item_settings = section["eval_items"]
     if item_settings is not None:
-        world = {k: fields[k] for k in ("n_scenes", "matched_bias", "feature_noise", "world_seed")}
+        world = {k: settings[k] for k in synth.WORLD if k != "seed"}
         eval_cfg = _build("synth.eval_items", lambda: synth.EvalConfig(
             seed=seed + 1, **world, **{k: v for k, v in item_settings.items() if k != "out"}))
 
@@ -357,14 +364,14 @@ def build_train_config(section: dict, seed: int) -> training.TrainConfig:
     if section["preset"] not in PRESET_NAMES:
         raise CliError(f"unknown preset {section['preset']!r}; known: {', '.join(PRESET_NAMES)}",
                        EXIT_CONFIG)
-    overrides = {key: section[key] for key in ("lr", "epochs", "batch_size", "warmup_steps",
-                                               "warmup_lr")
-                 if section[key] is not None}
-    preset = make_config(section["preset"])
-    for key in ("hp", "corruption"):
-        if section[key] is not None:
-            overrides[key] = _build(f"train.{key}",
-                                    lambda: replace(getattr(preset, key), **section[key]))
+    preset, overrides = make_config(section["preset"]), {}
+    for name in (f.name for f in fields(training.TrainConfig)):
+        value = section.get(name)  # None for seed, the global setting
+        if value is None:
+            continue
+        if is_dataclass(getattr(preset, name)):  # hp, corruption
+            value = _build(f"train.{name}", lambda: replace(getattr(preset, name), **value))
+        overrides[name] = value
     return _build("train", lambda: make_config(section["preset"], seed=seed, **overrides))
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,7 +93,7 @@ class Hyperparams:
     gamma_lpd: float = 0.05
 
     def __post_init__(self):
-        check_numbers(self, ConfigurationError, ("beta", "beta_inv", "beta_sens", "gamma_lpd"))
+        check_numbers(self, ConfigurationError, [f.name for f in fields(self)])
         if self.tau <= 0:
             raise ConfigurationError(
                 f"temperature tau must be positive, got {self.tau} "

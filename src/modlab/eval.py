@@ -46,14 +46,13 @@ from .corrupt import CorruptionSpec, FeaturePool, corrupt_rows
 from .policy import PolicyParams, forward
 from .synth import (
     ANSWERS,
-    AUDIO_RELATED,
     AUDIOVISUAL,
     EVAL_QUESTION_KINDS,
     MODALITY_TAGS,
     N_PROMPTS,
     NO_ID,
+    ROLES,
     TASK_GROUPS,
-    VISUAL_RELATED,
     YES_ID,
     EvalItem,
     ItemTable,
@@ -252,14 +251,11 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str) 
     if not len(items):
         deltas = np.empty(0)
     else:
-        audio_rel = items.modality_tag == AUDIO_RELATED
-        visual_rel = items.modality_tag == VISUAL_RELATED
-        if not (audio_rel | visual_rel).all():
+        role = ("relevant", "irrelevant").index(which)
+        # Each modality is the chosen role of one tag: its mask is that tag's rows.
+        masks = {roles[role]: items.modality_tag == tag for tag, roles in ROLES.items()}
+        if not (masks["audio"] | masks["visual"]).all():
             raise EvalError("shift analysis needs single-modality items")
-        if which == "relevant":
-            masks = {"audio": audio_rel, "visual": visual_rel}
-        else:
-            masks = {"audio": visual_rel, "visual": audio_rel}
         features = {"audio": items.audio, "visual": items.visual}
         pools = ({m: FeaturePool(x) for m, x in features.items()}
                  if spec.kind == "random_swap" else None)  # no other kind reads a pool

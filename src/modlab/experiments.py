@@ -132,7 +132,7 @@ def _outcome(params, items, shift_spec, losses=None) -> VariantOutcome:
 def run_benchmark(spec: ExperimentSpec, seed: int, variants=("dpo", "modpp_desk")) -> BenchmarkRun:
     """Train each named preset at the spec's budget from one world and one
     shared reference, and score them."""
-    shift_spec = CorruptionSpec(kind="diffusion", t=500, seed=seed)
+    shift_spec = CorruptionSpec(seed=seed)
     train_pairs, items, reference = build_world(spec, seed)
     run = BenchmarkRun(reference=_outcome(reference, items, shift_spec), variants={})
     for name in variants:
@@ -142,10 +142,3 @@ def run_benchmark(spec: ExperimentSpec, seed: int, variants=("dpo", "modpp_desk"
         run.variants[name] = _outcome(result.params, items, shift_spec, result.losses)
     return run
 
-
-def seed_averaged(runs, attribute: str) -> dict:
-    """Mean of an outcome attribute across runs, including the reference."""
-    out = {"reference": float(np.mean([getattr(r.reference, attribute) for r in runs]))}
-    for name in runs[0].variants:
-        out[name] = float(np.mean([getattr(r.variants[name], attribute) for r in runs]))
-    return out

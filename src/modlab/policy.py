@@ -136,9 +136,6 @@ class GradAccumulator(_FlatTensors):
     def scale(self, factor: float) -> None:
         self.vector *= factor
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.vector)))
-
 
 def init_params(d_a: int = 8, d_v: int = 8, d_h: int = 16, vocab_size: int = 8,
                 n_prompts: int = 16, seed: int = 0) -> PolicyParams:
@@ -155,10 +152,6 @@ def init_params(d_a: int = 8, d_v: int = 8, d_h: int = 16, vocab_size: int = 8,
         w_out=draw(vocab_size, d_h),
         b=draw(vocab_size),
     )
-
-
-def zero_params_like(params: PolicyParams) -> PolicyParams:
-    return PolicyParams._wrap(np.zeros_like(params.vector), params.layout)
 
 
 @dataclass(eq=False)

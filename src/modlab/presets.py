@@ -17,8 +17,9 @@ from .core import Hyperparams
 from .corrupt import CorruptionSpec
 from .train import TrainConfig
 
-# Step size and epoch budget sized for the toy policy.
-_DESK_SCALE = dict(lr=0.15, epochs=4, batch_size=16, warmup_steps=500, warmup_lr=0.5)
+# Step size and epoch budget sized for the toy policy; every other budget
+# setting is TrainConfig's default.
+DESK_SCALE = dict(lr=0.15, epochs=4)
 
 _PRESETS = {
     # Loss ladder.
@@ -58,4 +59,4 @@ def make_config(name: str, **overrides) -> TrainConfig:
     """TrainConfig for a named preset, with field overrides applied last."""
     if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    return TrainConfig(**{**_DESK_SCALE, **_PRESETS[name], **overrides})
+    return TrainConfig(**{**DESK_SCALE, **_PRESETS[name], **overrides})

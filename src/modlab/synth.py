@@ -36,8 +36,11 @@ file (``<path>.stats.json``) stores the generation parameters needed by the
 verifier plus summary statistics.
 
 In memory a file is one struct-of-arrays table (``PairTable`` or
-``ItemTable``), built once by ``read_records`` or the generator, and
-written by its ``records``: one (N,) column per field, the features (N, d)
+``ItemTable``), built once by ``read_records`` or a generator, and
+written by its ``records``.  Both generators collect each record's scene
+references, question, target and labels as one row, and ``_generated``
+turns the rows into the table, deriving the tag, prompt, matched flag and
+features.  A table holds one (N,) column per field, the features (N, d)
 columns named ``audio`` and ``visual``, with tags, question kinds, answers
 and task groups as int codes (indices into MODALITY_TAGS,
 EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).  ``t[rows]`` is a sub-table,
@@ -100,6 +103,8 @@ TASK_GROUPS = ("adv_hallucination", "vda_hallucination", "matching", "dominance"
 
 MODALITY_TAGS = ("audio_related", "visual_related", "audiovisual")
 AUDIO_RELATED, VISUAL_RELATED, AUDIOVISUAL = range(len(MODALITY_TAGS))
+# The (relevant, irrelevant) modality of each single-modality tag.
+ROLES = {AUDIO_RELATED: ("audio", "visual"), VISUAL_RELATED: ("visual", "audio")}
 
 # Ground-truth answers, indexed by their vocabulary ids YES_ID and NO_ID.
 ANSWERS = ("yes", "no")
@@ -369,16 +374,6 @@ class _Table:
                 problems.setdefault(row, problem(row))
         return table, problems
 
-    @classmethod
-    def from_records(cls, records):
-        """The table of decoded JSON records; the earliest bad record raises
-        WorldError("record <n>: <problem>"), counting from 1 (see ``check``)."""
-        table, problems = cls.check(list(records))
-        if problems:
-            row = min(problems)
-            raise WorldError(f"record {row + 1}: {problems[row]}")
-        return table
-
 
 class PairTable(_Table):
     """Preference pairs, each of one relevant modality; a row is a PreferencePair."""
@@ -565,14 +560,16 @@ def caption_slot(mask):
 
 def build_pair(scenes: Scenes, visual_scene: int, audio_scene: int, question_kind: str,
                rng: np.random.Generator):
-    """The preference pair of a question about the visual scene's video
-    and the audio scene's sound, or None when it has no eligible target.
+    """The labels (target kind, y_w, y_l) of a preference pair asking the
+    question about the visual scene's video and the audio scene's sound, or
+    None when it has no eligible target.
 
     Presence: a target drawn from the context's candidates; y_w is its
     PRESENCE answer and y_l the inversion, which is the answer the
-    irrelevant modality suggests for every eligible category.  Captions:
-    y_w is the caption slot of the relevant modality's kinds, y_l the other
-    modality's (shifted by one slot on collision, so it contradicts y_w).
+    irrelevant modality suggests for every eligible category.  Captions
+    (target 0): y_w is the caption slot of the relevant modality's kinds,
+    y_l the other modality's (shifted by one slot on collision, so it
+    contradicts y_w).
     """
     if question_kind not in QUESTION_KINDS:
         raise WorldError(f"no oracle for question kind {question_kind!r}")
@@ -583,26 +580,30 @@ def build_pair(scenes: Scenes, visual_scene: int, audio_scene: int, question_kin
         if not candidates:
             return None
         target, y_w = candidates[int(rng.integers(len(candidates)))]
-        prompt, y_l = PROMPT_OF[q] + target, NO_ID if y_w == YES_ID else YES_ID
-    else:
-        active, other = (visible, sounding) if TAG_OF[q] == VISUAL_RELATED else (sounding, visible)
-        if not active:
-            return None
-        prompt, y_w, y_l = PROMPT_OF[q], caption_slot(active), caption_slot(other)
-        if y_l == y_w:
-            y_l = CAPTION_BASE + ((y_l - CAPTION_BASE + 1) % N_CAPTION_SLOTS)
-    return PreferencePair(
-        audio=scenes.audio[audio_scene],
-        visual=scenes.visual[visual_scene],
-        prompt_id=prompt,
-        modality_tag=TAG_OF[q],
-        question_kind=q,
-        y_w=y_w,
-        y_l=y_l,
-        matched=visual_scene == audio_scene,
-        visual_scene=visual_scene,
-        audio_scene=audio_scene,
-    )
+        return target, y_w, NO_ID if y_w == YES_ID else YES_ID
+    masks = {"visual": visible, "audio": sounding}
+    active, other = (masks[m] for m in ROLES[TAG_OF[q]])
+    if not active:
+        return None
+    y_w, y_l = caption_slot(active), caption_slot(other)
+    if y_l == y_w:
+        y_l = CAPTION_BASE + ((y_l - CAPTION_BASE + 1) % N_CAPTION_SLOTS)
+    return 0, y_w, y_l
+
+
+def _generated(table, scenes: Scenes, rows: list):
+    """The table (PairTable or ItemTable) of generated rows, each (visual
+    scene, audio scene, question code, target kind, *labels), the labels
+    being the table's other fields in order.  The question code and target
+    fix modality_tag and prompt_id, the scene references matched and the
+    features."""
+    visual_scene, audio_scene, q, target, *labels = map(np.array, zip(*rows))
+    derived = dict(visual_scene=visual_scene, audio_scene=audio_scene, question_kind=q,
+                   prompt_id=np.asarray(PROMPT_OF)[q] + target,
+                   modality_tag=np.asarray(TAG_OF)[q], matched=visual_scene == audio_scene,
+                   audio=scenes.audio[audio_scene], visual=scenes.visual[visual_scene])
+    names = [name for name in table.Row._fields if name not in derived]
+    return table(**derived, **dict(zip(names, labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +617,7 @@ _LEVELS = (("matched_bias", N_ENTITY_KINDS, 1.0, "a number in [0, 1] or one per 
 
 # The settings that fix a scene pool, in generate_scenes' argument order;
 # sidecars store them so the verifier can rebuild the pool.
-_WORLD = ("n_scenes", "seed", "world_seed", "matched_bias", "feature_noise")
+WORLD = ("n_scenes", "seed", "world_seed", "matched_bias", "feature_noise")
 
 
 def _check_rates(cfg, *fractions) -> None:
@@ -641,8 +642,8 @@ def _check_rates(cfg, *fractions) -> None:
 
 
 def _scenes_of(world) -> Scenes:
-    """The scene pool of an object holding the _WORLD settings."""
-    return generate_scenes(*(getattr(world, key) for key in _WORLD))
+    """The scene pool of an object holding the WORLD settings."""
+    return generate_scenes(*(getattr(world, key) for key in WORLD))
 
 
 @dataclass(frozen=True)
@@ -704,18 +705,19 @@ def generate_pairs(cfg: SynthConfig) -> PairTable:
     alloc_rng = _rng(cfg.seed, _PAIR_STREAM, 0)
     matched_flags = _exact_allocation(cfg.n_pairs, cfg.matched_fraction, alloc_rng)
     question_kinds = _question_allocation(cfg, alloc_rng)
-    pairs = []
+    rows = []
     for i, rng in enumerate(_streams((cfg.seed, _PAIR_STREAM), range(1, cfg.n_pairs + 1))):
+        kind = str(question_kinds[i])
         for _ in range(200):
             visual_scene, audio_scene = _draw_scene_pair(len(scenes), bool(matched_flags[i]), rng)
-            pair = build_pair(scenes, visual_scene, audio_scene, str(question_kinds[i]), rng)
-            if pair is not None:
+            labels = build_pair(scenes, visual_scene, audio_scene, kind, rng)
+            if labels is not None:
                 break
         else:
-            raise WorldError(f"could not realize a {question_kinds[i]} pair after 200 attempts; "
+            raise WorldError(f"could not realize a {kind} pair after 200 attempts; "
                              "the scene pool is too small or too sparse")
-        pairs.append(pair)
-    return PairTable.coerce(pairs)
+        rows.append((visual_scene, audio_scene, QUESTION_KINDS.index(kind), *labels))
+    return _generated(PairTable, scenes, rows)
 
 
 def pair_record(pair: PreferencePair) -> dict:
@@ -753,7 +755,7 @@ def _stats_header(kind: str, cfg, n_records: int) -> dict:
     """Sidecar fields shared by both file kinds: what the verifier needs to
     rebuild the world, plus the record count."""
     return {"format_version": FORMAT_VERSION, "kind": kind,
-            **{key: getattr(cfg, key) for key in _WORLD}, "n_records": n_records}
+            **{key: getattr(cfg, key) for key in WORLD}, "n_records": n_records}
 
 
 def stats_path(path) -> str:
@@ -851,7 +853,7 @@ def verify_dataset(path) -> VerifyReport:
 
     The lines are read through the loader's checks (``_scan``): a line that
     is not a JSON object is a parse error, and a record failing a column
-    check is a violation naming its first problem.  The sidecar's _WORLD
+    check is a violation naming its first problem.  The sidecar's WORLD
     settings must pass SynthConfig's rules, else one parse error on line 0,
     and its n_records must count the file's non-blank lines, else another.
     Each check of the other records then runs on all rows at once, in the
@@ -874,7 +876,7 @@ def verify_dataset(path) -> VerifyReport:
             meta = json.load(fh)
         # SynthConfig's rules check the world settings (matched contexts
         # only, so that a one-scene world passes).
-        scenes = _scenes_of(SynthConfig(matched_fraction=1.0, **{key: meta[key] for key in _WORLD}))
+        scenes = _scenes_of(SynthConfig(matched_fraction=1.0, **{key: meta[key] for key in WORLD}))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         report.parse_errors.append((0, f"cannot rebuild the world from sidecar stats: {exc}"))
         return report
@@ -1032,12 +1034,7 @@ def generate_eval_items(cfg: EvalConfig) -> ItemTable:
         else:
             raise WorldError("could not balance the presence items; enlarge the scene pool")
 
-    visual_scene, audio_scene, q, target, answer, group = map(np.array, zip(*rows))
-    return ItemTable(visual_scene=visual_scene, audio_scene=audio_scene, question_kind=q,
-                     prompt_id=np.asarray(PROMPT_OF)[q] + target,
-                     modality_tag=np.asarray(TAG_OF)[q], matched=visual_scene == audio_scene,
-                     ground_truth=answer, task_group=group, audio=scenes.audio[audio_scene],
-                     visual=scenes.visual[visual_scene])
+    return _generated(ItemTable, scenes, rows)
 
 
 def generate_eval_records(cfg: EvalConfig) -> list:

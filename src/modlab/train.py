@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -87,6 +87,7 @@ from .synth import (
     AUDIOVISUAL,
     MODALITY_TAGS,
     N_PROMPTS,
+    ROLES,
     VISUAL_RELATED,
     VOCAB_SIZE,
     PairTable,
@@ -135,9 +136,9 @@ class PassCounter:
     bwd_ref: int = 0
 
     def __post_init__(self):
-        for name in ("fwd_policy", "fwd_ref", "bwd_policy", "bwd_ref"):
-            if getattr(self, name) < 0:
-                raise TrainingError(f"{name} cannot be negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise TrainingError(f"{f.name} cannot be negative")
         if self.bwd_ref != 0:
             raise TrainingError("the reference model is frozen; bwd_ref must stay 0")
 
@@ -249,11 +250,11 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     Corrupted rows come from rng, by default the generator seeded by
     (cfg.seed, step), block by block (see the module docstring).
 
-    The policy block and ref are each checked once for entries finite and
-    <= 0; a failure re-runs the full checks, which raise DivergenceError for
-    a non-finite value and core.DomainError naming the slot for a positive
-    one.  Raises TrainingError for an empty batch, one whose rows mix
-    modality tags, or an audiovisual one.
+    A non-finite entry of the policy block or of ref raises
+    DivergenceError; PairLogProbs then checks every slot, and raises
+    core.DomainError naming the slot of a positive one.  Raises
+    TrainingError for an empty batch, one whose rows mix modality tags, or
+    an audiovisual one.
 
     checked is train()'s word for what it has checked once per run: ref is
     a column block of a table already checked whole, and the batch is a
@@ -270,7 +271,7 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
         if tags[0] == AUDIOVISUAL:
             raise TrainingError("relevant/irrelevant modalities are undefined for audiovisual "
                                 "pairs")
-    relevant, irrelevant = ("audio", "visual") if tags[0] == AUDIO_RELATED else ("visual", "audio")
+    relevant, irrelevant = ROLES[tags[0]]
     # The nonzero strengths' blocks in draw order: filled slot -> corrupted modality.
     strengths = {"inv": (irrelevant, cfg.hp.beta_inv), "sens": (relevant, cfg.hp.beta_sens)}
     corrupted = {slot: m for slot, (m, strength) in strengths.items() if strength > 0}
@@ -295,14 +296,11 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     slots = dict(zip(REF_SLOTS, ref), policy_w=picked[0, 0], policy_l=picked[0, 1])
     for block, name in enumerate(corrupted, start=1):
         slots[f"{name}_w"], slots[f"{name}_l"] = picked[block]
-    finite = np.isfinite(policy.logprobs).all()  # a log-softmax: finite means <= 0
-    if finite and (checked or _log_probs_ok(ref)):
-        pl = PairLogProbs.checked(**slots)
-    elif finite and np.isfinite(ref).all():
-        pl = PairLogProbs(**slots)  # raises DomainError naming a positive slot
-    else:
+    # A finite log-softmax is <= 0; PairLogProbs names a positive ref slot.
+    if not (np.isfinite(policy.logprobs).all() and (checked or np.isfinite(ref).all())):
         raise DivergenceError(f"training diverged at step {step}: loss nan "
                               "(non-finite log-probabilities)")
+    pl = (PairLogProbs.checked if checked else PairLogProbs)(**slots)
     return pl, _pass_counter(k, len(ref)), policy[:n] if corrupted else policy
 
 

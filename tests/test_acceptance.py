@@ -29,6 +29,13 @@ def report(criterion: str, detail: str) -> None:
     print(f"[{criterion}] PASS: {detail}")
 
 
+def seed_averaged(runs, attribute: str) -> dict:
+    """Mean of an outcome attribute across runs, the reference included."""
+    outcomes = [{"reference": r.reference, **r.variants} for r in runs]
+    return {name: float(np.mean([getattr(o[name], attribute) for o in outcomes]))
+            for name in outcomes[0]}
+
+
 # ---------------------------------------------------------------------------
 # Expensive shared experiments
 
@@ -137,7 +144,7 @@ def test_criterion_5_dataset_round_trip():
 
 def test_criterion_6_directional_benchmark(benchmark_runs):
     runs, elapsed = benchmark_runs
-    acc = experiments.seed_averaged(runs, "accuracy")
+    acc = seed_averaged(runs, "accuracy")
     gap = acc["modpp_desk"] - acc["dpo"]
     assert gap >= 3.0, f"gap {gap:+.2f}pp"
     assert acc["dpo"] > acc["reference"], "vanilla preference training fell below the reference"
@@ -153,8 +160,8 @@ def test_criterion_6_directional_benchmark(benchmark_runs):
 
 
 def test_criterion_7_shift_ordering(shift_runs):
-    rel = experiments.seed_averaged(shift_runs, "shift_relevant")
-    irr = experiments.seed_averaged(shift_runs, "shift_irrelevant")
+    rel = seed_averaged(shift_runs, "shift_relevant")
+    irr = seed_averaged(shift_runs, "shift_irrelevant")
     assert rel["modpp"] > irr["modpp"], \
         f"relevant {rel['modpp']:.4f} vs irrelevant {irr['modpp']:.4f}"
     assert irr["modpp"] < irr["dpo"], \
@@ -169,7 +176,7 @@ def test_criterion_7_shift_ordering(shift_runs):
 
 
 def test_criterion_8_corruption_strength(benchmark_runs):
-    acc = experiments.seed_averaged(benchmark_runs[0], "accuracy")
+    acc = seed_averaged(benchmark_runs[0], "accuracy")
     t500, t10 = acc["modpp_desk"], acc["modpp_desk_t10"]
     assert t500 > t10, f"t=500 {t500:.2f} vs t=10 {t10:.2f}"
     report("criterion 8", f"diffusion t=500 {t500:.2f} beats t=10 {t10:.2f} "

@@ -1,5 +1,7 @@
 """Command-line surface: artifacts, determinism, exit codes."""
 
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -498,6 +500,69 @@ class TestPathKinds:
         assert cli.run("train", None, overrides) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: output {taken} is an existing directory"]
+
+
+class TestOutputPaths:
+    """An output whose directory cannot be created exits 2 with one line."""
+
+    def test_out_dir_that_is_a_regular_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.run("synth", None, [f"out_dir={taken}"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot create the directory of output {taken / 'dataset.jsonl'}: "
+                       "File exists"]
+
+    def test_an_output_directory_the_system_refuses_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, exist_ok=False):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+        out = tmp_path / "nope" / "x.jsonl"
+        monkeypatch.setattr(cli.os, "makedirs", refuse)
+        assert cli.run("synth", None, [f"synth.out={out}"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot create the directory of output {out}: "
+                       "No such file or directory"]
+
+
+class TestDefaultPipelineBytes:
+    """sha256 of every file the default synth, train, eval and report write
+    under the default out_dir, taken before the defaults were read from the
+    config classes and the two generators shared one column assembly.  The
+    values hold for the numpy build and LAPACK of the host they were taken
+    on."""
+
+    SHA256 = {
+        "comparison.csv": "01786f7acd3c54dff4d0989a7ca9bf5fa7e67e76ed3967713cb50ad43a1eff7c",
+        "comparison.txt": "1968958bca20305de743be60a599eb83414c7cf5adee291bbe52acf76860526f",
+        "counters.json": "b16c6764559ccdc53140d79bec7a7037ebd10c72a8932a34310eddf89dfd8572",
+        "dataset.jsonl": "a51ad7f2d62f54ebd3eb7efee8c0ebeafb69c1651c3583c8834a4e19f101a565",
+        "dataset.jsonl.stats.json":
+            "008ff2129c7b53a274de6652546d3201f65d005905db3f6a6c73f12ed6b633bc",
+        "eval.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
+        "eval_items.jsonl": "37926aad858de274a564ee9aeea0abd46c67337d248575f8eef6deef6d49af48",
+        "eval_items.jsonl.stats.json":
+            "2f97f59ada39e6f3854bb42de193e9b7f9ce266e449e0be351a2c36c54ec89a7",
+        "loss_trace.csv": "4d5a4684d3aa36e2db5a2868f75232060e2822aec625ba4d702b1965981614b8",
+        "metrics.csv": "291c862a6afe93e1d8d3023f9d8ff6932d9aecd5f5f42bfa3b6af897598da268",
+        "metrics_shift_irrelevant.csv":
+            "c1d02e092f8e704b8fa12296e29f54ccaf38f65323b63540d3a4af6f2663e1e8",
+        "metrics_shift_relevant.csv":
+            "e22e164a988589932096fd2ce03705eef8b0c411f70b35ace2e5722ede749c4f",
+        "policy.ckpt": "f4dc7b15cd96e5516a7efe9a2e6f4823119510bb2281246e7416ee0fea823512",
+        "reference.ckpt": "55afeb3ea2f62e8a903cbe0170c3d71f9c2d88f97d428dcee555f3fc986bc281",
+        "report.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
+        "synth.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
+        "train.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
+    }
+
+    def test_the_default_pipeline_writes_the_pinned_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for command in ("synth", "train", "eval", "report"):
+            assert cli.run(command) == cli.EXIT_OK
+        out = tmp_path / "runs" / "demo"
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == self.SHA256
 
 
 class TestMalformedCounters:

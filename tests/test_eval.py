@@ -7,8 +7,14 @@ from modlab import eval as eval_mod
 from modlab import synth
 from modlab.corrupt import CorruptionSpec
 from modlab.eval import MetricsReport, compare, loglik_shift, predict, score
-from modlab.policy import init_params, zero_params_like
+from modlab.policy import init_params
 from modlab.synth import EvalConfig
+
+
+def _zero_params():
+    """A policy whose every parameter is zero: uniform over the vocabulary."""
+    params = init_params(n_prompts=synth.N_PROMPTS)
+    return params.from_vector(np.zeros_like(params.vector))
 
 
 def make_items(n=40, seed=0, matched_fraction=0.5):
@@ -35,12 +41,12 @@ class TestPredict:
         assert predict(params, item_with("yes")) == "yes"
 
     def test_tie_breaks_toward_no(self):
-        params = zero_params_like(init_params(n_prompts=synth.N_PROMPTS))
+        params = _zero_params()
         assert predict(params, item_with("yes")) == "no"
 
     def test_uniform_policy_scores_chance_on_balanced_items(self):
         items = make_items(n=200, seed=3)
-        params = zero_params_like(init_params(n_prompts=synth.N_PROMPTS))
+        params = _zero_params()
         report = eval_mod.evaluate(params, items)
         # uniform output always parses to "no": exactly the no-stratum share
         assert report.accuracy == pytest.approx(50.0)
@@ -118,7 +124,7 @@ class TestLoglikShift:
 
     def test_zero_parameter_policy_shows_no_shift(self):
         items = make_items(n=30, seed=8)
-        params = zero_params_like(init_params(n_prompts=synth.N_PROMPTS))
+        params = _zero_params()
         stats = loglik_shift(params, items, CorruptionSpec(kind="gaussian"), "irrelevant")
         assert np.allclose(stats.deltas, 0.0)
 

@@ -169,6 +169,16 @@ class TestScenes:
         assert loud_visual > 5.0
 
 
+def _pair(scenes, visual_scene, audio_scene, question_kind, rng):
+    """The one-row PairTable generate_pairs assembles from build_pair's
+    labels, or None when build_pair finds no target."""
+    labels = build_pair(scenes, visual_scene, audio_scene, question_kind, rng)
+    if labels is None:
+        return None
+    row = (visual_scene, audio_scene, synth.QUESTION_KINDS.index(question_kind), *labels)
+    return synth._generated(synth.PairTable, scenes, [row])[0]
+
+
 class TestBuildPair:
     def setup_method(self):
         self.scenes = generate_scenes(40, seed=13, world_seed=7)
@@ -176,7 +186,7 @@ class TestBuildPair:
     def test_matched_pair_flags(self):
         rng = np.random.default_rng(0)
         for scene in range(len(self.scenes)):
-            pair = build_pair(self.scenes, scene, scene, "audio_presence", rng)
+            pair = _pair(self.scenes, scene, scene, "audio_presence", rng)
             if pair is not None:
                 assert pair.matched
                 assert (pair.visual_scene, pair.audio_scene) == (scene, scene)
@@ -184,13 +194,21 @@ class TestBuildPair:
         else:
             pytest.fail("no eligible audio_presence pair found")
 
+    def test_generated_columns_follow_the_scene_references(self):
+        pairs = generate_pairs(SynthConfig(n_pairs=60, n_scenes=20, seed=2))
+        scenes = generate_scenes(20, seed=2, world_seed=7)
+        assert 0 < pairs.matched.sum() < len(pairs)
+        np.testing.assert_array_equal(pairs.matched, pairs.visual_scene == pairs.audio_scene)
+        np.testing.assert_array_equal(pairs.audio, scenes.audio[pairs.audio_scene])
+        np.testing.assert_array_equal(pairs.visual, scenes.visual[pairs.visual_scene])
+
     def test_visible_only_entity_audio_question(self):
         # visible & silent object: chosen answer no, rejected asserts the
         # sound that the visual presence suggests.
         sigs = synth.build_signatures(7)
         scenes = _pool(([1], [], np.zeros(8), sigs[1][1]))
-        pair = build_pair(scenes, 0, 0, "audio_presence", np.random.default_rng(1))
-        assert pair.y_w == NO_ID and pair.y_l == YES_ID
+        target, y_w, y_l = build_pair(scenes, 0, 0, "audio_presence", np.random.default_rng(1))
+        assert target == 1 and y_w == NO_ID and y_l == YES_ID
 
     def test_mismatched_sounding_absent_visual(self):
         # audio scene sounds a kind the visual scene does not show at all:
@@ -198,7 +216,7 @@ class TestBuildPair:
         # the audio-suggested yes.
         sigs = synth.build_signatures(7)
         scenes = _pool(([0], [0], np.zeros(8), sigs[1][0]), ([], [2], sigs[0][2], np.zeros(8)))
-        pair = build_pair(scenes, 0, 1, "visual_presence", np.random.default_rng(2))
+        pair = _pair(scenes, 0, 1, "visual_presence", np.random.default_rng(2))
         assert synth.EVAL_QUESTION_KINDS[pair.question_kind] == "visual_presence"
         assert pair.y_w == NO_ID and pair.y_l == YES_ID
         assert not pair.matched
@@ -208,10 +226,11 @@ class TestBuildPair:
         emitted = 0
         for qk in ("visual_presence", "audio_presence", "visual_caption", "audio_caption"):
             for i in range(0, 30, 2):
-                pair = build_pair(self.scenes, i, i + 1, qk, rng)
-                if pair is not None:
+                labels = build_pair(self.scenes, i, i + 1, qk, rng)
+                if labels is not None:
                     emitted += 1
-                    assert pair.y_w != pair.y_l
+                    _, y_w, y_l = labels
+                    assert y_w != y_l
         assert emitted > 20
 
     def test_skip_signal(self):
@@ -224,7 +243,7 @@ class TestBuildPair:
     def test_caption_pair_targets_relevant_modality(self):
         rng = np.random.default_rng(4)
         for scene in range(len(self.scenes)):
-            pair = build_pair(self.scenes, scene, scene, "visual_caption", rng)
+            pair = _pair(self.scenes, scene, scene, "visual_caption", rng)
             if pair is None:
                 continue
             visible = self.scenes.visible[scene]
@@ -237,7 +256,7 @@ class TestBuildPair:
         rng = np.random.default_rng(5)
         pair = None
         for scene in range(len(self.scenes)):
-            pair = build_pair(self.scenes, scene, scene, "audio_presence", rng)
+            pair = _pair(self.scenes, scene, scene, "audio_presence", rng)
             if pair is not None:
                 break
         assert synth.MODALITY_TAGS[pair.modality_tag] == "audio_related"
@@ -862,9 +881,11 @@ class TestPinnedBytes:
             "1c9fc0c21f189274849ae70d9a97f5f83afecff5e569e7346fd3203c53a4d4f5"]
 
 
-def test_from_records_names_the_first_bad_record():
+def test_check_names_each_bad_record():
     records = synth.generate_eval_records(EvalConfig(n_items=6, n_scenes=10, seed=1))
     records[1]["ground_truth"] = "maybe"
     records[4]["task_group"] = "other"
-    with pytest.raises(WorldError, match=r"^record 2: ground_truth must be one of"):
-        synth.ItemTable.from_records(records)
+    _, problems = synth.ItemTable.check(records)
+    assert sorted(problems) == [1, 4]
+    assert problems[1].startswith("ground_truth must be one of")
+    assert problems[4].startswith("task_group must be one of")

@@ -366,6 +366,42 @@ class TestDivergenceGuard:
             training.warmup_reference(data, steps=5, seed=0, lr=1e300)
 
 
+class TestEvaluateBatchChecks:
+    """The one validity check of evaluate_batch: unchecked, as the oracles
+    call it, and checked, as train() calls it."""
+
+    DIVERGED = r"^training diverged at step 3: loss nan \(non-finite log-probabilities\)$"
+
+    @staticmethod
+    def inputs():
+        data = small_dataset(n=32)
+        cfg = quick_config("modpp")
+        batch = rows_tagged(data, VISUAL_RELATED)[:4]
+        params = training.init_policy_for(data, seed=0)
+        return params, training.reference_logprobs(params, batch, cfg), batch, cfg
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_a_non_finite_policy_block_diverges(self, checked):
+        params, ref, batch, cfg = self.inputs()
+        params.w_out[0] = np.inf  # every policy log-probability becomes nan
+        with np.errstate(invalid="ignore"), pytest.raises(training.DivergenceError,
+                                                          match=self.DIVERGED):
+            training.evaluate_batch(params, ref, batch, cfg, 3, checked=checked)
+
+    def test_a_non_finite_ref_entry_diverges(self):
+        params, ref, batch, cfg = self.inputs()
+        ref[2, 1] = -np.inf
+        with pytest.raises(training.DivergenceError, match=self.DIVERGED):
+            training.evaluate_batch(params, ref, batch, cfg, 3)
+
+    def test_a_positive_ref_entry_names_its_slot(self):
+        params, ref, batch, cfg = self.inputs()
+        ref[1, 2] = 0.25
+        with pytest.raises(core.DomainError,
+                           match="^ref_l is a log-probability and must be <= 0"):
+            training.evaluate_batch(params, ref, batch, cfg, 3)
+
+
 class TestStopGradient:
     def test_loss_of_only_detached_passes_accumulates_no_gradient(self):
         # The contract: corrupted-pass values may enter loss expressions
@@ -383,7 +419,7 @@ class TestStopGradient:
         assert clean.probs.shape == (len(batch), synth.VOCAB_SIZE)
         detached_loss = -np.sum(pl.inv_w - pl.inv_l) - np.sum(pl.sens_w - pl.sens_l)
         assert np.isfinite(detached_loss)
-        assert backward(params, clean, np.zeros_like(clean.probs)).max_abs() == 0.0
+        assert np.abs(backward(params, clean, np.zeros_like(clean.probs)).vector).max() == 0.0
 
     def test_detached_losses_do_not_move_parameters(self):
         # A batch whose loss depends only on detached passes: strengths on

@@ -13,7 +13,10 @@ pair k runs both sides on the k-th seed, the base first in odd pairs and the
 change first in even ones, each as ``python3 perfbench/run.py --workload W
 --seed S --seconds T --trace 0``.  A run that exits non-zero or prints no
 result is kept in the file with its error and counted as crashed; the
-summary is taken over the pairs where both sides ran.  Writes
+summary is taken over the pairs where both sides ran.  A pair's outputs are
+compared twice: whole (``outputs_equal``) and without the digests of the
+``*.config.yaml`` snapshots (``outputs_equal_except_snapshots``), which
+record out_dir and so differ between the two checkouts on ``cli``.  Writes
 ``BENCH_<slug>.json``: per workload the runs, and per end-to-end metric the
 inclusive quartiles of each side, the base IQR, the change's wins (ties count
 for neither), the change/base median ratio and whether the change is worse
@@ -81,6 +84,14 @@ def alternate(sides: dict, workload: str, seeds: list, seconds: float, trace: in
         yield {"seed": seed, "first": order[0], **run}
 
 
+def without_snapshots(outputs: dict) -> dict:
+    """outputs without the digests of the *.config.yaml config snapshots."""
+    if "artifacts" not in outputs:
+        return outputs
+    return {**outputs, "artifacts": {name: digest for name, digest in outputs["artifacts"].items()
+                                     if not name.endswith(".config.yaml")}}
+
+
 def quartiles(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -143,6 +154,9 @@ def main(argv=None) -> int:
             for run in runs:
                 ran = "outputs" in run["base"] and "outputs" in run["change"]
                 run["outputs_equal"] = ran and run["base"]["outputs"] == run["change"]["outputs"]
+                run["outputs_equal_except_snapshots"] = ran and (
+                    without_snapshots(run["base"]["outputs"])
+                    == without_snapshots(run["change"]["outputs"]))
                 for side in sides:
                     run[side].pop("outputs", None)
                     run[side].pop("units", None)
@@ -153,7 +167,9 @@ def main(argv=None) -> int:
                 "all_correct": all(r[s]["correct"] for r in runs for s in sides),
                 "failed": {s: sum(r[s].get("failed", 0) for r in runs) for s in sides},
                 "crashed": {s: sum("error" in r[s] for r in runs) for s in sides},
-                "outputs_equal_every_pair": all(r["outputs_equal"] for r in runs)}
+                "outputs_equal_every_pair": all(r["outputs_equal"] for r in runs),
+                "outputs_equal_except_snapshots_every_pair": all(
+                    r["outputs_equal_except_snapshots"] for r in runs)}
         if args.traced:
             workload, traced_seeds = args.traced.split(":")
             first, last = map(int, traced_seeds.split("-"))

@@ -8,7 +8,8 @@ checkout's ``src/``.  Builds the ``experiment`` world of the benchmark
 training schedule (16 pairs, step 0) and, for the ``dpo`` and
 ``modpp_desk`` presets, times each piece of that step as the step calls
 it: ``train_step`` as ``train`` calls it, ``evaluate_batch``, the policy
-``forward`` over the step's stacked rows, each ``corrupt`` call,
+``forward_unchecked`` over the rows the step forwards (the clean rows,
+then each corrupted block), each ``corrupt`` call,
 ``pair_loss_terms``, ``_sigmoid``, ``backward`` and
 ``apply_gradient_step``.  Each figure is the minimum over 7 repeats of a
 timeit loop, in microseconds per call.  Prints one JSON object; writes no
@@ -34,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from modlab import experiments, policy, train  # noqa: E402
 from modlab.corrupt import corrupt  # noqa: E402
 from modlab.presets import make_config  # noqa: E402
-from modlab.synth import AUDIO_RELATED  # noqa: E402
+from modlab.synth import ROLES  # noqa: E402
 
 SEED = 81
 PRESETS = ("dpo", "modpp_desk")
@@ -60,17 +61,19 @@ def step_pieces(pairs, reference, name: str) -> dict:
     out["evaluate_batch"] = best_us(lambda: train.evaluate_batch(
         reference, ref, batch, cfg, 0, pools, rng=rng, checked=checked))
 
-    relevant, irrelevant = (("audio", "visual") if batch.modality_tag[0] == AUDIO_RELATED
-                            else ("visual", "audio"))
+    relevant, irrelevant = ROLES[batch.modality_tag[0]]
     corrupted = [m for m, strength in ((irrelevant, cfg.hp.beta_inv),
                                        (relevant, cfg.hp.beta_sens)) if strength > 0]
     for i, m in enumerate(corrupted):
         out[f"corrupt[{i}] {m}"] = best_us(lambda m=m: corrupt(
             getattr(batch, m), cfg.corruption, pools[m], rng))
-    blocks = 1 + len(corrupted)
-    audio, visual = np.tile(batch.audio, (blocks, 1)), np.tile(batch.visual, (blocks, 1))
-    prompt_ids = np.tile(batch.prompt_id, blocks)
-    out["forward"] = best_us(lambda: policy.forward(reference, audio, visual, prompt_ids))
+    blocks = {m: [getattr(batch, m)] * (1 + len(corrupted)) for m in ("audio", "visual")}
+    for block, m in enumerate(corrupted, start=1):
+        blocks[m][block] = corrupt(getattr(batch, m), cfg.corruption, pools[m], rng)
+    audio, visual = np.concatenate(blocks["audio"]), np.concatenate(blocks["visual"])
+    prompt_ids = np.tile(batch.prompt_id, 1 + len(corrupted))
+    out["forward_unchecked"] = best_us(lambda: policy.forward_unchecked(
+        reference, audio, visual, prompt_ids))
 
     pl, _, clean = train.evaluate_batch(reference, ref, batch, cfg, 0, pools, rng=rng)
     losses, margins = train.pair_loss_terms(pl, cfg)
