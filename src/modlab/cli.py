@@ -78,7 +78,7 @@ class CliError(Exception):
         self.code = code
 
 
-def _defaults(cls, skip) -> dict:
+def _defaults(cls, skip=()) -> dict:
     """{field: default} of a config class's fields outside skip, in field order."""
     return {f.name: f.default for f in fields(cls) if f.name not in skip}
 
@@ -90,9 +90,9 @@ def default_config() -> dict:
     The synth settings are SynthConfig's fields but seed, and the
     synth.eval_items settings EvalConfig's fields outside the world synth
     shares with it (synth.WORLD); eval.shift and report.shift are
-    CorruptionSpec's fields but seed; train.lr and train.epochs are the
-    presets' desk scale.  Each default is its class's own.  The global seed
-    seeds them all.
+    CorruptionSpec's fields; train.lr and train.epochs are the presets'
+    desk scale.  Each default is its class's own.  The global seed seeds
+    them all, the shift analysis included.
 
     A setting must have its default's type: an integer default takes only
     integers, a float default a number or a list of numbers (synth's
@@ -106,7 +106,7 @@ def default_config() -> dict:
     Output names are relative to out_dir and may name subdirectories; a
     null input path is the out_dir file its writer was told to write.
     """
-    shift = _defaults(CorruptionSpec, ("seed",))
+    shift = _defaults(CorruptionSpec)
     return {
         "seed": 0,
         "out_dir": "runs/demo",
@@ -123,7 +123,6 @@ def default_config() -> dict:
             # null: the preset's value
             "batch_size": None,
             "warmup_steps": None,
-            "warmup_lr": None,
             "hp": None,  # Hyperparams fields
             "corruption": None,  # CorruptionSpec fields
             "checkpoint": "policy.ckpt",
@@ -313,9 +312,9 @@ def _load_eval_inputs(cfg: dict, name: str, checkpoints: dict) -> tuple:
 
 def _shift_spec(cfg: dict, name: str) -> CorruptionSpec:
     """The CorruptionSpec of section name's shift settings (its defaults when
-    they are null), seeded by the global seed."""
+    they are null)."""
     shift = cfg[name]["shift"] or {}
-    return _build(f"{name}.shift", lambda: CorruptionSpec(**shift, seed=cfg["seed"]))
+    return _build(f"{name}.shift", lambda: CorruptionSpec(**shift))
 
 
 def _csv_cell(value):
@@ -424,7 +423,7 @@ def cmd_eval(cfg: dict) -> int:
     ckpt = section["checkpoint"] or _written(cfg)["policy"]
     items, named = _load_eval_inputs(cfg, "eval", {"policy": ckpt})
 
-    [row] = eval_mod.compare(named, items, shift_spec=spec)
+    [row] = eval_mod.compare(named, items, shift_spec=spec, seed=cfg["seed"])
     prefix = section["out_prefix"]
     with open(_out_path(cfg, f"{prefix}.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -458,7 +457,7 @@ def cmd_report(cfg: dict) -> int:
     summaries = [(name, _read_counters(path)) for path, name in near.items()
                  if os.path.isfile(path)]
 
-    rows = eval_mod.compare(named, items, shift_spec=spec)
+    rows = eval_mod.compare(named, items, shift_spec=spec, seed=cfg["seed"])
     prefix = section["out_prefix"]
     eval_mod.comparison_to_csv(rows, _out_path(cfg, f"{prefix}.csv"))
     table = eval_mod.comparison_table(rows)

@@ -4,7 +4,7 @@ Four ways to produce an uninformative (or partially informative) stand-in
 for a feature vector:
 
     zeros        all-zero vector
-    gaussian     i.i.d. N(0, sigma^2) replacement noise
+    gaussian     i.i.d. N(0, 1) replacement noise
     random_swap  a different vector drawn from a pool of real features
     diffusion    forward noising sqrt(abar_t)*x + sqrt(1-abar_t)*eps
 
@@ -15,19 +15,19 @@ abar_0 = 1.  Small t leaves the vector close to the original (the signal
 coefficient sqrt(abar_t) decays monotonically in t), large t destroys it.
 Corrupted vectors are not renormalized to the input's scale statistics.
 
-``corrupt`` takes one (d,) vector or a (B, d) block of rows and draws
-from the generator it is given (default: a fresh ``default_rng(spec.seed)``,
-so a call without one is deterministic given (input, spec)).  A block call
-draws exactly what B row calls would draw from the same generator in row
-order: gaussian and diffusion fill their (B, d) noise row-major, and
-random_swap takes one pool index per row.  ``corrupt_rows`` corrupts the
-masked rows of an audio/visual pair of blocks with one generator, audio
-block first, into fresh arrays, so a caller that passes the same
-generator to successive calls fixes every draw by its own seed and call
-order.  A random_swap pool is a ``FeaturePool``, the (N, d) stack built
-once; it stays a wrapper rather than the bare array because the benchmark
-harness's traced run truth-tests the pool argument of every ``corrupt``
-call, which a 2-D array refuses.
+A ``CorruptionSpec`` is what the lab varies about a corruption: its
+family and, for diffusion, its step.  The caller owns the randomness:
+``corrupt`` takes one (d,) vector or a (B, d) block of rows and draws from
+the generator it is given.  A block call draws exactly what B row calls
+would draw from the same generator in row order: gaussian and diffusion
+fill their (B, d) noise row-major, and random_swap takes one pool index
+per row.  ``corrupt_rows`` corrupts the masked rows of an audio/visual pair
+of blocks with one generator, audio block first, into fresh arrays, so a
+caller that passes the same generator to successive calls fixes every draw
+by its own seed and call order.  A random_swap pool is a ``FeaturePool``,
+the (N, d) stack built once; it stays a wrapper rather than the bare array
+because the benchmark harness's traced run truth-tests the pool argument
+of every ``corrupt`` call, which a 2-D array refuses.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ T_MAX = 1000
 ALPHA_BAR = np.concatenate([[1.0], np.cumprod(1.0 - np.linspace(1e-4, 0.02, T_MAX))])
 ALPHA_BAR.flags.writeable = False
 
-# A gaussian draw is sigma * N(0, 1): finite for sigma below this bound,
-# while sigma near 1e307 and above can overflow to inf.
-SIGMA_MAX = 1e300
+# The scale of gaussian replacement noise.
+GAUSSIAN_SIGMA = 1.0
 
 
 class CorruptionError(ValueError):
@@ -56,49 +55,40 @@ class CorruptionError(ValueError):
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """One corruption draw: kind, parameters, and the seed that fixes it.
-
-    t is only meaningful for diffusion (step count in [0, T_MAX]); sigma only
-    for gaussian (in (0, SIGMA_MAX)).  The seed is an integer >= 0.
-    """
+    """A corruption family and its step: t is only meaningful for diffusion
+    (step count in [0, T_MAX])."""
 
     kind: str = "diffusion"
     t: int = 500
-    sigma: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in CORRUPTION_KINDS:
             raise CorruptionError(f"kind must be one of {CORRUPTION_KINDS}, got {self.kind!r}")
         check_numbers(self, CorruptionError, ("t",), integer=True, high=T_MAX)
-        check_numbers(self, CorruptionError, ("seed",), integer=True)
-        check_numbers(self, CorruptionError, ("sigma",), high=SIGMA_MAX, above=True)
 
 
-def corrupt(features, spec: CorruptionSpec, pool=None, rng: np.random.Generator = None):
+def corrupt(features, spec: CorruptionSpec, pool, rng: np.random.Generator):
     """Corrupted copy of a (d,) feature vector or a (B, d) block of rows,
     shape-preserving and finite.
 
     gaussian replaces each row with pure noise (an uninformative input)
     rather than adding noise to it.  random_swap draws each row uniformly
     from the pool, excluding members identical to that row so the result
-    is a genuinely different source.  diffusion at t=0 is the identity.
-    rng defaults to default_rng(spec.seed); zeros and diffusion at t=0
-    draw nothing from it.  diffusion follows ALPHA_BAR.
+    is a genuinely different source; the other kinds ignore pool.
+    diffusion at t=0 is the identity.  Draws come from rng; zeros and
+    diffusion at t=0 draw nothing from it.  diffusion follows ALPHA_BAR.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise CorruptionError("features must be a (d,) vector or a (B, d) block of rows")
     if not np.all(np.isfinite(x)):
         raise CorruptionError("features must be finite")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
 
     if spec.kind == "zeros":
         return np.zeros_like(x)
 
     if spec.kind == "gaussian":
-        return rng.normal(0.0, spec.sigma, size=x.shape)
+        return rng.normal(0.0, GAUSSIAN_SIGMA, size=x.shape)
 
     if spec.kind == "random_swap":
         return _swap(x, pool, rng)

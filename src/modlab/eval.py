@@ -21,11 +21,12 @@ The log-likelihood-shift analysis corrupts one modality of each item and
 reports the change in the correct answer's log-probability: a
 modality-faithful model shifts a lot when the prompt-relevant modality is
 corrupted and very little when the irrelevant one is.  Each call draws its
-corruption from one generator seeded by the spec's seed: the items whose
-chosen modality is audio form one block, drawn first, and the visual
-block follows, each in item order.  An item's draw therefore depends on
-its position among the items sharing its modality, and the relevant and
-irrelevant analyses restart the same stream.
+corruption from one generator seeded by the seed it is passed (the CLI's
+global seed, an experiment's run seed): the items whose chosen modality
+is audio form one block, drawn first, and the visual block follows, each
+in item order.  An item's draw therefore depends on its position among
+the items sharing its modality, and the relevant and irrelevant analyses
+restart the same stream.
 
 Items are a ``synth.ItemTable``; every entry point also takes a list of
 ``EvalItem`` rows and stacks it once.  Scoring, grouping and the shift
@@ -235,12 +236,13 @@ def _shift_histogram(deltas: np.ndarray):
     return counts, edges
 
 
-def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str) -> ShiftStats:
+def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
+                 seed: int) -> ShiftStats:
     """Delta = log p(correct | clean) - log p(correct | corrupted).
 
     which selects whether the prompt-RELEVANT or prompt-IRRELEVANT modality
     of each item is corrupted (per its modality tag).  All draws come from
-    one generator seeded by spec.seed, the audio block (items whose chosen
+    one generator seeded by seed, the audio block (items whose chosen
     modality is audio, in item order) before the visual block, so the
     analysis is repeatable.  random_swap draws from the items' own feature
     columns.
@@ -259,7 +261,7 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str) 
         features = {"audio": items.audio, "visual": items.visual}
         pools = ({m: FeaturePool(x) for m, x in features.items()}
                  if spec.kind == "random_swap" else None)  # no other kind reads a pool
-        corrupted = corrupt_rows(features, spec, masks, np.random.default_rng(spec.seed), pools)
+        corrupted = corrupt_rows(features, spec, masks, np.random.default_rng(seed), pools)
         rows, answers, ids = np.arange(len(items)), items.ground_truth, items.prompt_id
         clean = forward(params, items.audio, items.visual, ids).logprobs[rows, answers]
         shifted = forward(params, corrupted["audio"], corrupted["visual"], ids).logprobs
@@ -286,12 +288,12 @@ class ComparisonRow:
     shift_irrelevant: ShiftStats = None
 
 
-def compare(named_params, items, shift_spec: CorruptionSpec = None):
+def compare(named_params, items, shift_spec: CorruptionSpec = None, seed: int = 0):
     """Side-by-side reports for several checkpoints on one item set.
 
     named_params is a sequence of (name, PolicyParams).  When a corruption
-    spec is given, relevant/irrelevant shift statistics are included for
-    every model (single-modality items only).
+    spec is given, relevant/irrelevant shift statistics, drawn from seed,
+    are included for every model (single-modality items only).
     """
     if not named_params:
         raise EvalError("compare needs at least one model")
@@ -301,8 +303,8 @@ def compare(named_params, items, shift_spec: CorruptionSpec = None):
     for name, params in named_params:
         row = ComparisonRow(name=name, group_reports=evaluate_by_group(params, items))
         if shift_spec is not None and len(unimodal):
-            row.shift_relevant = loglik_shift(params, unimodal, shift_spec, "relevant")
-            row.shift_irrelevant = loglik_shift(params, unimodal, shift_spec, "irrelevant")
+            row.shift_relevant = loglik_shift(params, unimodal, shift_spec, "relevant", seed)
+            row.shift_irrelevant = loglik_shift(params, unimodal, shift_spec, "irrelevant", seed)
         rows.append(row)
     return rows
 

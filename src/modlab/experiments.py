@@ -48,7 +48,8 @@ from .presets import make_config
 class ExperimentSpec:
     """World construction for one experiment family; the training budget,
     world sizes and training-set matched fraction are class constants that
-    every family shares."""
+    every family shares.  The batch size and warm-up steps are
+    TrainConfig's."""
 
     warmup_noise_split: bool  # True: two halves with asymmetric feature noise
     warmup_bias: float
@@ -57,9 +58,8 @@ class ExperimentSpec:
     train_matched_fraction = 0.5
     lr = 1.0
     epochs = 6
-    batch_size = 16
-    warmup_steps = 500
-    warmup_lr = 0.5
+    batch_size = training.TrainConfig.batch_size
+    warmup_steps = training.TrainConfig.warmup_steps
     n_train = 2000
     n_eval = 2000
     n_scenes = 400
@@ -115,16 +115,17 @@ def build_world(spec: ExperimentSpec, seed: int):
     items = synth.generate_eval_items(synth.EvalConfig(
         n_items=spec.n_eval, n_scenes=spec.n_scenes, matched_fraction=spec.eval_matched_fraction,
         matched_bias=spec.train_bias, seed=seed * 4 + 4, world_seed=ws))
-    reference = training.warmup_reference(warmup, spec.warmup_steps, seed,
-                                          lr=spec.warmup_lr, batch_size=spec.batch_size)
+    reference = training.warmup_reference(warmup, spec.warmup_steps, seed)
     return train_pairs, items, reference
 
 
-def _outcome(params, items, shift_spec, losses=None) -> VariantOutcome:
-    """Scores of one model, with its mean |shift| under shift_spec."""
+def _outcome(params, items, seed: int, losses=None) -> VariantOutcome:
+    """Scores of one model, with its mean |shift| under the default
+    corruption, drawn from seed."""
     report = eval_mod.evaluate(params, items)
-    rel = eval_mod.loglik_shift(params, items, shift_spec, "relevant").mean_abs
-    irr = eval_mod.loglik_shift(params, items, shift_spec, "irrelevant").mean_abs
+    spec = CorruptionSpec()
+    rel = eval_mod.loglik_shift(params, items, spec, "relevant", seed).mean_abs
+    irr = eval_mod.loglik_shift(params, items, spec, "irrelevant", seed).mean_abs
     return VariantOutcome(accuracy=report.accuracy, report=report, shift_relevant=rel,
                           shift_irrelevant=irr, losses=losses)
 
@@ -132,13 +133,11 @@ def _outcome(params, items, shift_spec, losses=None) -> VariantOutcome:
 def run_benchmark(spec: ExperimentSpec, seed: int, variants=("dpo", "modpp_desk")) -> BenchmarkRun:
     """Train each named preset at the spec's budget from one world and one
     shared reference, and score them."""
-    shift_spec = CorruptionSpec(seed=seed)
     train_pairs, items, reference = build_world(spec, seed)
-    run = BenchmarkRun(reference=_outcome(reference, items, shift_spec), variants={})
+    run = BenchmarkRun(reference=_outcome(reference, items, seed), variants={})
     for name in variants:
-        cfg = make_config(name, lr=spec.lr, epochs=spec.epochs, batch_size=spec.batch_size,
-                          seed=seed, warmup_steps=spec.warmup_steps, warmup_lr=spec.warmup_lr)
+        cfg = make_config(name, lr=spec.lr, epochs=spec.epochs, seed=seed)
         result = training.train(train_pairs, cfg, ref_params=reference)
-        run.variants[name] = _outcome(result.params, items, shift_spec, result.losses)
+        run.variants[name] = _outcome(result.params, items, seed, result.losses)
     return run
 

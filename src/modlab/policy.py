@@ -18,12 +18,14 @@ returns a ``ForwardCache``: the (B, V) log-probabilities plus the inputs,
 hidden activations and softmax that ``backward(params, cache, upstream)``
 needs for a (B, V) upstream.  ``forward`` checks its inputs, then runs
 ``forward_unchecked``, the arithmetic alone, which the trainer calls
-directly on rows a checked ``forward`` has already passed.  The backward pass sums gradients over rows
-(the prompt table through ``np.add.at``, so repeated prompts accumulate).
-Slicing a cache (``cache[:n]``) keeps those rows only, which is how the
-trainer back-propagates through its clean rows and nothing else: its
-corrupted and reference rows enter loss values but never ``backward``.
-The rows come straight from the columns of a ``synth`` record table.
+directly on rows a checked ``forward`` has already passed.
+
+The backward pass sums gradients over rows (the prompt table through
+``np.add.at``, so repeated prompts accumulate).  Slicing a cache
+(``cache[:n]``) keeps those rows only, which is how the trainer
+back-propagates through its clean rows and nothing else: its corrupted
+and reference rows enter loss values but never ``backward``.  The rows
+come straight from the columns of a ``synth`` record table.
 
 ``PolicyParams`` and ``GradAccumulator`` keep their five named tensors
 as views into one flat vector, so a copy, a gradient step, a scaling or a

@@ -42,7 +42,7 @@ _PRESETS = {
     "lpd_only": dict(hp=Hyperparams(beta_inv=0.0, beta_sens=0.0)),
     # Corruption families.
     "modpp_zeros": dict(corruption=CorruptionSpec(kind="zeros")),
-    "modpp_gaussian": dict(corruption=CorruptionSpec(kind="gaussian", sigma=1.0)),
+    "modpp_gaussian": dict(corruption=CorruptionSpec(kind="gaussian")),
     "modpp_swap": dict(corruption=CorruptionSpec(kind="random_swap")),
     "modpp_diff_t10": dict(corruption=CorruptionSpec(kind="diffusion", t=10)),
     "modpp_diff_t50": dict(corruption=CorruptionSpec(kind="diffusion", t=50)),

@@ -33,17 +33,21 @@ Per run, train() does the work whose result no step changes:
 - every step's corruption generator, seeded in one ``synth._streams``
   pass, and one PassCounter per pass pattern.
 When the table passes its check, train() vouches for both with
-``checked=True``, and the step skips them.  Per step it gathers the six columns a step reads of its rows and the rows'
-reference columns, makes one policy forward (over the clean columns
+``checked=True``, and the step skips them.
+
+Per step it gathers the six columns a step reads of its rows and the
+rows' reference columns, makes one policy forward (over the clean columns
 themselves when no strength corrupts, else over one buffer per modality
 holding the clean rows with each corrupted block in the slices under
 them), checks its log-probabilities finite in one pass (a log-softmax is
 <= 0 once finite), scores all pairs in one core.pair_terms call, and
 makes one backward through the clean rows.  A reference table that fails
 its check is checked again by each step, with every other check, so the
-error names the step whose batch holds the bad row.  Datasets are ``synth.PairTable`` columns (a list of
-pairs is stacked once on entry); ``batch_schedule`` turns the tag column
-into one row-index array per step, whose rows share one modality tag.
+error names the step whose batch holds the bad row.
+
+Datasets are ``synth.PairTable`` columns (a list of pairs is stacked once
+on entry); ``batch_schedule`` turns the tag column into one row-index
+array per step, whose rows share one modality tag.
 ``pair_loss_terms`` is a one-line wrapper the benchmark harness times as
 the loss.
 
@@ -52,10 +56,9 @@ sequences, so runs are exactly repeatable.  Step s draws all its corrupted
 rows from one generator seeded by (cfg.seed, _CORRUPT_STREAM, s), in a
 fixed order: the irrelevant-modality block (when beta_inv > 0), then the
 relevant-modality block (when beta_sens > 0), rows in batch order.
-cfg.corruption supplies kind, t and sigma; its seed must be 0, as training
-never reads it.  A run with both corruption strengths zero builds no
-corruption generator, and batch order comes from its own stream, so runs
-that skip corruption draw identical batch orders.
+cfg.corruption supplies the kind and t.  A run with both corruption
+strengths zero builds no corruption generator, and batch order comes from
+its own stream, so runs that skip corruption draw identical batch orders.
 
 Divergence guard: train() and warmup_reference() stop with DivergenceError
 when a step's loss is non-finite or above 100 times the first step's loss,
@@ -151,7 +154,8 @@ class TrainConfig:
     override it (see presets), since a toy policy tolerates and needs far
     larger steps.  Defaults keep beta_inv below beta_sens: cross-modal
     information is sometimes legitimately useful, so invariance is applied
-    more gently than sensitivity.
+    more gently than sensitivity.  warmup_lr, the step size of the
+    reference's warm-up, is a class constant that no run varies.
     """
 
     hp: Hyperparams = field(default_factory=Hyperparams)
@@ -161,13 +165,10 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
     warmup_steps: int = 500
-    warmup_lr: float = 0.5
+    warmup_lr = 0.5
 
     def __post_init__(self):
-        if self.corruption.seed != 0:
-            raise ConfigurationError(f"corruption.seed must be 0 (training draws its corruption "
-                                     f"from seed), got {self.corruption.seed}")
-        check_numbers(self, ConfigurationError, ("lr", "warmup_lr"), above=True)
+        check_numbers(self, ConfigurationError, ("lr",), above=True)
         check_numbers(self, ConfigurationError, ("epochs", "batch_size"), integer=True, low=1)
         check_numbers(self, ConfigurationError, ("warmup_steps", "seed"), integer=True)
 
@@ -352,8 +353,8 @@ def init_policy_for(dataset, seed: int) -> PolicyParams:
                        vocab_size=VOCAB_SIZE, n_prompts=N_PROMPTS, seed=seed)
 
 
-def warmup_reference(dataset, steps: int, seed: int, lr: float = 0.5,
-                     batch_size: int = 16) -> PolicyParams:
+def warmup_reference(dataset, steps: int, seed: int, lr: float = TrainConfig.warmup_lr,
+                     batch_size: int = TrainConfig.batch_size) -> PolicyParams:
     """Supervised warm-up: maximize log-likelihood of chosen responses.
 
     Returns the frozen reference parameters; steps=0 returns the seeded
@@ -448,7 +449,7 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
 
     if ref_params is None:
         ref_params = warmup_reference(dataset, cfg.warmup_steps, cfg.seed,
-                                      lr=cfg.warmup_lr, batch_size=cfg.batch_size)
+                                      batch_size=cfg.batch_size)
     ref_params = ref_params.copy()
     params = ref_params.copy()
     pools = feature_pools(dataset)

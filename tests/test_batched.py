@@ -179,7 +179,7 @@ CASES = [(variant, tag, kind, pool)
 def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool):
     params, ref = models
     cfg = TrainConfig(hp=VARIANT_HP[variant], lr=0.1, batch_size=6, seed=3,
-                      corruption=CorruptionSpec(kind=kind, t=300, sigma=0.7))
+                      corruption=CorruptionSpec(kind=kind, t=300))
     batch = batch_of(data, tag)
     pools = swap_pools(data, batch, pool)
     slots = training.reference_logprobs(ref, batch, cfg)
@@ -295,7 +295,7 @@ def test_train_equals_the_per_step_reference_loop(data, models, variant):
     # table's rows equal the per-step reference forward bitwise.
     ref = models[1]
     cfg = TrainConfig(hp=VARIANT_HP[variant], lr=0.1, epochs=2, batch_size=8, seed=3,
-                      corruption=CorruptionSpec(kind="gaussian", sigma=0.7))
+                      corruption=CorruptionSpec(kind="gaussian"))
     schedule = training.batch_schedule(data, cfg)
     assert min(len(rows) for rows in schedule) >= 2
     result = training.train(data, cfg, ref_params=ref)
@@ -359,29 +359,28 @@ def test_evaluate_matches_per_item_loop(models, items):
 @pytest.mark.parametrize("which", ["relevant", "irrelevant"])
 def test_loglik_shift_matches_per_item_loop(models, items, kind, which):
     params = models[0]
-    spec = CorruptionSpec(kind=kind, t=400, seed=8)
+    spec, seed = CorruptionSpec(kind=kind, t=400), 8
     unimodal = [it for it in items if it.modality_tag != AUDIOVISUAL]
     pools = {m: FeaturePool([getattr(it, m) for it in unimodal]) for m in ("audio", "visual")}
     role = 0 if which == "relevant" else 1
     modalities = [(ROLES[it.modality_tag][role],) for it in unimodal]
-    draws = reference_draws(unimodal, {0: modalities}, spec, pools,
-                            np.random.default_rng(spec.seed))
+    draws = reference_draws(unimodal, {0: modalities}, spec, pools, np.random.default_rng(seed))
     loop = []
     for i, item in enumerate(unimodal):
         answer = item.ground_truth
         loop.append(row_logprobs(params, item)[answer]
                     - row_logprobs(params, item, **draws[i, 0])[answer])
-    stats = eval_mod.loglik_shift(params, unimodal, spec, which)
+    stats = eval_mod.loglik_shift(params, unimodal, spec, which, seed)
     np.testing.assert_allclose(stats.deltas, loop, rtol=0, atol=TOL)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "diffusion"])
 def test_block_draw_equals_row_draws_from_one_generator(kind):
     rows = np.random.default_rng(0).normal(size=(5, 8))
-    spec = CorruptionSpec(kind=kind, t=300, sigma=0.7, seed=2)
+    spec = CorruptionSpec(kind=kind, t=300)
     rng = np.random.default_rng(17)
-    one_by_one = [corrupt(row, spec, rng=rng) for row in rows]
-    block = corrupt(rows, spec, rng=np.random.default_rng(17))
+    one_by_one = [corrupt(row, spec, None, rng) for row in rows]
+    block = corrupt(rows, spec, None, np.random.default_rng(17))
     assert np.array_equal(block, np.stack(one_by_one))
 
 

@@ -187,6 +187,10 @@ class TestOverridesAndErrors:
         ("report", "report.out_prefx=x", "report.out_prefx"),
         ("verify", "verify.fsat=true", "verify.fsat"),
         ("train", "train.loss_variant=dpo", "train.loss_variant"),
+        # Settings nothing varied, now constants.
+        ("train", "train.warmup_lr=0.1", "train.warmup_lr"),
+        ("eval", "eval.shift.sigma=1.0", "eval.shift.sigma"),
+        ("report", "report.shift.sigma=1.0", "report.shift.sigma"),
     ])
     def test_unknown_section_setting_is_config_error(self, tmp_path, capsys, command, override,
                                                      key):
@@ -364,9 +368,9 @@ class TestDivergingRun:
 class TestConfigParsing:
     def test_exponent_floats_without_a_dot(self, tmp_path):
         path = tmp_path / "config.yaml"
-        path.write_text("seed: 0\ntrain:\n  lr: 1e-4\n  warmup_lr: 2.5E+1\n")
+        path.write_text("seed: 0\ntrain:\n  lr: 1e-4\nsynth:\n  feature_noise: 2.5E+1\n")
         cfg = cli.load_config(path, [])
-        assert cfg["train"]["lr"] == 1e-4 and cfg["train"]["warmup_lr"] == 25.0
+        assert cfg["train"]["lr"] == 1e-4 and cfg["synth"]["feature_noise"] == 25.0
         cfg = cli.load_config(path, ["train.lr=3e-7", "train.preset=dpo"])
         assert cfg["train"]["lr"] == 3e-7 and cfg["train"]["preset"] == "dpo"
         assert cli.build_train_config(cfg["train"], 0).lr == 3e-7
@@ -529,6 +533,8 @@ class TestDefaultPipelineBytes:
     """sha256 of every file the default synth, train, eval and report write
     under the default out_dir, taken before the defaults were read from the
     config classes and the two generators shared one column assembly.  The
+    four config snapshots were taken again when the shift sections lost
+    sigma and train lost warmup_lr; the other files kept their bytes.  The
     values hold for the numpy build and LAPACK of the host they were taken
     on."""
 
@@ -539,7 +545,7 @@ class TestDefaultPipelineBytes:
         "dataset.jsonl": "a51ad7f2d62f54ebd3eb7efee8c0ebeafb69c1651c3583c8834a4e19f101a565",
         "dataset.jsonl.stats.json":
             "008ff2129c7b53a274de6652546d3201f65d005905db3f6a6c73f12ed6b633bc",
-        "eval.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
+        "eval.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
         "eval_items.jsonl": "37926aad858de274a564ee9aeea0abd46c67337d248575f8eef6deef6d49af48",
         "eval_items.jsonl.stats.json":
             "2f97f59ada39e6f3854bb42de193e9b7f9ce266e449e0be351a2c36c54ec89a7",
@@ -551,9 +557,9 @@ class TestDefaultPipelineBytes:
             "e22e164a988589932096fd2ce03705eef8b0c411f70b35ace2e5722ede749c4f",
         "policy.ckpt": "f4dc7b15cd96e5516a7efe9a2e6f4823119510bb2281246e7416ee0fea823512",
         "reference.ckpt": "55afeb3ea2f62e8a903cbe0170c3d71f9c2d88f97d428dcee555f3fc986bc281",
-        "report.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
-        "synth.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
-        "train.config.yaml": "48dd269fc4505cf607bac4f34255cddbe05f3cf2defe0f55d58bf5f8121272e6",
+        "report.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
+        "synth.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
+        "train.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
     }
 
     def test_the_default_pipeline_writes_the_pinned_bytes(self, tmp_path, monkeypatch):
@@ -672,21 +678,23 @@ class TestConfigSchema:
 
 class TestSettingValues:
     """A value that passes the schema's null defaults is checked by the class
-    built from it: exit 2 and one line naming the setting, before any output."""
+    built from it: exit 2 and one line naming the setting, before any output.
+    So is a setting that became a constant (warmup_lr, a corruption's sigma
+    or seed)."""
 
     @pytest.mark.parametrize("command,overrides,needles", [
         ("train", ["train.corruption.t=10.5"], ("train.corruption", "t must be an integer")),
         ("train", ["train.corruption.t=true"], ("train.corruption", "t must be an integer")),
         ("train", ["train.hp.beta=true"], ("train.hp", "beta must be a number")),
-        ("train", ["train.warmup_lr=true"], ("train", "warmup_lr must be a number")),
+        ("train", ["train.warmup_lr=0.1"], ("unknown train setting train.warmup_lr",)),
         ("train", ["train.hp.beta=abc"], ("train.hp", "beta must be a number")),
-        ("train", ["train.corruption.sigma=abc"], ("train.corruption", "sigma must be a number")),
+        ("train", ["train.corruption.sigma=1.0"], ("train.corruption", "sigma")),
         ("train", ["seed=-1"], ("seed must lie in",)),
         ("eval", ["seed=-1"], ("seed must lie in",)),
         ("synth", ["synth.world_seed=-3"], ("synth", "world_seed must lie in")),
         ("synth", ["synth.n_scenes=1", "synth.matched_fraction=1.0"],
          ("synth.eval_items", "at least two scenes")),
-        ("train", ["train.corruption.seed=99"], ("train config", "corruption.seed must be 0")),
+        ("train", ["train.corruption.seed=1"], ("train.corruption", "seed")),
         ("verify", ["seed=-1"], ("seed must lie in",)),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, built_run, command, overrides,

@@ -1,5 +1,6 @@
 """Corruption strategies and the forward-noising schedule."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -12,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from modlab.corrupt import (
     ALPHA_BAR,
     CORRUPTION_KINDS,
-    SIGMA_MAX,
     T_MAX,
     CorruptionError,
     CorruptionSpec,
@@ -67,35 +67,38 @@ class TestSpecValidation:
         with pytest.raises(CorruptionError):
             CorruptionSpec(kind="diffusion", t=1001)
 
-    def test_sigma_positive(self):
-        with pytest.raises(CorruptionError):
-            CorruptionSpec(kind="gaussian", sigma=0.0)
+    def test_a_spec_is_a_kind_and_a_step(self):
+        # The caller passes the generator; gaussian noise is N(0, 1).
+        assert [f.name for f in dataclasses.fields(CorruptionSpec)] == ["kind", "t"]
+        for removed in ({"sigma": 1.0}, {"seed": 0}):
+            with pytest.raises(TypeError):
+                CorruptionSpec(**removed)
 
 
 class TestCorrupt:
     def test_zeros(self):
         x = np.arange(6, dtype=float)
-        out = corrupt(x, CorruptionSpec(kind="zeros"))
+        out = corrupt(x, CorruptionSpec(kind="zeros"), None, np.random.default_rng(0))
         assert np.array_equal(out, np.zeros(6))
 
     def test_gaussian_is_replacement_noise(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=8) + 100.0  # far from zero-mean noise
-        draws = np.array([corrupt(x, CorruptionSpec(kind="gaussian", sigma=1.0, seed=s))
-                          for s in range(500)])
+        draws = np.array([corrupt(x, CorruptionSpec(kind="gaussian"), None,
+                                  np.random.default_rng(s)) for s in range(500)])
         # replacement: mean ~ 0 rather than ~ x
         assert np.abs(draws.mean(axis=0)).max() < 0.2
         assert abs(draws.std() - 1.0) < 0.05
 
     def test_diffusion_identity_at_zero_steps(self):
         x = np.linspace(-1, 1, 8)
-        out = corrupt(x, CorruptionSpec(kind="diffusion", t=0, seed=3))
+        out = corrupt(x, CorruptionSpec(kind="diffusion", t=0), None, np.random.default_rng(3))
         assert np.array_equal(out, x)
 
     def test_diffusion_one_step_signal_factor(self):
         x = np.ones(8)
-        spec = CorruptionSpec(kind="diffusion", t=1, seed=5)
-        out = corrupt(x, spec)
+        spec = CorruptionSpec(kind="diffusion", t=1)
+        out = corrupt(x, spec, None, np.random.default_rng(5))
         eps = np.random.default_rng(5).standard_normal(8)
         expected = math.sqrt(0.9999) * x + math.sqrt(1 - 0.9999) * eps
         np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -104,15 +107,16 @@ class TestCorrupt:
     def test_determinism(self):
         x = np.linspace(0, 1, 8)
         for kind in ("gaussian", "diffusion"):
-            spec = CorruptionSpec(kind=kind, t=200, seed=42)
-            assert np.array_equal(corrupt(x, spec), corrupt(x, spec))
+            spec = CorruptionSpec(kind=kind, t=200)
+            assert np.array_equal(corrupt(x, spec, None, np.random.default_rng(42)),
+                                  corrupt(x, spec, None, np.random.default_rng(42)))
 
     def test_outputs_finite_and_dimension_preserving(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=8)
         pool = [rng.normal(size=8) for _ in range(4)]
         for kind in ("zeros", "gaussian", "random_swap", "diffusion"):
-            out = corrupt(x, CorruptionSpec(kind=kind, t=300, seed=7), pool=pool)
+            out = corrupt(x, CorruptionSpec(kind=kind, t=300), pool, np.random.default_rng(7))
             assert out.shape == x.shape
             assert np.all(np.isfinite(out))
 
@@ -120,18 +124,20 @@ class TestCorrupt:
         x = np.ones(4)
         pool = [np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])]
         for seed in range(20):
-            out = corrupt(x, CorruptionSpec(kind="random_swap", seed=seed), pool=pool)
+            out = corrupt(x, CorruptionSpec(kind="random_swap"), pool, np.random.default_rng(seed))
             assert not np.array_equal(out, x)
 
     def test_random_swap_empty_pool(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(CorruptionError):
-            corrupt(np.ones(4), CorruptionSpec(kind="random_swap"), pool=[])
+            corrupt(np.ones(4), CorruptionSpec(kind="random_swap"), [], rng)
         with pytest.raises(CorruptionError):
-            corrupt(np.ones(4), CorruptionSpec(kind="random_swap"), pool=[np.ones(4)])
+            corrupt(np.ones(4), CorruptionSpec(kind="random_swap"), [np.ones(4)], rng)
 
     def test_swap_returns_copy(self):
         pool = [np.zeros(3), np.full(3, 2.0)]
-        out = corrupt(np.ones(3), CorruptionSpec(kind="random_swap", seed=1), pool=pool)
+        spec = CorruptionSpec(kind="random_swap")
+        out = corrupt(np.ones(3), spec, pool, np.random.default_rng(1))
         out += 1.0
         assert np.array_equal(pool[0], np.zeros(3)) and np.array_equal(pool[1], np.full(3, 2.0))
 
@@ -155,18 +161,19 @@ class TestRandomSwapBlock:
     def test_pool_of_only_the_input_raises(self):
         x = np.ones(4)
         with pytest.raises(CorruptionError, match="no vector different from the input"):
-            corrupt(np.tile(x, (3, 1)), self.SWAP, pool=[x, x.copy(), x.copy()])
+            corrupt(np.tile(x, (3, 1)), self.SWAP, [x, x.copy(), x.copy()],
+                    np.random.default_rng(0))
 
     def test_block_mixing_eligible_and_ineligible_rows_raises(self):
         x, y = np.ones(4), np.zeros(4)
         with pytest.raises(CorruptionError, match="no vector different from the input"):
-            corrupt(np.stack([y, x, y]), self.SWAP, pool=[x, x])
+            corrupt(np.stack([y, x, y]), self.SWAP, [x, x], np.random.default_rng(0))
 
     def test_dimension_mismatch(self):
         pool = [np.zeros(3), np.ones(3)]
         for features in (np.ones(4), np.ones((2, 4))):
             with pytest.raises(CorruptionError, match="pool vectors must match the input dimension"):
-                corrupt(features, self.SWAP, pool=pool)
+                corrupt(features, self.SWAP, pool, np.random.default_rng(0))
 
 
 class TestSnrOrdering:
@@ -180,7 +187,8 @@ class TestSnrOrdering:
             for trial in range(1000):
                 x = rng.normal(size=8)
                 x /= np.linalg.norm(x)
-                out = corrupt(x, CorruptionSpec(kind="diffusion", t=t, seed=trial))
+                out = corrupt(x, CorruptionSpec(kind="diffusion", t=t), None,
+                              np.random.default_rng(trial))
                 corrs.append(float(x @ out) / max(np.linalg.norm(out), 1e-12))
             mean_corr[t] = np.mean(corrs)
         assert mean_corr[10] > mean_corr[50] > mean_corr[500]
@@ -195,11 +203,6 @@ class TestSpecValues:
         ({"t": 10.5}, "t must be an integer"),  # used to index the schedule: IndexError
         ({"t": True}, "t must be an integer"),
         ({"t": -1}, "t must lie in"),
-        ({"seed": -1}, "seed must lie in"),
-        ({"seed": 1.5}, "seed must be an integer"),
-        ({"sigma": "abc"}, "sigma must be a number"),
-        ({"sigma": float("inf")}, "sigma must lie in"),
-        ({"sigma": 1e300}, "sigma must lie in"),  # its draws would overflow to inf
     ])
     def test_bad_value_names_the_field(self, fields, problem):
         with pytest.raises(CorruptionError, match=problem):
@@ -214,15 +217,13 @@ finite_rows = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
 class TestCorruptProperties:
     @settings(max_examples=200, deadline=None, database=None)
     @given(x=finite_rows, kind=st.sampled_from(CORRUPTION_KINDS), t=st.integers(0, T_MAX),
-           sigma=st.floats(min_value=0.0, max_value=SIGMA_MAX, exclude_min=True,
-                           exclude_max=True),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_shape_finite_and_fixed_by_the_seed(self, x, kind, t, sigma, seed):
+    def test_shape_finite_and_fixed_by_the_seed(self, x, kind, t, seed):
         # For random_swap, the rows themselves plus one member that differs
         # from every row in its first entry.
         free = next(k for k in range(len(x) + 1) if k not in x[:, 0])
         pool = np.vstack([x, np.full(x.shape[1], float(free))]) if kind == "random_swap" else None
-        spec = CorruptionSpec(kind=kind, t=t, sigma=sigma, seed=seed)
+        spec = CorruptionSpec(kind=kind, t=t)
         out = corrupt(x, spec, pool, np.random.default_rng(seed))
         assert out.shape == x.shape
         assert np.all(np.isfinite(out))

@@ -1,5 +1,7 @@
 """Metrics, parsing, shift analysis, and comparison reports."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -118,21 +120,20 @@ class TestLoglikShift:
     def test_identity_corruption_gives_zero(self):
         items = make_items(n=30, seed=7)
         params = init_params(n_prompts=synth.N_PROMPTS, seed=2)
-        stats = loglik_shift(params, items, CorruptionSpec(kind="diffusion", t=0), "relevant")
+        stats = loglik_shift(params, items, CorruptionSpec(kind="diffusion", t=0), "relevant", 0)
         assert np.allclose(stats.deltas, 0.0)
         assert stats.mean == 0.0 and stats.mean_abs == 0.0
 
     def test_zero_parameter_policy_shows_no_shift(self):
         items = make_items(n=30, seed=8)
         params = _zero_params()
-        stats = loglik_shift(params, items, CorruptionSpec(kind="gaussian"), "irrelevant")
+        stats = loglik_shift(params, items, CorruptionSpec(kind="gaussian"), "irrelevant", 0)
         assert np.allclose(stats.deltas, 0.0)
 
     def test_histogram_layout(self):
         items = make_items(n=50, seed=9)
         params = init_params(n_prompts=synth.N_PROMPTS, seed=3)
-        stats = loglik_shift(params, items, CorruptionSpec(kind="gaussian", seed=1),
-                             "relevant")
+        stats = loglik_shift(params, items, CorruptionSpec(kind="gaussian"), "relevant", 1)
         assert stats.histogram.shape == (eval_mod.SHIFT_HISTOGRAM_BINS + 2,)
         assert stats.bin_edges[0] == -5.0 and stats.bin_edges[-1] == 5.0
         assert len(stats.bin_edges) == eval_mod.SHIFT_HISTOGRAM_BINS + 1
@@ -141,23 +142,68 @@ class TestLoglikShift:
     def test_deterministic(self):
         items = make_items(n=20, seed=10)
         params = init_params(n_prompts=synth.N_PROMPTS, seed=4)
-        spec = CorruptionSpec(kind="diffusion", t=300, seed=11)
-        a = loglik_shift(params, items, spec, "relevant")
-        b = loglik_shift(params, items, spec, "relevant")
+        spec = CorruptionSpec(kind="diffusion", t=300)
+        a = loglik_shift(params, items, spec, "relevant", 11)
+        b = loglik_shift(params, items, spec, "relevant", 11)
         assert np.array_equal(a.deltas, b.deltas)
 
     def test_random_swap_draws_from_the_items_without_pools(self):
         items = synth.ItemTable.coerce(make_items(n=30, seed=12))
         params = init_params(n_prompts=synth.N_PROMPTS, seed=5)
-        spec = CorruptionSpec(kind="random_swap", seed=6)
+        spec = CorruptionSpec(kind="random_swap")
         for which in ("relevant", "irrelevant"):
-            stats = loglik_shift(params, items, spec, which)
+            stats = loglik_shift(params, items, spec, which, 6)
             assert np.abs(stats.deltas).max() > 0
+
+    def test_the_seed_fixes_the_draws(self):
+        items = make_items(n=20, seed=10)
+        params = init_params(n_prompts=synth.N_PROMPTS, seed=4)
+        spec = CorruptionSpec(kind="gaussian")
+        deltas = {seed: loglik_shift(params, items, spec, "relevant", seed).deltas
+                  for seed in (0, 1)}
+        assert not np.array_equal(deltas[0], deltas[1])
+        [row] = compare([("m", params)], items, shift_spec=spec, seed=1)
+        assert row.shift_relevant.deltas.tobytes() == deltas[1].tobytes()
 
     def test_which_argument_validated(self):
         with pytest.raises(eval_mod.EvalError):
             loglik_shift(init_params(n_prompts=synth.N_PROMPTS), make_items(n=4),
-                         CorruptionSpec(), "sideways")
+                         CorruptionSpec(), "sideways", 0)
+
+
+class TestShiftPinnedBytes:
+    """sha256 of the shift analysis's deltas for every corruption kind and
+    both roles, on one small generated world and an initialized policy,
+    drawn from seed 7.  Taken while the spec still carried its own seed and
+    gaussian scale; the values hold for the numpy build of the host they
+    were taken on."""
+
+    SHA256 = {
+        ("zeros", "relevant"): "224aab25d05c1f76c54f8771145d53941990e38afa2de5a4dd0691d43f8cf0f8",
+        ("zeros", "irrelevant"):
+            "69093860cae32f8108e10e0bde996938d45a5b4d06b9aabbe87b61efef31ce73",
+        ("gaussian", "relevant"):
+            "019a31e7ff43f2050b4be7357319a8e0ca183459cef39c2a86c3a75ba5c34aa6",
+        ("gaussian", "irrelevant"):
+            "ca5e11e0eb20e27dff45e3ab1367cc9a4e59f7f0e16c474f728e56db54fa4903",
+        ("random_swap", "relevant"):
+            "aa2717ed0ed02ccd1c3af60ec7899ccd21105401d4a2b0fa10f824ab980e732f",
+        ("random_swap", "irrelevant"):
+            "51751d08dd64fdc5494357bffc942c48eab27315f25f92389ff032a6531ec8a1",
+        ("diffusion", "relevant"):
+            "e59c1c0bc92184948b7eb4cb55b107ae90502c6dfcd5117b330821720d912a8d",
+        ("diffusion", "irrelevant"):
+            "a0d07ed8fde0afba96a04f1d1622fca1a5631b43a889cbe49235bed125a01ee8",
+    }
+
+    @pytest.mark.parametrize("kind,which", list(SHA256))
+    def test_deltas_are_the_pinned_bytes(self, kind, which):
+        items = synth.generate_eval_items(EvalConfig(n_items=48, n_scenes=16, matched_fraction=0.5,
+                                                     seed=31, world_seed=131))
+        params = init_params(n_prompts=synth.N_PROMPTS, seed=32)
+        deltas = loglik_shift(params, items, CorruptionSpec(kind=kind), which, 7).deltas
+        assert deltas.shape == (48,) and deltas.dtype == np.float64
+        assert hashlib.sha256(deltas.tobytes()).hexdigest() == self.SHA256[kind, which]
 
 
 class TestCompare:
@@ -172,7 +218,7 @@ class TestCompare:
         items = make_items(n=40, seed=13)
         params = init_params(n_prompts=synth.N_PROMPTS, seed=6)
         rows = compare([("a", params), ("b", params.copy())], items,
-                       shift_spec=CorruptionSpec(kind="diffusion", t=100, seed=2))
+                       shift_spec=CorruptionSpec(kind="diffusion", t=100), seed=2)
         a, b = rows
         for group in a.group_reports:
             assert a.group_reports[group].as_dict() == b.group_reports[group].as_dict()
@@ -185,7 +231,7 @@ class TestCompare:
     def test_artifacts_written(self, tmp_path):
         items = make_items(n=30, seed=14)
         rows = compare([("m", init_params(n_prompts=synth.N_PROMPTS, seed=7))], items,
-                       shift_spec=CorruptionSpec(seed=3))
+                       shift_spec=CorruptionSpec(), seed=3)
         csv_path = tmp_path / "cmp.csv"
         eval_mod.comparison_to_csv(rows, csv_path)
         table = eval_mod.comparison_table(rows)

@@ -1,5 +1,6 @@
 """Training loop: pass accounting, alternation, reduction, determinism."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -661,15 +662,21 @@ class TestConfigValues:
     @pytest.mark.parametrize("fields,problem", [
         ({"seed": -1}, "seed must lie in"),
         ({"seed": 0.5}, "seed must be an integer"),
-        ({"warmup_lr": True}, "warmup_lr must be a number"),
+        ({"batch_size": 0}, "batch_size must lie in"),
         ({"lr": True}, "lr must be a number"),
         ({"lr": float("nan")}, "lr must lie in"),
         ({"warmup_steps": -1}, "warmup_steps must lie in"),
-        ({"corruption": CorruptionSpec(seed=99)}, "corruption.seed must be 0"),
     ])
     def test_bad_value_names_the_field(self, fields, problem):
         with pytest.raises(ConfigurationError, match=problem):
             TrainConfig(**fields)
+
+    def test_the_warmup_step_size_is_a_constant(self):
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "hp", "corruption", "lr", "epochs", "batch_size", "seed", "warmup_steps"]
+        assert TrainConfig.warmup_lr == TrainConfig().warmup_lr == 0.5
+        with pytest.raises(TypeError):
+            TrainConfig(warmup_lr=0.5)
 
 
 def _preset_digest():

@@ -49,8 +49,7 @@ def best_us(fn, number: int = 2000) -> float:
 
 def step_pieces(pairs, reference, name: str) -> dict:
     spec = experiments.HALLUCINATION_BENCHMARK
-    cfg = make_config(name, lr=spec.lr, epochs=spec.epochs, batch_size=spec.batch_size,
-                      seed=SEED, warmup_steps=spec.warmup_steps, warmup_lr=spec.warmup_lr)
+    cfg = make_config(name, lr=spec.lr, epochs=spec.epochs, seed=SEED)
     rows = train.batch_schedule(pairs, cfg)[0]
     batch, pools = pairs[rows], train.feature_pools(pairs)
     table = train.reference_logprobs(reference, pairs, cfg)
