@@ -178,11 +178,17 @@ def _resolve(value, default, path: str = ""):
     prefix = f"{path}." if path else ""
     if not default:  # names of the user's choice, each mapped to a path
         return {k: _resolve(v, "", f"{prefix}{k}") for k, v in value.items()}
-    unknown = sorted(f"{prefix}{k}" for k in set(value) - set(default))
+    _reject_unknown(value, default, path)
+    return {k: _resolve(value.get(k, d), d, f"{prefix}{k}") for k, d in default.items()}
+
+
+def _reject_unknown(value: dict, known, path: str) -> None:
+    """Exit 2 with one line naming every key of the mapping at path not in known."""
+    prefix = f"{path}." if path else ""
+    unknown = sorted(f"{prefix}{k}" for k in set(value) - set(known))
     if unknown:
         where = path.split(".")[0] or "top-level"
         raise CliError(f"unknown {where} setting {', '.join(unknown)}", EXIT_CONFIG)
-    return {k: _resolve(value.get(k, d), d, f"{prefix}{k}") for k, d in default.items()}
 
 
 def apply_override(cfg: dict, dotted: str) -> None:
@@ -359,7 +365,8 @@ def cmd_synth(cfg: dict) -> int:
 
 def build_train_config(section: dict, seed: int) -> training.TrainConfig:
     """The preset's TrainConfig with the section's non-null settings over it;
-    an hp or corruption mapping sets the fields it names over the preset's."""
+    an hp or corruption mapping sets the fields it names over the preset's,
+    and a name that is not a field is an unknown setting."""
     if section["preset"] not in PRESET_NAMES:
         raise CliError(f"unknown preset {section['preset']!r}; known: {', '.join(PRESET_NAMES)}",
                        EXIT_CONFIG)
@@ -368,8 +375,11 @@ def build_train_config(section: dict, seed: int) -> training.TrainConfig:
         value = section.get(name)  # None for seed, the global setting
         if value is None:
             continue
-        if is_dataclass(getattr(preset, name)):  # hp, corruption
-            value = _build(f"train.{name}", lambda: replace(getattr(preset, name), **value))
+        base = getattr(preset, name)
+        if is_dataclass(base):  # hp, corruption
+            if isinstance(value, dict):
+                _reject_unknown(value, [f.name for f in fields(base)], f"train.{name}")
+            value = _build(f"train.{name}", lambda: replace(base, **value))
         overrides[name] = value
     return _build("train", lambda: make_config(section["preset"], seed=seed, **overrides))
 

@@ -21,13 +21,12 @@ family and, for diffusion, its step.  The caller owns the randomness:
 the generator it is given.  A block call draws exactly what B row calls
 would draw from the same generator in row order: gaussian and diffusion
 fill their (B, d) noise row-major, and random_swap takes one pool index
-per row.  ``corrupt_rows`` corrupts the masked rows of an audio/visual pair
-of blocks with one generator, audio block first, into fresh arrays, so a
-caller that passes the same generator to successive calls fixes every draw
-by its own seed and call order.  A random_swap pool is a ``FeaturePool``,
-the (N, d) stack built once; it stays a wrapper rather than the bare array
-because the benchmark harness's traced run truth-tests the pool argument
-of every ``corrupt`` call, which a 2-D array refuses.
+per row.  A caller that passes the same generator to successive calls
+fixes every draw by its own seed and call order.  A random_swap pool is a
+``FeaturePool``, the (N, d) stack built once; it stays a wrapper rather
+than the bare array because the benchmark harness's traced run
+truth-tests the pool argument of every ``corrupt`` call, which a 2-D
+array refuses.
 """
 
 from __future__ import annotations
@@ -125,24 +124,6 @@ def _swap(x: np.ndarray, pool, rng: np.random.Generator) -> np.ndarray:
         nth = rng.integers(counts)
         picks[rejected] = np.argmax(np.cumsum(differs, axis=1) > nth[:, None], axis=1)
     return vectors[picks].reshape(x.shape)
-
-
-def corrupt_rows(features: dict, spec: CorruptionSpec, masks: dict, rng: np.random.Generator,
-                 pools=None) -> dict:
-    """Corrupted copies of stacked feature rows.
-
-    features maps "audio"/"visual" to (B, d) arrays and masks maps a
-    modality to the (B,) boolean mask of the rows to corrupt; a modality
-    without a mask is kept.  Each modality's masked rows are corrupted as
-    one block drawn from rng, audio before visual, rows in order.  pools
-    maps a modality to its random_swap pool.  The inputs are left untouched.
-    """
-    out = {m: np.array(x, dtype=np.float64) for m, x in features.items()}
-    for m in ("audio", "visual"):
-        rows = masks.get(m)
-        if rows is not None and rows.any():
-            out[m][rows] = corrupt(out[m][rows], spec, pools.get(m) if pools else None, rng)
-    return out
 
 
 class FeaturePool:

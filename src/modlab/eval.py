@@ -28,11 +28,11 @@ in item order.  An item's draw therefore depends on its position among
 the items sharing its modality, and the relevant and irrelevant analyses
 restart the same stream.
 
-Items are a ``synth.ItemTable``; every entry point also takes a list of
-``EvalItem`` rows and stacks it once.  Scoring, grouping and the shift
-analysis work on its columns and masks.  ``predict`` (one item) and
-``item_from_record`` (one decoded record as a row) have no caller in the
-package; they stay only because the benchmark harness calls them by name.
+Items are a ``synth.ItemTable``: scoring, grouping and the shift analysis
+work on its columns and masks.  Only ``evaluate`` (a list of ``EvalItem``
+rows) and ``predict`` (one item) stack rows, which the benchmark harness
+passes them; ``predict`` and ``item_from_record`` (one decoded record as a
+row) have no caller in the package and stay only for the harness.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corrupt import CorruptionSpec, FeaturePool, corrupt_rows
+from .corrupt import CorruptionSpec, FeaturePool, corrupt
 from .policy import PolicyParams, forward
 from .synth import (
     ANSWERS,
@@ -167,7 +167,6 @@ class MetricsReport:
 def predictions(params: PolicyParams, items) -> np.ndarray:
     """Yes/no decision per item, an array of "yes"/"no": argmax over the two
     answer tokens, ties -> "no"."""
-    items = ItemTable.coerce(items)
     if not len(items):
         return np.empty(0, dtype="<U3")
     logprobs = forward(params, items.audio, items.visual, items.prompt_id).logprobs
@@ -176,12 +175,11 @@ def predictions(params: PolicyParams, items) -> np.ndarray:
 
 def predict(params: PolicyParams, item: EvalItem) -> str:
     """predictions() of one item."""
-    return str(predictions(params, [item])[0])
+    return str(predictions(params, ItemTable.coerce([item]))[0])
 
 
 def score(predictions, items) -> MetricsReport:
     """Stratified tallies over aligned predictions ("yes"/"no") and items."""
-    items = ItemTable.coerce(items)
     preds = np.asarray(predictions, dtype=np.str_)
     if len(preds) != len(items):
         raise EvalError(f"{len(preds)} predictions for {len(items)} items")
@@ -204,7 +202,6 @@ def evaluate(params: PolicyParams, items) -> MetricsReport:
 
 def evaluate_by_group(params: PolicyParams, items) -> dict:
     """MetricsReport per task_group plus an "overall" entry."""
-    items = ItemTable.coerce(items)
     preds = predictions(params, items)
     out = {"overall": score(preds, items)}
     for group in sorted(TASK_GROUPS[g] for g in np.unique(items.task_group)):
@@ -249,7 +246,6 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
     """
     if which not in ("relevant", "irrelevant"):
         raise EvalError(f"which must be 'relevant' or 'irrelevant', got {which!r}")
-    items = ItemTable.coerce(items)
     if not len(items):
         deltas = np.empty(0)
     else:
@@ -258,10 +254,13 @@ def loglik_shift(params: PolicyParams, items, spec: CorruptionSpec, which: str,
         masks = {roles[role]: items.modality_tag == tag for tag, roles in ROLES.items()}
         if not (masks["audio"] | masks["visual"]).all():
             raise EvalError("shift analysis needs single-modality items")
-        features = {"audio": items.audio, "visual": items.visual}
-        pools = ({m: FeaturePool(x) for m, x in features.items()}
-                 if spec.kind == "random_swap" else None)  # no other kind reads a pool
-        corrupted = corrupt_rows(features, spec, masks, np.random.default_rng(seed), pools)
+        rng, corrupted = np.random.default_rng(seed), {}
+        for m in ("audio", "visual"):  # the audio block draws first, whatever the masks' order
+            column, mask = getattr(items, m), masks[m]
+            corrupted[m] = column.copy()
+            if mask.any():
+                pool = FeaturePool(column) if spec.kind == "random_swap" else None
+                corrupted[m][mask] = corrupt(column[mask], spec, pool, rng)
         rows, answers, ids = np.arange(len(items)), items.ground_truth, items.prompt_id
         clean = forward(params, items.audio, items.visual, ids).logprobs[rows, answers]
         shifted = forward(params, corrupted["audio"], corrupted["visual"], ids).logprobs
@@ -297,7 +296,6 @@ def compare(named_params, items, shift_spec: CorruptionSpec = None, seed: int = 
     """
     if not named_params:
         raise EvalError("compare needs at least one model")
-    items = ItemTable.coerce(items)
     unimodal = items[items.modality_tag != AUDIOVISUAL]
     rows = []
     for name, params in named_params:

@@ -40,7 +40,6 @@ from . import eval as eval_mod
 from . import synth
 from . import train as training
 from .corrupt import CorruptionSpec
-from .eval import MetricsReport
 from .presets import make_config
 
 
@@ -83,7 +82,6 @@ SHIFT_ANALYSIS = ExperimentSpec(
 @dataclass
 class VariantOutcome:
     accuracy: float
-    report: MetricsReport
     shift_relevant: float
     shift_irrelevant: float
     losses: np.ndarray = field(repr=False, default=None)
@@ -122,12 +120,12 @@ def build_world(spec: ExperimentSpec, seed: int):
 def _outcome(params, items, seed: int, losses=None) -> VariantOutcome:
     """Scores of one model, with its mean |shift| under the default
     corruption, drawn from seed."""
-    report = eval_mod.evaluate(params, items)
+    accuracy = eval_mod.evaluate(params, items).accuracy
     spec = CorruptionSpec()
     rel = eval_mod.loglik_shift(params, items, spec, "relevant", seed).mean_abs
     irr = eval_mod.loglik_shift(params, items, spec, "irrelevant", seed).mean_abs
-    return VariantOutcome(accuracy=report.accuracy, report=report, shift_relevant=rel,
-                          shift_irrelevant=irr, losses=losses)
+    return VariantOutcome(accuracy=accuracy, shift_relevant=rel, shift_irrelevant=irr,
+                          losses=losses)
 
 
 def run_benchmark(spec: ExperimentSpec, seed: int, variants=("dpo", "modpp_desk")) -> BenchmarkRun:

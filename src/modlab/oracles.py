@@ -40,7 +40,6 @@ from . import train as training
 from .core import Hyperparams
 from .eval import MetricsReport
 from .policy import backward, forward, init_params
-from .synth import PairTable
 from .train import PassCounter, TrainConfig, pair_loss_terms, train_step
 
 
@@ -263,7 +262,6 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
     for the current parameters; only the clean policy passes respond to
     the perturbation.  Relative error in L2.
     """
-    batch = PairTable.coerce(batch)
     ref = training.reference_logprobs(ref_params, batch, cfg)
     frozen, _, clean = training.evaluate_batch(params, ref, batch, cfg, step, pools)
     rows, y_w, y_l = np.arange(len(batch)), batch.y_w, batch.y_l

@@ -43,11 +43,12 @@ turns the rows into the table, deriving the tag, prompt, matched flag and
 features.  A table holds one (N,) column per field, the features (N, d)
 columns named ``audio`` and ``visual``, with tags, question kinds, answers
 and task groups as int codes (indices into MODALITY_TAGS,
-EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).  ``t[rows]`` is a sub-table,
-``t[i]`` one row (a ``PreferencePair`` or ``EvalItem`` named tuple), and
-``coerce`` stacks a list of rows once.  ``pair_record`` (one row) and
-``generate_eval_records`` (the generated items as records) stay only
-because the benchmark harness calls them by name.
+EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).  ``t[rows]`` is a sub-table
+and ``t[i]`` one row (a ``PreferencePair`` or ``EvalItem`` named tuple).
+Functions take tables; only ``dataset_stats`` and ``pair_record`` (one
+row) ``coerce`` the rows the benchmark harness passes them, and
+``pair_record`` and ``generate_eval_records`` (the generated items as
+records) stay only because the harness calls them by name.
 
 Random streams: stream ``(seed, tag, i)`` is ``_rng(seed, tag, i)``, that
 is ``default_rng(SeedSequence([seed, tag, i]))``.  Scene s draws from

@@ -45,11 +45,10 @@ makes one backward through the clean rows.  A reference table that fails
 its check is checked again by each step, with every other check, so the
 error names the step whose batch holds the bad row.
 
-Datasets are ``synth.PairTable`` columns (a list of pairs is stacked once
-on entry); ``batch_schedule`` turns the tag column into one row-index
-array per step, whose rows share one modality tag.
-``pair_loss_terms`` is a one-line wrapper the benchmark harness times as
-the loss.
+Datasets are ``synth.PairTable`` columns; ``batch_schedule`` turns the
+tag column into one row-index array per step, whose rows share one
+modality tag.  ``pair_loss_terms`` is a one-line wrapper the benchmark
+harness times as the loss.
 
 Determinism: everything derives from cfg.seed through tagged seed
 sequences, so runs are exactly repeatable.  Step s draws all its corrupted
@@ -197,7 +196,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def feature_pools(dataset) -> dict:
     """Per-modality random_swap pools: the dataset's feature columns."""
-    dataset = PairTable.coerce(dataset)
     return {m: FeaturePool(getattr(dataset, m)) for m in ("audio", "visual")}
 
 
@@ -214,7 +212,6 @@ def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.
     during preference training, so train() builds this table once per run
     and each step takes its rows' columns; the oracles call it on a batch.
     """
-    table = PairTable.coerce(table)
     blocks = [(table.audio, table.visual)]
     if cfg.hp.gamma_lpd > 0:
         blocks.append((np.zeros_like(table.audio), np.zeros_like(table.visual)))  # text-only
@@ -263,7 +260,6 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     checked forward (see batch_schedule).  It skips ref's check, the batch's
     tag checks and forward's input checks.
     """
-    batch = PairTable.coerce(batch)
     n, tags = len(batch), batch.modality_tag
     if not checked:
         if not n or (tags != tags[0]).any():
@@ -319,7 +315,6 @@ def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
     params, mean pair loss, per-pair PassCounter).  The batch's rows must
     share one modality tag.
     """
-    batch = PairTable.coerce(batch)
     pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools, rng=rng,
                                         checked=checked)
     losses, margins = pair_loss_terms(pl, cfg)
@@ -348,7 +343,6 @@ def _descend(params: PolicyParams, cache, upstream: np.ndarray, lr: float,
 
 
 def init_policy_for(dataset, seed: int) -> PolicyParams:
-    dataset = PairTable.coerce(dataset)
     return init_params(d_a=dataset.audio.shape[1], d_v=dataset.visual.shape[1], d_h=_D_H,
                        vocab_size=VOCAB_SIZE, n_prompts=N_PROMPTS, seed=seed)
 
@@ -360,7 +354,6 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = TrainConfig.war
     Returns the frozen reference parameters; steps=0 returns the seeded
     initialization untouched.
     """
-    dataset = PairTable.coerce(dataset)
     if not len(dataset):
         raise TrainingError("warm-up needs a non-empty dataset")
     params = init_policy_for(dataset, seed)
@@ -420,7 +413,7 @@ def batch_schedule(dataset, cfg: TrainConfig):
     ConfigurationError when the dataset lacks visual or audio rows, since
     batches alternate between the two.
     """
-    tags = PairTable.coerce(dataset).modality_tag
+    tags = dataset.modality_tag
     if (tags == AUDIOVISUAL).any():
         raise TrainingError(f"training pairs need one relevant modality; row "
                             f"{int(np.argmax(tags == AUDIOVISUAL))} is audiovisual")
@@ -442,7 +435,6 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     never modified.  Raises DivergenceError when a step diverges (see the
     module docstring).
     """
-    dataset = PairTable.coerce(dataset)
     if not len(dataset):
         raise TrainingError("training needs a non-empty dataset")
     schedule = batch_schedule(dataset, cfg)

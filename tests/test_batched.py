@@ -23,7 +23,7 @@ from modlab import core, synth
 from modlab import eval as eval_mod
 from modlab import train as training
 from modlab.core import PairLogProbs
-from modlab.corrupt import CORRUPTION_KINDS, CorruptionSpec, FeaturePool, corrupt, corrupt_rows
+from modlab.corrupt import CORRUPTION_KINDS, CorruptionSpec, FeaturePool, corrupt
 from modlab.policy import (
     GradAccumulator,
     PolicyParams,
@@ -86,10 +86,10 @@ def as_audiovisual(pair):
 
 
 def batch_of(data, tag, size=6):
-    """A list of size rows with the named tag."""
+    """A table of size rows with the named tag."""
     if tag == "audiovisual":
-        return [as_audiovisual(p) for p in data[:size]]
-    return list(data[data.modality_tag == MODALITY_TAGS.index(tag)][:size])
+        return synth.PairTable.coerce([as_audiovisual(p) for p in data[:size]])
+    return data[data.modality_tag == MODALITY_TAGS.index(tag)][:size]
 
 
 def draw_rows(rows, spec, pool, rng):
@@ -192,7 +192,8 @@ def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool
 def test_mixed_joint_batch_still_rejected(data, models):
     params, ref = models
     cfg = TrainConfig(hp=VARIANT_HP["mod"], lr=0.1)
-    batch = batch_of(data, "visual_related", 2) + batch_of(data, "audiovisual", 2)
+    batch = synth.PairTable.concat([batch_of(data, "visual_related", 2),
+                                    batch_of(data, "audiovisual", 2)])
     with pytest.raises(TrainingError, match=r"one modality tag, got \['visual_related', "
                                             r"'audiovisual'\]"):
         train_step(params, training.reference_logprobs(ref, batch, cfg), batch, cfg, step=0,
@@ -240,8 +241,8 @@ def loop_step(params, ref_params, batch, cfg, step, pools):
     clean = {"audio": batch.audio, "visual": batch.visual}
     blocks = [clean]
     if corrupted:
-        rng, every = synth._rng(cfg.seed, training._CORRUPT_STREAM, step), np.ones(n, dtype=bool)
-        blocks += [corrupt_rows(clean, cfg.corruption, {m: every}, rng, pools)
+        rng = synth._rng(cfg.seed, training._CORRUPT_STREAM, step)
+        blocks += [{**clean, m: corrupt(clean[m], cfg.corruption, pools[m], rng)}
                    for m in corrupted.values()]
     ref_blocks = [clean]
     if cfg.hp.gamma_lpd > 0:
@@ -351,8 +352,9 @@ def test_evaluate_matches_per_item_loop(models, items):
     for item in items:
         logprobs = row_logprobs(params, item)
         loop.append("yes" if logprobs[synth.YES_ID] > logprobs[synth.NO_ID] else "no")
-    assert list(eval_mod.predictions(params, items)) == loop
-    assert eval_mod.evaluate(params, items).as_dict() == eval_mod.score(loop, items).as_dict()
+    table = ItemTable.coerce(items)
+    assert list(eval_mod.predictions(params, table)) == loop
+    assert eval_mod.evaluate(params, items).as_dict() == eval_mod.score(loop, table).as_dict()
 
 
 @pytest.mark.parametrize("kind", ["diffusion", "random_swap"])
@@ -370,7 +372,7 @@ def test_loglik_shift_matches_per_item_loop(models, items, kind, which):
         answer = item.ground_truth
         loop.append(row_logprobs(params, item)[answer]
                     - row_logprobs(params, item, **draws[i, 0])[answer])
-    stats = eval_mod.loglik_shift(params, unimodal, spec, which, seed)
+    stats = eval_mod.loglik_shift(params, ItemTable.coerce(unimodal), spec, which, seed)
     np.testing.assert_allclose(stats.deltas, loop, rtol=0, atol=TOL)
 
 

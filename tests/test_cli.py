@@ -191,6 +191,9 @@ class TestOverridesAndErrors:
         ("train", "train.warmup_lr=0.1", "train.warmup_lr"),
         ("eval", "eval.shift.sigma=1.0", "eval.shift.sigma"),
         ("report", "report.shift.sigma=1.0", "report.shift.sigma"),
+        # Names outside the fields of the class a mapping builds.
+        ("train", "train.corruption.sigma=1.0", "train.corruption.sigma"),
+        ("train", "train.hp.tau_mode=1", "train.hp.tau_mode"),
     ])
     def test_unknown_section_setting_is_config_error(self, tmp_path, capsys, command, override,
                                                      key):
@@ -241,12 +244,16 @@ class TestBadRecords:
         assert len(err) == 1 and f"{dataset}, line 3: {needle}" in err[0], err
 
     @pytest.mark.parametrize("command,data,field,edit,needle", [
-        ("train", "dataset.jsonl", "audio_feat", lambda v: v[:7],
-         "audio_feat has 7 values, expected 8"),
-        ("train", "dataset.jsonl", "audio_feat", lambda v: v[:2] + [float("nan")] + v[3:],
-         "audio_feat holds a non-finite value"),
-        ("eval", "eval_items.jsonl", "visual_feat", lambda v: v[:7],
-         "visual_feat has 7 values, expected 8"),
+        pytest.param("train", "dataset.jsonl", "audio_feat", lambda v: v[:7],
+                     "audio_feat has 7 values, expected 8",
+                     id="train-dataset.jsonl-audio_feat-short"),
+        pytest.param("train", "dataset.jsonl", "audio_feat",
+                     lambda v: v[:2] + [float("nan")] + v[3:],
+                     "audio_feat holds a non-finite value",
+                     id="train-dataset.jsonl-audio_feat-nan"),
+        pytest.param("eval", "eval_items.jsonl", "visual_feat", lambda v: v[:7],
+                     "visual_feat has 7 values, expected 8",
+                     id="eval-eval_items.jsonl-visual_feat-short"),
     ])
     def test_bad_feature_row_rejected_with_one_message(self, tmp_path, capsys, command, data,
                                                        field, edit, needle):
@@ -330,9 +337,12 @@ class TestBadCheckpoints:
                        f"{tmp_path / 'run' / data} has d_a=8, d_v=8"], err
 
     @pytest.mark.parametrize("command,override,data,size", [
-        ("eval", "eval.checkpoint", "eval_items.jsonl", {"n_prompts": 4}),
-        ("train", "train.reference", "dataset.jsonl", {"vocab_size": 4}),
-        ("eval", "eval.checkpoint", "eval_items.jsonl", {"vocab_size": 4}),
+        pytest.param("eval", "eval.checkpoint", "eval_items.jsonl", {"n_prompts": 4},
+                     id="eval-eval.checkpoint-n_prompts"),
+        pytest.param("train", "train.reference", "dataset.jsonl", {"vocab_size": 4},
+                     id="train-train.reference-vocab_size"),
+        pytest.param("eval", "eval.checkpoint", "eval_items.jsonl", {"vocab_size": 4},
+                     id="eval-eval.checkpoint-vocab_size"),
     ])
     def test_checkpoint_must_cover_prompts_and_vocabulary(self, tmp_path, capsys, command,
                                                           override, data, size):
@@ -375,11 +385,13 @@ class TestConfigParsing:
         assert cfg["train"]["lr"] == 3e-7 and cfg["train"]["preset"] == "dpo"
         assert cli.build_train_config(cfg["train"], 0).lr == 3e-7
 
+    # The ids keep the names these cases were first recorded under.
     @pytest.mark.parametrize("overrides,key,want", [
-        (["train.preset=modpp_desk", "train.hp.beta=0.2"], "hp",
-         Hyperparams(beta=0.2, beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02)),
-        (["train.preset=modpp_swap", "train.corruption.t=10"], "corruption",
-         CorruptionSpec(kind="random_swap", t=10)),
+        pytest.param(["train.preset=modpp_desk", "train.hp.beta=0.2"], "hp",
+                     Hyperparams(beta=0.2, beta_inv=0.08, beta_sens=0.02, gamma_lpd=0.02),
+                     id="overrides0-hp-want0"),
+        pytest.param(["train.preset=modpp_swap", "train.corruption.t=10"], "corruption",
+                     CorruptionSpec(kind="random_swap", t=10), id="overrides1-corruption-want1"),
     ])
     def test_partial_mapping_keeps_the_presets_other_fields(self, tmp_path, overrides, key,
                                                            want):
@@ -680,22 +692,32 @@ class TestSettingValues:
     """A value that passes the schema's null defaults is checked by the class
     built from it: exit 2 and one line naming the setting, before any output.
     So is a setting that became a constant (warmup_lr, a corruption's sigma
-    or seed)."""
+    or seed).  The ids keep the names these cases were first recorded
+    under; a new case takes the next number."""
 
     @pytest.mark.parametrize("command,overrides,needles", [
-        ("train", ["train.corruption.t=10.5"], ("train.corruption", "t must be an integer")),
-        ("train", ["train.corruption.t=true"], ("train.corruption", "t must be an integer")),
-        ("train", ["train.hp.beta=true"], ("train.hp", "beta must be a number")),
-        ("train", ["train.warmup_lr=0.1"], ("unknown train setting train.warmup_lr",)),
-        ("train", ["train.hp.beta=abc"], ("train.hp", "beta must be a number")),
-        ("train", ["train.corruption.sigma=1.0"], ("train.corruption", "sigma")),
-        ("train", ["seed=-1"], ("seed must lie in",)),
-        ("eval", ["seed=-1"], ("seed must lie in",)),
-        ("synth", ["synth.world_seed=-3"], ("synth", "world_seed must lie in")),
-        ("synth", ["synth.n_scenes=1", "synth.matched_fraction=1.0"],
-         ("synth.eval_items", "at least two scenes")),
-        ("train", ["train.corruption.seed=1"], ("train.corruption", "seed")),
-        ("verify", ["seed=-1"], ("seed must lie in",)),
+        pytest.param("train", ["train.corruption.t=10.5"],
+                     ("train.corruption", "t must be an integer"), id="train-overrides0-needles0"),
+        pytest.param("train", ["train.corruption.t=true"],
+                     ("train.corruption", "t must be an integer"), id="train-overrides1-needles1"),
+        pytest.param("train", ["train.hp.beta=true"], ("train.hp", "beta must be a number"),
+                     id="train-overrides2-needles2"),
+        pytest.param("train", ["train.warmup_lr=0.1"],
+                     ("unknown train setting train.warmup_lr",), id="train-overrides3-needles3"),
+        pytest.param("train", ["train.hp.beta=abc"], ("train.hp", "beta must be a number"),
+                     id="train-overrides4-needles4"),
+        pytest.param("train", ["train.corruption.sigma=1.0"], ("train.corruption", "sigma"),
+                     id="train-overrides5-needles5"),
+        pytest.param("train", ["seed=-1"], ("seed must lie in",), id="train-overrides6-needles6"),
+        pytest.param("eval", ["seed=-1"], ("seed must lie in",), id="eval-overrides7-needles7"),
+        pytest.param("synth", ["synth.world_seed=-3"], ("synth", "world_seed must lie in"),
+                     id="synth-overrides8-needles8"),
+        pytest.param("synth", ["synth.n_scenes=1", "synth.matched_fraction=1.0"],
+                     ("synth.eval_items", "at least two scenes"), id="synth-overrides9-needles9"),
+        pytest.param("train", ["train.corruption.seed=1"], ("train.corruption", "seed"),
+                     id="train-overrides10-needles10"),
+        pytest.param("verify", ["seed=-1"], ("seed must lie in",),
+                     id="verify-overrides11-needles11"),
     ])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, built_run, command, overrides,
                                          needles):

@@ -21,7 +21,7 @@ def _zero_params():
 
 def make_items(n=40, seed=0, matched_fraction=0.5):
     cfg = EvalConfig(n_items=n, n_scenes=30, matched_fraction=matched_fraction, seed=seed)
-    return [eval_mod.item_from_record(rec) for rec in synth.generate_eval_records(cfg)]
+    return synth.generate_eval_items(cfg)
 
 
 def item_with(ground_truth, tag="visual_related"):
@@ -58,7 +58,7 @@ class TestPredict:
 
 class TestScore:
     def test_hand_tally(self):
-        items = [item_with("yes")] * 4 + [item_with("no")] * 6
+        items = synth.ItemTable.coerce([item_with("yes")] * 4 + [item_with("no")] * 6)
         predictions = (["yes"] * 3 + ["no"]) + (["no"] * 5 + ["yes"])
         report = score(predictions, items)
         assert report.precision == pytest.approx(75.0, abs=1e-9)
@@ -67,20 +67,20 @@ class TestScore:
         assert report.f1 == pytest.approx(78.95, abs=5e-3)
 
     def test_all_correct(self):
-        items = [item_with("yes"), item_with("no")]
+        items = synth.ItemTable.coerce([item_with("yes"), item_with("no")])
         report = score(["yes", "no"], items)
         assert (report.accuracy, report.precision, report.recall, report.f1) == \
             (100.0, 100.0, 100.0, 100.0)
 
     def test_all_inverted_degenerates_with_flag(self):
-        items = [item_with("yes"), item_with("no")]
+        items = synth.ItemTable.coerce([item_with("yes"), item_with("no")])
         report = score(["no", "yes"], items)
         assert report.accuracy == 0.0 and report.precision == 0.0 and report.recall == 0.0
         assert report.f1 == 0.0
         assert report.degenerate_f1
 
     def test_empty_stratum_is_undefined_not_zero(self):
-        items = [item_with("yes")] * 3
+        items = synth.ItemTable.coerce([item_with("yes")] * 3)
         report = score(["yes", "no", "yes"], items)
         assert report.recall is None and report.hr is None
         assert report.precision == pytest.approx(100 * 2 / 3)
@@ -88,17 +88,17 @@ class TestScore:
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
-        items = [item_with("yes") if rng.random() < 0.5 else item_with("no")
-                 for _ in range(60)]
+        items = synth.ItemTable.coerce([item_with("yes") if rng.random() < 0.5
+                                        else item_with("no") for _ in range(60)])
         predictions = ["yes" if rng.random() < 0.5 else "no" for _ in range(60)]
         base = score(predictions, items)
         order = rng.permutation(60)
-        shuffled = score([predictions[i] for i in order], [items[i] for i in order])
+        shuffled = score([predictions[i] for i in order], items[order])
         assert base.as_dict() == shuffled.as_dict()
 
     def test_length_mismatch(self):
         with pytest.raises(eval_mod.EvalError):
-            score(["yes"], [item_with("yes"), item_with("no")])
+            score(["yes"], synth.ItemTable.coerce([item_with("yes"), item_with("no")]))
 
     def test_tally_identities_on_random_tables(self):
         rng = np.random.default_rng(6)
@@ -148,7 +148,7 @@ class TestLoglikShift:
         assert np.array_equal(a.deltas, b.deltas)
 
     def test_random_swap_draws_from_the_items_without_pools(self):
-        items = synth.ItemTable.coerce(make_items(n=30, seed=12))
+        items = make_items(n=30, seed=12)
         params = init_params(n_prompts=synth.N_PROMPTS, seed=5)
         spec = CorruptionSpec(kind="random_swap")
         for which in ("relevant", "irrelevant"):

@@ -1,6 +1,7 @@
 """The public surface: every public module-level name and public method of
 src/modlab either has a caller in the package or is declared below with
-the consumer outside the package that keeps it."""
+the consumer outside the package that keeps it; and rows enter only where
+the benchmark passes them, every other function taking record tables."""
 
 import ast
 import pathlib
@@ -20,6 +21,15 @@ OUTSIDE_CONSUMERS = {
     "synth.assemble_eval_items": "perfbench traced span synth.assemble_eval_items",
     "synth.generate_eval_records": "perfbench corruption_ablation workload (setup)",
     "synth.pair_record": "perfbench experiment workload (dataset check)",
+}
+
+# The functions that stack a list of rows into a table (``coerce``) -> the
+# perfbench consumer that passes them rows.
+ROW_ENTRY_POINTS = {
+    "eval.evaluate": "corruption_ablation workload (a list of EvalItem rows)",
+    "eval.predict": "traced span eval.predict (one EvalItem)",
+    "synth.dataset_stats": "experiment workload (the captured rows of generate_pairs)",
+    "synth.pair_record": "experiment workload (one captured row)",
 }
 
 
@@ -85,3 +95,31 @@ def test_the_scan_sees_a_name_without_a_caller():
                        "def unused():\n    return used()\n")]
     refs = _references(trees)
     assert "used" in refs and "unused" not in refs and "add" not in refs
+
+
+def coerce_callers(module: str, tree) -> set:
+    """Qualified names of the module's functions and methods (keyed by
+    class) whose body calls ``.coerce(``."""
+    defs = [(f"{module}.{node.name}", node) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{module}.{node.name}.{item.name}", item) for node in tree.body
+             if isinstance(node, ast.ClassDef) for item in node.body
+             if isinstance(item, ast.FunctionDef)]
+    return {name for name, node in defs for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "coerce"}
+
+
+def test_rows_enter_only_at_the_declared_entry_points():
+    found = set().union(*(coerce_callers(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+                          for path in sorted(SRC.glob("*.py"))))
+    assert found == set(ROW_ENTRY_POINTS), (
+        f"undeclared: {sorted(found - set(ROW_ENTRY_POINTS))}; "
+        f"declared but not stacking rows: {sorted(set(ROW_ENTRY_POINTS) - found)}")
+
+
+def test_the_scan_sees_a_coerce_call():
+    tree = ast.parse("def entry(rows):\n    return Table.coerce(rows)\n\n"
+                     "def inner(table):\n    return table.audio\n\n"
+                     "class Table:\n    def one(self, row):\n        return self.coerce([row])\n")
+    assert coerce_callers("m", tree) == {"m.entry", "m.Table.one"}

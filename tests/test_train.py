@@ -155,11 +155,12 @@ class TestAlternation:
         data = small_dataset(n=20)
         visual = rows_tagged(data, VISUAL_RELATED)[0]
         audio = rows_tagged(data, AUDIO_RELATED)[0]
+        batch = synth.PairTable.coerce([visual, audio])
         ref, cfg = training.warmup_reference(data, steps=0, seed=0), quick_config()
         with pytest.raises(TrainingError,
                            match=r"one modality tag, got \['audio_related', 'visual_related'\]"):
-            train_step(ref.copy(), training.reference_logprobs(ref, [visual, audio], cfg),
-                       [visual, audio], cfg, step=0)
+            train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg), batch, cfg,
+                       step=0)
 
     def test_empty_batch_rejected(self):
         data = small_dataset(n=20)
@@ -192,7 +193,7 @@ class TestSingleModalityPairs:
 
     def test_audiovisual_batch_rejected(self):
         data = small_dataset(n=16)
-        batch = [av_pair_from(p) for p in data[:4]]
+        batch = synth.PairTable.coerce([av_pair_from(p) for p in data[:4]])
         ref = training.warmup_reference(data, steps=0, seed=0)
         for variant in VARIANT_HP:
             cfg = quick_config(variant)
