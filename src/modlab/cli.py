@@ -11,16 +11,18 @@ outputs:
     modlab verify  [k=v ...]               run the oracle battery
 
 A later command reads what an earlier one wrote under out_dir by the
-names the earlier one was given (see default_config).  Every command is
-deterministic given (config, seed): rerunning writes byte-identical
-artifacts.  Exit codes: 0 success, 2 config error (an unknown key, a
-setting not of its default's type or rejected by the class built from it;
-an output path whose directory cannot be created; also a malformed dataset
-line or checkpoint, or a checkpoint that does not fit the data: other
-feature sizes, another vocabulary, or too few prompts; or a corruption the
-data cannot give, such as random_swap with no distinct vector), 3 missing
-input, 4 verification failure, 1 a diverging training run or an unexpected
-runtime error.
+names the earlier one was given (see default_config).  One builder turns
+each section into the config object it sets (see _build); train.hp and
+train.corruption are sections whose null leaves keep the preset's values,
+and every snapshot lists them.  Every command is deterministic given
+(config, seed): rerunning writes byte-identical artifacts.  Exit codes:
+0 success, 2 config error (an unknown key, a setting not of its default's
+type or rejected by the class built from it; an output path whose
+directory cannot be created; also a malformed dataset line or checkpoint,
+or a checkpoint that does not fit the data: other feature sizes, another
+vocabulary, or too few prompts; or a corruption the data cannot give, such
+as random_swap with no distinct vector), 3 missing input, 4 verification
+failure, 1 a diverging training run or an unexpected runtime error.
 The default config path can be set via the MODLAB_CONFIG environment
 variable.
 """
@@ -33,7 +35,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import yaml
@@ -41,7 +43,7 @@ import yaml
 from . import eval as eval_mod
 from . import oracles, synth
 from . import train as training
-from .core import ConfigurationError, check_numbers
+from .core import ConfigurationError, Hyperparams, check_numbers
 from .corrupt import CorruptionError, CorruptionSpec
 from .policy import CheckpointError, load_checkpoint, save_checkpoint
 from .presets import DESK_SCALE, PRESET_NAMES, make_config
@@ -91,8 +93,10 @@ def default_config() -> dict:
     synth.eval_items settings EvalConfig's fields outside the world synth
     shares with it (synth.WORLD); eval.shift and report.shift are
     CorruptionSpec's fields; train.lr and train.epochs are the presets'
-    desk scale.  Each default is its class's own.  The global seed seeds
-    them all, the shift analysis included.
+    desk scale, and train.hp and train.corruption Hyperparams' and
+    CorruptionSpec's fields, each null: the preset's value.  Each other
+    default is its class's own.  The global seed seeds them all, the shift
+    analysis included.
 
     A setting must have its default's type: an integer default takes only
     integers, a float default a number or a list of numbers (synth's
@@ -101,10 +105,11 @@ def default_config() -> dict:
     and a mapping default a mapping or null (a section only a mapping).  A
     null synth.eval_items writes no eval items, and a null shift runs at
     CorruptionSpec's defaults.  A null default stands for the value the
-    comment beside it names; the class built from it checks a value set
-    there.  report.checkpoints maps names of the user's choice to paths.
-    Output names are relative to out_dir and may name subdirectories; a
-    null input path is the out_dir file its writer was told to write.
+    comment beside it names and takes any value but a mapping, which the
+    class built from it checks, so every mapping is a section.
+    report.checkpoints maps names of the user's choice to paths.  Output
+    names are relative to out_dir and may name subdirectories; a null input
+    path is the out_dir file its writer was told to write.
     """
     shift = _defaults(CorruptionSpec)
     return {
@@ -123,8 +128,8 @@ def default_config() -> dict:
             # null: the preset's value
             "batch_size": None,
             "warmup_steps": None,
-            "hp": None,  # Hyperparams fields
-            "corruption": None,  # CorruptionSpec fields
+            "hp": dict.fromkeys(_defaults(Hyperparams)),
+            "corruption": dict.fromkeys(shift),
             "checkpoint": "policy.ckpt",
             "reference_checkpoint": "reference.ckpt",
             "loss_trace": "loss_trace.csv",
@@ -158,14 +163,13 @@ _TYPE_RULES = {
     float: (lambda v: _is_number(v) or type(v) is list and all(map(_is_number, v)),
             "a number or a list of numbers"),
     str: (lambda v: type(v) is str, "a string"),
+    type(None): (lambda v: not isinstance(v, dict), "a value, not a mapping"),
 }
 
 
 def _resolve(value, default, path: str = ""):
     """value checked against its default (see default_config), with every
     key a mapping leaves out set to its default; path names the setting."""
-    if default is None:  # checked by what the command builds from it
-        return value
     if not isinstance(default, dict):
         fits, kind = _TYPE_RULES[type(default)]
         if not fits(value):
@@ -178,17 +182,11 @@ def _resolve(value, default, path: str = ""):
     prefix = f"{path}." if path else ""
     if not default:  # names of the user's choice, each mapped to a path
         return {k: _resolve(v, "", f"{prefix}{k}") for k, v in value.items()}
-    _reject_unknown(value, default, path)
-    return {k: _resolve(value.get(k, d), d, f"{prefix}{k}") for k, d in default.items()}
-
-
-def _reject_unknown(value: dict, known, path: str) -> None:
-    """Exit 2 with one line naming every key of the mapping at path not in known."""
-    prefix = f"{path}." if path else ""
-    unknown = sorted(f"{prefix}{k}" for k in set(value) - set(known))
+    unknown = sorted(f"{prefix}{k}" for k in set(value) - set(default))
     if unknown:
         where = path.split(".")[0] or "top-level"
         raise CliError(f"unknown {where} setting {', '.join(unknown)}", EXIT_CONFIG)
+    return {k: _resolve(value.get(k, d), d, f"{prefix}{k}") for k, d in default.items()}
 
 
 def apply_override(cfg: dict, dotted: str) -> None:
@@ -272,11 +270,21 @@ def _require_file(path, what: str) -> str:
     return path
 
 
-def _build(what: str, make):
-    """make(), or exit 2 with one line naming the settings ``what`` when the
-    class it builds rejects them (TypeError or ValueError)."""
+def _build(what: str, base, settings: dict, **given):
+    """base, a config class or an instance to replace, with each non-null
+    setting that names one of its fields set, then given; a mapping value (a
+    section) is built the same way over the field's current value, as
+    what.<field>.
+    Exit 2 with one line naming what when the class rejects a value
+    (TypeError or ValueError)."""
+    for f in fields(base):
+        value = settings.get(f.name)
+        if isinstance(value, dict):
+            value = _build(f"{what}.{f.name}", getattr(base, f.name), value)
+        if value is not None:
+            given.setdefault(f.name, value)
     try:
-        return make()
+        return base(**given) if isinstance(base, type) else replace(base, **given)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid {what} config: {exc}", EXIT_CONFIG) from None
 
@@ -316,13 +324,6 @@ def _load_eval_inputs(cfg: dict, name: str, checkpoints: dict) -> tuple:
     return items, named
 
 
-def _shift_spec(cfg: dict, name: str) -> CorruptionSpec:
-    """The CorruptionSpec of section name's shift settings (its defaults when
-    they are null)."""
-    shift = cfg[name]["shift"] or {}
-    return _build(f"{name}.shift", lambda: CorruptionSpec(**shift))
-
-
 def _csv_cell(value):
     if value is None:
         return ""
@@ -334,16 +335,13 @@ def _csv_cell(value):
 
 
 def cmd_synth(cfg: dict) -> int:
-    # The synth settings besides out and eval_items are SynthConfig fields, and
-    # the eval_items settings besides out are EvalConfig fields.
+    # The eval items share the synth settings their own section does not set.
     section, seed = cfg["synth"], cfg["seed"]
-    settings = {k: v for k, v in section.items() if k not in ("out", "eval_items")}
-    data_cfg = _build("synth", lambda: synth.SynthConfig(seed=seed, **settings))
+    data_cfg = _build("synth", synth.SynthConfig, section, seed=seed)
     item_settings = section["eval_items"]
     if item_settings is not None:
-        world = {k: settings[k] for k in synth.WORLD if k != "seed"}
-        eval_cfg = _build("synth.eval_items", lambda: synth.EvalConfig(
-            seed=seed + 1, **world, **{k: v for k, v in item_settings.items() if k != "out"}))
+        eval_cfg = _build("synth.eval_items", synth.EvalConfig, {**section, **item_settings},
+                          seed=seed + 1)
 
     # Generate both sets and check both outputs before writing either, so a
     # failure writes nothing.
@@ -364,24 +362,12 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def build_train_config(section: dict, seed: int) -> training.TrainConfig:
-    """The preset's TrainConfig with the section's non-null settings over it;
-    an hp or corruption mapping sets the fields it names over the preset's,
-    and a name that is not a field is an unknown setting."""
+    """The preset's TrainConfig with the section's non-null settings over it
+    (see _build): a null leaf of hp or corruption keeps the preset's value."""
     if section["preset"] not in PRESET_NAMES:
         raise CliError(f"unknown preset {section['preset']!r}; known: {', '.join(PRESET_NAMES)}",
                        EXIT_CONFIG)
-    preset, overrides = make_config(section["preset"]), {}
-    for name in (f.name for f in fields(training.TrainConfig)):
-        value = section.get(name)  # None for seed, the global setting
-        if value is None:
-            continue
-        base = getattr(preset, name)
-        if is_dataclass(base):  # hp, corruption
-            if isinstance(value, dict):
-                _reject_unknown(value, [f.name for f in fields(base)], f"train.{name}")
-            value = _build(f"train.{name}", lambda: replace(base, **value))
-        overrides[name] = value
-    return _build("train", lambda: make_config(section["preset"], seed=seed, **overrides))
+    return _build("train", make_config(section["preset"]), section, seed=seed)
 
 
 def cmd_train(cfg: dict) -> int:
@@ -429,7 +415,7 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_eval(cfg: dict) -> int:
     section = cfg["eval"]
-    spec = _shift_spec(cfg, "eval")
+    spec = _build("eval.shift", CorruptionSpec, section["shift"] or {})
     ckpt = section["checkpoint"] or _written(cfg)["policy"]
     items, named = _load_eval_inputs(cfg, "eval", {"policy": ckpt})
 
@@ -454,7 +440,7 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_report(cfg: dict) -> int:
     section = cfg["report"]
-    spec = _shift_spec(cfg, "report")
+    spec = _build("report.shift", CorruptionSpec, section["shift"] or {})
     ckpts = section["checkpoints"] or {m: _written(cfg)[m] for m in ("reference", "policy")}
     items, named = _load_eval_inputs(cfg, "report", ckpts)
     # Pass-counter summaries: by default the one this config's train wrote,

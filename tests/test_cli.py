@@ -202,14 +202,23 @@ class TestOverridesAndErrors:
         assert capsys.readouterr().err.splitlines() == [f"error: unknown {command} setting {key}"]
         assert not (tmp_path / "run" / f"{command}.config.yaml").exists()
 
-    @pytest.mark.parametrize("command", cli.COMMANDS)
-    @pytest.mark.parametrize("value", ["null", "5"])
+    @pytest.mark.parametrize("command,override,section", [
+        *(pytest.param(command, f"{command}={value}", command, id=f"{value}-{command}")
+          for value in ("null", "5") for command in cli.COMMANDS),
+        # train.hp and train.corruption are sections too, whatever command
+        # reads the config.
+        pytest.param("train", "train.hp=5", "train.hp", id="5-train.hp"),
+        pytest.param("train", "train.corruption=[1]", "train.corruption",
+                     id="list-train.corruption"),
+        pytest.param("synth", "train.hp=5", "train.hp", id="5-synth-train.hp"),
+    ])
     def test_section_that_is_not_a_mapping_is_config_error(self, tmp_path, capsys, command,
-                                                           value):
+                                                           override, section):
         config_path, _ = write_config(tmp_path)
-        assert cli.run(command, config_path, [f"{command}={value}"]) == cli.EXIT_CONFIG
+        assert cli.run(command, config_path, [override]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and f"config section {command} must be a mapping" in err[0], err
+        assert len(err) == 1 and f"config section {section} must be a mapping" in err[0], err
+        assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
     @pytest.mark.parametrize("order", ["config first", "command first"])
     def test_config_option_before_or_after_command(self, tmp_path, order):
@@ -546,9 +555,10 @@ class TestDefaultPipelineBytes:
     under the default out_dir, taken before the defaults were read from the
     config classes and the two generators shared one column assembly.  The
     four config snapshots were taken again when the shift sections lost
-    sigma and train lost warmup_lr; the other files kept their bytes.  The
-    values hold for the numpy build and LAPACK of the host they were taken
-    on."""
+    sigma and train lost warmup_lr, and again when train.hp and
+    train.corruption became sections of null leaves; the other files kept
+    their bytes.  The values hold for the numpy build and LAPACK of the host
+    they were taken on."""
 
     SHA256 = {
         "comparison.csv": "01786f7acd3c54dff4d0989a7ca9bf5fa7e67e76ed3967713cb50ad43a1eff7c",
@@ -557,7 +567,7 @@ class TestDefaultPipelineBytes:
         "dataset.jsonl": "a51ad7f2d62f54ebd3eb7efee8c0ebeafb69c1651c3583c8834a4e19f101a565",
         "dataset.jsonl.stats.json":
             "008ff2129c7b53a274de6652546d3201f65d005905db3f6a6c73f12ed6b633bc",
-        "eval.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
+        "eval.config.yaml": "4cd62672fa6f8df752a31a3b5cb91c885dc6dcd060f8e12503da68e11d567436",
         "eval_items.jsonl": "37926aad858de274a564ee9aeea0abd46c67337d248575f8eef6deef6d49af48",
         "eval_items.jsonl.stats.json":
             "2f97f59ada39e6f3854bb42de193e9b7f9ce266e449e0be351a2c36c54ec89a7",
@@ -569,9 +579,9 @@ class TestDefaultPipelineBytes:
             "e22e164a988589932096fd2ce03705eef8b0c411f70b35ace2e5722ede749c4f",
         "policy.ckpt": "f4dc7b15cd96e5516a7efe9a2e6f4823119510bb2281246e7416ee0fea823512",
         "reference.ckpt": "55afeb3ea2f62e8a903cbe0170c3d71f9c2d88f97d428dcee555f3fc986bc281",
-        "report.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
-        "synth.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
-        "train.config.yaml": "220a31718c8417674a3402bc7451265514658ec59b8551717107c6fc2360920e",
+        "report.config.yaml": "4cd62672fa6f8df752a31a3b5cb91c885dc6dcd060f8e12503da68e11d567436",
+        "synth.config.yaml": "4cd62672fa6f8df752a31a3b5cb91c885dc6dcd060f8e12503da68e11d567436",
+        "train.config.yaml": "4cd62672fa6f8df752a31a3b5cb91c885dc6dcd060f8e12503da68e11d567436",
     }
 
     def test_the_default_pipeline_writes_the_pinned_bytes(self, tmp_path, monkeypatch):
@@ -639,6 +649,19 @@ class TestConfigSchema:
         assert code == cli.EXIT_CONFIG, err
         assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
         assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+    @pytest.mark.parametrize("command,key", [
+        ("train", "train.hp.beta"),
+        ("train", "train.corruption.kind"),
+        ("train", "train.batch_size"),
+        ("eval", "eval.checkpoint"),
+    ])
+    def test_a_mapping_where_a_value_goes_exits_2(self, tmp_path, capsys, command, key):
+        # Every mapping of a resolved config is a section of the schema.
+        config_path, _ = write_config(tmp_path)
+        assert cli.run(command, config_path, [f"{key}={{a: 1}}"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: setting {key} must be a value, not a mapping, got {{'a': 1}}"]
 
     def test_random_swap_shift_uses_the_items_as_pool(self, tmp_path, built_run):
         config_path, _ = write_config(tmp_path)

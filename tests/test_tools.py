@@ -1,0 +1,95 @@
+"""The measuring tools under tools/: ab.summarize's verdicts on hand-made
+runs, and step_cost.step_pieces on a small world, each timing a single
+call.  Neither writes a file."""
+
+import importlib.util
+import os
+
+import pytest
+
+from modlab import synth
+from modlab import train as training
+from modlab.synth import SynthConfig
+
+
+def _tool(name):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab = _tool("ab")
+
+WALL = {"name": "wall_s", "better": "lower", "bound": 0.2}
+RATE = {"name": "rate", "better": "higher", "bound": 0.25}
+
+
+def runs(base: dict, change: dict) -> list:
+    """One pair per position of the value lists, keyed by metric name."""
+    n = len(next(iter(base.values())))
+    return [{"base": {"metrics": {k: v[i] for k, v in base.items()}},
+             "change": {"metrics": {k: v[i] for k, v in change.items()}}} for i in range(n)]
+
+
+class TestSummarize:
+    def test_wins_follow_each_metrics_direction(self):
+        summary = ab.summarize(runs({"wall_s": [1.0] * 4, "rate": [100.0] * 4},
+                                    {"wall_s": [0.9, 0.8, 1.0, 1.2],
+                                     "rate": [110.0, 120.0, 100.0, 90.0]}), [WALL, RATE])
+        wall, rate = summary["wall_s"], summary["rate"]
+        assert wall["change_wins"] == 2 and rate["change_wins"] == 2
+        assert wall["change"]["median"] == pytest.approx(0.95)
+        assert rate["change"]["median"] == pytest.approx(105.0)
+        # Better medians read as negative worse_frac in both directions.
+        assert wall["worse_frac"] == pytest.approx(-0.05)
+        assert rate["worse_frac"] == pytest.approx(-0.05)
+        assert wall["within_bound"] and rate["within_bound"]
+        assert wall["pairs"] == 4 and wall["base_iqr"] == 0.0
+
+    def test_a_tie_counts_for_neither_side(self):
+        base, change = {"wall_s": [1.0, 1.0, 2.0]}, {"wall_s": [1.0, 0.5, 3.0]}
+        forward = ab.summarize(runs(base, change), [WALL])["wall_s"]
+        backward = ab.summarize(runs(change, base), [WALL])["wall_s"]
+        assert forward["change_wins"] == 1 and backward["change_wins"] == 1
+
+    @pytest.mark.parametrize("metric,base,change", [
+        (WALL, 1.0, 1.5),
+        (RATE, 100.0, 50.0),
+    ])
+    def test_a_change_beyond_its_bound(self, metric, base, change):
+        name = metric["name"]
+        summary = ab.summarize(runs({name: [base] * 3}, {name: [change] * 3}), [metric])[name]
+        assert summary["worse_frac"] == pytest.approx(0.5)
+        assert not summary["within_bound"] and summary["change_wins"] == 0
+
+    def test_only_pairs_where_both_sides_ran_count(self):
+        pairs = runs({"wall_s": [1.0, 1.0, 1.0]}, {"wall_s": [0.5, 0.5, 0.5]})
+        pairs[0]["change"] = {"error": "exit status 1", "correct": False}
+        assert ab.summarize(pairs, [WALL])["wall_s"]["pairs"] == 2
+        assert ab.summarize(pairs[:2], [WALL]) == {}
+
+
+class TestStepPieces:
+    @pytest.fixture(scope="class")
+    def world(self):
+        pairs = synth.generate_pairs(SynthConfig(n_pairs=64, n_scenes=24, seed=0,
+                                                 world_seed=100))
+        return pairs, training.warmup_reference(pairs, steps=10, seed=0)
+
+    @pytest.mark.parametrize("name,n_corrupt", [("dpo", 0), ("modpp_desk", 2)])
+    def test_every_piece_is_timed(self, world, monkeypatch, name, n_corrupt):
+        step_cost = _tool("step_cost")
+        calls = []
+        monkeypatch.setattr(step_cost, "best_us", lambda fn, number=0: calls.append(fn()) or 1.0)
+        pieces = step_cost.step_pieces(*world, name)
+        corrupt = sorted(k for k in pieces if k.startswith("corrupt["))
+        assert [k.split(" ")[0] for k in corrupt] == [f"corrupt[{i}]" for i in range(n_corrupt)]
+        assert set(pieces) - set(corrupt) == {
+            "pairs", "train_step", "evaluate_batch", "forward_unchecked", "pair_loss_terms",
+            "_sigmoid", "backward", "apply_gradient_step"}
+        assert pieces["pairs"] == training.TrainConfig.batch_size
+        assert len(calls) == len(pieces) - 1
+        assert all(pieces[k] == 1.0 for k in pieces if k != "pairs")

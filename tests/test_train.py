@@ -434,7 +434,7 @@ class TestStopGradient:
         ref = training.warmup_reference(data, steps=20, seed=3)
         pools = training.feature_pools(data)
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
-        err = frozen_surrogate_rel_error(ref.copy(), ref, batch, cfg, step=0, pools=pools)
+        err, _ = frozen_surrogate_rel_error(ref.copy(), ref, batch, cfg, step=0, pools=pools)
         assert err < 1e-4
 
     def test_audit_across_variants(self):
@@ -444,9 +444,36 @@ class TestStopGradient:
         batch = rows_tagged(data, AUDIO_RELATED)[:4]
         for variant in ("dpo", "mod", "modpp"):
             cfg = quick_config(variant, lr=0.05)
-            err = frozen_surrogate_rel_error(ref.copy(), ref, batch, cfg,
-                                             step=1, pools=pools)
+            err, _ = frozen_surrogate_rel_error(ref.copy(), ref, batch, cfg,
+                                                step=1, pools=pools)
             assert err < 1e-4, variant
+
+
+class TestCheckedStep:
+    """train() runs each step with checked=True, while the stop-gradient
+    oracle audits checked=False: on a schedule batch and its block of the
+    reference table both give the same step, bit for bit, so the audit
+    holds for the path that trains."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        data = small_dataset(n=120, seed=2)
+        return data, training.warmup_reference(data, steps=20, seed=2)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_checked_and_unchecked_steps_agree(self, world, name):
+        data, params = world
+        cfg = make_config(name, epochs=1)
+        table = training.reference_logprobs(params, data, cfg)
+        assert training._log_probs_ok(table)
+        pools = training.feature_pools(data)
+        for step, rows in enumerate(training.batch_schedule(data, cfg)[:4]):
+            (unchecked, loss, counter), (checked, loss_checked, counter_checked) = (
+                train_step(params, table[:, rows], data[rows], cfg, step, pools, checked=flag)
+                for flag in (False, True))
+            assert unchecked.to_vector().tobytes() == checked.to_vector().tobytes()
+            assert loss == loss_checked and counter == counter_checked
+            params = checked
 
 
 class TestCorruptionIntegration:
