@@ -489,7 +489,7 @@ def cmd_verify(cfg: dict) -> int:
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}: {res.detail} ({res.seconds:.1f}s)")
+        print(f"[{status}] {res.name}: {res.detail} ({res.seconds:.2f}s)")
         failed += 0 if res.passed else 1
     if failed:
         print(f"{failed} suite(s) failed")

@@ -16,8 +16,12 @@ route that shares none of its code:
 Each oracle is evaluated as a few array calls.  Finite differences build
 the whole (2n, n) stack of perturbed points and evaluate it once: the
 policy oracles score every perturbed parameter vector in one ``forward``
-over stacked parameters.  The grid search reads a coarse simplex lattice
-(and its p log p terms) built once per resolution and cached.
+over stacked parameters.  The ascent solves every closed-form instance of
+one vocabulary size in lock step, one (N, V) row each, and scores each line
+search's whole halving ladder as one candidate array.  The grid search
+reads a coarse simplex lattice (and its p log p terms) built once per
+resolution and cached; it runs one instance at a time, since a stack of
+lattices would hold an (instances, lattice points) array.
 
 The ``run_all`` entry point executes the whole battery and is what the
 command-line ``verify`` command wraps.
@@ -48,94 +52,110 @@ from .train import PassCounter, TrainConfig, pair_loss_terms, train_step
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
+    """Euclidean projection of each row of a (..., V) array onto
+    {x >= 0, sum x = 1} (sort-based)."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    cumsum = np.cumsum(u)
-    rho = np.nonzero(u + (1.0 - cumsum) / np.arange(1, v.size + 1) > 0)[0][-1]
-    theta = (1.0 - cumsum[rho]) / (rho + 1.0)
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    cumsum = np.cumsum(u, axis=-1)
+    positive = u + (1.0 - cumsum) / np.arange(1, v.shape[-1] + 1) > 0
+    rho = v.shape[-1] - 1 - np.argmax(np.flip(positive, axis=-1), axis=-1)[..., None]
+    theta = (1.0 - np.take_along_axis(cumsum, rho, axis=-1)) / (rho + 1.0)
     return np.maximum(v + theta, 0.0)
-
-
-def _objective_gradient(p, r, p_ref, q_inv, q_sens, hp: Hyperparams):
-    # d/dp of E_p[r] - beta KL(p||ref) - beta_inv KL(p||q_inv)
-    #         + beta_sens KL(p||q_sens), including the additive -tau from
-    # the three (log + 1) terms so preconditioned directions stay exact.
-    logp = np.log(p)
-    return (
-        r
-        - hp.beta * (logp - np.log(p_ref))
-        - hp.beta_inv * (logp - np.log(q_inv))
-        + hp.beta_sens * (logp - np.log(q_sens))
-        - hp.tau
-    )
 
 
 # Projected ascent: iteration cap, L1 move that ends the ascent, simplex floor.
 _PGA_MAX_ITER = 20000
 _PGA_TOL = 1e-11
 _PGA_FLOOR = 1e-12
+# The line search's halving ladder: trial steps step * 0.5**j, j = 0, 1, ...,
+# kept while >= 1e-18.  Steps never exceed 1, and 0.5**59 >= 1e-18 > 0.5**60.
+_HALVINGS = 0.5 ** np.arange(60)
 
 
-def pga_argmax(r, p_ref, q_inv, q_sens, hp: Hyperparams) -> np.ndarray:
-    """Projected gradient ascent on the decoupled objective.
+def pga_argmax(r, p_ref, q_inv, q_sens, hp) -> np.ndarray:
+    """Projected gradient ascent on the decoupled objective, for one
+    instance or a stack of them.
+
+    r, p_ref, q_inv and q_sens are (V,) with hp one Hyperparams, or (N, V)
+    with hp a sequence of N Hyperparams; the result has r's shape.  Every
+    instance keeps its own point, best value and step, and all of them
+    advance in lock step until each has stopped.
 
     Ascent runs on the floored simplex {p >= delta, sum p = 1}, delta =
     _PGA_FLOOR (an affine reparameterization of the standard projection),
     which keeps every log finite and bounded; components whose true
     optimum lies below the floor sit on it, costing at most V*delta in L1.
     The Armijo-style line search restarts each iteration from an enlarged
-    step so one bad iteration cannot poison the rest.  Strict concavity
-    (tau > 0) guarantees the maximizer is unique.
+    step so one bad iteration cannot poison the rest.  Each direction's
+    whole halving ladder is scored as one candidate array and the first
+    trial that improves is taken: the steps step * 0.5**j are exact in
+    binary, so this is the trial a search that halves one step at a time
+    would accept.  Every operation is row-wise, so a row's result does not
+    depend on the rows stacked with it.  Strict concavity (tau > 0)
+    guarantees the maximizer is unique.
     """
-    r = np.asarray(r, dtype=np.float64)
-    p_ref = np.asarray(p_ref, dtype=np.float64)
-    q_inv = np.asarray(q_inv, dtype=np.float64)
-    q_sens = np.asarray(q_sens, dtype=np.float64)
-    n, delta = r.size, _PGA_FLOOR
-    scale = 1.0 - n * delta
+    single = np.ndim(r) == 1
+    r, p_ref, q_inv, q_sens = (np.atleast_2d(np.asarray(a, dtype=np.float64))
+                               for a in (r, p_ref, q_inv, q_sens))
+    # (N, 1) columns of each strength, so one row's hyperparameters scale its instance.
+    beta, beta_inv, beta_sens, tau = np.array(
+        [[h.beta, h.beta_inv, h.beta_sens, h.tau] for h in ([hp] if single else hp)]).T[..., None]
+    log_ref, log_inv, log_sens = np.log(p_ref), np.log(q_inv), np.log(q_sens)
+    n, v = r.shape
+    delta = _PGA_FLOOR
+    scale = 1.0 - v * delta
 
-    def project(v):
-        return delta + scale * project_to_simplex((v - delta) / scale)
+    def project(x):
+        return delta + scale * project_to_simplex((x - delta) / scale)
 
-    def value(p):
-        val = float(p @ r)
-        val -= hp.beta * float(np.sum(p * np.log(p / p_ref)))
-        val -= hp.beta_inv * float(np.sum(p * np.log(p / q_inv)))
-        val += hp.beta_sens * float(np.sum(p * np.log(p / q_sens)))
+    def value(p, sel):
+        """(A, J) objective values of (A, J, V) points on the instances sel."""
+        val = np.sum(p * r[sel, None], axis=-1)
+        val -= beta[sel] * np.sum(p * np.log(p / p_ref[sel, None]), axis=-1)
+        val -= beta_inv[sel] * np.sum(p * np.log(p / q_inv[sel, None]), axis=-1)
+        val += beta_sens[sel] * np.sum(p * np.log(p / q_sens[sel, None]), axis=-1)
         return val
 
-    p = np.full(n, 1.0 / n)
-    best = value(p)
-    step = 1.0
+    p = np.full((n, v), 1.0 / v)
+    best = value(p[:, None], slice(None))[:, 0]
+    step = np.ones(n)
+    active = np.ones(n, dtype=bool)  # the instances still ascending
     for _ in range(_PGA_MAX_ITER):
-        grad = _objective_gradient(p, r, p_ref, q_inv, q_sens, hp)
+        # d/dp of E_p[r] - beta KL(p||ref) - beta_inv KL(p||q_inv)
+        #         + beta_sens KL(p||q_sens), including the additive -tau from
+        # the three (log + 1) terms so preconditioned directions stay exact.
+        logp = np.log(p)
+        grad = (r - beta * (logp - log_ref) - beta_inv * (logp - log_inv)
+                + beta_sens * (logp - log_sens) - tau)
         # Coordinate curvature is tau/p_i, so the natural (replicator)
         # direction p * (g - <p, g>) equalizes progress across twelve
         # orders of magnitude of p while staying tangent to the simplex;
         # the raw gradient is kept as a fallback direction.  Both are
         # ascent directions and every move is value-checked.
-        directions = (p * (grad - float(p @ grad)) / hp.tau, grad)
-        step = min(step * 4.0, 1.0)
-        moved = False
-        for direction in directions:
-            trial = step
-            while trial >= 1e-18:
-                cand = project(p + trial * direction)
-                cand_val = value(cand)
-                if cand_val > best:
-                    move = float(np.abs(cand - p).sum())
-                    p, best, moved = cand, cand_val, True
-                    step = trial
-                    if move < _PGA_TOL:
-                        return p
-                    break
-                trial *= 0.5
-            if moved:
+        natural = p * (grad - np.sum(p * grad, axis=-1, keepdims=True)) / tau
+        step = np.minimum(step * 4.0, 1.0)
+        trials = step[:, None] * _HALVINGS
+        searching = active.copy()
+        new_p = p.copy()
+        for direction in (natural, grad):
+            sel = np.flatnonzero(searching)
+            if sel.size == 0:
                 break
-        if not moved:
-            return p
-    return p
+            # The whole ladder as one (A, J, V) candidate array; the first
+            # improving trial is the one a halving search would accept.
+            cand = project(p[sel, None] + trials[sel, :, None] * direction[sel, None])
+            values = value(cand, sel)
+            better = (trials[sel] >= 1e-18) & (values > best[sel, None])
+            hit = better.any(axis=1)
+            first = np.argmax(better[hit], axis=1)
+            a = sel[hit]
+            new_p[a], best[a], step[a] = cand[hit, first], values[hit, first], trials[a, first]
+            searching[a] = False
+        active &= ~searching & (np.abs(new_p - p).sum(axis=-1) >= _PGA_TOL)
+        p = new_p
+        if not active.any():
+            break
+    return p[0] if single else p
 
 
 def _simplex_lattice(i, j, n: int):
@@ -301,25 +321,31 @@ _STOP_GRADIENT_TOL = 1e-4
 
 def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
                       seed: int = 0) -> SuiteResult:
-    """Closed form vs projected gradient ascent (and V=3 grid search)."""
+    """Closed form vs projected gradient ascent (and V=3 grid search).
+
+    Every instance is drawn first, cycling through the vocabulary sizes;
+    the ascent then solves all instances of one size in one call."""
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     sizes = [2, 3, 5, 8]
     if grid_instances is None:
         grid_instances = n_instances  # grid-check every V=3 instance
+    instances = [random_instance(sizes[idx % len(sizes)], rng) for idx in range(n_instances)]
+    closed = [core.closed_form_policy(*instance) for instance in instances]
     worst_pga = 0.0
+    for first in range(min(len(sizes), n_instances)):
+        # Instances first, first + 4, ... share one vocabulary size.
+        r, p_ref, q_inv, q_sens, hps = zip(*instances[first::len(sizes)])
+        numeric = pga_argmax(*map(np.array, (r, p_ref, q_inv, q_sens)), hps)
+        gaps = np.abs(np.array(closed[first::len(sizes)]) - numeric).sum(axis=1)
+        worst_pga = max(worst_pga, float(gaps.max()))
     worst_grid = 0.0
     grid_done = 0
-    for idx in range(n_instances):
-        v = sizes[idx % len(sizes)]
-        r, p_ref, q_inv, q_sens, hp = random_instance(v, rng)
-        closed = core.closed_form_policy(r, p_ref, q_inv, q_sens, hp)
-        numeric = pga_argmax(r, p_ref, q_inv, q_sens, hp)
-        worst_pga = max(worst_pga, float(np.abs(closed - numeric).sum()))
-        if v == 3 and grid_done < grid_instances:
-            grid_point, grid_val = grid_argmax_3(r, p_ref, q_inv, q_sens, hp)
-            worst_grid = max(worst_grid, float(np.abs(closed - grid_point).sum()))
-            if core.mod_objective_value(closed, r, p_ref, q_inv, q_sens, hp) < grid_val - 1e-9:
+    for instance, policy in zip(instances, closed):
+        if instance[0].size == 3 and grid_done < grid_instances:
+            grid_point, grid_val = grid_argmax_3(*instance)
+            worst_grid = max(worst_grid, float(np.abs(policy - grid_point).sum()))
+            if core.mod_objective_value(policy, *instance) < grid_val - 1e-9:
                 return SuiteResult("closed_form", False, "a grid point beat the closed form",
                                    time.perf_counter() - start)
             grid_done += 1

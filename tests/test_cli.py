@@ -10,7 +10,7 @@ import sys
 import pytest
 import yaml
 
-from modlab import cli
+from modlab import cli, oracles
 from modlab import train as training
 from modlab.core import Hyperparams
 from modlab.corrupt import CorruptionSpec
@@ -483,6 +483,17 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 6
         assert "[FAIL]" not in out
+
+    def test_prints_each_suite_seconds_to_two_decimals(self, capsys, monkeypatch):
+        results = [oracles.SuiteResult("closed_form", True, "worst L1 2.00e-09", 0.0612),
+                   oracles.SuiteResult("metrics", False, "hand tally mismatch", 1.5)]
+        monkeypatch.setattr(oracles, "run_all", lambda fast, seed: results)
+        assert cli.run("verify", None, []) == cli.EXIT_VERIFY
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] closed_form: worst L1 2.00e-09 (0.06s)",
+            "[FAIL] metrics: hand tally mismatch (1.50s)",
+            "1 suite(s) failed",
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,8 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modlab import core, oracles
 from modlab.oracles import (
@@ -57,6 +59,87 @@ class TestAscent:
         floored = np.maximum(out, 1e-300)
         end = core.mod_objective_value(floored / floored.sum(), r, p_ref, q_inv, q_sens, hp)
         assert end >= start
+
+
+def sequential_pga_argmax(r, p_ref, q_inv, q_sens, hp):
+    """The one-instance ascent that pga_argmax replaces: it tries one
+    line-search step at a time and reads p @ r through a dot product."""
+    n, delta = r.size, oracles._PGA_FLOOR
+    scale = 1.0 - n * delta
+
+    def project(v):
+        return delta + scale * project_to_simplex((v - delta) / scale)
+
+    def value(p):
+        val = float(p @ r)
+        val -= hp.beta * float(np.sum(p * np.log(p / p_ref)))
+        val -= hp.beta_inv * float(np.sum(p * np.log(p / q_inv)))
+        val += hp.beta_sens * float(np.sum(p * np.log(p / q_sens)))
+        return val
+
+    p = np.full(n, 1.0 / n)
+    best = value(p)
+    step = 1.0
+    for _ in range(oracles._PGA_MAX_ITER):
+        logp = np.log(p)
+        grad = (r - hp.beta * (logp - np.log(p_ref)) - hp.beta_inv * (logp - np.log(q_inv))
+                + hp.beta_sens * (logp - np.log(q_sens)) - hp.tau)
+        directions = (p * (grad - float(p @ grad)) / hp.tau, grad)
+        step = min(step * 4.0, 1.0)
+        moved = False
+        for direction in directions:
+            trial = step
+            while trial >= 1e-18:
+                cand = project(p + trial * direction)
+                cand_val = value(cand)
+                if cand_val > best:
+                    move = float(np.abs(cand - p).sum())
+                    p, best, moved = cand, cand_val, True
+                    step = trial
+                    if move < oracles._PGA_TOL:
+                        return p
+                    break
+                trial *= 0.5
+            if moved:
+                break
+        if not moved:
+            return p
+    return p
+
+
+def stack(instances):
+    """pga_argmax's arguments for a list of same-size instances."""
+    columns = list(zip(*instances))
+    return (*map(np.array, columns[:4]), columns[4])
+
+
+class TestBatchedAscent:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(v=st.integers(2, 8), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_row_is_its_own_ascent(self, v, n, seed):
+        rng = np.random.default_rng(seed)
+        instances = [oracles.random_instance(v, rng) for _ in range(n)]
+        rows = pga_argmax(*stack(instances))
+        assert rows.shape == (n, v)
+        for row, instance in zip(rows, instances):
+            assert np.array_equal(row, pga_argmax(*instance))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_agrees_with_the_sequential_ascent(self, seed):
+        # closed_form_suite's draw: 40 instances cycling through its sizes
+        rng = np.random.default_rng(seed)
+        instances = [oracles.random_instance((2, 3, 5, 8)[k % 4], rng) for k in range(40)]
+        for v in (2, 3, 5, 8):
+            of_size = [instance for instance in instances if instance[0].size == v]
+            for row, instance in zip(pga_argmax(*stack(of_size)), of_size):
+                assert np.abs(row - sequential_pga_argmax(*instance)).sum() < 1e-6
+
+    def test_projection_is_row_wise(self):
+        rng = np.random.default_rng(3)
+        points = rng.normal(scale=2.0, size=(4, 3, 5))
+        projected = project_to_simplex(points)
+        for k in np.ndindex(4, 3):
+            assert np.array_equal(projected[k], project_to_simplex(points[k]))
 
 
 class TestGrid:
@@ -159,6 +242,31 @@ class TestSuites:
         assert len(results) == 6
         for res in results:
             assert res.passed, f"{res.name}: {res.detail}"
+
+    @pytest.mark.parametrize("wrong_sizes, detail", [
+        ((2, 5, 8), "worst L1 vs ascent"),
+        ((3,), "a grid point beat the closed form"),
+    ], ids=["ascent-catches", "grid-catches"])
+    def test_closed_form_suite_fails_on_a_wrong_temperature(self, monkeypatch, wrong_sizes,
+                                                             detail):
+        right = core.closed_form_policy
+
+        def closed_form(r, p_ref, q_inv, q_sens, hp):
+            if len(r) not in wrong_sizes:
+                return right(r, p_ref, q_inv, q_sens, hp)
+            log_kernel = (r + hp.beta * np.log(p_ref) + hp.beta_inv * np.log(q_inv)
+                          - hp.beta_sens * np.log(q_sens)) / (1.5 * hp.tau)
+            kernel = np.exp(log_kernel - log_kernel.max())
+            return kernel / kernel.sum()
+
+        monkeypatch.setattr(core, "closed_form_policy", closed_form)
+        res = oracles.closed_form_suite(n_instances=40, grid_instances=8, seed=1)
+        assert not res.passed
+        assert res.detail.startswith(detail)
+        if detail == "worst L1 vs ascent":
+            # only the ascent catches it: the grid still agrees with the closed form
+            words = res.detail.split()
+            assert float(words[4]) > oracles._L1_TOL and float(words[9]) < 2e-3
 
     def test_dataset_suite_leaves_no_files_behind(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
