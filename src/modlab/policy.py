@@ -16,9 +16,9 @@ The kernels are batch-first.  ``forward(params, A, V, prompt_ids)`` takes
 B stacked rows (A is (B, d_a), V is (B, d_v), prompt_ids is (B,)) and
 returns a ``ForwardCache``: the (B, V) log-probabilities plus the inputs,
 hidden activations and softmax that ``backward(params, cache, upstream)``
-needs for a (B, V) upstream.  ``forward`` checks its inputs, then runs
-``forward_unchecked``, the arithmetic alone, which the trainer calls
-directly on rows a checked ``forward`` has already passed.
+needs for a (B, V) upstream.  ``forward`` is ``check_inputs``, every input
+check and its message, then ``forward_unchecked``, the arithmetic alone,
+which the trainer and its warm-up call on rows checked once per run.
 
 The backward pass sums gradients over rows (the prompt table through
 ``np.add.at``, so repeated prompts accumulate).  Slicing a cache
@@ -177,12 +177,14 @@ class ForwardCache:
                             self.h[rows], self.probs[rows], self.logprobs[rows])
 
 
-def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
-    """log_softmax(W_out tanh(U_a a + U_v v + E_x[p]) + b) for every row.
+def check_inputs(params: PolicyParams, audio, visual, prompt_ids, rows=slice(None)):
+    """``forward``'s input checks, the one place their messages live.
 
-    With K stacked parameter sets (``PolicyParams.from_vector`` of a (K, n)
-    stack) every row is scored under each set: h, probs and logprobs gain a
-    leading K axis.  The cache of a stacked call is not for ``backward``.
+    Raises ValueError when the audio or visual width is not d_a or d_v,
+    when audio, visual and prompt_ids differ in row count, or when a prompt
+    id of ``prompt_ids[rows]`` lies outside the table, naming the first such
+    id in that order.  Returns (audio, visual, prompt_ids) as arrays, the
+    features float64, ready for ``forward_unchecked``.
     """
     audio = np.asarray(audio, dtype=np.float64)
     visual = np.asarray(visual, dtype=np.float64)
@@ -198,18 +200,29 @@ def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
     if not (audio.shape[0] == visual.shape[0] == prompt_ids.shape[0]):
         raise ValueError(f"row counts differ: audio {audio.shape[0]}, visual "
                          f"{visual.shape[0]}, prompt_ids {prompt_ids.shape[0]}")
-    bad = (prompt_ids < 0) | (prompt_ids >= params.n_prompts)
+    visited = prompt_ids[rows]
+    bad = (visited < 0) | (visited >= params.n_prompts)
     if bad.any():
-        raise ValueError(f"prompt_id {prompt_ids[bad][0]} outside table of size {params.n_prompts}")
-    return forward_unchecked(params, audio, visual, prompt_ids)
+        raise ValueError(f"prompt_id {visited[bad][0]} outside table of size {params.n_prompts}")
+    return audio, visual, prompt_ids
+
+
+def forward(params: PolicyParams, audio, visual, prompt_ids) -> ForwardCache:
+    """log_softmax(W_out tanh(U_a a + U_v v + E_x[p]) + b) for every row.
+
+    With K stacked parameter sets (``PolicyParams.from_vector`` of a (K, n)
+    stack) every row is scored under each set: h, probs and logprobs gain a
+    leading K axis.  The cache of a stacked call is not for ``backward``.
+    """
+    return forward_unchecked(params, *check_inputs(params, audio, visual, prompt_ids))
 
 
 def forward_unchecked(params: PolicyParams, audio: np.ndarray, visual: np.ndarray,
                       prompt_ids: np.ndarray) -> ForwardCache:
     """``forward``'s arithmetic without its checks, for float64 rows whose
-    widths, row counts and prompt ids a checked ``forward`` has already
-    passed (the trainer's rows, all scored by ``reference_logprobs``).  A
-    prompt id outside the table is not caught here: -1 wraps silently."""
+    widths, row counts and prompt ids ``check_inputs`` has already passed
+    (the trainer's and the warm-up's rows, checked once per run).  A prompt
+    id outside the table is not caught here: -1 wraps silently."""
     h = np.tanh(audio @ params.u_a.mT + visual @ params.u_v.mT + params.e_x[..., prompt_ids, :])
     logits = h @ params.w_out.mT + params.b[..., None, :]
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -235,7 +248,7 @@ def backward(params: PolicyParams, cache, upstream: np.ndarray) -> GradAccumulat
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != cache.probs.shape:
         raise ValueError(f"upstream must have shape {cache.probs.shape}, got {upstream.shape}")
-    if not np.all(np.isfinite(upstream)):
+    if not np.isfinite(upstream).all():
         raise ValueError("upstream must be finite")
 
     g_logits = upstream - upstream.sum(axis=1, keepdims=True) * cache.probs

@@ -31,7 +31,12 @@ Per run, train() does the work whose result no step changes:
   prompt id once, so a step scores its rows with ``forward_unchecked``,
   the same arithmetic without the checks; corruption preserves shapes;
 - every step's corruption generator, seeded in one ``synth._streams``
-  pass, and one PassCounter per pass pattern.
+  pass, and one PassCounter per pass pattern;
+- in the warm-up (``warmup_reference``), one ``policy.check_inputs`` call
+  before step 0: the columns' feature widths and row counts, and the
+  prompt ids of every row the steps visit, in visit order, so a bad id
+  raises the error its first step would.  Each warm-up step scores its
+  batch with ``forward_unchecked``.
 When the table passes its check, train() vouches for both with
 ``checked=True``, and the step skips them.
 
@@ -70,6 +75,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,6 +86,7 @@ from .policy import (
     PolicyParams,
     apply_gradient_step,
     backward,
+    check_inputs,
     forward,
     forward_unchecked,
     init_params,
@@ -352,12 +359,18 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = TrainConfig.war
     """Supervised warm-up: maximize log-likelihood of chosen responses.
 
     Returns the frozen reference parameters; steps=0 returns the seeded
-    initialization untouched.
+    initialization untouched.  Raises ConfigurationError for steps < 0 or
+    batch_size < 1.  The rows are checked once, before step 0 (see the
+    module docstring).
     """
+    given = SimpleNamespace(steps=steps, batch_size=batch_size)
+    check_numbers(given, ConfigurationError, ("steps",), integer=True)
+    check_numbers(given, ConfigurationError, ("batch_size",), integer=True, low=1)
     if not len(dataset):
         raise TrainingError("warm-up needs a non-empty dataset")
     params = init_policy_for(dataset, seed)
-    audio, visual, ids, y_w = dataset.audio, dataset.visual, dataset.prompt_id, dataset.y_w
+    if not steps:
+        return params
     n = len(dataset)
     size = min(batch_size, n)
     rows = np.arange(size)
@@ -366,16 +379,21 @@ def warmup_reference(dataset, steps: int, seed: int, lr: float = TrainConfig.war
     for _ in range(-(-steps * size // n)):
         rng.shuffle(order)
         shuffles.append(order.copy())
-    stream = np.concatenate(shuffles or [order])
+    stream = np.concatenate(shuffles)
+    audio, visual, ids = check_inputs(params, dataset.audio, dataset.visual, dataset.prompt_id,
+                                      stream[:steps * size])  # in visit order
+    y_w = dataset.y_w
     first = None
     for step in range(steps):
         batch = stream[step * size : (step + 1) * size]
-        cache = forward(params, audio[batch], visual[batch], ids[batch])
-        loss = -float(np.mean(cache.logprobs[rows, y_w[batch]]))
+        cache = forward_unchecked(params, audio[batch], visual[batch], ids[batch])
+        chosen = y_w[batch]
+        picked = cache.logprobs[rows, chosen]
+        loss = -float(picked.sum() / picked.size)
         first = loss if first is None else first
         _check_loss("warm-up", step, loss, first)
-        upstream = np.zeros_like(cache.probs)
-        upstream[rows, y_w[batch]] = -1.0  # minimize -log pi(y_w)
+        upstream = np.zeros(cache.probs.shape)
+        upstream[rows, chosen] = -1.0  # minimize -log pi(y_w)
         params = _descend(params, cache, upstream, lr, lambda: f"warm-up diverged at step {step}")
     return params
 

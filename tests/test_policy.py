@@ -15,6 +15,7 @@ from modlab.policy import (
     PolicyParams,
     apply_gradient_step,
     backward,
+    check_inputs,
     forward,
     forward_unchecked,
     init_params,
@@ -39,6 +40,22 @@ def row_backward(params, row, upstream):
 
 def make_params(seed=0):
     return init_params(d_a=5, d_v=4, d_h=6, vocab_size=5, n_prompts=3, seed=seed)
+
+
+# Each input fault of forward and the message that names it.
+INPUT_FAULTS = [
+    ((np.zeros((2, 6)), np.zeros((2, 4)), np.array([0, 1])),
+     "audio feature length 6 does not match d_a=5"),
+    ((np.zeros((2, 5)), np.zeros((2, 3)), np.array([0, 1])),
+     "visual feature length 3 does not match d_v=4"),
+    ((np.zeros((2, 5)), np.zeros((3, 4)), np.array([0, 1])),
+     "row counts differ: audio 2, visual 3, prompt_ids 2"),
+    ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([0, -1])),
+     "prompt_id -1 outside table of size 3"),
+    ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([3, 0])),
+     "prompt_id 3 outside table of size 3"),
+]
+INPUT_FAULT_IDS = ["audio-width", "visual-width", "row-counts", "prompt-below-0", "prompt-at-size"]
 
 
 class TestForward:
@@ -90,23 +107,17 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, np.zeros((1, 5)), np.zeros((1, 4)), np.array([99]))
 
-    # The trainer's step skips these checks for rows that reference_logprobs
-    # has scored through them, so each message is pinned here.
-    @pytest.mark.parametrize("rows,message", [
-        ((np.zeros((2, 6)), np.zeros((2, 4)), np.array([0, 1])),
-         "audio feature length 6 does not match d_a=5"),
-        ((np.zeros((2, 5)), np.zeros((2, 3)), np.array([0, 1])),
-         "visual feature length 3 does not match d_v=4"),
-        ((np.zeros((2, 5)), np.zeros((3, 4)), np.array([0, 1])),
-         "row counts differ: audio 2, visual 3, prompt_ids 2"),
-        ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([0, -1])),
-         "prompt_id -1 outside table of size 3"),
-        ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([3, 0])),
-         "prompt_id 3 outside table of size 3"),
-    ], ids=["audio-width", "visual-width", "row-counts", "prompt-below-0", "prompt-at-size"])
+    # The trainer's step and the warm-up skip these checks for rows that
+    # have passed them once per run, so each message is pinned here.
+    @pytest.mark.parametrize("rows,message", INPUT_FAULTS, ids=INPUT_FAULT_IDS)
     def test_each_input_check_names_its_fault(self, rows, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             forward(make_params(), *rows)
+
+    @pytest.mark.parametrize("rows,message", INPUT_FAULTS, ids=INPUT_FAULT_IDS)
+    def test_the_check_helper_raises_each_message(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_inputs(make_params(), *rows)
 
     def test_unchecked_kernel_is_forwards_arithmetic(self):
         params, rng = make_params(4), np.random.default_rng(9)
@@ -117,6 +128,18 @@ class TestForward:
 
 
 class TestBackward:
+    def test_each_upstream_check_names_its_fault(self):
+        params, rng = make_params(2), np.random.default_rng(5)
+        cache = forward(params, rng.normal(size=(3, 5)), rng.normal(size=(3, 4)),
+                        np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match=r"^upstream must have shape \(3, 5\), got \(3, 4\)$"):
+            backward(params, cache, np.zeros((3, 4)))
+        for bad in (np.nan, np.inf, -np.inf):
+            upstream = np.zeros((3, 5))
+            upstream[1, 2] = bad
+            with pytest.raises(ValueError, match="^upstream must be finite$"):
+                backward(params, cache, upstream)
+
     def test_zero_upstream_gives_zero_gradients(self):
         params = make_params(13)
         row = make_row(np.random.default_rng(6))

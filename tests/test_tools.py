@@ -1,9 +1,12 @@
 """The measuring tools under tools/: ab.summarize's verdicts on hand-made
-runs, and step_cost.step_pieces on a small world, each timing a single
-call.  Neither writes a file."""
+runs, ab.bench's environment with subprocess.run patched, and
+step_cost.step_pieces and step_cost.warmup_pieces on a small world, each
+timing a single call.  None writes a file."""
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -72,6 +75,30 @@ class TestSummarize:
         assert ab.summarize(pairs[:2], [WALL]) == {}
 
 
+class TestBench:
+    def test_each_run_gets_its_own_empty_bytecode_prefix(self, monkeypatch):
+        seen = []
+
+        def run(cmd, *, cwd, env, **kwargs):
+            prefix = env["PYTHONPYCACHEPREFIX"]
+            seen.append((prefix, os.listdir(prefix), env))
+            with open(os.path.join(prefix, "stale.pyc"), "w", encoding="ascii") as fh:
+                fh.write("left by this run")
+            result = {"metrics": {"wall_s": {"value": 1.0, "unit": "s"}}, "correct": True}
+            return subprocess.CompletedProcess(cmd, 0, f"outputs {{}}\n{json.dumps(result)}\n",
+                                               "")
+
+        monkeypatch.setattr(ab.subprocess, "run", run)
+        monkeypatch.setenv("AB_INHERITED", "yes")
+        results = [ab.bench(".", "cli", seed, 1.0, 0) for seed in (1, 2, 3)]
+        assert all(r["metrics"] == {"wall_s": 1.0} for r in results)
+        prefixes = [prefix for prefix, _, _ in seen]
+        assert len(set(prefixes)) == 3
+        assert all(listing == [] for _, listing, _ in seen)
+        assert all(env["AB_INHERITED"] == "yes" for _, _, env in seen)
+        assert not any(os.path.exists(prefix) for prefix in prefixes)
+
+
 class TestStepPieces:
     @pytest.fixture(scope="class")
     def world(self):
@@ -93,3 +120,16 @@ class TestStepPieces:
         assert pieces["pairs"] == training.TrainConfig.batch_size
         assert len(calls) == len(pieces) - 1
         assert all(pieces[k] == 1.0 for k in pieces if k != "pairs")
+
+    def test_every_warmup_piece_is_timed(self, world, monkeypatch):
+        step_cost = _tool("step_cost")
+        calls = []
+        monkeypatch.setattr(step_cost, "best_us", lambda fn, number=0: calls.append(fn()) or 1.0)
+        pieces = step_cost.warmup_pieces(world[0])
+        assert set(pieces) == {"steps", "rows", "warmup_reference_per_step",
+                               "forward_unchecked", "backward", "apply_gradient_step"}
+        assert pieces["steps"] == step_cost.WARMUP_STEPS and pieces["rows"] == 16
+        assert pieces["warmup_reference_per_step"] == 1.0 / step_cost.WARMUP_STEPS
+        assert len(calls) == 4
+        assert all(pieces[k] == 1.0 for k in ("forward_unchecked", "backward",
+                                              "apply_gradient_step"))

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modlab import cli, core, synth
@@ -72,6 +72,51 @@ class TestConfig:
             PassCounter(fwd_policy=-1)
 
 
+def with_prompt_ids(data, ids):
+    """data with its prompt_id column replaced by ids (no row check)."""
+    return synth.PairTable(**{name: getattr(data, name) for name in synth.PairTable.Row._fields
+                              if name != "prompt_id"}, prompt_id=ids)
+
+
+def checked_warmup(dataset, steps, seed, lr=TrainConfig.warmup_lr,
+                   batch_size=TrainConfig.batch_size):
+    """The warm-up loop that checks every step: a checked forward, np.mean
+    and np.zeros_like on each batch.  warmup_reference must match it bit
+    for bit, and raise what it raises for a bad prompt id."""
+    params = training.init_policy_for(dataset, seed)
+    audio, visual, ids, y_w = dataset.audio, dataset.visual, dataset.prompt_id, dataset.y_w
+    n = len(dataset)
+    size = min(batch_size, n)
+    rows = np.arange(size)
+    rng, order, shuffles = synth._rng(seed, training._WARMUP_STREAM), np.arange(n), []
+    for _ in range(-(-steps * size // n)):
+        rng.shuffle(order)
+        shuffles.append(order.copy())
+    stream = np.concatenate(shuffles or [order])
+    first = None
+    for step in range(steps):
+        batch = stream[step * size : (step + 1) * size]
+        cache = forward(params, audio[batch], visual[batch], ids[batch])
+        loss = -float(np.mean(cache.logprobs[rows, y_w[batch]]))
+        first = loss if first is None else first
+        training._check_loss("warm-up", step, loss, first)
+        upstream = np.zeros_like(cache.probs)
+        upstream[rows, y_w[batch]] = -1.0
+        params = training._descend(params, cache, upstream, lr,
+                                   lambda: f"warm-up diverged at step {step}")
+    return params
+
+
+def first_shuffle(n, seed):
+    """The warm-up's first visit order of n rows: step 0 takes its head."""
+    order = np.arange(n)
+    synth._rng(seed, training._WARMUP_STREAM).shuffle(order)
+    return order
+
+
+WARMUP_ROWS = small_dataset(n=40, seed=6)
+
+
 class TestWarmup:
     def test_zero_steps_returns_initialization(self):
         data = small_dataset()
@@ -99,6 +144,72 @@ class TestWarmup:
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
             training.warmup_reference([], steps=1, seed=0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"steps": 4, "batch_size": 0}, r"batch_size must lie in \[1, inf\), got 0"),
+        ({"steps": 4, "batch_size": -3}, r"batch_size must lie in \[1, inf\), got -3"),
+        ({"steps": -5}, r"steps must lie in \[0, inf\), got -5"),
+    ], ids=["batch-size-0", "batch-size-negative", "steps-negative"])
+    def test_bad_steps_or_batch_size_rejected_before_any_work(self, monkeypatch, kwargs,
+                                                              message):
+        def init(*args):
+            raise AssertionError("the warm-up started")
+
+        monkeypatch.setattr(training, "init_policy_for", init)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            training.warmup_reference(small_dataset(n=8), seed=0, **kwargs)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 40), steps=st.integers(0, 30), batch_size=st.integers(1, 50),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=5, steps=7, batch_size=12, seed=1)  # batch_size > n
+    @example(n=40, steps=3, batch_size=4, seed=2)  # steps * size < n
+    def test_matches_the_loop_that_checks_every_step(self, n, steps, batch_size, seed):
+        data = WARMUP_ROWS[:n]
+        lean = training.warmup_reference(data, steps, seed, batch_size=batch_size)
+        checked = checked_warmup(data, steps, seed, batch_size=batch_size)
+        assert lean.to_vector().tobytes() == checked.to_vector().tobytes()
+
+    def test_a_bad_prompt_id_fails_before_step_0_naming_the_first_visited(self, monkeypatch):
+        # Row `first` is visited before row 0, so a scan in row order would
+        # name the other id.
+        data, seed = small_dataset(n=32), 3
+        first = first_shuffle(len(data), seed)[0]
+        assert first != 0
+        ids = data.prompt_id.copy()
+        ids[first], ids[0] = synth.N_PROMPTS + 1, -1
+        bad = with_prompt_ids(data, ids)
+        with pytest.raises(ValueError) as old:
+            checked_warmup(bad, 20, seed, batch_size=4)
+
+        def descend(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "_descend", descend)
+        with pytest.raises(ValueError) as new:
+            training.warmup_reference(bad, 20, seed, batch_size=4)
+        assert str(new.value) == str(old.value) == (
+            f"prompt_id {synth.N_PROMPTS + 1} outside table of size {synth.N_PROMPTS}")
+
+    def test_a_bad_prompt_id_on_an_unvisited_row_is_not_an_error(self):
+        data, seed, steps, batch_size = small_dataset(n=32), 3, 3, 4
+        never = first_shuffle(len(data), seed)[steps * batch_size:]
+        ids = data.prompt_id.copy()
+        ids[never] = synth.N_PROMPTS
+        bad = with_prompt_ids(data, ids)
+        lean = training.warmup_reference(bad, steps, seed, batch_size=batch_size)
+        assert lean.to_vector().tobytes() == checked_warmup(
+            bad, steps, seed, batch_size=batch_size).to_vector().tobytes()
+
+    def test_zero_steps_runs_no_check(self, monkeypatch):
+        def check(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(training, "check_inputs", check)
+        data = small_dataset()
+        params = training.warmup_reference(data, steps=0, seed=3)
+        expected = training.init_policy_for(data, seed=3)
+        assert params.to_vector().tobytes() == expected.to_vector().tobytes()
 
 
 class TestPassCounts:

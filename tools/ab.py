@@ -11,12 +11,14 @@ revision is exported with ``git archive`` into a temporary directory and run
 from there; the change is this checkout's working tree.  For each workload,
 pair k runs both sides on the k-th seed, the base first in odd pairs and the
 change first in even ones, each as ``python3 perfbench/run.py --workload W
---seed S --seconds T --trace 0``.  A run that exits non-zero or prints no
-result is kept in the file with its error and counted as crashed; the
-summary is taken over the pairs where both sides ran.  A pair's outputs are
-compared twice: whole (``outputs_equal``) and without the digests of the
-``*.config.yaml`` snapshots (``outputs_equal_except_snapshots``), which
-record out_dir and so differ between the two checkouts on ``cli``.  Writes
+--seed S --seconds T --trace 0`` under its own empty ``PYTHONPYCACHEPREFIX``,
+so neither side reads bytecode the other lacks.  A run that exits non-zero
+or prints no result is kept in the file with its error and counted as
+crashed; the summary is taken over the pairs where both sides ran.  A
+pair's outputs are compared twice: whole (``outputs_equal``) and without
+the digests of the ``*.config.yaml`` snapshots
+(``outputs_equal_except_snapshots``), which record out_dir and so differ
+between the two checkouts on ``cli``.  Writes
 ``BENCH_<slug>.json``: per workload the runs, and per end-to-end metric the
 inclusive quartiles of each side, the base IQR, the change's wins (ties count
 for neither), the change/base median ratio and whether the change is worse
@@ -55,10 +57,18 @@ def export(rev: str, into: str) -> str:
 
 
 def bench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its final JSON line plus the printed outputs, or its error."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", str(trace)],
-                          cwd=checkout, capture_output=True, text=True)
+    """One perfbench run: its final JSON line plus the printed outputs, or its error.
+
+    The run writes and reads its bytecode under a fresh, empty
+    ``PYTHONPYCACHEPREFIX``, so both sides start from the same bytecode
+    state whatever ``__pycache__`` a checkout holds; the rest of the
+    environment is inherited."""
+    with tempfile.TemporaryDirectory() as pycache:
+        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", f"{seconds:g}",
+                               "--trace", str(trace)],
+                              cwd=checkout, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPYCACHEPREFIX": pycache})
     lines = proc.stdout.splitlines()
     outputs = [line[len("outputs "):] for line in lines if line.startswith("outputs ")]
     try:

@@ -11,9 +11,13 @@ it: ``train_step`` as ``train`` calls it, ``evaluate_batch``, the policy
 ``forward_unchecked`` over the rows the step forwards (the clean rows,
 then each corrupted block), each ``corrupt`` call,
 ``pair_loss_terms``, ``_sigmoid``, ``backward`` and
-``apply_gradient_step``.  Each figure is the minimum over 7 repeats of a
-timeit loop, in microseconds per call.  Prints one JSON object; writes no
-file.
+``apply_gradient_step``.  Its ``warmup`` block times the reference's
+supervised warm-up on the same world: ``warmup_reference`` over 50 steps,
+reported per step (its per-run setup and check spread over the steps), and
+the pieces of one step: ``forward_unchecked`` over a 16-row batch,
+``backward`` and ``apply_gradient_step``.  Each figure is the minimum over
+7 repeats of a timeit loop, in microseconds per call.  Prints one JSON
+object; writes no file.
 
 perfbench's traced split cannot give these figures: it traces
 ``policy.forward_logprobs``, which the step does not call.
@@ -40,6 +44,7 @@ from modlab.synth import ROLES  # noqa: E402
 SEED = 81
 PRESETS = ("dpo", "modpp_desk")
 REPEATS = 7
+WARMUP_STEPS = 50
 
 
 def best_us(fn, number: int = 2000) -> float:
@@ -89,13 +94,33 @@ def step_pieces(pairs, reference, name: str) -> dict:
     return out
 
 
+def warmup_pieces(pairs) -> dict:
+    size = min(train.TrainConfig.batch_size, len(pairs))
+    out = {"steps": WARMUP_STEPS, "rows": size, "warmup_reference_per_step": best_us(
+        lambda: train.warmup_reference(pairs, WARMUP_STEPS, SEED), number=20) / WARMUP_STEPS}
+    params, rows = train.init_policy_for(pairs, SEED), np.arange(size)
+    batch = pairs[rows]  # the cost does not depend on which rows
+    out["forward_unchecked"] = best_us(lambda: policy.forward_unchecked(
+        params, batch.audio, batch.visual, batch.prompt_id))
+    cache = policy.forward_unchecked(params, batch.audio, batch.visual, batch.prompt_id)
+    upstream = np.zeros(cache.probs.shape)
+    upstream[rows, batch.y_w] = -1.0
+    out["backward"] = best_us(lambda: policy.backward(params, cache, upstream))
+    grads = policy.backward(params, cache, upstream)
+    out["apply_gradient_step"] = best_us(lambda: policy.apply_gradient_step(
+        params, grads, train.TrainConfig.warmup_lr))
+    return out
+
+
 def main() -> None:
     pairs, _, reference = experiments.build_world(experiments.HALLUCINATION_BENCHMARK, SEED)
-    doc = {"world": f"experiment (HALLUCINATION_BENCHMARK, seed {SEED}), first batch, step 0",
+    doc = {"world": f"experiment (HALLUCINATION_BENCHMARK, seed {SEED}); presets: first "
+                    "batch, step 0; warmup: from the seeded initialization",
            "unit": f"us per call, minimum of {REPEATS} timeit repeats",
            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "numpy": np.__version__, "platform": platform.platform()}}
     doc.update({name: step_pieces(pairs, reference, name) for name in PRESETS})
+    doc["warmup"] = warmup_pieces(pairs)
     print(json.dumps(doc, indent=1))
 
 
