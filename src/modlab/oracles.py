@@ -277,13 +277,15 @@ def frozen_surrogate_rel_error(params, ref_params, batch, cfg: TrainConfig, step
     """Stop-gradient audit for one batch: (relative error, the params the
     audited step returns).
 
-    The trainer's analytic step direction is compared against central
-    finite differences of the surrogate loss in which every detached
-    (corrupted-pass) and reference log-probability is frozen at its value
-    for the current parameters; only the clean policy passes respond to
-    the perturbation.  Relative error in L2.
+    The analytic step direction of the step train() runs (evaluate_batch
+    and train_step, on a schedule batch and its checked reference slots)
+    is compared against central finite differences of the surrogate loss
+    in which every detached (corrupted-pass) and reference log-probability
+    is frozen at its value for the current parameters; only the clean
+    policy passes, scored by the checked ``forward``, respond to the
+    perturbation.  Relative error in L2.
     """
-    ref = training.reference_logprobs(ref_params, batch, cfg)
+    ref = training.check_reference(training.reference_logprobs(ref_params, batch, cfg))
     frozen, _, clean = training.evaluate_batch(params, ref, batch, cfg, step, pools)
     rows, y_w, y_l = np.arange(len(batch)), batch.y_w, batch.y_l
 

@@ -180,23 +180,26 @@ class ForwardCache:
 def check_inputs(params: PolicyParams, audio, visual, prompt_ids, rows=slice(None)):
     """``forward``'s input checks, the one place their messages live.
 
-    Raises ValueError when the audio or visual width is not d_a or d_v,
-    when audio, visual and prompt_ids differ in row count, or when a prompt
-    id of ``prompt_ids[rows]`` lies outside the table, naming the first such
-    id in that order.  Returns (audio, visual, prompt_ids) as arrays, the
-    features float64, ready for ``forward_unchecked``.
+    Raises ValueError when audio or visual is not a 2-D array of width d_a
+    or d_v, when prompt_ids is not a 1-D integer array, when the three
+    differ in row count, or when a prompt id of ``prompt_ids[rows]`` lies
+    outside the table, naming the first such id in that order.  Returns
+    (audio, visual, prompt_ids) as arrays, the features float64, ready for
+    ``forward_unchecked``.
     """
     audio = np.asarray(audio, dtype=np.float64)
     visual = np.asarray(visual, dtype=np.float64)
     prompt_ids = np.asarray(prompt_ids)
-    if audio.ndim != 2 or audio.shape[1] != params.u_a.shape[-1]:
-        raise ValueError(
-            f"audio feature length {audio.shape[-1]} does not match d_a={params.u_a.shape[-1]}"
-        )
-    if visual.ndim != 2 or visual.shape[1] != params.u_v.shape[-1]:
-        raise ValueError(
-            f"visual feature length {visual.shape[-1]} does not match d_v={params.u_v.shape[-1]}"
-        )
+    for m, x, width in (("audio", audio, params.u_a.shape[-1]),
+                        ("visual", visual, params.u_v.shape[-1])):
+        if x.ndim != 2:
+            raise ValueError(f"{m} features must be a 2-D (rows, d_{m[0]}) array, got shape "
+                             f"{x.shape}")
+        if x.shape[1] != width:
+            raise ValueError(f"{m} feature length {x.shape[1]} does not match d_{m[0]}={width}")
+    if prompt_ids.ndim != 1 or prompt_ids.dtype.kind not in "iu":
+        raise ValueError(f"prompt_ids must be a 1-D integer array, got shape "
+                         f"{prompt_ids.shape} of {prompt_ids.dtype}")
     if not (audio.shape[0] == visual.shape[0] == prompt_ids.shape[0]):
         raise ValueError(f"row counts differ: audio {audio.shape[0]}, visual "
                          f"{visual.shape[0]}, prompt_ids {prompt_ids.shape[0]}")

@@ -23,13 +23,11 @@ cfg.loss_variant only labels the strengths for counters.json and the
 printed lines: dpo (all three zero), mod (only gamma_lpd zero) or modpp.
 
 Per run, train() does the work whose result no step changes:
-- the batch schedule, whose batches hold rows of one modality tag, none
-  audiovisual (so a step need not check its batch's tags);
+- the batch schedule, whose batches are non-empty and of one modality
+  tag, none audiovisual;
 - the frozen reference's table (``reference_logprobs``, one checked
-  forward per reference block over every row) and its check (finite and
-  <= 0).  The checked forward passes every row's feature widths and
-  prompt id once, so a step scores its rows with ``forward_unchecked``,
-  the same arithmetic without the checks; corruption preserves shapes;
+  forward per reference block over every row, which passes each row's
+  feature widths and prompt id) and its one check (``check_reference``);
 - every step's corruption generator, seeded in one ``synth._streams``
   pass, and one PassCounter per pass pattern;
 - in the warm-up (``warmup_reference``), one ``policy.check_inputs`` call
@@ -37,18 +35,16 @@ Per run, train() does the work whose result no step changes:
   prompt ids of every row the steps visit, in visit order, so a bad id
   raises the error its first step would.  Each warm-up step scores its
   batch with ``forward_unchecked``.
-When the table passes its check, train() vouches for both with
-``checked=True``, and the step skips them.
 
-Per step it gathers the six columns a step reads of its rows and the
-rows' reference columns, makes one policy forward (over the clean columns
-themselves when no strength corrupts, else over one buffer per modality
-holding the clean rows with each corrupted block in the slices under
-them), checks its log-probabilities finite in one pass (a log-softmax is
-<= 0 once finite), scores all pairs in one core.pair_terms call, and
-makes one backward through the clean rows.  A reference table that fails
-its check is checked again by each step, with every other check, so the
-error names the step whose batch holds the bad row.
+There is one step, which the stop-gradient oracle audits too, and it
+relies on that work (see evaluate_batch).  It gathers the six columns a
+step reads of its rows and the rows' reference columns, makes one
+``forward_unchecked`` call (over the clean columns themselves when no
+strength corrupts, else over one buffer per modality holding the clean
+rows with each corrupted block in the slices under them), checks its
+log-probabilities finite in one pass (a log-softmax is <= 0 once finite),
+scores all pairs in one core.pair_terms call, and makes one backward
+through the clean rows.
 
 Datasets are ``synth.PairTable`` columns; ``batch_schedule`` turns the
 tag column into one row-index array per step, whose rows share one
@@ -64,9 +60,10 @@ cfg.corruption supplies the kind and t.  A run with both corruption
 strengths zero builds no corruption generator, and batch order comes from
 its own stream, so runs that skip corruption draw identical batch orders.
 
-Divergence guard: train() and warmup_reference() stop with DivergenceError
-when a step's loss is non-finite or above 100 times the first step's loss,
-or a gradient becomes non-finite; the error names the step and the loss.
+Divergence guard: train() stops with DivergenceError before step 0 when
+the reference table fails its check, and train() and warmup_reference()
+when a step's loss is non-finite or above 100 times the first step's
+loss, or a gradient becomes non-finite; the error names the step and loss.
 """
 
 from __future__ import annotations
@@ -117,7 +114,7 @@ _DIVERGENCE_FACTOR = 100.0
 
 
 class TrainingError(ValueError):
-    """Contract violation in the training loop (mixed batch, bad dataset)."""
+    """Contract violation in the training loop (audiovisual row, bad dataset)."""
 
 
 class DivergenceError(RuntimeError):
@@ -210,6 +207,7 @@ def feature_pools(dataset) -> dict:
 REF_SLOTS = ("ref_w", "ref_l", "text_w", "text_l")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # check_reference names a diverged entry
 def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.ndarray:
     """The frozen reference's log-probabilities of every row's chosen and
     rejected responses: a (2, N) array of ref_w and ref_l, or (4, N) with
@@ -227,9 +225,16 @@ def reference_logprobs(ref_params: PolicyParams, table, cfg: TrainConfig) -> np.
                            for a, v in blocks])
 
 
-def _log_probs_ok(x: np.ndarray) -> bool:
-    """Every entry finite and <= 0 (a NaN fails the max, -inf the min)."""
-    return bool(x.max() <= 0 and x.min() > -np.inf)
+def check_reference(table: np.ndarray) -> np.ndarray:
+    """table, a reference_logprobs table, once every entry is finite and
+    <= 0 (a NaN fails the max, -inf the min); else DivergenceError naming
+    the first bad row and its slot."""
+    if table.max() <= 0 and table.min() > -np.inf:
+        return table
+    bad = ~(np.isfinite(table) & (table <= 0))
+    row, slot = divmod(int(np.argmax(bad.T)), len(table))  # bad.T is (row, slot)
+    raise DivergenceError(f"reference diverged: row {row} {REF_SLOTS[slot]} is "
+                          f"{table[slot, row]}, not a finite log-probability <= 0")
 
 
 @cache
@@ -240,42 +245,29 @@ def _pass_counter(blocks: int, ref_slots: int) -> PassCounter:
 
 
 def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
-                   step: int, pools=None, *, rng=None, checked: bool = False):
+                   step: int, pools=None, *, rng=None):
     """All log-probabilities the config's strengths read for a batch of pairs.
 
-    ref holds the batch's reference slots, its rows' columns of a
-    reference_logprobs table.  Returns (PairLogProbs of (B,) arrays, the
-    per-pair PassCounter, the ForwardCache of the clean policy rows).  The
-    clean rows and each corrupted block (irrelevant modality when beta_inv
-    > 0, then relevant modality when beta_sens > 0) fill slices of one buffer
-    per modality, which one policy forward scores.  The counter counts two
+    Returns (PairLogProbs of (B,) arrays, the per-pair PassCounter, the
+    ForwardCache of the clean policy rows).  The clean rows and each
+    corrupted block (irrelevant modality when beta_inv > 0, then relevant
+    modality when beta_sens > 0) fill slices of one buffer per modality,
+    which one ``forward_unchecked`` call scores.  The counter counts two
     passes per block of each model, the reference's blocks being those the
     slots hold.  Only the returned clean-row cache may be back-propagated;
     the corrupted rows are detached and the reference is frozen throughout.
     Corrupted rows come from rng, by default the generator seeded by
     (cfg.seed, step), block by block (see the module docstring).
 
-    A non-finite entry of the policy block or of ref raises
-    DivergenceError; PairLogProbs then checks every slot, and raises
-    core.DomainError naming the slot of a positive one.  Raises
-    TrainingError for an empty batch, one whose rows mix modality tags, or
-    an audiovisual one.
-
-    checked is train()'s word for what it has checked once per run: ref is
-    a column block of a table already checked whole, and the batch is a
-    schedule batch of rows that reference_logprobs scored through the
-    checked forward (see batch_schedule).  It skips ref's check, the batch's
-    tag checks and forward's input checks.
+    The contract, which train() and the stop-gradient oracle keep: batch is
+    a ``batch_schedule`` batch (non-empty, of one modality tag) of rows that
+    ``reference_logprobs``' checked forward has scored, and ref is their
+    column block of a table that passed ``check_reference``.  The step
+    checks only its policy log-probabilities: a non-finite one raises
+    DivergenceError.
     """
-    n, tags = len(batch), batch.modality_tag
-    if not checked:
-        if not n or (tags != tags[0]).any():
-            names = [MODALITY_TAGS[t] for t in np.unique(tags)]
-            raise TrainingError(f"a batch needs rows of one modality tag, got {names}")
-        if tags[0] == AUDIOVISUAL:
-            raise TrainingError("relevant/irrelevant modalities are undefined for audiovisual "
-                                "pairs")
-    relevant, irrelevant = ROLES[tags[0]]
+    n = len(batch)
+    relevant, irrelevant = ROLES[batch.modality_tag[0]]
     # The nonzero strengths' blocks in draw order: filled slot -> corrupted modality.
     strengths = {"inv": (irrelevant, cfg.hp.beta_inv), "sens": (relevant, cfg.hp.beta_sens)}
     corrupted = {slot: m for slot, (m, strength) in strengths.items() if strength > 0}
@@ -294,18 +286,17 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
                                         pools.get(m) if pools else None, rng)
         audio, visual = stacked["audio"].reshape(k * n, -1), stacked["visual"].reshape(k * n, -1)
         prompt_ids = np.concatenate([prompt_ids] * k)
-    policy = (forward_unchecked if checked else forward)(params, audio, visual, prompt_ids)
+    policy = forward_unchecked(params, audio, visual, prompt_ids)
     # picked[block] holds the block's (chosen, rejected) log-probabilities.
     picked = policy.logprobs.reshape(k, n, -1)[:, np.arange(n), np.array((batch.y_w, batch.y_l))]
     slots = dict(zip(REF_SLOTS, ref), policy_w=picked[0, 0], policy_l=picked[0, 1])
     for block, name in enumerate(corrupted, start=1):
         slots[f"{name}_w"], slots[f"{name}_l"] = picked[block]
-    # A finite log-softmax is <= 0; PairLogProbs names a positive ref slot.
-    if not (np.isfinite(policy.logprobs).all() and (checked or np.isfinite(ref).all())):
+    if not np.isfinite(policy.logprobs).all():  # a finite log-softmax is <= 0
         raise DivergenceError(f"training diverged at step {step}: loss nan "
                               "(non-finite log-probabilities)")
-    pl = (PairLogProbs.checked if checked else PairLogProbs)(**slots)
-    return pl, _pass_counter(k, len(ref)), policy[:n] if corrupted else policy
+    return (PairLogProbs.checked(**slots), _pass_counter(k, len(ref)),
+            policy[:n] if corrupted else policy)
 
 
 def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
@@ -315,15 +306,13 @@ def pair_loss_terms(pl: PairLogProbs, cfg: TrainConfig):
 
 
 def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
-               step: int = 0, pools=None, *, rng=None, checked: bool = False):
+               step: int = 0, pools=None, *, rng=None):
     """One gradient-descent update on a row block of preference pairs.
 
-    ref, rng and checked are as in evaluate_batch.  Returns (updated
-    params, mean pair loss, per-pair PassCounter).  The batch's rows must
-    share one modality tag.
+    ref, rng and the contract on batch and ref are as in evaluate_batch.
+    Returns (updated params, mean pair loss, per-pair PassCounter).
     """
-    pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools, rng=rng,
-                                        checked=checked)
+    pl, counter, clean = evaluate_batch(params, ref, batch, cfg, step, pools, rng=rng)
     losses, margins = pair_loss_terms(pl, cfg)
     loss = float(losses.sum() / losses.size)
     weights = _sigmoid(-margins) * cfg.hp.tau  # d(margin)/d(d_policy) is tau
@@ -426,8 +415,10 @@ _UNREAD = dict.fromkeys(name for name in PairTable.Row._fields if name not in _S
 def batch_schedule(dataset, cfg: TrainConfig):
     """The row-index array of every step's batch over all epochs.
 
-    Rows are grouped by modality tag, the groups in order of first
-    appearance.  Raises TrainingError when a row is audiovisual, and
+    Each batch is non-empty and holds rows of one modality tag, and each
+    epoch visits every row exactly once: the contract evaluate_batch
+    relies on.  Rows are grouped by modality tag, the groups in order of
+    first appearance.  Raises TrainingError when a row is audiovisual, and
     ConfigurationError when the dataset lacks visual or audio rows, since
     batches alternate between the two.
     """
@@ -450,8 +441,9 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     Warm-up (unless reference params are supplied), then cfg.epochs passes
     of alternating modality batches.  Raises TrainingError, before warm-up,
     when a pair is audiovisual (see batch_schedule).  The reference is
-    never modified.  Raises DivergenceError when a step diverges (see the
-    module docstring).
+    never modified.  Raises DivergenceError before step 0 when the
+    reference table fails check_reference, and when a step diverges (see
+    the module docstring).
     """
     if not len(dataset):
         raise TrainingError("training needs a non-empty dataset")
@@ -463,8 +455,7 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     ref_params = ref_params.copy()
     params = ref_params.copy()
     pools = feature_pools(dataset)
-    ref_table = reference_logprobs(ref_params, dataset, cfg)  # forward checks every row
-    checked = _log_probs_ok(ref_table)
+    ref_table = check_reference(reference_logprobs(ref_params, dataset, cfg))
     if cfg.hp.beta_inv > 0 or cfg.hp.beta_sens > 0:
         rngs = _streams((cfg.seed, _CORRUPT_STREAM), range(len(schedule)))
     else:
@@ -476,7 +467,7 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
     for step, (rows, rng) in enumerate(zip(schedule, rngs)):
         batch = PairTable(**_UNREAD, **{name: column[rows] for name, column in columns.items()})
         params, loss, counter = train_step(params, ref_table[:, rows], batch, cfg, step, pools,
-                                           rng=rng, checked=checked)
+                                           rng=rng)
         _check_loss("training", step, loss, losses[0] if losses else loss)
         losses.append(loss)
         counters.append(counter)

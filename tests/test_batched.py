@@ -41,7 +41,7 @@ from modlab.synth import (
     ItemTable,
     SynthConfig,
 )
-from modlab.train import TrainConfig, TrainingError, train_step
+from modlab.train import TrainConfig, train_step
 
 TOL = 1e-12
 
@@ -81,14 +81,8 @@ def models(data):
     return params, ref
 
 
-def as_audiovisual(pair):
-    return pair._replace(prompt_id=synth.AV_MATCHING_PROMPT, modality_tag=AUDIOVISUAL)
-
-
 def batch_of(data, tag, size=6):
     """A table of size rows with the named tag."""
-    if tag == "audiovisual":
-        return synth.PairTable.coerce([as_audiovisual(p) for p in data[:size]])
     return data[data.modality_tag == MODALITY_TAGS.index(tag)][:size]
 
 
@@ -187,17 +181,6 @@ def test_train_step_matches_per_pair_loop(data, models, variant, tag, kind, pool
     want, want_loss = reference_step(params, ref, batch, cfg, 5, pools)
     assert abs(loss - want_loss) <= TOL
     np.testing.assert_allclose(got.to_vector(), want.to_vector(), rtol=0, atol=TOL)
-
-
-def test_mixed_joint_batch_still_rejected(data, models):
-    params, ref = models
-    cfg = TrainConfig(hp=VARIANT_HP["mod"], lr=0.1)
-    batch = synth.PairTable.concat([batch_of(data, "visual_related", 2),
-                                    batch_of(data, "audiovisual", 2)])
-    with pytest.raises(TrainingError, match=r"one modality tag, got \['visual_related', "
-                                            r"'audiovisual'\]"):
-        train_step(params, training.reference_logprobs(ref, batch, cfg), batch, cfg, step=0,
-                   pools=training.feature_pools(data))
 
 
 def test_warmup_matches_per_pair_loop(data):

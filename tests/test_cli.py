@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
@@ -381,6 +382,23 @@ class TestDivergingRun:
         assert cli.run("train", config_path, ["train.lr=1.0e+9"]) == cli.EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "training diverged at step 1: loss" in err[0], err
+        assert not (tmp_path / "run" / "policy.ckpt").exists()
+
+    def test_a_diverged_reference_exits_1_before_step_0_naming_row_and_slot(self, tmp_path,
+                                                                             capsys):
+        # A finite checkpoint whose forward overflows: every table entry is nan.
+        config_path, _ = write_config(tmp_path)
+        assert cli.run("synth", config_path) == 0
+        ref = init_params()  # the shapes of the written dataset
+        ref.e_x[:], ref.w_out[0] = 1e3, 1e308
+        save_checkpoint(ref, tmp_path / "diverged.ckpt")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would add a line
+            code = cli.run("train", config_path, [f"train.reference={tmp_path / 'diverged.ckpt'}"])
+        assert code == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == [
+            "error: reference diverged: row 0 ref_w is nan, not a finite log-probability <= 0"]
         assert not (tmp_path / "run" / "policy.ckpt").exists()
 
 

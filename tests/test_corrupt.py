@@ -172,7 +172,8 @@ class TestRandomSwapBlock:
     def test_dimension_mismatch(self):
         pool = [np.zeros(3), np.ones(3)]
         for features in (np.ones(4), np.ones((2, 4))):
-            with pytest.raises(CorruptionError, match="pool vectors must match the input dimension"):
+            with pytest.raises(CorruptionError,
+                               match="pool vectors must match the input dimension"):
                 corrupt(features, self.SWAP, pool, np.random.default_rng(0))
 
 

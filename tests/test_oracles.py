@@ -1,5 +1,6 @@
 """The verification machinery itself: projection, ascent, differences."""
 
+import dataclasses
 import math
 import tempfile
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modlab import core, oracles
+from modlab import train as training
+from modlab.eval import MetricsReport
 from modlab.oracles import (
     finite_difference_gradient,
     grid_argmax_3,
@@ -267,6 +270,50 @@ class TestSuites:
             # only the ascent catches it: the grid still agrees with the closed form
             words = res.detail.split()
             assert float(words[4]) > oracles._L1_TOL and float(words[9]) < 2e-3
+
+    def test_stop_gradient_suite_fails_on_a_perturbed_step_forward(self, monkeypatch):
+        # Finite log-probabilities, off by half their value, from the forward
+        # the trained step calls: the audit must see the step it runs.
+        real = training.forward_unchecked
+
+        def perturbed(*args):
+            cache = real(*args)
+            return dataclasses.replace(cache, logprobs=1.5 * cache.logprobs)
+
+        monkeypatch.setattr(training, "forward_unchecked", perturbed)
+        res = oracles.stop_gradient_suite(n_steps=5, seed=1)
+        assert res.passed is False, res.detail
+
+    def test_gradient_suite_fails_on_a_perturbed_backward(self, monkeypatch):
+        real = oracles.backward
+
+        def perturbed(params, cache, upstream):
+            grads = real(params, cache, upstream)
+            grads.scale(1.0 + 1e-3)
+            return grads
+
+        monkeypatch.setattr(oracles, "backward", perturbed)
+        res = oracles.gradient_suite(n_triples=30, seed=1)
+        assert res.passed is False, res.detail
+
+    def test_pass_count_suite_fails_on_a_miscounted_step(self, monkeypatch):
+        real = training._pass_counter
+
+        def miscounted(blocks, ref_slots):
+            return real(blocks + (blocks == 3), ref_slots)  # the modpp pattern counts 8
+
+        monkeypatch.setattr(training, "_pass_counter", miscounted)
+        res = oracles.pass_count_suite(n_steps=20, seed=1)
+        assert res.passed is False and "PassCounter(fwd_policy=8" in res.detail, res.detail
+
+    def test_metrics_suite_fails_on_a_perturbed_accuracy(self, monkeypatch):
+        # Off by 1e-9 points: the hand tally still prints right, but the
+        # accuracy identity, held to 1e-12, fails.
+        real = MetricsReport.accuracy.fget
+        monkeypatch.setattr(MetricsReport, "accuracy", property(
+            lambda report: None if report.total == 0 else real(report) + 1e-9))
+        res = oracles.metrics_suite(seed=1)
+        assert res.passed is False and res.detail == "accuracy identity violated", res.detail
 
     def test_dataset_suite_leaves_no_files_behind(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))

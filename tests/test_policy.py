@@ -1,6 +1,7 @@
 """Toy policy: forward numerics, analytic gradients, checkpoints."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -54,8 +55,20 @@ INPUT_FAULTS = [
      "prompt_id -1 outside table of size 3"),
     ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([3, 0])),
      "prompt_id 3 outside table of size 3"),
+    ((np.zeros(5), np.zeros((1, 4)), np.array([0])),
+     "audio features must be a 2-D (rows, d_a) array, got shape (5,)"),
+    ((np.zeros((1, 5)), np.float64(0.0), np.array([0])),
+     "visual features must be a 2-D (rows, d_v) array, got shape ()"),
+    ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([[0], [1]])),
+     "prompt_ids must be a 1-D integer array, got shape (2, 1) of int64"),
+    ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([True, False])),
+     "prompt_ids must be a 1-D integer array, got shape (2,) of bool"),
+    ((np.zeros((2, 5)), np.zeros((2, 4)), np.array([0.0, 1.0])),
+     "prompt_ids must be a 1-D integer array, got shape (2,) of float64"),
 ]
-INPUT_FAULT_IDS = ["audio-width", "visual-width", "row-counts", "prompt-below-0", "prompt-at-size"]
+INPUT_FAULT_IDS = ["audio-width", "visual-width", "row-counts", "prompt-below-0", "prompt-at-size",
+                   "audio-1-d", "visual-0-d", "prompt-ids-2-d", "prompt-ids-bool",
+                   "prompt-ids-float"]
 
 
 class TestForward:
@@ -111,12 +124,12 @@ class TestForward:
     # have passed them once per run, so each message is pinned here.
     @pytest.mark.parametrize("rows,message", INPUT_FAULTS, ids=INPUT_FAULT_IDS)
     def test_each_input_check_names_its_fault(self, rows, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             forward(make_params(), *rows)
 
     @pytest.mark.parametrize("rows,message", INPUT_FAULTS, ids=INPUT_FAULT_IDS)
     def test_the_check_helper_raises_each_message(self, rows, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check_inputs(make_params(), *rows)
 
     def test_unchecked_kernel_is_forwards_arithmetic(self):

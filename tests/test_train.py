@@ -262,23 +262,28 @@ class TestAlternation:
         tags = [five.modality_tag[rows[0]] for rows in schedule]
         assert tags == [VISUAL_RELATED, AUDIO_RELATED] * 5
 
-    def test_mixed_batch_rejected(self):
-        data = small_dataset(n=20)
-        visual = rows_tagged(data, VISUAL_RELATED)[0]
-        audio = rows_tagged(data, AUDIO_RELATED)[0]
-        batch = synth.PairTable.coerce([visual, audio])
-        ref, cfg = training.warmup_reference(data, steps=0, seed=0), quick_config()
-        with pytest.raises(TrainingError,
-                           match=r"one modality tag, got \['audio_related', 'visual_related'\]"):
-            train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg), batch, cfg,
-                       step=0)
+    SCHEDULE_ROWS = small_dataset(n=120, seed=8)
 
-    def test_empty_batch_rejected(self):
-        data = small_dataset(n=20)
-        ref = training.warmup_reference(data, steps=0, seed=0)
-        with pytest.raises(TrainingError, match=r"one modality tag, got \[\]"):
-            train_step(ref.copy(), training.reference_logprobs(ref, data[:0], quick_config()),
-                       data[:0], quick_config(), step=0)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n_visual=st.integers(1, 30), n_audio=st.integers(1, 30), batch_size=st.integers(1, 40),
+           epochs=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_every_batch_is_one_tag_and_every_epoch_visits_each_row_once(
+            self, n_visual, n_audio, batch_size, epochs, seed, data):
+        # The contract the step relies on instead of checking its batch.
+        rows = synth.PairTable.concat([rows_tagged(self.SCHEDULE_ROWS, VISUAL_RELATED)[:n_visual],
+                                       rows_tagged(self.SCHEDULE_ROWS, AUDIO_RELATED)[:n_audio]])
+        n = len(rows)
+        dataset = rows[np.array(data.draw(st.permutations(range(n))))]
+        cfg = quick_config(batch_size=batch_size, epochs=epochs, seed=seed)
+        schedule = training.batch_schedule(dataset, cfg)
+        for batch in schedule:
+            tags = dataset.modality_tag[batch]
+            assert 0 < len(batch) <= batch_size
+            assert (tags == tags[0]).all() and tags[0] != AUDIOVISUAL
+        visits = np.concatenate(schedule)
+        assert len(visits) == epochs * n
+        for epoch in range(epochs):
+            assert sorted(visits[epoch * n : (epoch + 1) * n]) == list(range(n))
 
     def test_missing_modality_rejected(self):
         data = small_dataset(n=40)
@@ -301,15 +306,6 @@ class TestSingleModalityPairs:
         for variant in VARIANT_HP:
             with pytest.raises(TrainingError, match="row 5 is audiovisual"):
                 training.train(table, quick_config(variant))
-
-    def test_audiovisual_batch_rejected(self):
-        data = small_dataset(n=16)
-        batch = synth.PairTable.coerce([av_pair_from(p) for p in data[:4]])
-        ref = training.warmup_reference(data, steps=0, seed=0)
-        for variant in VARIANT_HP:
-            cfg = quick_config(variant)
-            with pytest.raises(TrainingError, match="undefined for audiovisual pairs"):
-                train_step(ref.copy(), training.reference_logprobs(ref, batch, cfg), batch, cfg)
 
     @pytest.mark.parametrize("key,value", [("modality_tag", "audiovisual"),
                                            ("question_kind", "av_matching")])
@@ -410,20 +406,27 @@ class TestDivergenceGuard:
                                  r"the first step's"):
             training.train(data, quick_config(lr=1e9, batch_size=16))
 
-    def test_non_finite_loss_fails(self):
+    def test_non_finite_loss_fails(self, monkeypatch):
+        # A finite reference, and a policy whose step log-probabilities are not.
         data = small_dataset(n=32)
-        ref = training.init_policy_for(data, seed=0)
-        ref.w_out[0] = np.inf  # every log-probability becomes nan
-        with np.errstate(invalid="ignore"), pytest.raises(
-                training.DivergenceError, match="training diverged at step 0: loss nan"):
-            training.train(data, quick_config("dpo"), ref_params=ref)
+        real_forward = training.forward_unchecked
+
+        def nan_forward(*args):
+            cache = real_forward(*args)
+            cache.logprobs[:] = np.nan
+            return cache
+
+        monkeypatch.setattr(training, "forward_unchecked", nan_forward)
+        with pytest.raises(training.DivergenceError,
+                           match="training diverged at step 0: loss nan"):
+            training.train(data, quick_config("dpo"), ref_params=training.init_policy_for(data, 0))
 
     @staticmethod
-    def train_with_ref_table(monkeypatch, edit):
-        """Train dpo from a fixed reference whose log-probability table
-        edit(table) alters, returning the schedule the run uses."""
+    def train_with_ref_table(monkeypatch, edit, variant="dpo"):
+        """Train from a fixed reference whose log-probability table edit(table)
+        alters, under the variant's strengths; no step may run."""
         data = small_dataset(n=32)
-        cfg = quick_config("dpo")
+        cfg = quick_config(variant)
         real_table = training.reference_logprobs
 
         def edited(ref_params, table, cfg):
@@ -432,31 +435,46 @@ class TestDivergenceGuard:
             return out
 
         monkeypatch.setattr(training, "reference_logprobs", edited)
-        ref = training.init_policy_for(data, seed=0)
-        return data, cfg, ref, training.batch_schedule(data, cfg)
+        TestDivergenceGuard.forbid_steps(monkeypatch)
+        training.train(data, cfg, ref_params=training.init_policy_for(data, seed=0))
 
-    def test_a_non_finite_reference_row_fails_at_its_step(self, monkeypatch):
-        # The table is checked once per run, but a bad row still stops the
-        # run at the first step whose batch holds it, not before.
-        data, cfg, ref, schedule = self.train_with_ref_table(
-            monkeypatch, lambda t: t.__setitem__((1, 5), np.nan))
-        step = next(s for s, rows in enumerate(schedule) if 5 in rows)
-        assert step > 0
+    @staticmethod
+    def forbid_steps(monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training, "train_step", step)
+
+    @pytest.mark.parametrize("variant,slot,value", [
+        ("dpo", 1, np.nan), ("dpo", 0, -np.inf), ("modpp", 3, np.nan), ("modpp", 2, np.inf)],
+        ids=["dpo-ref_l-nan", "dpo-ref_w--inf", "modpp-text_l-nan", "modpp-text_w-inf"])
+    def test_a_non_finite_reference_row_fails_before_step_0(self, monkeypatch, variant, slot,
+                                                             value):
+        # The table is checked once per run: the first bad row stops the run
+        # before step 0, named with its slot, though row 9 is bad in every slot.
+        def edit(table):
+            table[:, 9] = table[slot, 5] = value
+
+        name = training.REF_SLOTS[slot]
         with pytest.raises(training.DivergenceError,
-                           match=rf"^training diverged at step {step}: loss nan "):
-            training.train(data, cfg, ref_params=ref)
+                           match=rf"^reference diverged: row 5 {name} is {value}, not a finite "
+                                 r"log-probability <= 0$"):
+            self.train_with_ref_table(monkeypatch, edit, variant)
 
     def test_a_positive_reference_entry_names_its_slot(self, monkeypatch):
-        data, cfg, ref, _ = self.train_with_ref_table(
-            monkeypatch, lambda t: t.__setitem__((1, 7), 0.25))
-        with pytest.raises(core.DomainError, match="ref_l is a log-probability and must be <= 0"):
-            training.train(data, cfg, ref_params=ref)
+        with pytest.raises(training.DivergenceError, match="^reference diverged: row 7 ref_l is "
+                                                           "0.25, not a finite"):
+            self.train_with_ref_table(monkeypatch, lambda t: t.__setitem__((1, 7), 0.25))
 
-    def test_an_all_non_finite_reference_fails_at_step_0(self, monkeypatch):
-        data, cfg, ref, _ = self.train_with_ref_table(monkeypatch, lambda t: t.fill(np.inf))
+    def test_an_all_non_finite_reference_fails_before_step_0(self, monkeypatch):
+        # A reference whose forward overflows: every table entry is nan.
+        data = small_dataset(n=32)
+        ref = training.init_policy_for(data, seed=0)
+        ref.e_x[:], ref.w_out[0] = 1e3, 1e308
+        self.forbid_steps(monkeypatch)
         with pytest.raises(training.DivergenceError,
-                           match=r"^training diverged at step 0: loss nan "):
-            training.train(data, cfg, ref_params=ref)
+                           match="^reference diverged: row 0 ref_w is nan, "):
+            training.train(data, quick_config("dpo"), ref_params=ref)
 
     def test_non_finite_gradient_fails(self, monkeypatch):
         data = small_dataset(n=32)
@@ -480,39 +498,23 @@ class TestDivergenceGuard:
 
 
 class TestEvaluateBatchChecks:
-    """The one validity check of evaluate_batch: unchecked, as the oracles
-    call it, and checked, as train() calls it."""
+    """The one validity check of evaluate_batch: the policy's
+    log-probabilities, whether the clean columns are forwarded alone or in
+    a buffer with corrupted blocks."""
 
     DIVERGED = r"^training diverged at step 3: loss nan \(non-finite log-probabilities\)$"
 
-    @staticmethod
-    def inputs():
+    @pytest.mark.parametrize("corrupting", [False, True])
+    def test_a_non_finite_policy_block_diverges(self, corrupting):
         data = small_dataset(n=32)
-        cfg = quick_config("modpp")
+        cfg = quick_config("modpp" if corrupting else "dpo")
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
         params = training.init_policy_for(data, seed=0)
-        return params, training.reference_logprobs(params, batch, cfg), batch, cfg
-
-    @pytest.mark.parametrize("checked", [False, True])
-    def test_a_non_finite_policy_block_diverges(self, checked):
-        params, ref, batch, cfg = self.inputs()
+        ref = training.reference_logprobs(params, batch, cfg)
         params.w_out[0] = np.inf  # every policy log-probability becomes nan
         with np.errstate(invalid="ignore"), pytest.raises(training.DivergenceError,
                                                           match=self.DIVERGED):
-            training.evaluate_batch(params, ref, batch, cfg, 3, checked=checked)
-
-    def test_a_non_finite_ref_entry_diverges(self):
-        params, ref, batch, cfg = self.inputs()
-        ref[2, 1] = -np.inf
-        with pytest.raises(training.DivergenceError, match=self.DIVERGED):
-            training.evaluate_batch(params, ref, batch, cfg, 3)
-
-    def test_a_positive_ref_entry_names_its_slot(self):
-        params, ref, batch, cfg = self.inputs()
-        ref[1, 2] = 0.25
-        with pytest.raises(core.DomainError,
-                           match="^ref_l is a log-probability and must be <= 0"):
-            training.evaluate_batch(params, ref, batch, cfg, 3)
+            training.evaluate_batch(params, ref, batch, cfg, 3, training.feature_pools(data))
 
 
 class TestStopGradient:
@@ -561,10 +563,12 @@ class TestStopGradient:
 
 
 class TestCheckedStep:
-    """train() runs each step with checked=True, while the stop-gradient
-    oracle audits checked=False: on a schedule batch and its block of the
-    reference table both give the same step, bit for bit, so the audit
-    holds for the path that trains."""
+    """The step skips forward's input checks and PairLogProbs' slot checks
+    on the contract batch_schedule and check_reference keep.  On schedule
+    batches and their block of the checked table, the same step with both
+    checks put back (forward for forward_unchecked, the validating
+    PairLogProbs constructor for PairLogProbs.checked) passes them and
+    gives the same step, bit for bit."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -572,19 +576,21 @@ class TestCheckedStep:
         return data, training.warmup_reference(data, steps=20, seed=2)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_checked_and_unchecked_steps_agree(self, world, name):
+    def test_checked_and_unchecked_steps_agree(self, world, monkeypatch, name):
         data, params = world
         cfg = make_config(name, epochs=1)
-        table = training.reference_logprobs(params, data, cfg)
-        assert training._log_probs_ok(table)
+        table = training.check_reference(training.reference_logprobs(params, data, cfg))
         pools = training.feature_pools(data)
         for step, rows in enumerate(training.batch_schedule(data, cfg)[:4]):
-            (unchecked, loss, counter), (checked, loss_checked, counter_checked) = (
-                train_step(params, table[:, rows], data[rows], cfg, step, pools, checked=flag)
-                for flag in (False, True))
-            assert unchecked.to_vector().tobytes() == checked.to_vector().tobytes()
+            lean, loss, counter = train_step(params, table[:, rows], data[rows], cfg, step, pools)
+            with monkeypatch.context() as checks:
+                checks.setattr(training, "forward_unchecked", forward)
+                checks.setattr(PairLogProbs, "checked", classmethod(lambda cls, **kw: cls(**kw)))
+                checked, loss_checked, counter_checked = train_step(
+                    params, table[:, rows], data[rows], cfg, step, pools)
+            assert lean.to_vector().tobytes() == checked.to_vector().tobytes()
             assert loss == loss_checked and counter == counter_checked
-            params = checked
+            params = lean
 
 
 class TestCorruptionIntegration:
@@ -667,13 +673,13 @@ class TestPerTermPasses:
         params, pools = training.init_policy_for(data, seed=7), training.feature_pools(data)
         batch = rows_tagged(data, VISUAL_RELATED)[:4]
         ref = training.reference_logprobs(params, batch, cfg)
-        buffers, real_forward = [], training.forward
+        buffers, real_forward = [], training.forward_unchecked
 
         def recording(params, audio, visual, prompt_ids):
             buffers.append(visual)
             return real_forward(params, audio, visual, prompt_ids)
 
-        monkeypatch.setattr(training, "forward", recording)
+        monkeypatch.setattr(training, "forward_unchecked", recording)
         pl, counter, _ = training.evaluate_batch(params, ref, batch, cfg, step, pools)
         assert counter == PassCounter(4, 2, 2, 0) and pl.inv_w is None and pl.text_w is None
         want = corrupt(batch.visual, cfg.corruption, pools["visual"],

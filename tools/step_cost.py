@@ -5,12 +5,13 @@
 Run from the root of a checkout; it imports the ``modlab`` under that
 checkout's ``src/``.  Builds the ``experiment`` world of the benchmark
 (``HALLUCINATION_BENCHMARK`` at seed 81), takes the first batch of the
-training schedule (16 pairs, step 0) and, for the ``dpo`` and
-``modpp_desk`` presets, times each piece of that step as the step calls
-it: ``train_step`` as ``train`` calls it, ``evaluate_batch``, the policy
-``forward_unchecked`` over the rows the step forwards (the clean rows,
-then each corrupted block), each ``corrupt`` call,
-``pair_loss_terms``, ``_sigmoid``, ``backward`` and
+training schedule (16 pairs, step 0) with its block of the checked
+reference table and, for the ``dpo`` and ``modpp_desk`` presets, times
+each piece of that step as the step calls it: ``train_step`` (the one
+step, which ``train`` and the stop-gradient oracle both run),
+``evaluate_batch``, the policy ``forward_unchecked`` over the rows the
+step forwards (the clean rows, then each corrupted block), each
+``corrupt`` call, ``pair_loss_terms``, ``_sigmoid``, ``backward`` and
 ``apply_gradient_step``.  Its ``warmup`` block times the reference's
 supervised warm-up on the same world: ``warmup_reference`` over 50 steps,
 reported per step (its per-run setup and check spread over the steps), and
@@ -57,13 +58,12 @@ def step_pieces(pairs, reference, name: str) -> dict:
     cfg = make_config(name, lr=spec.lr, epochs=spec.epochs, seed=SEED)
     rows = train.batch_schedule(pairs, cfg)[0]
     batch, pools = pairs[rows], train.feature_pools(pairs)
-    table = train.reference_logprobs(reference, pairs, cfg)
-    ref, checked = table[:, rows], train._log_probs_ok(table)
+    ref = train.check_reference(train.reference_logprobs(reference, pairs, cfg))[:, rows]
     rng = np.random.default_rng(SEED)  # draws differ per call; the costs do not
     out = {"pairs": len(rows), "train_step": best_us(lambda: train.train_step(
-        reference, ref, batch, cfg, 0, pools, rng=rng, checked=checked))}
+        reference, ref, batch, cfg, 0, pools, rng=rng))}
     out["evaluate_batch"] = best_us(lambda: train.evaluate_batch(
-        reference, ref, batch, cfg, 0, pools, rng=rng, checked=checked))
+        reference, ref, batch, cfg, 0, pools, rng=rng))
 
     relevant, irrelevant = ROLES[batch.modality_tag[0]]
     corrupted = [m for m, strength in ((irrelevant, cfg.hp.beta_inv),
