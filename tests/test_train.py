@@ -500,7 +500,8 @@ class TestDivergenceGuard:
 class TestEvaluateBatchChecks:
     """The one validity check of evaluate_batch: the policy's
     log-probabilities, whether the clean columns are forwarded alone or in
-    a buffer with corrupted blocks."""
+    a buffer with corrupted blocks.  The ref block it reads is checked
+    before, by check_reference."""
 
     DIVERGED = r"^training diverged at step 3: loss nan \(non-finite log-probabilities\)$"
 
@@ -515,6 +516,20 @@ class TestEvaluateBatchChecks:
         with np.errstate(invalid="ignore"), pytest.raises(training.DivergenceError,
                                                           match=self.DIVERGED):
             training.evaluate_batch(params, ref, batch, cfg, 3, training.feature_pools(data))
+
+    def test_a_positive_ref_entry_names_its_slot(self):
+        # The step reads its ref block as given; check_reference, which
+        # train() runs on the whole table before step 0, names a bad slot.
+        data = small_dataset(n=32)
+        batch = rows_tagged(data, VISUAL_RELATED)[:4]
+        ref = training.reference_logprobs(training.init_policy_for(data, seed=0), batch,
+                                          quick_config("modpp"))
+        assert training.check_reference(ref) is ref
+        ref[1, 2] = 0.25
+        with pytest.raises(training.DivergenceError,
+                           match=r"^reference diverged: row 2 ref_l is 0.25, not a finite "
+                                 r"log-probability <= 0$"):
+            training.check_reference(ref)
 
 
 class TestStopGradient:
