@@ -35,7 +35,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -314,6 +314,19 @@ class SuiteResult:
     seconds: float
 
 
+def _suite(name: str):
+    """Decorate a suite body that returns (passed, detail): the suite
+    returns them as the SuiteResult of that name, with the body's seconds."""
+    def decorate(body):
+        @wraps(body)
+        def suite(*args, **kwargs) -> SuiteResult:
+            start = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            return SuiteResult(name, passed, detail, time.perf_counter() - start)
+        return suite
+    return decorate
+
+
 # Acceptance tolerances: L1 distance of the closed form from ascent, and
 # the relative errors of the analytic gradients and of the stop-gradient step.
 _L1_TOL = 1e-4
@@ -321,13 +334,12 @@ _GRADIENT_TOL = 1e-5
 _STOP_GRADIENT_TOL = 1e-4
 
 
-def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
-                      seed: int = 0) -> SuiteResult:
+@_suite("closed_form")
+def closed_form_suite(n_instances: int = 200, grid_instances: int = None, seed: int = 0):
     """Closed form vs projected gradient ascent (and V=3 grid search).
 
     Every instance is drawn first, cycling through the vocabulary sizes;
     the ascent then solves all instances of one size in one call."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     sizes = [2, 3, 5, 8]
     if grid_instances is None:
@@ -348,21 +360,18 @@ def closed_form_suite(n_instances: int = 200, grid_instances: int = None,
             grid_point, grid_val = grid_argmax_3(*instance)
             worst_grid = max(worst_grid, float(np.abs(policy - grid_point).sum()))
             if core.mod_objective_value(policy, *instance) < grid_val - 1e-9:
-                return SuiteResult("closed_form", False, "a grid point beat the closed form",
-                                   time.perf_counter() - start)
+                return False, "a grid point beat the closed form"
             grid_done += 1
     # The grid can only localize the argmax to its own resolution.
-    passed = worst_pga < _L1_TOL and worst_grid < 2e-3
-    detail = (f"worst L1 vs ascent {worst_pga:.2e} (tol {_L1_TOL}), "
-              f"vs grid {worst_grid:.2e} (tol 2e-3)")
-    return SuiteResult("closed_form", passed, detail, time.perf_counter() - start)
+    return worst_pga < _L1_TOL and worst_grid < 2e-3, (
+        f"worst L1 vs ascent {worst_pga:.2e} (tol {_L1_TOL}), vs grid {worst_grid:.2e} (tol 2e-3)")
 
 
-def gradient_suite(n_triples: int = 100, seed: int = 0) -> SuiteResult:
+@_suite("gradients")
+def gradient_suite(n_triples: int = 100, seed: int = 0):
     """n_triples single-row (params, input row, upstream) triples, then one
     batch of six rows over three prompts, so the batched backward's row sum
     and prompt-table scatter-add are audited too."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
 
     def draw_params():
@@ -380,14 +389,13 @@ def gradient_suite(n_triples: int = 100, seed: int = 0) -> SuiteResult:
         worst = max(worst, policy_gradient_rel_error(params, *rows, rng.normal(size=(1, 5))))
     params, rows = draw_params(), draw_rows(6)
     worst = max(worst, policy_gradient_rel_error(params, *rows, rng.normal(size=(6, 5))))
-    return SuiteResult("gradients", worst < _GRADIENT_TOL,
-                       f"max relative error {worst:.2e} over {n_triples} contexts and a batch "
-                       f"of 6 (tol {_GRADIENT_TOL})", time.perf_counter() - start)
+    return worst < _GRADIENT_TOL, (f"max relative error {worst:.2e} over {n_triples} contexts "
+                                   f"and a batch of 6 (tol {_GRADIENT_TOL})")
 
 
-def stop_gradient_suite(n_steps: int = 20, seed: int = 0) -> SuiteResult:
+@_suite("stop_gradient")
+def stop_gradient_suite(n_steps: int = 20, seed: int = 0):
     """Audit modpp's analytic step against the frozen surrogate while training."""
-    start = time.perf_counter()
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=64, n_scenes=24, seed=seed,
                                                      world_seed=seed + 1))
     cfg = TrainConfig(lr=0.1, epochs=max(1, n_steps), batch_size=4, seed=seed, warmup_steps=30)
@@ -403,46 +411,39 @@ def stop_gradient_suite(n_steps: int = 20, seed: int = 0) -> SuiteResult:
         err, params = frozen_surrogate_rel_error(params, ref, batch, cfg, step, pools)
         worst = max(worst, err)
         steps = step + 1
-    return SuiteResult("stop_gradient", worst < _STOP_GRADIENT_TOL,
-                       f"max relative error {worst:.2e} over {steps} steps "
-                       f"(tol {_STOP_GRADIENT_TOL})",
-                       time.perf_counter() - start)
+    return worst < _STOP_GRADIENT_TOL, (f"max relative error {worst:.2e} over {steps} steps "
+                                        f"(tol {_STOP_GRADIENT_TOL})")
 
 
-def dataset_suite(n_pairs: int = 500, n_seeds: int = 2) -> SuiteResult:
+@_suite("dataset_roundtrip")
+def dataset_suite(n_pairs: int = 500, n_seeds: int = 2, seed: int = 0):
     """Round-trip (assemble then verify: zero violations) plus fault injection,
-    on files in a temporary directory removed afterwards."""
-    start = time.perf_counter()
+    on the datasets of seeds seed, ..., seed + n_seeds - 1, in files in a
+    temporary directory removed afterwards."""
     with tempfile.TemporaryDirectory(prefix="modlab-verify-") as tmp_dir:
-        for seed in range(n_seeds):
-            path = os.path.join(tmp_dir, f"roundtrip-{seed}.jsonl")
-            synth.assemble_dataset(synth.SynthConfig(n_pairs=n_pairs, n_scenes=300, seed=seed),
-                                   path)
+        for data_seed in range(seed, seed + n_seeds):
+            path = os.path.join(tmp_dir, f"roundtrip-{data_seed}.jsonl")
+            config = synth.SynthConfig(n_pairs=n_pairs, n_scenes=300, seed=data_seed)
+            synth.assemble_dataset(config, path)
             report = synth.verify_dataset(path)
             if not report.ok or report.n_records != n_pairs:
-                return SuiteResult("dataset_roundtrip", False,
-                                   f"seed {seed}: {report.n_violations} violations, "
-                                   f"{len(report.parse_errors)} parse errors",
-                                   time.perf_counter() - start)
+                return False, (f"seed {data_seed}: {report.n_violations} violations, "
+                               f"{len(report.parse_errors)} parse errors")
             # Fault injection: swap y_w / y_l on one line, expect exactly one bad line.
             with open(path) as fh:
                 lines = fh.read().splitlines()
             rec = json.loads(lines[7])
             rec["y_w"], rec["y_l"] = rec["y_l"], rec["y_w"]
             lines[7] = json.dumps(rec)
-            broken = os.path.join(tmp_dir, f"broken-{seed}.jsonl")
+            broken = os.path.join(tmp_dir, f"broken-{data_seed}.jsonl")
             with open(broken, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             shutil.copyfile(synth.stats_path(path), synth.stats_path(broken))
             injected = synth.verify_dataset(broken)
             bad_lines = {line for line, _ in injected.violations}
             if bad_lines != {8}:
-                return SuiteResult("dataset_roundtrip", False,
-                                   f"fault injection flagged lines {sorted(bad_lines)}, "
-                                   "expected [8]", time.perf_counter() - start)
-    return SuiteResult("dataset_roundtrip", True,
-                       f"{n_seeds} seeds x {n_pairs} records clean; fault injection localized",
-                       time.perf_counter() - start)
+                return False, f"fault injection flagged lines {sorted(bad_lines)}, expected [8]"
+    return True, f"{n_seeds} seeds x {n_pairs} records clean; fault injection localized"
 
 
 # Strength patterns and their per-pair passes.  gamma_lpd alone (2, 4, 2, 0) is
@@ -456,49 +457,39 @@ _EXPECTED_COUNTERS = {
 }
 
 
-def pass_count_suite(n_steps: int = 100, seed: int = 0) -> SuiteResult:
+@_suite("pass_counts")
+def pass_count_suite(n_steps: int = 100, seed: int = 0):
     """Per-pair counters of every step against the passes each strength
     pattern selects; the detail reports the fewest steps any pattern took."""
-    start = time.perf_counter()
     dataset = synth.generate_pairs(synth.SynthConfig(n_pairs=2 * n_steps, n_scenes=60, seed=seed))
     steps = []
     for hp, expected in _EXPECTED_COUNTERS.items():
         cfg = TrainConfig(hp=hp, lr=0.05, epochs=1, batch_size=2, seed=seed, warmup_steps=0)
         result = training.train(dataset, cfg)
         if len(result.counters) < n_steps:
-            return SuiteResult("pass_counts", False,
-                               f"{hp}: only {len(result.counters)} steps",
-                               time.perf_counter() - start)
+            return False, f"{hp}: only {len(result.counters)} steps"
         for step, counter in enumerate(result.counters):
             if counter != expected:
-                return SuiteResult("pass_counts", False,
-                                   f"{hp} step {step}: {counter} != {expected}",
-                                   time.perf_counter() - start)
+                return False, f"{hp} step {step}: {counter} != {expected}"
         steps.append(len(result.counters))
-    return SuiteResult("pass_counts", True,
-                       f"all {len(steps)} strength patterns exact over {min(steps)} steps",
-                       time.perf_counter() - start)
+    return True, f"all {len(steps)} strength patterns exact over {min(steps)} steps"
 
 
-def metrics_suite(seed: int = 0) -> SuiteResult:
+@_suite("metrics")
+def metrics_suite(seed: int = 0):
     """A frozen hand tally, then 1000 random confusion tables: empty strata
     give None, the accuracy and harmonic-mean identities hold to 1e-12, and
     two zero strata give a flagged f1 of 0."""
-    start = time.perf_counter()
-
-    def fail(detail):
-        return SuiteResult("metrics", False, detail, time.perf_counter() - start)
-
     # Frozen hand tally: 4 yes with 3 correct, 6 no with 5 correct.
     report = MetricsReport(yes_total=4, yes_correct=3, no_total=6, no_correct=5)
     expected = (80.0, 75.0, 250.0 / 3.0, 2 * 75.0 * (250.0 / 3.0) / (75.0 + 250.0 / 3.0))
     got = (report.accuracy, report.precision, report.recall, report.f1)
     if not np.allclose(got, expected, atol=1e-9):
-        return fail(f"hand tally mismatch: {got}")
+        return False, f"hand tally mismatch: {got}"
     printed = tuple(f"{v:.2f}" for v in (report.precision, report.recall, report.accuracy,
                                            report.f1))
     if printed != ("75.00", "83.33", "80.00", "78.95"):
-        return fail(f"hand tally prints as {printed}")
+        return False, f"hand tally prints as {printed}"
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         yt, nt = int(rng.integers(0, 60)), int(rng.integers(0, 60))
@@ -507,20 +498,19 @@ def metrics_suite(seed: int = 0) -> SuiteResult:
             no_total=nt, no_correct=int(rng.integers(0, nt + 1)))
         pre, rec, f1, acc = report.precision, report.recall, report.f1, report.accuracy
         if (yt == 0 and (pre is not None or f1 is not None)) or (nt == 0 and rec is not None):
-            return fail("metric defined on an empty stratum")
+            return False, "metric defined on an empty stratum"
         if report.total == 0:
             if acc is not None:
-                return fail("accuracy defined on an empty table")
+                return False, "accuracy defined on an empty table"
         elif abs(acc - 100.0 * (report.yes_correct + report.no_correct) / report.total) > 1e-12:
-            return fail("accuracy identity violated")
+            return False, "accuracy identity violated"
         if pre is not None and rec is not None:
             if pre + rec > 0:
                 if abs(f1 - 2 * pre * rec / (pre + rec)) > 1e-12:
-                    return fail("harmonic identity violated")
+                    return False, "harmonic identity violated"
             elif f1 != 0.0 or not report.degenerate_f1:
-                return fail("zero strata give an unflagged or nonzero f1")
-    return SuiteResult("metrics", True, "hand tally and identities hold",
-                       time.perf_counter() - start)
+                return False, "zero strata give an unflagged or nonzero f1"
+    return True, "hand tally and identities hold"
 
 
 def run_all(fast: bool = True, seed: int = 0):
@@ -530,7 +520,7 @@ def run_all(fast: bool = True, seed: int = 0):
             closed_form_suite(n_instances=40, grid_instances=8, seed=seed),
             gradient_suite(n_triples=30, seed=seed),
             stop_gradient_suite(n_steps=5, seed=seed),
-            dataset_suite(n_pairs=300, n_seeds=1),
+            dataset_suite(n_pairs=300, n_seeds=1, seed=seed),
             pass_count_suite(n_steps=20, seed=seed),
             metrics_suite(seed=seed),
         ]
@@ -538,7 +528,7 @@ def run_all(fast: bool = True, seed: int = 0):
         closed_form_suite(seed=seed),
         gradient_suite(seed=seed),
         stop_gradient_suite(seed=seed),
-        dataset_suite(n_pairs=2000, n_seeds=2),
+        dataset_suite(n_pairs=2000, n_seeds=2, seed=seed),
         pass_count_suite(seed=seed),
         metrics_suite(seed=seed),
     ]

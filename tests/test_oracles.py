@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modlab import core, oracles
+from modlab import core, oracles, synth
 from modlab import train as training
 from modlab.eval import MetricsReport
 from modlab.oracles import (
@@ -320,3 +320,41 @@ class TestSuites:
         res = oracles.dataset_suite(n_pairs=50, n_seeds=1)
         assert res.passed, res.detail
         assert list(tmp_path.iterdir()) == []
+
+    def test_dataset_suite_fails_on_a_violation_in_the_clean_file(self, monkeypatch):
+        real = synth.verify_dataset
+
+        def verify(path):
+            report = real(path)
+            if "roundtrip" in str(path):
+                report.violations.append((3, "injected"))
+            return report
+
+        monkeypatch.setattr(synth, "verify_dataset", verify)
+        res = oracles.dataset_suite(n_pairs=50, n_seeds=1)
+        assert res.passed is False and res.detail.startswith("seed 0:"), res.detail
+
+    def test_dataset_suite_fails_when_the_broken_copy_goes_unflagged(self, monkeypatch):
+        real = synth.verify_dataset
+
+        def verify(path):
+            report = real(path)
+            if "broken" in str(path):
+                report.violations.clear()
+            return report
+
+        monkeypatch.setattr(synth, "verify_dataset", verify)
+        res = oracles.dataset_suite(n_pairs=50, n_seeds=1)
+        assert res.passed is False, res.detail
+        assert res.detail == "fault injection flagged lines [], expected [8]"
+
+    def test_the_battery_round_trips_the_dataset_of_its_seed(self, monkeypatch):
+        real, seeds = synth.assemble_dataset, []
+
+        def assemble(cfg, path):
+            seeds.append(cfg.seed)
+            return real(cfg, path)
+
+        monkeypatch.setattr(synth, "assemble_dataset", assemble)
+        oracles.run_all(fast=True, seed=3)
+        assert seeds == [3]

@@ -1,7 +1,8 @@
 """The measuring tools under tools/: ab.summarize's verdicts on hand-made
 runs, ab.bench's environment with subprocess.run patched, and
 step_cost.step_pieces and step_cost.warmup_pieces on a small world, each
-timing a single call.  None writes a file."""
+timing a single call, checked against the train calls the tests count on
+their own.  None writes a file."""
 
 import importlib.util
 import json
@@ -99,6 +100,17 @@ class TestBench:
         assert not any(os.path.exists(prefix) for prefix in prefixes)
 
 
+# The train bindings a step calls, counted by the tests below on their own.
+BINDINGS = ("evaluate_batch", "corrupt", "forward_unchecked", "pair_loss_terms", "_sigmoid",
+            "backward", "apply_gradient_step")
+
+
+def labels(names: list) -> list:
+    """A name called once keeps it; one called more often is name[i]."""
+    return [n if names.count(n) == 1 else f"{n}[{names[:i].count(n)}]"
+            for i, n in enumerate(names)]
+
+
 class TestStepPieces:
     @pytest.fixture(scope="class")
     def world(self):
@@ -106,30 +118,71 @@ class TestStepPieces:
                                                  world_seed=100))
         return pairs, training.warmup_reference(pairs, steps=10, seed=0)
 
-    @pytest.mark.parametrize("name,n_corrupt", [("dpo", 0), ("modpp_desk", 2)])
-    def test_every_piece_is_timed(self, world, monkeypatch, name, n_corrupt):
-        step_cost = _tool("step_cost")
-        calls = []
-        monkeypatch.setattr(step_cost, "best_us", lambda fn, number=0: calls.append(fn()) or 1.0)
-        pieces = step_cost.step_pieces(*world, name)
-        corrupt = sorted(k for k in pieces if k.startswith("corrupt["))
-        assert [k.split(" ")[0] for k in corrupt] == [f"corrupt[{i}]" for i in range(n_corrupt)]
-        assert set(pieces) - set(corrupt) == {
-            "pairs", "train_step", "evaluate_batch", "forward_unchecked", "pair_loss_terms",
-            "_sigmoid", "backward", "apply_gradient_step"}
-        assert pieces["pairs"] == training.TrainConfig.batch_size
-        assert len(calls) == len(pieces) - 1
-        assert all(pieces[k] == 1.0 for k in pieces if k != "pairs")
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count every BINDINGS call: those step_cost runs untimed in runs,
+        those each best_us timing makes in a list of timed (every timing
+        calls its function once and returns 1.0).  Returns (step_cost, runs,
+        timed, the bindings as patched)."""
+        step_cost, runs, timed = _tool("step_cost"), [], []
+        timing = []  # non-empty while a timing runs its function
 
-    def test_every_warmup_piece_is_timed(self, world, monkeypatch):
-        step_cost = _tool("step_cost")
-        calls = []
-        monkeypatch.setattr(step_cost, "best_us", lambda fn, number=0: calls.append(fn()) or 1.0)
+        def counter(name, fn):
+            def count(*args, **kwargs):
+                (timed[-1] if timing else runs).append(name)
+                return fn(*args, **kwargs)
+            return count
+
+        def best_us(fn, number=0):
+            timed.append([])
+            timing.append(True)
+            fn()
+            timing.clear()
+            return 1.0
+
+        for name in BINDINGS:
+            monkeypatch.setattr(training, name, counter(name, getattr(training, name)))
+        monkeypatch.setattr(step_cost, "best_us", best_us)
+        return step_cost, runs, timed, {name: getattr(training, name) for name in BINDINGS}
+
+    @pytest.mark.parametrize("name,n_corrupt", [("dpo", 0), ("modpp_desk", 2)])
+    def test_every_piece_is_timed(self, world, counted, name, n_corrupt):
+        step_cost, runs, timed, bindings = counted
+        pieces = step_cost.step_pieces(*world, name)
+        # runs holds the one step step_cost ran untimed; the first timing is
+        # train_step itself, and every later one starts with its piece's call.
+        assert runs.count("corrupt") == n_corrupt
+        assert list(pieces) == ["pairs", "train_step", *labels(runs)]
+        assert timed[0] == runs
+        assert [calls[0] for calls in timed[1:]] == runs
+        assert pieces["pairs"] == training.TrainConfig.batch_size
+        assert all(pieces[k] == 1.0 for k in pieces if k != "pairs")
+        assert all(getattr(training, n) is fn for n, fn in bindings.items())
+
+    def test_every_warmup_piece_is_timed(self, world, counted):
+        step_cost, runs, timed, bindings = counted
         pieces = step_cost.warmup_pieces(world[0])
-        assert set(pieces) == {"steps", "rows", "warmup_reference_per_step",
-                               "forward_unchecked", "backward", "apply_gradient_step"}
+        assert runs == ["forward_unchecked", "backward", "apply_gradient_step"]
+        assert list(pieces) == ["steps", "rows", "warmup_reference_per_step", *runs]
+        assert timed[0] == runs * step_cost.WARMUP_STEPS
+        assert [calls[0] for calls in timed[1:]] == runs
         assert pieces["steps"] == step_cost.WARMUP_STEPS and pieces["rows"] == 16
         assert pieces["warmup_reference_per_step"] == 1.0 / step_cost.WARMUP_STEPS
-        assert len(calls) == 4
-        assert all(pieces[k] == 1.0 for k in ("forward_unchecked", "backward",
-                                              "apply_gradient_step"))
+        assert all(pieces[k] == 1.0 for k in runs)
+        assert all(getattr(training, n) is fn for n, fn in bindings.items())
+
+    @pytest.mark.parametrize("pieces", ["step_pieces", "warmup_pieces"])
+    def test_a_raising_step_leaves_every_binding_restored(self, world, monkeypatch, pieces):
+        step_cost = _tool("step_cost")
+
+        def backward(*args):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(training, "backward", backward)
+        monkeypatch.setattr(step_cost, "best_us", lambda fn, number=0: 1.0)  # times nothing
+        bindings = {name: getattr(training, name) for name in BINDINGS}
+        run = {"step_pieces": lambda: step_cost.step_pieces(*world, "modpp_desk"),
+               "warmup_pieces": lambda: step_cost.warmup_pieces(world[0])}[pieces]
+        with pytest.raises(FloatingPointError, match="injected"):
+            run()
+        assert all(getattr(training, n) is fn for n, fn in bindings.items())
