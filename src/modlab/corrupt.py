@@ -80,7 +80,7 @@ def corrupt(features, spec: CorruptionSpec, pool, rng: np.random.Generator):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise CorruptionError("features must be a (d,) vector or a (B, d) block of rows")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise CorruptionError("features must be finite")
 
     if spec.kind == "zeros":

@@ -29,10 +29,14 @@ come straight from the columns of a ``synth`` record table.
 
 ``PolicyParams`` and ``GradAccumulator`` keep their five named tensors
 as views into one flat vector, so a copy, a gradient step, a scaling or a
-finiteness check is one array operation.  ``forward_logprobs`` (the
-log-probabilities without the cache) and ``GradAccumulator.add`` have no
-caller in the package; they stay only because the benchmark harness wraps
-them by name.
+finiteness check is one array operation.  ``backward`` builds that vector
+with one ``np.concatenate`` of the five gradient blocks in layout order
+(the prompt table's block accumulated into zeros).  ``PolicyParams``
+binds its five views on construction, since every forward reads them; a
+``GradAccumulator`` binds a view only when its field is read, and a
+training step reads none.  ``forward_logprobs`` (the log-probabilities
+without the cache) and ``GradAccumulator.add`` have no caller in the
+package; they stay only because the benchmark harness wraps them by name.
 
 Checkpoints are written as a flat named-tensor text format with a version
 header (see ``save_checkpoint``); %.17g formatting makes round-trips exact
@@ -63,6 +67,13 @@ class _FlatTensors:
         for name, start, stop, shape in layout:
             state[name] = vector[..., start:stop].reshape(lead + shape)
 
+    @classmethod
+    def _wrap(cls, vector: np.ndarray, layout: tuple):
+        """An instance whose fields are views into vector (no copy)."""
+        tensors = cls.__new__(cls)
+        tensors._bind(vector, layout)
+        return tensors
+
     def __setattr__(self, name, value):
         if name not in PolicyParams.FIELDS:
             object.__setattr__(self, name, value)
@@ -85,13 +96,6 @@ class PolicyParams(_FlatTensors):
         stops = list(itertools.accumulate(t.size for t in tensors))
         self._bind(np.concatenate([t.ravel() for t in tensors]),
                    tuple(zip(self.FIELDS, [0, *stops], stops, (t.shape for t in tensors))))
-
-    @classmethod
-    def _wrap(cls, vector: np.ndarray, layout: tuple) -> "PolicyParams":
-        """Params whose fields are views into vector (no copy)."""
-        params = cls.__new__(cls)
-        params._bind(vector, layout)
-        return params
 
     def copy(self) -> "PolicyParams":
         return self._wrap(self.vector.copy(), self.layout)
@@ -118,10 +122,24 @@ class PolicyParams(_FlatTensors):
 
 
 class GradAccumulator(_FlatTensors):
-    """Additive gradient buffers matching PolicyParams shapes, zeroed."""
+    """Gradient buffers matching PolicyParams shapes, zeroed; ``_wrap``
+    takes a flat gradient vector instead.  A field's view is bound when it
+    is first read, so a training step, which reads only the vector, binds
+    none."""
 
     def __init__(self, params: PolicyParams):
         self._bind(np.zeros(params.vector.shape), params.layout)
+
+    def _bind(self, vector: np.ndarray, layout: tuple) -> None:
+        self.__dict__.update(vector=vector, layout=layout)
+
+    def __getattr__(self, name):  # reached only by a field not yet bound
+        if name not in PolicyParams.FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        _, start, stop, shape = self.layout[PolicyParams.FIELDS.index(name)]
+        lead = self.vector.shape[:-1]
+        view = self.__dict__[name] = self.vector[..., start:stop].reshape(lead + shape)
+        return view
 
     def add(self, other: "GradAccumulator") -> None:
         self.vector += other.vector
@@ -226,7 +244,8 @@ def forward_unchecked(params: PolicyParams, audio: np.ndarray, visual: np.ndarra
     widths, row counts and prompt ids ``check_inputs`` has already passed
     (the trainer's and the warm-up's rows, checked once per run).  A prompt
     id outside the table is not caught here: -1 wraps silently."""
-    h = np.tanh(audio @ params.u_a.mT + visual @ params.u_v.mT + params.e_x[..., prompt_ids, :])
+    h = np.tanh(audio @ params.u_a.mT + visual @ params.u_v.mT
+                + params.e_x.take(prompt_ids, axis=-2))
     logits = h @ params.w_out.mT + params.b[..., None, :]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
@@ -257,13 +276,11 @@ def backward(params: PolicyParams, cache, upstream: np.ndarray) -> GradAccumulat
     g_logits = upstream - upstream.sum(axis=1, keepdims=True) * cache.probs
     g_pre = (g_logits @ params.w_out) * (1.0 - cache.h * cache.h)
 
-    grads = GradAccumulator(params)
-    grads.b += g_logits.sum(axis=0)
-    grads.w_out += g_logits.T @ cache.h
-    grads.u_a += g_pre.T @ cache.audio
-    grads.u_v += g_pre.T @ cache.visual
-    np.add.at(grads.e_x, cache.prompt_ids, g_pre)
-    return grads
+    g_e_x = np.zeros(params.e_x.shape)
+    np.add.at(g_e_x, cache.prompt_ids, g_pre)  # repeated prompts accumulate
+    return GradAccumulator._wrap(np.concatenate([  # in layout order: u_a, u_v, e_x, w_out, b
+        (g_pre.T @ cache.audio).ravel(), (g_pre.T @ cache.visual).ravel(), g_e_x.ravel(),
+        (g_logits.T @ cache.h).ravel(), g_logits.sum(axis=0)]), params.layout)
 
 
 def apply_gradient_step(params: PolicyParams, grads: GradAccumulator, lr: float) -> PolicyParams:

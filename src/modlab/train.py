@@ -30,6 +30,9 @@ Per run, train() does the work whose result no step changes:
   feature widths and prompt id) and its one check (``check_reference``);
 - every step's corruption generator, seeded in one ``synth._streams``
   pass, and one PassCounter per pass pattern;
+- per epoch, one gather of the six columns a step reads and of the
+  reference table, in the epoch's schedule order (``_step_inputs``), so
+  each step's batch and reference block are slices of them;
 - in the warm-up (``warmup_reference``), one ``policy.check_inputs`` call
   before step 0: the columns' feature widths and row counts, and the
   prompt ids of every row the steps visit, in visit order, so a bad id
@@ -37,14 +40,14 @@ Per run, train() does the work whose result no step changes:
   batch with ``forward_unchecked``.
 
 There is one step, which the stop-gradient oracle audits too, and it
-relies on that work (see evaluate_batch).  It gathers the six columns a
-step reads of its rows and the rows' reference columns, makes one
+relies on that work (see evaluate_batch).  It makes one
 ``forward_unchecked`` call (over the clean columns themselves when no
-strength corrupts, else over one buffer per modality holding the clean
-rows with each corrupted block in the slices under them), checks its
+strength corrupts, else over one buffer per modality: the clean rows,
+then each corrupted block, joined by one concatenate), checks its
 log-probabilities finite in one pass (a log-softmax is <= 0 once finite),
 scores all pairs in one core.pair_terms call, and makes one backward
-through the clean rows.
+through the clean rows.  Which blocks a step forwards and which slots
+they fill is resolved once per (tag, strengths) pattern (``_step_plan``).
 
 Datasets are ``synth.PairTable`` columns; ``batch_schedule`` turns the
 tag column into one row-index array per step, whose rows share one
@@ -244,6 +247,29 @@ def _pass_counter(blocks: int, ref_slots: int) -> PassCounter:
     return PassCounter(fwd_policy=2 * blocks, fwd_ref=ref_slots, bwd_policy=2)
 
 
+@cache
+def _arange(n: int) -> np.ndarray:
+    """np.arange(n), built once per n and read-only."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
+
+
+@cache
+def _step_plan(tag: int, inv: bool, sens: bool) -> tuple:
+    """The blocks of a step on rows of one modality tag, given which of
+    beta_inv and beta_sens are nonzero: the modality each corrupted block
+    corrupts, in draw order (the irrelevant one for inv, then the relevant
+    one for sens), and the PairLogProbs slots of every block's (chosen,
+    rejected) log-probabilities, the clean block's first."""
+    relevant, irrelevant = ROLES[tag]
+    blocks = [(name, m) for name, m, on in (("inv", irrelevant, inv), ("sens", relevant, sens))
+              if on]
+    return (tuple(m for _, m in blocks),
+            tuple(f"{name}_{side}" for name in ("policy", *(name for name, _ in blocks))
+                  for side in "wl"))
+
+
 def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
                    step: int, pools=None, *, rng=None):
     """All log-probabilities the config's strengths read for a batch of pairs.
@@ -267,35 +293,30 @@ def evaluate_batch(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfi
     DivergenceError.
     """
     n = len(batch)
-    relevant, irrelevant = ROLES[batch.modality_tag[0]]
-    # The nonzero strengths' blocks in draw order: filled slot -> corrupted modality.
-    strengths = {"inv": (irrelevant, cfg.hp.beta_inv), "sens": (relevant, cfg.hp.beta_sens)}
-    corrupted = {slot: m for slot, (m, strength) in strengths.items() if strength > 0}
-    k = 1 + len(corrupted)
+    corrupted, names = _step_plan(batch.modality_tag[0], cfg.hp.beta_inv > 0,
+                                  cfg.hp.beta_sens > 0)
     audio, visual, prompt_ids = batch.audio, batch.visual, batch.prompt_id
     if corrupted:
-        stacked = {}
-        for m in ("audio", "visual"):  # every block starts as a copy of the clean rows
-            clean = getattr(batch, m)
-            stacked[m] = np.empty((k, n, clean.shape[1]))
-            stacked[m][:] = clean
         if rng is None:
             rng = _rng(cfg.seed, _CORRUPT_STREAM, step)
-        for block, m in enumerate(corrupted.values(), start=1):  # block 0 stays clean
-            stacked[m][block] = corrupt(getattr(batch, m), cfg.corruption,
-                                        pools.get(m) if pools else None, rng)
-        audio, visual = stacked["audio"].reshape(k * n, -1), stacked["visual"].reshape(k * n, -1)
-        prompt_ids = np.concatenate([prompt_ids] * k)
+        audios, visuals = [audio], [visual]
+        for m in corrupted:  # each block: the clean rows with modality m corrupted
+            drawn = corrupt(getattr(batch, m), cfg.corruption, pools.get(m) if pools else None,
+                            rng)
+            audios.append(drawn if m == "audio" else audio)
+            visuals.append(drawn if m == "visual" else visual)
+        audio, visual = np.concatenate(audios), np.concatenate(visuals)
+        prompt_ids = np.concatenate([prompt_ids] * len(audios))
     policy = forward_unchecked(params, audio, visual, prompt_ids)
-    # picked[block] holds the block's (chosen, rejected) log-probabilities.
-    picked = policy.logprobs.reshape(k, n, -1)[:, np.arange(n), np.array((batch.y_w, batch.y_l))]
-    slots = dict(zip(REF_SLOTS, ref), policy_w=picked[0, 0], policy_l=picked[0, 1])
-    for block, name in enumerate(corrupted, start=1):
-        slots[f"{name}_w"], slots[f"{name}_l"] = picked[block]
+    # Row b of picked holds block b's chosen (b even) or rejected log-probabilities.
+    picked = policy.logprobs.reshape(-1, n, policy.logprobs.shape[1])[
+        :, _arange(n), np.array((batch.y_w, batch.y_l))].reshape(-1, n)
     if not np.isfinite(policy.logprobs).all():  # a finite log-softmax is <= 0
         raise DivergenceError(f"training diverged at step {step}: loss nan "
                               "(non-finite log-probabilities)")
-    return (PairLogProbs.checked(**slots), _pass_counter(k, len(ref)),
+    slots = dict(zip(names, picked))
+    slots.update(zip(REF_SLOTS, ref))
+    return (PairLogProbs.checked(**slots), _pass_counter(len(names) // 2, len(ref)),
             policy[:n] if corrupted else policy)
 
 
@@ -316,7 +337,7 @@ def train_step(params: PolicyParams, ref: np.ndarray, batch, cfg: TrainConfig,
     losses, margins = pair_loss_terms(pl, cfg)
     loss = float(losses.sum() / losses.size)
     weights = _sigmoid(-margins) * cfg.hp.tau  # d(margin)/d(d_policy) is tau
-    rows = np.arange(len(batch))
+    rows = _arange(len(batch))
     upstream = np.zeros(clean.probs.shape)
     upstream[rows, batch.y_w] = -weights
     upstream[rows, batch.y_l] = weights
@@ -412,6 +433,23 @@ _STEP_COLUMNS = ("audio", "visual", "prompt_id", "modality_tag", "y_w", "y_l")
 _UNREAD = dict.fromkeys(name for name in PairTable.Row._fields if name not in _STEP_COLUMNS)
 
 
+def _step_inputs(dataset, ref_table: np.ndarray, schedule: list, epochs: int):
+    """Each step's (batch, reference block), in schedule order.  The step
+    columns and the reference table are gathered once per epoch, in the
+    epoch's schedule order, and each step takes slices of them."""
+    per_epoch = len(schedule) // epochs  # every epoch has the same batches' sizes
+    for first in range(0, len(schedule), per_epoch):
+        batches = schedule[first : first + per_epoch]
+        order = np.concatenate(batches)
+        columns = {name: getattr(dataset, name)[order] for name in _STEP_COLUMNS}
+        ref = ref_table[:, order]
+        stops = list(itertools.accumulate(map(len, batches)))
+        for start, stop in zip([0, *stops], stops):
+            yield (PairTable(**_UNREAD, **{name: column[start:stop]
+                                           for name, column in columns.items()}),
+                   ref[:, start:stop])
+
+
 def batch_schedule(dataset, cfg: TrainConfig):
     """The row-index array of every step's batch over all epochs.
 
@@ -460,14 +498,12 @@ def train(dataset, cfg: TrainConfig, ref_params: PolicyParams = None) -> TrainRe
         rngs = _streams((cfg.seed, _CORRUPT_STREAM), range(len(schedule)))
     else:
         rngs = itertools.repeat(None)
-    columns = {name: getattr(dataset, name) for name in _STEP_COLUMNS}
 
     losses = []
     counters = []
-    for step, (rows, rng) in enumerate(zip(schedule, rngs)):
-        batch = PairTable(**_UNREAD, **{name: column[rows] for name, column in columns.items()})
-        params, loss, counter = train_step(params, ref_table[:, rows], batch, cfg, step, pools,
-                                           rng=rng)
+    steps = _step_inputs(dataset, ref_table, schedule, cfg.epochs)
+    for step, ((batch, ref), rng) in enumerate(zip(steps, rngs)):
+        params, loss, counter = train_step(params, ref, batch, cfg, step, pools, rng=rng)
         _check_loss("training", step, loss, losses[0] if losses else loss)
         losses.append(loss)
         counters.append(counter)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from modlab import train as training
 from modlab.oracles import finite_difference_gradient, policy_gradient_rel_error
 from modlab.policy import (
     GradAccumulator,
@@ -262,6 +263,73 @@ class TestFlatBuffer:
             separate = apply_gradient_step(separate, row_backward(separate, row, upstream), 0.3)
             flat = apply_gradient_step(flat, row_backward(flat, row, upstream), 0.3)
         assert separate.to_vector().tobytes() == flat.to_vector().tobytes()
+
+
+def _backward_before(params, cache, upstream):
+    """policy.backward as it was written before it built one flat vector:
+    each gradient added into a zeroed GradAccumulator's field."""
+    g_logits = upstream - upstream.sum(axis=1, keepdims=True) * cache.probs
+    g_pre = (g_logits @ params.w_out) * (1.0 - cache.h * cache.h)
+    grads = GradAccumulator(params)
+    grads.b += g_logits.sum(axis=0)
+    grads.w_out += g_logits.T @ cache.h
+    grads.u_a += g_pre.T @ cache.audio
+    grads.u_v += g_pre.T @ cache.visual
+    np.add.at(grads.e_x, cache.prompt_ids, g_pre)
+    return grads
+
+
+class TestFlatGradient:
+    """backward concatenates the five gradient blocks into one vector.  The
+    accumulate-into-zeros form it replaced could differ only by turning a
+    -0.0 entry into +0.0, so the vectors are compared after + 0.0."""
+
+    @staticmethod
+    def case(seed, rows, zeros):
+        # Few prompts, so ids repeat; zero feature columns, and the first
+        # `zeros` upstream rows signed zeros, so some gradient entries are.
+        rng = np.random.default_rng(seed)
+        params = init_params(d_a=5, d_v=4, d_h=6, vocab_size=5, n_prompts=3, seed=seed)
+        audio, visual = rng.normal(size=(rows, 5)), rng.normal(size=(rows, 4))
+        audio[:, :zeros] = 0.0
+        upstream = rng.normal(size=(rows, 5)) * 10.0 ** rng.integers(-3, 3, size=(rows, 1))
+        upstream[:zeros] = rng.choice([0.0, -0.0], size=upstream[:zeros].shape)
+        cache = forward(params, audio, visual, rng.integers(3, size=rows))
+        return params, cache, upstream
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 31), rows=st.integers(1, 12), zeros=st.integers(0, 12))
+    def test_the_vector_is_the_accumulated_gradient(self, seed, rows, zeros):
+        params, cache, upstream = self.case(seed, rows, zeros)
+        flat, before = backward(params, cache, upstream), _backward_before(params, cache, upstream)
+        assert (flat.vector + 0.0).tobytes() == before.vector.tobytes()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 31), rows=st.integers(1, 12), zeros=st.integers(0, 12))
+    def test_the_descent_step_is_bit_identical(self, seed, rows, zeros):
+        params, cache, upstream = self.case(seed, rows, zeros)
+        updated = training._descend(params, cache, upstream, 0.5, lambda: "step")
+        grads = _backward_before(params, cache, upstream)
+        grads.scale(1.0 / rows)
+        assert updated.vector.tobytes() == apply_gradient_step(params, grads, 0.5).vector.tobytes()
+
+    def test_a_field_read_is_a_view_of_the_vector(self):
+        params, cache, upstream = self.case(1, 7, 1)
+        grads = backward(params, cache, upstream)
+        for f in PolicyParams.FIELDS:
+            view = getattr(grads, f)
+            assert view.shape == getattr(params, f).shape and np.shares_memory(view, grads.vector)
+            assert getattr(grads, f) is view, f  # bound once
+
+    @pytest.mark.parametrize("field", PolicyParams.FIELDS)
+    def test_a_non_finite_entry_is_named_before_any_field_is_read(self, field):
+        params, cache, upstream = self.case(2, 7, 0)
+        grads = backward(params, cache, upstream)
+        stop = next(stop for name, _, stop, _ in grads.layout if name == field)
+        grads.vector[stop - 1] = np.inf
+        with pytest.raises(FloatingPointError,
+                           match=f"^gradient accumulator {field} became non-finite$"):
+            grads.check_finite()
 
 
 class TestVectorRoundTrip:

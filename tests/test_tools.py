@@ -13,6 +13,7 @@ import pytest
 
 from modlab import synth
 from modlab import train as training
+from modlab.presets import make_config
 from modlab.synth import SynthConfig
 
 
@@ -150,13 +151,18 @@ class TestStepPieces:
         step_cost, runs, timed, bindings = counted
         pieces = step_cost.step_pieces(*world, name)
         # runs holds the one step step_cost ran untimed; the first timing is
-        # train_step itself, and every later one starts with its piece's call.
+        # train_step itself, the second train() over one epoch, whose every
+        # step makes the same calls, and every later one starts with its
+        # piece's call.
+        steps = len(training.batch_schedule(world[0], make_config(name, epochs=1)))
         assert runs.count("corrupt") == n_corrupt
-        assert list(pieces) == ["pairs", "train_step", *labels(runs)]
+        assert list(pieces) == ["pairs", "train_step", "train_per_step", *labels(runs)]
         assert timed[0] == runs
-        assert [calls[0] for calls in timed[1:]] == runs
+        assert timed[1] == runs * steps
+        assert [calls[0] for calls in timed[2:]] == runs
         assert pieces["pairs"] == training.TrainConfig.batch_size
-        assert all(pieces[k] == 1.0 for k in pieces if k != "pairs")
+        assert pieces["train_per_step"] == 1.0 / steps
+        assert all(pieces[k] == 1.0 for k in pieces if k not in ("pairs", "train_per_step"))
         assert all(getattr(training, n) is fn for n, fn in bindings.items())
 
     def test_every_warmup_piece_is_timed(self, world, counted):

@@ -727,6 +727,37 @@ class TestStepContract:
                                              rf"{synth.N_PROMPTS}$"):
             training.train(table, quick_config(), ref_params=ref)
 
+    @pytest.mark.parametrize("name", ["dpo", "modpp"])
+    def test_each_step_gets_its_schedule_rows_byte_for_byte(self, monkeypatch, name):
+        # train() gathers the step columns and the reference table once per
+        # epoch and hands each step slices of them; over three epochs whose
+        # tag groups are not whole batches, every step must still get
+        # exactly dataset[rows] and the table's rows block.
+        data, cfg = small_dataset(n=45, seed=3), make_config(name, epochs=3, batch_size=4)
+        assert all(np.count_nonzero(data.modality_tag == tag) % cfg.batch_size
+                   for tag in (VISUAL_RELATED, AUDIO_RELATED))
+        ref_params = training.warmup_reference(data, 10, seed=3)
+        columns = ("audio", "visual", "prompt_id", "modality_tag", "y_w", "y_l")
+        received, real_step = [], training.train_step
+
+        def recording(params, ref, batch, *args, **kwargs):
+            received.append((ref.copy(), [getattr(batch, c).copy() for c in columns]))
+            return real_step(params, ref, batch, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", recording)
+        training.train(data, cfg, ref_params=ref_params)
+        table = training.check_reference(training.reference_logprobs(ref_params, data, cfg))
+        schedule = training.batch_schedule(data, cfg)
+        assert len(received) == len(schedule)
+
+        def same(a, b):
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        for (ref, got), rows in zip(received, schedule):
+            want = data[rows]
+            assert same(ref, table[:, rows])
+            assert all(same(x, getattr(want, c)) for c, x in zip(columns, got))
+
     @pytest.mark.parametrize("name", ["dpo", "inv_only", "sens_only", "modpp"])
     def test_each_step_makes_the_calls_the_benchmark_divides_by(self, monkeypatch, name):
         data, cfg = small_dataset(n=40), make_config(name, epochs=2, batch_size=6)

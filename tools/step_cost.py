@@ -7,11 +7,15 @@ checkout's ``src/``.  Builds the ``experiment`` world of the benchmark
 (``HALLUCINATION_BENCHMARK`` at seed 81) and, for the ``dpo`` and
 ``modpp_desk`` presets, takes the first batch of the training schedule
 (16 pairs, step 0) with its block of the checked reference table.  It
-times ``train_step``, the one step ``train`` runs, then runs it once with
-the ``train`` bindings in ``PIECES`` recording their arguments and times
-each recorded call again on its own arguments, labelled in the step's
-call order: ``evaluate_batch``, each ``corrupt``, ``forward_unchecked``,
-``pair_loss_terms``, ``_sigmoid``, ``backward``, ``apply_gradient_step``.
+times ``train_step``, the one step ``train`` runs, and ``train_per_step``:
+``train`` over the world's first epoch from the world's reference, its
+per-run and per-epoch work and its loop included, divided by its steps,
+so the cost outside ``train_step`` shows as the difference.  Then it runs
+the step once with the ``train`` bindings in ``PIECES`` recording their
+arguments and times each recorded call again on its own arguments,
+labelled in the step's call order: ``evaluate_batch``, each ``corrupt``,
+``forward_unchecked``, ``pair_loss_terms``, ``_sigmoid``, ``backward``,
+``apply_gradient_step``.
 A binding called more than once is labelled by its index: ``corrupt[0]``
 is the irrelevant-modality block and ``corrupt[1]`` the relevant one, in
 the step's draw order; dpo corrupts nothing.  The ``warmup`` block times
@@ -100,7 +104,11 @@ def step_pieces(pairs, reference, name: str) -> dict:
     def step():
         return train.train_step(reference, ref, batch, cfg, 0, pools, rng=rng)
 
-    return {"pairs": len(rows), "train_step": best_us(step), **recorded_pieces(step)}
+    epoch = make_config(name, lr=spec.lr, epochs=1, seed=SEED)
+    steps = len(train.batch_schedule(pairs, epoch))
+    return {"pairs": len(rows), "train_step": best_us(step),
+            "train_per_step": best_us(lambda: train.train(pairs, epoch, reference), number=5)
+            / steps, **recorded_pieces(step)}
 
 
 def warmup_pieces(pairs) -> dict:
@@ -114,7 +122,8 @@ def warmup_pieces(pairs) -> dict:
 def main() -> None:
     pairs, _, reference = experiments.build_world(experiments.HALLUCINATION_BENCHMARK, SEED)
     doc = {"world": f"experiment (HALLUCINATION_BENCHMARK, seed {SEED}); presets: first "
-                    "batch, step 0; warmup: from the seeded initialization",
+                    "batch, step 0, and train_per_step over the first epoch; warmup: from the "
+                    "seeded initialization",
            "unit": f"us per call, minimum of {REPEATS} timeit repeats",
            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "numpy": np.__version__, "platform": platform.platform()}}
