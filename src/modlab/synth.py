@@ -36,19 +36,31 @@ file (``<path>.stats.json``) stores the generation parameters needed by the
 verifier plus summary statistics.
 
 In memory a file is one struct-of-arrays table (``PairTable`` or
-``ItemTable``), built once by ``read_records`` or a generator, and
-written by its ``records``.  Both generators collect each record's scene
-references, question, target and labels as one row, and ``_generated``
-turns the rows into the table, deriving the tag, prompt, matched flag and
-features.  A table holds one (N,) column per field, the features (N, d)
-columns named ``audio`` and ``visual``, with tags, question kinds, answers
-and task groups as int codes (indices into MODALITY_TAGS,
-EVAL_QUESTION_KINDS, ANSWERS, TASK_GROUPS).  ``t[rows]`` is a sub-table
-and ``t[i]`` one row (a ``PreferencePair`` or ``EvalItem`` named tuple).
-Functions take tables; only ``dataset_stats`` and ``pair_record`` (one
-row) ``coerce`` the rows the benchmark harness passes them, and
-``pair_record`` and ``generate_eval_records`` (the generated items as
-records) stay only because the harness calls them by name.
+``ItemTable``), built once by ``read_records`` or a generator.  Both
+generators collect each record's scene references, question, target and
+labels as one row, and ``_generated`` turns the rows into the table,
+deriving the tag, prompt, matched flag and features.  A table holds one
+(N,) column per field, the features (N, d) columns named ``audio`` and
+``visual``, with tags, question kinds, answers and task groups as int
+codes (indices into MODALITY_TAGS, EVAL_QUESTION_KINDS, ANSWERS,
+TASK_GROUPS).  ``t[rows]`` is a sub-table and ``t[i]`` one row (a
+``PreferencePair`` or ``EvalItem`` named tuple).  Functions take tables;
+only ``dataset_stats`` and ``pair_record`` (one row) ``coerce`` the rows
+the benchmark harness passes them.
+
+A table is written by its ``lines``: the text ``json.dumps`` gives each
+record, built column by column (each byte-distinct feature row formatted
+once) and filled into one template per row.  Its ``records`` are the
+rows as dicts, for ``pair_record`` and ``generate_eval_records`` (the
+generated items as records) only, which stay because the harness calls
+them by name.
+
+Scene pools are built through ``_scenes_of``, which keeps the last pool it
+built, so a process that writes a file and then verifies it builds that
+world once.  The kept pool cannot be stale: it is keyed by all of
+``generate_scenes``' inputs (the config's WORLD values, sequences stored
+as tuples), which fix every bit of the pool, and its arrays are read-only,
+so no caller can alter it.
 
 Random streams: stream ``(seed, tag, i)`` is ``_rng(seed, tag, i)``, that
 is ``default_rng(SeedSequence([seed, tag, i]))``.  Scene s draws from
@@ -219,7 +231,9 @@ PROMPT_OF = (VISUAL_PRESENCE_BASE, AUDIO_PRESENCE_BASE, VISUAL_CAPTION_PROMPT,
 #
 # A column parser maps the values of one field (None where a record lacks
 # it) to (column, {row: problem}).  A bad row holds a filler value, so the
-# checks of the other columns still run on every row.
+# checks of the other columns still run on every row.  Its ``encode`` maps
+# a column back to what ``_Table.lines`` formats with %s: the JSON text of
+# each value, an int as itself (its str is its JSON text).
 
 
 def _ints(values, key: str):
@@ -247,25 +261,32 @@ def _codes(names: tuple):
         return np.array([0 if i in bad else index[v] for i, v in enumerate(values)],
                         dtype=np.int64), bad
 
+    texts = tuple(map(json.dumps, names))
     parse.names = names
+    parse.encode = lambda column: [texts[code] for code in column.tolist()]
     return parse
 
 
+# The element types of a feature row: JSON numbers, not booleans or strings.
+_NUMBERS = {int, float}
+
+
 def _features(values, key: str):
-    """(rows, d) column of number lists, d the most common row length."""
+    """(rows, d) column of lists of JSON numbers, d the most common row length."""
     try:
         column = np.array(values, dtype=np.float64)
-        if column.ndim == 2:
+        if column.ndim == 2 and set(map(type, itertools.chain.from_iterable(values))) <= _NUMBERS:
             return column, {}
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     rows = []
     for value in values:
         try:
             row = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             row = None
-        rows.append(row if row is not None and row.ndim == 1 else None)
+        numbers = row is not None and row.ndim == 1 and set(map(type, value)) <= _NUMBERS
+        rows.append(row if numbers else None)
     lengths = Counter(row.size for row in rows if row is not None)
     d = lengths.most_common(1)[0][0] if lengths else 0
     column, bad = np.zeros((len(rows), d)), {}
@@ -277,6 +298,23 @@ def _features(values, key: str):
         else:
             column[i] = row
     return column, bad
+
+
+def _feature_texts(column) -> list:
+    """The JSON text of each row of an (N, d) column; each byte-distinct
+    row is formatted once, so -0.0 and NaN keep json.dumps's text."""
+    n, d = column.shape
+    if not d:  # a zero-width void view ravels to no rows at all
+        return ["[]"] * n
+    rows = np.ascontiguousarray(column).view(np.dtype((np.void, column.itemsize * d))).ravel()
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    texts = list(map(json.dumps, distinct.view(column.dtype).reshape(-1, d).tolist()))
+    return [texts[i] for i in inverse.tolist()]
+
+
+_ints.encode = np.ndarray.tolist
+_flags.encode = lambda column: [("false", "true")[flag] for flag in column.tolist()]
+_features.encode = _feature_texts
 
 
 def _non_finite(column, name: str):
@@ -292,16 +330,22 @@ class _Table:
 
     Subclasses list ``RECORD``, the (record key, parser) pair of each field
     in file order: the one declaration of the file format, which ``check``
-    reads and ``records`` writes.  A column is named after its key without
-    the "_feat" suffix.
+    reads and ``lines`` and ``records`` write.  A column is named after its
+    key without the "_feat" suffix.
     """
 
     RECORD = ()
     Row = None
 
+    def __init_subclass__(cls):
+        cls._FIELDS = frozenset(cls.Row._fields)
+
     def __init__(self, **columns):
-        for name in self.Row._fields:
-            setattr(self, name, columns[name])
+        # The keyword dict is this call's own: it becomes the instance dict
+        # when it holds exactly the Row fields (a missing one is a KeyError).
+        if columns.keys() != self._FIELDS:
+            columns = {name: columns[name] for name in self.Row._fields}
+        self.__dict__ = columns
 
     def __len__(self) -> int:
         return len(self.prompt_id)
@@ -327,6 +371,17 @@ class _Table:
     def concat(cls, tables):
         return cls(**{name: np.concatenate([getattr(t, name) for t in tables])
                       for name in cls.Row._fields})
+
+    def lines(self):
+        """An iterator over the file line of each row: ``json.dumps`` of its
+        record plus a newline, each column encoded once and each row one
+        %-template fill.  Lines are made as they are read: holding a
+        file's lines at once raised the default pipeline's peak RSS by
+        about 1 MB."""
+        template = "{" + ", ".join(f"{json.dumps(key)}: %s" for key, _ in self.RECORD) + "}\n"
+        columns = [parse.encode(getattr(self, name))
+                   for (_, parse), name in zip(self.RECORD, self.Row._fields)]
+        return map(template.__mod__, zip(*columns))
 
     def records(self) -> list:
         """The file record of each row: a dict with the RECORD keys in file
@@ -642,9 +697,22 @@ def _check_rates(cfg, *fractions) -> None:
             object.__setattr__(cfg, name, tuple(float(v) for v in value))
 
 
+# The last pool _scenes_of built: {its WORLD values: the pool}.
+_LAST_POOL = {}
+
+
 def _scenes_of(world) -> Scenes:
-    """The scene pool of an object holding the WORLD settings."""
-    return generate_scenes(*(getattr(world, key) for key in WORLD))
+    """The scene pool of a config holding the WORLD settings (its sequences
+    stored as tuples), with read-only arrays.  The last pool built is kept,
+    so a process that writes a file and verifies it builds the pool once."""
+    key = tuple(getattr(world, name) for name in WORLD)
+    if key not in _LAST_POOL:
+        scenes = generate_scenes(*key)
+        for column in vars(scenes).values():
+            column.flags.writeable = False
+        _LAST_POOL.clear()
+        _LAST_POOL[key] = scenes
+    return _LAST_POOL[key]
 
 
 @dataclass(frozen=True)
@@ -763,12 +831,12 @@ def stats_path(path) -> str:
     return str(path) + ".stats.json"
 
 
-def _write_records(path, records, stats: dict) -> dict:
-    """Write a JSONL file and its sidecar stats; returns the stats."""
+def _write_records(path, lines, stats: dict) -> dict:
+    """Write a JSONL file of a table's lines and its sidecar stats; returns
+    the stats."""
     os.makedirs(os.path.dirname(os.path.abspath(path)) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(lines)
     with open(stats_path(path), "w", encoding="ascii") as fh:
         fh.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     return stats
@@ -818,7 +886,7 @@ def read_records(path, table):
 
 def write_pairs(path, pairs: PairTable, cfg: SynthConfig) -> dict:
     """Write generated pairs (records plus sidecar stats); returns the stats."""
-    return _write_records(path, pairs.records(), dataset_stats(pairs, cfg))
+    return _write_records(path, pairs.lines(), dataset_stats(pairs, cfg))
 
 
 def assemble_dataset(cfg: SynthConfig, path) -> dict:
@@ -1055,7 +1123,7 @@ def eval_stats(items: ItemTable, cfg: EvalConfig) -> dict:
 
 def write_eval_items(path, items: ItemTable, cfg: EvalConfig) -> dict:
     """Write generated eval items (records plus sidecar stats); returns the stats."""
-    return _write_records(path, items.records(), eval_stats(items, cfg))
+    return _write_records(path, items.lines(), eval_stats(items, cfg))
 
 
 def assemble_eval_items(cfg: EvalConfig, path) -> dict:

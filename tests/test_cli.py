@@ -261,6 +261,9 @@ class TestBadRecords:
                      lambda v: v[:2] + [float("nan")] + v[3:],
                      "audio_feat holds a non-finite value",
                      id="train-dataset.jsonl-audio_feat-nan"),
+        pytest.param("train", "dataset.jsonl", "audio_feat", lambda v: [str(v[0])] + v[1:],
+                     "audio_feat is not a list of numbers",
+                     id="train-dataset.jsonl-audio_feat-string"),
         pytest.param("eval", "eval_items.jsonl", "visual_feat", lambda v: v[:7],
                      "visual_feat has 7 values, expected 8",
                      id="eval-eval_items.jsonl-visual_feat-short"),

@@ -169,6 +169,56 @@ class TestScenes:
         assert loud_visual > 5.0
 
 
+class TestScenePool:
+    """_scenes_of keeps the last pool it built, keyed by the WORLD values."""
+
+    def test_arrays_are_read_only(self):
+        scenes = synth._scenes_of(SynthConfig(n_scenes=12, seed=4))
+        for column in (scenes.visible, scenes.sounding, scenes.audio, scenes.visual):
+            assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            scenes.audio[0, 0] = 1.0
+
+    def test_a_pool_is_kept_for_its_world_alone(self):
+        world = dict(n_scenes=12, seed=4, world_seed=7, matched_bias=0.5, feature_noise=0.05)
+        other = dict(n_scenes=13, seed=5, world_seed=8, matched_bias=0.6, feature_noise=0.1)
+        pool = synth._scenes_of(SynthConfig(**world))
+        assert synth._scenes_of(EvalConfig(**world)) is pool
+        for name in synth.WORLD:
+            assert synth._scenes_of(SynthConfig(**{**world, name: other[name]})) is not pool
+
+    def test_verifying_another_world_between_gives_the_memo_free_reports(self, tmp_path):
+        worlds = {"a": SynthConfig(n_pairs=40, n_scenes=15, seed=1),
+                  "b": SynthConfig(n_pairs=40, n_scenes=15, seed=1, world_seed=9)}
+        paths = {}
+        for name, cfg in worlds.items():
+            path = paths[name] = tmp_path / f"{name}.jsonl"
+            assemble_dataset(cfg, path)
+            lines = path.read_text().splitlines()
+            rec = json.loads(lines[2])
+            rec["audio_feat"][0] += 1.0  # a report that depends on the pool
+            lines[2] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+
+        def memo_free(path):
+            synth._LAST_POOL.clear()
+            return verify_dataset(path)
+
+        expected = {name: memo_free(path) for name, path in paths.items()}
+        assert expected["a"].violations == [(3, "audio features do not match the referenced scene")]
+        synth._scenes_of(worlds["a"])
+        assert verify_dataset(paths["b"]) == expected["b"]
+        assert verify_dataset(paths["a"]) == expected["a"]
+
+    def test_generate_scenes_still_takes_lists(self):
+        bias, noise = [0.2, 0.4, 0.6, 0.8, 0.5, 0.3], [0.05, 0.2]
+        listed = generate_scenes(12, 4, 7, matched_bias=bias, feature_noise=noise)
+        pooled = synth._scenes_of(SynthConfig(n_scenes=12, seed=4, matched_bias=bias,
+                                              feature_noise=noise))
+        for name in ("visible", "sounding", "audio", "visual"):
+            assert np.array_equal(getattr(listed, name), getattr(pooled, name))
+
+
 def _pair(scenes, visual_scene, audio_scene, question_kind, rng):
     """The one-row PairTable generate_pairs assembles from build_pair's
     labels, or None when build_pair finds no target."""
@@ -557,6 +607,10 @@ class TestColumnValidation:
         (_with(audio_scene=None), "audio_scene None is not an integer"),
         (_with(matched="no"), "matched 'no' is not a boolean"),
         (_with(matched=1), "matched 1 is not a boolean"),
+        pytest.param(lambda rec: {**rec, "audio_feat": ["0.5"] + rec["audio_feat"][1:]},
+                     "audio_feat is not a list of numbers", id="feature-string"),
+        pytest.param(lambda rec: {**rec, "visual_feat": rec["visual_feat"][:7] + [True]},
+                     "visual_feat is not a list of numbers", id="feature-boolean"),
     ])
     def test_first_bad_line_named_with_its_field(self, tmp_path, edit, problem):
         path = _write_lines(tmp_path, {5: edit})
@@ -587,6 +641,12 @@ class TestColumnValidation:
             synth.load_pairs(path)
         assert str(err.value) == f"{path}, line 1: audio_feat has 7 values, expected 8"
         assert verify_dataset(path).violations == [(1, "audio_feat has 7 values, expected 8")]
+
+    def test_feature_value_spelt_as_a_string_is_a_violation(self, tmp_path):
+        # The string spells the scene's own value, so only its type is wrong.
+        path = _write_lines(tmp_path, {3: lambda rec: {
+            **rec, "audio_feat": [repr(rec["audio_feat"][0])] + rec["audio_feat"][1:]}})
+        assert verify_dataset(path).violations == [(4, "audio_feat is not a list of numbers")]
 
     def test_eval_item_columns(self, tmp_path):
         path = tmp_path / "items.jsonl"
@@ -879,6 +939,64 @@ class TestPinnedBytes:
         assert self._digests(path) == [
             "a567dca564fb891520b0f6aa45b8ee92669eba375d1e4788c162713562cd2ced",
             "1c9fc0c21f189274849ae70d9a97f5f83afecff5e569e7346fd3203c53a4d4f5"]
+
+
+# Feature values json.dumps spells in its own way: signed zero, subnormals,
+# exponents, NaN (also one with other payload bits) and the infinities.
+_ODD_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 1e16, 1e-5, 1.5, float("nan"), float("inf"),
+               -float("inf"), float(np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]))
+
+
+@st.composite
+def _tables(draw):
+    """A PairTable or ItemTable of any column values, feature rows drawn
+    from a few distinct rows so that rows repeat."""
+    table = draw(st.sampled_from([synth.PairTable, synth.ItemTable]))
+    n = draw(st.integers(0, 6))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    columns = {}
+    for (_, parse), name in zip(table.RECORD, table.Row._fields):
+        if parse is synth._features:
+            d = draw(st.integers(0, 3))
+            values = st.one_of(st.sampled_from(_ODD_FLOATS), st.floats())
+            rows = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1, max_size=3))
+            picks = column(st.integers(0, len(rows) - 1))
+            columns[name] = np.array([rows[i] for i in picks], dtype=np.float64).reshape(n, d)
+        elif parse is synth._flags:
+            columns[name] = np.array(column(st.booleans()), dtype=bool)
+        elif hasattr(parse, "names"):
+            columns[name] = np.array(column(st.integers(0, len(parse.names) - 1)), dtype=np.int64)
+        else:
+            columns[name] = np.array(column(st.integers(-2 ** 63, 2 ** 63 - 1)), dtype=np.int64)
+    return table(**columns)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(table=_tables())
+def test_lines_are_the_json_of_each_record(table):
+    assert list(table.lines()) == [json.dumps(rec) + "\n" for rec in table.records()]
+
+
+def test_lines_of_empty_tables_and_zero_width_features():
+    pairs = generate_pairs(SynthConfig(n_pairs=5, n_scenes=10, seed=1))
+    assert list(pairs[:0].lines()) == []
+    narrow = synth.PairTable(**{**{name: getattr(pairs, name) for name in pairs.Row._fields},
+                                "audio": np.zeros((5, 0))})
+    lines = list(narrow.lines())
+    assert lines == [json.dumps(rec) + "\n" for rec in narrow.records()]
+    assert all('"audio_feat": [], ' in line for line in lines)
+
+
+def test_a_table_holds_exactly_its_row_fields():
+    pairs = generate_pairs(SynthConfig(n_pairs=5, n_scenes=10, seed=1))
+    columns = {name: getattr(pairs, name) for name in pairs.Row._fields}
+    assert set(vars(synth.PairTable(**columns, extra=np.zeros(5)))) == set(pairs.Row._fields)
+    del columns["y_l"]
+    with pytest.raises(KeyError, match="y_l"):
+        synth.PairTable(**columns)
 
 
 def test_check_names_each_bad_record():
