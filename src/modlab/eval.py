@@ -55,6 +55,7 @@ from .synth import (
     ROLES,
     TASK_GROUPS,
     YES_ID,
+    _NUMBERS,
     EvalItem,
     ItemTable,
     read_records,
@@ -70,7 +71,8 @@ class EvalError(ValueError):
 
 def item_from_record(rec: dict) -> EvalItem:
     """The EvalItem row of one decoded eval-item record.  The code fields,
-    prompt_id (an integer in [0, N_PROMPTS)) and the features (finite 1-D)
+    prompt_id (an integer in [0, N_PROMPTS)) and the features (1-D lists
+    of finite JSON numbers: no strings, booleans or overflowing integers)
     are checked, each failure an EvalError naming the field;
     ``load_eval_items`` checks whole files."""
     codes = {}
@@ -86,9 +88,10 @@ def item_from_record(rec: dict) -> EvalItem:
     for key in ("audio_feat", "visual_feat"):
         try:
             x = np.array(rec[key], dtype=np.float64)
-        except (TypeError, ValueError):
-            x = None
-        if x is None or x.ndim != 1 or not all(map(math.isfinite, x.tolist())):
+            numbers = x.ndim == 1 and set(map(type, rec[key])) <= _NUMBERS
+        except (TypeError, ValueError, OverflowError):
+            numbers = False
+        if not numbers or not all(map(math.isfinite, x.tolist())):
             raise EvalError(f"{key} must be a 1-D list of finite numbers")
         features.append(x)
     return EvalItem(visual_scene=rec["visual_scene"], audio_scene=rec["audio_scene"],

@@ -13,15 +13,16 @@ route that shares none of its code:
                              injection
     pass accounting      vs  a fixed table of passes per strength pattern
 
-Each oracle is evaluated as a few array calls.  Finite differences build
-the whole (2n, n) stack of perturbed points and evaluate it once: the
-policy oracles score every perturbed parameter vector in one ``forward``
-over stacked parameters.  The ascent solves every closed-form instance of
-one vocabulary size in lock step, one (N, V) row each, and scores each line
+Each oracle is evaluated as a few array calls, in blocks of bounded size
+so that none holds a large array or wakes a BLAS worker thread.  Finite
+differences evaluate the (2n, n) stack of perturbed points a block of row
+pairs at a time (at most 256 KiB each): the policy oracles score each
+block's perturbed parameter vectors in one ``forward`` over stacked
+parameters.  The ascent solves every closed-form instance of one
+vocabulary size in lock step, one (N, V) row each, and scores each line
 search's whole halving ladder as one candidate array.  The grid search
-reads a coarse simplex lattice (and its p log p terms) built once per
-resolution and cached; it runs one instance at a time, since a stack of
-lattices would hold an (instances, lattice points) array.
+scores the objective, a sum of one term per coordinate, from three 1-D
+tables over each lattice box, 64 rows at a time, one instance at a time.
 
 The ``run_all`` entry point executes the whole battery and is what the
 command-line ``verify`` command wraps.
@@ -35,9 +36,10 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import core, synth
 from . import train as training
@@ -158,61 +160,87 @@ def pga_argmax(r, p_ref, q_inv, q_sens, hp) -> np.ndarray:
     return p[0] if single else p
 
 
-def _simplex_lattice(i, j, n: int):
-    """(points, sum p log p) of the lattice points (i, j, n-i-j)/n with
-    i, j >= 0 and i + j <= n; 0 log 0 is taken as 0."""
-    keep = (i >= 0) & (j >= 0) & (i + j <= n)
-    i, j = i[keep], j[keep]
-    p = np.empty((i.size, 3))
-    p[:, 0], p[:, 1], p[:, 2] = i, j, n - i - j
-    p /= n
+# Rows of a lattice box scored at once: 64 rows of the coarse 1001-point box
+# are 0.5 MB; 32 to 256 rows time alike, and fewer hold less memory.
+_GRID_BLOCK_ROWS = 64
+
+
+def _coordinate_table(index, n: int, weight: float, c: float) -> np.ndarray:
+    """weight * p + c * p log p at each p = index / n (0 log 0 taken as 0),
+    -inf where the index lies outside [0, n]."""
+    p = index / n
     logp = np.zeros_like(p)
     np.log(p, out=logp, where=p > 0)
-    logp *= p
-    return p, logp.sum(axis=1)
+    table = weight * p + c * (logp * p)
+    table[(index < 0) | (index > n)] = -np.inf
+    return table
 
 
-@lru_cache(maxsize=4)
-def _coarse_lattice(n: int):
-    """The whole lattice at resolution 1/n, built once per n (read-only)."""
-    i, j = np.ogrid[: n + 1, : n + 1]
-    lattice = _simplex_lattice(*np.broadcast_arrays(i, j), n)
-    for array in lattice:
-        array.flags.writeable = False
-    return lattice
+def _box_blocks(i0: int, j0: int, size: int, n: int, linear, c: float):
+    """The objective at the lattice points (i, j, n-i-j)/n of the box
+    i0 <= i < i0 + size, j0 <= j < j0 + size, as (first row, block) pairs
+    of at most _GRID_BLOCK_ROWS box rows each, in row order.
+
+    The objective p @ linear + c * sum p log p is one term per coordinate,
+    so the block is F0[i] + F1[j] + F2[n-i-j] of three 1-D tables; the
+    third is read through a sliding window, since n-i-j runs down by one
+    along both i and j.  Points off the simplex score -inf; a block leaves
+    out the columns past the last simplex point of its first row, and the
+    blocks stop at the first row with no simplex point.
+    """
+    offsets = np.arange(size)
+    first = _coordinate_table(i0 + offsets, n, linear[0], c)
+    second = _coordinate_table(j0 + offsets, n, linear[1], c)
+    # third[a + b] is the term of the third coordinate n - (i0 + a) - (j0 + b).
+    third = _coordinate_table(n - i0 - j0 - np.arange(2 * size - 1), n, linear[2], c)
+    windows = sliding_window_view(third, size)
+    for a in range(0, size, _GRID_BLOCK_ROWS):
+        width = min(size, n - i0 - j0 - a + 1)
+        if width <= 0:
+            break
+        rows = slice(a, a + _GRID_BLOCK_ROWS)
+        block = first[rows, None] + second[:width]
+        block += windows[rows, :width]
+        yield a, block
+
+
+def _box_argmax(i0: int, j0: int, size: int, n: int, linear, c: float):
+    """((i, j), value) of the box's best lattice point; of equal values the
+    first in (i, j) order wins, as argmax over the whole box would pick."""
+    where, best = None, -np.inf
+    for a, block in _box_blocks(i0, j0, size, n, linear, c):
+        k = int(np.argmax(block))
+        if where is None or block.flat[k] > best:
+            row, col = divmod(k, block.shape[1])
+            where, best = (i0 + a + row, j0 + col), block.flat[k]
+    return where, float(best)
 
 
 def grid_argmax_3(r, p_ref, q_inv, q_sens, hp: Hyperparams, grid_step: float = 1e-3):
     """Exhaustive argmax of the objective over the 3-simplex grid, refined.
 
     Evaluates every lattice point (i, j, n-i-j)/n with n = 1/grid_step,
-    vectorized, then every point of the ten times finer lattice within two
-    coarse cells of the best one, so the result localizes the argmax to
-    about grid_step/10.  The objective is evaluated as
+    then every point of the ten times finer lattice within two coarse
+    cells of the best one, so the result localizes the argmax to about
+    grid_step/10.  The objective is evaluated as
 
         p @ (r - sum_k c_k log q_k) + (sum_k c_k) * sum p log p
 
-    with c = (-beta, -beta_inv, +beta_sens) for (p_ref, q_inv, q_sens), so
-    only the first term depends on the instance; the coarse lattice and its
-    p log p terms are cached per n.  Returns (argmax point, objective value
-    there).
+    with c = (-beta, -beta_inv, +beta_sens) for (p_ref, q_inv, q_sens),
+    which is a sum of one term per coordinate of p; each box (the coarse
+    lattice, then the refined 41 x 41 window) is scored from three 1-D
+    tables a block of rows at a time (``_box_blocks``), so nothing holds
+    the whole lattice.  Of equal values the first point in (i, j) order
+    wins.  Returns (argmax point, objective value there).
     """
     coeffs = (-hp.beta, -hp.beta_inv, +hp.beta_sens)
     logs = [np.log(np.asarray(q, dtype=np.float64)) for q in (p_ref, q_inv, q_sens)]
     linear = np.asarray(r, dtype=np.float64) - sum(c * log_q for c, log_q in zip(coeffs, logs))
-
-    def best(p, plogp):
-        """(point, value) of the best of the given lattice points."""
-        values = p @ linear + sum(coeffs) * plogp
-        k = int(np.argmax(values))
-        return p[k], float(values[k])
-
+    c = sum(coeffs)
     n = int(round(1.0 / grid_step))
-    point, _ = best(*_coarse_lattice(n))
-    i, j = np.rint(point[:2] * n).astype(int)
-    window = np.arange(-20, 21)
-    i, j = np.meshgrid(10 * i + window, 10 * j + window, indexing="ij")
-    return best(*_simplex_lattice(i.ravel(), j.ravel(), 10 * n))
+    (i, j), _ = _box_argmax(0, 0, n + 1, n, linear, c)
+    (i, j), value = _box_argmax(10 * i - 20, 10 * j - 20, 41, 10 * n, linear, c)
+    return np.array([i, j, 10 * n - i - j]) / (10 * n), value
 
 
 def random_instance(v: int, rng: np.random.Generator):
@@ -243,17 +271,38 @@ def random_instance(v: int, rng: np.random.Generator):
 # Finite differences
 
 
+# Bytes of perturbed points per call of f: 256 KiB holds 25 row pairs of the
+# 648-parameter policy, so no call builds a stack of every perturbation.
+_FD_BLOCK_BYTES = 256 * 1024
+
+
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central differences (f(x+h e_i) - f(x-h e_i)) / 2h for every i.
 
-    x is a flat (n,) vector.  f is called once, on the (2n, n) stack whose
-    rows are x + h e_0, ..., x + h e_{n-1}, then x - h e_0, ..., x - h e_{n-1},
-    and returns the (2n,) vector of values at those points.
+    x is a flat (n,) vector.  f is called on blocks of m <= n coordinates
+    i, ..., i+m-1, each as the (2m, n) stack whose rows are x + h e_i, ...,
+    x + h e_{i+m-1}, then x - h e_i, ..., x - h e_{i+m-1}, and returns the
+    (2m,) vector of values at those points.  A stack holds at most
+    _FD_BLOCK_BYTES (and always at least one row pair), so an x of up to
+    128 coordinates is one call.  f must score each row on its own; the
+    result then does not depend on the blocking.
     """
     x = np.asarray(x, dtype=np.float64)
-    steps = h * np.eye(x.size)
-    values = np.asarray(f(np.concatenate([x + steps, x - steps])), dtype=np.float64)
-    return (values[: x.size] - values[x.size :]) / (2.0 * h)
+    n = x.size
+    pairs = max(1, _FD_BLOCK_BYTES // (2 * n * x.itemsize))
+    plus = x + 0.0  # off the diagonal, x + h e_i holds x + 0.0 (-0.0 + 0.0 is 0.0)
+    grad = np.empty(n)
+    for start in range(0, n, pairs):
+        coords = np.arange(start, min(start + pairs, n))
+        m = coords.size
+        rows = np.arange(m)
+        stack = np.empty((2 * m, n))
+        stack[:m], stack[m:] = plus, x
+        stack[rows, coords] = x[coords] + h
+        stack[m + rows, coords] = x[coords] - h
+        values = np.asarray(f(stack), dtype=np.float64)
+        grad[coords] = (values[:m] - values[m:]) / (2.0 * h)
+    return grad
 
 
 def policy_gradient_rel_error(params, audio, visual, prompt_ids, upstream: np.ndarray) -> float:

@@ -21,11 +21,12 @@ check and its message, then ``forward_unchecked``, the arithmetic alone,
 which the trainer and its warm-up call on rows checked once per run.
 
 The backward pass sums gradients over rows (the prompt table through
-``np.add.at``, so repeated prompts accumulate).  Slicing a cache
-(``cache[:n]``) keeps those rows only, which is how the trainer
-back-propagates through its clean rows and nothing else: its corrupted
-and reference rows enter loss values but never ``backward``.  The rows
-come straight from the columns of a ``synth`` record table.
+``np.bincount`` over flat (prompt, column) indices, so repeated prompts
+accumulate, in row order).  Slicing a cache (``cache[:n]``) keeps those
+rows only, which is how the trainer back-propagates through its clean
+rows and nothing else: its corrupted and reference rows enter loss values
+but never ``backward``.  The rows come straight from the columns of a
+``synth`` record table.
 
 ``PolicyParams`` and ``GradAccumulator`` keep their five named tensors
 as views into one flat vector, so a copy, a gradient step, a scaling or a
@@ -258,6 +259,10 @@ def forward_logprobs(params: PolicyParams, audio, visual, prompt_ids) -> np.ndar
     return forward(params, audio, visual, prompt_ids).logprobs
 
 
+# The column offsets 0, ..., d_h - 1 of a prompt-table row, by d_h (read-only).
+_COLUMNS = {}
+
+
 def backward(params: PolicyParams, cache, upstream: np.ndarray) -> GradAccumulator:
     """Gradient of sum_rows upstream . log_softmax(logits) w.r.t. every parameter.
 
@@ -276,10 +281,17 @@ def backward(params: PolicyParams, cache, upstream: np.ndarray) -> GradAccumulat
     g_logits = upstream - upstream.sum(axis=1, keepdims=True) * cache.probs
     g_pre = (g_logits @ params.w_out) * (1.0 - cache.h * cache.h)
 
-    g_e_x = np.zeros(params.e_x.shape)
-    np.add.at(g_e_x, cache.prompt_ids, g_pre)  # repeated prompts accumulate
+    # The prompt table's gradient: each (prompt, column) entry sums its rows,
+    # in row order, so repeated prompts accumulate.
+    d_h = g_pre.shape[1]
+    columns = _COLUMNS.get(d_h)
+    if columns is None:
+        columns = _COLUMNS[d_h] = np.arange(d_h)
+        columns.flags.writeable = False
+    flat = (cache.prompt_ids.astype(np.intp, copy=False)[:, None] * d_h + columns).ravel()
+    g_e_x = np.bincount(flat, weights=g_pre.ravel(), minlength=params.e_x.size)
     return GradAccumulator._wrap(np.concatenate([  # in layout order: u_a, u_v, e_x, w_out, b
-        (g_pre.T @ cache.audio).ravel(), (g_pre.T @ cache.visual).ravel(), g_e_x.ravel(),
+        (g_pre.T @ cache.audio).ravel(), (g_pre.T @ cache.visual).ravel(), g_e_x,
         (g_logits.T @ cache.h).ravel(), g_logits.sum(axis=0)]), params.layout)
 
 

@@ -264,6 +264,8 @@ class TestItemLoading:
         ("prompt_id", "3"), ("audio_feat", [float("nan")] + [0.0] * 7),
         ("visual_feat", [0.0] * 7 + [float("inf")]), ("audio_feat", [[0.0] * 8]),
         ("visual_feat", 0.5), ("audio_feat", "loud"),
+        ("audio_feat", ["0.5"] + [0.0] * 7), ("visual_feat", [True] + [0.0] * 7),
+        ("audio_feat", [10 ** 400] + [0.0] * 7),
     ])
     def test_bad_prompt_or_features_rejected_naming_the_field(self, key, value):
         rec = synth.generate_eval_records(EvalConfig(n_items=2, n_scenes=4, seed=3))[0]

@@ -1,8 +1,10 @@
 """The verification machinery itself: projection, ascent, differences."""
 
 import dataclasses
-import math
+import os
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,15 +172,50 @@ class TestGrid:
             assert np.array_equal(point, lattice[k])
             assert value == pytest.approx(values[k], rel=0, abs=1e-12)
 
-    def test_cached_lattice_is_built_once_per_resolution(self):
-        for n in (3, 7, 3, 20, 7):
-            points, plogp = oracles._coarse_lattice(n)
-            expected = [(i / n, j / n, (n - i - j) / n)
-                        for i in range(n + 1) for j in range(n + 1 - i)]
-            assert np.array_equal(points, np.array(expected))
-            entropy = [sum(x * math.log(x) for x in p if x > 0) for p in expected]
-            np.testing.assert_allclose(plogp, entropy, rtol=0, atol=1e-15)
-            assert oracles._coarse_lattice(n)[0] is points
+    @pytest.mark.parametrize("r, zeros", [
+        (None, 0),
+        (np.array([3.0, -3.0, -3.0]), 2),  # a vertex of the simplex
+        (np.array([1.0, 1.2, -4.0]), 1),  # an edge: the third coordinate at 0
+    ], ids=["interior", "vertex", "edge"])
+    def test_block_values_are_the_objective_at_every_lattice_point(self, monkeypatch, r, zeros):
+        # Every block grid_argmax_3 reads (the coarse 1/5 box, then the 1/50
+        # refine window) holds core.mod_objective_value at each simplex point
+        # of its box and -inf off it, and the refined point is the
+        # brute-force argmax of the 1/50 lattice, on the boundary for a
+        # vertex or edge optimum, whose refine window crosses it.
+        instance = oracles.random_instance(3, np.random.default_rng(8))
+        if r is not None:
+            instance = (r,) + instance[1:]
+        boxes = []
+        box_blocks = oracles._box_blocks
+
+        def recording(i0, j0, size, n, linear, c):
+            seen = set()
+            boxes.append((i0, j0, size, n, seen))
+            for a, block in box_blocks(i0, j0, size, n, linear, c):
+                assert block.shape[0] <= oracles._GRID_BLOCK_ROWS
+                for (da, b), got in np.ndenumerate(block):
+                    i, j = i0 + a + da, j0 + b
+                    if i < 0 or j < 0 or i + j > n:
+                        assert got == -np.inf
+                    else:
+                        p = np.array([i, j, n - i - j]) / n
+                        assert abs(got - core.mod_objective_value(p, *instance)) <= 1e-15
+                        seen.add((i, j))
+                yield a, block
+
+        monkeypatch.setattr(oracles, "_box_blocks", recording)
+        point, value = grid_argmax_3(*instance, grid_step=0.2)
+        assert [box[2:4] for box in boxes] == [(6, 5), (41, 50)]
+        for i0, j0, size, n, seen in boxes:
+            assert seen == {(i, j) for i in range(max(i0, 0), i0 + size)
+                            for j in range(max(j0, 0), j0 + size) if i + j <= n}
+        lattice = [np.array([i, j, 50 - i - j]) / 50 for i in range(51) for j in range(51 - i)]
+        values = [core.mod_objective_value(p, *instance) for p in lattice]
+        k = int(np.argmax(values))
+        assert np.array_equal(point, lattice[k])
+        assert abs(value - values[k]) <= 1e-15
+        assert np.count_nonzero(point == 0) == zeros
 
 
 def per_coordinate_differences(f, x, h):
@@ -190,6 +227,22 @@ def per_coordinate_differences(f, x, h):
         e[i] = h
         grad[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return grad
+
+
+def stacked_policy_objective():
+    """(f, x0): an objective of the 648-parameter default policy on four
+    rows that scores a stack of parameter vectors, and the vector x0."""
+    rng = np.random.default_rng(11)
+    params = init_params(seed=3)
+    audio, visual = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+    prompt_ids = rng.integers(params.n_prompts, size=4)
+    upstream = rng.normal(size=(4, params.vocab_size))
+
+    def f(points):
+        logprobs = forward(params.from_vector(points), audio, visual, prompt_ids).logprobs
+        return np.sum(upstream * logprobs, axis=(-2, -1))
+
+    return f, params.to_vector()
 
 
 class TestFiniteDifferences:
@@ -237,6 +290,43 @@ class TestFiniteDifferences:
         x0 = params.to_vector()
         assert np.array_equal(finite_difference_gradient(stacked, x0, h=1e-5),
                               per_coordinate_differences(one, x0, 1e-5))
+
+    def test_row_blocks_are_the_stack_in_coordinate_order(self, monkeypatch):
+        x0 = np.array([0.3, -0.0, 1e-9, -2.5, 7.0])
+        monkeypatch.setattr(oracles, "_FD_BLOCK_BYTES", 2 * 2 * x0.nbytes)  # two row pairs
+        calls = []
+
+        def f(points):
+            calls.append(points.copy())
+            return points.sum(axis=1)
+
+        finite_difference_gradient(f, x0, h=1e-5)
+        assert [len(points) for points in calls] == [4, 4, 2]
+        steps = 1e-5 * np.eye(x0.size)
+        plus = np.concatenate([points[: len(points) // 2] for points in calls])
+        minus = np.concatenate([points[len(points) // 2 :] for points in calls])
+        assert plus.tobytes() == (x0 + steps).tobytes()
+        assert minus.tobytes() == (x0 - steps).tobytes()
+
+    def test_any_budget_gives_the_same_bits(self, monkeypatch):
+        objective, x0 = stacked_policy_objective()
+        pair = 2 * x0.nbytes  # the bytes of one row pair
+        budgets = {"one row pair": pair, "default": oracles._FD_BLOCK_BYTES,
+                   "n row pairs": x0.size * pair, "more than n": (x0.size + 7) * pair + 5}
+        grads = {}
+        for name, budget in budgets.items():
+            monkeypatch.setattr(oracles, "_FD_BLOCK_BYTES", budget)
+            rows = []
+
+            def f(points):
+                assert points.nbytes <= budget
+                rows.append(len(points))
+                return objective(points)
+
+            grads[name] = finite_difference_gradient(f, x0, h=1e-5).tobytes()
+            assert sum(rows) == 2 * x0.size
+            assert len(rows) == -(-x0.size // (budget // pair))
+        assert len(set(grads.values())) == 1
 
 
 class TestSuites:
@@ -358,3 +448,49 @@ class TestSuites:
         monkeypatch.setattr(synth, "assemble_dataset", assemble)
         oracles.run_all(fast=True, seed=3)
         assert seeds == [3]
+
+
+def traced_peak_bytes(call) -> int:
+    """Peak bytes tracemalloc sees during call(), after an untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def other_threads_cpu_seconds() -> float:
+    """utime + stime of every thread of this process but the calling one."""
+    me = str(threading.get_native_id())
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if tid == me:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread has ended
+            continue
+        ticks += int(fields[11]) + int(fields[12])  # fields 14 and 15 of stat
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+class TestFootprint:
+    def test_grid_peak_memory(self):
+        instance = oracles.random_instance(3, np.random.default_rng(3))
+        assert traced_peak_bytes(lambda: grid_argmax_3(*instance)) < 3_000_000
+
+    def test_finite_difference_peak_memory(self):
+        f, x0 = stacked_policy_objective()
+        assert x0.size == 648
+        assert traced_peak_bytes(lambda: finite_difference_gradient(f, x0)) < 3_000_000
+
+    def test_fast_battery_stays_on_one_core(self):
+        if not os.path.isdir("/proc/self/task") or len(os.listdir("/proc/self/task")) == 1:
+            pytest.skip("needs /proc/self/task and a second thread")
+        before = other_threads_cpu_seconds()
+        results = oracles.run_all(fast=True)
+        assert all(res.passed for res in results)
+        assert other_threads_cpu_seconds() - before < 0.030
