@@ -203,7 +203,7 @@ def apply_override(cfg: dict, dotted: str) -> None:
             raise CliError(f"override {key!r} descends through a non-section value", EXIT_CONFIG)
     try:
         value = yaml.load(raw, Loader=_ConfigLoader)
-    except yaml.YAMLError:
+    except (yaml.YAMLError, RecursionError):  # not YAML, or nested too deeply
         value = raw
     node[parts[-1]] = value
 
@@ -218,7 +218,7 @@ def load_config(config_path, overrides) -> dict:
                 cfg = yaml.load(fh, Loader=_ConfigLoader) or {}
         except OSError as exc:
             raise CliError(f"cannot read config {config_path}: {exc}", EXIT_MISSING)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise CliError(f"config {config_path} does not parse: {exc}", EXIT_CONFIG)
         if not isinstance(cfg, dict):
             raise CliError(f"config {config_path} must be a mapping of sections", EXIT_CONFIG)
@@ -479,8 +479,8 @@ def _read_counters(path) -> dict:
         if (isinstance(summary["loss_variant"], str) and isinstance(counters, list)
                 and all(type(c[k]) is int for c in counters for k in PASSES)):
             return summary
-    except (ValueError, LookupError, TypeError):  # not ASCII JSON, or not of that shape
-        pass
+    except (ValueError, LookupError, TypeError, RecursionError):
+        pass  # not ASCII JSON (or nested too deeply), or not of that shape
     raise CliError(f"counters file {path} is not a train run's pass-count summary", EXIT_CONFIG)
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -105,13 +104,6 @@ class Hyperparams:
     @property
     def tau(self) -> float:
         return self.beta + self.beta_inv - self.beta_sens
-
-    @cached_property
-    def _signed_rows(self) -> tuple:
-        """Each MARGIN_TERMS row as (name, chosen slot, rejected slot,
-        strength name, sign * strength), resolved once per instance."""
-        return tuple((name, chosen, rejected, strength, sign * getattr(self, strength))
-                     for name, chosen, rejected, strength, sign in MARGIN_TERMS)
 
 
 @dataclass(frozen=True)
@@ -277,40 +269,28 @@ MARGIN_TERMS = (
 )
 
 
-def _weighted_rows(pl: PairLogProbs, hp: Hyperparams):
-    """(name, signed strength, chosen, rejected) of each MARGIN_TERMS row
-    with a nonzero strength, in table order, read from pl's slots.
-    DomainError when a row's slot is given without its partner, or when a
-    weighted row's slots are None."""
-    for name, chosen, rejected, strength, signed in hp._signed_rows:
-        w, l = getattr(pl, chosen), getattr(pl, rejected)
-        if (w is None) != (l is None):
-            raise DomainError(f"{name} log-probs must be given for both {chosen} and {rejected}")
-        if signed:
-            if w is None:
-                raise DomainError(f"{name} log-probs are required when {strength} is nonzero")
-            yield name, signed, w, l
-
-
 def margin_terms(pl: PairLogProbs, hp: Hyperparams) -> dict:
     """The margin's terms by name: "policy" (tau * d_policy), then each
     MARGIN_TERMS row with a nonzero strength (a zero one's slots may be
-    None).  DomainError as in margin."""
+    None).  DomainError when a weighted row's slots are None, or when a slot
+    is given without its partner."""
     terms = {"policy": hp.tau * (pl.policy_w - pl.policy_l)}
-    terms.update((name, signed * (w - l)) for name, signed, w, l in _weighted_rows(pl, hp))
+    for name, chosen, rejected, strength, sign in MARGIN_TERMS:
+        w, l = getattr(pl, chosen), getattr(pl, rejected)
+        if (w is None) != (l is None):
+            raise DomainError(f"{name} log-probs must be given for both {chosen} and {rejected}")
+        if weight := getattr(hp, strength):
+            if w is None:
+                raise DomainError(f"{name} log-probs are required when {strength} is nonzero")
+            terms[name] = sign * weight * (w - l)
     return terms
 
 
 def margin(pl: PairLogProbs, hp: Hyperparams):
-    """The margin: 0.0 + tau * d_policy, then each weighted row's term
-    added in table order (the leading 0.0 turns a -0.0 into +0.0).  The
-    closed-form normalizer cancels in every difference, so it is never
-    computed.  DomainError when a MARGIN_TERMS row's slot is given without
-    its partner, or when a row with a nonzero strength has None slots."""
-    total = 0.0 + hp.tau * (pl.policy_w - pl.policy_l)
-    for _, signed, w, l in _weighted_rows(pl, hp):
-        total = total + signed * (w - l)
-    return total
+    """The sum of the margin's terms in table order, from sum()'s 0 (so a
+    -0.0 total is +0.0); DomainError as in margin_terms.  The closed-form
+    normalizer cancels in every difference, so it is never computed."""
+    return sum(margin_terms(pl, hp).values())
 
 
 def pair_loss(margin):

@@ -861,6 +861,8 @@ def _scan(path, table) -> tuple:
                 problem = "not ASCII text"
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON ({exc.msg})"
+            except RecursionError:
+                problem = "invalid JSON (nested too deeply)"
             if problem:
                 unreadable[line_no] = problem
             elif line:
@@ -946,7 +948,7 @@ def verify_dataset(path) -> VerifyReport:
         # SynthConfig's rules check the world settings (matched contexts
         # only, so that a one-scene world passes).
         scenes = _scenes_of(SynthConfig(matched_fraction=1.0, **{key: meta[key] for key in WORLD}))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         report.parse_errors.append((0, f"cannot rebuild the world from sidecar stats: {exc}"))
         return report
     n_lines = len(line_nos) + len(unreadable)

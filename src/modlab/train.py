@@ -30,9 +30,9 @@ Per run, train() does the work whose result no step changes:
   feature widths and prompt id) and its one check (``check_reference``);
 - every step's corruption generator, seeded in one ``synth._streams``
   pass, and one PassCounter per pass pattern;
-- per epoch, one gather of the six columns a step reads and of the
-  reference table, in the epoch's schedule order (``_step_inputs``), so
-  each step's batch and reference block are slices of them;
+- per epoch, one gather of the dataset and of the reference table, in
+  the epoch's schedule order (``_step_inputs``), so each step's batch is
+  a whole sub-table of it and its reference block a column slice;
 - in the warm-up (``warmup_reference``), one ``policy.check_inputs`` call
   before step 0: the columns' feature widths and row counts, and the
   prompt ids of every row the steps visit, in visit order, so a bad id
@@ -99,7 +99,6 @@ from .synth import (
     ROLES,
     VISUAL_RELATED,
     VOCAB_SIZE,
-    PairTable,
     _rng,
     _streams,
 )
@@ -427,27 +426,18 @@ def _epoch_schedule(groups: dict, cfg: TrainConfig, epoch: int):
     return schedule
 
 
-# The PairTable columns a step reads; train() gathers only these, leaving
-# the others None in each step's batch.
-_STEP_COLUMNS = ("audio", "visual", "prompt_id", "modality_tag", "y_w", "y_l")
-_UNREAD = dict.fromkeys(name for name in PairTable.Row._fields if name not in _STEP_COLUMNS)
-
-
 def _step_inputs(dataset, ref_table: np.ndarray, schedule: list, epochs: int):
-    """Each step's (batch, reference block), in schedule order.  The step
-    columns and the reference table are gathered once per epoch, in the
-    epoch's schedule order, and each step takes slices of them."""
+    """Each step's (batch, reference block), in schedule order: a whole
+    sub-table of the dataset and the matching column block of the reference
+    table, both gathered once per epoch in the epoch's schedule order."""
     per_epoch = len(schedule) // epochs  # every epoch has the same batches' sizes
     for first in range(0, len(schedule), per_epoch):
         batches = schedule[first : first + per_epoch]
         order = np.concatenate(batches)
-        columns = {name: getattr(dataset, name)[order] for name in _STEP_COLUMNS}
-        ref = ref_table[:, order]
+        table, ref = dataset[order], ref_table[:, order]
         stops = list(itertools.accumulate(map(len, batches)))
         for start, stop in zip([0, *stops], stops):
-            yield (PairTable(**_UNREAD, **{name: column[start:stop]
-                                           for name, column in columns.items()}),
-                   ref[:, start:stop])
+            yield table[start:stop], ref[:, start:stop]
 
 
 def batch_schedule(dataset, cfg: TrainConfig):

@@ -17,6 +17,9 @@ from modlab.core import Hyperparams
 from modlab.corrupt import CorruptionSpec
 from modlab.policy import init_params, save_checkpoint
 
+# Nested past the recursion limit of both the JSON and the YAML parser.
+_DEEP = "[" * 10_000 + "]" * 10_000
+
 
 def write_config(tmp_path, **extra):
     cfg = {
@@ -148,6 +151,19 @@ class TestOverridesAndErrors:
         bad.write_text("seed: [unclosed")
         assert cli.run("synth", bad) == cli.EXIT_CONFIG
 
+    def test_config_nested_too_deeply_does_not_parse(self, tmp_path, capsys):
+        path = tmp_path / "deep.yaml"
+        path.write_text(f"seed: {_DEEP}\n")
+        assert cli.run("verify", path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config {path} does not parse: "), err
+
+    def test_override_nested_too_deeply_is_its_text(self, capsys):
+        # As with an override value that is not YAML, the value is the raw text.
+        assert cli.run("verify", None, [f"seed={_DEEP}"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: setting seed must be an integer, got {_DEEP!r}"]
+
     def test_nonexistent_config(self, tmp_path):
         assert cli.run("synth", tmp_path / "absent.yaml") == cli.EXIT_MISSING
 
@@ -252,6 +268,16 @@ class TestBadRecords:
         assert cli.run("train", config_path) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{dataset}, line 3: {needle}" in err[0], err
+
+    def test_train_rejects_a_line_nested_too_deeply(self, tmp_path, capsys, built_run):
+        dataset = tmp_path / "dataset.jsonl"
+        lines = (built_run / "dataset.jsonl").read_text().splitlines()
+        lines[2] = _DEEP
+        dataset.write_text("\n".join(lines) + "\n")
+        overrides = [f"out_dir={tmp_path / 'o'}", f"train.dataset={dataset}"]
+        assert cli.run("train", None, overrides) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dataset}, line 3: invalid JSON (nested too deeply)"]
 
     @pytest.mark.parametrize("command,data,field,edit,needle", [
         pytest.param("train", "dataset.jsonl", "audio_feat", lambda v: v[:7],
@@ -634,6 +660,7 @@ class TestMalformedCounters:
         json.dumps({"a": 1}),
         json.dumps({"loss_variant": 5, "per_pair_counters": [
             {"fwd_policy": 6, "fwd_ref": 4, "bwd_policy": 2, "bwd_ref": 0}]}),
+        pytest.param(_DEEP, id="nested-too-deeply"),
     ])
     def test_report_exits_2_naming_the_file(self, tmp_path, capsys, built_run, text):
         model = tmp_path / "model"

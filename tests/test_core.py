@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modlab import core
@@ -20,7 +20,6 @@ from modlab.core import (
     Hyperparams,
     PairLogProbs,
 )
-from modlab.presets import PRESET_NAMES, make_config
 
 HP = Hyperparams(beta=0.1, beta_inv=0.02, beta_sens=0.05, gamma_lpd=0.05)
 
@@ -252,6 +251,14 @@ class TestMargins:
                           text_w=-1.0, text_l=-2.0)
         assert core.margin_terms(pl, HP)["text"] == pytest.approx(-0.05, abs=1e-15)
 
+    def test_a_zero_total_is_positive_zero(self):
+        # Both terms are -0.0 (tau * (-0.0 - 0.0) and -beta * (0.0 - -0.0));
+        # sum()'s leading 0 makes their sum +0.0.
+        pl = PairLogProbs.checked(policy_w=np.array([-0.0]), policy_l=np.array([0.0]),
+                                  ref_w=np.array([0.0]), ref_l=np.array([-0.0]))
+        hp = Hyperparams(beta=0.5, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
+        assert not np.signbit(core.margin(pl, hp)).any()
+
 
 class TestPairLoss:
     def test_zero_margin(self):
@@ -386,86 +393,6 @@ class TestProperties:
             for side in "wl":
                 with pytest.raises(DomainError, match="given for both"):
                     core.margin(replace(pl, **{f"{name}_{side}": None}), hp)
-
-
-def _margin_before(pl, hp):
-    """core.margin as it was written before it added the rows straight from
-    the slots: the dict of margin_terms, summed from a leading 0 (as
-    sum() does), with both of its DomainErrors."""
-    terms = {"policy": hp.tau * (pl.policy_w - pl.policy_l)}
-    for name, chosen, rejected, strength, sign in core.MARGIN_TERMS:
-        w, l = getattr(pl, chosen), getattr(pl, rejected)
-        if (w is None) != (l is None):
-            raise DomainError(f"{name} log-probs must be given for both {chosen} and {rejected}")
-        if weight := getattr(hp, strength):
-            if w is None:
-                raise DomainError(f"{name} log-probs are required when {strength} is nonzero")
-            terms[name] = sign * weight * (w - l)
-    total = 0
-    for term in terms.values():
-        total = total + term
-    return total
-
-
-# Slot values of every magnitude with both zeros and the subnormals; no
-# difference of two overflows.
-_SLOT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
-                  st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True))
-_STRENGTH = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=True))
-_PRESET_HP = [make_config(name).hp for name in PRESET_NAMES]
-
-
-@st.composite
-def _margin_case(draw):
-    """(PairLogProbs of (B,) slot arrays, Hyperparams): a preset's strengths
-    or random ones with tau > 0, and each MARGIN_TERMS row's slots both
-    given, both None, or only one of them given."""
-    if draw(st.booleans()):
-        hp = draw(st.sampled_from(_PRESET_HP))
-    else:
-        strengths = [draw(_STRENGTH) for _ in range(4)]
-        assume(strengths[0] + strengths[1] - strengths[2] > 0)
-        hp = Hyperparams(*strengths)
-    size = draw(st.integers(1, 6))
-    slots = {}
-    for name in ("policy", *(row[0] for row in core.MARGIN_TERMS)):
-        given = "wl" if name == "policy" else draw(st.sampled_from(["wl", "wl", "w", "l", ""]))
-        for side in given:
-            slots[f"{name}_{side}"] = np.array(draw(st.lists(_SLOT, min_size=size,
-                                                             max_size=size)))
-    return PairLogProbs.checked(**slots), hp
-
-
-def _outcome(fn, *args):
-    try:
-        return "value", fn(*args).tobytes()
-    except DomainError as exc:
-        return "DomainError", str(exc)
-
-
-class TestMarginWithoutTheDict:
-    """core.margin adds each weighted row's term straight from the slots;
-    it must give the bits, and raise the errors, of the dict it replaced."""
-
-    @settings(max_examples=500, deadline=None, database=None)
-    @given(case=_margin_case())
-    @example(case=(PairLogProbs.checked(policy_w=np.array([-0.0]), policy_l=np.array([0.0]),
-                                        ref_w=np.array([0.0]), ref_l=np.array([-0.0])),
-                   Hyperparams(beta=0.5, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)))
-    @example(case=(PairLogProbs.checked(policy_w=np.array([-0.0]), policy_l=np.array([0.0]),
-                                        ref_w=np.array([-1.0]), ref_l=np.array([-1.0]),
-                                        inv_w=np.array([-1.0])), HP))
-    def test_the_same_bits_and_errors_as_the_sum_of_the_terms(self, case):
-        pl, hp = case
-        assert _outcome(core.margin, pl, hp) == _outcome(_margin_before, pl, hp)
-
-    def test_a_zero_total_is_positive_zero(self):
-        # Both terms are -0.0 (tau * (-0.0 - 0.0) and -beta * (0.0 - -0.0));
-        # the leading 0.0 makes their sum +0.0, as sum()'s 0 did.
-        pl = PairLogProbs.checked(policy_w=np.array([-0.0]), policy_l=np.array([0.0]),
-                                  ref_w=np.array([0.0]), ref_l=np.array([-0.0]))
-        hp = Hyperparams(beta=0.5, beta_inv=0.0, beta_sens=0.0, gamma_lpd=0.0)
-        assert not np.signbit(core.margin(pl, hp)).any()
 
 
 class TestCheckNumbers:

@@ -11,8 +11,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "modlab"
 # Public names no package code references -> the consumer that keeps each.
 # Methods are keyed by module and class.
 OUTSIDE_CONSUMERS = {
-    "core.margin_terms": "the margin's terms by name (README's margin table, ROADMAP item 10's "
-                         "telemetry); core.margin adds the same rows without the dict",
     "eval.item_from_record": "perfbench corruption_ablation workload (setup)",
     "eval.predict": "perfbench traced span eval.predict",
     "experiments.HALLUCINATION_BENCHMARK": "perfbench experiment workload",

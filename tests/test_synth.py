@@ -25,6 +25,9 @@ from modlab.synth import (
     verify_dataset,
 )
 
+# Nested past the JSON parser's recursion limit.
+_DEEP = "[" * 10_000 + "]" * 10_000
+
 
 def _pool(*scenes):
     """A Scenes table of (visible kinds, sounding kinds, audio, visual) rows."""
@@ -487,6 +490,7 @@ class TestVerifyDataset:
     @pytest.mark.parametrize("text,problem", [
         ('{"y_w": "\u00e9"}'.encode("utf-8"), "not ASCII text"),
         (b"[1, 2]", "not a JSON object"),
+        pytest.param(_DEEP.encode(), "invalid JSON (nested too deeply)", id="nested-too-deeply"),
     ])
     def test_unreadable_line_is_a_parse_error(self, tmp_path, text, problem):
         path = tmp_path / "d.jsonl"
@@ -852,6 +856,14 @@ class TestVerifyLabels:
         assert report.n_records == 10 and not report.violations and not report.ok
         [(line, problem)] = report.parse_errors
         assert line == 0 and problem.startswith("cannot rebuild the world from sidecar stats:")
+
+    def test_sidecar_nested_too_deeply_is_one_parse_error(self, tmp_path):
+        path, _, _ = _dataset_lines(tmp_path)
+        (tmp_path / "d.jsonl.stats.json").write_text(_DEEP)
+        report = verify_dataset(path)
+        [(line, problem)] = report.parse_errors
+        assert line == 0 and problem.startswith("cannot rebuild the world from sidecar stats: ")
+        assert report.n_records == 40 and not report.violations
 
     @pytest.mark.parametrize("key,value,problem", [
         ("matched_bias", [0.5, 0.5],

@@ -729,19 +729,21 @@ class TestStepContract:
 
     @pytest.mark.parametrize("name", ["dpo", "modpp"])
     def test_each_step_gets_its_schedule_rows_byte_for_byte(self, monkeypatch, name):
-        # train() gathers the step columns and the reference table once per
-        # epoch and hands each step slices of them; over three epochs whose
-        # tag groups are not whole batches, every step must still get
-        # exactly dataset[rows] and the table's rows block.
+        # train() gathers the dataset and the reference table once per epoch
+        # and hands each step a sub-table and a column block of them; over
+        # three epochs whose tag groups are not whole batches, every step
+        # must still get exactly dataset[rows], every column given, and the
+        # table's rows block.
         data, cfg = small_dataset(n=45, seed=3), make_config(name, epochs=3, batch_size=4)
         assert all(np.count_nonzero(data.modality_tag == tag) % cfg.batch_size
                    for tag in (VISUAL_RELATED, AUDIO_RELATED))
         ref_params = training.warmup_reference(data, 10, seed=3)
-        columns = ("audio", "visual", "prompt_id", "modality_tag", "y_w", "y_l")
+        columns = synth.PairTable.Row._fields
+        assert len(columns) == 10
         received, real_step = [], training.train_step
 
         def recording(params, ref, batch, *args, **kwargs):
-            received.append((ref.copy(), [getattr(batch, c).copy() for c in columns]))
+            received.append((ref.copy(), [getattr(batch, c) for c in columns]))
             return real_step(params, ref, batch, *args, **kwargs)
 
         monkeypatch.setattr(training, "train_step", recording)
@@ -755,6 +757,7 @@ class TestStepContract:
 
         for (ref, got), rows in zip(received, schedule):
             want = data[rows]
+            assert not any(x is None for x in got)
             assert same(ref, table[:, rows])
             assert all(same(x, getattr(want, c)) for c, x in zip(columns, got))
 
