@@ -43,7 +43,7 @@ import yaml
 from . import eval as eval_mod
 from . import oracles, synth
 from . import train as training
-from .core import ConfigurationError, Hyperparams, check_numbers
+from .core import ConfigurationError, Hyperparams, _quoted, check_numbers
 from .corrupt import CorruptionError, CorruptionSpec
 from .policy import CheckpointError, load_checkpoint, save_checkpoint
 from .presets import DESK_SCALE, PRESET_NAMES, make_config
@@ -173,12 +173,13 @@ def _resolve(value, default, path: str = ""):
     if not isinstance(default, dict):
         fits, kind = _TYPE_RULES[type(default)]
         if not fits(value):
-            raise CliError(f"setting {path} must be {kind}, got {value!r}", EXIT_CONFIG)
+            raise CliError(f"setting {path} must be {kind}, got {_quoted(value)}", EXIT_CONFIG)
         return value
     if value is None and "." in path:
         return None
     if not isinstance(value, dict):
-        raise CliError(f"config section {path} must be a mapping, got {value!r}", EXIT_CONFIG)
+        raise CliError(f"config section {path} must be a mapping, got {_quoted(value)}",
+                       EXIT_CONFIG)
     prefix = f"{path}." if path else ""
     if not default:  # names of the user's choice, each mapped to a path
         return {k: _resolve(v, "", f"{prefix}{k}") for k, v in value.items()}
@@ -203,7 +204,7 @@ def apply_override(cfg: dict, dotted: str) -> None:
             raise CliError(f"override {key!r} descends through a non-section value", EXIT_CONFIG)
     try:
         value = yaml.load(raw, Loader=_ConfigLoader)
-    except (yaml.YAMLError, RecursionError):  # not YAML, or nested too deeply
+    except (yaml.YAMLError, ValueError, RecursionError):  # not YAML, or too long or deep for it
         value = raw
     node[parts[-1]] = value
 
@@ -218,7 +219,7 @@ def load_config(config_path, overrides) -> dict:
                 cfg = yaml.load(fh, Loader=_ConfigLoader) or {}
         except OSError as exc:
             raise CliError(f"cannot read config {config_path}: {exc}", EXIT_MISSING)
-        except (yaml.YAMLError, RecursionError) as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
             raise CliError(f"config {config_path} does not parse: {exc}", EXIT_CONFIG)
         if not isinstance(cfg, dict):
             raise CliError(f"config {config_path} must be a mapping of sections", EXIT_CONFIG)

@@ -50,6 +50,12 @@ class ConfigurationError(ValueError):
     """Hyperparameters are ill-posed (e.g. non-positive temperature)."""
 
 
+def _quoted(value) -> str:
+    """The repr of value for an error line, cut at 60 characters (a string
+    is cut before it is quoted)."""
+    return repr(value[:60]) if isinstance(value, str) else repr(value)[:60]
+
+
 def check_numbers(obj, error, names, *, integer=False, low=0, high=math.inf, above=False):
     """Raise error naming the first of obj's fields ``names`` whose value is
     not a number (with integer, not an integer; a bool is neither) or lies
@@ -60,7 +66,7 @@ def check_numbers(obj, error, names, *, integer=False, low=0, high=math.inf, abo
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(
                 value, numbers.Integral if integer else numbers.Real):
-            raise error(f"{name} must be {kind}, got {value!r}")
+            raise error(f"{name} must be {kind}, got {_quoted(value)}")
         try:
             x = float(value)
         except OverflowError:
@@ -68,7 +74,7 @@ def check_numbers(obj, error, names, *, integer=False, low=0, high=math.inf, abo
         if not (math.isfinite(x) and (low < x < high if above else low <= x <= high)):
             closed = not above and math.isfinite(high)
             raise error(f"{name} must lie in {'(' if above else '['}{low}, {high}"
-                        f"{']' if closed else ')'}, got {value!r}")
+                        f"{']' if closed else ')'}, got {_quoted(value)}")
 
 
 @dataclass(frozen=True)

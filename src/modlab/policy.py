@@ -361,11 +361,13 @@ def load_checkpoint(path) -> PolicyParams:
             fail(i + 1, f"expected 'tensor <name> <dims>' with a name in {PolicyParams.FIELDS}, "
                         f"got {lines[i][:60]!r}")
         name = head[1]
-        if (len(head) != 2 + _TENSOR_NDIM[name]
-                or not all(d.isdigit() and int(d) > 0 for d in head[2:])):
+        try:  # int() reads at most 4,300 digits
+            dims = [int(d) for d in head[2:] if d.isdigit()]
+        except ValueError:
+            dims = []
+        if len(head) != 2 + _TENSOR_NDIM[name] or len(dims) != len(head) - 2 or 0 in dims:
             fail(i + 1, f"tensor {name} needs {_TENSOR_NDIM[name]} positive integer "
-                        f"dimensions, got {head[2:]}")
-        dims = [int(d) for d in head[2:]]
+                        f"dimensions, got {str(head[2:])[:60]}")
         if name in tensors:
             fail(i + 1, f"tensor {name} appears twice")
         n_rows, width = dims if len(dims) == 2 else (1, dims[0])

@@ -79,6 +79,7 @@ import itertools
 import json
 import operator
 import os
+import re
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cache
@@ -233,7 +234,9 @@ PROMPT_OF = (VISUAL_PRESENCE_BASE, AUDIO_PRESENCE_BASE, VISUAL_CAPTION_PROMPT,
 # it) to (column, {row: problem}).  A bad row holds a filler value, so the
 # checks of the other columns still run on every row.  Its ``encode`` maps
 # a column back to what ``_Table.lines`` formats with %s: the JSON text of
-# each value, an int as itself (its str is its JSON text).
+# each value, an int as itself (its str is its JSON text).  Its ``pattern``
+# is the regex (one group) of a value's text in that layout, which the
+# reader matches (``_Table._LAYOUT``) before it reads each line as JSON.
 
 
 def _ints(values, key: str):
@@ -264,6 +267,7 @@ def _codes(names: tuple):
     texts = tuple(map(json.dumps, names))
     parse.names = names
     parse.encode = lambda column: [texts[code] for code in column.tolist()]
+    parse.pattern = "(" + "|".join(map(re.escape, texts)) + ")"
     return parse
 
 
@@ -313,8 +317,13 @@ def _feature_texts(column) -> list:
 
 
 _ints.encode = np.ndarray.tolist
+_ints.pattern = r"(-?(?:0|[1-9][0-9]{0,17}))"  # at most 18 digits: within int64
 _flags.encode = lambda column: [("false", "true")[flag] for flag in column.tolist()]
+_flags.pattern = "(true|false)"
 _features.encode = _feature_texts
+# A list with no "]" before its end: one row, unless it holds a string or
+# a nested list, which _features rejects (see _read_layout).
+_features.pattern = r"(\[[^]]*\])"
 
 
 def _non_finite(column, name: str):
@@ -330,8 +339,10 @@ class _Table:
 
     Subclasses list ``RECORD``, the (record key, parser) pair of each field
     in file order: the one declaration of the file format, which ``check``
-    reads and ``lines`` and ``records`` write.  A column is named after its
-    key without the "_feat" suffix.
+    reads and ``lines`` and ``records`` write.  ``_TEMPLATE`` is the line
+    ``lines`` fills; ``_LAYOUT``, the same line with each field its
+    parser's ``pattern``, is what ``_scan`` matches first.  A column is
+    named after its key without the "_feat" suffix.
     """
 
     RECORD = ()
@@ -339,6 +350,9 @@ class _Table:
 
     def __init_subclass__(cls):
         cls._FIELDS = frozenset(cls.Row._fields)
+        cls._TEMPLATE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key, _ in cls.RECORD) + "}"
+        patterns = tuple(parse.pattern for _, parse in cls.RECORD)
+        cls._LAYOUT = re.compile((re.escape(cls._TEMPLATE) % patterns).encode())
 
     def __init__(self, **columns):
         # The keyword dict is this call's own: it becomes the instance dict
@@ -378,10 +392,9 @@ class _Table:
         %-template fill.  Lines are made as they are read: holding a
         file's lines at once raised the default pipeline's peak RSS by
         about 1 MB."""
-        template = "{" + ", ".join(f"{json.dumps(key)}: %s" for key, _ in self.RECORD) + "}\n"
         columns = [parse.encode(getattr(self, name))
                    for (_, parse), name in zip(self.RECORD, self.Row._fields)]
-        return map(template.__mod__, zip(*columns))
+        return map((self._TEMPLATE + "\n").__mod__, zip(*columns))
 
     def records(self) -> list:
         """The file record of each row: a dict with the RECORD keys in file
@@ -424,11 +437,14 @@ class _Table:
             for row, problem in bad.items():
                 problems.setdefault(row, problem if key in records[row]
                                     else f"missing field {key!r}")
-        table = cls(**columns)
-        for mask, problem in table._faults():
+        return cls(**columns)._checked(problems)
+
+    def _checked(self, problems: dict) -> tuple:
+        """(self, problems) with the first ``_faults`` problem of each row without one."""
+        for mask, problem in self._faults():
             for row in np.flatnonzero(mask).tolist():
                 problems.setdefault(row, problem(row))
-        return table, problems
+        return self, problems
 
 
 class PairTable(_Table):
@@ -842,14 +858,54 @@ def _write_records(path, lines, stats: dict) -> dict:
     return stats
 
 
+def _read_layout(path, table):
+    """``_scan``'s result for a file whose every non-blank line, stripped,
+    is in the layout ``lines`` writes (``table._LAYOUT``), else None.  The
+    distinct texts of each column are parsed once, in one json.loads, and
+    checked by the column's parser; the column is their take.  Feature
+    rows that all pass ``_features`` hold no string or nested list, so
+    each distinct text was one row."""
+    match, rows, line_nos = table._LAYOUT.fullmatch, [], []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line:
+                found = match(line)
+                if found is None:
+                    return None
+                rows.append(found.groups())
+                line_nos.append(line_no)
+    columns = {}
+    for (key, parse), name, texts in zip(table.RECORD, table.Row._fields,
+                                         list(zip(*rows)) or [()] * len(table.RECORD)):
+        index = {}
+        take = [index.setdefault(text, len(index)) for text in texts]
+        try:
+            column, bad = parse(json.loads(b"[" + b",".join(index) + b"]"), key)
+        except (ValueError, RecursionError):  # not JSON, or too long or deep for it
+            return None
+        if bad:
+            return None
+        columns[name] = column[take]
+    data, bad_rows = table(**columns)._checked({})
+    return data, line_nos, {}, bad_rows
+
+
 def _scan(path, table) -> tuple:
     """A JSONL file's non-blank lines read through the table's checks.
 
     Returns (table of the lines that hold a JSON object, their line
     numbers, {line: problem} of the lines that are not ASCII, not JSON or
     not a JSON object, {row: first problem} of the table's rows; see
-    ``_Table.check``).  Lines count from 1, blank lines included.
+    ``_Table.check``).  Lines count from 1, blank lines included.  A file
+    in the layout ``lines`` writes is read column by column; any line
+    outside it (keys in another order or spacing, an escaped string, a
+    19-digit integer, a feature row not a flat list of numbers of the
+    common length, ...) sends the file through one json.loads per line,
+    the one place that words each problem.
     """
+    if layout := _read_layout(path, table):
+        return layout
     records, line_nos, unreadable = [], [], {}
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -861,6 +917,8 @@ def _scan(path, table) -> tuple:
                 problem = "not ASCII text"
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON ({exc.msg})"
+            except ValueError:  # an integer longer than int() reads
+                problem = "invalid JSON (integer too long)"
             except RecursionError:
                 problem = "invalid JSON (nested too deeply)"
             if problem:

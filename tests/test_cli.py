@@ -19,6 +19,8 @@ from modlab.policy import init_params, save_checkpoint
 
 # Nested past the recursion limit of both the JSON and the YAML parser.
 _DEEP = "[" * 10_000 + "]" * 10_000
+# More digits than int() reads (4,300 by default).
+_LONG = "9" * 5_000
 
 
 def write_config(tmp_path, **extra):
@@ -159,10 +161,46 @@ class TestOverridesAndErrors:
         assert len(err) == 1 and err[0].startswith(f"error: config {path} does not parse: "), err
 
     def test_override_nested_too_deeply_is_its_text(self, capsys):
-        # As with an override value that is not YAML, the value is the raw text.
+        # As with an override value that is not YAML, the value is the raw
+        # text, quoted up to its 60th character.
         assert cli.run("verify", None, [f"seed={_DEEP}"]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            f"error: setting seed must be an integer, got {_DEEP!r}"]
+            f"error: setting seed must be an integer, got {_DEEP[:60]!r}"]
+
+    def test_config_with_an_integer_too_long_does_not_parse(self, tmp_path, capsys):
+        path = tmp_path / "long.yaml"
+        path.write_text(f"seed: {_LONG}\n")
+        assert cli.run("verify", path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config {path} does not parse: "), err
+
+    def test_override_with_an_integer_too_long_is_its_text(self, capsys):
+        assert cli.run("verify", None, [f"seed={_LONG}"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: setting seed must be an integer, got {_LONG[:60]!r}"]
+
+    @pytest.mark.parametrize("override", [
+        pytest.param(f"seed={_DEEP}", id="nested-list"),
+        pytest.param(f"seed={_LONG}", id="long-integer"),
+        pytest.param(f"synth={_DEEP}", id="section"),
+        pytest.param("seed=1" + "0" * 400, id="integer-past-float"),
+    ])
+    def test_an_error_line_quotes_at_most_60_characters_of_a_value(self, capsys, override):
+        assert cli.run("verify", None, [override]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) <= 200, err
+
+    @pytest.mark.parametrize("value,shown", [
+        pytest.param("'abc'", "'abc'", id="string"),
+        pytest.param("x" * 60, repr("x" * 60), id="60-characters"),
+        pytest.param("[1, 2]", "[1, 2]", id="list"),
+        pytest.param("2.5", "2.5", id="float"),
+        pytest.param("x" * 61, repr("x" * 60), id="61-characters-cut"),
+    ])
+    def test_a_value_is_quoted_up_to_60_characters(self, capsys, value, shown):
+        assert cli.run("verify", None, [f"seed={value}"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: setting seed must be an integer, got {shown}"]
 
     def test_nonexistent_config(self, tmp_path):
         assert cli.run("synth", tmp_path / "absent.yaml") == cli.EXIT_MISSING
@@ -279,6 +317,22 @@ class TestBadRecords:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {dataset}, line 3: invalid JSON (nested too deeply)"]
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda line: f'{{"visual_scene": {_LONG}}}', id="off-the-layout"),
+        # The written layout kept: the column reader parses the feature rows.
+        pytest.param(lambda line: line.replace("]}", f", {_LONG}]}}"), id="in-the-layout"),
+    ])
+    def test_train_rejects_a_line_with_an_integer_too_long(self, tmp_path, capsys, built_run,
+                                                           edit):
+        dataset = tmp_path / "dataset.jsonl"
+        lines = (built_run / "dataset.jsonl").read_text().splitlines()
+        lines[2] = edit(lines[2])
+        dataset.write_text("\n".join(lines) + "\n")
+        overrides = [f"out_dir={tmp_path / 'o'}", f"train.dataset={dataset}"]
+        assert cli.run("train", None, overrides) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dataset}, line 3: invalid JSON (integer too long)"]
+
     @pytest.mark.parametrize("command,data,field,edit,needle", [
         pytest.param("train", "dataset.jsonl", "audio_feat", lambda v: v[:7],
                      "audio_feat has 7 values, expected 8",
@@ -356,6 +410,19 @@ class TestBadCheckpoints:
         assert cli.run("eval", config_path, [f"eval.checkpoint={bad}"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"{bad}, {needle}" in err[0], err
+
+    def test_eval_rejects_a_dimension_too_long(self, tmp_path, capsys, built_run):
+        lines = (built_run / "policy.ckpt").read_text().splitlines()
+        b = next(i for i, line in enumerate(lines) if line.startswith("tensor b "))
+        lines[b] = f"tensor b {_LONG}"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        overrides = [f"out_dir={tmp_path / 'o'}", f"eval.checkpoint={bad}",
+                     f"eval.items={built_run / 'eval_items.jsonl'}"]
+        assert cli.run("eval", None, overrides) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}, line {b + 1}: tensor b needs 1 positive integer dimensions, "
+            f"got {str([_LONG])[:60]}"]
 
     @pytest.mark.parametrize("command,override,data", [
         ("train", "train.reference", "dataset.jsonl"),

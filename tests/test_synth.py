@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +493,8 @@ class TestVerifyDataset:
         ('{"y_w": "\u00e9"}'.encode("utf-8"), "not ASCII text"),
         (b"[1, 2]", "not a JSON object"),
         pytest.param(_DEEP.encode(), "invalid JSON (nested too deeply)", id="nested-too-deeply"),
+        pytest.param(b'{"y_w": ' + b"9" * 5_000 + b"}", "invalid JSON (integer too long)",
+                     id="integer-too-long"),
     ])
     def test_unreadable_line_is_a_parse_error(self, tmp_path, text, problem):
         path = tmp_path / "d.jsonl"
@@ -1019,3 +1023,162 @@ def test_check_names_each_bad_record():
     assert sorted(problems) == [1, 4]
     assert problems[1].startswith("ground_truth must be one of")
     assert problems[4].startswith("task_group must be one of")
+
+
+def _line_by_line(path, table):
+    """The reference reader: one json.loads per line, then ``table.check``;
+    ``_scan``'s result, field for field."""
+    records, line_nos, unreadable = [], [], {}
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii").strip()
+                rec = json.loads(line) if line else {}
+            except UnicodeDecodeError:
+                unreadable[line_no] = "not ASCII text"
+            except json.JSONDecodeError as exc:
+                unreadable[line_no] = f"invalid JSON ({exc.msg})"
+            except ValueError:
+                unreadable[line_no] = "invalid JSON (integer too long)"
+            except RecursionError:
+                unreadable[line_no] = "invalid JSON (nested too deeply)"
+            else:
+                if not isinstance(rec, dict):
+                    unreadable[line_no] = "not a JSON object"
+                elif line:
+                    records.append(rec)
+                    line_nos.append(line_no)
+    data, bad_rows = table.check(records)
+    return data, line_nos, unreadable, bad_rows
+
+
+def _sub(pattern, new):
+    """An edit of a line's text: the first match of pattern replaced by new."""
+    return lambda line: re.sub(pattern, lambda m: new, line, count=1)
+
+
+def _feature_edit(edit):
+    """An edit of the first feature row's list of element texts."""
+    def apply(line):
+        match = re.search(r"\[([^\]]*)\]", line)
+        if match is None:
+            return line
+        items = [item for item in match.group(1).split(", ") if item]
+        return line[:match.start()] + "[" + ", ".join(edit(items)) + "]" + line[match.end():]
+    return apply
+
+
+# Edits of one line written by ``lines`` (without its newline): some keep
+# the written layout, the others take a file off it.
+_LINE_EDITS = {
+    "reordered keys": lambda line: re.sub(r'^\{("\w+": [^,]*), ("\w+": [^,]*)', r"{\2, \1",
+                                          line),
+    "spaced around": lambda line: f"  {line}\t ",
+    "extra space": _sub(r": ", ":  "),
+    "no space": _sub(r", ", ","),
+    "duplicate key": lambda line: line[:-1] + ', "prompt_id": 3}',
+    "duplicate first key": lambda line: '{"visual_scene": -4, ' + line[1:],
+    "float int": _sub(r'(?<="prompt_id": )[^,]*', "1.0"),
+    "bool int": _sub(r'(?<="audio_scene": )[^,]*', "true"),
+    "string int": _sub(r'(?<="visual_scene": )[^,]*', '"9"'),
+    "19-digit int": _sub(r'(?<="prompt_id": )[^,]*', "1234567890123456789"),
+    "18-digit int": _sub(r'(?<="prompt_id": )[^,]*', "-999999999999999999"),
+    "negative zero": _sub(r'(?<="audio_scene": )[^,]*', "-0"),
+    "leading zero": _sub(r'(?<="audio_scene": )[^,]*', "07"),
+    "long int": _sub(r'(?<="visual_scene": )[^,]*', "9" * 5_000),
+    "escaped code": lambda line: re.sub(r'(?<="modality_tag": ")\w',
+                                        lambda m: f"\\u{ord(m[0]):04x}", line),
+    "unknown code": _sub(r'(?<="question_kind": )"[^"]*"', '"audiovisual"'),
+    "flag as int": _sub(r'(?<="matched": )[a-z]+', "1"),
+    "NaN": _feature_edit(lambda items: ["NaN"] + items[1:]),
+    "Infinity": _feature_edit(lambda items: items[:-1] + ["-Infinity"]),
+    "null": _feature_edit(lambda items: ["null"] + items[1:]),
+    "true": _feature_edit(lambda items: items + ["true"]),
+    "string element": _feature_edit(lambda items: ['"0.5"'] + items[1:]),
+    "nested": _feature_edit(lambda items: ["[1.0]"] + items[1:]),
+    "deep": _feature_edit(lambda items: ["[" * 3_000 + "]" * 3_000] + items),
+    "ragged": _feature_edit(lambda items: items[:-1]),
+    "longer": _feature_edit(lambda items: items + ["0.25"]),
+    "empty row": _feature_edit(lambda items: []),
+    "huge element": _feature_edit(lambda items: ["1" + "0" * 400] + items[1:]),
+    "long element": _feature_edit(lambda items: ["9" * 5_000] + items[1:]),
+    "exponent": _feature_edit(lambda items: ["1E+2"] + items[1:]),
+    "split rows": _sub(r"\], ", "], [1.5], "),
+    "not an object": lambda line: "[" + line + "]",
+    "truncated": lambda line: line[: len(line) // 2],
+    "non-ASCII": _sub(r'^\{"', '{"\u00e9'),
+    "CRLF": lambda line: line + "\r",
+}
+
+
+@st.composite
+def _written_files(draw):
+    """(table class, file bytes): a table's lines with a few of them edited
+    and blank, whitespace-only or CRLF lines put between them."""
+    table = draw(_tables())
+    lines = [line.rstrip("\n") for line in table.lines()]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(sorted(_LINE_EDITS) + ["blank", "whitespace"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind in ("blank", "whitespace"):
+            lines.insert(at, "" if kind == "blank" else " \t ")
+        elif lines:
+            at = min(at, len(lines) - 1)
+            lines[at] = _LINE_EDITS[kind](lines[at])
+    text = "".join(line + "\n" for line in lines)
+    return type(table), text[:-1] if text and draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("scan") / "records.jsonl"
+
+
+class TestColumnReader:
+    """``_scan`` reads a file in the written layout column by column, and
+    any other file one json.loads per line, with the same result."""
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(case=_written_files())
+    def test_the_result_of_parsing_each_line(self, scratch_file, case):
+        table, text = case
+        scratch_file.write_bytes(text.encode("utf-8"))
+        got, want = synth._scan(scratch_file, table), _line_by_line(scratch_file, table)
+        for name in table.Row._fields:
+            a, b = getattr(got[0], name), getattr(want[0], name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert got[1:] == want[1:]
+
+    @pytest.fixture(scope="class")
+    def default_files(self, tmp_path_factory):
+        """The dataset and eval-item files ``modlab synth`` writes at the
+        default config, with their tables."""
+        directory = tmp_path_factory.mktemp("default")
+        pairs, items = directory / "dataset.jsonl", directory / "eval_items.jsonl"
+        assemble_dataset(SynthConfig(), pairs)
+        synth.assemble_eval_items(EvalConfig(), items)
+        return {pairs: synth.PairTable, items: synth.ItemTable}
+
+    def test_the_default_files_are_read_column_by_column(self, default_files, monkeypatch):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+        for path, table in default_files.items():
+            del calls[:]
+            data = synth.read_records(path, table)
+            assert len(data) == 2_000
+            assert len(calls) == len(table.RECORD)  # one per column, not one per line
+        del calls[:]
+        assert verify_dataset(next(iter(default_files))).ok
+        assert len(calls) == len(synth.PairTable.RECORD) + 1  # and one for the sidecar
+
+    def test_loading_the_default_pairs_peaks_under_3_mb(self, default_files):
+        path = next(iter(default_files))
+        synth.load_pairs(path)
+        tracemalloc.start()
+        try:
+            synth.load_pairs(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
