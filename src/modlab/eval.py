@@ -58,6 +58,7 @@ from .synth import (
     _NUMBERS,
     EvalItem,
     ItemTable,
+    _code_counts,
     read_records,
 )
 
@@ -73,8 +74,11 @@ def item_from_record(rec: dict) -> EvalItem:
     """The EvalItem row of one decoded eval-item record.  The code fields,
     prompt_id (an integer in [0, N_PROMPTS)) and the features (1-D lists
     of finite JSON numbers: no strings, booleans or overflowing integers)
-    are checked, each failure an EvalError naming the field;
-    ``load_eval_items`` checks whole files."""
+    are checked, each failure an EvalError naming the field, as is a
+    missing field; ``load_eval_items`` checks whole files."""
+    for key, _ in ItemTable.RECORD:
+        if key not in rec:
+            raise EvalError(f"missing field {key!r}")
     codes = {}
     for key, names in (("question_kind", EVAL_QUESTION_KINDS), ("modality_tag", MODALITY_TAGS),
                        ("ground_truth", ANSWERS), ("task_group", TASK_GROUPS)):
@@ -204,10 +208,12 @@ def evaluate(params: PolicyParams, items) -> MetricsReport:
 
 
 def evaluate_by_group(params: PolicyParams, items) -> dict:
-    """MetricsReport per task_group plus an "overall" entry."""
+    """An "overall" MetricsReport, then one per task group present, in name
+    order.  The groups present are ``_code_counts``' (one np.bincount):
+    np.unique's hash path imports numpy.ma, about 2 MB of a process."""
     preds = predictions(params, items)
     out = {"overall": score(preds, items)}
-    for group in sorted(TASK_GROUPS[g] for g in np.unique(items.task_group)):
+    for group in _code_counts(items.task_group, TASK_GROUPS):
         rows = items.task_group == TASK_GROUPS.index(group)
         out[group] = score(preds[rows], items[rows])
     return out

@@ -811,8 +811,9 @@ def pair_record(pair: PreferencePair) -> dict:
 
 
 def _code_counts(codes, names) -> dict:
-    """{name: count} of the codes present, sorted by name."""
-    counts = np.bincount(codes, minlength=len(names))
+    """{name: count} of the codes present, sorted by name.  An empty column
+    counts nothing, whatever its dtype (``ItemTable.coerce([])``'s is float)."""
+    counts = np.bincount(codes, minlength=len(names)) if len(codes) else ()
     return dict(sorted((names[i], int(n)) for i, n in enumerate(counts) if n))
 
 
@@ -858,28 +859,39 @@ def _write_records(path, lines, stats: dict) -> dict:
     return stats
 
 
+# Lines _read_layout matches before it indexes their texts: a read holds one
+# block's matched groups, not the file's (about 20,000 bytes objects for
+# 2,000 lines).
+_LAYOUT_BLOCK = 256
+
+
 def _read_layout(path, table):
     """``_scan``'s result for a file whose every non-blank line, stripped,
     is in the layout ``lines`` writes (``table._LAYOUT``), else None.  The
-    distinct texts of each column are parsed once, in one json.loads, and
-    checked by the column's parser; the column is their take.  Feature
+    file is matched ``_LAYOUT_BLOCK`` lines at a time, and each block's
+    texts are indexed into one dict of distinct texts per column.  At the
+    end each column's distinct texts are parsed once, in one json.loads,
+    and checked by the column's parser; the column is their take.  Feature
     rows that all pass ``_features`` hold no string or nested list, so
     each distinct text was one row."""
-    match, rows, line_nos = table._LAYOUT.fullmatch, [], []
+    match, line_nos, line_no = table._LAYOUT.fullmatch, [], 0
+    indexes, takes = [{} for _ in table.RECORD], [[] for _ in table.RECORD]
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                found = match(line)
-                if found is None:
-                    return None
-                rows.append(found.groups())
-                line_nos.append(line_no)
+        while block := list(itertools.islice(fh, _LAYOUT_BLOCK)):
+            rows = []
+            for raw in block:
+                line_no += 1
+                line = raw.strip()
+                if line:
+                    found = match(line)
+                    if found is None:
+                        return None
+                    rows.append(found.groups())
+                    line_nos.append(line_no)
+            for index, take, texts in zip(indexes, takes, zip(*rows)):
+                take += [index.setdefault(text, len(index)) for text in texts]
     columns = {}
-    for (key, parse), name, texts in zip(table.RECORD, table.Row._fields,
-                                         list(zip(*rows)) or [()] * len(table.RECORD)):
-        index = {}
-        take = [index.setdefault(text, len(index)) for text in texts]
+    for (key, parse), name, index, take in zip(table.RECORD, table.Row._fields, indexes, takes):
         try:
             column, bad = parse(json.loads(b"[" + b",".join(index) + b"]"), key)
         except (ValueError, RecursionError):  # not JSON, or too long or deep for it
@@ -898,11 +910,12 @@ def _scan(path, table) -> tuple:
     numbers, {line: problem} of the lines that are not ASCII, not JSON or
     not a JSON object, {row: first problem} of the table's rows; see
     ``_Table.check``).  Lines count from 1, blank lines included.  A file
-    in the layout ``lines`` writes is read column by column; any line
-    outside it (keys in another order or spacing, an escaped string, a
-    19-digit integer, a feature row not a flat list of numbers of the
-    common length, ...) sends the file through one json.loads per line,
-    the one place that words each problem.
+    in the layout ``lines`` writes is read column by column, in blocks of
+    ``_LAYOUT_BLOCK`` lines (``_read_layout``); any line outside it (keys
+    in another order or spacing, an escaped string, a 19-digit integer, a
+    feature row not a flat list of numbers of the common length, ...),
+    in whichever block, sends the whole file through one json.loads per
+    line, the one place that words each problem.
     """
     if layout := _read_layout(path, table):
         return layout

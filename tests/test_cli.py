@@ -610,6 +610,35 @@ class TestVerifyCommand:
         ]
 
 
+# Runs the five commands on the config named by argv[1] in one process and
+# prints their exit codes, whether numpy.ma was imported and the modules
+# the commands imported beyond ``modlab.cli``'s own.
+_FIVE_COMMANDS = """
+import json, sys
+from modlab import cli
+before = set(sys.modules)
+codes = [cli.run(command, sys.argv[1]) for command in ("synth", "train", "eval", "report",
+                                                       "verify")]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules,
+                  "imported": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestImports:
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # numpy.ma is about 11,000 lines, which np.unique's hash path
+        # imports; a fresh process shows whether any command pulls it in.
+        config_path, _ = write_config(tmp_path)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-c", _FIVE_COMMANDS, str(config_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * 5
+        assert not result["numpy.ma"], result["imported"]
+
+
 @pytest.fixture(scope="module")
 def built_run(tmp_path_factory):
     """A synth + train run of the small test config; its files are inputs only."""

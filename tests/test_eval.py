@@ -243,6 +243,49 @@ class TestCompare:
         assert len(lines) == 1 + eval_mod.SHIFT_HISTOGRAM_BINS + 2
 
 
+class TestEvaluateByGroup:
+    """One report per task group present, each ``score`` of its own rows."""
+
+    PARAMS = init_params(n_prompts=synth.N_PROMPTS, seed=8)
+
+    @staticmethod
+    def _items(**fractions):
+        return synth.generate_eval_items(EvalConfig(n_items=60, n_scenes=30, seed=21,
+                                                    **fractions))
+
+    def test_the_groups_present_in_name_order(self):
+        items = self._items(dominance_fraction=0.2)  # no matching probes
+        reports = eval_mod.evaluate_by_group(self.PARAMS, items)
+        assert list(reports) == ["overall", "adv_hallucination", "dominance",
+                                 "vda_hallucination"]
+        assert reports["overall"].as_dict() == eval_mod.evaluate(self.PARAMS, items).as_dict()
+
+    def test_each_group_is_scored_on_its_own_rows(self):
+        items = self._items(matching_fraction=0.2, dominance_fraction=0.2)
+        reports = eval_mod.evaluate_by_group(self.PARAMS, items)
+        assert list(reports) == ["overall"] + sorted(synth.TASK_GROUPS)
+        for group, report in reports.items():
+            rows = items[items.task_group == synth.TASK_GROUPS.index(group)
+                         if group != "overall" else slice(None)]
+            preds = eval_mod.predictions(self.PARAMS, rows)
+            assert report.as_dict() == score(preds, rows).as_dict()
+            assert report.total == len(rows) > 0
+
+    @pytest.mark.parametrize("empty", ["sliced", "coerced"])
+    def test_an_empty_table_has_only_overall(self, empty):
+        items = self._items()[:0] if empty == "sliced" else synth.ItemTable.coerce([])
+        reports = eval_mod.evaluate_by_group(self.PARAMS, items)
+        assert list(reports) == ["overall"] and reports["overall"].total == 0
+
+    def test_dominance_items_alone(self):
+        items = self._items(dominance_fraction=0.2)
+        items = items[items.task_group == synth.TASK_GROUPS.index("dominance")]
+        reports = eval_mod.evaluate_by_group(self.PARAMS, items)
+        assert list(reports) == ["overall", "dominance"]
+        assert reports["overall"].as_dict() == reports["dominance"].as_dict()
+        assert reports["dominance"].total == 12
+
+
 class TestItemLoading:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "items.jsonl"
@@ -252,12 +295,18 @@ class TestItemLoading:
         assert set(items.ground_truth) <= {synth.YES_ID, synth.NO_ID}
 
     def test_invalid_record_rejected(self):
-        with pytest.raises(eval_mod.EvalError):
-            eval_mod.item_from_record({
-                "audio_feat": [0.0], "visual_feat": [0.0], "prompt_id": 0,
-                "modality_tag": "visual_related", "question_kind": "visual_presence",
-                "ground_truth": "maybe", "task_group": "adv_hallucination",
-            })
+        rec = synth.generate_eval_records(EvalConfig(n_items=2, n_scenes=4, seed=3))[0]
+        with pytest.raises(eval_mod.EvalError, match="^ground_truth must be one of"):
+            eval_mod.item_from_record({**rec, "ground_truth": "maybe"})
+
+    @pytest.mark.parametrize("key", [key for key, _ in synth.ItemTable.RECORD])
+    def test_a_missing_field_is_named_as_the_loader_names_it(self, key):
+        rec = synth.generate_eval_records(EvalConfig(n_items=2, n_scenes=4, seed=3))[0]
+        del rec[key]
+        with pytest.raises(eval_mod.EvalError) as caught:
+            eval_mod.item_from_record(rec)
+        _, problems = synth.ItemTable.check([rec])
+        assert str(caught.value) == problems[0] == f"missing field {key!r}"
 
     @pytest.mark.parametrize("key,value", [
         ("prompt_id", True), ("prompt_id", 2.7), ("prompt_id", 99), ("prompt_id", -1),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modlab import eval as eval_mod
 from modlab import synth
 from modlab.synth import (
     NO_ID,
@@ -1172,13 +1173,82 @@ class TestColumnReader:
         assert verify_dataset(next(iter(default_files))).ok
         assert len(calls) == len(synth.PairTable.RECORD) + 1  # and one for the sidecar
 
-    def test_loading_the_default_pairs_peaks_under_3_mb(self, default_files):
-        path = next(iter(default_files))
-        synth.load_pairs(path)
+    @staticmethod
+    def _peak(load, path) -> int:
+        """Peak bytes tracemalloc sees during load(path), after an untraced load."""
+        load(path)
         tracemalloc.start()
         try:
-            synth.load_pairs(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            load(path)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3_000_000
+
+    # A read holds one block of matched lines, not the whole file's (2.0 MB).
+    def test_loading_the_default_pairs_peaks_under_1_5_mb(self, default_files):
+        pairs, _ = default_files
+        assert self._peak(synth.load_pairs, pairs) < 1_500_000
+
+    def test_loading_the_default_eval_items_peaks_under_1_5_mb(self, default_files):
+        _, items = default_files
+        assert self._peak(eval_mod.load_eval_items, items) < 1_500_000
+
+
+@pytest.fixture(scope="module")
+def blocks_of_lines():
+    """(table class, its lines without newlines): a pair table of two blocks
+    of lines and a half."""
+    n = synth._LAYOUT_BLOCK * 5 // 2
+    pairs = generate_pairs(SynthConfig(n_pairs=n, n_scenes=60, seed=4))
+    return synth.PairTable, [line.rstrip("\n") for line in pairs.lines()]
+
+
+class TestLayoutBlocks:
+    """``_read_layout`` reads a file a block of lines at a time: files that
+    end on, just past, or across block boundaries read as line by line."""
+
+    @staticmethod
+    def _read(path, table, lines):
+        path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+        got, want = synth._scan(path, table), _line_by_line(path, table)
+        for name in table.Row._fields:
+            a, b = getattr(got[0], name), getattr(want[0], name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert got[1:] == want[1:]
+        return synth._read_layout(path, table), got
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, synth._LAYOUT_BLOCK])
+    def test_whole_blocks_and_a_line_past_them(self, scratch_file, blocks_of_lines, extra):
+        table, lines = blocks_of_lines
+        n = synth._LAYOUT_BLOCK + extra
+        layout, got = self._read(scratch_file, table, lines[:n])
+        assert layout is not None and len(got[0]) == n and got[1] == list(range(1, n + 1))
+
+    def test_an_off_layout_line_in_the_last_block_sends_the_whole_file_line_by_line(
+            self, scratch_file, blocks_of_lines):
+        table, lines = blocks_of_lines
+        lines = list(lines)
+        lines[-2] = _LINE_EDITS["reordered keys"](lines[-2])
+        layout, got = self._read(scratch_file, table, lines)
+        assert layout is None and len(got[0]) == len(lines) and not got[3]
+
+    def test_an_unparsable_row_in_the_last_block_sends_the_whole_file_line_by_line(
+            self, scratch_file, blocks_of_lines):
+        table, lines = blocks_of_lines
+        lines = list(lines)
+        lines[-1] = _LINE_EDITS["ragged"](lines[-1])  # in the layout, but too short
+        layout, got = self._read(scratch_file, table, lines)
+        assert layout is None and list(got[3]) == [len(lines) - 1]
+
+    def test_blank_lines_on_a_block_boundary_keep_their_line_numbers(
+            self, scratch_file, blocks_of_lines):
+        table, lines = blocks_of_lines
+        block = synth._LAYOUT_BLOCK
+        # A blank line ends the first block, a whitespace-only line opens
+        # the second and a blank line ends it.
+        lines = lines[:block - 1] + [""] + [" \t"] + lines[block - 1:2 * block - 3] + [""] \
+            + lines[2 * block - 3:]
+        layout, got = self._read(scratch_file, table, lines)
+        blank = {block, block + 1, 2 * block}
+        assert layout is not None
+        assert got[1] == [n for n in range(1, len(lines) + 1) if n not in blank]

@@ -101,6 +101,22 @@ class TestBench:
         assert not any(os.path.exists(prefix) for prefix in prefixes)
 
 
+class TestProtocol:
+    @pytest.mark.parametrize("dont_write,stated", [(None, "unset"), ("1", "'1'")])
+    def test_states_the_bytecode_environment_of_each_run(self, monkeypatch, dont_write,
+                                                           stated):
+        if dont_write is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", dont_write)
+        text = ab.protocol("11-20", 10, 30)
+        assert text.startswith("10 pairs per workload of BENCHMARK.json, seeds 11-20")
+        assert "--seconds 30 --trace 0" in text
+        assert "own fresh, empty PYTHONPYCACHEPREFIX" in text
+        assert "compiled from source in that run" in text
+        assert f"PYTHONDONTWRITEBYTECODE inherited ({stated})" in text
+
+
 # The train bindings a step calls, counted by the tests below on their own.
 BINDINGS = ("evaluate_batch", "corrupt", "forward_unchecked", "pair_loss_terms", "_sigmoid",
             "backward", "apply_gradient_step")

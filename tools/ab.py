@@ -83,6 +83,22 @@ def bench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -
             "units": {k: v["unit"] for k, v in metrics.items()}}
 
 
+def protocol(seeds: str, n_pairs: int, seconds: float) -> str:
+    """The protocol line of a BENCH file, with the bytecode environment of its runs."""
+    dont_write = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    return (f"{n_pairs} pairs per workload of BENCHMARK.json, seeds {seeds}, the base running "
+            "first in odd pairs and the change first in even ones; each run is `python3 "
+            f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0` "
+            "(run_seconds of BENCHMARK.json) under its own fresh, empty PYTHONPYCACHEPREFIX, "
+            "so each module it loads from a .py file, numpy's lazily imported ones included, "
+            "is compiled from source in that run, with PYTHONDONTWRITEBYTECODE inherited ("
+            + ("unset" if dont_write is None else f"{dont_write!r}") + "); quartiles are "
+            "inclusive; wins count the pairs where the change reads better, ties for neither; "
+            "worse_frac is the change's median relative to the base's, signed so that "
+            "positive is worse, and within_bound compares it with the metric's bound in "
+            "BENCHMARK.json")
+
+
 def alternate(sides: dict, workload: str, seeds: list, seconds: float, trace: int):
     """One run per side per seed, the base first in odd pairs and the change first in even."""
     for k, seed in enumerate(seeds):
@@ -148,14 +164,7 @@ def main(argv=None) -> int:
            "base": f"{args.base} (a git archive of it, run from its own checkout)",
            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                        "numpy": numpy.__version__, "platform": platform.platform()},
-           "protocol": f"{len(seeds)} pairs per workload of BENCHMARK.json, seeds {args.seeds}, "
-                       "the base running first in odd pairs and the change first in even ones; "
-                       "each run is `python3 perfbench/run.py --workload W --seed S --seconds "
-                       f"{seconds:g} --trace 0` (run_seconds of BENCHMARK.json); quartiles are "
-                       "inclusive; wins count the pairs where the change reads better, ties for "
-                       "neither; worse_frac is the change's median relative to the base's, "
-                       "signed so that positive is worse, and within_bound compares it with "
-                       "the metric's bound in BENCHMARK.json",
+           "protocol": protocol(args.seeds, len(seeds), seconds),
            "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"base": export(args.base, tmp), "change": ROOT}
